@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -254,13 +255,12 @@ func show(cache *query.Cache, g storage.Graph, q *cypher.Query, tag string, maxR
 	// workers merge their counters exactly — so the printed stats describe
 	// one run regardless of -repeat or -query-workers.
 	var st query.Stats
-	var res *query.Result
 	var prof *query.Profile
 	if profile {
-		res, prof, err = plan.ExecuteParallelProfiled(queryWorkers, &st)
-	} else {
-		res, err = plan.ExecuteParallelWithStats(queryWorkers, &st)
+		prof = new(query.Profile)
 	}
+	ctx := context.Background()
+	res, err := query.Collect(ctx, plan, query.ExecOptions{Workers: queryWorkers, Stats: &st, Profile: prof})
 	if err != nil {
 		fatalf("%s: %v", tag, err)
 	}
@@ -287,7 +287,7 @@ func show(cache *query.Cache, g storage.Graph, q *cypher.Query, tag string, maxR
 					// are all hits on the shared plan.
 					p, err := cache.Get(g, text)
 					if err == nil {
-						_, err = p.ExecuteParallel(queryWorkers)
+						_, err = query.Collect(ctx, p, query.ExecOptions{Workers: queryWorkers})
 					}
 					if err != nil {
 						errs[w] = err

@@ -78,7 +78,7 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// Serving layer: admission control, shutdown semantics, and
 			// the stats endpoint schema must stay documented.
 			"Serving layer", "pgsserve", "429", "admission", "drain",
-			"/stats", "ExecuteContext", "loadgen", "top_queries",
+			"/stats", "Prepared.Exec", "query.Sink", "loadgen", "top_queries",
 			// Durability: the WAL/delta live-write path, its checkpoint
 			// protocol, and the crash-recovery contract must stay
 			// documented alongside the recovery code.

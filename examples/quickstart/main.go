@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/query"
 	"repro/internal/rewrite"
+	"repro/internal/storage"
 	"repro/internal/storage/memstore"
 )
 
@@ -89,14 +91,8 @@ func main() {
 			log.Fatal(err)
 		}
 		var ds1, ds2 query.Stats
-		r1, err := query.RunWithStats(dir, q, &ds1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r2, err := query.RunWithStats(opt, rw, &ds2)
-		if err != nil {
-			log.Fatal(err)
-		}
+		r1 := run(dir, q, &ds1)
+		r2 := run(opt, rw, &ds2)
 		fmt.Printf("\n=== %s ===\n", ex.title)
 		fmt.Printf("DIR query: %s\n", q)
 		fmt.Printf("OPT query: %s\n", rw)
@@ -108,4 +104,17 @@ func main() {
 		fmt.Printf("OPT: %4d rows, %6d edge traversals, %6d property reads\n",
 			len(r2.Rows), ds2.EdgesTraversed, ds2.PropsRead)
 	}
+}
+
+// run compiles q against g and executes it once, counting its work in st.
+func run(g storage.Graph, q *cypher.Query, st *query.Stats) *query.Result {
+	p, err := query.Prepare(g, q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := query.Collect(context.Background(), p, query.ExecOptions{Stats: st})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -129,7 +130,7 @@ func traversals(env *bench.Env, plan *optimizer.Plan, wl *workload.Workload) (in
 		if err != nil {
 			return 0, err
 		}
-		if _, err := p.ExecuteWithStats(&stats); err != nil {
+		if _, err := query.Collect(context.Background(), p, query.ExecOptions{Stats: &stats}); err != nil {
 			return 0, err
 		}
 	}

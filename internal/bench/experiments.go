@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -222,9 +223,10 @@ func runComparison(env *Env, b Backend, q workload.Query, dir, opt storage.Graph
 		return nil, fmt.Errorf("%s OPT: %w", q.Name, err)
 	}
 	var dirStats, optStats query.Stats
+	ctx := context.Background()
 	row.DirMs, err = timeIt(func() error {
 		for i := 0; i < env.Opts.Reps; i++ {
-			if _, err := dirPlan.ExecuteWithStats(&dirStats); err != nil {
+			if _, err := query.Collect(ctx, dirPlan, query.ExecOptions{Stats: &dirStats}); err != nil {
 				return err
 			}
 		}
@@ -235,7 +237,7 @@ func runComparison(env *Env, b Backend, q workload.Query, dir, opt storage.Graph
 	}
 	row.OptMs, err = timeIt(func() error {
 		for i := 0; i < env.Opts.Reps; i++ {
-			if _, err := optPlan.ExecuteWithStats(&optStats); err != nil {
+			if _, err := query.Collect(ctx, optPlan, query.ExecOptions{Stats: &optStats}); err != nil {
 				return err
 			}
 		}
@@ -332,10 +334,11 @@ func WorkloadLatency(env *Env, backends []Backend) ([]WorkloadRow, error) {
 			}
 		}
 		var dirStats, optStats query.Stats
+		ctx := context.Background()
 		row.DirMs, err = timeIt(func() error {
 			for i := 0; i < env.Opts.Reps; i++ {
 				for _, p := range dirPlans {
-					if _, err := p.ExecuteWithStats(&dirStats); err != nil {
+					if _, err := query.Collect(ctx, p, query.ExecOptions{Stats: &dirStats}); err != nil {
 						return err
 					}
 				}
@@ -350,7 +353,7 @@ func WorkloadLatency(env *Env, backends []Backend) ([]WorkloadRow, error) {
 		row.OptMs, err = timeIt(func() error {
 			for i := 0; i < env.Opts.Reps; i++ {
 				for _, p := range optPlans {
-					if _, err := p.ExecuteWithStats(&optStats); err != nil {
+					if _, err := query.Collect(ctx, p, query.ExecOptions{Stats: &optStats}); err != nil {
 						return err
 					}
 				}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -195,12 +196,13 @@ func IntraQueryScaling(env *Env, b Backend, workers []int, ops int) ([]IntraQuer
 	query.SortRowsForComparison(ref.Rows)
 	wantRows := fmt.Sprint(ref.Rows)
 
+	ctx := context.Background()
 	var points []IntraQueryPoint
 	for _, w := range workers {
 		if w <= 0 {
 			return nil, fmt.Errorf("bench: invalid worker count %d", w)
 		}
-		check, err := plan.ExecuteParallel(w)
+		check, err := query.Collect(ctx, plan, query.ExecOptions{Workers: w})
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +212,7 @@ func IntraQueryScaling(env *Env, b Backend, workers []int, ops int) ([]IntraQuer
 		}
 		totalMs, err := timeIt(func() error {
 			for i := 0; i < ops; i++ {
-				res, err := plan.ExecuteParallel(w)
+				res, err := query.Collect(ctx, plan, query.ExecOptions{Workers: w})
 				if err != nil {
 					return err
 				}

@@ -53,7 +53,7 @@ func TestBloomProbeSkipsEmptyScans(t *testing.T) {
 		}
 		before := BloomSkips()
 		var st Stats
-		r, err := p.ExecuteWithStats(&st)
+		r, err := collect(p, 1, &st)
 		if err != nil {
 			t.Fatal(err)
 		}

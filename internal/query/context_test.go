@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -29,14 +30,13 @@ func buildWideGraph(t *testing.T, n int) storage.Builder {
 	return mem
 }
 
-func TestExecuteContextCompletes(t *testing.T) {
+// TestExecContext is the context contract at both ends of the Workers
+// knob: a live cancellable context changes nothing, a context that is
+// already canceled or past its deadline is refused before any work.
+func TestExecContext(t *testing.T) {
 	mem := memstore.New()
-	buildMedGraph(t, mem)
-	p, err := Prepare(mem, cypher.MustParse(`MATCH (d:Drug) RETURN d.name ORDER BY d.name`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.ExecuteContext(context.Background())
+	buildPeopleGraph(t, mem, 100)
+	p, err := Prepare(mem, cypher.MustParse(`MATCH (p:Person) RETURN p.name ORDER BY p.name`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,22 +44,32 @@ func TestExecuteContextCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(want.Rows) {
-		t.Errorf("ExecuteContext rows = %d, Execute rows = %d", len(res.Rows), len(want.Rows))
-	}
-}
-
-func TestExecuteContextAlreadyCanceled(t *testing.T) {
-	mem := memstore.New()
-	buildMedGraph(t, mem)
-	p, err := Prepare(mem, cypher.MustParse(`MATCH (d:Drug) RETURN d.name`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.ExecuteContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-canceled context: err = %v, want context.Canceled", err)
+	expired, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	for _, workers := range []int{1, 4} {
+		var st Stats
+		o := ExecOptions{Workers: workers, Stats: &st}
+		res, err := Collect(live, p, o)
+		if err != nil {
+			t.Fatalf("workers=%d live context: %v", workers, err)
+		}
+		if !reflect.DeepEqual(rowStrings(res), rowStrings(want)) {
+			t.Errorf("workers=%d live context: rows differ from Execute", workers)
+		}
+		st = Stats{}
+		if _, err := Collect(canceled, p, o); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d pre-canceled context: err = %v, want context.Canceled", workers, err)
+		}
+		if _, err := Collect(expired, p, o); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("workers=%d expired deadline: err = %v, want context.DeadlineExceeded", workers, err)
+		}
+		if st != (Stats{}) {
+			t.Errorf("workers=%d: a refused context still did work: %+v", workers, st)
+		}
 	}
 }
 
@@ -80,7 +90,7 @@ func (g *cancelAfterGraph) HasLabel(v storage.VID, label string) bool {
 	return g.Graph.HasLabel(v, label)
 }
 
-func TestExecuteContextCancelMidQuery(t *testing.T) {
+func TestExecCancelMidQuery(t *testing.T) {
 	const n = 600 // n*n iterations without cancellation
 	mem := buildWideGraph(t, n)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -93,7 +103,7 @@ func TestExecuteContextCancelMidQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	_, err = p.ExecuteContextWithStats(ctx, &st)
+	_, err = Collect(ctx, p, ExecOptions{Stats: &st})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -103,25 +113,11 @@ func TestExecuteContextCancelMidQuery(t *testing.T) {
 		t.Errorf("scanned %d vertices after cancel, want <= %d (~one checkpoint interval)", st.VerticesScanned, limit)
 	}
 	// The plan (and its pooled machine) must stay usable afterwards.
-	res, err := p.ExecuteContext(context.Background())
+	res, err := p.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != n*n {
 		t.Errorf("post-cancel run: rows = %v, want one COUNT(*) row of %d", rowStrings(res), n*n)
-	}
-}
-
-func TestExecuteContextDeadline(t *testing.T) {
-	const n = 400
-	mem := buildWideGraph(t, n)
-	p, err := Prepare(mem, cypher.MustParse(`MATCH (a:Drug), (b:Drug) RETURN COUNT(*)`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 0)
-	defer cancel()
-	if _, err := p.ExecuteContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }

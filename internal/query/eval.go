@@ -2,7 +2,8 @@
 // Queries are compiled once (Prepare) into a plan that runs against the
 // storage fast path — interned symbol IDs, slot-indexed variable bindings,
 // and a fixed traversal order — and can then be executed many times
-// (Execute). The executor implements label-scan starts, path-pattern
+// (Exec, which streams rows to a Sink; Collect materializes them). The
+// executor implements label-scan starts, path-pattern
 // expansion with Cypher's relationship-uniqueness semantics, WHERE
 // filtering with three-valued logic, and RETURN projection with implicit
 // grouping for aggregates — enough to run the paper's entire

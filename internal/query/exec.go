@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/cypher"
@@ -33,22 +34,237 @@ type Result struct {
 	Rows    [][]graph.Value
 }
 
+// Sink receives an execution's result rows, one AddRow call per row, all
+// on the goroutine that called Exec. Each row is a freshly allocated
+// slice that belongs to the sink from that call on — the driver never
+// reads or writes it again — so a sink may keep it (a *Result does) or
+// encode it and let it die (the server does). A non-nil error stops the
+// execution and is returned from Exec. AddRow runs inside the traversal,
+// with the store's view pinned: it must not block on anything slower than
+// memory.
+type Sink interface {
+	AddRow(row []graph.Value) error
+}
+
+// AddRow makes a *Result the materializing Sink.
+func (r *Result) AddRow(row []graph.Value) error {
+	r.Rows = append(r.Rows, row)
+	return nil
+}
+
+// Collect runs the plan once and materializes its rows: Exec with a
+// *Result as the sink.
+func Collect(ctx context.Context, p *Prepared, o ExecOptions) (*Result, error) {
+	res := &Result{Columns: p.cols, Rows: [][]graph.Value{}}
+	if err := p.Exec(ctx, o, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// ExecOptions are the three things an execution can vary.
+type ExecOptions struct {
+	// Workers caps morsel-driven intra-query parallelism. Values <= 1, a
+	// plan shape the planner marked ineligible, or a root label below
+	// MinParallelRootCount run the whole root scan as one morsel, inline
+	// on the calling goroutine — so callers pass their knob
+	// unconditionally.
+	Workers int
+	// Stats, when non-nil, accumulates the execution's work counters.
+	// They are exact and independent of Workers. Concurrent executions
+	// need a Stats each.
+	Stats *Stats
+	// Profile, when non-nil, is overwritten with the execution's per-step
+	// operator trace (see profile.go).
+	Profile *Profile
+}
+
+// Exec is the one way a plan runs. It pins the view once — a snapshot on
+// backends that take live writes, the store itself otherwise — and every
+// machine of the execution reads through that pin and nothing else. The
+// root scan runs either as one morsel on the calling goroutine, on a
+// pooled machine with no goroutine, channel or lock, or as many morsels
+// on o.Workers goroutines (parallel.go) that hand rows and partial groups
+// back to the caller's machine. Either way the caller's machine owns the
+// plan's one set of shape finishers — group merge, DISTINCT, top-k,
+// ORDER BY gather, LIMIT — and they deliver to sink on this goroutine.
+//
+// Cancelling ctx (or its deadline passing) stops every machine within
+// cancelMask+1 iterations and Exec returns the context's error. Rows the
+// sink has already received stay delivered: a caller that must not show
+// partial output discards what it buffered when Exec returns an error.
+// Safe for any number of concurrent callers on one plan.
+func (p *Prepared) Exec(ctx context.Context, o ExecOptions, sink Sink) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	st := o.Stats
+	if st == nil {
+		st = new(Stats)
+	}
+	g := p.g
+	if p.snaps != nil {
+		snap := p.snaps.AcquireSnapshot()
+		defer snap.Release()
+		g = snap
+	}
+	scans := p.planMorsels(g, o.Workers)
+	workers := min(o.Workers, len(scans))
+	if o.Profile != nil {
+		*o.Profile = Profile{Steps: p.profileSteps(), Parallel: scans != nil, Morsels: len(scans), Workers: max(workers, 1)}
+	}
+	// Only a machine that runs the chain needs the profiled one; on the
+	// many-morsel branch those are the workers'.
+	m := p.getMachine(o.Profile != nil && scans == nil)
+	m.begin(ctx, g, st)
+	m.fin = finisher{p: p, sink: sink, key: m.fin.key}
+	var err error
+	if scans == nil {
+		err = m.root()
+	} else {
+		err = p.runMorsels(ctx, g, scans, workers, m, o.Profile)
+	}
+	if err == nil {
+		err = p.finish(m)
+	}
+	if o.Profile != nil {
+		o.Profile.addSteps(m.psteps)
+	}
+	p.release(m)
+	return err
+}
+
+// Execute runs the plan on one morsel and materializes the result.
+func (p *Prepared) Execute() (*Result, error) {
+	return Collect(context.Background(), p, ExecOptions{})
+}
+
+// ExecuteParallelContextWithStats is Collect under its pre-Exec name and
+// argument order, kept because benchmark/twin.go pins it.
+func (p *Prepared) ExecuteParallelContextWithStats(ctx context.Context, workers int, st *Stats) (*Result, error) {
+	return Collect(ctx, p, ExecOptions{Workers: workers, Stats: st})
+}
+
 // Run executes the query against the graph. One-shot convenience wrapper:
 // it compiles the query with Prepare and executes the plan once. Callers
 // that run the same query repeatedly should Prepare once and Execute many
 // times.
 func Run(g storage.Graph, q *cypher.Query) (*Result, error) {
-	var st Stats
-	return RunWithStats(g, q, &st)
-}
-
-// RunWithStats executes the query, accumulating work counters into st.
-func RunWithStats(g storage.Graph, q *cypher.Query, st *Stats) (*Result, error) {
 	p, err := Prepare(g, q)
 	if err != nil {
 		return nil, err
 	}
-	return p.ExecuteWithStats(st)
+	return p.Execute()
+}
+
+// finisher is the tail every execution shares, whatever produced its
+// rows: DISTINCT, then either straight delivery under LIMIT or — for
+// ORDER BY — buffering until the traversal ends, as a bounded top-k heap
+// when there is a LIMIT too. It lives in the driver's machine and runs
+// only on the goroutine that called Exec.
+type finisher struct {
+	p    *Prepared
+	sink Sink
+	seen map[string]struct{} // DISTINCT filter
+	key  []byte              // scratch for seen's keys, kept across executions
+	n    int64               // rows past DISTINCT so far
+	buf  []orderedRow        // ORDER BY: a max-heap rooted at the worst row under LIMIT, else arrival order
+}
+
+// orderedRow is a buffered ORDER BY row with its arrival number, the
+// tiebreak that makes the order total: rows the ORDER BY columns cannot
+// tell apart keep arrival order, and under LIMIT the earliest of them
+// win — what a stable sort of the full result followed by a cut returns.
+type orderedRow struct {
+	row []graph.Value
+	seq int64
+}
+
+func (f *finisher) less(a, b orderedRow) bool {
+	if c := f.p.rowCmp(a.row, b.row); c != 0 {
+		return c < 0
+	}
+	return a.seq < b.seq
+}
+
+// add takes one projected or grouped row.
+func (f *finisher) add(row []graph.Value) error {
+	p := f.p
+	if p.distinct {
+		f.key = appendRowKey(f.key[:0], row)
+		if _, dup := f.seen[string(f.key)]; dup {
+			return nil
+		}
+		if f.seen == nil {
+			f.seen = map[string]struct{}{}
+		}
+		f.seen[string(f.key)] = struct{}{}
+	}
+	if len(p.orderCols) == 0 {
+		if p.limit >= 0 && f.n >= int64(p.limit) {
+			return nil // past the LIMIT: dropped; the traversal is not cut short
+		}
+		f.n++
+		return f.sink.AddRow(row)
+	}
+	f.n++
+	e := orderedRow{row, f.n}
+	switch {
+	case p.limit < 0:
+		f.buf = append(f.buf, e)
+	case len(f.buf) < p.limit:
+		f.buf = append(f.buf, e)
+		f.up(len(f.buf) - 1)
+	case p.limit > 0 && f.less(e, f.buf[0]):
+		f.buf[0] = e
+		f.down(0)
+	}
+	return nil
+}
+
+// flush ends the execution: buffered ORDER BY rows are sorted and
+// delivered, and the delivered count lands in st.
+func (f *finisher) flush(st *Stats) error {
+	if len(f.p.orderCols) > 0 {
+		sort.Slice(f.buf, func(i, j int) bool { return f.less(f.buf[i], f.buf[j]) })
+		for _, e := range f.buf {
+			if err := f.sink.AddRow(e.row); err != nil {
+				return err
+			}
+		}
+		f.n = int64(len(f.buf))
+	}
+	st.RowsEmitted += f.n
+	return nil
+}
+
+func (f *finisher) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !f.less(f.buf[parent], f.buf[i]) {
+			return
+		}
+		f.buf[i], f.buf[parent] = f.buf[parent], f.buf[i]
+		i = parent
+	}
+}
+
+func (f *finisher) down(i int) {
+	n := len(f.buf)
+	for {
+		worst := i
+		if l := 2*i + 1; l < n && f.less(f.buf[worst], f.buf[l]) {
+			worst = l
+		}
+		if r := 2*i + 2; r < n && f.less(f.buf[worst], f.buf[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		f.buf[i], f.buf[worst] = f.buf[worst], f.buf[i]
+		i = worst
+	}
 }
 
 // appendRowKey appends the canonical composite key of a row to dst.

@@ -50,7 +50,7 @@ func TestInterQueryParallelMatchesSerial(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < iters; i++ {
-						res, err := p.ExecuteWithStats(&stats[g])
+						res, err := collect(p, 1, &stats[g])
 						if err != nil {
 							t.Errorf("goroutine %d: Execute(%q): %v", g, src, err)
 							return
@@ -71,7 +71,7 @@ func TestInterQueryParallelMatchesSerial(t *testing.T) {
 			// must be exact multiples of one serial run — a cheap way to
 			// catch counter cross-talk between pooled machines.
 			var serial Stats
-			if _, err := p.ExecuteWithStats(&serial); err != nil {
+			if _, err := collect(p, 1, &serial); err != nil {
 				t.Fatal(err)
 			}
 			for g := range stats {

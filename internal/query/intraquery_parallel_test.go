@@ -111,7 +111,7 @@ func checkIntraShapes(t *testing.T, g storage.Graph, wantParallel bool) {
 			t.Errorf("plan for %q should be parallelizable", shape.src)
 		}
 		var serialStats Stats
-		ref, err := p.ExecuteWithStats(&serialStats)
+		ref, err := collect(p, 1, &serialStats)
 		if err != nil {
 			t.Fatalf("serial Execute(%q): %v", shape.src, err)
 		}
@@ -121,9 +121,9 @@ func checkIntraShapes(t *testing.T, g storage.Graph, wantParallel bool) {
 
 		for _, workers := range []int{2, 4, 8} {
 			var pst Stats
-			res, err := p.ExecuteParallelContextWithStats(context.Background(), workers, &pst)
+			res, err := collect(p, workers, &pst)
 			if err != nil {
-				t.Fatalf("ExecuteParallel(%q, %d workers): %v", shape.src, workers, err)
+				t.Fatalf("Exec(%q, %d workers): %v", shape.src, workers, err)
 			}
 			if shape.ordered {
 				if got := rowStrings(res); !reflect.DeepEqual(got, wantOrdered) {
@@ -195,7 +195,7 @@ func TestIntraQueryParallelLiveDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.ExecuteParallel(4)
+	res, err := collect(p, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,12 @@ func TestIntraQueryParallelLiveDelta(t *testing.T) {
 }
 
 // TestIntraQueryParallelDuringCompact is the epoch-swap stress test:
-// morsel-parallel queries run while a background Compact folds the live
-// delta into a new base generation and swaps epochs mid-query. Every
-// parallel execution must stay bit-for-bit equivalent — rows AND work
-// counters — to a serial reference taken while the store was quiesced,
-// because each query pins one snapshot and the fold only changes the
-// physical layout. The delta growing between rounds holds only Filler
+// queries run — on one inline morsel and on 2, 4 and 8 workers — while a
+// background Compact folds the live delta into a new base generation and
+// swaps epochs mid-query. Every execution must stay bit-for-bit
+// equivalent — rows AND work counters — to a reference taken while the
+// store was quiesced, because each query pins one snapshot and reads
+// nothing else, and the fold only changes the physical layout. The delta growing between rounds holds only Filler
 // vertices the Person queries never touch, so the logical answer is
 // fold-invariant by construction. Run under -race, the schedule itself
 // is half the test.
@@ -271,9 +271,9 @@ func TestIntraQueryParallelDuringCompact(t *testing.T) {
 				t.Fatalf("Prepare(%q): %v", shape.src, err)
 			}
 			r := reference{shape: shape, p: p}
-			res, err := p.ExecuteWithStats(&r.st)
+			res, err := collect(p, 1, &r.st)
 			if err != nil {
-				t.Fatalf("serial Execute(%q): %v", shape.src, err)
+				t.Fatalf("quiesced Exec(%q): %v", shape.src, err)
 			}
 			r.wantOrdered = rowStrings(res)
 			SortRowsForComparison(res.Rows)
@@ -286,14 +286,14 @@ func TestIntraQueryParallelDuringCompact(t *testing.T) {
 
 		var wg sync.WaitGroup
 		for _, r := range refs {
-			for _, workers := range []int{2, 4, 8} {
+			for _, workers := range []int{1, 2, 4, 8} {
 				wg.Add(1)
 				go func(r reference, workers int) {
 					defer wg.Done()
 					var pst Stats
-					res, err := r.p.ExecuteParallelContextWithStats(context.Background(), workers, &pst)
+					res, err := collect(r.p, workers, &pst)
 					if err != nil {
-						t.Errorf("round %d: ExecuteParallel(%q, %d workers): %v", round, r.shape.src, workers, err)
+						t.Errorf("round %d: Exec(%q, %d workers): %v", round, r.shape.src, workers, err)
 						return
 					}
 					if r.shape.ordered {
@@ -362,7 +362,7 @@ func TestIntraQueryPlannerStaysSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.ExecuteParallel(8)
+	res, err := collect(p, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +373,14 @@ func TestIntraQueryPlannerStaysSerial(t *testing.T) {
 	}
 }
 
-// TestIntraQueryStreamBoundedAndSerialStream covers the streaming API's
-// serial fallback and row fidelity: rows streamed through fn must equal
-// the materialized result on both the serial (workers=1) and parallel
-// paths.
+// sinkFunc adapts a function to Sink.
+type sinkFunc func(row []graph.Value) error
+
+func (f sinkFunc) AddRow(row []graph.Value) error { return f(row) }
+
+// TestIntraQueryStreamMatchesExecute covers row fidelity of a caller's
+// own sink: rows delivered one at a time must equal the materialized
+// result on both the inline (workers=1) and morsel paths.
 func TestIntraQueryStreamMatchesExecute(t *testing.T) {
 	b := memstore.New()
 	buildPeopleGraph(t, b, 420)
@@ -393,10 +397,10 @@ func TestIntraQueryStreamMatchesExecute(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var st Stats
 		var got [][]graph.Value
-		err := p.StreamParallelContextWithStats(context.Background(), workers, &st, func(row []graph.Value) error {
+		err := p.Exec(context.Background(), ExecOptions{Workers: workers, Stats: &st}, sinkFunc(func(row []graph.Value) error {
 			got = append(got, row)
 			return nil
-		})
+		}))
 		if err != nil {
 			t.Fatalf("Stream with %d workers: %v", workers, err)
 		}
@@ -412,10 +416,11 @@ func TestIntraQueryStreamMatchesExecute(t *testing.T) {
 }
 
 // TestIntraQueryReaderErrorCancelsScan is the hung/failing-reader
-// contract (satellite: cancellation across morsel workers): a consumer
-// error must cancel every sibling worker mid-flight — bounded by the
-// streaming pipeline's backpressure plus the cancellation polling window
-// — rather than after the full scan.
+// contract: a sink error is what Exec returns, and it stops the scan
+// mid-flight — at that very row on one inline morsel, and on the morsel
+// path by cancelling every sibling worker, bounded by the streaming
+// pipeline's backpressure plus the cancellation polling window — rather
+// than after the full scan.
 func TestIntraQueryReaderErrorCancelsScan(t *testing.T) {
 	const n = 20000
 	b := memstore.New()
@@ -425,18 +430,20 @@ func TestIntraQueryReaderErrorCancelsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	errBoom := errors.New("reader hung up")
-	var st Stats
-	err = p.StreamParallelContextWithStats(context.Background(), 4, &st, func(row []graph.Value) error {
-		return errBoom
-	})
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("stream error = %v, want %v", err, errBoom)
-	}
-	if st.VerticesScanned == 0 {
-		t.Fatal("no work recorded before the failure")
-	}
-	if st.VerticesScanned >= n/2 {
-		t.Errorf("reader failure did not stop the scan mid-flight: scanned %d of %d vertices", st.VerticesScanned, n)
+	for _, workers := range []int{1, 4} {
+		var st Stats
+		err = p.Exec(context.Background(), ExecOptions{Workers: workers, Stats: &st}, sinkFunc(func(row []graph.Value) error {
+			return errBoom
+		}))
+		if !errors.Is(err, errBoom) {
+			t.Fatalf("%d workers: error = %v, want %v", workers, err, errBoom)
+		}
+		if st.VerticesScanned == 0 {
+			t.Fatalf("%d workers: no work recorded before the failure", workers)
+		}
+		if st.VerticesScanned >= n/2 {
+			t.Errorf("%d workers: reader failure did not stop the scan mid-flight: scanned %d of %d vertices", workers, st.VerticesScanned, n)
+		}
 	}
 }
 
@@ -455,13 +462,13 @@ func TestIntraQueryContextCancelStopsWorkers(t *testing.T) {
 	defer cancel()
 	var st Stats
 	calls := 0
-	err = p.StreamParallelContextWithStats(ctx, 4, &st, func(row []graph.Value) error {
+	err = p.Exec(ctx, ExecOptions{Workers: 4, Stats: &st}, sinkFunc(func(row []graph.Value) error {
 		calls++
 		if calls == 1 {
 			cancel()
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("stream error = %v, want context.Canceled", err)
 	}

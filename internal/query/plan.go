@@ -20,12 +20,18 @@ import (
 // A Prepared is bound to the graph it was compiled for (symbol IDs are
 // store-specific) but is itself immutable once Prepare returns: all
 // mutable execution state lives in a per-call machine recycled through an
-// internal sync.Pool, so Execute is safe for any number of concurrent
+// internal sync.Pool, so Exec is safe for any number of concurrent
 // callers sharing one plan — provided the underlying store supports
 // concurrent readers (both built-in backends do once fully built).
 type Prepared struct {
 	g    storage.FastGraph
 	cols []string
+	// snaps is non-nil when the backend both accepts concurrent mutations
+	// and can pin point-in-time views: Exec then acquires exactly one
+	// snapshot per execution and every machine reads through it, so a
+	// background Compact swapping base generations (and renumbering EIDs)
+	// mid-query cannot shift the view. Every other backend reads p.g.
+	snaps storage.Snapshotter
 
 	// moves is the compiled traversal order of every pattern; each pooled
 	// machine links its own executable step chain from it.
@@ -52,8 +58,8 @@ type Prepared struct {
 	// Morsel-driven execution (see parallel.go): parallelOK is the
 	// planner's compile-time eligibility decision — the plan's first move
 	// is an unbound label scan that PlanVertexScan can partition, and the
-	// shape has no serial early-exit worth preserving — and rootLabel is
-	// the label whose postings the morsel driver splits.
+	// answer does not depend on scan order — and rootLabel is the label
+	// whose postings the morsel driver splits.
 	parallelOK bool
 	rootLabel  storage.SymbolID
 
@@ -83,18 +89,21 @@ type citem struct {
 	out    cexpr
 }
 
-// machine is the mutable execution state of one in-flight Execute call.
-// Each machine is owned by exactly one goroutine at a time; the plan's
-// pool hands it out and takes it back around every execution.
+// machine is the mutable execution state of one in-flight Exec call (or
+// of one of its morsel workers). Each machine is owned by exactly one
+// goroutine at a time; the plan's pool hands it out and takes it back
+// around every execution.
 type machine struct {
+	// g is the view this execution reads: the snapshot Exec pinned, or
+	// the plan's store when the backend needs no pin.
 	g     storage.FastGraph
 	stats *Stats
 	err   error
 
-	// Cancellation: done/ctx are set only by the Context execution
-	// variants. The traversal callbacks poll done every cancelMask+1
+	// Cancellation: the traversal callbacks poll done every cancelMask+1
 	// iterations (a non-blocking channel read), so a deadline or a hung
-	// client stops a scan mid-flight instead of after it.
+	// client stops a scan mid-flight instead of after it. A context that
+	// can never be canceled has a nil done and costs one nil check.
 	done <-chan struct{}
 	ctx  context.Context
 	tick uint
@@ -109,19 +118,25 @@ type machine struct {
 	// first move is a bound start.
 	rootScan func(storage.VID) bool
 
-	// emit, when non-nil, receives each projected row instead of m.rows —
-	// the streaming hook of the parallel and streaming executors. Only
-	// meaningful for non-grouped plans.
-	emit func([]graph.Value) error
+	// fin is the execution's finisher (exec.go). Only the driver's
+	// machine — the one Exec runs on the calling goroutine — uses it: its
+	// own projected rows go straight in, and so do the rows morsel workers
+	// hand back.
+	fin finisher
+
+	// rowCh marks a morsel worker of a non-grouped plan: projected rows
+	// are batched and sent to the driver instead of finished locally.
+	rowCh chan<- [][]graph.Value
+	batch [][]graph.Value
 
 	// trackDistinct makes DISTINCT aggregates record their accepted
-	// values so per-worker partial states can be merged at a sink (see
-	// aggState.merge).
+	// values so per-worker partial states can be merged into the driver's
+	// machine (see aggState.merge).
 	trackDistinct bool
 
 	// psteps, when non-nil, receives per-step PROFILE counters: one slot
 	// per compiled move plus a final slot for the emit step. It is
-	// allocated by buildMachine(profiled=true) BEFORE the step chain is
+	// allocated by getMachine(profiled=true) BEFORE the step chain is
 	// compiled — the chain closures capture &psteps[i] directly — and its
 	// presence also marks the machine as single-use (release skips the
 	// pool), so pooled machines never carry profiling code.
@@ -145,7 +160,6 @@ type machine struct {
 	aggVals []graph.Value // aggregate outputs during the finish phase
 	groups  map[string]*groupRow
 	order   []string
-	rows    [][]graph.Value
 }
 
 const unbound = storage.VID(-1)
@@ -155,9 +169,9 @@ const unbound = storage.VID(-1)
 // per-iteration overhead to one increment and one mask on the hot path.
 const cancelMask = 255
 
-// canceled polls the machine's context (if any) and, when it has been
-// canceled, records the context error and reports true so the enclosing
-// iterator unwinds.
+// canceled polls the machine's context and, when it has been canceled,
+// records the context error and reports true so the enclosing iterator
+// unwinds.
 func (m *machine) canceled() bool {
 	if m.done == nil {
 		return false
@@ -209,6 +223,9 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 		}
 	}
 	p := &Prepared{g: fg, limit: q.Limit, distinct: q.Distinct}
+	if _, mutable := fg.(storage.MutableGraph); mutable {
+		p.snaps, _ = fg.(storage.Snapshotter)
+	}
 	for _, ri := range q.Return {
 		p.cols = append(p.cols, ri.Name())
 	}
@@ -247,7 +264,7 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 	p.nSlots = len(c.order)
 	p.planParallel()
 	p.planProbe()
-	p.pool.New = func() any { return p.newMachine() }
+	p.pool.New = func() any { return p.buildMachine(false) }
 	return p, nil
 }
 
@@ -264,18 +281,17 @@ func (p *Prepared) planProbe() {
 	if mv.scanName == "" || len(mv.node.props) == 0 {
 		return
 	}
-	if _, ok := p.g.(storage.Statistics); !ok {
-		return
+	if st, ok := p.g.(storage.Statistics); ok {
+		p.probe = &rootProbe{stats: st, label: mv.scanName, props: mv.node.props}
 	}
-	p.probe = &rootProbe{label: mv.scanName, props: mv.node.props}
 }
 
 // planParallel is the compile-time half of the parallelism decision: it
 // marks plans whose root is an unbound label scan as morsel-eligible. A
-// LIMIT without ORDER BY (point lookups, LIMIT-1 probes) stays serial so
-// the executor's early exit keeps working — a fan-out would race to scan
-// work the serial plan never touches. The runtime half (worker count and
-// the label-size threshold) lives in planMorsels.
+// LIMIT without ORDER BY (point lookups, LIMIT-1 probes) stays on one
+// morsel: its answer is the first rows in scan order, which only a single
+// in-order scan defines. The runtime half (worker count and the
+// label-size threshold) lives in planMorsels.
 func (p *Prepared) planParallel() {
 	if len(p.moves) == 0 || !p.moves[0].start || p.moves[0].bound {
 		return
@@ -287,18 +303,21 @@ func (p *Prepared) planParallel() {
 	p.rootLabel = p.moves[0].scanLabel
 }
 
-// newMachine builds a fresh execution context sized for the plan,
+// getMachine hands out a machine for one execution. Profiled machines
+// carry the PROFILE counter increments in their step chain (m.psteps is
+// allocated before the chain is compiled, so moveStep/emitStep bake the
+// increments in); they are built per call and never pooled, so the pooled
+// chain stays free of profiling code entirely.
+func (p *Prepared) getMachine(profiled bool) *machine {
+	if profiled {
+		return p.buildMachine(true)
+	}
+	return p.pool.Get().(*machine)
+}
+
+// buildMachine builds a fresh execution context sized for the plan,
 // including its private step chain. Called by the pool on first use and
 // whenever the pool is empty.
-func (p *Prepared) newMachine() *machine { return p.buildMachine(false) }
-
-// newProfiledMachine builds a machine whose step chain carries the
-// PROFILE counter increments (m.psteps is allocated before the chain is
-// compiled, so moveStep/emitStep bake the increments in). Profiled
-// machines are built per call and never pooled — the pooled chain stays
-// free of profiling code entirely.
-func (p *Prepared) newProfiledMachine() *machine { return p.buildMachine(true) }
-
 func (p *Prepared) buildMachine(profiled bool) *machine {
 	m := &machine{
 		g:          p.g,
@@ -332,86 +351,30 @@ func nameAnonymousVars(q *cypher.Query) {
 	}
 }
 
-// Execute runs the plan and materializes the result. Safe to call from
-// many goroutines at once on the same plan.
-func (p *Prepared) Execute() (*Result, error) {
-	var st Stats
-	return p.ExecuteWithStats(&st)
-}
-
-// ExecuteWithStats runs the plan, accumulating work counters into st.
-// Safe for concurrent callers of the same plan, but each call needs its
-// own st (or external synchronization around a shared one).
-func (p *Prepared) ExecuteWithStats(st *Stats) (*Result, error) {
-	return p.run(p.pool.Get().(*machine), st)
-}
-
-// ExecuteContext runs the plan under a context: if ctx is canceled or its
-// deadline passes mid-execution the traversal unwinds within a bounded
-// number of iterations and the context's error is returned. Serving paths
-// use this for per-request timeouts and client-disconnect cancellation.
-func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
-	var st Stats
-	return p.ExecuteContextWithStats(ctx, &st)
-}
-
-// ExecuteContextWithStats is ExecuteContext accumulating work counters
-// into st. A context that can never be canceled (Done() == nil) costs
-// nothing extra on the hot path.
-func (p *Prepared) ExecuteContextWithStats(ctx context.Context, st *Stats) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m := p.pool.Get().(*machine)
-	m.done = ctx.Done()
-	m.ctx = ctx
-	return p.run(m, st)
-}
-
-// run drives one execution on a machine fetched from the pool and returns
-// the machine afterwards. Cancellation state (done/ctx) must be set by the
-// caller before run; it is cleared here before the machine is pooled.
-func (p *Prepared) run(m *machine, st *Stats) (*Result, error) {
-	m.reset(p, st)
-	var res *Result
-	err := m.root()
-	if err == nil {
-		res, err = p.finish(m)
-	}
-	p.release(m)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// reset prepares a pooled machine for a fresh execution; cancellation
-// state (done/ctx) is layered on top by the caller when needed.
-func (m *machine) reset(p *Prepared, st *Stats) {
-	m.g = p.g
+// begin prepares a machine for one execution reading the view g.
+func (m *machine) begin(ctx context.Context, g storage.FastGraph, st *Stats) {
+	m.g = g
 	m.stats = st
+	m.done, m.ctx = ctx.Done(), ctx
 	m.err = nil
 	for i := range m.slots {
 		m.slots[i] = unbound
 	}
 	m.used = m.used[:0]
-	if p.grouped {
+	if m.groups != nil {
 		clear(m.groups)
 		m.order = m.order[:0]
 	}
 }
 
 // release returns a machine to the pool with every per-call reference
-// cleared: the row slice was handed to the Result, so drop it to avoid
-// aliasing a caller's data, and drop the context and emit hook so a
-// pooled machine cannot keep a request's context or sink alive.
+// cleared, so a pooled machine cannot keep a released snapshot, a
+// request's context, its sink, or buffered rows alive.
 func (p *Prepared) release(m *machine) {
-	m.g = p.g // drop any pinned snapshot reference
-	m.rows = nil
-	m.stats = nil
-	m.done = nil
-	m.ctx = nil
-	m.emit = nil
+	m.g = p.g
+	m.stats, m.done, m.ctx = nil, nil, nil
+	m.fin = finisher{key: m.fin.key}
+	m.rowCh, m.batch = nil, nil
 	m.trackDistinct = false
 	if m.psteps != nil {
 		// Profiled machines carry an instrumented step chain; they are
@@ -467,23 +430,20 @@ type cprop struct {
 // rootProbe is the compiled bloom/statistics guard for a plan whose root
 // is an unbound label scan with inline property constraints.
 type rootProbe struct {
+	stats storage.Statistics
 	label string
 	props []cprop
 }
 
-// provablyEmpty reports whether g's statistics prove that no vertex
-// under the probed label carries one of the root node's required
+// provablyEmpty reports whether the store's statistics prove that no
+// vertex under the probed label carries one of the root node's required
 // property values — in which case the label scan cannot emit a row and
-// may be skipped outright. Conservative: a backend without statistics
-// (or one whose answers are currently diluted by live writes) makes
-// this return false and the scan runs normally.
-func (rp *rootProbe) provablyEmpty(g storage.FastGraph) bool {
-	st, ok := g.(storage.Statistics)
-	if !ok {
-		return false
-	}
+// may be skipped outright. The statistics are the store's own, not the
+// pinned view's: they are not graph data, and a store whose answers are
+// currently diluted by live writes says "maybe", so the scan runs.
+func (rp *rootProbe) provablyEmpty() bool {
 	for i := range rp.props {
-		if !st.MayHaveProp(rp.label, rp.props[i].keyName, rp.props[i].want) {
+		if !rp.stats.MayHaveProp(rp.label, rp.props[i].keyName, rp.props[i].want) {
 			return true
 		}
 	}
@@ -671,7 +631,7 @@ func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 			// the store's answers back to "maybe") are always honored.
 			probe := p.probe
 			return func() error {
-				if probe.provablyEmpty(m.g) {
+				if probe.provablyEmpty() {
 					bloomSkips.Add(1)
 					return nil
 				}
@@ -804,8 +764,9 @@ func (p *Prepared) emitStep(m *machine) step {
 	}
 }
 
-// emitRow is the emit step's post-WHERE tail: group accumulation or
-// projection into the machine's sink.
+// emitRow is the emit step's post-WHERE tail: group accumulation, or
+// projection of one freshly allocated row — finished right here on the
+// driver's machine, batched toward the driver on a morsel worker.
 func (p *Prepared) emitRow(m *machine) error {
 	if p.grouped {
 		return p.accumulateGroup(m)
@@ -818,11 +779,10 @@ func (p *Prepared) emitRow(m *machine) error {
 		}
 		row[i] = v
 	}
-	if m.emit != nil {
-		return m.emit(row)
+	if m.rowCh != nil {
+		return m.ship(row)
 	}
-	m.rows = append(m.rows, row)
-	return nil
+	return m.fin.add(row)
 }
 
 func (p *Prepared) accumulateGroup(m *machine) error {
@@ -862,9 +822,10 @@ func (p *Prepared) newGroup(keyVals []graph.Value) *groupRow {
 	return gs
 }
 
-// finish builds the final result: grouped output, DISTINCT, ORDER BY,
-// LIMIT.
-func (p *Prepared) finish(m *machine) (*Result, error) {
+// finish runs on the driver's machine once the traversal is over: a
+// grouped plan turns the accumulated (and, after a morsel run, merged)
+// groups into rows, and every shape drains the finisher.
+func (p *Prepared) finish(m *machine) error {
 	if p.grouped {
 		// An aggregate-only query over zero rows still yields one row
 		// (e.g. COUNT(*) = 0), per Cypher semantics.
@@ -883,7 +844,7 @@ func (p *Prepared) finish(m *machine) (*Result, error) {
 				if p.items[i].hasAgg {
 					v, err := p.items[i].out(m)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					row[i] = v
 				} else {
@@ -891,68 +852,40 @@ func (p *Prepared) finish(m *machine) (*Result, error) {
 					ki++
 				}
 			}
-			m.rows = append(m.rows, row)
-		}
-	}
-	rows := m.rows
-	if p.distinct {
-		seen := map[string]bool{}
-		var dedup [][]graph.Value
-		for _, row := range rows {
-			m.key = appendRowKey(m.key[:0], row)
-			if !seen[string(m.key)] {
-				seen[string(m.key)] = true
-				dedup = append(dedup, row)
+			if err := m.fin.add(row); err != nil {
+				return err
 			}
 		}
-		rows = dedup
 	}
-	if len(p.orderCols) > 0 {
-		p.sortRows(rows)
-	}
-	if p.limit >= 0 && len(rows) > p.limit {
-		rows = rows[:p.limit]
-	}
-	m.stats.RowsEmitted += int64(len(rows))
-	return &Result{Columns: p.cols, Rows: rows}, nil
+	return m.fin.flush(m.stats)
 }
 
-// sortRows orders rows by the plan's ORDER BY columns. Stable, so rows
-// the comparator cannot distinguish keep their relative order.
-func (p *Prepared) sortRows(rows [][]graph.Value) {
-	sort.SliceStable(rows, func(i, j int) bool { return p.rowLess(rows[i], rows[j]) })
-}
-
-// rowLess is the plan's ORDER BY comparator: NULLs and incomparables
-// sort last regardless of direction. Shared by the serial sort and the
-// morsel executor's per-worker top-k heaps, so both paths rank rows
-// identically.
-func (p *Prepared) rowLess(ra, rb []graph.Value) bool {
+// rowCmp is the plan's ORDER BY comparator: negative when ra sorts before
+// rb, zero when the ORDER BY columns cannot tell them apart. NULLs and
+// incomparables sort last regardless of direction.
+func (p *Prepared) rowCmp(ra, rb []graph.Value) int {
 	for k, col := range p.orderCols {
 		a, b := ra[col], rb[col]
 		cmp, ok := a.Compare(b)
 		if !ok {
-			// NULLs and incomparables sort last.
 			switch {
-			case a.IsNull() && b.IsNull():
+			case a.IsNull() == b.IsNull():
 				continue
 			case a.IsNull():
-				return false
-			case b.IsNull():
-				return true
+				return 1
 			default:
-				continue
+				return -1
 			}
 		}
 		if cmp == 0 {
 			continue
 		}
 		if p.orderDesc[k] {
-			return cmp > 0
+			return -cmp
 		}
-		return cmp < 0
+		return cmp
 	}
-	return false
+	return 0
 }
 
 // sortColumns maps each ORDER BY expression to a return column, by alias

@@ -28,7 +28,7 @@ func BenchmarkTwoHopPrepared(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ExecuteWithStats(&st); err != nil {
+		if _, err := collect(p, 1, &st); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -110,7 +110,7 @@ func TestCompiledExecutionAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	res, err := p.ExecuteWithStats(&st)
+	res, err := collect(p, 1, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCompiledExecutionAllocs(t *testing.T) {
 		t.Fatalf("COUNT(*) = %d, want %d", got, bindings)
 	}
 	perExec := testing.AllocsPerRun(20, func() {
-		if _, err := p.ExecuteWithStats(&st); err != nil {
+		if _, err := collect(p, 1, &st); err != nil {
 			t.Fatal(err)
 		}
 	})

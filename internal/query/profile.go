@@ -1,20 +1,14 @@
 package query
 
-// Per-query PROFILE tracing. A profiled execution runs on a machine
-// whose step chain was compiled with the counter increments baked in
-// (newProfiledMachine); pooled machines compile the plain chain, so the
-// unprofiled hot path carries no profiling code at all. A profiled run
-// reports per-step operator counters:
-// how many vertices/edges/rows each compiled step visited and how many
-// it passed downstream. The serving layer returns these in the /query
-// response under ?profile=1 (or a PROFILE query prefix) and feeds the
-// slow-query log with them.
-
-import (
-	"context"
-
-	"repro/internal/graph"
-)
+// Per-query PROFILE tracing. An Exec call with ExecOptions.Profile set
+// runs on machines whose step chain was compiled with the counter
+// increments baked in (getMachine(true)); pooled machines compile the
+// plain chain, so the unprofiled hot path carries no profiling code at
+// all. A profiled run reports per-step operator counters: how many
+// vertices/edges/rows each compiled step visited and how many it passed
+// downstream. The serving layer returns these in the /query response
+// under ?profile=1 (or a PROFILE query prefix) and feeds the slow-query
+// log with them.
 
 // StepProfile is one compiled step's operator counters. Steps appear in
 // execution order: the plan's moves (scan / bind / expand_out /
@@ -39,9 +33,10 @@ type StepProfile struct {
 	Produced int64 `json:"produced"`
 }
 
-// Profile is one execution's operator trace. Counter totals are exact:
-// parallel executions merge every worker's per-step counters, so a
-// profiled morsel run reports the same Visited/Produced a serial run
+// Profile is one execution's operator trace; Exec fills the one that
+// ExecOptions.Profile points at. Counter totals are exact: morsel
+// executions merge every worker's per-step counters, so a profiled
+// many-morsel run reports the same Visited/Produced a one-morsel run
 // would.
 type Profile struct {
 	Steps []StepProfile `json:"steps"`
@@ -64,9 +59,9 @@ func orStar(s string) string {
 	return s
 }
 
-// NewProfile returns the plan's step template: one StepProfile per
+// profileSteps returns the plan's step template: one StepProfile per
 // compiled move plus the terminal project step, counters zeroed.
-func (p *Prepared) NewProfile() *Profile {
+func (p *Prepared) profileSteps() []StepProfile {
 	steps := make([]StepProfile, 0, len(p.moves)+1)
 	for _, mv := range p.moves {
 		var sp StepProfile
@@ -82,8 +77,7 @@ func (p *Prepared) NewProfile() *Profile {
 		}
 		steps = append(steps, sp)
 	}
-	steps = append(steps, StepProfile{Op: "project"})
-	return &Profile{Steps: steps, Workers: 1}
+	return append(steps, StepProfile{Op: "project"})
 }
 
 // addSteps folds one machine's raw counters into the profile.
@@ -95,83 +89,4 @@ func (prof *Profile) addSteps(counts []stepCounts) {
 		prof.Steps[i].Visited += counts[i].visited
 		prof.Steps[i].Produced += counts[i].produced
 	}
-}
-
-// ExecuteContextProfiled is ExecuteContextWithStats with per-step
-// operator counters: it returns the materialized result alongside the
-// execution's Profile.
-func (p *Prepared) ExecuteContextProfiled(ctx context.Context, st *Stats) (*Result, *Profile, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	prof := p.NewProfile()
-	m := p.newProfiledMachine()
-	m.done = ctx.Done()
-	m.ctx = ctx
-	res, err := p.runProfiled(m, st, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, prof, nil
-}
-
-// runProfiled runs a machine built by newProfiledMachine — its step chain
-// counts into m.psteps — and folds the counters into prof. release is
-// still called for its reference-clearing, but profiled machines never
-// re-enter the pool.
-func (p *Prepared) runProfiled(m *machine, st *Stats, prof *Profile) (*Result, error) {
-	m.reset(p, st)
-	var res *Result
-	err := m.root()
-	if err == nil {
-		res, err = p.finish(m)
-	}
-	prof.addSteps(m.psteps)
-	p.release(m)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// ExecuteParallelContextProfiled is ExecuteParallelContextWithStats with
-// per-step operator counters. The profile reports whether the morsel
-// driver actually ran, how many morsels it dispatched, and the exact
-// merged per-step counters — identical totals to a serial profiled run.
-func (p *Prepared) ExecuteParallelContextProfiled(ctx context.Context, workers int, st *Stats) (*Result, *Profile, error) {
-	g, unpin := p.pinView()
-	defer unpin()
-	scans := p.planMorsels(g, workers)
-	if scans == nil {
-		return p.ExecuteContextProfiled(ctx, st)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	prof := p.NewProfile()
-	prof.Parallel = true
-	prof.Morsels = len(scans)
-	prof.Workers = min(workers, len(scans))
-	profSteps := make([][]stepCounts, prof.Workers)
-	var rows [][]graph.Value
-	err := p.runParallel(ctx, g, scans, prof.Workers, st, func(batch [][]graph.Value) error {
-		rows = append(rows, batch...)
-		return nil
-	}, profSteps)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, counts := range profSteps {
-		prof.addSteps(counts)
-	}
-	if rows == nil {
-		rows = [][]graph.Value{}
-	}
-	return &Result{Columns: p.cols, Rows: rows}, prof, nil
-}
-
-// ExecuteParallelProfiled is the context-free convenience used by the
-// pgsquery CLI's -profile flag.
-func (p *Prepared) ExecuteParallelProfiled(workers int, st *Stats) (*Result, *Profile, error) {
-	return p.ExecuteParallelContextProfiled(context.Background(), workers, st)
 }

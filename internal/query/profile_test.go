@@ -12,6 +12,18 @@ import (
 	"repro/internal/storage/memstore"
 )
 
+// profiled runs p once with a Profile and Stats attached.
+func profiled(t *testing.T, p *Prepared, workers int) (*Result, *Profile, Stats) {
+	t.Helper()
+	var st Stats
+	var prof Profile
+	res, err := Collect(context.Background(), p, ExecOptions{Workers: workers, Stats: &st, Profile: &prof})
+	if err != nil {
+		t.Fatalf("profiled run with %d workers: %v", workers, err)
+	}
+	return res, &prof, st
+}
+
 func profilePlan(t *testing.T, src string) *Prepared {
 	t.Helper()
 	b := memstore.New()
@@ -30,11 +42,7 @@ func TestProfileTwoHopStepCounts(t *testing.T) {
 	p := profilePlan(t,
 		`MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) RETURN a.name, c.name`)
 
-	var st Stats
-	res, prof, err := p.ExecuteContextProfiled(context.Background(), &st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, prof, st := profiled(t, p, 1)
 	if prof.Parallel || prof.Workers != 1 {
 		t.Errorf("serial profile claims parallel=%v workers=%d", prof.Parallel, prof.Workers)
 	}
@@ -90,16 +98,8 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 		`MATCH (p:Person) RETURN p.grp, COUNT(*)`,
 	} {
 		p := profilePlan(t, src)
-		var serialSt Stats
-		_, serial, err := p.ExecuteContextProfiled(context.Background(), &serialSt)
-		if err != nil {
-			t.Fatalf("%q serial: %v", src, err)
-		}
-		var parSt Stats
-		res, par, err := p.ExecuteParallelContextProfiled(context.Background(), 4, &parSt)
-		if err != nil {
-			t.Fatalf("%q parallel: %v", src, err)
-		}
+		_, serial, serialSt := profiled(t, p, 1)
+		_, par, parSt := profiled(t, p, 4)
 		if !par.Parallel || par.Workers < 2 || par.Morsels < 2 {
 			t.Errorf("%q: parallel profile did not fan out: %+v", src, par)
 		}
@@ -119,7 +119,6 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 		if parSt != serialSt {
 			t.Errorf("%q: parallel Stats %+v != serial %+v", src, parSt, serialSt)
 		}
-		_ = res
 	}
 }
 
@@ -128,22 +127,14 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 // runs (profiled machines are single-use and never enter the pool).
 func TestProfileOffLeavesNoCounters(t *testing.T) {
 	p := profilePlan(t, `MATCH (p:Person) WHERE p.age > 5 RETURN p.name`)
-	var st1 Stats
-	_, prof1, err := p.ExecuteContextProfiled(context.Background(), &st1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, prof1, _ := profiled(t, p, 1)
 	// Unprofiled run on the same (pooled) machine.
 	if _, err := p.Execute(); err != nil {
 		t.Fatal(err)
 	}
 	// A second profiled run must report identical counters, not doubled
 	// ones, proving no counter state survives across executions.
-	var st2 Stats
-	_, prof2, err := p.ExecuteContextProfiled(context.Background(), &st2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, prof2, _ := profiled(t, p, 1)
 	for i := range prof1.Steps {
 		if prof1.Steps[i] != prof2.Steps[i] {
 			t.Errorf("step %d drifted across runs: %+v vs %+v", i, prof1.Steps[i], prof2.Steps[i])
@@ -155,11 +146,7 @@ func TestProfileOffLeavesNoCounters(t *testing.T) {
 // bound expansion, and a multi-pattern query reports the bind start.
 func TestProfileBoundAndBindSteps(t *testing.T) {
 	p := profilePlan(t, `MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(a) RETURN a.name`)
-	var st Stats
-	_, prof, err := p.ExecuteContextProfiled(context.Background(), &st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, prof, _ := profiled(t, p, 1)
 	found := false
 	for _, sp := range prof.Steps {
 		if sp.Bound && (sp.Op == "expand_out" || sp.Op == "expand_in") {

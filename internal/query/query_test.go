@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -90,6 +91,12 @@ func mustRun(t *testing.T, g storage.Graph, src string) *Result {
 		t.Fatalf("Run(%q): %v", src, err)
 	}
 	return res
+}
+
+// collect materializes one execution of p on the given worker count,
+// accumulating work counters into st when it is non-nil.
+func collect(p *Prepared, workers int, st *Stats) (*Result, error) {
+	return Collect(context.Background(), p, ExecOptions{Workers: workers, Stats: st})
 }
 
 func rowStrings(res *Result) []string {
@@ -333,7 +340,11 @@ func TestStatsCounters(t *testing.T) {
 	buildMedGraph(t, mem)
 	var st Stats
 	q := cypher.MustParse(`MATCH (d:Drug)-[:treat]->(i:Indication) RETURN i.desc`)
-	if _, err := RunWithStats(mem, q, &st); err != nil {
+	p, err := Prepare(mem, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := collect(p, 1, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.EdgesTraversed == 0 || st.VerticesScanned == 0 || st.RowsEmitted != 2 {
@@ -363,7 +374,11 @@ func TestPlannerStartsAtSmallestLabel(t *testing.T) {
 	}
 	var st Stats
 	q := cypher.MustParse(`MATCH (b:Big)<-[:r]-(s:Small) RETURN COUNT(*)`)
-	res, err := RunWithStats(mem, q, &st)
+	p, err := Prepare(mem, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collect(p, 1, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

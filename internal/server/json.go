@@ -12,10 +12,14 @@ import (
 
 // encoder is a reusable JSON output buffer. The /query hot path rents one
 // from encPool, appends the whole response body into enc.buf with the
-// Append* helpers below (no reflection, no intermediate allocations), and
-// returns it — so steady-state request encoding is allocation-flat.
+// append* helpers below (no reflection, no intermediate allocations), and
+// returns it — so steady-state request encoding is allocation-flat. It is
+// also the request's query.Sink: the executor hands it each result row
+// and AddRow encodes the row in place, so the serving path never holds a
+// result set, only its JSON.
 type encoder struct {
-	buf []byte
+	buf  []byte
+	rows int // rows encoded so far
 }
 
 // maxPooledEncoder caps the buffer size returned to the pool; a one-off
@@ -26,7 +30,7 @@ var encPool = sync.Pool{New: func() any { return &encoder{buf: make([]byte, 0, 4
 
 func getEncoder() *encoder {
 	e := encPool.Get().(*encoder)
-	e.buf = e.buf[:0]
+	e.buf, e.rows = e.buf[:0], 0
 	return e
 }
 
@@ -106,35 +110,48 @@ func appendJSONValue(dst []byte, v graph.Value) []byte {
 	}
 }
 
-// appendQueryResponse renders the whole POST /query success body.
-// profileJSON, when non-nil, is a pre-marshaled profile object appended
-// verbatim as the "profile" field (the PROFILE cold path).
-func appendQueryResponse(dst []byte, executed, rid string, res *query.Result, st *query.Stats, elapsedUS int64, profileJSON []byte) []byte {
+// The POST /query success body is written in three parts around the
+// execution: the head before it, one AddRow per result row during it, the
+// tail — work counters and elapsed time, known only afterwards — once it
+// has succeeded. Field order is query, request_id, columns, rows, stats,
+// elapsed_us[, profile].
+
+func appendQueryResponseHead(dst []byte, executed, rid string, columns []string) []byte {
 	dst = append(dst, `{"query":`...)
 	dst = appendJSONString(dst, executed)
 	dst = append(dst, `,"request_id":`...)
 	dst = appendJSONString(dst, rid)
 	dst = append(dst, `,"columns":[`...)
-	for i, c := range res.Columns {
+	for i, c := range columns {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = appendJSONString(dst, c)
 	}
-	dst = append(dst, `],"rows":[`...)
-	for i, row := range res.Rows {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '[')
-		for j, v := range row {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONValue(dst, v)
-		}
-		dst = append(dst, ']')
+	return append(dst, `],"rows":[`...)
+}
+
+// AddRow implements query.Sink. The row is encoded and dropped.
+func (e *encoder) AddRow(row []graph.Value) error {
+	if e.rows > 0 {
+		e.buf = append(e.buf, ',')
 	}
+	e.rows++
+	e.buf = append(e.buf, '[')
+	for j, v := range row {
+		if j > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.buf = appendJSONValue(e.buf, v)
+	}
+	e.buf = append(e.buf, ']')
+	return nil
+}
+
+// appendQueryResponseTail closes the body. profileJSON, when non-nil, is
+// a pre-marshaled profile object appended verbatim as the "profile" field
+// (the PROFILE cold path).
+func appendQueryResponseTail(dst []byte, st *query.Stats, elapsedUS int64, profileJSON []byte) []byte {
 	dst = append(dst, `],"stats":{"vertices_scanned":`...)
 	dst = strconv.AppendInt(dst, st.VerticesScanned, 10)
 	dst = append(dst, `,"edges_traversed":`...)

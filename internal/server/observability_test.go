@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/storage/memstore"
 )
@@ -318,6 +319,39 @@ func TestProfileMode(t *testing.T) {
 	_, pr = postProfiled(t, ts, "/query?profile=1", twoHop)
 	if pr.Profile == nil || !pr.Profile.PlanCacheHit {
 		t.Error("second profiled request did not report a plan-cache hit")
+	}
+}
+
+// TestProfileModeWorkers: PROFILE reports the same per-step counters and
+// the same phases whether the query ran on one inline morsel or on four
+// workers, and says which it was.
+func TestProfileModeWorkers(t *testing.T) {
+	const n = 500
+	for _, workers := range []int{1, 4} {
+		// The empty mapping rewrites nothing, but makes the rewrite phase run.
+		_, ts := newMedServer(t, Config{Graph: buildWideGraph(t, n), Mapping: &core.Mapping{}, QueryWorkers: workers})
+		status, pr := postProfiled(t, ts, "/query", "PROFILE MATCH (d:Drug) RETURN d.name")
+		if status != http.StatusOK || pr.Profile == nil || pr.Profile.Plan == nil {
+			t.Fatalf("workers=%d: status %d, profile %+v", workers, status, pr.Profile)
+		}
+		var phases []string
+		for _, ph := range pr.Profile.Phases {
+			phases = append(phases, ph.Name)
+		}
+		if fmt.Sprint(phases) != "[parse rewrite plan execute]" {
+			t.Errorf("workers=%d: phases = %v", workers, phases)
+		}
+		plan := pr.Profile.Plan
+		if plan.Parallel != (workers > 1) || (workers > 1) != (plan.Workers > 1) {
+			t.Errorf("workers=%d: profile reports parallel=%v on %d workers", workers, plan.Parallel, plan.Workers)
+		}
+		if len(plan.Steps) != 2 || plan.Steps[0].Visited != n || plan.Steps[0].Produced != n ||
+			plan.Steps[1].Visited != n || plan.Steps[1].Produced != n {
+			t.Errorf("workers=%d: steps = %+v, want scan and project of %d each", workers, plan.Steps, n)
+		}
+		if pr.Stats.VerticesScanned != n || pr.Stats.RowsEmitted != n || len(pr.Rows) != n {
+			t.Errorf("workers=%d: stats = %+v with %d rows, want %d", workers, pr.Stats, len(pr.Rows), n)
+		}
 	}
 }
 

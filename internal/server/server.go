@@ -337,9 +337,28 @@ type queryTrace struct {
 	Plan *query.Profile `json:"plan"`
 }
 
-// stripProfilePrefix detects the PROFILE query prefix (case-insensitive,
-// followed by whitespace) and returns the bare query.
-func stripProfilePrefix(src string) (string, bool) {
+// phase records one timed phase; a no-op on the nil trace of an
+// unprofiled request.
+func (t *queryTrace) phase(name string, since time.Time) {
+	if t != nil {
+		t.Phases = append(t.Phases, tracePhase{Name: name, US: time.Since(since).Microseconds()})
+	}
+}
+
+// profile unwraps the executor profile from a trace that may be nil.
+func (t *queryTrace) profile() *query.Profile {
+	if t == nil {
+		return nil
+	}
+	return t.Plan
+}
+
+// profileRequested detects PROFILE mode — ?profile=1 or a leading PROFILE
+// keyword (case-insensitive, followed by whitespace) — and returns the
+// bare query.
+func profileRequested(r *http.Request, src string) (string, bool) {
+	v := r.URL.Query().Get("profile")
+	profiled := v == "1" || v == "true"
 	const kw = "PROFILE"
 	if len(src) > len(kw) && strings.EqualFold(src[:len(kw)], kw) {
 		rest := strings.TrimLeft(src[len(kw):], " \t\r\n")
@@ -347,7 +366,50 @@ func stripProfilePrefix(src string) (string, bool) {
 			return rest, true
 		}
 	}
-	return src, false
+	return src, profiled
+}
+
+// planQuery is the front half of the read path: parse, rewrite through
+// the served mapping, fetch or compile the plan. text is the canonical
+// rendering of what will execute; rendered once, it serves as the cache
+// key (Get, unlike GetParsed, renders nothing per call), the response's
+// executed-query field, and the per-shape latency key — so the top-N
+// report groups requests that execute identically, whatever their source
+// formatting. Every error is the client's (400).
+func (s *Server) planQuery(src string, trace *queryTrace) (plan *query.Prepared, text string, err error) {
+	t := time.Now()
+	parsed, err := cypher.Parse(src)
+	if err != nil {
+		return nil, "", fmt.Errorf("parse: %v", err)
+	}
+	trace.phase("parse", t)
+	// The swap read-lock covers dataset load through plan fetch, so a
+	// concurrent Swap cannot purge the graph between the two (see Swap).
+	s.swapMu.RLock()
+	defer s.swapMu.RUnlock()
+	d := s.data.Load()
+	executed := parsed
+	if d.mapping != nil {
+		t = time.Now()
+		if executed, _, err = rewrite.Rewrite(parsed, d.mapping, s.cfg.RewriteOpts); err != nil {
+			return nil, "", fmt.Errorf("rewrite: %v", err)
+		}
+		trace.phase("rewrite", t)
+	}
+	text = executed.String()
+	t = time.Now()
+	plan, hit, err := s.cache.GetWithInfo(d.graph, text)
+	if err != nil {
+		return nil, "", fmt.Errorf("compile: %v", err)
+	}
+	trace.phase("plan", t)
+	if trace != nil {
+		trace.PlanCacheHit = hit
+		if lr, ok := d.graph.(storage.LiveStatsReporter); ok {
+			trace.SnapshotGeneration = lr.LiveStats().Generation
+		}
+	}
+	return plan, text, nil
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -381,68 +443,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, rid, err.Error())
 		return
 	}
-	// PROFILE mode: ?profile=1 or a leading PROFILE keyword.
-	profiled := false
-	if v := r.URL.Query().Get("profile"); v == "1" || v == "true" {
-		profiled = true
-	}
-	if bare, ok := stripProfilePrefix(src); ok {
-		src, profiled = bare, true
-	}
 	var trace *queryTrace
-	phase := func(name string, since time.Time) {
-		if trace != nil {
-			trace.Phases = append(trace.Phases, tracePhase{Name: name, US: time.Since(since).Microseconds()})
-		}
-	}
+	src, profiled := profileRequested(r, src)
 	if profiled {
-		trace = &queryTrace{Phases: make([]tracePhase, 0, 4)}
+		trace = &queryTrace{Phases: make([]tracePhase, 0, 4), Plan: new(query.Profile)}
 	}
-
-	parseStart := time.Now()
-	parsed, err := cypher.Parse(src)
+	plan, text, err := s.planQuery(src, trace)
 	if err != nil {
 		s.m.failed.Add(1)
-		writeError(w, http.StatusBadRequest, rid, fmt.Sprintf("parse: %v", err))
+		writeError(w, http.StatusBadRequest, rid, err.Error())
 		return
-	}
-	phase("parse", parseStart)
-	// The swap read-lock covers dataset load through plan fetch, so a
-	// concurrent Swap cannot purge the graph between the two (see Swap).
-	s.swapMu.RLock()
-	d := s.data.Load()
-	executed := parsed
-	if d.mapping != nil {
-		rwStart := time.Now()
-		executed, _, err = rewrite.Rewrite(parsed, d.mapping, s.cfg.RewriteOpts)
-		if err != nil {
-			s.swapMu.RUnlock()
-			s.m.failed.Add(1)
-			writeError(w, http.StatusBadRequest, rid, fmt.Sprintf("rewrite: %v", err))
-			return
-		}
-		phase("rewrite", rwStart)
-	}
-	// Render the canonical text once; it serves as the cache key (Get,
-	// unlike GetParsed, renders nothing per call), the response's
-	// executed-query field, and the per-shape latency key — so the top-N
-	// report groups requests that execute identically, whatever their
-	// source formatting.
-	text := executed.String()
-	planStart := time.Now()
-	plan, cacheHit, err := s.cache.GetWithInfo(d.graph, text)
-	s.swapMu.RUnlock()
-	if err != nil {
-		s.m.failed.Add(1)
-		writeError(w, http.StatusBadRequest, rid, fmt.Sprintf("compile: %v", err))
-		return
-	}
-	phase("plan", planStart)
-	if trace != nil {
-		trace.PlanCacheHit = cacheHit
-		if lr, ok := d.graph.(storage.LiveStatsReporter); ok {
-			trace.SnapshotGeneration = lr.LiveStats().Generation
-		}
 	}
 	// Track the shape only once a plan exists: uncompilable texts must
 	// not occupy the bounded tracker — top_queries reports *executed*
@@ -454,65 +464,49 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	execStart := time.Now()
 	defer func() { s.shapes.observe(text, time.Since(execStart)) }()
 
+	// Rows go from the executor's finisher straight into the response
+	// buffer; nothing is sent until execution has succeeded, so a failure
+	// mid-stream discards the buffer and answers with an error body alone.
 	var st query.Stats
-	var res *query.Result
-	if trace != nil {
-		res, trace.Plan, err = plan.ExecuteParallelContextProfiled(ctx, s.cfg.QueryWorkers, &st)
-	} else {
-		res, err = plan.ExecuteParallelContextWithStats(ctx, s.cfg.QueryWorkers, &st)
-	}
-	phase("execute", execStart)
+	enc := getEncoder()
+	defer putEncoder(enc)
+	enc.buf = appendQueryResponseHead(enc.buf, text, rid, plan.Columns())
+	err = plan.Exec(ctx, query.ExecOptions{Workers: s.cfg.QueryWorkers, Stats: &st, Profile: trace.profile()}, enc)
+	trace.phase("execute", execStart)
 	s.m.qVertices.Add(st.VerticesScanned)
 	s.m.qEdges.Add(st.EdgesTraversed)
 	s.m.qProps.Add(st.PropsRead)
 	s.m.qRows.Add(st.RowsEmitted)
-	if err != nil {
-		var status int
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.m.timeouts.Add(1)
-			status = http.StatusGatewayTimeout
-			writeError(w, status, rid, "query exceeded the request timeout")
-		case errors.Is(err, context.Canceled):
-			// The client is gone; the status is written into the void but
-			// keeps the connection state machine honest.
-			s.m.canceled.Add(1)
-			status = http.StatusServiceUnavailable
-			writeError(w, status, rid, "request canceled")
-		default:
-			s.m.failed.Add(1)
-			status = http.StatusInternalServerError
-			writeError(w, status, rid, fmt.Sprintf("execute: %v", err))
-		}
-		s.noteSlow("/query", rid, text, status, time.Since(start), &st, traceProfile(trace))
-		return
-	}
-
 	var profileJSON []byte
-	if trace != nil {
+	if err == nil && trace != nil {
 		// Cold path by definition; reflection-based marshaling is fine.
-		profileJSON, err = json.Marshal(trace)
-		if err != nil {
-			s.m.failed.Add(1)
-			writeError(w, http.StatusInternalServerError, rid, fmt.Sprintf("encode profile: %v", err))
-			return
+		if profileJSON, err = json.Marshal(trace); err != nil {
+			err = fmt.Errorf("encode profile: %w", err)
 		}
 	}
-	enc := getEncoder()
-	enc.buf = appendQueryResponse(enc.buf, text, rid, res, &st, time.Since(start).Microseconds(), profileJSON)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", fmt.Sprint(len(enc.buf)))
-	w.Write(enc.buf)
-	putEncoder(enc)
-	s.noteSlow("/query", rid, text, http.StatusOK, time.Since(start), &st, traceProfile(trace))
-}
-
-// traceProfile unwraps the executor profile from a trace that may be nil.
-func traceProfile(t *queryTrace) *query.Profile {
-	if t == nil {
-		return nil
+	status = http.StatusOK
+	switch {
+	case err == nil:
+		enc.buf = appendQueryResponseTail(enc.buf, &st, time.Since(start).Microseconds(), profileJSON)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", fmt.Sprint(len(enc.buf)))
+		w.Write(enc.buf)
+	case errors.Is(err, context.DeadlineExceeded):
+		s.m.timeouts.Add(1)
+		status = http.StatusGatewayTimeout
+		writeError(w, status, rid, "query exceeded the request timeout")
+	case errors.Is(err, context.Canceled):
+		// The client is gone; the status is written into the void but
+		// keeps the connection state machine honest.
+		s.m.canceled.Add(1)
+		status = http.StatusServiceUnavailable
+		writeError(w, status, rid, "request canceled")
+	default:
+		s.m.failed.Add(1)
+		status = http.StatusInternalServerError
+		writeError(w, status, rid, fmt.Sprintf("execute: %v", err))
 	}
-	return t.Plan
+	s.noteSlow("/query", rid, text, status, time.Since(start), &st, trace.profile())
 }
 
 // readQuery extracts the Cypher text from the request body: a JSON

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -309,15 +310,67 @@ func (g *sleeperGraph) HasLabel(v storage.VID, label string) bool {
 func TestRequestTimeoutCancelsMidQuery(t *testing.T) {
 	// 1000 vertices × 100µs per HasLabel: the first checkpoint (tick 256)
 	// lands ~25ms in, far past the 5ms deadline; the full scan would take
-	// ~100ms, so a hung cancellation still ends quickly but visibly.
+	// ~100ms, so a hung cancellation still ends quickly but visibly. The
+	// projection has streamed a couple of hundred rows into the response
+	// buffer by then; none of them may reach the client.
 	g := &sleeperGraph{Graph: buildWideGraph(t, 1000), delay: 100 * time.Microsecond}
 	s, ts := newMedServer(t, Config{Graph: g, RequestTimeout: 5 * time.Millisecond})
-	status, qr := post(t, ts, `MATCH (d:Drug) RETURN COUNT(*)`, "text/plain")
-	if status != http.StatusGatewayTimeout {
-		t.Errorf("status = %d (%s), want 504", status, qr.Error)
+	for i, src := range []string{`MATCH (d:Drug) RETURN COUNT(*)`, `MATCH (d:Drug) RETURN d.name`} {
+		status, qr := post(t, ts, src, "text/plain")
+		if status != http.StatusGatewayTimeout {
+			t.Errorf("%s: status = %d (%s), want 504", src, status, qr.Error)
+		}
+		if qr.Error == "" || qr.Columns != nil || qr.Rows != nil {
+			t.Errorf("%s: timed-out response is not a bare error body: %+v", src, qr)
+		}
+		if st := s.Stats().Admission; st.Timeouts != int64(i+1) {
+			t.Errorf("admission stats = %+v, want %d timeouts", st, i+1)
+		}
 	}
-	if st := s.Stats().Admission; st.Timeouts != 1 {
-		t.Errorf("admission stats = %+v, want 1 timeout", st)
+}
+
+// cancelAfterGraph cancels a context from inside the store once HasLabel
+// has been called after times: the request dies mid-scan, deterministically.
+type cancelAfterGraph struct {
+	storage.Graph
+	cancel context.CancelFunc
+	after  int64
+	calls  atomic.Int64
+}
+
+func (g *cancelAfterGraph) HasLabel(v storage.VID, label string) bool {
+	if g.calls.Add(1) == g.after {
+		g.cancel()
+	}
+	return g.Graph.HasLabel(v, label)
+}
+
+// TestCancelMidStreamSendsNoRows: a request canceled after hundreds of its
+// rows were encoded answers 503 with an error body and not one row. The
+// handler is driven in-process so the abandoned response can be read.
+func TestCancelMidStreamSendsNoRows(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := &cancelAfterGraph{Graph: buildWideGraph(t, 1000), cancel: cancel, after: 600}
+	s, err := New(Config{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`MATCH (d:Drug) RETURN d.name`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("status = %d, want 503", rec.Code)
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+		t.Fatalf("body is not JSON: %v\n%s", err, rec.Body.Bytes())
+	}
+	if qr.Error == "" || qr.Columns != nil || qr.Rows != nil || strings.Contains(rec.Body.String(), "rows") {
+		t.Errorf("canceled response is not a bare error body: %s", rec.Body.Bytes())
+	}
+	if st := s.Stats().Admission; st.Canceled != 1 {
+		t.Errorf("admission stats = %+v, want 1 canceled", st)
 	}
 }
 
@@ -672,6 +725,43 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 	}
 	if len(qr.Rows) != 2 || qr.Rows[0][0] != "Aspirin" || qr.Rows[0][1] != float64(2) {
 		t.Errorf("rows = %v", qr.Rows)
+	}
+}
+
+// TestQueryResponseGolden pins the success body byte for byte, one query
+// per finisher shape plus the empty result. The bytes are what the server
+// answered before rows were streamed into the encoder (elapsed_us zeroed);
+// benchmark/loadgen.go scans them for `"rows":[` and `"elapsed_us":`.
+func TestQueryResponseGolden(t *testing.T) {
+	_, ts := newMedServer(t, Config{})
+	elapsed := regexp.MustCompile(`"elapsed_us":\d+`)
+	for _, tc := range []struct{ name, src, want string }{
+		{"projection", `MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc`,
+			`{"query":"MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc","request_id":"golden","columns":["d.name","i.desc"],"rows":[["Aspirin","Fever"],["Aspirin","Headache"],["Ibuprofen","Fever"]],"stats":{"vertices_scanned":2,"edges_traversed":3,"props_read":6,"rows_emitted":3},"elapsed_us":0}`},
+		{"distinct", `MATCH (d:Drug)-[:treat]->(i:Indication) RETURN DISTINCT d.name`,
+			`{"query":"MATCH (d:Drug)-[:treat]->(i:Indication) RETURN DISTINCT d.name","request_id":"golden","columns":["d.name"],"rows":[["Aspirin"],["Ibuprofen"]],"stats":{"vertices_scanned":2,"edges_traversed":3,"props_read":3,"rows_emitted":2},"elapsed_us":0}`},
+		{"grouped", `MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, COUNT(*) AS n`,
+			`{"query":"MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, COUNT(*) AS n","request_id":"golden","columns":["d.name","n"],"rows":[["Aspirin",2],["Ibuprofen",1]],"stats":{"vertices_scanned":2,"edges_traversed":3,"props_read":3,"rows_emitted":2},"elapsed_us":0}`},
+		{"order by limit", `MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc ORDER BY i.desc DESC, d.name LIMIT 2`,
+			`{"query":"MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc ORDER BY i.desc DESC, d.name LIMIT 2","request_id":"golden","columns":["d.name","i.desc"],"rows":[["Aspirin","Headache"],["Aspirin","Fever"]],"stats":{"vertices_scanned":2,"edges_traversed":3,"props_read":6,"rows_emitted":2},"elapsed_us":0}`},
+		{"empty", `MATCH (d:Drug {name: 'Nope'}) RETURN d.name`,
+			`{"query":"MATCH (d:Drug {name: \"Nope\"}) RETURN d.name","request_id":"golden","columns":["d.name"],"rows":[],"stats":{"vertices_scanned":0,"edges_traversed":0,"props_read":0,"rows_emitted":0},"elapsed_us":0}`},
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", strings.NewReader(tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", "golden")
+		resp, data := do(t, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", tc.name, resp.StatusCode, data)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(data)) {
+			t.Errorf("%s: Content-Length = %q for a %d-byte body", tc.name, cl, len(data))
+		}
+		if got := string(elapsed.ReplaceAll(data, []byte(`"elapsed_us":0`))); got != tc.want {
+			t.Errorf("%s: body changed\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
 
