@@ -212,18 +212,13 @@ func BenchmarkAblationKnapsack(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelScaling measures aggregate throughput of one shared
-// compiled plan under 1/2/4/8 concurrent readers per backend. ops/sec and
-// allocs/op per worker count are reported as custom metrics; flat
-// allocs/op across worker counts is the pooled-machine guarantee. The
-// "diskstore-tight" variant constrains the page budget to 16 pages so the
-// workload is genuinely disk-bound: its curve rising with workers is the
-// sharded-pager acceptance check (the old single pager mutex kept it
-// flat). Each variant also reports the intra-query half — a single client
-// fanning each execution over 1/2/4/8 morsel workers — as
-// intra_ops/s_<n>w metrics; the rising intra curve on diskstore-tight is
-// the morsel-parallelism acceptance check.
-func BenchmarkParallelScaling(b *testing.B) {
+// BenchmarkIntraQueryScaling measures a single client fanning each
+// execution of one compiled plan over 1/2/4/8 morsel workers, per backend,
+// as intra_ops/s_<n>w metrics. The "diskstore-tight" variant constrains
+// the page budget to 16 pages so the workload is genuinely disk-bound;
+// its curve rising with workers is the morsel-parallelism acceptance
+// check. Throughput across clients is benchmark/'s job.
+func BenchmarkIntraQueryScaling(b *testing.B) {
 	env := newBenchEnv(b, "MED")
 	variants := []struct {
 		name string
@@ -236,22 +231,8 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			var pts []bench.ParallelPoint
-			var err error
-			for i := 0; i < b.N; i++ {
-				pts, err = bench.ParallelScaling(v.env, v.back, bench.DefaultParallelGoroutines, 20)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, p := range pts {
-				b.ReportMetric(p.OpsPerSec, fmt.Sprintf("ops/s_%dw", p.Goroutines))
-				b.ReportMetric(p.AllocsPerOp, fmt.Sprintf("allocs/op_%dw", p.Goroutines))
-			}
-			top := pts[len(pts)-1]
-			b.ReportMetric(top.Speedup, fmt.Sprintf("speedup_%dw", top.Goroutines))
-
 			var ipts []bench.IntraQueryPoint
+			var err error
 			for i := 0; i < b.N; i++ {
 				ipts, err = bench.IntraQueryScaling(v.env, v.back, bench.DefaultQueryWorkers, 20)
 				if err != nil {
@@ -263,41 +244,6 @@ func BenchmarkParallelScaling(b *testing.B) {
 			}
 			itop := ipts[len(ipts)-1]
 			b.ReportMetric(itop.Speedup, fmt.Sprintf("intra_speedup_%dw", itop.Workers))
-		})
-	}
-}
-
-// BenchmarkServeThroughput is the end-to-end traffic number: a live HTTP
-// server on a loopback port (admission control, plan cache, pooled JSON
-// encoding included) under 1 and 8 concurrent clients, on memstore and on
-// the disk-bound tight-cache diskstore. req/s and p50/p99 latency per
-// client count are reported as custom metrics.
-func BenchmarkServeThroughput(b *testing.B) {
-	env := newBenchEnv(b, "MED")
-	variants := []struct {
-		name string
-		env  *bench.Env
-		back bench.Backend
-	}{
-		{"memstore", env, bench.Memstore},
-		{"diskstore-tight", env.WithCachePages(16), bench.Diskstore},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var pts []bench.ServePoint
-			var err error
-			for i := 0; i < b.N; i++ {
-				pts, err = bench.ServeThroughput(v.env, v.back,
-					bench.ServeOptions{Clients: []int{1, 8}, RequestsPerClient: 25})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, p := range pts {
-				b.ReportMetric(p.ReqPerSec, fmt.Sprintf("req/s_%dc", p.Clients))
-				b.ReportMetric(p.P50Ms, fmt.Sprintf("p50ms_%dc", p.Clients))
-				b.ReportMetric(p.P99Ms, fmt.Sprintf("p99ms_%dc", p.Clients))
-			}
 		})
 	}
 }

@@ -7,13 +7,12 @@
 //	pgsbench -exp fig11 -med-card 200 -fin-card 60
 //	pgsbench -exp table2
 //	pgsbench -exp parallel
-//	pgsbench -exp serve -serve-reqs 200
 //	pgsbench -exp open,bulkload
 //	pgsbench -exp compress -compress-verts 20000
 //	pgsbench -exp fig11 -json results.json
 //
 // Experiments: fig8, fig9, fig10, fig11, fig12, table2, motivating,
-// parallel, serve, open, bulkload, crash, compact, compress, all.
+// parallel, open, bulkload, crash, compact, compress, all.
 //
 // -json writes every table's rows as one machine-readable document
 // (invocation metadata plus a section per table) for CI trend tracking;
@@ -38,7 +37,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pgsbench: ")
-	exp := flag.String("exp", "all", "experiment: fig8|fig9|fig10|fig11|fig12|table2|motivating|parallel|serve|open|bulkload|crash|compact|compress|all")
+	exp := flag.String("exp", "all", "experiment: fig8|fig9|fig10|fig11|fig12|table2|motivating|parallel|open|bulkload|crash|compact|compress|all")
 	medCard := flag.Int("med-card", 120, "MED base cardinality per concept")
 	finCard := flag.Int("fin-card", 40, "FIN base cardinality per concept")
 	seed := flag.Int64("seed", 2021, "generation seed")
@@ -47,10 +46,7 @@ func main() {
 	mmap := flag.Bool("mmap", false, "serve diskstore vertex/edge reads from a read-only memory map instead of the page cache")
 	tight := flag.Int("tight-pages", 16, "page budget of the disk-bound parallel-scaling variant")
 	queryWorkers := flag.String("query-workers", "1,2,4,8",
-		"comma-separated morsel worker counts for the intra-query half of -exp parallel")
-	serveReqs := flag.Int("serve-reqs", 100, "requests per client in the serve experiment")
-	serveMutateFrac := flag.Float64("serve-mutate-frac", 0,
-		"fraction of serve-experiment requests that are durable writes (diskstore variants only)")
+		"comma-separated morsel worker counts for -exp parallel")
 	crashMuts := flag.Int("crash-muts", 60, "mutations per truncation sweep in the crash experiment")
 	crashKills := flag.Int("crash-kills", 120, "minimum WAL kill points in the crash experiment")
 	crashRounds := flag.Int("crash-rounds", 12, "SIGKILL rounds in the crash experiment")
@@ -197,30 +193,9 @@ func main() {
 	}
 	if run("parallel") {
 		ran = true
-		for _, b := range backends {
-			pts, err := bench.ParallelScaling(env("MED"), b, bench.DefaultParallelGoroutines, 200)
-			if err != nil {
-				log.Fatal(err)
-			}
-			title := fmt.Sprintf("Parallel readers — one shared plan, %s (MED)", b)
-			fmt.Println(bench.FormatParallelTable(title, pts))
-			report.Add("parallel", title, pts)
-		}
-		// The disk-bound regime: a page budget far below the working set,
-		// where the paper's schema optimizations (and the sharded pager)
-		// matter most. Before the shard rewrite this curve was flat.
-		tightPts, err := bench.ParallelScaling(env("MED").WithCachePages(*tight), bench.Diskstore, bench.DefaultParallelGoroutines, 200)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tightTitle := fmt.Sprintf("Parallel readers — one shared plan, diskstore tight cache (%d pages, MED)", *tight)
-		fmt.Println(bench.FormatParallelTable(tightTitle, tightPts))
-		report.Add("parallel", tightTitle, tightPts)
-
-		// The intra-query half: one client, morsel workers inside each
-		// execution. Where the tables above add clients, these add workers
-		// to a single client's query — the "one heavy traversal should
-		// saturate the machine" number.
+		// One client, morsel workers inside each execution — the "one heavy
+		// traversal should saturate the machine" number. Served throughput
+		// across clients is benchmark/'s job.
 		workers, err := parseWorkerList(*queryWorkers)
 		if err != nil {
 			log.Fatal(err)
@@ -241,37 +216,6 @@ func main() {
 		tightIntraTitle := fmt.Sprintf("Intra-query morsel workers — single client, diskstore tight cache (%d pages, MED)", *tight)
 		fmt.Println(bench.FormatIntraQueryTable(tightIntraTitle, tightIntra))
 		report.Add("parallel", tightIntraTitle, tightIntra)
-	}
-	if run("serve") {
-		ran = true
-		// The end-to-end traffic numbers: a live HTTP server on loopback,
-		// driven by concurrent loadgen clients, on the in-memory backend
-		// and on the deliberately disk-bound tight-cache diskstore.
-		variants := []struct {
-			title  string
-			env    *bench.Env
-			back   bench.Backend
-			mutate float64
-		}{
-			// Only diskstore has the durable write path, so the mutate
-			// fraction applies to the diskstore variants alone.
-			{"memstore (MED)", env("MED"), bench.Memstore, 0},
-			{"diskstore (MED)", env("MED"), bench.Diskstore, *serveMutateFrac},
-			{fmt.Sprintf("diskstore tight cache (%d pages, MED)", *tight), env("MED").WithCachePages(*tight), bench.Diskstore, *serveMutateFrac},
-		}
-		for _, v := range variants {
-			title := "HTTP serving throughput — " + v.title
-			if v.mutate > 0 {
-				title = fmt.Sprintf("HTTP serving under ingest (%.0f%% writes) — %s", v.mutate*100, v.title)
-			}
-			pts, err := bench.ServeThroughput(v.env, v.back,
-				bench.ServeOptions{RequestsPerClient: *serveReqs, MutateFrac: v.mutate})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(bench.FormatServeTable(title, pts))
-			report.Add("serve", title, pts)
-		}
 	}
 	if run("crash") {
 		ran = true

@@ -253,16 +253,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Drain on SIGINT/SIGTERM: stop accepting, let in-flight requests
+	// finish (each bounded by -timeout), then exit. The handler is
+	// installed before the listener opens, so a signal sent the moment
+	// /healthz first answers still drains (and flushes a fresh store).
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		return err
 	}
 	log.Printf("listening on %s (POST /query, POST /mutate, GET /healthz, GET /stats, GET /metrics)", bound)
-
-	// Drain on SIGINT/SIGTERM: stop accepting, let in-flight requests
-	// finish (each bounded by -timeout), then exit.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	log.Printf("shutting down, draining in-flight requests (up to %v)", *drainWait)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainWait)

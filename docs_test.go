@@ -78,13 +78,13 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// Serving layer: admission control, shutdown semantics, and
 			// the stats endpoint schema must stay documented.
 			"Serving layer", "pgsserve", "429", "admission", "drain",
-			"/stats", "Prepared.Exec", "query.Sink", "loadgen", "top_queries",
+			"/stats", "Prepared.Exec", "query.Sink", "go run ./benchmark", "top_queries",
 			// Durability: the WAL/delta live-write path, its checkpoint
 			// protocol, and the crash-recovery contract must stay
 			// documented alongside the recovery code.
 			"wal.db", "group commit", "delta segment", "wal_seq",
 			"ErrFinalizeInterrupted", "/mutate", "crashtest",
-			"Crash matrix", "MutateFrac",
+			"Crash matrix",
 			// Intra-query parallelism: the morsel partitioning hook, the
 			// bounded-memory merge pipeline, and the knob that composes
 			// with admission must stay documented.

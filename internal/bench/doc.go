@@ -6,10 +6,11 @@
 // An Env bundles one generated dataset (MED or FIN) with the Options that
 // scale it; drivers load the dataset into a backend (memstore or
 // diskstore), run their experiment, and clean up. Beyond the paper's
-// figures, ParallelScaling measures how one shared compiled plan scales
-// across concurrent readers — the serving-oriented extension of the
-// paper's claim — optionally in the disk-bound regime via
-// Env.WithCachePages.
+// figures, IntraQueryScaling measures how one query scales over morsel
+// workers (optionally in the disk-bound regime via Env.WithCachePages)
+// and the storage experiments cover load, open, compaction and
+// compression. Nothing here drives HTTP traffic: served throughput and
+// latency are measured by benchmark/ against a real pgsserve.
 //
 // Format* helpers render each row type as the text table cmd/pgsbench
 // prints.

@@ -223,9 +223,6 @@ func New(cfg Config) (*Server, error) {
 // mounting under an outer mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the plan cache (stats, tests).
-func (s *Server) Cache() *query.Cache { return s.cache }
-
 // Swap atomically replaces the served dataset and purges the old graph's
 // plans from the cache, so a dataset reload does not leak plan memory
 // until LRU pressure. In-flight requests finish against the graph they
@@ -676,8 +673,8 @@ type BloomStats struct {
 	FP    int64 `json:"fp"`
 }
 
-// Stats assembles the current StatsResponse; the /stats handler and the
-// bench harness share it.
+// Stats assembles the current StatsResponse; the /stats handler serves
+// it and tests read it directly.
 func (s *Server) Stats() StatsResponse {
 	cs := s.cache.Stats()
 	resp := StatsResponse{

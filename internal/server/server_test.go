@@ -54,20 +54,26 @@ func buildMedGraph(t *testing.T, b storage.Builder) {
 	edge(d2, i1, "treat")
 }
 
+// addDrugs appends n Drug vertices named 0..n-1 to b.
+func addDrugs(t *testing.T, b storage.Builder, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		v, err := b.AddVertex("Drug")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SetProp(v, "name", graph.I(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // buildWideGraph creates n Drug vertices — enough scan iterations for the
 // executor's cancellation checkpoint (every 256 ticks) to fire.
 func buildWideGraph(t *testing.T, n int) storage.Builder {
 	t.Helper()
 	mem := memstore.New()
-	for i := 0; i < n; i++ {
-		v, err := mem.AddVertex("Drug")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.SetProp(v, "name", graph.I(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	addDrugs(t, mem, n)
 	return mem
 }
 
@@ -414,60 +420,143 @@ func TestClientCancelMidQuery(t *testing.T) {
 	})
 }
 
-// TestConcurrentClients hammers one server from 8 concurrent clients — the
-// satellite's -race acceptance test. Every response must be a 200 with the
-// same row set, and the plan cache must show the compile happened once.
+// TestConcurrentClients hammers one server from 8 concurrent clients under
+// -race: on memstore, on a diskstore whose page cache is far smaller than
+// what one query reads (so clients evict each other's pages), and on that
+// diskstore while one more goroutine posts /mutate batches throughout.
+// Every response must be a 200, every query must return the same rows, and
+// the plan cache must show the compile happened once.
 func TestConcurrentClients(t *testing.T) {
-	s, ts := newMedServer(t, Config{})
-	const clients, perClient = 8, 25
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(drugQuery))
-				if err != nil {
-					errs <- err
-					return
+	const (
+		clients, perClient = 8, 25
+		drugs, cachePages  = 1000, 8
+		// Reads every Drug's name and returns the lowest ten.
+		lowDrugQuery = `MATCH (d:Drug) WHERE d.name < 10 RETURN d.name ORDER BY d.name`
+		wantRows     = `[[0] [1] [2] [3] [4] [5] [6] [7] [8] [9]]`
+		// Touches no label or edge type lowDrugQuery reads, and stays valid
+		// as the graph grows (batch-relative source).
+		noiseBatch = `{"vertices":[{"labels":["Noise"],"props":{"n":1}}],"edges":[{"src":-1,"dst":0,"type":"noise"}]}`
+		minBatches = 20
+	)
+	for _, tc := range []struct {
+		name         string
+		disk, mutate bool
+	}{
+		{name: "memstore"},
+		{name: "diskstore-tight", disk: true},
+		{name: "diskstore-tight-mutate", disk: true, mutate: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var g storage.Builder = memstore.New()
+			var ds *diskstore.Store
+			if tc.disk {
+				var err error
+				if ds, err = diskstore.Open(t.TempDir(), diskstore.Options{CachePages: cachePages}); err != nil {
+					t.Fatal(err)
 				}
-				data, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("status %d: %s", resp.StatusCode, data)
-					return
-				}
-				var qr queryResponse
-				if err := json.Unmarshal(data, &qr); err != nil {
-					errs <- err
-					return
-				}
-				if len(qr.Rows) != 2 {
-					errs <- fmt.Errorf("got %d rows, want 2", len(qr.Rows))
-					return
+				t.Cleanup(func() { ds.Close() })
+				g = ds
+			}
+			addDrugs(t, g, drugs)
+			// A diskstore goes live for /mutate only once it holds an edge.
+			if _, err := g.AddEdge(0, 1, "interacts"); err != nil {
+				t.Fatal(err)
+			}
+			if ds != nil {
+				if err := ds.Finalize(); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Admission.Accepted != clients*perClient {
-		t.Errorf("accepted = %d, want %d", st.Admission.Accepted, clients*perClient)
-	}
-	if got := st.Endpoints["/query"].Count; got != clients*perClient {
-		t.Errorf("/query latency count = %d, want %d", got, clients*perClient)
-	}
-	if st.PlanCache.Hits == 0 || st.PlanCache.Misses-st.PlanCache.Shared != 1 {
-		t.Errorf("plan cache = %+v, want exactly one compile and the rest hits", st.PlanCache)
+			s, ts := newMedServer(t, Config{Graph: g})
+
+			// postOK posts body and returns the 200 response's bytes.
+			postOK := func(path, contentType, body string) ([]byte, error) {
+				resp, err := http.Post(ts.URL+path, contentType, strings.NewReader(body))
+				if err != nil {
+					return nil, err
+				}
+				defer resp.Body.Close()
+				data, err := io.ReadAll(resp.Body)
+				if err != nil {
+					return nil, err
+				}
+				if resp.StatusCode != http.StatusOK {
+					return nil, fmt.Errorf("%s status %d: %s", path, resp.StatusCode, data)
+				}
+				return data, nil
+			}
+
+			var readersDone atomic.Bool
+			var batches int
+			var mutateErr error
+			var writer sync.WaitGroup
+			if tc.mutate {
+				writer.Add(1)
+				go func() {
+					defer writer.Done()
+					for batches < minBatches || !readersDone.Load() {
+						if _, mutateErr = postOK("/mutate", "application/json", noiseBatch); mutateErr != nil {
+							return
+						}
+						batches++
+					}
+				}()
+			}
+
+			var wg sync.WaitGroup
+			errs := make(chan error, clients)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perClient; i++ {
+						data, err := postOK("/query", "text/plain", lowDrugQuery)
+						if err != nil {
+							errs <- err
+							return
+						}
+						var qr queryResponse
+						if err := json.Unmarshal(data, &qr); err != nil {
+							errs <- err
+							return
+						}
+						if got := fmt.Sprint(qr.Rows); got != wantRows {
+							errs <- fmt.Errorf("rows = %s, want %s", got, wantRows)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			readersDone.Store(true)
+			writer.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if mutateErr != nil {
+				t.Fatalf("after %d mutate batches: %v", batches, mutateErr)
+			}
+
+			st := s.Stats()
+			if want := int64(clients*perClient + batches); st.Admission.Accepted != want {
+				t.Errorf("accepted = %d, want %d", st.Admission.Accepted, want)
+			}
+			if got := st.Endpoints["/query"].Count; got != clients*perClient {
+				t.Errorf("/query latency count = %d, want %d", got, clients*perClient)
+			}
+			if got := st.Endpoints["/mutate"].Count; got != int64(batches) {
+				t.Errorf("/mutate latency count = %d, want %d", got, batches)
+			}
+			if st.PlanCache.Hits == 0 || st.PlanCache.Misses-st.PlanCache.Shared != 1 {
+				t.Errorf("plan cache = %+v, want exactly one compile and the rest hits", st.PlanCache)
+			}
+			// Had the working set fit, misses would stop at its page count;
+			// more than one per query means clients kept evicting pages.
+			if tc.disk && st.Pager.PageMisses <= clients*perClient {
+				t.Errorf("pager = %+v: a %d-page cache was not tight for this query", *st.Pager, cachePages)
+			}
+		})
 	}
 }
 
@@ -664,7 +753,7 @@ func TestSwapPurgesOldPlans(t *testing.T) {
 	if len(qr.Rows) != 1 || qr.Rows[0][0] != "OnlyInG2" {
 		t.Errorf("post-swap rows = %v, want the g2 drug", qr.Rows)
 	}
-	if st := s.Cache().Stats(); st.Size != 1 {
+	if st := s.cache.Stats(); st.Size != 1 {
 		t.Errorf("cache size after swap+query = %d, want 1 (old plans purged)", st.Size)
 	}
 }
