@@ -8,11 +8,10 @@
 //	pgsbench -exp table2
 //	pgsbench -exp parallel
 //	pgsbench -exp open,bulkload
-//	pgsbench -exp compress -compress-verts 20000
 //	pgsbench -exp fig11 -json results.json
 //
 // Experiments: fig8, fig9, fig10, fig11, fig12, table2, motivating,
-// parallel, open, bulkload, crash, compact, compress, all.
+// parallel, open, bulkload, crash, compact, all.
 //
 // -json writes every table's rows as one machine-readable document
 // (invocation metadata plus a section per table) for CI trend tracking;
@@ -37,14 +36,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pgsbench: ")
-	exp := flag.String("exp", "all", "experiment: fig8|fig9|fig10|fig11|fig12|table2|motivating|parallel|open|bulkload|crash|compact|compress|all")
+	exp := flag.String("exp", "all", "experiment: fig8|fig9|fig10|fig11|fig12|table2|motivating|parallel|open|bulkload|crash|compact|all")
 	medCard := flag.Int("med-card", 120, "MED base cardinality per concept")
 	finCard := flag.Int("fin-card", 40, "FIN base cardinality per concept")
 	seed := flag.Int64("seed", 2021, "generation seed")
 	reps := flag.Int("reps", 3, "query repetitions per measurement")
 	cache := flag.Int("cache-pages", 64, "diskstore page cache size")
 	mmap := flag.Bool("mmap", false, "serve diskstore vertex/edge reads from a read-only memory map instead of the page cache")
-	tight := flag.Int("tight-pages", 16, "page budget of the disk-bound parallel-scaling variant")
+	tight := flag.Int("tight-pages", 16, "page budget of the disk-bound (tight-cache) variant of -exp parallel")
 	queryWorkers := flag.String("query-workers", "1,2,4,8",
 		"comma-separated morsel worker counts for -exp parallel")
 	crashMuts := flag.Int("crash-muts", 60, "mutations per truncation sweep in the crash experiment")
@@ -52,8 +51,6 @@ func main() {
 	crashRounds := flag.Int("crash-rounds", 12, "SIGKILL rounds in the crash experiment")
 	compactVerts := flag.Int("compact-verts", 20000, "base vertices in the compact experiment")
 	compactReaders := flag.Int("compact-readers", 4, "concurrent readers in the compact experiment")
-	compressVerts := flag.Int("compress-verts", 20000, "vertices in the compress experiment")
-	compressEdges := flag.Int("compress-edges", 0, "edges in the compress experiment (0 = 3x vertices)")
 	jsonOut := flag.String("json", "", "also write results as JSON to this file (- for stdout)")
 	flag.Parse()
 
@@ -83,25 +80,19 @@ func main() {
 	all := want["all"]
 	run := func(name string) bool { return all || want[name] }
 
-	var med, fin *bench.Env
+	envs := map[string]*bench.Env{}
 	env := func(name string) *bench.Env {
-		var e **bench.Env
-		if name == "MED" {
-			e = &med
-		} else {
-			e = &fin
-		}
-		if *e == nil {
+		if envs[name] == nil {
 			v, err := bench.NewEnv(name, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
-			*e = v
+			envs[name] = v
 			fmt.Printf("[%s] %d concepts, %d relationships; %d instances, %d links\n",
 				name, len(v.Ontology.Concepts), len(v.Ontology.Relationships),
 				v.Dataset.NumInstances(), v.Dataset.NumLinks())
 		}
-		return *e
+		return envs[name]
 	}
 	backends := []bench.Backend{bench.Memstore, bench.Diskstore}
 
@@ -272,34 +263,17 @@ func main() {
 		fmt.Println(bench.FormatCompactReport(title, crep))
 		report.Add("compact", title, crep)
 	}
-	if run("compress") {
-		ran = true
-		// The format-v5 story in one table: the same graph in the v4
-		// record-array layout and the v5 delta-varint layout, traversed
-		// under a tight page budget with the mmap read path off and on,
-		// plus the bloom-guard skip rate only v5 statistics can deliver.
-		rows, err := bench.Compress(bench.CompressOptions{
-			Vertices: *compressVerts, Edges: *compressEdges,
-			Seed: *seed, TightPages: *tight,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		title := fmt.Sprintf("Adjacency compression — v4 vs v5, tight cache (%d pages), mmap off/on", *tight)
-		fmt.Println(bench.FormatCompressTable(title, rows))
-		report.Add("compress", title, rows)
-	}
 	if run("open") {
 		ran = true
-		// Cold restart cost: the same v4 diskstore reopened through its
-		// persisted index versus with index.db removed (the pre-v4
-		// full-vertex scan every open used to pay).
+		// Cold restart cost: the same diskstore reopened through its
+		// persisted index versus with index.db removed (the full-vertex
+		// scan an open without it pays).
 		rows, err := bench.ColdOpen(env("MED"))
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(bench.FormatColdOpenTable("Cold open — persisted index (v4) vs full-vertex scan (MED, diskstore)", rows))
-		report.Add("open", "Cold open — persisted index (v4) vs full-vertex scan (MED, diskstore)", rows)
+		fmt.Println(bench.FormatColdOpenTable("Cold open — persisted index vs full-vertex scan (MED, diskstore)", rows))
+		report.Add("open", "Cold open — persisted index vs full-vertex scan (MED, diskstore)", rows)
 	}
 	if run("bulkload") {
 		ran = true

@@ -11,8 +11,8 @@
 //	pgsgen -dataset MED -card 200 -store /tmp/med-store
 //
 // -store loads the dataset (direct schema) through the bulk-build
-// pipeline into a format-v4 diskstore at the given directory: adjacency
-// comes out type-segmented and the label index is persisted, so a later
+// pipeline into a diskstore at the given directory: adjacency comes out
+// finalized into segments and the label index is persisted, so a later
 // `pgsserve -backend diskstore -data-dir DIR` serves it without
 // regenerating or rescanning anything.
 package main
@@ -111,7 +111,7 @@ func buildStore(o *ontology.Ontology, dir string, seed int64, card int) {
 	}
 	info := f.Format()
 	f.Close()
-	fmt.Printf("built %s in %v: %d vertices, %d edges, format v%d (segmented=%v, persisted index=%v)\n",
+	fmt.Printf("built %s in %v: %d vertices, %d edges, format v%d (adjacency finalized=%v, persisted index=%v)\n",
 		dir, time.Since(start).Round(time.Millisecond), vertices, edges,
-		info.Version, info.Segmented, info.IndexLoaded)
+		info.Version, info.Compressed, info.IndexLoaded)
 }

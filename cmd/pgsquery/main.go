@@ -17,8 +17,8 @@
 // -stats prints plan-cache effectiveness after the run (hits, misses,
 // singleflight shares, compiles), each backend's per-label vertex counts,
 // and, on the diskstore backend, each store's pager I/O counters plus its
-// format/live-write state (segmented adjacency, compressed-adjacency size
-// and ratio on format v5, delta segment sizes, WAL activity) — so
+// format/live-write state (whether adjacency is finalized, its compressed
+// size and ratio, delta segment sizes, WAL activity) — so
 // -parallel runs surface how well the shared-plan path and the page cache
 // actually held up. -mmap serves the vertex/edge files from a read-only
 // memory map instead of the page cache.
@@ -215,11 +215,11 @@ func main() {
 			if d, ok := side.g.(*diskstore.Store); ok {
 				f := d.Format()
 				ls := d.LiveStats()
-				fmt.Printf("%s store: format v%d, segmented adjacency=%v, live writes=%v, delta %d vertices / %d edges\n",
-					side.tag, f.Version, f.Segmented, ls.Live, ls.DeltaVertices, ls.DeltaEdges)
+				fmt.Printf("%s store: format v%d, adjacency finalized=%v, live writes=%v, delta %d vertices / %d edges\n",
+					side.tag, f.Version, f.Compressed, ls.Live, ls.DeltaVertices, ls.DeltaEdges)
 				if f.Compressed && d.NumEdges() > 0 {
 					bpe := float64(f.EdgeBytes) / float64(d.NumEdges())
-					fmt.Printf("%s adjacency: %d bytes compressed (%.2f B/edge, %.1fx vs 64 B v4 records)\n",
+					fmt.Printf("%s adjacency: %d bytes compressed (%.2f B/edge, %.1fx vs 64 B edge records)\n",
 						side.tag, f.EdgeBytes, bpe, 64/bpe)
 				}
 				if ls.WALAppends > 0 {

@@ -38,9 +38,10 @@
 //
 // When -data-dir points at an already-populated diskstore (e.g. written
 // by `pgsgen -store` or a previous pgsserve run), the store is served
-// as-is: no dataset load runs, and a format-v4 store restores its label
-// index from index.db instead of scanning every vertex — the fast-restart
-// path. The operator must pass the same -optimize/-localize flags the
+// as-is: no dataset load runs, and the store restores its label index
+// from index.db instead of scanning every vertex — the fast-restart path.
+// A store written by an earlier release (format v2-v4) is refused; convert
+// it offline with diskstore.Upgrade. The operator must pass the same -optimize/-localize flags the
 // store was built with; pgsserve cannot verify the schema a store on disk
 // was loaded under.
 package main
@@ -226,8 +227,8 @@ func run() error {
 	}
 	if dsk != nil {
 		f := dsk.Format()
-		log.Printf("diskstore format v%d (segmented adjacency: %v, compressed adjacency: %v, opened via persisted index: %v, mmap: %v)",
-			f.Version, f.Segmented, f.Compressed, f.IndexLoaded, *mmap)
+		log.Printf("diskstore format v%d (adjacency finalized into compressed segments: %v, opened via persisted index: %v, mmap: %v)",
+			f.Version, f.Compressed, f.IndexLoaded, *mmap)
 		if ls := dsk.LiveStats(); ls.Live {
 			log.Printf("live writes enabled (POST /mutate): delta carries %d vertices / %d edges from the WAL",
 				ls.DeltaVertices, ls.DeltaEdges)

@@ -60,21 +60,21 @@ func TestDocsPresentAndLinked(t *testing.T) {
 		// likely to be invalidated by code changes, so a rewrite that
 		// removes them should revisit the doc.
 		"docs/ARCHITECTURE.md": {
-			"manifest", "v3", "degrees.db", "shard", "clock", "latch",
+			"manifest", "degrees.db", "shard", "clock", "latch",
 			"build-then-concurrent-read", "singleflight",
-			// Format v4: the persisted index, the segmented-adjacency
-			// invariant, and the bulk-load finalize contract must stay
+			// The one on-disk format: the persisted index, the two
+			// adjacency states and the bulk-load finalize contract, the
+			// delta-varint segment layout, the mmap read contract, the
+			// persisted-statistics block (with its two consumers), and
+			// the refuse-then-Upgrade path for legacy stores must stay
 			// documented alongside the code that implements them.
-			"v4", "index.db", "segmented", "Compact", "Finalize",
+			"index.db", "segmented", "Compact", "Finalize",
 			"BulkLoader", "BatchBuilder", "writeFileAtomic", "commit point",
-			// Format v5: the delta-varint adjacency layout, the mmap read
-			// contract, and the persisted-statistics block (with its two
-			// consumers) must stay documented alongside the code.
 			"Format v5", "delta-varint", "uvarint", "firstOutEID",
 			"bytes-per-edge", "Options.Mmap", "drops its mapping",
 			"PGSIDX05", "bloom", "MayHaveProp", "EdgeTypeCounts",
-			"FromStorage", "pgs_stats_bloom_skips_total", "-exp compress",
-			"compression_ratio",
+			"FromStorage", "pgs_stats_bloom_skips_total",
+			"compression_ratio", "Upgrade", "ErrLegacyFormat",
 			// Serving layer: admission control, shutdown semantics, and
 			// the stats endpoint schema must stay documented.
 			"Serving layer", "pgsserve", "429", "admission", "drain",

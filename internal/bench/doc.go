@@ -8,8 +8,8 @@
 // diskstore), run their experiment, and clean up. Beyond the paper's
 // figures, IntraQueryScaling measures how one query scales over morsel
 // workers (optionally in the disk-bound regime via Env.WithCachePages)
-// and the storage experiments cover load, open, compaction and
-// compression. Nothing here drives HTTP traffic: served throughput and
+// and the storage experiments cover load, open and compaction. Nothing
+// here drives HTTP traffic: served throughput and
 // latency are measured by benchmark/ against a real pgsserve.
 //
 // Format* helpers render each row type as the text table cmd/pgsbench

@@ -1,6 +1,6 @@
 package bench
 
-// Cold-open and bulk-load experiments for the diskstore v4 format: how
+// Cold-open and bulk-load experiments for the diskstore: how
 // much wall-clock and pager I/O the persisted index saves a restarting
 // service, and how much the batched write path saves a dataset load.
 
@@ -17,8 +17,8 @@ import (
 
 // ColdOpenResult is one cold-open measurement of the same on-disk store.
 type ColdOpenResult struct {
-	// Mode is "indexed" (index.db present, the v4 fast path) or "scan"
-	// (index.db removed, forcing the legacy full-vertex rebuild).
+	// Mode is "indexed" (index.db present, the fast path) or "scan"
+	// (index.db removed, forcing the full-vertex rebuild).
 	Mode        string
 	Ms          float64
 	PageReads   int64
@@ -27,10 +27,10 @@ type ColdOpenResult struct {
 	IndexLoaded bool
 }
 
-// ColdOpen builds the environment's dataset into a v4 diskstore once,
+// ColdOpen builds the environment's dataset into a diskstore once,
 // then measures reopening it cold two ways: with its persisted index
-// (O(index size)) and with index.db deleted (the legacy full-vertex
-// scan every pre-v4 open paid). The store content is identical in both
+// (O(index size)) and with index.db deleted (the full-vertex scan an
+// open without it pays). The store content is identical in both
 // runs; only the open path differs.
 func ColdOpen(env *Env) ([]ColdOpenResult, error) {
 	base := env.Opts.DataDir
@@ -93,7 +93,7 @@ func ColdOpen(env *Env) ([]ColdOpenResult, error) {
 // BulkLoadResult is one timed load of the environment's dataset.
 type BulkLoadResult struct {
 	// Mode is "bulk" (the native BatchBuilder pipeline with one finalize)
-	// or "incremental" (per-item AddVertex/AddEdge, the pre-v4 path).
+	// or "incremental" (per-item AddVertex/AddEdge).
 	Mode     string
 	Backend  Backend
 	Ms       float64
@@ -103,8 +103,7 @@ type BulkLoadResult struct {
 
 // incrementalOnly hides a store's native batch path behind the plain
 // Builder method set, so loader.Load's BulkLoader degrades to per-item
-// AddVertex/AddEdge calls — the pre-v4 write path, measurable on the
-// current code.
+// AddVertex/AddEdge calls.
 type incrementalOnly struct{ storage.Builder }
 
 // BulkLoad measures loading the environment's dataset through the bulk

@@ -10,7 +10,7 @@ import (
 )
 
 // TestColdOpenIndexGate is the cold-open regression gate (also run by the
-// CI format-compat job): opening a v4 store through its persisted index
+// CI format-compat job): opening a store through its persisted index
 // must not scan vertex records — zero pager reads — while the scan
 // fallback on the same store pays reads proportional to the vertex count.
 func TestColdOpenIndexGate(t *testing.T) {
@@ -90,7 +90,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 	if ts, ok := storage.Builder(bulk).(storage.TypeSegmentedGraph); !ok || !ts.SegmentedAdjacency() {
 		t.Error("bulk-loaded diskstore is not type-segmented")
 	}
-	if ds, ok := bulk.(*diskstore.Store); !ok || ds.Format().Version < 4 {
-		t.Error("bulk-loaded diskstore is not format v4+")
+	if ds, ok := bulk.(*diskstore.Store); !ok || !ds.Format().Compressed {
+		t.Error("bulk-loaded diskstore is not finalized into compressed segments")
 	}
 }

@@ -21,7 +21,6 @@ package diskstore
 // replay skips the folded prefix via the wal_seq fence.
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 
@@ -37,7 +36,7 @@ const foldTmpDir = "fold.tmp"
 // generation's builder with.
 const foldBatch = 4096
 
-// Compact folds accumulated live writes into a fresh type-segmented base
+// Compact folds accumulated live writes into a fresh finalized base
 // generation. On a live store it runs as a background fold — concurrent
 // reads and ApplyMutations proceed throughout, with only a bounded pause
 // at the commit point — and blocks until the fold commits (callers
@@ -94,9 +93,9 @@ func (s *Store) foldBackground() error {
 	s.symMu.RUnlock()
 	s.liveMu.Unlock()
 
-	if alreadyFolded && old.version >= formatVersion && len(fd.verts) == 0 && len(fd.edges) == 0 &&
+	if alreadyFolded && len(fd.verts) == 0 && len(fd.edges) == 0 &&
 		len(fd.labelAdds) == 0 && len(fd.propOver) == 0 {
-		return nil // nothing new since the last fold, layout current
+		return nil // nothing new since the last fold
 	}
 
 	// Stage 2 — build generation gen+1 in fold.tmp using the ordinary
@@ -238,8 +237,6 @@ func (s *Store) foldBackground() error {
 		ebatch = ebatch[:0]
 		return nil
 	}
-	// The layout-aware enumerator reads records or compressed segments,
-	// whichever the old epoch holds.
 	if err := old.forEachEdgeLite(func(el edgeLite) error {
 		ebatch = append(ebatch, storage.BulkEdge{Src: storage.VID(el.src), Dst: storage.VID(el.dst), Type: types[el.typeID]})
 		if len(ebatch) == foldBatch {
@@ -322,8 +319,6 @@ func (s *Store) foldBackground() error {
 	}
 	newEp := &epoch{
 		gen:         newGen,
-		version:     bep.version,
-		segmented:   true,
 		compressed:  bep.compressed,
 		edgeBytes:   bep.edgeBytes,
 		pager:       pg,
@@ -340,24 +335,8 @@ func (s *Store) foldBackground() error {
 	// commit point. Everything after it — WAL rotation, delta rebase,
 	// epoch swap — happens under liveMu so writers observe the routing
 	// change atomically. Lock order: flushMu before liveMu, everywhere.
-	m := manifest{
-		Version: newEp.version, Generation: newGen,
-		Labels: labels, Types: types, Keys: keys,
-		NumVertices: newEp.numVertices, NumEdges: newEp.numEdges, NumProps: newEp.numProps,
-		NumDegs: newEp.numDegs, BlobSize: newEp.blobSize,
-		Segmented:  true,
-		Compressed: newEp.compressed,
-		EdgeBytes:  newEp.edgeBytes,
-		WalSeq:     fence,
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		newEp.closeFiles()
-		s.removeGenFiles(newGen)
-		return err
-	}
 	s.flushMu.Lock()
-	if err := writeFileAtomic(filepath.Join(s.dir, "manifest.json"), data); err != nil {
+	if err := s.writeManifest(newEp, labels, types, keys, fence); err != nil {
 		s.flushMu.Unlock()
 		newEp.closeFiles()
 		s.removeGenFiles(newGen)

@@ -53,28 +53,18 @@ const (
 	vertexRecSize = 64
 	edgeRecSize   = 64
 	propRecSize   = 32
-	// degRecSize is the legacy (v3) degree record size; v4 degree records
-	// grew to degRecSizeV4 to carry per-type adjacency segment heads.
-	degRecSize   = 32
-	degRecSizeV4 = 64
-	maxLabels    = 128
+	degRecSize    = 64
+	maxLabels     = 128
 )
 
 // Options configures a Store.
 type Options struct {
 	// PageSize is the cache page size in bytes (default 8192). Record
-	// sizes (64/64/32) must divide it.
+	// sizes (64/64/32/64) must divide it.
 	PageSize int
 	// CachePages is the page cache capacity (default 256 pages = 2 MiB
 	// with the default page size).
 	CachePages int
-
-	// Format forces the on-disk format of a newly created store (tests
-	// and benchmarks: it lets the current code synthesize legacy v2/v3/v4
-	// stores for compatibility and comparison runs). Zero means the
-	// current format. Finalize never downgrades below v4 — legacy v2/v3
-	// stores upgrade on Finalize exactly as before.
-	Format int
 
 	// Mmap maps the read-mostly record files (edges.db, vertices.db)
 	// read-only into memory and serves page loads from the mapping
@@ -95,40 +85,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// formatVersion is the on-disk record layout version. Version 2 added
-// untyped degree counters to vertex records (bytes 41-48). Version 3
-// added per-type degree records (degrees.db, chained off bytes 49-56 of
-// the vertex record) so typed Degree lookups no longer walk the adjacency
-// chain. Version 4 added:
+// formatVersion is the one on-disk layout this package reads and writes:
 //
-//   - a persisted derived-structure file (index.db) holding the label-scan
-//     index and redundant symbol tables, so Open is O(index size) instead
-//     of a full vertex scan;
-//   - 64-byte degree records carrying per-type adjacency segment heads;
-//   - the type-segmented adjacency invariant ("segmented" manifest flag):
-//     after Finalize/Compact, each vertex's out/in chains are grouped by
-//     edge type (out-chains additionally physically clustered in
-//     edges.db), so typed traversals seek to their segment and never read
-//     other types' edge records.
+//   - fixed-size vertex, property and degree records (one 64-byte degree
+//     record per (vertex, edge type), chained off the vertex record);
+//   - adjacency in one of two states. Finalized ("compressed" manifest
+//     flag): edges.db holds delta-varint (src, type) segments and each
+//     degree record doubles as its segment descriptor (byte offsets +
+//     lengths + the first out-EID; see segcodec.go). Unfinalized (build
+//     mode — incremental AddEdge or AddEdgeBatch before Finalize):
+//     edges.db holds 64-byte edge records, chained per vertex;
+//   - index.db, the persisted label-scan index, redundant symbol tables
+//     and a statistics block (per-edge-type counts, per-(label, key)
+//     bloom filters), so Open is O(index size) instead of a vertex scan.
 //
-// Version 5 — current — adds:
-//
-//   - delta-varint compressed adjacency ("compressed" manifest flag):
-//     after Finalize/Compact, edges.db holds gap-encoded (src, type)
-//     segments instead of 64-byte edge records, and the degree record
-//     doubles as the segment descriptor (byte offsets + lengths + the
-//     first out-EID); see segcodec.go for the exact encoding;
-//   - a persisted statistics block in index.db: per-edge-type counts and
-//     per-(label, property-key) bloom filters, surfaced through
-//     storage.Statistics (the label counts come from the label index
-//     itself).
-//
-// Version 2-4 stores remain readable: they open in a legacy mode that
-// answers queries the old way and keeps writing a same-version manifest
-// on Flush (opening never silently upgrades a store; Compact upgrades
-// explicitly). Incremental AddEdge on a non-live v5 store falls back to
-// the uncompressed record layout until the next Finalize/Compact.
-// Version 1 and unknown versions are rejected — v1 vertex records would
+// Stores written by earlier releases (manifest versions 2-4) are refused
+// by Open with ErrLegacyFormat and converted offline by Upgrade. Version
+// 1 and unknown versions are rejected outright — v1 vertex records would
 // silently read their degree counters as zero.
 const formatVersion = 5
 
@@ -147,13 +120,13 @@ type manifest struct {
 	NumProps    int64    `json:"num_props"`
 	NumDegs     int64    `json:"num_degs,omitempty"`
 	BlobSize    int64    `json:"blob_size"`
-	// Segmented records the type-segmented adjacency invariant (v4; see
-	// formatVersion).
-	Segmented bool `json:"segmented,omitempty"`
-	// Compressed records that edges.db holds delta-varint segments rather
-	// than 64-byte edge records (v5; see formatVersion). EdgeBytes is the
-	// logical size of the segment data — the bytes-on-disk numerator of
-	// the compression ratio.
+	// Compressed records that adjacency is finalized: edges.db holds
+	// delta-varint segments rather than build-mode edge records (see
+	// formatVersion). Segmented always carries the same value; it is kept
+	// so the manifest's JSON shape is unchanged. EdgeBytes is the logical
+	// size of the segment data — the bytes-on-disk numerator of the
+	// compression ratio.
+	Segmented  bool  `json:"segmented,omitempty"`
 	Compressed bool  `json:"compressed,omitempty"`
 	EdgeBytes  int64 `json:"edge_bytes,omitempty"`
 	// WalSeq fences WAL replay: the highest WAL sequence number folded
@@ -168,7 +141,7 @@ type manifest struct {
 // pager file-slot order.
 var baseFileNames = [numFiles]string{"vertices.db", "edges.db", "props.db", "blobs.db", "degrees.db"}
 
-// indexFileName is the persisted derived-structure file (v4), also
+// indexFileName is the persisted derived-structure file, also
 // generation-suffixed.
 const indexFileName = "index.db"
 
@@ -197,12 +170,11 @@ func genFileName(name string, gen int64) string {
 // reclaims it (closes and deletes the generation's files, then lets the
 // delta prune entries the new generation absorbed).
 type epoch struct {
-	gen       int64
-	version   int
-	segmented bool
-	// compressed reports that edges.db holds delta-varint segments (v5)
-	// instead of edge records; degree records then carry the segment
-	// descriptors and edgeBytes the logical segment-data size.
+	gen int64
+	// compressed reports that adjacency is finalized: edges.db holds
+	// type-segmented delta-varint segments, degree records carry their
+	// descriptors and edgeBytes the logical segment-data size. False is
+	// build mode: edges.db holds chained 64-byte edge records.
 	compressed bool
 	edgeBytes  int64
 	pager      *pager
@@ -215,11 +187,11 @@ type epoch struct {
 
 	byLabel map[int][]storage.VID
 
-	// Persisted statistics (v5, from Finalize or index.db): base edge
-	// counts per type ID, and per-(label, key) bloom filters over the
-	// property values present at finalize time. statsValid distinguishes
-	// "no pair exists" (definitive) from "statistics unavailable"
-	// (missing/torn index, legacy format, post-finalize build mutations).
+	// Persisted statistics (from Finalize or index.db): base edge counts
+	// per type ID, and per-(label, key) bloom filters over the property
+	// values present at finalize time. statsValid distinguishes "no pair
+	// exists" (definitive) from "statistics unavailable" (missing/torn
+	// index, post-finalize build mutations).
 	typeCounts []int64
 	blooms     map[uint64]*bloom
 	statsValid bool
@@ -233,19 +205,6 @@ type epoch struct {
 	// retire lists the generation's file paths, set when the epoch is
 	// superseded; reclaim deletes them.
 	retire []string
-}
-
-// legacyDegrees reports whether this generation predates per-type degree
-// records (format v2): typed degree queries then fall back to walking the
-// adjacency chain, and AddEdge does not maintain degree records.
-func (ep *epoch) legacyDegrees() bool { return ep.version < 3 }
-
-// degSize is the on-disk degree record size for this generation's format.
-func (ep *epoch) degSize() int64 {
-	if ep.version >= 4 {
-		return degRecSizeV4
-	}
-	return degRecSize
 }
 
 // closeFiles closes the generation's backing files (and any mappings
@@ -360,21 +319,21 @@ type Store struct {
 
 // FormatInfo describes how a store was opened; see (*Store).Format.
 type FormatInfo struct {
-	// Version is the on-disk format version (2-5).
+	// Version is the on-disk format version.
 	Version int
 	// Generation is the base file generation currently serving reads.
 	Generation int64
-	// Segmented reports the type-segmented adjacency invariant.
-	Segmented bool
-	// Compressed reports the delta-varint adjacency layout (v5).
+	// Segmented and Compressed both report that adjacency is finalized
+	// into type-segmented delta-varint segments; false means build-mode
+	// edge records.
+	Segmented  bool
 	Compressed bool
 	// IndexLoaded reports that Open restored the label index from
 	// index.db rather than scanning every vertex record.
 	IndexLoaded bool
 	// EdgeBytes is the logical adjacency size in edges.db: segment bytes
-	// on a compressed store, numEdges × 64 on a record-layout store.
-	// EdgeBytes / NumEdges is the bytes-per-edge figure the compress
-	// bench reports.
+	// on a finalized store, numEdges × 64 in build mode. EdgeBytes /
+	// NumEdges is the bytes-per-edge figure.
 	EdgeBytes int64
 }
 
@@ -388,15 +347,15 @@ func (s *Store) Format() FormatInfo {
 		eb = ep.edgeBytes
 	}
 	return FormatInfo{
-		Version: ep.version, Generation: ep.gen,
-		Segmented: ep.segmented, Compressed: ep.compressed,
+		Version: formatVersion, Generation: ep.gen,
+		Segmented: ep.compressed, Compressed: ep.compressed,
 		IndexLoaded: s.indexLoaded, EdgeBytes: eb,
 	}
 }
 
 // SegmentedAdjacency reports whether adjacency is currently grouped by
 // edge type (see storage.TypeSegmentedGraph).
-func (s *Store) SegmentedAdjacency() bool { return s.curEp().segmented }
+func (s *Store) SegmentedAdjacency() bool { return s.curEp().compressed }
 
 // curEp returns the current epoch without pinning it — for uses that
 // only read immutable fields and never touch the pager after a
@@ -417,8 +376,51 @@ var (
 	_ storage.Snapshotter        = (*Store)(nil)
 )
 
-// Open creates (or reopens) a store in dir.
-func Open(dir string, opts Options) (*Store, error) {
+// Open creates (or reopens) a store in dir. A store written by an
+// earlier release is refused with ErrLegacyFormat, untouched; see Upgrade.
+func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, false) }
+
+// ErrLegacyFormat is returned (wrapped) by Open for a store whose
+// manifest names format version 2, 3 or 4. Test with errors.Is.
+var ErrLegacyFormat = errors.New("store was written in a legacy on-disk format; convert it offline with diskstore.Upgrade")
+
+// Upgrade converts a legacy (v2-v4) store in dir to the current format
+// in place and closes it; on a current-format store it does nothing. It
+// needs exclusive access. The legacy files are opened as an unfinalized
+// build-mode store — only vertex, property and edge records (and any WAL
+// a live v4 session left) are trusted; the label index is rebuilt by
+// scanning and degrees.db is rewritten from scratch — then Finalize +
+// Flush run under the usual finalize.inprogress marker: an upgrade that
+// crashes before its manifest commit leaves a store Open refuses with
+// ErrFinalizeInterrupted.
+func Upgrade(dir string, opts Options) error {
+	m, ok, err := readManifest(dir)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("diskstore: %s: no store to upgrade", dir)
+	}
+	if m.Version == formatVersion {
+		return nil
+	}
+	s, err := open(dir, opts, true)
+	if err != nil {
+		return err
+	}
+	if err := s.Finalize(); err != nil {
+		// No Flush: the marker Finalize placed stays, and flags the
+		// possibly half-rewritten files to the next Open.
+		if w := s.wal.Load(); w != nil {
+			w.close()
+		}
+		s.cur.closeFiles()
+		return err
+	}
+	return s.Close()
+}
+
+func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.PageSize%vertexRecSize != 0 || opts.PageSize%propRecSize != 0 || opts.PageSize%degRecSize != 0 {
 		return nil, fmt.Errorf("diskstore: page size %d must be a multiple of record sizes", opts.PageSize)
@@ -441,6 +443,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	legacy := haveManifest && m.Version < formatVersion
+	if legacy && !upgrade {
+		return nil, fmt.Errorf("diskstore: %s (format v%d): %w", dir, m.Version, ErrLegacyFormat)
+	}
 	gen := int64(0)
 	if haveManifest {
 		gen = m.Generation
@@ -460,16 +466,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.Mmap {
 		pg.enableMmap(fileVertices, fileEdges)
 	}
-	version := formatVersion
-	if opts.Format != 0 {
-		version = opts.Format
-	}
 	ep := &epoch{
-		gen:       gen,
-		version:   version,
-		segmented: true, // trivially: no edges yet (manifest overrides)
-		pager:     pg,
-		byLabel:   map[int][]storage.VID{},
+		gen:     gen,
+		pager:   pg,
+		byLabel: map[int][]storage.VID{},
 	}
 	ep.pins.Store(1)
 	s := &Store{
@@ -482,11 +482,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.generation.Store(gen)
 	if haveManifest {
-		ep.version = m.Version
-		// Only v4 degree records carry the segment heads the seek path
-		// needs; never trust a segmented claim on a legacy manifest.
-		ep.segmented = m.Segmented && m.Version >= 4
-		ep.compressed = m.Compressed && m.Version >= 5
+		// A legacy store's adjacency is read as build-mode edge records
+		// whatever its manifest claims; Upgrade's Finalize re-derives it.
+		ep.compressed = m.Compressed && !legacy
 		ep.edgeBytes = m.EdgeBytes
 		ep.numVertices, ep.numEdges, ep.numProps, ep.blobSize = m.NumVertices, m.NumEdges, m.NumProps, m.BlobSize
 		ep.numDegs = m.NumDegs
@@ -507,12 +505,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	// manifest never committed (and possibly a fold.tmp build directory);
 	// none of them are reachable, so sweep them before touching anything.
 	sweepOrphans(dir, gen)
-	// Restore the label-scan index: v4 stores persist it alongside the
-	// generation, so opening costs O(index size). Legacy stores — and v4
-	// stores whose index file is missing, torn, or out of step with the
-	// manifest — fall back to rebuilding it from a full vertex scan.
+	// Restore the label-scan index: it is persisted alongside the
+	// generation, so opening costs O(index size). A store whose index file
+	// is missing, torn, or out of step with the manifest — and a legacy
+	// store being upgraded — rebuilds it from a full vertex scan.
 	if haveManifest {
-		if ep.version >= 4 && s.loadIndex(ep) {
+		if !legacy && s.loadIndex(ep) {
 			s.indexLoaded = true
 			s.indexCurrent = true
 		} else {
@@ -563,7 +561,7 @@ func readManifest(dir string) (manifest, bool, error) {
 		return m, false, err
 	}
 	if m.Version < 2 || m.Version > formatVersion {
-		return m, false, fmt.Errorf("diskstore: store format v%d is not supported (want v2..v%d); rebuild the store", m.Version, formatVersion)
+		return m, false, fmt.Errorf("diskstore: store format v%d is not supported (want v%d, or v2..v4 through Upgrade); rebuild the store", m.Version, formatVersion)
 	}
 	if m.Generation < 0 {
 		return m, false, fmt.Errorf("diskstore: negative base generation %d in manifest", m.Generation)
@@ -623,11 +621,11 @@ func isGenFile(name string) bool {
 	return false
 }
 
-// markDirty records the first mutation since open/flush. For v4 stores
-// it removes the index file at that moment — before the mutation's page
-// write, and crucially before cache eviction can push any dirty page to
-// disk — because no index may ever sit on disk alongside data newer than
-// it: record counts and symbol tables cannot catch every mutation (e.g.
+// markDirty records the first mutation since open/flush. It removes the
+// index file at that moment — before the mutation's page write, and
+// crucially before cache eviction can push any dirty page to disk —
+// because no index may ever sit on disk alongside data newer than it:
+// record counts and symbol tables cannot catch every mutation (e.g.
 // AddLabel of an existing label to an existing vertex changes neither),
 // so a surviving stale index could still validate. From the first
 // mutation until the next successful Flush, a crash leaves a store with
@@ -636,10 +634,8 @@ func (s *Store) markDirty() error {
 	if s.dirty {
 		return nil
 	}
-	if s.cur.version >= 4 {
-		if err := os.Remove(s.indexPath(s.cur.gen)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
+	if err := os.Remove(s.indexPath(s.cur.gen)); err != nil && !os.IsNotExist(err) {
+		return err
 	}
 	// Build-mode mutations can change label membership and property
 	// values, so the persisted statistics stop being definitive the same
@@ -652,17 +648,17 @@ func (s *Store) markDirty() error {
 	return nil
 }
 
-// Flush writes dirty pages, the derived-index file (v4), and the manifest
-// to disk. The index and manifest are each written to a temp file and
+// Flush writes dirty pages, the derived-index file, and the manifest to
+// disk. The index and manifest are each written to a temp file and
 // renamed into place, so a crash mid-flush leaves either the old or the
 // new file — never a torn one — and the manifest rename is the commit
 // point (the index file itself was already removed by the first
 // mutation; see markDirty). A store with nothing mutated since open
 // skips the rewrites entirely — read-only workloads stay read-only on
-// close — unless it is a v4 store whose index had to be rebuilt by
-// scanning, which writes once to repair the missing index file. Pending
-// bulk edges (AddEdgeBatch without Finalize) are finalized first so a
-// flushed store is always fully linked.
+// close — unless its index had to be rebuilt by scanning, which writes
+// once to repair the missing index file. Pending bulk edges (AddEdgeBatch
+// without Finalize) are finalized first so a flushed store is always
+// fully linked.
 func (s *Store) Flush() error {
 	if s.needFinalize {
 		if err := s.Finalize(); err != nil {
@@ -675,36 +671,20 @@ func (s *Store) Flush() error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	ep := s.curEp()
-	if !s.dirty && (ep.version < 4 || s.indexCurrent) {
+	if !s.dirty && s.indexCurrent {
 		return ep.pager.flush()
 	}
 	if err := ep.pager.flush(); err != nil {
 		return err
 	}
-	if ep.version >= 4 {
-		if err := s.writeIndex(ep); err != nil {
-			return err
-		}
-		s.indexCurrent = true
+	if err := s.writeIndex(ep); err != nil {
+		return err
 	}
+	s.indexCurrent = true
 	// Note the counts describe the base files only: in live mode the
 	// delta segment is not flushed here — it is durable through the WAL
 	// and folded into the base by the next Compact.
-	m := manifest{
-		Version: ep.version, Generation: ep.gen,
-		Labels: s.labels, Types: s.types, Keys: s.keys,
-		NumVertices: ep.numVertices, NumEdges: ep.numEdges, NumProps: ep.numProps,
-		NumDegs: ep.numDegs, BlobSize: ep.blobSize,
-		Segmented:  ep.segmented && ep.version >= 4,
-		Compressed: ep.compressed && ep.version >= 5,
-		EdgeBytes:  ep.edgeBytes,
-		WalSeq:     s.walFoldedSeq,
-	}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(filepath.Join(s.dir, "manifest.json"), data); err != nil {
+	if err := s.writeManifest(ep, s.labels, s.types, s.keys, s.walFoldedSeq); err != nil {
 		return err
 	}
 	// The manifest rename committed the flush; a finalize that ran since
@@ -728,6 +708,25 @@ func (s *Store) Flush() error {
 	}
 	s.dirty = false
 	return nil
+}
+
+// writeManifest atomically replaces manifest.json with one describing
+// ep's files, the given symbol tables and WAL fence — the commit point of
+// both Flush and the background fold.
+func (s *Store) writeManifest(ep *epoch, labels, types, keys []string, walSeq uint64) error {
+	data, err := json.Marshal(manifest{
+		Version: formatVersion, Generation: ep.gen,
+		Labels: labels, Types: types, Keys: keys,
+		NumVertices: ep.numVertices, NumEdges: ep.numEdges, NumProps: ep.numProps,
+		NumDegs: ep.numDegs, BlobSize: ep.blobSize,
+		Segmented: ep.compressed, Compressed: ep.compressed,
+		EdgeBytes: ep.edgeBytes,
+		WalSeq:    walSeq,
+	})
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(filepath.Join(s.dir, "manifest.json"), data)
 }
 
 // finalizeMarker is the sentinel file present while an exclusive
@@ -826,7 +825,7 @@ type vertexRec struct {
 	inDeg  uint32
 	// firstDeg chains per-type degree records (deg id + 1; 0 = none) so
 	// typed Degree walks one short record per distinct edge type instead
-	// of the full adjacency chain. Always 0 in legacy (v2) stores.
+	// of the full adjacency chain.
 	firstDeg int64
 }
 
@@ -842,29 +841,21 @@ type edgeRec struct {
 // vertex (Finalize chains them in ascending type order; incremental
 // building in type-first-seen order). Chains are short — one record per
 // distinct edge type the vertex touches — so walking them is cheap even
-// for hub vertices with huge adjacency chains.
+// for hub vertices with huge adjacency.
 //
-// In format v4 the record doubles as the type's adjacency segment
-// descriptor: firstOut/firstIn point at the first edge of this type's
-// segment in the vertex's out/in chains, valid while the store's
-// segmented invariant holds. Legacy (v3) records are 32 bytes and have no
-// segment heads.
-//
-// On a compressed (v5) epoch the descriptor bytes are reinterpreted:
-// bytes 21-36 hold the byte offsets of the type's out/in varint segments
-// in edges.db (stored +1; 0 = empty), bytes 37-44 their encoded lengths,
-// and bytes 45-52 the EID of the segment's first out-edge (+1) — out-EIDs
-// are contiguous per segment, so one stored EID recovers all of them.
+// On a finalized (compressed) epoch the record doubles as the type's
+// adjacency segment descriptor: bytes 21-36 hold the byte offsets of the
+// type's out/in varint segments in edges.db (stored +1; 0 = empty), bytes
+// 37-44 their encoded lengths, and bytes 45-52 the EID of the segment's
+// first out-edge (+1) — out-EIDs are contiguous per segment, so one stored
+// EID recovers all of them. In build mode the descriptor is zero.
 type degRec struct {
 	inUse  bool
 	typeID uint32
 	outDeg uint32
 	inDeg  uint32
 	next   int64 // deg id + 1
-	// v4 uncompressed: heads of this type's adjacency segments (edge id + 1).
-	firstOut int64
-	firstIn  int64
-	// v5 compressed: varint segment descriptors (offsets stored +1).
+	// Varint segment descriptors (offsets stored +1).
 	outOff, inOff int64
 	outLen, inLen uint32
 	firstOutEID   int64 // EID of the segment's first out-edge, stored +1
@@ -968,36 +959,26 @@ func (ep *epoch) writeProp(p int64, r propRec) error {
 }
 
 func (ep *epoch) readDeg(d int64) (degRec, error) {
-	size := ep.degSize()
-	var buf [degRecSizeV4]byte
-	if err := ep.pager.read(fileDegrees, d*size, buf[:size]); err != nil {
+	var buf [degRecSize]byte
+	if err := ep.pager.read(fileDegrees, d*degRecSize, buf[:]); err != nil {
 		return degRec{}, err
 	}
-	r := degRec{
-		inUse:  buf[0]&1 != 0,
-		typeID: binary.LittleEndian.Uint32(buf[1:]),
-		outDeg: binary.LittleEndian.Uint32(buf[5:]),
-		inDeg:  binary.LittleEndian.Uint32(buf[9:]),
-		next:   int64(binary.LittleEndian.Uint64(buf[13:])),
-	}
-	if size == degRecSizeV4 {
-		if ep.compressed {
-			r.outOff = int64(binary.LittleEndian.Uint64(buf[21:]))
-			r.inOff = int64(binary.LittleEndian.Uint64(buf[29:]))
-			r.outLen = binary.LittleEndian.Uint32(buf[37:])
-			r.inLen = binary.LittleEndian.Uint32(buf[41:])
-			r.firstOutEID = int64(binary.LittleEndian.Uint64(buf[45:]))
-		} else {
-			r.firstOut = int64(binary.LittleEndian.Uint64(buf[21:]))
-			r.firstIn = int64(binary.LittleEndian.Uint64(buf[29:]))
-		}
-	}
-	return r, nil
+	return degRec{
+		inUse:       buf[0]&1 != 0,
+		typeID:      binary.LittleEndian.Uint32(buf[1:]),
+		outDeg:      binary.LittleEndian.Uint32(buf[5:]),
+		inDeg:       binary.LittleEndian.Uint32(buf[9:]),
+		next:        int64(binary.LittleEndian.Uint64(buf[13:])),
+		outOff:      int64(binary.LittleEndian.Uint64(buf[21:])),
+		inOff:       int64(binary.LittleEndian.Uint64(buf[29:])),
+		outLen:      binary.LittleEndian.Uint32(buf[37:]),
+		inLen:       binary.LittleEndian.Uint32(buf[41:]),
+		firstOutEID: int64(binary.LittleEndian.Uint64(buf[45:])),
+	}, nil
 }
 
 func (ep *epoch) writeDeg(d int64, r degRec) error {
-	size := ep.degSize()
-	var buf [degRecSizeV4]byte
+	var buf [degRecSize]byte
 	if r.inUse {
 		buf[0] = 1
 	}
@@ -1005,19 +986,12 @@ func (ep *epoch) writeDeg(d int64, r degRec) error {
 	binary.LittleEndian.PutUint32(buf[5:], r.outDeg)
 	binary.LittleEndian.PutUint32(buf[9:], r.inDeg)
 	binary.LittleEndian.PutUint64(buf[13:], uint64(r.next))
-	if size == degRecSizeV4 {
-		if ep.compressed {
-			binary.LittleEndian.PutUint64(buf[21:], uint64(r.outOff))
-			binary.LittleEndian.PutUint64(buf[29:], uint64(r.inOff))
-			binary.LittleEndian.PutUint32(buf[37:], r.outLen)
-			binary.LittleEndian.PutUint32(buf[41:], r.inLen)
-			binary.LittleEndian.PutUint64(buf[45:], uint64(r.firstOutEID))
-		} else {
-			binary.LittleEndian.PutUint64(buf[21:], uint64(r.firstOut))
-			binary.LittleEndian.PutUint64(buf[29:], uint64(r.firstIn))
-		}
-	}
-	return ep.pager.write(fileDegrees, d*size, buf[:size])
+	binary.LittleEndian.PutUint64(buf[21:], uint64(r.outOff))
+	binary.LittleEndian.PutUint64(buf[29:], uint64(r.inOff))
+	binary.LittleEndian.PutUint32(buf[37:], r.outLen)
+	binary.LittleEndian.PutUint32(buf[41:], r.inLen)
+	binary.LittleEndian.PutUint64(buf[45:], uint64(r.firstOutEID))
+	return ep.pager.write(fileDegrees, d*degRecSize, buf[:])
 }
 
 // bumpDeg increments the per-type degree counter reachable from rec,
@@ -1063,7 +1037,12 @@ func (ep *epoch) appendBlob(data []byte) (off int64, err error) {
 	return off, nil
 }
 
+// readBlob reads n bytes at off, both straight from a prop record and so
+// checked against the blob file's extent before anything is allocated.
 func (ep *epoch) readBlob(off, n int64) ([]byte, error) {
+	if off < 0 || n < 0 || off > ep.blobSize || n > ep.blobSize-off {
+		return nil, fmt.Errorf("diskstore: blob [%d,+%d) outside blobs.db (%d bytes)", off, n, ep.blobSize)
+	}
 	buf := make([]byte, n)
 	if err := ep.pager.read(fileBlobs, off, buf); err != nil {
 		return nil, err
@@ -1181,38 +1160,33 @@ func encodeList(vs []graph.Value) ([]byte, error) {
 	return out, nil
 }
 
+// decodeList parses a list blob. The bytes come from disk, so it reads
+// through the bounds-checked idxReader: a short or oversized blob is an
+// error, never an out-of-range index.
 func decodeList(data []byte) (graph.Value, error) {
-	if len(data) < 4 {
+	r := idxReader{data: data, ok: true}
+	count := r.u32()
+	if !r.ok || uint64(count) > uint64(len(r.data)) { // every element takes >= 1 byte
 		return graph.Null, fmt.Errorf("diskstore: corrupt list blob")
 	}
-	count := binary.LittleEndian.Uint32(data)
-	data = data[4:]
 	vs := make([]graph.Value, 0, count)
 	for i := uint32(0); i < count; i++ {
-		if len(data) < 1 {
-			return graph.Null, fmt.Errorf("diskstore: truncated list blob")
-		}
-		kind := graph.Kind(data[0])
-		data = data[1:]
-		switch kind {
+		switch kind := graph.Kind(r.u8()); kind {
 		case graph.KindNull:
 			vs = append(vs, graph.Null)
 		case graph.KindInt:
-			vs = append(vs, graph.I(int64(binary.LittleEndian.Uint64(data))))
-			data = data[8:]
+			vs = append(vs, graph.I(int64(r.u64())))
 		case graph.KindFloat:
-			vs = append(vs, graph.FBits(binary.LittleEndian.Uint64(data)))
-			data = data[8:]
+			vs = append(vs, graph.FBits(r.u64()))
 		case graph.KindBool:
-			vs = append(vs, graph.B(data[0] == 1))
-			data = data[1:]
+			vs = append(vs, graph.B(r.u8() == 1))
 		case graph.KindString:
-			n := binary.LittleEndian.Uint32(data)
-			data = data[4:]
-			vs = append(vs, graph.S(string(data[:n])))
-			data = data[n:]
+			vs = append(vs, graph.S(r.str()))
 		default:
 			return graph.Null, fmt.Errorf("diskstore: corrupt list element kind %v", kind)
+		}
+		if !r.ok {
+			return graph.Null, fmt.Errorf("diskstore: truncated list blob")
 		}
 	}
 	return graph.L(vs...), nil
@@ -1347,9 +1321,9 @@ func (s *Store) SetProp(v storage.VID, key string, val graph.Value) error {
 // AddEdge creates a directed edge of the given type. During building it
 // prepends to the source's out-chain and the destination's in-chain; on
 // a live (finalized) store it is rerouted through the durable WAL-backed
-// delta path instead, which keeps the base's segmented-adjacency
-// invariant intact — typed traversals of base edges stay on the segment
-// fast path rather than silently degrading to the filter path.
+// delta path instead, which leaves the base's segments intact — typed
+// traversals of base edges stay on the segment fast path rather than
+// silently degrading to the filter path.
 func (s *Store) AddEdge(src, dst storage.VID, etype string) (storage.EID, error) {
 	if s.liveMode.Load() {
 		res, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutAddEdge, Src: src, Dst: dst, Type: etype}})
@@ -1371,13 +1345,11 @@ func (s *Store) AddEdge(src, dst storage.VID, etype string) (storage.EID, error)
 	ep := s.cur
 	e := storage.EID(ep.numEdges)
 	ep.numEdges++
-	// Prepending to the chain heads interleaves types; the segmented
-	// invariant is gone until the next Finalize/Compact. Likewise the
-	// record falls back to the uncompressed layout — safe, because a
-	// compressed store that holds edges is always live (writes route
-	// through the delta instead), so this path only runs while edges.db
-	// is still empty.
-	ep.segmented = false
+	// An edge record follows, prepended to chain heads that interleave
+	// types: adjacency is in build mode until the next Finalize/Compact.
+	// Safe on a finalized store, because one that holds edges is always
+	// live (writes route through the delta instead), so this path only
+	// runs while edges.db is still empty.
 	ep.compressed = false
 
 	srcRec, err := ep.readVertex(src)
@@ -1391,10 +1363,8 @@ func (s *Store) AddEdge(src, dst storage.VID, etype string) (storage.EID, error)
 	}
 	srcRec.firstOut = int64(e) + 1
 	srcRec.outDeg++
-	if !ep.legacyDegrees() {
-		if err := ep.bumpDeg(&srcRec, uint32(typeID), true); err != nil {
-			return 0, err
-		}
+	if err := ep.bumpDeg(&srcRec, uint32(typeID), true); err != nil {
+		return 0, err
 	}
 	if err := ep.writeVertex(src, srcRec); err != nil {
 		return 0, err
@@ -1406,10 +1376,8 @@ func (s *Store) AddEdge(src, dst storage.VID, etype string) (storage.EID, error)
 	er.nextIn = dstRec.firstIn
 	dstRec.firstIn = int64(e) + 1
 	dstRec.inDeg++
-	if !ep.legacyDegrees() {
-		if err := ep.bumpDeg(&dstRec, uint32(typeID), false); err != nil {
-			return 0, err
-		}
+	if err := ep.bumpDeg(&dstRec, uint32(typeID), false); err != nil {
+		return 0, err
 	}
 	if err := ep.writeVertex(dst, dstRec); err != nil {
 		return 0, err

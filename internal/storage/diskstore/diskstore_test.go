@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -166,6 +167,74 @@ func TestNestedListRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptBlobsAreErrors: list blobs and the (offset, length) pair in
+// a prop record are disk bytes. Truncated or oversized ones must come
+// back as a decode error — which the read surface maps to "property
+// absent" — never as an out-of-range index or a wild allocation.
+func TestCorruptBlobsAreErrors(t *testing.T) {
+	good, err := encodeList([]graph.Value{graph.I(7), graph.S("fever"), graph.B(true), graph.F(1.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeList(good); err != nil {
+		t.Fatalf("intact list blob rejected: %v", err)
+	}
+	lists := map[string][]byte{
+		"empty":               {},
+		"int tail cut":        good[:4+1+5],
+		"string length cut":   good[:4+9+1+2],
+		"string body cut":     good[:4+9+5+3],
+		"bool value missing":  good[:4+9+10+1],
+		"float tail cut":      good[:len(good)-1],
+		"string overruns":     {1, 0, 0, 0, byte(graph.KindString), 200, 0, 0, 0, 'x'},
+		"count overruns":      {0, 0, 16, 0, byte(graph.KindNull)},
+		"unknown element tag": {1, 0, 0, 0, 0xEE},
+	}
+	for name, blob := range lists {
+		if _, err := decodeList(blob); err == nil {
+			t.Errorf("decodeList(%s): corrupt blob accepted", name)
+		}
+	}
+
+	s := newTestStore(t, Options{PageSize: 512, CachePages: 16})
+	v, err := s.AddVertex("N")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetProp(v, "k", graph.L(graph.S("fever"), graph.I(3))); err != nil {
+		t.Fatal(err)
+	}
+	ep := s.curEp()
+	intact, err := ep.readProp(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(*propRec){
+		"length past end of blobs.db": func(r *propRec) { r.b = uint64(ep.blobSize) + 1 },
+		"length beyond any slice":     func(r *propRec) { r.b = 1 << 62 },
+		"negative length":             func(r *propRec) { r.b = 1 << 63 },
+		"offset past end":             func(r *propRec) { r.a = uint64(ep.blobSize) + 1 },
+		"negative offset":             func(r *propRec) { r.a = 1 << 63 },
+		"offset + length overflows":   func(r *propRec) { r.a, r.b = 1, 1<<63-1 },
+		"list cut short":              func(r *propRec) { r.b -= 3 },
+	} {
+		pr := intact
+		edit(&pr)
+		if err := ep.writeProp(0, pr); err != nil {
+			t.Fatal(err)
+		}
+		if val, ok := s.Prop(v, "k"); ok {
+			t.Errorf("%s: Prop returned %v, want absent", name, val)
+		}
+	}
+	if err := ep.writeProp(0, intact); err != nil {
+		t.Fatal(err)
+	}
+	if val, ok := s.Prop(v, "k"); !ok || val.Kind() != graph.KindList {
+		t.Errorf("restored record: Prop = %v, %v", val, ok)
+	}
+}
+
 func TestBadOptionsRejected(t *testing.T) {
 	if _, err := Open(t.TempDir(), Options{PageSize: 100}); err == nil {
 		t.Error("page size not divisible by record size accepted")
@@ -234,8 +303,6 @@ func rewriteManifestVersion(t *testing.T, dir string, version int) {
 		t.Fatal(err)
 	}
 	m["version"] = version
-	// v2 manifests never carried degree-record counts.
-	delete(m, "num_degs")
 	data, err = json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -245,68 +312,10 @@ func rewriteManifestVersion(t *testing.T, dir string, version int) {
 	}
 }
 
-// TestV2StoreRemainsReadable opens a store whose manifest declares format
-// v2 (no per-type degree records): typed degrees must fall back to the
-// adjacency walk, all reads must work, and flushing must keep the store a
-// v2 store on disk.
-func TestV2StoreRemainsReadable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storetest.BuildRandom(s, 7, 50, 120); err != nil {
-		t.Fatal(err)
-	}
-	want := storetest.Fingerprint(s)
-	wantDeg := s.Degree(0, "r1", true)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rewriteManifestVersion(t, dir, 2)
-
-	v2, err := Open(dir, Options{PageSize: 512, CachePages: 16})
-	if err != nil {
-		t.Fatalf("v2 store rejected: %v", err)
-	}
-	if !v2.curEp().legacyDegrees() {
-		t.Error("v2 store not flagged as legacy")
-	}
-	if got := storetest.Fingerprint(v2); got != want {
-		t.Error("v2 store contents diverge")
-	}
-	if got := v2.Degree(0, "r1", true); got != wantDeg {
-		t.Errorf("v2 typed degree = %d, want %d", got, wantDeg)
-	}
-	// Edges added to a legacy store keep typed degrees correct via the
-	// fallback walk even though no degree records are maintained.
-	if _, err := v2.AddEdge(0, 1, "r1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := v2.Degree(0, "r1", true); got != wantDeg+1 {
-		t.Errorf("v2 typed degree after AddEdge = %d, want %d", got, wantDeg+1)
-	}
-	if err := v2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Closing must not silently upgrade the on-disk format.
-	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Version != 2 {
-		t.Errorf("manifest version after reflush = %d, want 2", m.Version)
-	}
-	if _, err := Open(dir, Options{PageSize: 512, CachePages: 16}); err != nil {
-		t.Errorf("v2 store unreadable after reflush: %v", err)
-	}
-}
-
+// TestUnknownFormatVersionRejected: Open serves exactly one manifest
+// version. The three an earlier release wrote are refused with the typed
+// error that points at Upgrade; v1 and versions from the future are
+// plain rejections.
 func TestUnknownFormatVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -319,10 +328,16 @@ func TestUnknownFormatVersionRejected(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, formatVersion + 1} {
-		rewriteManifestVersion(t, dir, v)
-		if _, err := Open(dir, Options{}); err == nil {
-			t.Errorf("format v%d accepted", v)
+	for _, tc := range []struct {
+		version int
+		legacy  bool
+	}{{1, false}, {2, true}, {3, true}, {4, true}, {formatVersion + 1, false}} {
+		rewriteManifestVersion(t, dir, tc.version)
+		_, err := Open(dir, Options{})
+		if err == nil {
+			t.Errorf("format v%d accepted", tc.version)
+		} else if got := errors.Is(err, ErrLegacyFormat); got != tc.legacy {
+			t.Errorf("format v%d: errors.Is(err, ErrLegacyFormat) = %v, want %v (err: %v)", tc.version, got, tc.legacy, err)
 		}
 	}
 }

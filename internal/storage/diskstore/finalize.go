@@ -1,19 +1,19 @@
 package diskstore
 
 // The bulk-build write path (storage.BatchBuilder) and the finalize /
-// compact step that establishes format v4's type-segmented adjacency.
+// compact step that turns build-mode edge records into type-segmented
+// delta-varint adjacency.
 //
 // Bulk ingestion defers all adjacency work: AddVertexBatch writes bare
 // vertex records, AddEdgeBatch appends bare edge records with no chain
-// links, and Finalize builds everything derived — chain links, degree
-// records with segment heads, untyped degree counters — in one sorted
-// pass. The same pass doubles as the upgrade step for legacy stores
-// (Compact), because it never trusts any derived structure: only the
-// src/dst/type triples in edges.db.
+// links, and Finalize builds everything derived — segments, degree
+// records with their descriptors, untyped degree counters, statistics —
+// in one sorted pass. The same pass is the conversion step for legacy
+// stores (Upgrade), because it never trusts any derived structure: only
+// the src/dst/type triples in edges.db.
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"repro/internal/storage"
@@ -84,7 +84,6 @@ func (s *Store) AddEdgeBatch(batch []storage.BulkEdge) error {
 		return err
 	}
 	ep := s.cur
-	ep.segmented = false
 	ep.compressed = false // bare records follow; see AddEdge
 	s.needFinalize = true
 	for _, be := range batch {
@@ -119,20 +118,19 @@ type edgeLite struct {
 }
 
 // Finalize completes deferred bulk construction and (re)establishes the
-// v4 physical layout. It rewrites edges.db clustered by (source vertex,
-// edge type) — so a vertex's out adjacency is one contiguous, type-grouped
-// run of records and a typed out-traversal touches the minimum number of
-// pages — threads type-grouped in-chains through the new records, and
-// rebuilds every vertex's degree counters and per-type degree records
-// (now doubling as segment descriptors). Afterwards the store satisfies
-// the segmented-adjacency invariant: typed ForEach seeks straight to its
-// type's segment.
+// finalized physical layout. It sorts the edges by (source vertex, edge
+// type, destination) — which assigns the new edge IDs — and rewrites
+// edges.db as one gap-encoded out segment and one in segment per (vertex,
+// type), rebuilds every vertex's degree counters and per-type degree
+// records (doubling as segment descriptors), and accumulates the
+// statistics block. Afterwards a typed ForEach seeks straight to its
+// type's segment and never reads another type's bytes.
 //
 // Because Finalize rebuilds all derived structures from the base
-// src/dst/type records, it also serves as the format upgrade for legacy
-// v2/v3 stores (see Compact) and as the repair step after incremental
-// AddEdge calls broke segmentation. Edge IDs are renumbered by the
-// clustering; EIDs observed before Finalize are invalid after it (the
+// src/dst/type records, it also serves as the conversion step for legacy
+// stores (see Upgrade) and as the repair step after incremental AddEdge
+// calls left adjacency in build mode. Edge IDs are renumbered by the
+// sort; EIDs observed before Finalize are invalid after it (the
 // storage.BatchBuilder contract).
 func (s *Store) Finalize() error {
 	// Live state is folded into the base below; base writers are used for
@@ -145,23 +143,6 @@ func (s *Store) Finalize() error {
 	if err := s.markDirty(); err != nil {
 		return err
 	}
-	// The rebuild writes target-format degree records and flushes a
-	// matching manifest + index; this is the explicit upgrade path, never
-	// taken by plain Open/Flush. Stores pinned to a legacy format via
-	// Options.Format still upgrade to at least v4 (the segmented layout
-	// the rebuild produces), but stay below v5 so tests and benchmarks
-	// can synthesize uncompressed stores.
-	target := formatVersion
-	if s.opts.Format != 0 {
-		target = s.opts.Format
-		if target < 4 {
-			target = 4
-		}
-	}
-	if ep.version < target {
-		ep.version = target
-	}
-	compress := ep.version >= 5
 	// The fold and the rewrite below mutate base records in place, and
 	// cache eviction may push any subset of the new pages to disk at any
 	// moment — a crash leaves files in a mixed old/new state that the
@@ -180,10 +161,10 @@ func (s *Store) Finalize() error {
 			return err
 		}
 	}
-	// Gather base edges through the layout-aware enumerator: a legacy or
-	// v4 base is read as 64-byte records, an already-compressed v5 base is
-	// decoded from its segments. Delta edges ride along after the base so
-	// the stable sort preserves ingest order.
+	// Gather base edges through the layout-aware enumerator: build-mode
+	// records are read as such, an already-finalized base is decoded from
+	// its segments. Delta edges ride along after the base so the stable
+	// sort preserves ingest order.
 	recs := make([]edgeLite, 0, int(ep.numEdges)+len(extra))
 	if err := ep.forEachEdgeLite(func(el edgeLite) error {
 		recs = append(recs, el)
@@ -197,13 +178,13 @@ func (s *Store) Finalize() error {
 	recs = append(recs, extra...)
 	nE := len(recs)
 	ep.numEdges = int64(nE)
-	// Everything below writes the target layout; the old bytes in
-	// edges.db are dead once the gather above is done.
-	ep.compressed = compress
+	// Everything below writes segments; the old bytes in edges.db are
+	// dead once the gather above is done.
+	ep.compressed = true
 
-	// New edge order, clustered by (src, type): the new ID of edge
-	// perm[k] is k, so a vertex's out-chain is the contiguous run of its
-	// records and nextOut links are simply "the next record".
+	// New edge order, clustered by (src, type, dst): the new ID of edge
+	// perm[k] is k, so each out segment's EIDs are contiguous and its dst
+	// list sorted, as gap encoding requires.
 	perm := make([]int, nE)
 	for i := range perm {
 		perm[i] = i
@@ -216,22 +197,18 @@ func (s *Store) Finalize() error {
 		if a.typeID != b.typeID {
 			return a.typeID < b.typeID
 		}
-		if compress && a.dst != b.dst {
-			// v5 gap-encodes each segment's dst list, which requires it
-			// sorted; v4 keeps plain ingest order so its layout is
-			// byte-identical to what earlier releases wrote.
+		if a.dst != b.dst {
 			return a.dst < b.dst
 		}
-		return perm[i] < perm[j] // stable: keep ingest order within a segment
+		return perm[i] < perm[j] // stable: keep ingest order among parallel edges
 	})
 	newID := make([]int, nE)
 	for k, old := range perm {
 		newID[old] = k
 	}
 
-	// In-chains cannot also be physically contiguous, but they are
-	// threaded type-grouped (and in ascending new ID within a segment,
-	// for what locality remains).
+	// In segments are grouped by (dst, type), in ascending new ID within a
+	// segment.
 	inOrder := make([]int, nE)
 	for i := range inOrder {
 		inOrder[i] = i
@@ -246,52 +223,21 @@ func (s *Store) Finalize() error {
 		}
 		return newID[inOrder[i]] < newID[inOrder[j]]
 	})
-	// Edge records (and their chain links) exist only in the uncompressed
-	// layout; a compressed epoch's edges.db holds nothing but segments.
-	if !compress {
-		nextIn := make([]int64, nE) // indexed by new ID; new EID+1 or 0
-		for i := 0; i+1 < nE; i++ {
-			a, b := inOrder[i], inOrder[i+1]
-			if recs[a].dst == recs[b].dst {
-				nextIn[newID[a]] = int64(newID[b]) + 1
-			}
-		}
-		// Rewrite edges.db in the new order — one sequential pass.
-		for k, old := range perm {
-			r := recs[old]
-			var nextOut int64
-			if k+1 < nE && recs[perm[k+1]].src == r.src {
-				nextOut = int64(k) + 2
-			}
-			if err := ep.writeEdge(storage.EID(k), edgeRec{
-				inUse: true, typeID: r.typeID, src: r.src, dst: r.dst,
-				nextOut: nextOut, nextIn: nextIn[k],
-			}); err != nil {
-				return err
-			}
-		}
-	}
 
-	// Per-vertex: adjacency heads, untyped degree counters, and the
-	// ascending-type degree chain with segment heads (v4) or segment
-	// descriptors (v5). degrees.db is rewritten from scratch. In
-	// compressed mode the same pass emits the delta-varint segments at a
-	// running cursor and accumulates the statistics block: per-edge-type
-	// counts and per-(label, key) bloom hashes over every property value.
+	// Per-vertex: untyped degree counters and the ascending-type degree
+	// chain of segment descriptors; degrees.db is rewritten from scratch.
+	// The same pass emits the delta-varint segments at a running cursor
+	// and accumulates the statistics block: per-edge-type counts and
+	// per-(label, key) bloom hashes over every property value.
 	ep.numDegs = 0
 	oi, ii := 0, 0
 	var degs []degRec
 	var cursor int64
 	var segBuf []byte
-	var hashAcc map[uint64][]uint64
-	var typeCounts []int64
-	var labelIDs []int
-	if compress {
-		hashAcc = make(map[uint64][]uint64)
-		typeCounts = make([]int64, len(s.types))
-		for i := range recs {
-			typeCounts[recs[i].typeID]++
-		}
+	hashAcc := make(map[uint64][]uint64)
+	typeCounts := make([]int64, len(s.types))
+	for i := range recs {
+		typeCounts[recs[i].typeID]++
 	}
 	for v := int64(0); v < ep.numVertices; v++ {
 		rec, err := ep.readVertex(storage.VID(v))
@@ -308,18 +254,10 @@ func (s *Store) Finalize() error {
 		}
 		rec.outDeg = uint32(oi - outStart)
 		rec.inDeg = uint32(ii - inStart)
+		// No edge records remain for adjacency heads to point at: a
+		// finalized vertex reaches its edges only through the degree
+		// chain's segment descriptors.
 		rec.firstOut, rec.firstIn, rec.firstDeg = 0, 0, 0
-		if !compress {
-			// Adjacency heads point at edge records; a compressed vertex
-			// reaches its edges only through the degree chain's segment
-			// descriptors.
-			if oi > outStart {
-				rec.firstOut = int64(outStart) + 1
-			}
-			if ii > inStart {
-				rec.firstIn = int64(newID[inOrder[inStart]]) + 1
-			}
-		}
 		// Merge the two type-grouped runs into one ascending-type chain.
 		degs = degs[:0]
 		o, i := outStart, inStart
@@ -335,58 +273,42 @@ func (s *Store) Finalize() error {
 			}
 			dr := degRec{inUse: true, typeID: t}
 			if o < oi && recs[perm[o]].typeID == t {
-				if compress {
-					dr.firstOutEID = int64(o) + 1
-					segBuf = segBuf[:0]
-					first := o
-					var prev int64
-					for o < oi && recs[perm[o]].typeID == t {
-						d := recs[perm[o]].dst
-						segBuf = appendOutSeg(segBuf, d, prev, o == first)
-						prev = d
-						o++
-						dr.outDeg++
-					}
-					dr.outOff = cursor + 1
-					dr.outLen = uint32(len(segBuf))
-					if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
-						return err
-					}
-					cursor += int64(len(segBuf))
-				} else {
-					dr.firstOut = int64(o) + 1
-					for o < oi && recs[perm[o]].typeID == t {
-						o++
-						dr.outDeg++
-					}
+				dr.firstOutEID = int64(o) + 1
+				segBuf = segBuf[:0]
+				first := o
+				var prev int64
+				for o < oi && recs[perm[o]].typeID == t {
+					d := recs[perm[o]].dst
+					segBuf = appendOutSeg(segBuf, d, prev, o == first)
+					prev = d
+					o++
+					dr.outDeg++
 				}
+				dr.outOff = cursor + 1
+				dr.outLen = uint32(len(segBuf))
+				if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
+					return err
+				}
+				cursor += int64(len(segBuf))
 			}
 			if i < ii && recs[inOrder[i]].typeID == t {
-				if compress {
-					segBuf = segBuf[:0]
-					first := i
-					var prevSrc, prevEid int64
-					for i < ii && recs[inOrder[i]].typeID == t {
-						src := recs[inOrder[i]].src
-						eid := int64(newID[inOrder[i]])
-						segBuf = appendInSeg(segBuf, src, prevSrc, eid, prevEid, i == first)
-						prevSrc, prevEid = src, eid
-						i++
-						dr.inDeg++
-					}
-					dr.inOff = cursor + 1
-					dr.inLen = uint32(len(segBuf))
-					if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
-						return err
-					}
-					cursor += int64(len(segBuf))
-				} else {
-					dr.firstIn = int64(newID[inOrder[i]]) + 1
-					for i < ii && recs[inOrder[i]].typeID == t {
-						i++
-						dr.inDeg++
-					}
+				segBuf = segBuf[:0]
+				first := i
+				var prevSrc, prevEid int64
+				for i < ii && recs[inOrder[i]].typeID == t {
+					src := recs[inOrder[i]].src
+					eid := int64(newID[inOrder[i]])
+					segBuf = appendInSeg(segBuf, src, prevSrc, eid, prevEid, i == first)
+					prevSrc, prevEid = src, eid
+					i++
+					dr.inDeg++
 				}
+				dr.inOff = cursor + 1
+				dr.inLen = uint32(len(segBuf))
+				if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
+					return err
+				}
+				cursor += int64(len(segBuf))
 			}
 			degs = append(degs, dr)
 		}
@@ -403,34 +325,24 @@ func (s *Store) Finalize() error {
 			}
 			ep.numDegs += int64(len(degs))
 		}
-		if compress {
-			// Statistics: hash every property value once, bucketed by each
-			// label the vertex carries. Filters are sized after the pass,
-			// when per-bucket cardinalities are known.
-			labelIDs = labelIDs[:0]
-			for w, word := range rec.labels {
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << b
-					labelIDs = append(labelIDs, w*64+b)
+		// Statistics: hash every property value once, bucketed by each
+		// label the vertex carries. Filters are sized after the pass,
+		// when per-bucket cardinalities are known.
+		if labelIDs := labelBitsToIDs(rec.labels); len(labelIDs) > 0 {
+			for p := rec.firstProp; p != 0; {
+				pr, err := ep.readProp(p - 1)
+				if err != nil {
+					return err
 				}
-			}
-			if len(labelIDs) > 0 {
-				for p := rec.firstProp; p != 0; {
-					pr, err := ep.readProp(p - 1)
-					if err != nil {
-						return err
-					}
-					p = pr.next
-					val, err := ep.decodeValue(pr)
-					if err != nil {
-						return err
-					}
-					h := hashValue(val)
-					for _, lid := range labelIDs {
-						k := bloomKey(lid, int(pr.keyID))
-						hashAcc[k] = append(hashAcc[k], h)
-					}
+				p = pr.next
+				val, err := ep.decodeValue(pr)
+				if err != nil {
+					return err
+				}
+				h := hashValue(val)
+				for _, lid := range labelIDs {
+					k := bloomKey(lid, int(pr.keyID))
+					hashAcc[k] = append(hashAcc[k], h)
 				}
 			}
 		}
@@ -438,29 +350,24 @@ func (s *Store) Finalize() error {
 			return err
 		}
 	}
-	if compress {
-		// Segments are strictly smaller than the records they replace
-		// (<= 27 bytes/edge worst case vs 64), so the rewrite never caught
-		// up with itself and the tail past the cursor is dead — reclaim it.
-		ep.edgeBytes = cursor
-		if err := ep.pager.truncate(fileEdges, cursor); err != nil {
-			return err
-		}
-		blooms := make(map[uint64]*bloom, len(hashAcc))
-		for k, hs := range hashAcc {
-			b := newBloom(len(hs))
-			for _, h := range hs {
-				b.add(h)
-			}
-			blooms[k] = b
-		}
-		ep.typeCounts = typeCounts
-		ep.blooms = blooms
-		ep.statsValid = true
-	} else {
-		ep.edgeBytes = 0
+	// Segments are strictly smaller than the records they replace (<= 27
+	// bytes/edge worst case vs 64), so the tail past the cursor is dead —
+	// reclaim it.
+	ep.edgeBytes = cursor
+	if err := ep.pager.truncate(fileEdges, cursor); err != nil {
+		return err
 	}
-	ep.segmented = true
+	blooms := make(map[uint64]*bloom, len(hashAcc))
+	for k, hs := range hashAcc {
+		b := newBloom(len(hs))
+		for _, h := range hs {
+			b.add(h)
+		}
+		blooms[k] = b
+	}
+	ep.typeCounts = typeCounts
+	ep.blooms = blooms
+	ep.statsValid = true
 	s.needFinalize = false
 	// A finalized store with at least one vertex and one edge accepts
 	// durable live mutations (see live.go). Empty or vertex-only stores

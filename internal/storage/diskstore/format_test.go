@@ -1,10 +1,13 @@
 package diskstore
 
-// Format v4 tests: persisted index opens, type-segmented adjacency,
-// bulk finalize, legacy v2/v3 compatibility, the committed golden v3
-// fixture, and crash-safe (atomic) flushes.
+// On-disk format tests: persisted index opens, type-segmented adjacency,
+// bulk finalize, the refuse-then-Upgrade contract for the committed
+// golden v3/v4 fixtures, and crash-safe (atomic) flushes.
 
 import (
+	"errors"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,33 +20,10 @@ import (
 	"repro/internal/storage/storetest"
 )
 
-// TestConformanceLegacyLayouts runs the full conformance suite against
-// stores forced to write the v2, v3, and v4 (uncompressed) layouts,
-// proving the v5 code keeps serving (and building) legacy stores
-// correctly.
-func TestConformanceLegacyLayouts(t *testing.T) {
-	for _, version := range []int{2, 3, 4} {
-		t.Run(map[int]string{2: "v2", 3: "v3", 4: "v4"}[version], func(t *testing.T) {
-			storetest.Run(t, func(t *testing.T) storage.Builder {
-				s, err := Open(t.TempDir(), Options{PageSize: 512, CachePages: 16, Format: version})
-				if err != nil {
-					t.Fatalf("Open: %v", err)
-				}
-				t.Cleanup(func() {
-					if err := s.Close(); err != nil {
-						t.Errorf("Close: %v", err)
-					}
-				})
-				return s
-			})
-		})
-	}
-}
-
 // TestOpenUsesPersistedIndex is the acceptance gate for the persisted
-// index: a cold open of a v4 store must read O(index) pages — here zero,
-// since index.db bypasses the pager — while deleting index.db forces the
-// legacy full-vertex scan, whose pager reads grow with the vertex count.
+// index: a cold open must read O(index) pages — here zero, since index.db
+// bypasses the pager — while deleting index.db forces the full-vertex
+// scan, whose pager reads grow with the vertex count.
 func TestOpenUsesPersistedIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 64})
@@ -66,7 +46,7 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !re.Format().IndexLoaded {
-		t.Error("v4 open did not use index.db")
+		t.Error("open did not use index.db")
 	}
 	if got := re.Stats().PageReads; got != 0 {
 		t.Errorf("indexed open read %d pages; want 0 (no vertex scan)", got)
@@ -283,67 +263,6 @@ var upgradeQueries = []string{
 	`MATCH (a:C)<-[:r3]-(b) RETURN a.p2, COUNT(b.p0)`,
 }
 
-// TestCompactUpgradeRoundTrip: open v3 → Compact → reopen as v4 →
-// identical query results (and fingerprints, and fast-path equivalence).
-func TestCompactUpgradeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	v3, err := Open(dir, Options{PageSize: 512, CachePages: 32, Format: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storetest.BuildRandom(v3, 21, 80, 220); err != nil {
-		t.Fatal(err)
-	}
-	if err := v3.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Format(); got.Version != 3 || got.Segmented || got.IndexLoaded {
-		t.Fatalf("v3 store opened as %+v", got)
-	}
-	wantFP := storetest.Fingerprint(s)
-	var wantRows [][][]string
-	for _, q := range upgradeQueries {
-		wantRows = append(wantRows, runQuerySorted(t, s, q))
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	v4, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v4.Close()
-	if got := v4.Format(); got.Version != formatVersion || !got.Segmented || !got.IndexLoaded {
-		t.Fatalf("upgraded store opened as %+v, want v%d segmented+indexed", got, formatVersion)
-	}
-	if got := storetest.Fingerprint(v4); got != wantFP {
-		t.Error("upgraded store contents diverge from the v3 original")
-	}
-	storetest.CheckFastEquivalence(t, v4, storage.Fast(v4))
-	for i, q := range upgradeQueries {
-		got := runQuerySorted(t, v4, q)
-		if len(got) != len(wantRows[i]) {
-			t.Fatalf("query %q: %d rows after upgrade, want %d", q, len(got), len(wantRows[i]))
-		}
-		for r := range got {
-			for c := range got[r] {
-				if got[r][c] != wantRows[i][r][c] {
-					t.Fatalf("query %q row %d col %d: %q after upgrade, want %q", q, r, c, got[r][c], wantRows[i][r][c])
-				}
-			}
-		}
-	}
-}
-
 // copyDir copies the flat fixture directory into a scratch dir so tests
 // never mutate the committed golden files.
 func copyDir(t *testing.T, src string) string {
@@ -365,121 +284,167 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// TestGoldenV3Store opens the committed previous-release fixture
-// (testdata/golden-v3, written by the v3 code before the v4 refactor),
-// verifies every observable bit of it against the recorded fingerprint,
-// queries it, and upgrades it — the CI format-compat gate.
-func TestGoldenV3Store(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden-v3/FINGERPRINT.txt")
+// dirState records every file in dir as "mtime + content", so two states
+// compare equal only if nothing was created, removed, rewritten or touched.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := map[string]string{}
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[e.Name()] = fmt.Sprintf("%d %x", info.ModTime().UnixNano(), data)
+	}
+	return state
+}
+
+// checkGoldenUpgrade is the legacy-store contract on one committed
+// fixture (the CI format-compat gate): Open refuses it with
+// ErrLegacyFormat and leaves the directory untouched; Upgrade converts it
+// in place; the result opens as a current-format store — finalized,
+// indexed, live, with statistics — whose every observable bit matches the
+// fingerprint recorded when the fixture was written; and a second Upgrade
+// is a no-op.
+func checkGoldenUpgrade(t *testing.T, fixture string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join(fixture, "FINGERPRINT.txt"))
 	if err != nil {
 		t.Fatalf("missing golden fixture: %v", err)
 	}
-	dir := copyDir(t, "testdata/golden-v3")
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatalf("golden v3 store rejected: %v", err)
+	dir := copyDir(t, fixture)
+	opts := Options{PageSize: 512, CachePages: 32}
+
+	before := dirState(t, dir)
+	if _, err := Open(dir, opts); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("Open of a legacy store: err = %v, want ErrLegacyFormat", err)
 	}
-	if got := s.Format(); got.Version != 3 {
-		t.Fatalf("golden store opened as v%d, want v3", got.Version)
+	if !maps.Equal(before, dirState(t, dir)) {
+		t.Fatal("refused Open modified the legacy store directory")
+	}
+
+	// An upgrade that crashed mid-rewrite left its marker; neither Open
+	// nor a second Upgrade may take the half-rewritten files at face value.
+	marker := filepath.Join(dir, finalizeMarker)
+	if err := os.WriteFile(marker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Upgrade(dir, opts); !errors.Is(err, ErrFinalizeInterrupted) {
+		t.Fatalf("Upgrade over an interrupted upgrade: err = %v, want ErrFinalizeInterrupted", err)
+	}
+	if err := os.Remove(marker); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := Upgrade(dir, opts); err != nil {
+		t.Fatalf("Upgrade: %v", err)
+	}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("upgraded store rejected: %v", err)
+	}
+	if got := s.Format(); got.Version != formatVersion || !got.Compressed || !got.IndexLoaded {
+		t.Errorf("upgraded store opened as %+v, want v%d compressed+indexed", got, formatVersion)
+	}
+	if !s.Live() {
+		t.Error("upgraded store is not live")
 	}
 	if got := storetest.Fingerprint(s); got != string(want) {
-		t.Error("golden v3 store no longer reproduces its recorded fingerprint")
+		t.Error("upgraded store diverges from the recorded fingerprint")
 	}
 	storetest.CheckFastEquivalence(t, s, storage.Fast(s))
-	rows := runQuerySorted(t, s, upgradeQueries[0])
-	if len(rows) == 0 {
-		t.Error("golden store query returned no rows")
+	for _, q := range upgradeQueries {
+		if len(runQuerySorted(t, s, q)) == 0 {
+			t.Errorf("query %q returned no rows on the upgraded store", q)
+		}
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	if storage.Statistics(s).EdgeTypeCounts() == nil {
+		t.Error("upgraded store has no persisted edge-type counts")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v4, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatal(err)
+
+	upgraded := dirState(t, dir)
+	if err := Upgrade(dir, opts); err != nil {
+		t.Fatalf("second Upgrade: %v", err)
 	}
-	defer v4.Close()
-	if got := v4.Format(); got.Version != formatVersion || !got.IndexLoaded {
-		t.Fatalf("upgraded golden store opened as %+v", got)
-	}
-	if got := storetest.Fingerprint(v4); got != string(want) {
-		t.Error("upgraded golden store diverges from the recorded fingerprint")
+	if !maps.Equal(upgraded, dirState(t, dir)) {
+		t.Error("Upgrade of a current-format store touched its files")
 	}
 }
 
-// TestGoldenV4Store opens the committed v4 fixture (testdata/golden-v4,
-// written with Options{Format: 4} before compression became the
-// default: segmented adjacency, uncompressed 64-byte edge records, a
-// PGSIDX04 index), verifies it bit for bit against its recorded
-// fingerprint, queries it, and Compacts it — which must upgrade it to
-// the compressed v5 layout with identical observable contents and a
-// populated statistics block.
-//
-// Regenerate with:
-//
-//	s, _ := Open(dir, Options{PageSize: 512, CachePages: 64, Format: 4})
-//	storetest.BuildRandomBulk(s, 21, 60, 160, 32)
-//	fp := storetest.Fingerprint(s); s.Close()  // then write FINGERPRINT.txt
-func TestGoldenV4Store(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden-v4/FINGERPRINT.txt")
+// TestGoldenV3Store: testdata/golden-v3 was written by the v3 code before
+// the v4 refactor — incremental build, 32-byte degree records, no
+// index.db.
+func TestGoldenV3Store(t *testing.T) { checkGoldenUpgrade(t, "testdata/golden-v3") }
+
+// TestGoldenV4Store: testdata/golden-v4 was written by the v4 code before
+// compression became the only layout — bulk build, type-segmented 64-byte
+// edge records, a PGSIDX04 index.
+func TestGoldenV4Store(t *testing.T) { checkGoldenUpgrade(t, "testdata/golden-v4") }
+
+// TestUpgradeReplaysLegacyWAL: a legacy v4 store that took live writes
+// carries them in wal.db, not in its base files, and Upgrade must fold
+// them in rather than drop acknowledged mutations. The golden-v4 fixture
+// has no WAL, so one is borrowed from a current-format twin built by the
+// fixture's own recipe (WAL records name symbols by string and vertices
+// by absolute VID, so they replay onto either base).
+func TestUpgradeReplaysLegacyWAL(t *testing.T) {
+	opts := Options{PageSize: 512, CachePages: 32}
+	twinDir := t.TempDir()
+	twin, err := Open(twinDir, opts)
 	if err != nil {
-		t.Fatalf("missing golden fixture: %v", err)
-	}
-	dir := copyDir(t, "testdata/golden-v4")
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 32})
-	if err != nil {
-		t.Fatalf("golden v4 store rejected: %v", err)
-	}
-	if got := s.Format(); got.Version != 4 || !got.Segmented || !got.IndexLoaded || got.Compressed {
-		t.Fatalf("golden store opened as %+v, want v4 segmented+indexed uncompressed", got)
-	}
-	if got := storetest.Fingerprint(s); got != string(want) {
-		t.Error("golden v4 store no longer reproduces its recorded fingerprint")
-	}
-	storetest.CheckFastEquivalence(t, s, storage.Fast(s))
-	var wantRows [][][]string
-	for _, q := range upgradeQueries {
-		wantRows = append(wantRows, runQuerySorted(t, s, q))
-	}
-	if len(wantRows[0]) == 0 {
-		t.Error("golden store query returned no rows")
-	}
-	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+	if _, err := storetest.BuildRandomBulk(twin, 21, 60, 160, 32); err != nil {
+		t.Fatal(err)
+	}
+	base, err := os.ReadFile("testdata/golden-v4/FINGERPRINT.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if storetest.Fingerprint(twin) != string(base) {
+		t.Fatal("precondition: the golden-v4 recipe no longer rebuilds the fixture's graph")
+	}
+	applyLiveStream(t, 5, 40, twin)
+	want := storetest.Fingerprint(twin)
+	if err := twin.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(twinDir, walFileName))
+	if err != nil || len(wal) == 0 {
+		t.Fatalf("twin left no WAL to borrow (err=%v)", err)
+	}
+	dir := copyDir(t, "testdata/golden-v4")
+	if err := os.WriteFile(filepath.Join(dir, walFileName), wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	v5, err := Open(dir, Options{PageSize: 512, CachePages: 32})
+	if err := Upgrade(dir, opts); err != nil {
+		t.Fatalf("Upgrade: %v", err)
+	}
+	if st, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || st.Size() != 0 {
+		t.Errorf("WAL not checkpointed by the upgrade's commit (size/err: %v/%v)", st, err)
+	}
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v5.Close()
-	if got := v5.Format(); got.Version != formatVersion || !got.Compressed || !got.IndexLoaded {
-		t.Fatalf("upgraded golden store opened as %+v, want v%d compressed+indexed", got, formatVersion)
+	defer s.Close()
+	if got := storetest.Fingerprint(s); got != want {
+		t.Error("upgraded store lost or altered the legacy WAL's mutations")
 	}
-	if got := storetest.Fingerprint(v5); got != string(want) {
-		t.Error("upgraded golden store diverges from the recorded fingerprint")
-	}
-	for i, q := range upgradeQueries {
-		got := runQuerySorted(t, v5, q)
-		if len(got) != len(wantRows[i]) {
-			t.Fatalf("query %q: %d rows after upgrade, want %d", q, len(got), len(wantRows[i]))
-		}
-		for r := range got {
-			for c := range got[r] {
-				if got[r][c] != wantRows[i][r][c] {
-					t.Fatalf("query %q row %d col %d: %q after upgrade, want %q", q, r, c, got[r][c], wantRows[i][r][c])
-				}
-			}
-		}
-	}
-	// The upgrade must also have produced the v5 statistics block.
-	if storage.Statistics(v5).EdgeTypeCounts() == nil {
-		t.Error("upgraded golden store has no persisted edge-type counts")
+	if ls := s.LiveStats(); ls.DeltaVertices != 0 || ls.DeltaEdges != 0 {
+		t.Errorf("legacy WAL replayed again after the upgrade folded it: %+v", ls)
 	}
 }
 
@@ -637,7 +602,7 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 			t.Errorf("%s was rewritten by a read-only open/close cycle", f)
 		}
 	}
-	// But a v4 store whose index is missing self-repairs on close.
+	// But a store whose index is missing self-repairs on close.
 	if err := os.Remove(filepath.Join(dir, "index.db")); err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,15 @@ package diskstore
 
 // index.db persists the store's derived open-time structures — the
 // label-scan index and (redundantly, for validation) the symbol tables —
-// so reopening a v4 store costs O(index size) instead of the full vertex
-// scan legacy formats pay. The file is advisory: it is rewritten on every
-// Flush via writeFileAtomic, carries a CRC, and is cross-checked against
-// the manifest on load; if it is missing, torn, or out of step, Open
-// silently falls back to rebuilding the index by scanning vertices.
+// so reopening a store costs O(index size) instead of a full vertex
+// scan. The file is advisory: it is rewritten on every Flush via
+// writeFileAtomic, carries a CRC, and is cross-checked against the
+// manifest on load; if it is missing, torn, or out of step, Open silently
+// falls back to rebuilding the index by scanning vertices.
 //
 // Layout (little-endian):
 //
-//	magic   [8]byte  "PGSIDX04" (v4 stores) / "PGSIDX05" (v5 stores)
+//	magic   [8]byte  "PGSIDX05"
 //	crc32   u32      IEEE CRC of everything after this field
 //	numVertices, numEdges, numDegs  u64 × 3   (validated vs manifest)
 //	labels, types, keys   3 × (u32 count, then per entry u32 len + bytes)
@@ -18,7 +18,7 @@ package diskstore
 //	                      u64 entry count + that many u64 VIDs, in the
 //	                      in-memory (insertion) order of the scan index
 //
-// A v5 index appends a statistics block after the postings:
+// A statistics block follows the postings:
 //
 //	present  u8   0 = the epoch carried no statistics (stop here),
 //	              1 = counts + blooms follow
@@ -37,20 +37,7 @@ import (
 	"repro/internal/storage"
 )
 
-const (
-	indexMagicV4 = "PGSIDX04"
-	indexMagicV5 = "PGSIDX05"
-)
-
-// indexMagicFor returns the magic the epoch's format version writes — v4
-// keeps its exact legacy layout so downgrade-free round trips stay
-// byte-compatible; v5 adds the statistics block.
-func indexMagicFor(ep *epoch) string {
-	if ep.version >= 5 {
-		return indexMagicV5
-	}
-	return indexMagicV4
-}
+const indexMagic = "PGSIDX05"
 
 // indexPath is the index file of one base generation (index.db, or
 // index.db.gN for generation N — the index describes one generation's
@@ -93,31 +80,28 @@ func (s *Store) writeIndex(ep *epoch) error {
 			u64(uint64(v))
 		}
 	}
-	magic := indexMagicFor(ep)
-	if magic == indexMagicV5 {
-		if !ep.statsValid {
-			buf = append(buf, 0)
-		} else {
-			buf = append(buf, 1)
-			u32(uint32(len(ep.typeCounts)))
-			for _, c := range ep.typeCounts {
-				u64(uint64(c))
-			}
-			u32(uint32(len(ep.blooms)))
-			// Map order is fine: entries carry their own (label, key) ids.
-			for k, b := range ep.blooms {
-				u32(uint32(k >> 32))
-				u32(uint32(k))
-				u64(b.m())
-				u32(b.k)
-				for _, w := range b.bits {
-					u64(w)
-				}
+	if !ep.statsValid {
+		buf = append(buf, 0)
+	} else {
+		buf = append(buf, 1)
+		u32(uint32(len(ep.typeCounts)))
+		for _, c := range ep.typeCounts {
+			u64(uint64(c))
+		}
+		u32(uint32(len(ep.blooms)))
+		// Map order is fine: entries carry their own (label, key) ids.
+		for k, b := range ep.blooms {
+			u32(uint32(k >> 32))
+			u32(uint32(k))
+			u64(b.m())
+			u32(b.k)
+			for _, w := range b.bits {
+				u64(w)
 			}
 		}
 	}
-	out := make([]byte, 0, len(magic)+4+len(buf))
-	out = append(out, magic...)
+	out := make([]byte, 0, len(indexMagic)+4+len(buf))
+	out = append(out, indexMagic...)
 	binary.LittleEndian.PutUint32(scratch[:4], crc32.ChecksumIEEE(buf))
 	out = append(out, scratch[:4]...)
 	out = append(out, buf...)
@@ -130,13 +114,12 @@ func (s *Store) writeIndex(ep *epoch) error {
 // false without touching store state, and the caller rebuilds by
 // scanning.
 func (s *Store) loadIndex(ep *epoch) bool {
-	magic := indexMagicFor(ep)
 	data, err := os.ReadFile(s.indexPath(ep.gen))
-	if err != nil || len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
+	if err != nil || len(data) < len(indexMagic)+4 || string(data[:len(indexMagic)]) != indexMagic {
 		return false
 	}
-	payload := data[len(magic)+4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[len(magic):]) {
+	payload := data[len(indexMagic)+4:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[len(indexMagic):]) {
 		return false
 	}
 	r := idxReader{data: payload, ok: true}
@@ -174,49 +157,47 @@ func (s *Store) loadIndex(ep *epoch) bool {
 			byLabel[id] = vids
 		}
 	}
-	// v5 statistics block — consumed before the trailing-bytes check so a
-	// stats-bearing file still validates end-to-end.
+	// Statistics block — consumed before the trailing-bytes check so the
+	// file validates end-to-end.
 	var typeCounts []int64
 	var blooms map[uint64]*bloom
 	statsValid := false
-	if magic == indexMagicV5 {
-		present := r.take(1)
-		if present == nil {
+	present := r.u8()
+	if !r.ok {
+		return false
+	}
+	if present == 1 {
+		nt := r.u32()
+		if !r.ok || uint64(nt) > uint64(len(r.data))/8 {
 			return false
 		}
-		if present[0] == 1 {
-			nt := r.u32()
-			if !r.ok || uint64(nt) > uint64(len(r.data))/8 {
-				return false
-			}
-			typeCounts = make([]int64, nt)
-			for i := range typeCounts {
-				typeCounts[i] = int64(r.u64())
-			}
-			nb := r.u32()
-			if !r.ok || nb > uint32(bloomMaxBits) {
-				return false
-			}
-			blooms = make(map[uint64]*bloom, nb)
-			for i := uint32(0); i < nb; i++ {
-				labelID := r.u32()
-				keyID := r.u32()
-				m := r.u64()
-				k := r.u32()
-				if !r.ok || m == 0 || m%64 != 0 || m > bloomMaxBits || k == 0 || k > 64 {
-					return false
-				}
-				bits := make([]uint64, m/64)
-				for j := range bits {
-					bits[j] = r.u64()
-				}
-				if !r.ok {
-					return false
-				}
-				blooms[bloomKey(int(labelID), int(keyID))] = &bloom{k: k, bits: bits}
-			}
-			statsValid = true
+		typeCounts = make([]int64, nt)
+		for i := range typeCounts {
+			typeCounts[i] = int64(r.u64())
 		}
+		nb := r.u32()
+		if !r.ok || nb > uint32(bloomMaxBits) {
+			return false
+		}
+		blooms = make(map[uint64]*bloom, nb)
+		for i := uint32(0); i < nb; i++ {
+			labelID := r.u32()
+			keyID := r.u32()
+			m := r.u64()
+			k := r.u32()
+			if !r.ok || m == 0 || m%64 != 0 || m > bloomMaxBits || k == 0 || k > 64 {
+				return false
+			}
+			bits := make([]uint64, m/64)
+			for j := range bits {
+				bits[j] = r.u64()
+			}
+			if !r.ok {
+				return false
+			}
+			blooms[bloomKey(int(labelID), int(keyID))] = &bloom{k: k, bits: bits}
+		}
+		statsValid = true
 	}
 	if !r.ok || len(r.data) != 0 {
 		return false
@@ -243,6 +224,14 @@ func (r *idxReader) take(n int) []byte {
 	b := r.data[:n]
 	r.data = r.data[n:]
 	return b
+}
+
+func (r *idxReader) u8() byte {
+	b := r.take(1)
+	if b == nil {
+		return 0
+	}
+	return b[0]
 }
 
 func (r *idxReader) u32() uint32 {

@@ -2,10 +2,10 @@ package diskstore
 
 // Live-write mode: the durable post-finalize mutation path.
 //
-// A store is live when its base layout is a finalized v4 store with at
-// least one edge (or when a wal.db from a previous live session needs
-// replaying). In live mode the base files are frozen — Builder calls are
-// rerouted here instead of dirtying pages — and every mutation batch is:
+// A store is live when its base is finalized and holds at least one edge
+// (or when a wal.db from a previous live session needs replaying). In
+// live mode the base files are frozen — Builder calls are rerouted here
+// instead of dirtying pages — and every mutation batch is:
 //
 //  1. validated and resolved (batch-relative vertex references become
 //     absolute VIDs),
@@ -47,7 +47,7 @@ func (s *Store) LiveStats() storage.LiveStats {
 	ep := s.curEp()
 	ls := storage.LiveStats{
 		Live:            s.liveMode.Load(),
-		Segmented:       ep.segmented,
+		Segmented:       ep.compressed,
 		Compressed:      ep.compressed,
 		EdgeBytes:       ep.edgeBytes,
 		Generation:      s.generation.Load(),
@@ -327,7 +327,7 @@ func (s *Store) recoverLive() error {
 		size = st.Size()
 	}
 	ep := s.cur
-	live := ep.version >= 4 && ep.segmented && ep.numVertices > 0 && ep.numEdges > 0
+	live := ep.compressed && ep.numVertices > 0 && ep.numEdges > 0
 	if !live && size <= 0 {
 		return nil
 	}

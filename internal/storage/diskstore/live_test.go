@@ -189,7 +189,7 @@ func TestCompactFoldsDeltaAndCheckpointsWAL(t *testing.T) {
 		t.Errorf("reopened compacted store diverged\n got %s\nwant %s", got, want)
 	}
 	// Typed traversal over the folded edges must use segment seeks again.
-	if !s2.curEp().segmented {
+	if !s2.SegmentedAdjacency() {
 		t.Error("reopened compacted store should be segmented")
 	}
 }
@@ -511,7 +511,7 @@ func TestVertexOnlyStoreStaysBuildMode(t *testing.T) {
 func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	s, ms := openLivePair(t, t.TempDir())
 	defer s.Close()
-	if !s.curEp().segmented {
+	if !s.SegmentedAdjacency() {
 		t.Fatal("base store not segmented")
 	}
 	if _, err := s.AddEdge(0, 1, "r1"); err != nil {
@@ -520,7 +520,7 @@ func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	if _, err := ms.AddEdge(0, 1, "r1"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.curEp().segmented {
+	if !s.SegmentedAdjacency() {
 		t.Error("incremental AddEdge on a live store cleared the segmented invariant")
 	}
 	ls := s.LiveStats()
@@ -558,7 +558,7 @@ func TestInterruptedFinalizeTypedError(t *testing.T) {
 
 // TestIndexTornWriteFallback corrupts index.db at every truncation
 // boundary and at every single byte; Open must silently fall back to the
-// legacy vertex scan and produce an identical graph each time.
+// vertex scan and produce an identical graph each time.
 func TestIndexTornWriteFallback(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -647,7 +647,7 @@ func TestV4StoreWithoutWALOpensClean(t *testing.T) {
 		t.Errorf("reopen diverged\n got %s\nwant %s", got, want)
 	}
 	if !s2.Live() {
-		t.Error("finalized v4 store should be live on reopen")
+		t.Error("finalized store should be live on reopen")
 	}
 }
 

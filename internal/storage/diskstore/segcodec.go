@@ -1,6 +1,6 @@
 package diskstore
 
-// Delta-varint adjacency segments (format v5).
+// Delta-varint adjacency segments: the finalized adjacency layout.
 //
 // After Finalize, edges are sorted by (src, type, dst) and each (src,
 // type) group becomes two byte segments in edges.db, located by the
@@ -20,7 +20,7 @@ package diskstore
 // segment — 27 < 64, so the in-place rewrite in Finalize always shrinks
 // edges.db and a truncate reclaims the tail. Typical graphs land far
 // lower (2-5 bytes/edge out, ~2x that in), which is where the >= 2x
-// bytes-per-edge win over the v4 record layout comes from.
+// bytes-per-edge win over 64-byte edge records comes from.
 //
 // Decoding is morsel-local: each traversal grabs one pooled scratch
 // buffer, reads the segment bytes through the pager (or the mmap path)
@@ -164,11 +164,11 @@ func (ep *epoch) forEachCompressed(rec vertexRec, etype storage.SymbolID, out bo
 }
 
 // forEachEdgeLite enumerates every base edge as a (src, dst, type)
-// triple in EID order, reading whichever layout the epoch holds —
-// 64-byte records, or compressed segments via the degree chain (vertex
-// order x ascending type x ascending dst is exactly EID order under the
-// v5 sort). Finalize and the background fold gather through this, so
-// neither can misread a compressed edges.db as records.
+// triple in EID order, reading whichever state the epoch is in —
+// build-mode 64-byte records, or finalized segments via the degree chain
+// (vertex order x ascending type x ascending dst is exactly EID order
+// under Finalize's sort). Finalize and the background fold gather
+// through this, so neither can misread segments as records.
 func (ep *epoch) forEachEdgeLite(fn func(edgeLite) error) error {
 	if !ep.compressed {
 		for e := int64(0); e < ep.numEdges; e++ {

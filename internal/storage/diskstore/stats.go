@@ -1,8 +1,8 @@
 package diskstore
 
 // storage.Statistics: real per-label and per-edge-type cardinalities and
-// bloom-backed value-presence probes, persisted with the v5 index block
-// (see index.go) and rebuilt on every Finalize/Compact.
+// bloom-backed value-presence probes, persisted in index.db's statistics
+// block (see index.go) and rebuilt on every Finalize/Compact.
 
 import (
 	"repro/internal/graph"
@@ -26,7 +26,7 @@ func (s *Store) LabelCounts() map[string]int {
 // statistics block. Live delta edges accumulated since the last
 // Finalize/Compact are not broken down by type, so counts lag the base
 // by at most the delta size; nil means the base carries no statistics
-// (pre-v5 layout, or a torn index file).
+// (unfinalized build-mode store, or a torn index file).
 func (s *Store) EdgeTypeCounts() map[string]int {
 	ep := s.curEp()
 	if !ep.statsValid {

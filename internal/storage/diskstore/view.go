@@ -368,11 +368,10 @@ func (vw view) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn fun
 	}
 }
 
-// degreeID answers degree queries without touching the edge file where
-// the format allows: untyped degrees come from the vertex record's
-// counters, typed degrees from the per-type degree chain (one record per
-// distinct edge type), plus the visible delta count. Legacy v2 stores
-// fall back to counting the adjacency chain for typed queries.
+// degreeID answers degree queries without touching the edge file:
+// untyped degrees come from the vertex record's counters, typed degrees
+// from the per-type degree chain (one record per distinct edge type),
+// plus the visible delta count.
 func (vw view) degreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	if !vw.checkV(v) || etype == storage.NoSymbol {
 		return 0
@@ -385,14 +384,6 @@ func (vw view) degreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 		deltaN = vw.s.delta.degree(v, etype, out, vw.w)
 	}
 	ep := vw.ep
-	if ep.legacyDegrees() && etype != storage.AnySymbol {
-		n := 0
-		ep.forEachBase(v, etype, out, func(storage.EID, storage.VID) bool {
-			n++
-			return true
-		})
-		return n + deltaN
-	}
 	rec, err := ep.readVertex(v)
 	if err != nil {
 		return 0
@@ -430,13 +421,11 @@ func (ep *epoch) forEachBase(v storage.VID, etype storage.SymbolID, out bool, fn
 		return false
 	}
 	if ep.compressed {
-		// A compressed epoch has no edge records at all — every
-		// traversal, typed or not, decodes varint segments.
+		// A finalized epoch has no edge records at all — every traversal,
+		// typed or not, decodes varint segments.
 		return ep.forEachCompressed(rec, etype, out, fn)
 	}
-	if etype != storage.AnySymbol && ep.segmented {
-		return ep.forEachSegment(rec, uint32(etype), out, fn)
-	}
+	// Build mode: walk the vertex's edge-record chain, filtering by type.
 	p := rec.firstOut
 	if !out {
 		p = rec.firstIn
@@ -458,50 +447,6 @@ func (ep *epoch) forEachBase(v storage.VID, etype storage.SymbolID, out bool, fn
 			}
 		}
 		p = next
-	}
-	return true
-}
-
-// forEachSegment is the typed iteration fast path on a segmented store:
-// it finds the type's degree record (one short chain walk), seeks to its
-// adjacency segment head, and consumes edges until the segment ends —
-// other types' edge records are never read, the storage-level analogue of
-// the paper's schema-driven traversal pruning. Reports whether iteration
-// ran to completion (see forEachBase).
-func (ep *epoch) forEachSegment(rec vertexRec, typeID uint32, out bool, fn func(storage.EID, storage.VID) bool) bool {
-	for d := rec.firstDeg; d != 0; {
-		dr, err := ep.readDeg(d - 1)
-		if err != nil {
-			return false
-		}
-		if dr.typeID != typeID {
-			d = dr.next
-			continue
-		}
-		p := dr.firstOut
-		if !out {
-			p = dr.firstIn
-		}
-		for p != 0 {
-			er, err := ep.readEdge(storage.EID(p - 1))
-			if err != nil {
-				return false
-			}
-			if er.typeID != typeID {
-				return true // left the segment
-			}
-			other := storage.VID(er.dst)
-			next := er.nextOut
-			if !out {
-				other = storage.VID(er.src)
-				next = er.nextIn
-			}
-			if !fn(storage.EID(p-1), other) {
-				return false
-			}
-			p = next
-		}
-		return true
 	}
 	return true
 }

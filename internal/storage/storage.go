@@ -1,8 +1,8 @@
 // Package storage defines the backend-independent interface between
 // property graph stores and the query engine. Two implementations exist:
 // memstore (an in-memory adjacency store, the JanusGraph-like backend of
-// the paper's evaluation) and diskstore (a Neo4j-like record store with an
-// LRU page cache).
+// the paper's evaluation) and diskstore (a Neo4j-like record store behind
+// a sharded clock-sweep page cache).
 package storage
 
 import (
@@ -223,7 +223,7 @@ type MutationResult struct {
 
 // ErrNotLive is returned by ApplyMutations when the store does not accept
 // durable live writes in its current state (e.g. a diskstore that has not
-// been finalized yet, or a legacy-format store).
+// been finalized yet).
 var ErrNotLive = errors.New("storage: store is not in live-write mode")
 
 // ErrCompactInProgress is returned by Compact when another compaction is
@@ -318,9 +318,9 @@ type LiveStats struct {
 	PinnedSnapshots int64
 	// Compactions counts folds committed since open.
 	Compactions int64
-	// Compressed reports that the base adjacency is stored as delta-varint
-	// segments (diskstore format v5); EdgeBytes is their logical size in
-	// bytes (0 when not compressed — the base stores fixed-size records).
+	// Compressed reports that the base adjacency is finalized into
+	// delta-varint segments (diskstore); EdgeBytes is their logical size in
+	// bytes (0 when not — the base still holds build-mode edge records).
 	Compressed bool
 	EdgeBytes  int64
 }
