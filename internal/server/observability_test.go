@@ -151,28 +151,71 @@ func TestRequestIDInErrorBodies(t *testing.T) {
 	})
 }
 
+// scrapeMetrics fetches /metrics and strict-parses it.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) *obs.Exposition {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	exp, err := obs.ParseExposition(data)
+	if err != nil {
+		t.Fatalf("scrape failed strict parse: %v\n%s", err, data)
+	}
+	return exp
+}
+
+// TestPagerCountersSurviveCompact: pgs_pager_*_total are counters, so a
+// scrape after POST /admin/compact swapped the base generation must not
+// read lower than the scrape before it — and they keep counting.
+func TestPagerCountersSurviveCompact(t *testing.T) {
+	s, ts, ds := newLiveServer(t)
+	postMutate(t, ts, `{"vertices": [{"labels": ["Drug"], "props": {"name": "Folded"}}]}`)
+	for i := 0; i < 3; i++ {
+		post(t, ts, drugQuery, "text/plain")
+	}
+	before := scrapeMetrics(t, ts)
+	if before.Samples["pgs_pager_page_hits_total{}"] == 0 {
+		t.Fatal("no pager hits before the fold; the check below would be vacuous")
+	}
+	gen := ds.LiveStats().Generation
+	resp, err := http.Post(ts.URL+"/admin/compact", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /admin/compact: status %d", resp.StatusCode)
+	}
+	s.compact.wg.Wait()
+	if got := ds.LiveStats().Generation; got != gen+1 {
+		t.Fatalf("generation %d after the fold, want %d", got, gen+1)
+	}
+	folded := scrapeMetrics(t, ts)
+	if err := obs.CheckCounterMonotonic(before, folded); err != nil {
+		t.Errorf("across /admin/compact: %v", err)
+	}
+	post(t, ts, drugQuery, "text/plain")
+	after := scrapeMetrics(t, ts)
+	if err := obs.CheckCounterMonotonic(folded, after); err != nil {
+		t.Errorf("after /admin/compact: %v", err)
+	}
+	if after.Samples["pgs_pager_page_reads_total{}"] <= folded.Samples["pgs_pager_page_reads_total{}"] {
+		t.Error("a query over the new generation's cold pages did not advance pgs_pager_page_reads_total")
+	}
+}
+
 // TestMetricsExposition: /metrics strict-parses, covers every subsystem
 // the ISSUE names, and stays monotonic across scrapes with traffic in
 // between.
 func TestMetricsExposition(t *testing.T) {
 	_, ts, _ := newLiveServer(t)
-	scrape := func() *obs.Exposition {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-			t.Errorf("Content-Type = %q", ct)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		exp, err := obs.ParseExposition(data)
-		if err != nil {
-			t.Fatalf("scrape failed strict parse: %v\n%s", err, data)
-		}
-		return exp
-	}
+	scrape := func() *obs.Exposition { return scrapeMetrics(t, ts) }
 
 	first := scrape()
 	for _, fam := range []string{

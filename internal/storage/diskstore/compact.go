@@ -306,7 +306,7 @@ func (s *Store) foldBackground() error {
 		}
 		files[i] = f
 	}
-	pg, err := newPager(files, s.opts.PageSize, s.opts.CachePages)
+	pg, err := newPager(files, s.opts.PageSize, s.opts.CachePages, &s.pagerStats)
 	if err != nil {
 		for _, f := range files {
 			f.Close()
@@ -329,6 +329,7 @@ func (s *Store) foldBackground() error {
 		baseSeq: fence,
 	}
 	newEp.pins.Store(1) // the store's own reference
+	newEp.setLabelBits()
 
 	// Stage 4 — commit. flushMu keeps a concurrent Flush from writing a
 	// stale-generation manifest around ours; the manifest rename is the

@@ -456,8 +456,8 @@ func (d *delta) setPropLocked(seq uint64, v storage.VID, curBase int64, keyID in
 }
 
 // addLabelLocked records a label addition; baseHas reports whether the
-// current base record already carries it (pre-read by the caller
-// outside the lock), keeping byLabel duplicate-free.
+// current base already carries it (looked up by the caller outside the
+// lock), keeping byLabel duplicate-free.
 func (d *delta) addLabelLocked(seq uint64, v storage.VID, curBase int64, id int, baseHas bool) {
 	if baseHas {
 		return

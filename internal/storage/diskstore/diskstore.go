@@ -3,6 +3,10 @@
 // fixed-size property records chained off vertices, and a variable-length
 // blob file for strings and lists — all accessed through a sharded,
 // write-back page cache with clock-sweep eviction and per-page latches.
+// The cache recycles its frames — a miss in a full shard loads into the
+// buffer of the frame it evicts — which rests on one rule of the read
+// path: a pin is held only for the duration of one copy out of (or into)
+// a frame, so an unpinned frame has no reader (see pager).
 //
 // It stands in for the paper's disk-based backend (Neo4j): every edge
 // traversal dereferences edge and vertex records that may or may not be
@@ -186,6 +190,13 @@ type epoch struct {
 	blobSize    int64
 
 	byLabel map[int][]storage.VID
+	// labelBits is byLabel again as one membership bitmap per label ID
+	// (⌈numVertices/64⌉ words, nil for a label without base members —
+	// 64× smaller than the postings), so a live view answers HasLabelID
+	// without a vertex-record read. setLabelBits derives it wherever an
+	// immutable serving epoch comes into being; build-mode views, under
+	// which byLabel still grows, never consult it and read the record.
+	labelBits [][]uint64
 
 	// Persisted statistics (from Finalize or index.db): base edge counts
 	// per type ID, and per-(label, key) bloom filters over the property
@@ -205,6 +216,36 @@ type epoch struct {
 	// retire lists the generation's file paths, set when the epoch is
 	// superseded; reclaim deletes them.
 	retire []string
+}
+
+// setLabelBits derives labelBits from byLabel. Called once per serving
+// epoch, before it is published to readers.
+func (ep *epoch) setLabelBits() {
+	n := 0
+	for id := range ep.byLabel {
+		n = max(n, id+1)
+	}
+	ep.labelBits = make([][]uint64, n)
+	for id, vids := range ep.byLabel {
+		if len(vids) == 0 {
+			continue
+		}
+		words := make([]uint64, (ep.numVertices+63)/64)
+		for _, v := range vids {
+			words[v>>6] |= 1 << (uint(v) & 63)
+		}
+		ep.labelBits[id] = words
+	}
+}
+
+// hasLabelBit reports base membership of v (a base vertex: v <
+// numVertices) in the label.
+func (ep *epoch) hasLabelBit(v storage.VID, label storage.SymbolID) bool {
+	if int(label) >= len(ep.labelBits) {
+		return false
+	}
+	words := ep.labelBits[label]
+	return words != nil && words[v>>6]&(1<<(uint(v)&63)) != 0
 }
 
 // closeFiles closes the generation's backing files (and any mappings
@@ -242,6 +283,11 @@ type Store struct {
 	// the fold's swap takes it exclusively for a pointer assignment.
 	epMu sync.RWMutex
 	cur  *epoch
+	// pagerStats is the one block of page-cache counters every serving
+	// epoch's pager bumps, so Stats never restarts at a fold's swap. (A
+	// fold's builder is a separate Store with its own block: the pages it
+	// writes are not served traffic.)
+	pagerStats pagerStats
 
 	// needFinalize is set by AddEdgeBatch: edges were appended without
 	// adjacency linkage and Finalize must run before the store is read.
@@ -459,7 +505,14 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 		}
 		files[i] = f
 	}
-	pg, err := newPager(files, opts.PageSize, opts.CachePages)
+	s := &Store{
+		dir:      dir,
+		opts:     opts,
+		labelIDs: map[string]int{},
+		typeIDs:  map[string]int{},
+		keyIDs:   map[string]int{},
+	}
+	pg, err := newPager(files, opts.PageSize, opts.CachePages, &s.pagerStats)
 	if err != nil {
 		return nil, err
 	}
@@ -472,14 +525,7 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 		byLabel: map[int][]storage.VID{},
 	}
 	ep.pins.Store(1)
-	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		cur:      ep,
-		labelIDs: map[string]int{},
-		typeIDs:  map[string]int{},
-		keyIDs:   map[string]int{},
-	}
+	s.cur = ep
 	s.generation.Store(gen)
 	if haveManifest {
 		// A legacy store's adjacency is read as build-mode edge records
@@ -805,11 +851,12 @@ func (s *Store) Close() error {
 // DropCache empties the page cache, simulating a cold start.
 func (s *Store) DropCache() error { return s.curEp().pager.dropCache() }
 
-// Stats returns page cache counters (of the current epoch's pager).
-func (s *Store) Stats() storage.Stats { return s.curEp().pager.readStats() }
+// Stats returns the page cache counters, cumulative across generations:
+// they only ever decrease at ResetStats.
+func (s *Store) Stats() storage.Stats { return s.pagerStats.snapshot() }
 
 // ResetStats zeroes the page cache counters.
-func (s *Store) ResetStats() { s.curEp().pager.resetStats() }
+func (s *Store) ResetStats() { s.pagerStats.reset() }
 
 // ---- record codecs (per epoch: each generation has its own files) ----
 

@@ -377,6 +377,7 @@ func (s *Store) Finalize() error {
 	if ep.numVertices > 0 && ep.numEdges > 0 {
 		s.delta = newDelta(ep.numVertices, ep.numEdges)
 		s.delta.appliedSeq.Store(s.walFoldedSeq)
+		ep.setLabelBits() // foldDelta may have grown byLabel under the old one
 		s.liveMode.Store(true)
 	}
 	return nil

@@ -259,12 +259,12 @@ func (s *Store) internBatch(batch []storage.Mutation) error {
 }
 
 // applyToDelta applies a fully resolved, interned batch to the delta
-// segment under its seq and assigns IDs. Label additions pre-read the
-// base record outside the delta lock so byLabel stays duplicate-free
-// against base membership. The caller holds liveMu, which keeps the
-// current epoch (used to route base-vertex vs delta-vertex writes)
-// stable across the batch. appliedSeq advances inside the delta lock so
-// a snapshot acquired at that watermark always sees the whole batch.
+// segment under its seq and assigns IDs. Label additions look up base
+// membership (the epoch's bitmap) first so byLabel stays duplicate-free
+// against it. The caller holds liveMu, which keeps the current epoch
+// (used to route base-vertex vs delta-vertex writes) stable across the
+// batch. appliedSeq advances inside the delta lock so a snapshot
+// acquired at that watermark always sees the whole batch.
 func (s *Store) applyToDelta(seq uint64, batch []storage.Mutation) storage.MutationResult {
 	var res storage.MutationResult
 	d := s.delta
@@ -273,10 +273,7 @@ func (s *Store) applyToDelta(seq uint64, batch []storage.Mutation) storage.Mutat
 	for i := range batch {
 		m := &batch[i]
 		if m.Op == storage.MutAddLabel && int64(m.V) < curBase {
-			id := s.labelIDs[m.Label]
-			if rec, err := s.cur.readVertex(m.V); err == nil {
-				baseHas[i] = rec.labels[id/64]&(1<<uint(id%64)) != 0
-			}
+			baseHas[i] = s.cur.hasLabelBit(m.V, storage.SymbolID(s.labelIDs[m.Label]))
 		}
 	}
 	d.mu.Lock()
@@ -331,6 +328,7 @@ func (s *Store) recoverLive() error {
 	if !live && size <= 0 {
 		return nil
 	}
+	ep.setLabelBits()
 	s.liveMode.Store(true)
 	s.delta.appliedSeq.Store(s.walFoldedSeq)
 	if size <= 0 {

@@ -709,3 +709,187 @@ func TestConcurrentMutateAndRead(t *testing.T) {
 		t.Errorf("delta vertices = %d, want 300", got)
 	}
 }
+
+// TestHasLabelAgreesWithLabelsAcrossLifecycle: on a live view HasLabelID
+// answers from the epoch's membership bitmap plus the delta, Labels from
+// the vertex record plus the delta. They must agree in every state a
+// serving epoch can come into being in — including the one where a
+// bitmap built for the previous base would be stale.
+func TestHasLabelAgreesWithLabelsAcrossLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openLivePair(t, dir)
+	check := func(stage string, g storage.Graph) {
+		t.Helper()
+		t.Run(stage, func(t *testing.T) { storetest.CheckLabelMembership(t, g) })
+	}
+	addLabel := func(s *Store, v storage.VID, label string) {
+		t.Helper()
+		if err := s.AddLabel(v, label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addVertex := func(s *Store, labels ...string) storage.VID {
+		t.Helper()
+		v, err := s.AddVertex(labels...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	check("finalized by the bulk load", s)
+
+	addLabel(s, 0, "Live") // base vertex, label new to the store
+	addLabel(s, 1, "A")    // base vertex, label it may already carry
+	dv := addVertex(s, "A")
+	addLabel(s, dv, "Live") // delta vertex
+	check("live delta over the base", s)
+	pinned := s.AcquireSnapshot()
+	defer pinned.Release()
+
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.LiveStats().Generation; got != 1 {
+		t.Fatalf("generation %d after Compact, want a background fold to 1", got)
+	}
+	check("after a background fold", s)
+	check("snapshot pinned on the superseded epoch", pinned)
+	pinned.Release()
+
+	// The stale-bitmap case: these land in the delta, the exclusive
+	// Finalize folds them into the very epoch whose bitmap was built
+	// before they existed.
+	addLabel(s, 2, "Fresh")
+	addLabel(s, dv, "Fresh")
+	addVertex(s, "Fresh", "B")
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Live() {
+		t.Fatal("store not live again after Finalize")
+	}
+	check("after an exclusive Finalize of a live store", s)
+	if err := s.Flush(); err != nil { // commits the Finalize, checkpoints the WAL
+		t.Fatal(err)
+	}
+
+	addLabel(s, 3, "Replayed") // stays in the WAL across the reopen
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s2.Format().IndexLoaded {
+		t.Error("reopen did not load index.db")
+	}
+	check("reopened from index.db, WAL replayed", s2)
+	idx := s2.indexPath(s2.Format().Generation)
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(idx); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if s3.Format().IndexLoaded {
+		t.Error("index.db was deleted, yet the reopen claims to have loaded it")
+	}
+	check("reopened by vertex scan", s3)
+	if !s3.HasLabel(3, "Replayed") || !s3.HasLabel(2, "Fresh") || !s3.HasLabel(0, "Live") || s3.HasLabel(4, "Live") {
+		t.Error("labels added along the way were lost or misplaced")
+	}
+}
+
+// TestLiveLabelCheckTouchesNoPage: the label check of a typed expand on a
+// live store is answered from the resident index — the expand costs the
+// same page accesses with the check as without it.
+func TestLiveLabelCheckTouchesNoPage(t *testing.T) {
+	s, _ := openLivePair(t, t.TempDir())
+	defer s.Close()
+	if err := s.AddLabel(0, "Live"); err != nil { // a non-empty delta must not change the answer
+		t.Fatal(err)
+	}
+	r1, a, live := s.TypeID("r1"), s.LabelID("A"), s.LabelID("Live")
+	expand := func(withCheck bool) (accesses int64, edges, matched int) {
+		s.ResetStats()
+		for v := 0; v < liveNV; v++ {
+			s.ForEachOutID(storage.VID(v), r1, func(_ storage.EID, dst storage.VID) bool {
+				edges++
+				if withCheck && (s.HasLabelID(dst, a) || s.HasLabelID(dst, live)) {
+					matched++
+				}
+				return true
+			})
+		}
+		st := s.Stats()
+		return st.PageHits + st.PageMisses, edges, matched
+	}
+	plain, edges, _ := expand(false)
+	checked, _, matched := expand(true)
+	if edges == 0 || matched == 0 || matched == edges {
+		t.Fatalf("fixture too dull: %d edges, %d pass the label check", edges, matched)
+	}
+	if checked != plain {
+		t.Errorf("%d page accesses with the label check, %d without: the check reads vertex records", checked, plain)
+	}
+}
+
+// TestPagerStatsSurviveFold: the page-cache counters belong to the store,
+// not to a generation's pager — a background fold never sets them back,
+// and reads through a snapshot pinned on the superseded epoch keep
+// counting.
+func TestPagerStatsSurviveFold(t *testing.T) {
+	s, ms := openLivePair(t, t.TempDir())
+	defer s.Close()
+	applyLiveStream(t, 41, 60, s, ms)
+	pinned := s.AcquireSnapshot()
+	defer pinned.Release()
+	if err := s.DropCache(); err != nil { // so the sweep below reads from disk
+		t.Fatal(err)
+	}
+	storetest.Fingerprint(s)
+
+	atLeast := func(stage string, got, floor storage.Stats) {
+		t.Helper()
+		if got.PageHits < floor.PageHits || got.PageMisses < floor.PageMisses ||
+			got.PageReads < floor.PageReads || got.PageWrites < floor.PageWrites {
+			t.Errorf("%s: counters went backwards: %+v -> %+v", stage, floor, got)
+		}
+	}
+	before := s.Stats()
+	if before.PageHits == 0 || before.PageReads == 0 {
+		t.Fatalf("no pager traffic before the fold: %+v", before)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.LiveStats().Generation; got != 1 {
+		t.Fatalf("generation %d after Compact, want a background fold to 1", got)
+	}
+	folded := s.Stats()
+	atLeast("across the fold", folded, before)
+
+	storetest.Fingerprint(pinned)
+	viaOld := s.Stats()
+	atLeast("reading the superseded epoch", viaOld, folded)
+	if viaOld.PageHits == folded.PageHits {
+		t.Error("reads through the pinned, superseded epoch were not counted")
+	}
+	storetest.Fingerprint(s)
+	viaNew := s.Stats()
+	atLeast("reading the new epoch", viaNew, viaOld)
+	if viaNew.PageReads == viaOld.PageReads {
+		t.Error("the new generation's cold pages were read without being counted")
+	}
+
+	s.ResetStats()
+	if got := s.Stats(); got != (storage.Stats{}) {
+		t.Errorf("ResetStats left %+v", got)
+	}
+}

@@ -34,13 +34,17 @@ type pageKey struct {
 //   - the latch (mu) guards the frame contents (data, dirty, loadErr). A
 //     loader holds the write latch across its disk read, so concurrent
 //     readers that found the frame in the table simply block on RLock
-//     until the bytes are in — page loads are de-duplicated for free.
+//     until the bytes are in — page loads are de-duplicated for free —
+//     and then find loadErr final under that same acquisition.
 //   - the pin count (ref) keeps the frame resident: the clock sweep never
 //     evicts a pinned frame, so a reader can copy from the frame after
 //     releasing the shard lock. Pins are held only for the duration of one
-//     copy, never across I/O on another frame.
-//   - used is the clock-sweep reference bit, set on every hit and cleared
-//     (one second chance) as the hand passes.
+//     copy, never across I/O on another frame — which is also what makes
+//     recycling safe: an unpinned frame the sweep has taken out of the
+//     table has no reader left, so its data buffer goes straight to the
+//     next tenant (see evictLocked).
+//   - used is the clock-sweep reference bit, set on a hit that finds it
+//     clear and cleared (one second chance) as the hand passes.
 type page struct {
 	key     pageKey
 	mu      sync.RWMutex
@@ -65,9 +69,29 @@ type shard struct {
 
 // pagerStats are the I/O counters, kept as atomics so the read hot path
 // bumps them without holding any lock and Stats() snapshots never contend
-// with the data path.
+// with the data path. One block belongs to a Store and is shared by every
+// pager serving its reads, so the counters run on across generations and
+// a read through a superseded-but-pinned epoch still counts.
 type pagerStats struct {
 	hits, misses, reads, writes atomic.Int64
+}
+
+// snapshot reads the I/O counters.
+func (st *pagerStats) snapshot() storage.Stats {
+	return storage.Stats{
+		PageHits:   st.hits.Load(),
+		PageMisses: st.misses.Load(),
+		PageReads:  st.reads.Load(),
+		PageWrites: st.writes.Load(),
+	}
+}
+
+// reset zeroes the I/O counters.
+func (st *pagerStats) reset() {
+	st.hits.Store(0)
+	st.misses.Store(0)
+	st.reads.Store(0)
+	st.writes.Store(0)
 }
 
 // pager is a write-back page cache over the store's record files. All
@@ -87,6 +111,14 @@ type pagerStats struct {
 // same shard at the same instant, and a cold miss in one shard never
 // stalls hits in the others — this is what lets N goroutines traverse a
 // disk-bound graph faster than one.
+//
+// Frames are recycled: a miss in a shard at budget takes its buffer from
+// the frame the sweep just evicted, so a cache-starved read loop runs
+// without allocating page buffers. A fresh buffer is allocated only while
+// the shard is below budget or when every frame in it is pinned. What a
+// fresh buffer gave for free is explicit in fetch: every byte of a frame
+// that the file does not define reads as zero, never as the previous
+// tenant's data.
 //
 // Writes follow the storage.Builder contract: building is single-writer,
 // so flush and dropCache assume no concurrent mutators (concurrent readers
@@ -112,7 +144,7 @@ type pager struct {
 	mapMu   sync.Mutex
 	retired []*mmapRegion
 
-	stats pagerStats
+	stats *pagerStats // the owning Store's block, shared across its epochs
 }
 
 // mmapRegion is one live read-only file mapping.
@@ -137,7 +169,7 @@ func pagerShards(capacity int) int {
 	return n
 }
 
-func newPager(files [numFiles]*os.File, pageSize, capacity int) (*pager, error) {
+func newPager(files [numFiles]*os.File, pageSize, capacity int, stats *pagerStats) (*pager, error) {
 	if pageSize <= 0 || capacity <= 0 {
 		return nil, fmt.Errorf("diskstore: invalid pager config pageSize=%d capacity=%d", pageSize, capacity)
 	}
@@ -154,8 +186,9 @@ func newPager(files [numFiles]*os.File, pageSize, capacity int) (*pager, error) 
 		shardCap:   max(1, capacity/n),
 		shardShift: shift,
 		shards:     make([]shard, n),
+		files:      files,
+		stats:      stats,
 	}
-	p.files = files
 	for i := range p.shards {
 		p.shards[i].table = map[pageKey]*page{}
 	}
@@ -176,60 +209,62 @@ func (p *pager) shardOf(key pageKey) *shard {
 	return &p.shards[h>>p.shardShift]
 }
 
-// fetch returns the frame for key, pinned. The caller must take the
-// frame's latch (RLock to copy out, Lock to modify) and unpin when done.
+// fetch returns the frame for key, pinned and unlatched. The caller takes
+// the frame's latch (RLock to copy out, Lock to modify), checks loadErr
+// under it — on a hit the frame may still be loading, or its load may have
+// failed — and unpins when done. A miss loads the page before returning
+// and reports a failed load itself.
 func (p *pager) fetch(key pageKey) (*page, error) {
 	sh := p.shardOf(key)
 	sh.mu.Lock()
 	if pg, ok := sh.table[key]; ok {
 		pg.ref.Add(1) // pin under the shard lock so the sweep cannot free it
-		pg.used.Store(true)
 		sh.mu.Unlock()
-		p.stats.hits.Add(1)
-		// If the frame is still loading, RLock blocks until the loader
-		// releases the write latch; loadErr is then final.
-		pg.mu.RLock()
-		err := pg.loadErr
-		pg.mu.RUnlock()
-		if err != nil {
-			pg.unpin()
-			return nil, err
+		// Hot frames are hit from every core; leave their cache line
+		// shared unless the bit actually changes.
+		if !pg.used.Load() {
+			pg.used.Store(true)
 		}
+		p.stats.hits.Add(1)
 		return pg, nil
 	}
 	p.stats.misses.Add(1)
-	pg := &page{key: key, data: make([]byte, p.pageSize)}
-	pg.ref.Add(1)
-	pg.used.Store(true)
-	pg.mu.Lock() // held across the load; see page docs
-	if err := p.evictLocked(sh); err != nil {
-		pg.mu.Unlock()
+	buf, err := p.evictLocked(sh)
+	if err != nil {
 		sh.mu.Unlock()
 		return nil, err
 	}
+	if buf == nil {
+		buf = make([]byte, p.pageSize)
+	}
+	pg := &page{key: key, data: buf}
+	pg.ref.Add(1)
+	pg.used.Store(true)
+	pg.mu.Lock() // held across the load; see page docs
 	sh.table[key] = pg
 	sh.clock = append(sh.clock, pg)
 	sh.mu.Unlock()
 
 	// The disk read happens outside the shard lock: only goroutines
 	// needing this same page wait (on the latch); the rest of the shard
-	// stays available.
-	off := key.page * int64(p.pageSize)
-	if off < p.sizes[key.file].Load() {
-		n, err := p.files[key.file].ReadAt(pg.data, off)
+	// stays available. The buffer may be a recycled one, so everything the
+	// file does not define — the tail after a short read, or the whole of
+	// a page at or past the logical size — is cleared here.
+	n := 0
+	if off := key.page * int64(p.pageSize); off < p.sizes[key.file].Load() {
+		n, err = p.files[key.file].ReadAt(pg.data, off)
 		if err != nil && err != io.EOF {
 			pg.loadErr = fmt.Errorf("diskstore: read page %v: %w", key, err)
 		} else {
-			for i := n; i < len(pg.data); i++ {
-				pg.data[i] = 0
-			}
 			p.stats.reads.Add(1)
 		}
 	}
 	if pg.loadErr != nil {
 		err := pg.loadErr
 		pg.mu.Unlock()
-		// Drop the failed frame so a later fetch retries the read.
+		// Drop the failed frame so a later fetch retries the read. Hits
+		// that pinned it meanwhile see loadErr under their latch; its
+		// buffer is not recycled.
 		sh.mu.Lock()
 		if cur, ok := sh.table[key]; ok && cur == pg {
 			delete(sh.table, key)
@@ -239,15 +274,21 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 		pg.unpin()
 		return nil, err
 	}
+	clear(pg.data[n:])
 	pg.mu.Unlock()
 	return pg, nil
 }
 
 // evictLocked makes room for one more frame in the shard, writing dirty
-// victims back. Caller holds sh.mu. Pinned frames are skipped; if every
-// frame is pinned the shard temporarily overflows its budget rather than
+// victims back, and returns a victim's data buffer for the caller to
+// reuse (nil if nothing was evicted). Caller holds sh.mu. A victim is
+// unpinned and, once out of the table, unreachable: pins are taken only
+// under sh.mu and held only across one copy, so no reader can still be
+// looking at its bytes. Pinned frames are skipped; if every frame is
+// pinned the shard temporarily overflows its budget rather than
 // deadlocking.
-func (p *pager) evictLocked(sh *shard) error {
+func (p *pager) evictLocked(sh *shard) ([]byte, error) {
+	var buf []byte
 	attempts := 0
 	for len(sh.clock) >= p.shardCap && attempts < 2*len(sh.clock)+1 {
 		if sh.hand >= len(sh.clock) {
@@ -264,12 +305,13 @@ func (p *pager) evictLocked(sh *shard) error {
 			continue
 		}
 		if err := p.writePage(pg); err != nil {
-			return err
+			return nil, err
 		}
 		delete(sh.table, pg.key)
 		sh.removeAt(sh.hand)
+		buf = pg.data
 	}
-	return nil
+	return buf, nil
 }
 
 // removeAt swap-removes the ring entry at index i. Caller holds sh.mu.
@@ -382,9 +424,16 @@ func (p *pager) read(f fileID, off int64, buf []byte) error {
 			return err
 		}
 		pg.mu.RLock()
-		n := copy(buf, pg.data[within:])
+		err = pg.loadErr
+		n := 0
+		if err == nil {
+			n = copy(buf, pg.data[within:])
+		}
 		pg.mu.RUnlock()
 		pg.unpin()
+		if err != nil {
+			return err
+		}
 		buf = buf[n:]
 		off += int64(n)
 	}
@@ -404,10 +453,17 @@ func (p *pager) write(f fileID, off int64, buf []byte) error {
 			return err
 		}
 		pg.mu.Lock()
-		n := copy(pg.data[within:], buf)
-		pg.dirty = true
+		err = pg.loadErr
+		n := 0
+		if err == nil {
+			n = copy(pg.data[within:], buf)
+			pg.dirty = true
+		}
 		pg.mu.Unlock()
 		pg.unpin()
+		if err != nil {
+			return err
+		}
 		buf = buf[n:]
 		off += int64(n)
 	}
@@ -492,22 +548,4 @@ func (p *pager) resident() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// readStats snapshots the I/O counters.
-func (p *pager) readStats() storage.Stats {
-	return storage.Stats{
-		PageHits:   p.stats.hits.Load(),
-		PageMisses: p.stats.misses.Load(),
-		PageReads:  p.stats.reads.Load(),
-		PageWrites: p.stats.writes.Load(),
-	}
-}
-
-// resetStats zeroes the I/O counters.
-func (p *pager) resetStats() {
-	p.stats.hits.Store(0)
-	p.stats.misses.Store(0)
-	p.stats.reads.Store(0)
-	p.stats.writes.Store(0)
 }

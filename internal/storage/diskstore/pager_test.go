@@ -1,9 +1,16 @@
 package diskstore
 
 import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/storage/storetest"
@@ -121,6 +128,292 @@ func TestPagerConcurrentEvictionPressure(t *testing.T) {
 	}
 	if got := s.curEp().pager.resident(); got > s.opts.CachePages {
 		t.Errorf("%d pages resident, budget %d", got, s.opts.CachePages)
+	}
+
+	// The same pressure on a bare pager whose every page carries its own
+	// number in every byte: with an 8-page cache over 64 pages nearly
+	// every read lands in a recycled frame, so a reader that ever saw a
+	// frame while another tenant's bytes were in it finds the wrong stamp.
+	t.Run("StampedPages", func(t *testing.T) {
+		const pageSize, pages = 256, 64
+		p, _ := newTestPager(t, pageSize, 8, stampedPages(pageSize, pages, 0))
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				buf := make([]byte, pageSize)
+				for i := 0; i < 4000; i++ {
+					pg := rng.Intn(pages)
+					if err := p.read(fileVertices, int64(pg)*pageSize, buf); err != nil {
+						t.Errorf("goroutine %d: read page %d: %v", g, pg, err)
+						return
+					}
+					if j := firstByteNot(buf, byte(pg+1)); j >= 0 {
+						t.Errorf("goroutine %d: page %d byte %d = %#x, want stamp %#x", g, pg, j, buf[j], byte(pg+1))
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if got := p.resident(); got > p.capacity {
+			t.Errorf("%d pages resident, budget %d", got, p.capacity)
+		}
+		if st := p.stats.snapshot(); st.PageMisses < 4*pages {
+			t.Errorf("misses = %d; the stamped sweep did not thrash the cache", st.PageMisses)
+		}
+	})
+}
+
+// newTestPager opens a bare pager (no Store around it) whose vertex file
+// holds content; the other four files are empty. It returns the vertex
+// file's path so a test can swap the descriptor underneath the pager.
+func newTestPager(t *testing.T, pageSize, capacity int, content []byte) (*pager, string) {
+	t.Helper()
+	dir := t.TempDir()
+	var files [numFiles]*os.File
+	for i, name := range baseFileNames {
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = f
+	}
+	if _, err := files[fileVertices].Write(content); err != nil {
+		t.Fatal(err)
+	}
+	p, err := newPager(files, pageSize, capacity, new(pagerStats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, f := range p.files {
+			f.Close()
+		}
+	})
+	return p, filepath.Join(dir, baseFileNames[fileVertices])
+}
+
+// stampedPages returns pages full pages in which every byte of page i is
+// i+1 (never zero), followed by tail more bytes of the next stamp.
+func stampedPages(pageSize, pages, tail int) []byte {
+	out := make([]byte, pages*pageSize+tail)
+	for i := range out {
+		out[i] = byte(i/pageSize + 1)
+	}
+	return out
+}
+
+// firstByteNot returns the index of the first byte of b that is not
+// want, or -1.
+func firstByteNot(b []byte, want byte) int {
+	for i, c := range b {
+		if c != want {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestPagerMissPathDoesNotAllocate: once the cache is at budget a miss
+// takes its buffer from the frame it evicts. The small page header may
+// still be allocated; a page-sized buffer may not.
+func TestPagerMissPathDoesNotAllocate(t *testing.T) {
+	const pageSize, pages = 8192, 64
+	p, _ := newTestPager(t, pageSize, 4, stampedPages(pageSize, pages, 0))
+	var buf [8]byte
+	next := 0
+	readNext := func() {
+		if err := p.read(fileVertices, int64(next%pages)*pageSize, buf[:]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < 2*pages; i++ { // warm up: fill the budget, start evicting
+		readNext()
+	}
+	before := p.stats.snapshot()
+	allocs := testing.AllocsPerRun(4*pages, readNext)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			readNext()
+		}
+	})
+	after := p.stats.snapshot()
+	// A cyclic sweep over 16x the budget never finds its page resident,
+	// so per-read figures are per-miss figures.
+	if hits := after.PageHits - before.PageHits; hits != 0 {
+		t.Fatalf("%d hits in a sweep that should only miss", hits)
+	}
+	if allocs > 1 {
+		t.Errorf("%.1f allocations per miss, want at most the page header", allocs)
+	}
+	if got := res.AllocedBytesPerOp(); got >= 256 {
+		t.Errorf("%d bytes allocated per miss, want < 256 (a %d-byte frame is being allocated)", got, pageSize)
+	}
+	if p.resident() != p.capacity {
+		t.Errorf("%d frames resident, want the full budget of %d", p.resident(), p.capacity)
+	}
+}
+
+// TestPagerRecycledFrameIsClean: a recycled frame shows its new page and
+// nothing of the previous tenant — bytes past a short read and whole
+// pages past the logical size read as zero, as a fresh buffer's would.
+func TestPagerRecycledFrameIsClean(t *testing.T) {
+	const pageSize, full, tail = 256, 10, 100
+	content := bytes.Repeat([]byte{0xFF}, full*pageSize+tail)
+	p, _ := newTestPager(t, pageSize, 4, content)
+	buf := make([]byte, pageSize)
+	for pg := 0; pg < full; pg++ { // every frame has held 0xFF and been evicted
+		if err := p.read(fileVertices, int64(pg)*pageSize, buf); err != nil {
+			t.Fatal(err)
+		}
+		if j := firstByteNot(buf, 0xFF); j >= 0 {
+			t.Fatalf("page %d byte %d = %#x, want 0xFF", pg, j, buf[j])
+		}
+	}
+	// recycled reports whether the frame now holding page pg sits in a
+	// buffer one of the 0xFF tenants used — i.e. the reads below really
+	// go through recycled memory, not a lucky fresh allocation.
+	dirtyBufs := map[*byte]bool{}
+	for _, pg := range p.shards[0].clock {
+		dirtyBufs[&pg.data[0]] = true
+	}
+	recycled := func(pg int64) bool {
+		fr, err := p.fetch(pageKey{fileVertices, pg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fr.unpin()
+		return dirtyBufs[&fr.data[0]]
+	}
+
+	// (a) the short last page: 100 defined bytes, then zeros.
+	if err := p.read(fileVertices, full*pageSize, buf); err != nil {
+		t.Fatal(err)
+	}
+	if j := firstByteNot(buf[:tail], 0xFF); j >= 0 {
+		t.Errorf("short page byte %d = %#x, want the file's 0xFF", j, buf[j])
+	}
+	if j := firstByteNot(buf[tail:], 0); j >= 0 {
+		t.Errorf("short page byte %d = %#x past the file's end, want 0", tail+j, buf[tail+j])
+	}
+	if !recycled(full) {
+		t.Error("short page was not served from a recycled frame; the test lost its teeth")
+	}
+	// (b) a page wholly past the logical size, read and then written to
+	// (the build path's first touch of a new page).
+	for _, pg := range []int64{full + 2, full + 3} {
+		if pg == full+3 {
+			if err := p.write(fileVertices, pg*pageSize+8, []byte{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.read(fileVertices, pg*pageSize, buf); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, pageSize)
+		if pg == full+3 {
+			copy(want[8:], []byte{1, 2, 3})
+		}
+		if !bytes.Equal(buf, want) {
+			t.Errorf("page %d past the logical size = % x..., want only what was written to it", pg, buf[:16])
+		}
+		if !recycled(pg) {
+			t.Errorf("page %d was not served from a recycled frame; the test lost its teeth", pg)
+		}
+	}
+}
+
+// TestPagerFailedLoadReachesHitAndLoader: a page load that fails reports
+// "diskstore: read page" to the goroutine that ran it and to every
+// goroutine that found the frame in the table meanwhile (they check
+// loadErr under the one latch they take to copy), the frame is dropped,
+// and a fetch after the fault clears reads the page again.
+func TestPagerFailedLoadReachesHitAndLoader(t *testing.T) {
+	const pageSize = 256
+	p, path := newTestPager(t, pageSize, 4, stampedPages(pageSize, 8, 0))
+	isLoadErr := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "diskstore: read page") && errors.Is(err, os.ErrClosed)
+	}
+	p.files[fileVertices].Close() // every ReadAt now fails
+
+	// Loader and whoever hits its frame mid-load, for real: eight
+	// goroutines on one page. Whichever role a read ends up in, it must
+	// fail and must not return bytes.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, pageSize)
+			for i := 0; i < 200; i++ {
+				if err := p.read(fileVertices, 3*pageSize, buf); !isLoadErr(err) {
+					t.Errorf("read over a closed file: err = %v, want a read-page error", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := p.resident(); got != 0 {
+		t.Errorf("%d failed frames left resident", got)
+	}
+
+	// The hit side alone, deterministically: the test stands in for the
+	// loader — a frame in the table with its write latch held — and
+	// fails the load once a reader has pinned it.
+	key := pageKey{fileVertices, 5}
+	fr := &page{key: key, data: bytes.Repeat([]byte{0xEE}, pageSize)}
+	fr.mu.Lock()
+	sh := p.shardOf(key)
+	sh.mu.Lock()
+	sh.table[key] = fr
+	sh.clock = append(sh.clock, fr)
+	sh.mu.Unlock()
+	hit := make(chan error, 1)
+	buf := bytes.Repeat([]byte{0x11}, pageSize)
+	go func() { hit <- p.read(fileVertices, 5*pageSize, buf) }()
+	for fr.ref.Load() == 0 { // the reader pins before it waits on the latch
+		time.Sleep(time.Millisecond)
+	}
+	_, readErr := p.files[fileVertices].ReadAt(fr.data, 5*pageSize)
+	fr.loadErr = errors.Join(errors.New("diskstore: read page (injected)"), readErr)
+	fr.mu.Unlock()
+	if err := <-hit; !isLoadErr(err) {
+		t.Errorf("hit on a frame whose load failed: err = %v, want the loader's error", err)
+	}
+	if j := firstByteNot(buf, 0x11); j >= 0 {
+		t.Errorf("failed hit copied frame bytes out (byte %d = %#x)", j, buf[j])
+	}
+	if err := p.write(fileVertices, 5*pageSize, []byte{1}); !isLoadErr(err) {
+		t.Errorf("write to a frame whose load failed: err = %v, want the loader's error", err)
+	}
+	sh.mu.Lock()
+	delete(sh.table, key)
+	sh.removeFromClock(fr)
+	sh.mu.Unlock()
+
+	// Fault cleared: the same pages load.
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.files[fileVertices] = f
+	reads := p.stats.snapshot().PageReads
+	for _, pg := range []int{3, 5} {
+		if err := p.read(fileVertices, int64(pg)*pageSize, buf); err != nil {
+			t.Fatalf("read page %d after the fault cleared: %v", pg, err)
+		}
+		if j := firstByteNot(buf, byte(pg+1)); j >= 0 {
+			t.Errorf("page %d byte %d = %#x after retry, want stamp %#x", pg, j, buf[j], byte(pg+1))
+		}
+	}
+	if got := p.stats.snapshot().PageReads - reads; got != 2 {
+		t.Errorf("%d physical reads after the fault cleared, want 2 (the failed frames were not cached)", got)
 	}
 }
 

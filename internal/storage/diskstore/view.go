@@ -228,21 +228,22 @@ func (vw view) planVertexScan(label storage.SymbolID, parts int) []storage.Verte
 	return scans
 }
 
+// hasLabelID answers from memory on a live view: the epoch's membership
+// bitmap for base vertices, else the delta (delta vertices, and labels
+// added live to base vertices). Build mode has no bitmap — the single
+// writer is still changing labels — and reads the vertex record.
 func (vw view) hasLabelID(v storage.VID, label storage.SymbolID) bool {
 	if label < 0 || !vw.checkV(v) {
 		return false
 	}
-	if vw.live && int64(v) >= vw.ep.numVertices {
-		return vw.s.delta.hasLabel(v, int(label), vw.w)
+	if !vw.live {
+		rec, err := vw.ep.readVertex(v)
+		return err == nil && rec.labels[label/64]&(1<<uint(label%64)) != 0
 	}
-	rec, err := vw.ep.readVertex(v)
-	if err != nil {
-		return false
-	}
-	if rec.labels[label/64]&(1<<uint(label%64)) != 0 {
+	if int64(v) < vw.ep.numVertices && vw.ep.hasLabelBit(v, label) {
 		return true
 	}
-	return vw.live && vw.s.delta.hasLabel(v, int(label), vw.w)
+	return vw.s.delta.hasLabel(v, int(label), vw.w)
 }
 
 // labelIDsOf returns the vertex's label IDs (unsorted): record bits plus

@@ -285,6 +285,32 @@ func Run(t *testing.T, newStore Factory) {
 		CheckFastEquivalence(t, bulk, storage.Fast(bulk))
 	})
 
+	t.Run("HasLabelMatchesLabels", func(t *testing.T) {
+		// Both write paths, because a backend may answer HasLabelID from a
+		// different structure once a bulk build has been finalized.
+		inc := newStore(t)
+		if _, err := BuildRandom(inc, 31, 150, 300); err != nil {
+			t.Fatal(err)
+		}
+		bulk := newStore(t)
+		if _, err := BuildRandomBulk(bulk, 31, 150, 300, 16); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []storage.Builder{inc, bulk} {
+			CheckLabelMembership(t, s)
+			// A label the store has never seen, on an old vertex and a
+			// new one, after whatever Finalize did.
+			if err := s.AddLabel(3, "Late"); err != nil {
+				t.Fatal(err)
+			}
+			mustVertex(t, s, "Late", "B")
+			CheckLabelMembership(t, s)
+			if !s.HasLabel(3, "Late") || s.HasLabel(4, "Late") {
+				t.Error("HasLabel(Late) wrong after AddLabel")
+			}
+		}
+	})
+
 	t.Run("SnapshotIsolation", func(t *testing.T) {
 		s := newStore(t)
 		if _, err := BuildRandom(s, 4242, 25, 60); err != nil {
@@ -394,6 +420,45 @@ func buildFastPathGraph(t *testing.T, s storage.Builder) {
 	for _, e := range [][3]interface{}{{a, b, "treat"}, {a, b, "treat"}, {a, c, "cause"}, {b, c, "implies"}} {
 		if _, err := s.AddEdge(e[0].(storage.VID), e[1].(storage.VID), e[2].(string)); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// CheckLabelMembership verifies HasLabelID(v, l) == (l ∈ Labels(v)) for
+// every vertex of g and every label any vertex carries, plus one nobody
+// does. Labels and HasLabelID may be served by different structures (a
+// record and an index, say); this is the check that they agree. Exported
+// so backends can repeat it across their lifecycle states.
+func CheckLabelMembership(t *testing.T, g storage.Graph) {
+	t.Helper()
+	fg := storage.Fast(g)
+	n := g.NumVertices()
+	carried := make([]map[string]bool, n)
+	all := map[string]bool{"NoSuchLabel": true}
+	for v := range carried {
+		carried[v] = map[string]bool{}
+		for _, l := range g.Labels(storage.VID(v)) {
+			carried[v][l] = true
+			all[l] = true
+		}
+	}
+	for l := range all {
+		id := fg.LabelID(l)
+		members := 0
+		for v := range carried {
+			want := carried[v][l]
+			if want {
+				members++
+			}
+			if got := fg.HasLabelID(storage.VID(v), id); got != want {
+				t.Errorf("HasLabelID(%d, %q) = %v, but Labels(%d) = %v", v, l, got, v, g.Labels(storage.VID(v)))
+			}
+		}
+		if got := fg.CountLabelID(id); got != members {
+			t.Errorf("CountLabelID(%q) = %d, but %d vertices list it", l, got, members)
+		}
+		if fg.HasLabelID(storage.VID(n), id) || fg.HasLabelID(-1, id) {
+			t.Errorf("HasLabelID(%q) true for a vertex outside [0, %d)", l, n)
 		}
 	}
 }
