@@ -101,10 +101,31 @@ type BulkLoadResult struct {
 	Edges    int
 }
 
-// incrementalOnly hides a store's native batch path behind the plain
-// Builder method set, so loader.Load's BulkLoader degrades to per-item
-// AddVertex/AddEdge calls.
+// incrementalOnly routes loader.Load's batches through the store's
+// per-item AddVertex/AddEdge calls and skips Finalize, measuring the
+// incremental write path.
 type incrementalOnly struct{ storage.Builder }
+
+func (s incrementalOnly) AddVertexBatch(batch []storage.BulkVertex) (storage.VID, error) {
+	first := storage.VID(s.NumVertices())
+	for _, bv := range batch {
+		if _, err := s.AddVertex(bv.Labels...); err != nil {
+			return 0, err
+		}
+	}
+	return first, nil
+}
+
+func (s incrementalOnly) AddEdgeBatch(batch []storage.BulkEdge) error {
+	for _, be := range batch {
+		if _, err := s.AddEdge(be.Src, be.Dst, be.Type); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (incrementalOnly) Finalize() error { return nil }
 
 // BulkLoad measures loading the environment's dataset through the bulk
 // pipeline versus the incremental write path on the given backend. Both

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/loader"
-	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
 	"repro/internal/storage/storetest"
 )
@@ -86,9 +85,6 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 	}
 	if got, want := storetest.Fingerprint(bulk), storetest.Fingerprint(inc); got != want {
 		t.Errorf("bulk-loaded diskstore diverges from incremental load:\n got: %.300s...\nwant: %.300s...", got, want)
-	}
-	if ts, ok := storage.Builder(bulk).(storage.TypeSegmentedGraph); !ok || !ts.SegmentedAdjacency() {
-		t.Error("bulk-loaded diskstore is not type-segmented")
 	}
 	if ds, ok := bulk.(*diskstore.Store); !ok || !ds.Format().Compressed {
 		t.Error("bulk-loaded diskstore is not finalized into compressed segments")

@@ -184,10 +184,10 @@ func TestCacheConcurrentGet(t *testing.T) {
 	}
 }
 
-// gateGraph wraps a store behind the plain Graph interface (hiding its
-// native FastGraph, like storetest.stringOnly) and parks any Prepare
-// against it inside CountLabel until the gate is released. blocked counts
-// the CountLabel calls that found the gate closed — i.e. the number of
+// gateGraph wraps a store and parks any Prepare against it inside
+// CountLabelID (the planner's label-size lookup) until the gate is
+// released. blocked counts the CountLabelID calls that found the gate
+// closed — i.e. the number of
 // compiles that actually started while the gate was shut — which is how
 // the singleflight tests prove "exactly one compile".
 type gateGraph struct {
@@ -196,14 +196,14 @@ type gateGraph struct {
 	blocked atomic.Int32
 }
 
-func (g *gateGraph) CountLabel(label string) int {
+func (g *gateGraph) CountLabelID(label storage.SymbolID) int {
 	select {
 	case <-g.gate:
 	default:
 		g.blocked.Add(1)
 		<-g.gate
 	}
-	return g.Graph.CountLabel(label)
+	return g.Graph.CountLabelID(label)
 }
 
 // waitFor polls until cond is satisfied or a deadline passes.
@@ -335,12 +335,12 @@ type panicGraph struct {
 	panicked atomic.Bool
 }
 
-func (g *panicGraph) CountLabel(label string) int {
+func (g *panicGraph) CountLabelID(label storage.SymbolID) int {
 	<-g.gate
 	if g.panicked.CompareAndSwap(false, true) {
 		panic("compile blew up")
 	}
-	return g.Graph.CountLabel(label)
+	return g.Graph.CountLabelID(label)
 }
 
 // TestCacheSingleflightLeaderPanic checks a panicking compile cannot

@@ -16,7 +16,7 @@ type cexpr func(m *machine) (graph.Value, error)
 // compiler accumulates the variable numbering and symbol resolution for
 // one Prepare call.
 type compiler struct {
-	g     storage.FastGraph
+	g     storage.Graph
 	slots map[string]int
 	order []string
 }

@@ -73,7 +73,7 @@ func TestExecContext(t *testing.T) {
 	}
 }
 
-// cancelAfterGraph cancels a context from inside the store once HasLabel
+// cancelAfterGraph cancels a context from inside the store once HasLabelID
 // has been called n times, making mid-query cancellation deterministic:
 // the executor must notice within cancelMask+1 further iterations.
 type cancelAfterGraph struct {
@@ -83,11 +83,11 @@ type cancelAfterGraph struct {
 	calls  atomic.Int64
 }
 
-func (g *cancelAfterGraph) HasLabel(v storage.VID, label string) bool {
+func (g *cancelAfterGraph) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	if g.calls.Add(1) == g.after {
 		g.cancel()
 	}
-	return g.Graph.HasLabel(v, label)
+	return g.Graph.HasLabelID(v, label)
 }
 
 func TestExecCancelMidQuery(t *testing.T) {
@@ -95,8 +95,7 @@ func TestExecCancelMidQuery(t *testing.T) {
 	mem := buildWideGraph(t, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Wrapping hides the native fast path, so the executor goes through
-	// the fallback adapter and every scan candidate calls HasLabel.
+	// Every scan candidate's label check calls HasLabelID.
 	g := &cancelAfterGraph{Graph: mem, cancel: cancel, after: 3 * cancelMask}
 	p, err := Prepare(g, cypher.MustParse(`MATCH (a:Drug), (b:Drug) RETURN COUNT(*)`))
 	if err != nil {

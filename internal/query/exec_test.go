@@ -44,12 +44,12 @@ func TestPreparedExecSurface(t *testing.T) {
 // acquired and released, and every executor read that reaches the store
 // itself instead of a snapshot.
 type pinGraph struct {
-	storage.FastGraph
+	storage.Graph
 	acquired, released, liveReads atomic.Int64
 }
 
 type pinSnap struct {
-	storage.FastGraph
+	storage.Graph
 	g *pinGraph
 }
 
@@ -57,7 +57,7 @@ func (s pinSnap) Release() { s.g.released.Add(1) }
 
 func (g *pinGraph) AcquireSnapshot() storage.Snapshot {
 	g.acquired.Add(1)
-	return pinSnap{g.FastGraph, g}
+	return pinSnap{g.Graph, g}
 }
 
 func (g *pinGraph) ApplyMutations([]storage.Mutation) (storage.MutationResult, error) {
@@ -67,35 +67,35 @@ func (g *pinGraph) Compact() error { return nil }
 
 func (g *pinGraph) CountLabelID(l storage.SymbolID) int {
 	g.liveReads.Add(1)
-	return g.FastGraph.CountLabelID(l)
+	return g.Graph.CountLabelID(l)
 }
 func (g *pinGraph) ForEachVertexID(l storage.SymbolID, fn func(storage.VID) bool) {
 	g.liveReads.Add(1)
-	g.FastGraph.ForEachVertexID(l, fn)
+	g.Graph.ForEachVertexID(l, fn)
 }
 func (g *pinGraph) PlanVertexScan(l storage.SymbolID, parts int) []storage.VertexScan {
 	g.liveReads.Add(1)
-	return g.FastGraph.PlanVertexScan(l, parts)
+	return g.Graph.PlanVertexScan(l, parts)
 }
 func (g *pinGraph) HasLabelID(v storage.VID, l storage.SymbolID) bool {
 	g.liveReads.Add(1)
-	return g.FastGraph.HasLabelID(v, l)
+	return g.Graph.HasLabelID(v, l)
 }
 func (g *pinGraph) PropID(v storage.VID, k storage.SymbolID) (graph.Value, bool) {
 	g.liveReads.Add(1)
-	return g.FastGraph.PropID(v, k)
+	return g.Graph.PropID(v, k)
 }
 func (g *pinGraph) ForEachOutID(v storage.VID, et storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
 	g.liveReads.Add(1)
-	g.FastGraph.ForEachOutID(v, et, fn)
+	g.Graph.ForEachOutID(v, et, fn)
 }
 func (g *pinGraph) ForEachInID(v storage.VID, et storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
 	g.liveReads.Add(1)
-	g.FastGraph.ForEachInID(v, et, fn)
+	g.Graph.ForEachInID(v, et, fn)
 }
 func (g *pinGraph) DegreeID(v storage.VID, et storage.SymbolID, out bool) int {
 	g.liveReads.Add(1)
-	return g.FastGraph.DegreeID(v, et, out)
+	return g.Graph.DegreeID(v, et, out)
 }
 
 // TestExecPinsOneSnapshot: on a backend that takes live writes, an
@@ -106,7 +106,7 @@ func (g *pinGraph) DegreeID(v storage.VID, et storage.SymbolID, out bool) int {
 func TestExecPinsOneSnapshot(t *testing.T) {
 	mem := memstore.New()
 	buildPeopleGraph(t, mem, 200)
-	g := &pinGraph{FastGraph: mem}
+	g := &pinGraph{Graph: mem}
 	for _, src := range []string{
 		`MATCH (a:Person)-[:knows]->(b:Person) WHERE b.age > 3 RETURN a.name, b.name`,
 		`MATCH (p:Person)<-[:knows]-(q:Admin) RETURN p.grp, COUNT(*)`,

@@ -60,7 +60,7 @@ func (p *Prepared) Columns() []string { return p.cols }
 // planMorsels makes the runtime half of the parallelism decision and, when
 // parallel execution pays off, partitions the root scan over g (the view
 // Exec pinned). A nil return means: one morsel, inline.
-func (p *Prepared) planMorsels(g storage.FastGraph, workers int) []storage.VertexScan {
+func (p *Prepared) planMorsels(g storage.Graph, workers int) []storage.VertexScan {
 	if workers <= 1 || !p.parallelOK {
 		return nil
 	}
@@ -85,7 +85,7 @@ func (p *Prepared) planMorsels(g storage.FastGraph, workers int) []storage.Verte
 // driver's machine — rows into dm.fin as they arrive, partial groups and
 // exact work counters (and PROFILE counters, when prof is non-nil) once
 // every worker has finished. The caller runs the ordinary finish next.
-func (p *Prepared) runMorsels(ctx context.Context, g storage.FastGraph, scans []storage.VertexScan, workers int, dm *machine, prof *Profile) error {
+func (p *Prepared) runMorsels(ctx context.Context, g storage.Graph, scans []storage.VertexScan, workers int, dm *machine, prof *Profile) error {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

@@ -24,7 +24,7 @@ import (
 // callers sharing one plan — provided the underlying store supports
 // concurrent readers (both built-in backends do once fully built).
 type Prepared struct {
-	g    storage.FastGraph
+	g    storage.Graph
 	cols []string
 	// snaps is non-nil when the backend both accepts concurrent mutations
 	// and can pin point-in-time views: Exec then acquires exactly one
@@ -96,7 +96,7 @@ type citem struct {
 type machine struct {
 	// g is the view this execution reads: the snapshot Exec pinned, or
 	// the plan's store when the backend needs no pin.
-	g     storage.FastGraph
+	g     storage.Graph
 	stats *Stats
 	err   error
 
@@ -213,8 +213,7 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 	if q.Where != nil && cypher.HasAggregate(q.Where) {
 		return nil, fmt.Errorf("query: aggregates are not allowed in WHERE")
 	}
-	fg := storage.Fast(g)
-	c := &compiler{g: fg, slots: map[string]int{}}
+	c := &compiler{g: g, slots: map[string]int{}}
 	// Number every pattern variable into a slot first so expressions can
 	// reference variables bound by any pattern.
 	for _, p := range q.Patterns {
@@ -222,9 +221,9 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 			c.slot(n.Var)
 		}
 	}
-	p := &Prepared{g: fg, limit: q.Limit, distinct: q.Distinct}
-	if _, mutable := fg.(storage.MutableGraph); mutable {
-		p.snaps, _ = fg.(storage.Snapshotter)
+	p := &Prepared{g: g, limit: q.Limit, distinct: q.Distinct}
+	if _, mutable := g.(storage.MutableGraph); mutable {
+		p.snaps, _ = g.(storage.Snapshotter)
 	}
 	for _, ri := range q.Return {
 		p.cols = append(p.cols, ri.Name())
@@ -352,7 +351,7 @@ func nameAnonymousVars(q *cypher.Query) {
 }
 
 // begin prepares a machine for one execution reading the view g.
-func (m *machine) begin(ctx context.Context, g storage.FastGraph, st *Stats) {
+func (m *machine) begin(ctx context.Context, g storage.Graph, st *Stats) {
 	m.g = g
 	m.stats = st
 	m.done, m.ctx = ctx.Done(), ctx
@@ -499,12 +498,13 @@ func (c *compiler) planPattern(pat *cypher.PathPattern, boundSlots map[int]bool)
 			// Scan the most selective label; AnySymbol scans everything.
 			mv.scanLabel = storage.AnySymbol
 			if len(n.Labels) > 0 {
-				best := c.g.CountLabel(n.Labels[0])
 				mv.scanLabel = c.g.LabelID(n.Labels[0])
 				mv.scanName = n.Labels[0]
+				best := c.g.CountLabelID(mv.scanLabel)
 				for _, l := range n.Labels[1:] {
-					if cnt := c.g.CountLabel(l); cnt < best {
-						mv.scanLabel, best = c.g.LabelID(l), cnt
+					id := c.g.LabelID(l)
+					if cnt := c.g.CountLabelID(id); cnt < best {
+						mv.scanLabel, best = id, cnt
 						mv.scanName = l
 					}
 				}
@@ -536,9 +536,9 @@ func (c *compiler) planPattern(pat *cypher.PathPattern, boundSlots map[int]bool)
 }
 
 func (c *compiler) minLabelCount(labels []string) int64 {
-	best := c.g.CountLabel(labels[0])
+	best := c.g.CountLabelID(c.g.LabelID(labels[0]))
 	for _, l := range labels[1:] {
-		if cnt := c.g.CountLabel(l); cnt < best {
+		if cnt := c.g.CountLabelID(c.g.LabelID(l)); cnt < best {
 			best = cnt
 		}
 	}

@@ -9,10 +9,6 @@ import (
 	"repro/internal/storage/memstore"
 )
 
-// stringOnly hides memstore's native fast path so queries compile through
-// the generic fallback adapter.
-type stringOnly struct{ storage.Graph }
-
 func TestPreparedPlanIsReusable(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b storage.Builder) {
 		buildMedGraph(t, b)
@@ -40,37 +36,6 @@ func TestPreparedPlanIsReusable(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestCompiledMatchesFallback runs the full query battery through the
-// generic string-API adapter and compares row-for-row with the native fast
-// path, proving the compiled plan does not depend on native SymbolID
-// support.
-func TestCompiledMatchesFallback(t *testing.T) {
-	queries := []string{
-		`MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc`,
-		`MATCH (d:Drug)-[:cause]->(r:Risk)<-[:unionOf]-(ci:ContraIndication) RETURN d.name, ci.desc`,
-		`MATCH (d:Drug {name: 'Aspirin'})-[:treat]->(i:Indication) RETURN i.desc`,
-		`MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, size(COLLECT(i.desc))`,
-		`MATCH (d:Drug) WHERE d.name = 'Aspirin' OR d.brand = 'Motrin' RETURN d.name, d.brand`,
-		`MATCH (d:Drug)-[]->() RETURN COUNT(*)`,
-		`MATCH (x:NoSuchLabel) RETURN COUNT(*)`,
-	}
-	mem := memstore.New()
-	buildMedGraph(t, mem)
-	for _, src := range queries {
-		native := mustRun(t, mem, src)
-		wrapped, err := Run(stringOnly{mem}, cypher.MustParse(src))
-		if err != nil {
-			t.Fatalf("fallback Run(%q): %v", src, err)
-		}
-		SortRowsForComparison(native.Rows)
-		SortRowsForComparison(wrapped.Rows)
-		if !reflect.DeepEqual(rowStrings(native), rowStrings(wrapped)) {
-			t.Errorf("fallback disagreement on %q:\n  native: %v\nfallback: %v",
-				src, rowStrings(native), rowStrings(wrapped))
-		}
-	}
 }
 
 // buildTwoHopGraph wires fanout² two-hop paths: A -r-> 10×B -s-> 10×C per

@@ -207,7 +207,7 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// gatedGraph parks every ForEachVertex call on a gate channel and counts
+// gatedGraph parks every ForEachVertexID call on a gate channel and counts
 // how many executors are parked, making "a query is running right now"
 // observable and controllable from the test body.
 type gatedGraph struct {
@@ -216,10 +216,10 @@ type gatedGraph struct {
 	parked atomic.Int32
 }
 
-func (g *gatedGraph) ForEachVertex(label string, fn func(storage.VID) bool) {
+func (g *gatedGraph) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
 	g.parked.Add(1)
 	<-g.gate
-	g.Graph.ForEachVertex(label, fn)
+	g.Graph.ForEachVertexID(label, fn)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -300,7 +300,7 @@ func TestSaturationSheds429(t *testing.T) {
 	}
 }
 
-// sleeperGraph delays every HasLabel call, making a label scan take a
+// sleeperGraph delays every HasLabelID call, making a label scan take a
 // predictable minimum wall time so a short request timeout reliably
 // expires at the executor's first cancellation checkpoint.
 type sleeperGraph struct {
@@ -308,9 +308,9 @@ type sleeperGraph struct {
 	delay time.Duration
 }
 
-func (g *sleeperGraph) HasLabel(v storage.VID, label string) bool {
+func (g *sleeperGraph) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	time.Sleep(g.delay)
-	return g.Graph.HasLabel(v, label)
+	return g.Graph.HasLabelID(v, label)
 }
 
 func TestRequestTimeoutCancelsMidQuery(t *testing.T) {
@@ -335,7 +335,7 @@ func TestRequestTimeoutCancelsMidQuery(t *testing.T) {
 	}
 }
 
-// cancelAfterGraph cancels a context from inside the store once HasLabel
+// cancelAfterGraph cancels a context from inside the store once HasLabelID
 // has been called after times: the request dies mid-scan, deterministically.
 type cancelAfterGraph struct {
 	storage.Graph
@@ -344,11 +344,11 @@ type cancelAfterGraph struct {
 	calls  atomic.Int64
 }
 
-func (g *cancelAfterGraph) HasLabel(v storage.VID, label string) bool {
+func (g *cancelAfterGraph) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	if g.calls.Add(1) == g.after {
 		g.cancel()
 	}
-	return g.Graph.HasLabel(v, label)
+	return g.Graph.HasLabelID(v, label)
 }
 
 // TestCancelMidStreamSendsNoRows: a request canceled after hundreds of its

@@ -20,11 +20,10 @@ type BulkEdge struct {
 	Type     string
 }
 
-// BatchBuilder is the native bulk write path a store may provide in
-// addition to Builder. It trades the per-call read-modify-write work of
-// AddVertex/AddEdge for deferred construction: batches only append raw
-// records, and Finalize builds adjacency, degree, and index structures in
-// one pass.
+// BatchBuilder is Builder's batched write path. It trades the per-call
+// read-modify-write work of AddVertex/AddEdge for deferred construction:
+// batches only append raw records, and Finalize builds adjacency, degree,
+// and index structures in one pass.
 //
 // Contract:
 //
@@ -50,36 +49,20 @@ type BatchBuilder interface {
 	Finalize() error
 }
 
-// TypeSegmentedGraph is implemented by stores whose adjacency is grouped
-// by edge type, so typed ForEachOutID/ForEachInID seek directly to the
-// matching segment and never touch other types' edges. Stores report the
-// property dynamically: incremental AddEdge calls typically break the
-// segmentation invariant until the next Finalize/compact step restores it.
-type TypeSegmentedGraph interface {
-	// SegmentedAdjacency reports whether adjacency is currently
-	// type-segmented.
-	SegmentedAdjacency() bool
-}
-
 // DefaultBulkBatch is the BulkLoader's default batch size.
 const DefaultBulkBatch = 4096
 
-// BulkLoader streams vertices and edges into a Builder in batches. It is
-// the write-path analogue of storage.Fast: stores implementing
-// BatchBuilder get the native batched path (deferred degree/index
-// construction, one finalize); any other Builder gets the same API
-// degraded to per-item AddVertex/AddEdge calls, so loading code can be
-// written once against the bulk API.
+// BulkLoader streams vertices and edges into a Builder's BatchBuilder
+// path in batches (deferred degree/index construction, one finalize).
 //
 // Vertex IDs are assigned at buffering time (stores assign VIDs
-// sequentially from NumVertices(); the generic path verifies this), so
+// sequentially from NumVertices(); each flush verifies this), so
 // buffered edges may reference buffered vertices. AddLabel and SetProp
 // flush pending vertices and pass through, since they require the vertex
 // to exist. Finalize must be called after the last Add; it flushes both
 // buffers and runs the store's deferred construction.
 type BulkLoader struct {
 	b     Builder
-	bb    BatchBuilder // non-nil when b provides the native path
 	batch int
 
 	nextVID VID
@@ -92,8 +75,7 @@ func NewBulkLoader(b Builder, batchSize int) *BulkLoader {
 	if batchSize <= 0 {
 		batchSize = DefaultBulkBatch
 	}
-	bb, _ := b.(BatchBuilder)
-	return &BulkLoader{b: b, bb: bb, batch: batchSize, nextVID: VID(b.NumVertices())}
+	return &BulkLoader{b: b, batch: batchSize, nextVID: VID(b.NumVertices())}
 }
 
 // AddVertex buffers a vertex and returns its (already final) VID.
@@ -149,41 +131,25 @@ func (l *BulkLoader) Flush() error {
 }
 
 // Finalize flushes all buffered work and completes the store's deferred
-// construction (native BatchBuilder stores only; a no-op otherwise).
-// Call it once, after the last Add and before the store is read.
+// construction. Call it once, after the last Add and before the store is
+// read.
 func (l *BulkLoader) Finalize() error {
 	if err := l.Flush(); err != nil {
 		return err
 	}
-	if l.bb != nil {
-		return l.bb.Finalize()
-	}
-	return nil
+	return l.b.Finalize()
 }
 
 func (l *BulkLoader) flushVertices() error {
 	if len(l.vbuf) == 0 {
 		return nil
 	}
-	if l.bb != nil {
-		first, err := l.bb.AddVertexBatch(l.vbuf)
-		if err != nil {
-			return err
-		}
-		if want := l.nextVID - VID(len(l.vbuf)); first != want {
-			return fmt.Errorf("storage: batch vertex IDs start at %d, loader predicted %d", first, want)
-		}
-	} else {
-		base := l.nextVID - VID(len(l.vbuf))
-		for i, bv := range l.vbuf {
-			got, err := l.b.AddVertex(bv.Labels...)
-			if err != nil {
-				return err
-			}
-			if got != base+VID(i) {
-				return fmt.Errorf("storage: store assigned VID %d, loader predicted %d; bulk loading needs sequential VIDs", got, base+VID(i))
-			}
-		}
+	first, err := l.b.AddVertexBatch(l.vbuf)
+	if err != nil {
+		return err
+	}
+	if want := l.nextVID - VID(len(l.vbuf)); first != want {
+		return fmt.Errorf("storage: batch vertex IDs start at %d, loader predicted %d", first, want)
 	}
 	l.vbuf = l.vbuf[:0]
 	return nil
@@ -193,16 +159,8 @@ func (l *BulkLoader) flushEdges() error {
 	if len(l.ebuf) == 0 {
 		return nil
 	}
-	if l.bb != nil {
-		if err := l.bb.AddEdgeBatch(l.ebuf); err != nil {
-			return err
-		}
-	} else {
-		for _, be := range l.ebuf {
-			if _, err := l.b.AddEdge(be.Src, be.Dst, be.Type); err != nil {
-				return err
-			}
-		}
+	if err := l.b.AddEdgeBatch(l.ebuf); err != nil {
+		return err
 	}
 	l.ebuf = l.ebuf[:0]
 	return nil

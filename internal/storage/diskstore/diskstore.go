@@ -275,6 +275,8 @@ func (ep *epoch) closeFiles() error {
 // generation (see compact.go), and AcquireSnapshot pins a consistent
 // {epoch, delta watermark} view across the swap (see view.go).
 type Store struct {
+	storage.ByName
+
 	dir  string
 	opts Options
 
@@ -399,10 +401,6 @@ func (s *Store) Format() FormatInfo {
 	}
 }
 
-// SegmentedAdjacency reports whether adjacency is currently grouped by
-// edge type (see storage.TypeSegmentedGraph).
-func (s *Store) SegmentedAdjacency() bool { return s.curEp().compressed }
-
 // curEp returns the current epoch without pinning it — for uses that
 // only read immutable fields and never touch the pager after a
 // potential swap.
@@ -414,12 +412,9 @@ func (s *Store) curEp() *epoch {
 }
 
 var (
-	_ storage.Builder            = (*Store)(nil)
-	_ storage.FastGraph          = (*Store)(nil)
-	_ storage.StatsReporter      = (*Store)(nil)
-	_ storage.BatchBuilder       = (*Store)(nil)
-	_ storage.TypeSegmentedGraph = (*Store)(nil)
-	_ storage.Snapshotter        = (*Store)(nil)
+	_ storage.Builder       = (*Store)(nil)
+	_ storage.StatsReporter = (*Store)(nil)
+	_ storage.Snapshotter   = (*Store)(nil)
 )
 
 // Open creates (or reopens) a store in dir. A store written by an
@@ -512,6 +507,7 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 		typeIDs:  map[string]int{},
 		keyIDs:   map[string]int{},
 	}
+	s.ByName = storage.NewByName(s)
 	pg, err := newPager(files, opts.PageSize, opts.CachePages, &s.pagerStats)
 	if err != nil {
 		return nil, err

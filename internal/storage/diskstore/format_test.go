@@ -201,13 +201,13 @@ func TestSegmentedTypedTraversalReadsFewerPages(t *testing.T) {
 	plainHub := buildMixedHub(t, plain, fan, types)
 	seg := newTestStore(t, Options{PageSize: 512, CachePages: 64})
 	segHub := buildMixedHub(t, seg, fan, types)
-	if seg.SegmentedAdjacency() {
+	if seg.Format().Compressed {
 		t.Fatal("incrementally built store claims segmentation")
 	}
 	if err := seg.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if !seg.SegmentedAdjacency() {
+	if !seg.Format().Compressed {
 		t.Fatal("Compact did not establish segmentation")
 	}
 
@@ -360,7 +360,7 @@ func checkGoldenUpgrade(t *testing.T, fixture string) {
 	if got := storetest.Fingerprint(s); got != string(want) {
 		t.Error("upgraded store diverges from the recorded fingerprint")
 	}
-	storetest.CheckFastEquivalence(t, s, storage.Fast(s))
+	storetest.CheckFastEquivalence(t, s, s)
 	for _, q := range upgradeQueries {
 		if len(runQuerySorted(t, s, q)) == 0 {
 			t.Errorf("query %q returned no rows on the upgraded store", q)
@@ -471,7 +471,7 @@ func TestBulkFlushAutoFinalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if !re.SegmentedAdjacency() {
+	if !re.Format().Compressed {
 		t.Error("auto-finalized store not segmented")
 	}
 	if got := re.Degree(first, "t", true); got != 1 {

@@ -175,8 +175,10 @@ func (s *Store) loadIndex(ep *epoch) bool {
 		for i := range typeCounts {
 			typeCounts[i] = int64(r.u64())
 		}
+		// Counts and sizes are checked against the bytes left before
+		// anything is allocated: a filter takes at least 28 of them.
 		nb := r.u32()
-		if !r.ok || nb > uint32(bloomMaxBits) {
+		if !r.ok || uint64(nb) > uint64(len(r.data))/28 {
 			return false
 		}
 		blooms = make(map[uint64]*bloom, nb)
@@ -185,7 +187,7 @@ func (s *Store) loadIndex(ep *epoch) bool {
 			keyID := r.u32()
 			m := r.u64()
 			k := r.u32()
-			if !r.ok || m == 0 || m%64 != 0 || m > bloomMaxBits || k == 0 || k > 64 {
+			if !r.ok || m == 0 || m%64 != 0 || m > bloomMaxBits || m/8 > uint64(len(r.data)) || k == 0 || k > 64 {
 				return false
 			}
 			bits := make([]uint64, m/64)

@@ -189,7 +189,7 @@ func TestCompactFoldsDeltaAndCheckpointsWAL(t *testing.T) {
 		t.Errorf("reopened compacted store diverged\n got %s\nwant %s", got, want)
 	}
 	// Typed traversal over the folded edges must use segment seeks again.
-	if !s2.SegmentedAdjacency() {
+	if !s2.Format().Compressed {
 		t.Error("reopened compacted store should be segmented")
 	}
 }
@@ -511,7 +511,7 @@ func TestVertexOnlyStoreStaysBuildMode(t *testing.T) {
 func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	s, ms := openLivePair(t, t.TempDir())
 	defer s.Close()
-	if !s.SegmentedAdjacency() {
+	if !s.Format().Compressed {
 		t.Fatal("base store not segmented")
 	}
 	if _, err := s.AddEdge(0, 1, "r1"); err != nil {
@@ -520,7 +520,7 @@ func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	if _, err := ms.AddEdge(0, 1, "r1"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.SegmentedAdjacency() {
+	if !s.Format().Compressed {
 		t.Error("incremental AddEdge on a live store cleared the segmented invariant")
 	}
 	ls := s.LiveStats()

@@ -87,10 +87,9 @@ func TestPagerConcurrentEvictionPressure(t *testing.T) {
 	}
 	s.ResetStats()
 	want := storetest.Fingerprint(s)
-	fg := storage.Fast(s)
 	wantDeg := make([]int, s.NumVertices())
 	for v := range wantDeg {
-		wantDeg[v] = fg.DegreeID(storage.VID(v), fg.TypeID("r1"), true)
+		wantDeg[v] = s.DegreeID(storage.VID(v), s.TypeID("r1"), true)
 	}
 
 	const workers = 8
@@ -106,7 +105,7 @@ func TestPagerConcurrentEvictionPressure(t *testing.T) {
 				}
 				deg := make([]int, s.NumVertices())
 				for v := range deg {
-					deg[v] = fg.DegreeID(storage.VID(v), fg.TypeID("r1"), true)
+					deg[v] = s.DegreeID(storage.VID(v), s.TypeID("r1"), true)
 				}
 				if !reflect.DeepEqual(deg, wantDeg) {
 					t.Errorf("goroutine %d sweep %d: degrees diverged under eviction pressure", g, i)

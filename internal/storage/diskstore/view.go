@@ -85,29 +85,30 @@ func (s *Store) reclaimEpoch(ep *epoch) {
 
 // ---- view read logic ----
 
-// numVertices is the view's total vertex count (also its VID bound —
+// NumVertices is the view's total vertex count (also its VID bound —
 // delta VIDs continue the base range with no holes inside a consistent
 // view).
-func (vw view) numVertices() int64 {
+func (vw view) NumVertices() int {
 	if !vw.live {
-		return vw.ep.numVertices
+		return int(vw.ep.numVertices)
 	}
 	if vw.nV >= 0 {
-		return vw.nV
+		return int(vw.nV)
 	}
 	// Dynamic current-epoch view: the delta's global next-VID *is* the
 	// visible total (base absorbed a prefix of the same numbering).
-	return vw.s.delta.nextV.Load()
+	return int(vw.s.delta.nextV.Load())
 }
 
-func (vw view) numEdges() int64 {
+// NumEdges is the view's total edge count (base plus visible delta).
+func (vw view) NumEdges() int {
 	if !vw.live {
-		return vw.ep.numEdges
+		return int(vw.ep.numEdges)
 	}
 	if vw.nE >= 0 {
-		return vw.nE
+		return int(vw.nE)
 	}
-	return vw.s.delta.nextE.Load()
+	return int(vw.s.delta.nextE.Load())
 }
 
 // deltaEdges is the number of delta edges visible in the view — a cheap
@@ -116,16 +117,24 @@ func (vw view) deltaEdges() int64 {
 	if !vw.live {
 		return 0
 	}
-	return vw.numEdges() - vw.ep.numEdges
+	return int64(vw.NumEdges()) - vw.ep.numEdges
 }
 
 func (vw view) checkV(v storage.VID) bool {
-	return v >= 0 && int64(v) < vw.numVertices()
+	return v >= 0 && int(v) < vw.NumVertices()
 }
 
-func (vw view) countLabelID(label storage.SymbolID) int {
+// LabelID, TypeID and KeyID resolve through the store-wide tables
+// (append-only, IDs stable); a symbol interned after a snapshot was
+// acquired resolves to an ID with no members visible through it.
+func (vw view) LabelID(label string) storage.SymbolID { return vw.s.LabelID(label) }
+func (vw view) TypeID(etype string) storage.SymbolID  { return vw.s.TypeID(etype) }
+func (vw view) KeyID(key string) storage.SymbolID     { return vw.s.KeyID(key) }
+
+// CountLabelID is the base index size plus the visible delta members.
+func (vw view) CountLabelID(label storage.SymbolID) int {
 	if label == storage.AnySymbol {
-		return int(vw.numVertices())
+		return vw.NumVertices()
 	}
 	if label < 0 {
 		return 0
@@ -137,10 +146,12 @@ func (vw view) countLabelID(label storage.SymbolID) int {
 	return n
 }
 
-func (vw view) forEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
+// ForEachVertexID scans the base index first, then the visible delta
+// members.
+func (vw view) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
 	if label == storage.AnySymbol {
-		total := vw.numVertices()
-		for v := int64(0); v < total; v++ {
+		total := vw.NumVertices()
+		for v := 0; v < total; v++ {
 			if !fn(storage.VID(v)) {
 				return
 			}
@@ -164,7 +175,7 @@ func (vw view) forEachVertexID(label storage.SymbolID, fn func(storage.VID) bool
 	}
 }
 
-// planVertexScan splits the label's base postings plus its
+// PlanVertexScan splits the label's base postings plus its
 // delta-visible members into near-even partitions for morsel-style
 // parallel execution. Base partitions are subslices of the (immutable
 // per epoch) posting index; delta members are copied once here, so the
@@ -173,15 +184,15 @@ func (vw view) forEachVertexID(label storage.SymbolID, fn func(storage.VID) bool
 // even if the caller's pin is released before they run. (Cross-fold
 // consistency for the rest of the query still needs a held Snapshot;
 // the query layer acquires one.)
-func (vw view) planVertexScan(label storage.SymbolID, parts int) []storage.VertexScan {
+func (vw view) PlanVertexScan(label storage.SymbolID, parts int) []storage.VertexScan {
 	if label == storage.AnySymbol {
 		// Snapshot the dense VID range once; vertices appended to the
 		// delta after this point belong to no partition, matching a
 		// serial scan that snapshots NumVertices up front.
-		ranges := storage.SplitRange(int(vw.numVertices()), parts)
+		ranges := storage.SplitRange(vw.NumVertices(), parts)
 		scans := make([]storage.VertexScan, len(ranges))
 		for i, r := range ranges {
-			lo, hi := int64(r[0]), int64(r[1])
+			lo, hi := r[0], r[1]
 			scans[i] = func(fn func(storage.VID) bool) {
 				for v := lo; v < hi; v++ {
 					if !fn(storage.VID(v)) {
@@ -228,11 +239,11 @@ func (vw view) planVertexScan(label storage.SymbolID, parts int) []storage.Verte
 	return scans
 }
 
-// hasLabelID answers from memory on a live view: the epoch's membership
+// HasLabelID answers from memory on a live view: the epoch's membership
 // bitmap for base vertices, else the delta (delta vertices, and labels
 // added live to base vertices). Build mode has no bitmap — the single
 // writer is still changing labels — and reads the vertex record.
-func (vw view) hasLabelID(v storage.VID, label storage.SymbolID) bool {
+func (vw view) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	if label < 0 || !vw.checkV(v) {
 		return false
 	}
@@ -246,14 +257,14 @@ func (vw view) hasLabelID(v storage.VID, label storage.SymbolID) bool {
 	return vw.s.delta.hasLabel(v, int(label), vw.w)
 }
 
-// labelIDsOf returns the vertex's label IDs (unsorted): record bits plus
-// delta additions for base vertices, delta state for delta vertices.
-func (vw view) labelIDsOf(v storage.VID) []int {
+// Labels returns the vertex's labels, sorted: record bits plus delta
+// additions for base vertices, delta state for delta vertices.
+func (vw view) Labels(v storage.VID) []string {
 	if !vw.checkV(v) {
 		return nil
 	}
 	if vw.live && int64(v) >= vw.ep.numVertices {
-		return vw.s.delta.vertexLabelIDs(v, vw.w)
+		return vw.s.labelNames(vw.s.delta.vertexLabelIDs(v, vw.w))
 	}
 	rec, err := vw.ep.readVertex(v)
 	if err != nil {
@@ -263,14 +274,14 @@ func (vw view) labelIDsOf(v storage.VID) []int {
 	if vw.live {
 		ids = append(ids, vw.s.delta.labelAddIDs(v, vw.w)...)
 	}
-	return ids
+	return vw.s.labelNames(ids)
 }
 
-// propID returns the property value visible in the view. Delta-side
+// PropID returns the property value visible in the view. Delta-side
 // values win: a live SetProp overrides the base chain without touching
 // it (the delta hides overrides the base already absorbed, so the two
 // sides never double-report).
-func (vw view) propID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
+func (vw view) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	if key < 0 || !vw.checkV(v) {
 		return graph.Null, false
 	}
@@ -303,9 +314,10 @@ func (vw view) propID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	return graph.Null, false
 }
 
-// propKeyIDsOf returns the key IDs with values on v in the view,
-// deduplicated (an override of an existing key appears once).
-func (vw view) propKeyIDsOf(v storage.VID) []int {
+// PropKeys returns the keys with values on v in the view, sorted and
+// deduplicated (an override of an existing key appears once): base-chain
+// keys merged with delta-side values.
+func (vw view) PropKeys(v storage.VID) []string {
 	if !vw.checkV(v) {
 		return nil
 	}
@@ -338,7 +350,7 @@ func (vw view) propKeyIDsOf(v storage.VID) []int {
 			}
 		}
 	}
-	return ids
+	return vw.s.keyNames(ids)
 }
 
 func (vw view) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn func(storage.EID, storage.VID) bool) {
@@ -369,11 +381,21 @@ func (vw view) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn fun
 	}
 }
 
-// degreeID answers degree queries without touching the edge file:
+// ForEachOutID iterates v's out-edges of the given type.
+func (vw view) ForEachOutID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
+	vw.forEachID(v, etype, true, fn)
+}
+
+// ForEachInID iterates v's in-edges of the given type.
+func (vw view) ForEachInID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
+	vw.forEachID(v, etype, false, fn)
+}
+
+// DegreeID answers degree queries without touching the edge file:
 // untyped degrees come from the vertex record's counters, typed degrees
 // from the per-type degree chain (one record per distinct edge type),
 // plus the visible delta count.
-func (vw view) degreeID(v storage.VID, etype storage.SymbolID, out bool) int {
+func (vw view) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	if !vw.checkV(v) || etype == storage.NoSymbol {
 		return 0
 	}
@@ -506,137 +528,89 @@ func (s *Store) keyNames(ids []int) []string {
 func (s *Store) NumVertices() int {
 	vw := s.acquire()
 	defer s.release(vw)
-	return int(vw.numVertices())
+	return vw.NumVertices()
 }
 
 // NumEdges returns the number of edges (base plus visible delta).
 func (s *Store) NumEdges() int {
 	vw := s.acquire()
 	defer s.release(vw)
-	return int(vw.numEdges())
+	return vw.NumEdges()
 }
 
-// CountLabel returns the number of vertices carrying the label.
-func (s *Store) CountLabel(label string) int {
-	if label == "" {
-		return 0
-	}
-	return s.CountLabelID(s.LabelID(label))
-}
-
-// ForEachVertex calls fn for every vertex carrying the label ("" = all).
-func (s *Store) ForEachVertex(label string, fn func(storage.VID) bool) {
-	s.ForEachVertexID(s.LabelID(label), fn)
-}
-
-// HasLabel reports whether the vertex carries the label.
-func (s *Store) HasLabel(v storage.VID, label string) bool {
-	return s.HasLabelID(v, s.LabelID(label))
-}
-
-// Labels returns the labels of the vertex, sorted. Delta vertices carry
-// their labels in memory; base vertices merge delta-side additions.
-func (s *Store) Labels(v storage.VID) []string {
-	vw := s.acquire()
-	defer s.release(vw)
-	return s.labelNames(vw.labelIDsOf(v))
-}
-
-// Prop returns the value of a vertex property.
-func (s *Store) Prop(v storage.VID, key string) (graph.Value, bool) {
-	keyID := s.KeyID(key)
-	if keyID < 0 { // unknown key, or "" (AnySymbol has no value meaning)
-		return graph.Null, false
-	}
-	return s.PropID(v, keyID)
-}
-
-// PropKeys returns the property keys present on the vertex, sorted,
-// merging base-chain keys with delta-side values.
-func (s *Store) PropKeys(v storage.VID) []string {
-	vw := s.acquire()
-	defer s.release(vw)
-	return s.keyNames(vw.propKeyIDsOf(v))
-}
-
-// ForEachOut iterates out-edges of v with the given type ("" = any).
-func (s *Store) ForEachOut(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	s.ForEachOutID(v, s.TypeID(etype), fn)
-}
-
-// ForEachIn iterates in-edges of v with the given type ("" = any).
-func (s *Store) ForEachIn(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	s.ForEachInID(v, s.TypeID(etype), fn)
-}
-
-// Degree returns the number of out- or in-edges of the given type.
-func (s *Store) Degree(v storage.VID, etype string, out bool) int {
-	return s.DegreeID(v, s.TypeID(etype), out)
-}
-
-// CountLabelID is CountLabel with a resolved label: the base index size
-// plus the visible delta members.
+// CountLabelID returns the number of vertices carrying the label.
 func (s *Store) CountLabelID(label storage.SymbolID) int {
 	vw := s.acquire()
 	defer s.release(vw)
-	return vw.countLabelID(label)
+	return vw.CountLabelID(label)
 }
 
-// ForEachVertexID is ForEachVertex with a resolved label: the base index
-// first, then the visible delta members.
+// ForEachVertexID calls fn for every vertex carrying the label.
 func (s *Store) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
 	vw := s.acquire()
 	defer s.release(vw)
-	vw.forEachVertexID(label, fn)
+	vw.ForEachVertexID(label, fn)
 }
 
 // PlanVertexScan splits the label's base postings plus its delta members
 // into near-even partitions for morsel-style parallel execution; see
-// view.planVertexScan. The returned scans capture only in-memory slices
+// view.PlanVertexScan. The returned scans capture only in-memory slices
 // and stay valid for the store's lifetime, but for one consistent view
 // across a whole parallel query during a concurrent fold, plan and run
 // against an AcquireSnapshot handle.
 func (s *Store) PlanVertexScan(label storage.SymbolID, parts int) []storage.VertexScan {
 	vw := s.acquire()
 	defer s.release(vw)
-	return vw.planVertexScan(label, parts)
+	return vw.PlanVertexScan(label, parts)
 }
 
-// HasLabelID is HasLabel with a resolved label; base record bits are
-// merged with delta-side label additions.
+// HasLabelID reports whether the vertex carries the label.
 func (s *Store) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	vw := s.acquire()
 	defer s.release(vw)
-	return vw.hasLabelID(v, label)
+	return vw.HasLabelID(v, label)
 }
 
-// PropID is Prop with a resolved key. Delta-side values win: a live
-// SetProp overrides the base chain without touching it.
+// Labels returns the labels of the vertex, sorted.
+func (s *Store) Labels(v storage.VID) []string {
+	vw := s.acquire()
+	defer s.release(vw)
+	return vw.Labels(v)
+}
+
+// PropID returns the value of a vertex property.
 func (s *Store) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	vw := s.acquire()
 	defer s.release(vw)
-	return vw.propID(v, key)
+	return vw.PropID(v, key)
 }
 
-// ForEachOutID is ForEachOut with a resolved edge type.
+// PropKeys returns the property keys present on the vertex, sorted.
+func (s *Store) PropKeys(v storage.VID) []string {
+	vw := s.acquire()
+	defer s.release(vw)
+	return vw.PropKeys(v)
+}
+
+// ForEachOutID iterates out-edges of v with the given type.
 func (s *Store) ForEachOutID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
 	vw := s.acquire()
 	defer s.release(vw)
-	vw.forEachID(v, etype, true, fn)
+	vw.ForEachOutID(v, etype, fn)
 }
 
-// ForEachInID is ForEachIn with a resolved edge type.
+// ForEachInID iterates in-edges of v with the given type.
 func (s *Store) ForEachInID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
 	vw := s.acquire()
 	defer s.release(vw)
-	vw.forEachID(v, etype, false, fn)
+	vw.ForEachInID(v, etype, fn)
 }
 
-// DegreeID is Degree with a resolved edge type.
+// DegreeID returns the number of out- or in-edges of the given type.
 func (s *Store) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	vw := s.acquire()
 	defer s.release(vw)
-	return vw.degreeID(v, etype, out)
+	return vw.DegreeID(v, etype, out)
 }
 
 // ---- snapshots ----
@@ -649,11 +623,18 @@ func (s *Store) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 // other pin remains). Safe for concurrent readers; Release is
 // idempotent.
 type Snap struct {
-	vw       view
+	view
+	storage.ByName
 	released atomic.Bool
 }
 
 var _ storage.Snapshot = (*Snap)(nil)
+
+func newSnap(vw view) *Snap {
+	sn := &Snap{view: vw}
+	sn.ByName = storage.NewByName(sn)
+	return sn
+}
 
 // AcquireSnapshot pins the current epoch and delta watermark. The store
 // must outlive the snapshot; releasing after store close is harmless but
@@ -663,7 +644,7 @@ func (s *Store) AcquireSnapshot() storage.Snapshot {
 	if !s.liveMode.Load() {
 		// Exclusive build mode: no concurrent mutation by contract, so
 		// the store itself is the snapshot.
-		return &Snap{vw: view{s: s, ep: s.cur, nV: -1, nE: -1}}
+		return newSnap(view{s: s, ep: s.cur, nV: -1, nE: -1})
 	}
 	s.epMu.RLock()
 	ep := s.cur
@@ -682,11 +663,11 @@ func (s *Store) AcquireSnapshot() storage.Snapshot {
 		maxSeq:    s.delta.appliedSeq.Load(),
 	}
 	nv, ne := s.delta.counts(w)
-	return &Snap{vw: view{
+	return newSnap(view{
 		s: s, ep: ep, w: w, live: true,
 		nV: ep.numVertices + nv,
 		nE: ep.numEdges + ne,
-	}}
+	})
 }
 
 // Release unpins the snapshot. Idempotent.
@@ -694,93 +675,6 @@ func (sn *Snap) Release() {
 	if sn.released.Swap(true) {
 		return
 	}
-	s := sn.vw.s
-	s.pinnedSnaps.Add(-1)
-	if sn.vw.live && sn.vw.ep.pins.Add(-1) == 0 {
-		s.reclaimEpoch(sn.vw.ep)
-	}
-}
-
-// Symbol table: store-wide (append-only, IDs stable), so a snapshot
-// resolves through the live tables; symbols interned after the acquire
-// resolve to IDs with no visible members.
-
-func (sn *Snap) LabelID(label string) storage.SymbolID { return sn.vw.s.LabelID(label) }
-func (sn *Snap) TypeID(etype string) storage.SymbolID  { return sn.vw.s.TypeID(etype) }
-func (sn *Snap) KeyID(key string) storage.SymbolID     { return sn.vw.s.KeyID(key) }
-
-func (sn *Snap) NumVertices() int { return int(sn.vw.numVertices()) }
-func (sn *Snap) NumEdges() int    { return int(sn.vw.numEdges()) }
-
-func (sn *Snap) CountLabel(label string) int {
-	if label == "" {
-		return 0
-	}
-	return sn.vw.countLabelID(sn.vw.s.LabelID(label))
-}
-
-func (sn *Snap) ForEachVertex(label string, fn func(storage.VID) bool) {
-	sn.vw.forEachVertexID(sn.vw.s.LabelID(label), fn)
-}
-
-func (sn *Snap) HasLabel(v storage.VID, label string) bool {
-	return sn.vw.hasLabelID(v, sn.vw.s.LabelID(label))
-}
-
-func (sn *Snap) Labels(v storage.VID) []string {
-	return sn.vw.s.labelNames(sn.vw.labelIDsOf(v))
-}
-
-func (sn *Snap) Prop(v storage.VID, key string) (graph.Value, bool) {
-	keyID := sn.vw.s.KeyID(key)
-	if keyID < 0 {
-		return graph.Null, false
-	}
-	return sn.vw.propID(v, keyID)
-}
-
-func (sn *Snap) PropKeys(v storage.VID) []string {
-	return sn.vw.s.keyNames(sn.vw.propKeyIDsOf(v))
-}
-
-func (sn *Snap) ForEachOut(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	sn.vw.forEachID(v, sn.vw.s.TypeID(etype), true, fn)
-}
-
-func (sn *Snap) ForEachIn(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	sn.vw.forEachID(v, sn.vw.s.TypeID(etype), false, fn)
-}
-
-func (sn *Snap) Degree(v storage.VID, etype string, out bool) int {
-	return sn.vw.degreeID(v, sn.vw.s.TypeID(etype), out)
-}
-
-func (sn *Snap) CountLabelID(label storage.SymbolID) int { return sn.vw.countLabelID(label) }
-
-func (sn *Snap) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
-	sn.vw.forEachVertexID(label, fn)
-}
-
-func (sn *Snap) HasLabelID(v storage.VID, label storage.SymbolID) bool {
-	return sn.vw.hasLabelID(v, label)
-}
-
-func (sn *Snap) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
-	return sn.vw.propID(v, key)
-}
-
-func (sn *Snap) ForEachOutID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
-	sn.vw.forEachID(v, etype, true, fn)
-}
-
-func (sn *Snap) ForEachInID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
-	sn.vw.forEachID(v, etype, false, fn)
-}
-
-func (sn *Snap) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
-	return sn.vw.degreeID(v, etype, out)
-}
-
-func (sn *Snap) PlanVertexScan(label storage.SymbolID, parts int) []storage.VertexScan {
-	return sn.vw.planVertexScan(label, parts)
+	sn.s.pinnedSnaps.Add(-1)
+	sn.s.release(sn.view)
 }

@@ -42,6 +42,8 @@ type vertex struct {
 // built, every read method touches only data that no longer changes, so
 // the store serves any number of concurrent readers without locking.
 type Store struct {
+	storage.ByName
+
 	vertices []vertex
 	numEdges int
 
@@ -61,23 +63,21 @@ type Store struct {
 }
 
 var (
-	_ storage.Builder            = (*Store)(nil)
-	_ storage.FastGraph          = (*Store)(nil)
-	_ storage.BatchBuilder       = (*Store)(nil)
-	_ storage.TypeSegmentedGraph = (*Store)(nil)
-	_ storage.Snapshotter        = (*Store)(nil)
-	_ storage.Statistics         = (*Store)(nil)
+	_ storage.Builder    = (*Store)(nil)
+	_ storage.Statistics = (*Store)(nil)
 )
 
 // New returns an empty in-memory store.
 func New() *Store {
-	return &Store{
+	s := &Store{
 		labelIDs:  map[string]int32{},
 		typeIDs:   map[string]int32{},
 		keyIDs:    map[string]int32{},
 		byLabel:   map[int32][]storage.VID{},
 		segmented: true, // trivially: no edges yet
 	}
+	s.ByName = storage.NewByName(s)
+	return s
 }
 
 func intern(s string, ids map[string]int32, names *[]string) int32 {
@@ -220,57 +220,6 @@ func sortSegmented(list []halfEdge) {
 	})
 }
 
-// AcquireSnapshot returns an independent deep copy of the store, so the
-// snapshot keeps answering from the state at the acquire point even if
-// the original is (single-writer) built further afterwards. O(V+E) copy:
-// memstore is the reference backend, and the copy also makes it usable
-// as the oracle in concurrency harnesses. Release is a no-op — the copy
-// is garbage-collected like any value.
-func (s *Store) AcquireSnapshot() storage.Snapshot {
-	c := &Store{
-		vertices:  make([]vertex, len(s.vertices)),
-		numEdges:  s.numEdges,
-		labelIDs:  make(map[string]int32, len(s.labelIDs)),
-		labels:    append([]string(nil), s.labels...),
-		typeIDs:   make(map[string]int32, len(s.typeIDs)),
-		types:     append([]string(nil), s.types...),
-		keyIDs:    make(map[string]int32, len(s.keyIDs)),
-		keys:      append([]string(nil), s.keys...),
-		byLabel:   make(map[int32][]storage.VID, len(s.byLabel)),
-		segmented: s.segmented,
-	}
-	for i := range s.vertices {
-		vx := &s.vertices[i]
-		c.vertices[i] = vertex{
-			labels: append([]int32(nil), vx.labels...),
-			props:  append([]prop(nil), vx.props...),
-			out:    append([]halfEdge(nil), vx.out...),
-			in:     append([]halfEdge(nil), vx.in...),
-		}
-	}
-	for k, v := range s.labelIDs {
-		c.labelIDs[k] = v
-	}
-	for k, v := range s.typeIDs {
-		c.typeIDs[k] = v
-	}
-	for k, v := range s.keyIDs {
-		c.keyIDs[k] = v
-	}
-	for id, vids := range s.byLabel {
-		c.byLabel[id] = append([]storage.VID(nil), vids...)
-	}
-	return memSnap{c}
-}
-
-type memSnap struct{ *Store }
-
-func (memSnap) Release() {}
-
-// SegmentedAdjacency reports whether adjacency is currently grouped by
-// edge type (see storage.TypeSegmentedGraph).
-func (s *Store) SegmentedAdjacency() bool { return s.segmented }
-
 // Close is a no-op for the in-memory store.
 func (s *Store) Close() error { return nil }
 
@@ -287,45 +236,6 @@ func (s *Store) NumVertices() int { return len(s.vertices) }
 // NumEdges returns the number of edges.
 func (s *Store) NumEdges() int { return s.numEdges }
 
-// CountLabel returns the number of vertices carrying the label.
-func (s *Store) CountLabel(label string) int {
-	id, ok := s.labelIDs[label]
-	if !ok {
-		return 0
-	}
-	return len(s.byLabel[id])
-}
-
-// ForEachVertex calls fn for every vertex carrying the label.
-func (s *Store) ForEachVertex(label string, fn func(storage.VID) bool) {
-	if label == "" {
-		for i := range s.vertices {
-			if !fn(storage.VID(i)) {
-				return
-			}
-		}
-		return
-	}
-	id, ok := s.labelIDs[label]
-	if !ok {
-		return
-	}
-	for _, v := range s.byLabel[id] {
-		if !fn(v) {
-			return
-		}
-	}
-}
-
-// HasLabel reports whether the vertex carries the label.
-func (s *Store) HasLabel(v storage.VID, label string) bool {
-	id, ok := s.labelIDs[label]
-	if !ok {
-		return false
-	}
-	return s.HasLabelID(v, storage.SymbolID(id))
-}
-
 // Labels returns the labels of the vertex in lexicographic order (the
 // per-vertex label list is maintained in name order at insert time).
 func (s *Store) Labels(v storage.VID) []string {
@@ -337,15 +247,6 @@ func (s *Store) Labels(v storage.VID) []string {
 		out = append(out, s.labels[l])
 	}
 	return out
-}
-
-// Prop returns the value of a vertex property.
-func (s *Store) Prop(v storage.VID, key string) (graph.Value, bool) {
-	id, ok := s.keyIDs[key]
-	if !ok {
-		return graph.Null, false
-	}
-	return s.PropID(v, storage.SymbolID(id))
 }
 
 // PropKeys returns the property keys present on the vertex in
@@ -360,28 +261,6 @@ func (s *Store) PropKeys(v storage.VID) []string {
 		out = append(out, s.keys[p.key])
 	}
 	return out
-}
-
-// ForEachOut iterates out-edges of v with the given type ("" = any).
-func (s *Store) ForEachOut(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	s.forEach(v, etype, true, fn)
-}
-
-// ForEachIn iterates in-edges of v with the given type ("" = any).
-func (s *Store) ForEachIn(v storage.VID, etype string, fn func(storage.EID, storage.VID) bool) {
-	s.forEach(v, etype, false, fn)
-}
-
-func (s *Store) forEach(v storage.VID, etype string, out bool, fn func(storage.EID, storage.VID) bool) {
-	want := storage.AnySymbol
-	if etype != "" {
-		id, ok := s.typeIDs[etype]
-		if !ok {
-			return
-		}
-		want = storage.SymbolID(id)
-	}
-	s.forEachID(v, want, out, fn)
 }
 
 func (s *Store) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn func(storage.EID, storage.VID) bool) {
@@ -427,21 +306,6 @@ func segmentStart(list []halfEdge, want int32) int {
 	return sort.Search(len(list), func(i int) bool { return list[i].etype >= want })
 }
 
-// Degree returns the number of out- or in-edges of the given type.
-func (s *Store) Degree(v storage.VID, etype string, out bool) int {
-	want := storage.AnySymbol
-	if etype != "" {
-		id, ok := s.typeIDs[etype]
-		if !ok {
-			return 0
-		}
-		want = storage.SymbolID(id)
-	}
-	return s.DegreeID(v, want, out)
-}
-
-// ---- storage.FastGraph ----
-
 // LabelID resolves a vertex label to its interned ID.
 func (s *Store) LabelID(label string) storage.SymbolID { return resolve(label, s.labelIDs) }
 
@@ -461,7 +325,7 @@ func resolve(name string, ids map[string]int32) storage.SymbolID {
 	return storage.NoSymbol
 }
 
-// CountLabelID is CountLabel with a resolved label.
+// CountLabelID returns the number of vertices carrying the label.
 func (s *Store) CountLabelID(label storage.SymbolID) int {
 	if label == storage.AnySymbol {
 		return len(s.vertices)
@@ -472,7 +336,7 @@ func (s *Store) CountLabelID(label storage.SymbolID) int {
 	return len(s.byLabel[int32(label)])
 }
 
-// ForEachVertexID is ForEachVertex with a resolved label.
+// ForEachVertexID calls fn for every vertex carrying the label.
 func (s *Store) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
 	if label == storage.AnySymbol {
 		for i := range s.vertices {
@@ -531,7 +395,7 @@ func (s *Store) PlanVertexScan(label storage.SymbolID, parts int) []storage.Vert
 	return scans
 }
 
-// HasLabelID is HasLabel with a resolved label.
+// HasLabelID reports whether the vertex carries the label.
 func (s *Store) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	if label < 0 || s.check(v) != nil {
 		return false
@@ -545,7 +409,7 @@ func (s *Store) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	return false
 }
 
-// PropID is Prop with a resolved key.
+// PropID returns the value of a vertex property.
 func (s *Store) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	if key < 0 || s.check(v) != nil {
 		return graph.Null, false
@@ -559,18 +423,18 @@ func (s *Store) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) 
 	return graph.Null, false
 }
 
-// ForEachOutID is ForEachOut with a resolved edge type.
+// ForEachOutID iterates out-edges of v with the given type.
 func (s *Store) ForEachOutID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
 	s.forEachID(v, etype, true, fn)
 }
 
-// ForEachInID is ForEachIn with a resolved edge type.
+// ForEachInID iterates in-edges of v with the given type.
 func (s *Store) ForEachInID(v storage.VID, etype storage.SymbolID, fn func(storage.EID, storage.VID) bool) {
 	s.forEachID(v, etype, false, fn)
 }
 
-// DegreeID is Degree with a resolved edge type. The untyped degree is the
-// adjacency-list length, no iteration needed.
+// DegreeID returns the number of out- or in-edges of the given type. The
+// untyped degree is the adjacency-list length, no iteration needed.
 func (s *Store) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	if s.check(v) != nil || etype == storage.NoSymbol {
 		return 0

@@ -1,8 +1,10 @@
 // Package storage defines the backend-independent interface between
-// property graph stores and the query engine. Two implementations exist:
+// property graph stores and the query engine: Graph is the one read
+// contract and Builder the write contract. Two implementations exist:
 // memstore (an in-memory adjacency store, the JanusGraph-like backend of
 // the paper's evaluation) and diskstore (a Neo4j-like record store behind
-// a sharded clock-sweep page cache).
+// a sharded clock-sweep page cache). Both implement Graph's ID methods
+// natively and embed ByName for its by-name half.
 package storage
 
 import (
@@ -32,12 +34,21 @@ const (
 	// the ForEach*ID iterators yield no elements.
 	NoSymbol SymbolID = -1
 	// AnySymbol is the ID-space analogue of the empty string in the
-	// string API: it matches every edge type in ForEachOutID/ForEachInID
-	// and every vertex in ForEachVertexID.
+	// by-name methods: it matches every edge type in ForEachOutID,
+	// ForEachInID and DegreeID and every vertex in ForEachVertexID, and
+	// nothing in HasLabelID and PropID.
 	AnySymbol SymbolID = -2
 )
 
-// Graph is the read interface the query executor runs against.
+// Graph is the one read contract between a backend and the query engine.
+// The ID methods take SymbolIDs resolved once through the SymbolTable, so
+// a compiled query plan does no per-call string hashing; the by-name
+// methods resolve their string and forward to the ID method (backends
+// embed ByName for them). Out-of-range VIDs read as absent everywhere.
+//
+// NoSymbol matches nothing. CountLabelID(AnySymbol) returns NumVertices()
+// — the size of the scan ForEachVertexID(AnySymbol) performs — whereas
+// CountLabel("") returns 0.
 //
 // Implementations must be safe for concurrent readers once the store is
 // fully built (the Builder contract: build first, then query). Both
@@ -46,81 +57,16 @@ const (
 // sharded, latched page cache — so one store can serve any number of
 // parallel query executors.
 type Graph interface {
+	SymbolTable
 	// NumVertices returns the number of vertices.
 	NumVertices() int
 	// NumEdges returns the number of edges.
 	NumEdges() int
-	// CountLabel returns the number of vertices carrying the label.
-	CountLabel(label string) int
-	// ForEachVertex calls fn for every vertex carrying the label, until fn
-	// returns false. An empty label iterates all vertices.
-	ForEachVertex(label string, fn func(VID) bool)
-	// HasLabel reports whether the vertex carries the label.
-	HasLabel(v VID, label string) bool
-	// Labels returns the labels of the vertex in lexicographic order.
-	Labels(v VID) []string
-	// Prop returns the value of the vertex property, if present.
-	Prop(v VID, key string) (graph.Value, bool)
-	// PropKeys returns the property keys present on the vertex in
-	// lexicographic order.
-	PropKeys(v VID) []string
-	// ForEachOut calls fn for every out-edge of v with the given edge type
-	// until fn returns false. An empty type matches any edge type.
-	ForEachOut(v VID, etype string, fn func(e EID, dst VID) bool)
-	// ForEachIn is ForEachOut for incoming edges; fn receives the source.
-	ForEachIn(v VID, etype string, fn func(e EID, src VID) bool)
-	// Degree returns the number of out- (or in-) edges of the given type.
-	Degree(v VID, etype string, out bool) int
-}
-
-// SymbolTable resolves label, edge-type, and property-key strings to the
-// store's interned IDs. Unknown strings resolve to NoSymbol; the empty
-// string resolves to AnySymbol, mirroring its wildcard meaning in the
-// string API.
-type SymbolTable interface {
-	// LabelID resolves a vertex label.
-	LabelID(label string) SymbolID
-	// TypeID resolves an edge type.
-	TypeID(etype string) SymbolID
-	// KeyID resolves a property key.
-	KeyID(key string) SymbolID
-}
-
-// VertexScan iterates one partition of a label scan produced by
-// FastGraph.PlanVertexScan, calling fn for each vertex until fn returns
-// false. Each scan is independent of its siblings and may run on its own
-// goroutine; the partitions of one PlanVertexScan call are disjoint and
-// together visit exactly the vertices ForEachVertexID would.
-type VertexScan func(fn func(VID) bool)
-
-// FastGraph is the interned-symbol fast path of Graph: each method mirrors
-// a string-keyed Graph method but takes pre-resolved SymbolIDs, letting a
-// compiled query plan skip per-call string hashing entirely. Both built-in
-// backends implement it natively; Fast adapts any other Graph.
-//
-// Semantics match the string API exactly: for any label l,
-// HasLabelID(v, LabelID(l)) == HasLabel(v, l), and likewise for the other
-// pairs. NoSymbol matches nothing and AnySymbol matches everything, with
-// one deliberate extension over the string API: CountLabelID(AnySymbol)
-// returns NumVertices() — the size of the scan ForEachVertexID(AnySymbol)
-// performs — whereas CountLabel("") returns 0.
-type FastGraph interface {
-	Graph
-	SymbolTable
-	// CountLabelID is CountLabel with a resolved label.
+	// CountLabelID returns the number of vertices carrying the label.
 	CountLabelID(label SymbolID) int
-	// ForEachVertexID is ForEachVertex with a resolved label.
+	// ForEachVertexID calls fn for every vertex carrying the label, until
+	// fn returns false. AnySymbol iterates all vertices.
 	ForEachVertexID(label SymbolID, fn func(VID) bool)
-	// HasLabelID is HasLabel with a resolved label.
-	HasLabelID(v VID, label SymbolID) bool
-	// PropID is Prop with a resolved key.
-	PropID(v VID, key SymbolID) (graph.Value, bool)
-	// ForEachOutID is ForEachOut with a resolved edge type.
-	ForEachOutID(v VID, etype SymbolID, fn func(e EID, dst VID) bool)
-	// ForEachInID is ForEachIn with a resolved edge type.
-	ForEachInID(v VID, etype SymbolID, fn func(e EID, src VID) bool)
-	// DegreeID is Degree with a resolved edge type.
-	DegreeID(v VID, etype SymbolID, out bool) int
 	// PlanVertexScan is the morsel partition hook: it splits the label's
 	// vertex set into at most parts disjoint scans whose union visits
 	// exactly the vertices ForEachVertexID(label) visits, each exactly
@@ -132,19 +78,115 @@ type FastGraph interface {
 	// yields no scans; parts < 1 is treated as 1. Fewer than parts scans
 	// may be returned when the label has few vertices.
 	PlanVertexScan(label SymbolID, parts int) []VertexScan
+	// HasLabelID reports whether the vertex carries the label.
+	HasLabelID(v VID, label SymbolID) bool
+	// Labels returns the labels of the vertex in lexicographic order.
+	Labels(v VID) []string
+	// PropID returns the value of the vertex property, if present.
+	PropID(v VID, key SymbolID) (graph.Value, bool)
+	// PropKeys returns the property keys present on the vertex in
+	// lexicographic order.
+	PropKeys(v VID) []string
+	// ForEachOutID calls fn for every out-edge of v with the given edge
+	// type until fn returns false. AnySymbol matches any edge type.
+	ForEachOutID(v VID, etype SymbolID, fn func(e EID, dst VID) bool)
+	// ForEachInID is ForEachOutID for incoming edges; fn receives the
+	// source.
+	ForEachInID(v VID, etype SymbolID, fn func(e EID, src VID) bool)
+	// DegreeID returns the number of out- (or in-) edges of the given
+	// type.
+	DegreeID(v VID, etype SymbolID, out bool) int
+
+	// The by-name methods, with ByName's empty-string rules.
+	CountLabel(label string) int
+	ForEachVertex(label string, fn func(VID) bool)
+	HasLabel(v VID, label string) bool
+	Prop(v VID, key string) (graph.Value, bool)
+	ForEachOut(v VID, etype string, fn func(e EID, dst VID) bool)
+	ForEachIn(v VID, etype string, fn func(e EID, src VID) bool)
+	Degree(v VID, etype string, out bool) int
 }
 
+// ByName is Graph's by-name half, written once over a backend's own ID
+// methods: each call resolves its string through the backend's
+// SymbolTable and forwards. A backend embeds the value NewByName returns
+// for itself. The empty string resolves to AnySymbol, so it is the
+// wildcard where the ID call has one — ForEachVertex(""), and ForEachOut,
+// ForEachIn and Degree with "" — and matches nothing in HasLabel and
+// Prop; CountLabel("") is 0, not CountLabelID(AnySymbol).
+type ByName struct{ g Graph }
+
+// NewByName returns the by-name methods of g.
+func NewByName(g Graph) ByName { return ByName{g} }
+
+// CountLabel returns the number of vertices carrying the label.
+func (b ByName) CountLabel(label string) int {
+	if label == "" {
+		return 0
+	}
+	return b.g.CountLabelID(b.g.LabelID(label))
+}
+
+// ForEachVertex calls fn for every vertex carrying the label ("" = all).
+func (b ByName) ForEachVertex(label string, fn func(VID) bool) {
+	b.g.ForEachVertexID(b.g.LabelID(label), fn)
+}
+
+// HasLabel reports whether the vertex carries the label.
+func (b ByName) HasLabel(v VID, label string) bool {
+	return b.g.HasLabelID(v, b.g.LabelID(label))
+}
+
+// Prop returns the value of the vertex property, if present.
+func (b ByName) Prop(v VID, key string) (graph.Value, bool) {
+	return b.g.PropID(v, b.g.KeyID(key))
+}
+
+// ForEachOut iterates out-edges of v with the given type ("" = any).
+func (b ByName) ForEachOut(v VID, etype string, fn func(e EID, dst VID) bool) {
+	b.g.ForEachOutID(v, b.g.TypeID(etype), fn)
+}
+
+// ForEachIn iterates in-edges of v with the given type ("" = any).
+func (b ByName) ForEachIn(v VID, etype string, fn func(e EID, src VID) bool) {
+	b.g.ForEachInID(v, b.g.TypeID(etype), fn)
+}
+
+// Degree returns the number of out- or in-edges of the given type.
+func (b ByName) Degree(v VID, etype string, out bool) int {
+	return b.g.DegreeID(v, b.g.TypeID(etype), out)
+}
+
+// SymbolTable resolves label, edge-type, and property-key strings to the
+// store's interned IDs. Unknown strings resolve to NoSymbol; the empty
+// string resolves to AnySymbol, mirroring its wildcard meaning in the
+// by-name methods.
+type SymbolTable interface {
+	// LabelID resolves a vertex label.
+	LabelID(label string) SymbolID
+	// TypeID resolves an edge type.
+	TypeID(etype string) SymbolID
+	// KeyID resolves a property key.
+	KeyID(key string) SymbolID
+}
+
+// VertexScan iterates one partition of a label scan produced by
+// Graph.PlanVertexScan, calling fn for each vertex until fn returns
+// false. Each scan is independent of its siblings and may run on its own
+// goroutine; the partitions of one PlanVertexScan call are disjoint and
+// together visit exactly the vertices ForEachVertexID would.
+type VertexScan func(fn func(VID) bool)
+
 // SplitRange cuts [0, n) into at most parts contiguous, non-empty,
-// near-even [lo, hi) half-open ranges covering it exactly. It returns nil
-// when n <= 0 and fewer than parts ranges when n < parts. Backends use it
-// to partition label postings and VID ranges for PlanVertexScan.
+// near-even [lo, hi) half-open ranges covering it exactly; parts < 1 is
+// treated as 1. It returns nil when n <= 0 and fewer than parts ranges
+// when n < parts. Backends use it to partition label postings and VID
+// ranges for PlanVertexScan.
 func SplitRange(n, parts int) [][2]int {
-	if n <= 0 || parts < 1 {
+	if n <= 0 {
 		return nil
 	}
-	if parts > n {
-		parts = n
-	}
+	parts = min(max(parts, 1), n)
 	out := make([][2]int, 0, parts)
 	for p := 0; p < parts; p++ {
 		lo, hi := p*n/parts, (p+1)*n/parts
@@ -155,21 +197,12 @@ func SplitRange(n, parts int) [][2]int {
 	return out
 }
 
-// Fast returns g's native fast path when it has one, or wraps g in a
-// generic adapter that maintains its own symbol table and forwards to the
-// string API. The adapter preserves semantics but not the speed advantage;
-// stores should implement FastGraph natively to benefit.
-func Fast(g Graph) FastGraph {
-	if fg, ok := g.(FastGraph); ok {
-		return fg
-	}
-	return newFallback(g)
-}
-
-// Builder is the write interface used by the graph loader. Stores must be
-// fully built before being queried.
+// Builder is the write interface used by the graph loader: per-item
+// writes plus the batched BatchBuilder path. Stores must be fully built
+// before being queried.
 type Builder interface {
 	Graph
+	BatchBuilder
 	// AddVertex creates a vertex with the given labels.
 	AddVertex(labels ...string) (VID, error)
 	// AddLabel adds a label to an existing vertex.
@@ -259,32 +292,18 @@ type MutableGraph interface {
 // generations, delta memory); it is idempotent, and reads after Release
 // are a caller bug.
 type Snapshot interface {
-	FastGraph
+	Graph
 	Release()
 }
 
-// Snapshotter is implemented by backends that can pin consistent
-// point-in-time views. Long-running traversals (parallel scans,
-// multi-query reports) should acquire one so a background Compact
-// swapping the base files mid-read cannot shift their view.
+// Snapshotter is implemented by backends that take writes while serving
+// reads and can pin consistent point-in-time views. Long-running
+// traversals (parallel scans, multi-query reports) should acquire one so
+// a background Compact swapping the base files mid-read cannot shift
+// their view.
 type Snapshotter interface {
 	AcquireSnapshot() Snapshot
 }
-
-// SnapshotOf pins a point-in-time view of g when the backend supports it
-// and otherwise degrades to reading g live through Fast with a no-op
-// Release — exact for stores that are immutable once built, best-effort
-// for mutable backends without snapshot support.
-func SnapshotOf(g Graph) Snapshot {
-	if sn, ok := g.(Snapshotter); ok {
-		return sn.AcquireSnapshot()
-	}
-	return noopSnap{Fast(g)}
-}
-
-type noopSnap struct{ FastGraph }
-
-func (noopSnap) Release() {}
 
 // LiveStats reports live-write state: delta segment sizes and write-ahead
 // log activity. All counters are cumulative since open.

@@ -202,40 +202,44 @@ func Run(t *testing.T, newStore Factory) {
 	t.Run("SymbolFastPath", func(t *testing.T) {
 		s := newStore(t)
 		buildFastPathGraph(t, s)
-		// The suite runs twice: once against the store's own fast path
-		// (or, for string-only stores, the adapter storage.Fast creates),
-		// and once forcing the generic fallback adapter by hiding any
-		// native FastGraph implementation. Both must agree with the
-		// string API on every operation.
 		t.Run("Native", func(t *testing.T) {
-			CheckFastEquivalence(t, s, storage.Fast(s))
+			CheckFastEquivalence(t, s, s)
 		})
-		t.Run("Fallback", func(t *testing.T) {
-			CheckFastEquivalence(t, s, storage.Fast(stringOnly{s}))
-		})
-		if fg, ok := storage.Builder(s).(storage.FastGraph); ok {
-			// Native stores resolve unknown symbols to NoSymbol and the
-			// empty string to AnySymbol.
-			if got := fg.LabelID("NoSuchLabel"); got != storage.NoSymbol {
-				t.Errorf("LabelID(unknown) = %d, want NoSymbol", got)
+		// Unknown symbols resolve to NoSymbol and the empty string to
+		// AnySymbol.
+		if got := s.LabelID("NoSuchLabel"); got != storage.NoSymbol {
+			t.Errorf("LabelID(unknown) = %d, want NoSymbol", got)
+		}
+		if got := s.TypeID("noSuchType"); got != storage.NoSymbol {
+			t.Errorf("TypeID(unknown) = %d, want NoSymbol", got)
+		}
+		if got := s.KeyID("noSuchKey"); got != storage.NoSymbol {
+			t.Errorf("KeyID(unknown) = %d, want NoSymbol", got)
+		}
+		for _, id := range []storage.SymbolID{s.LabelID(""), s.TypeID(""), s.KeyID("")} {
+			if id != storage.AnySymbol {
+				t.Errorf("empty-string symbol = %d, want AnySymbol", id)
 			}
-			if got := fg.TypeID("noSuchType"); got != storage.NoSymbol {
-				t.Errorf("TypeID(unknown) = %d, want NoSymbol", got)
-			}
-			if got := fg.KeyID("noSuchKey"); got != storage.NoSymbol {
-				t.Errorf("KeyID(unknown) = %d, want NoSymbol", got)
-			}
-			for _, id := range []storage.SymbolID{fg.LabelID(""), fg.TypeID(""), fg.KeyID("")} {
-				if id != storage.AnySymbol {
-					t.Errorf("empty-string symbol = %d, want AnySymbol", id)
-				}
-			}
+		}
+	})
+
+	t.Run("ByName", func(t *testing.T) {
+		// The by-name methods are storage.ByName over the store's ID
+		// methods; this pins their empty-string and unknown-name rules, on
+		// the store and, where the backend has them, on a snapshot.
+		s := newStore(t)
+		buildFastPathGraph(t, s)
+		t.Run("store", func(t *testing.T) { checkByName(t, s) })
+		if sn, ok := storage.Builder(s).(storage.Snapshotter); ok {
+			snap := sn.AcquireSnapshot()
+			defer snap.Release()
+			t.Run("snapshot", func(t *testing.T) { checkByName(t, snap) })
 		}
 	})
 
 	t.Run("ParallelReaders", func(t *testing.T) {
 		// Built stores must serve concurrent readers: every goroutine
-		// sweeps the full read surface (string and fast-path APIs) and
+		// sweeps the full read surface (by-name and ID methods) and
 		// must observe exactly the state a serial sweep observed. Run
 		// under -race this also proves the read paths are data-race free.
 		s := newStore(t)
@@ -243,8 +247,7 @@ func Run(t *testing.T, newStore Factory) {
 			t.Fatal(err)
 		}
 		want := Fingerprint(s)
-		fg := storage.Fast(s)
-		wantDegrees := degreeSweep(fg)
+		wantDegrees := degreeSweep(s)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -255,7 +258,7 @@ func Run(t *testing.T, newStore Factory) {
 						t.Errorf("goroutine %d: concurrent fingerprint diverged", g)
 						return
 					}
-					if got := degreeSweep(fg); !reflect.DeepEqual(got, wantDegrees) {
+					if got := degreeSweep(s); !reflect.DeepEqual(got, wantDegrees) {
 						t.Errorf("goroutine %d: concurrent degree sweep diverged", g)
 						return
 					}
@@ -270,7 +273,7 @@ func Run(t *testing.T, newStore Factory) {
 		// to the incremental one: same vertices, labels, properties, and
 		// (order-insensitively) the same adjacency. A small batch size
 		// forces multiple flush cycles, and the finalized store must also
-		// keep its fast path equivalent to its string API.
+		// keep its ID reads and scan partitions consistent.
 		inc := newStore(t)
 		if _, err := BuildRandom(inc, 77, 50, 130); err != nil {
 			t.Fatal(err)
@@ -282,7 +285,7 @@ func Run(t *testing.T, newStore Factory) {
 		if got, want := Fingerprint(bulk), Fingerprint(inc); got != want {
 			t.Errorf("bulk-built store diverges from incremental build:\n got: %.300s...\nwant: %.300s...", got, want)
 		}
-		CheckFastEquivalence(t, bulk, storage.Fast(bulk))
+		CheckFastEquivalence(t, bulk, bulk)
 	})
 
 	t.Run("HasLabelMatchesLabels", func(t *testing.T) {
@@ -318,22 +321,14 @@ func Run(t *testing.T, newStore Factory) {
 		}
 		before := Fingerprint(s)
 
-		// Every Graph yields a usable view through SnapshotOf: native
-		// Snapshotters pin a real snapshot, everything else gets the
-		// no-op fallback over storage.Fast. Both must read the current
-		// state, and Release must always be safe — twice, even.
-		for name, g := range map[string]storage.Graph{"native": s, "fallback": stringOnly{s}} {
-			snap := storage.SnapshotOf(g)
-			if got := Fingerprint(snap); got != before {
-				t.Errorf("SnapshotOf(%s) does not read the store's state:\n got %.200s\nwant %.200s", name, got, before)
-			}
-			snap.Release()
-			snap.Release()
-		}
-
 		sn, ok := storage.Builder(s).(storage.Snapshotter)
 		if !ok {
-			t.Skip("store is not a Snapshotter; SnapshotOf fallback is the whole contract")
+			// The query layer pins a snapshot only on a MutableGraph, so
+			// a store without snapshots must take no writes once built.
+			if _, mutable := storage.Builder(s).(storage.MutableGraph); mutable {
+				t.Error("store is a MutableGraph but not a Snapshotter; queries would read it live mid-write")
+			}
+			return
 		}
 		snap1 := sn.AcquireSnapshot()
 		if got := Fingerprint(snap1); got != before {
@@ -397,10 +392,6 @@ func Run(t *testing.T, newStore Factory) {
 	})
 }
 
-// stringOnly hides a store's native fast path behind the plain Graph
-// method set so storage.Fast is forced to use the generic adapter.
-type stringOnly struct{ storage.Graph }
-
 // buildFastPathGraph populates a small graph exercising every symbol kind:
 // multiple labels per vertex, typed and parallel edges, and properties.
 func buildFastPathGraph(t *testing.T, s storage.Builder) {
@@ -431,7 +422,6 @@ func buildFastPathGraph(t *testing.T, s storage.Builder) {
 // so backends can repeat it across their lifecycle states.
 func CheckLabelMembership(t *testing.T, g storage.Graph) {
 	t.Helper()
-	fg := storage.Fast(g)
 	n := g.NumVertices()
 	carried := make([]map[string]bool, n)
 	all := map[string]bool{"NoSuchLabel": true}
@@ -443,104 +433,108 @@ func CheckLabelMembership(t *testing.T, g storage.Graph) {
 		}
 	}
 	for l := range all {
-		id := fg.LabelID(l)
+		id := g.LabelID(l)
 		members := 0
 		for v := range carried {
 			want := carried[v][l]
 			if want {
 				members++
 			}
-			if got := fg.HasLabelID(storage.VID(v), id); got != want {
+			if got := g.HasLabelID(storage.VID(v), id); got != want {
 				t.Errorf("HasLabelID(%d, %q) = %v, but Labels(%d) = %v", v, l, got, v, g.Labels(storage.VID(v)))
 			}
 		}
-		if got := fg.CountLabelID(id); got != members {
+		if got := g.CountLabelID(id); got != members {
 			t.Errorf("CountLabelID(%q) = %d, but %d vertices list it", l, got, members)
 		}
-		if fg.HasLabelID(storage.VID(n), id) || fg.HasLabelID(-1, id) {
+		if g.HasLabelID(storage.VID(n), id) || g.HasLabelID(-1, id) {
 			t.Errorf("HasLabelID(%q) true for a vertex outside [0, %d)", l, n)
 		}
 	}
 }
 
-// CheckFastEquivalence verifies that every ID-based operation of fg
-// agrees with g's string API, for known and unknown symbols alike. It is
-// exported so backend-specific tests can re-run it after physical
-// reorganizations (diskstore Compact, bulk finalize) that the generic
-// suite's build-then-read flow cannot reach.
-func CheckFastEquivalence(t *testing.T, g storage.Graph, fg storage.FastGraph) {
+// CheckFastEquivalence verifies that every ID read of view agrees with
+// g's — pass a store and a snapshot acquired from it, or one graph twice
+// — and runs the ID-space conformance checks on view: AnySymbol and
+// NoSymbol handling, and that PlanVertexScan partitions exactly the
+// serial scan. It is exported so backend-specific tests can re-run it
+// after physical reorganizations (diskstore Compact, bulk finalize) that
+// the generic suite's build-then-read flow cannot reach.
+func CheckFastEquivalence(t *testing.T, g, view storage.Graph) {
 	t.Helper()
 	labels := []string{"Drug", "Compound", "Indication", "Risk", "NoSuchLabel"}
 	etypes := []string{"treat", "cause", "implies", "noSuchType", ""}
 	keys := []string{"name", "doses", "desc", "noSuchKey"}
 
+	if got, want := view.NumVertices(), g.NumVertices(); got != want {
+		t.Errorf("NumVertices = %d, want %d", got, want)
+	}
 	for _, l := range labels {
-		id := fg.LabelID(l)
-		if got, want := fg.CountLabelID(id), g.CountLabel(l); got != want {
+		id := view.LabelID(l)
+		if got, want := view.CountLabelID(id), g.CountLabelID(g.LabelID(l)); got != want {
 			t.Errorf("CountLabelID(%q) = %d, want %d", l, got, want)
 		}
-		if got, want := collectScan(fg, id), collectScanStr(g, l); !reflect.DeepEqual(got, want) {
+		if got, want := collectScan(view, id), collectScan(g, g.LabelID(l)); !reflect.DeepEqual(got, want) {
 			t.Errorf("ForEachVertexID(%q) = %v, want %v", l, got, want)
 		}
 	}
-	if got, want := collectScan(fg, storage.AnySymbol), collectScanStr(g, ""); !reflect.DeepEqual(got, want) {
+	if got, want := collectScan(view, storage.AnySymbol), collectScan(g, storage.AnySymbol); !reflect.DeepEqual(got, want) {
 		t.Errorf("ForEachVertexID(AnySymbol) = %v, want %v", got, want)
 	}
-	// CountLabelID(AnySymbol) is the documented extension: the size of
-	// the wildcard scan, not CountLabel("")'s 0.
-	if got := fg.CountLabelID(storage.AnySymbol); got != g.NumVertices() {
-		t.Errorf("CountLabelID(AnySymbol) = %d, want NumVertices = %d", got, g.NumVertices())
+	// CountLabelID(AnySymbol) is the size of the wildcard scan, not
+	// CountLabel("")'s 0.
+	if got := view.CountLabelID(storage.AnySymbol); got != view.NumVertices() {
+		t.Errorf("CountLabelID(AnySymbol) = %d, want NumVertices = %d", got, view.NumVertices())
 	}
 	for v := 0; v < g.NumVertices(); v++ {
 		id := storage.VID(v)
 		for _, l := range labels {
-			if got, want := fg.HasLabelID(id, fg.LabelID(l)), g.HasLabel(id, l); got != want {
+			if got, want := view.HasLabelID(id, view.LabelID(l)), g.HasLabelID(id, g.LabelID(l)); got != want {
 				t.Errorf("HasLabelID(%d, %q) = %v, want %v", v, l, got, want)
 			}
 		}
 		for _, k := range keys {
-			gotVal, gotOK := fg.PropID(id, fg.KeyID(k))
-			wantVal, wantOK := g.Prop(id, k)
+			gotVal, gotOK := view.PropID(id, view.KeyID(k))
+			wantVal, wantOK := g.PropID(id, g.KeyID(k))
 			if gotOK != wantOK || !gotVal.Equal(wantVal) {
 				t.Errorf("PropID(%d, %q) = (%v, %v), want (%v, %v)", v, k, gotVal, gotOK, wantVal, wantOK)
 			}
 		}
 		for _, et := range etypes {
-			tid := fg.TypeID(et)
 			for _, out := range []bool{true, false} {
-				if got, want := collectAdj(fg, id, tid, out), collectAdjStr(g, id, et, out); !reflect.DeepEqual(got, want) {
+				if got, want := collectAdj(view, id, view.TypeID(et), out), collectAdj(g, id, g.TypeID(et), out); !reflect.DeepEqual(got, want) {
 					t.Errorf("ForEach(%d, %q, out=%v) = %v, want %v", v, et, out, got, want)
 				}
-				if got, want := fg.DegreeID(id, tid, out), g.Degree(id, et, out); got != want {
+				if got, want := view.DegreeID(id, view.TypeID(et), out), g.DegreeID(id, g.TypeID(et), out); got != want {
 					t.Errorf("DegreeID(%d, %q, out=%v) = %d, want %d", v, et, out, got, want)
 				}
 			}
 		}
 		// NoSymbol matches nothing, regardless of implementation.
-		if fg.HasLabelID(id, storage.NoSymbol) {
+		if view.HasLabelID(id, storage.NoSymbol) {
 			t.Errorf("HasLabelID(%d, NoSymbol) = true", v)
 		}
-		if _, ok := fg.PropID(id, storage.NoSymbol); ok {
+		if _, ok := view.PropID(id, storage.NoSymbol); ok {
 			t.Errorf("PropID(%d, NoSymbol) reported present", v)
 		}
-		if got := fg.DegreeID(id, storage.NoSymbol, true); got != 0 {
+		if got := view.DegreeID(id, storage.NoSymbol, true); got != 0 {
 			t.Errorf("DegreeID(%d, NoSymbol) = %d", v, got)
 		}
 	}
 	// PlanVertexScan conformance: for every label (plus the AnySymbol
-	// wildcard) and a spread of partition counts, the partitions must be
-	// disjoint and their union must be exactly the serial scan, and a
-	// partition must stop when fn returns false.
+	// wildcard) and a spread of partition counts — parts < 1 meaning 1 —
+	// the partitions must be disjoint and their union must be exactly the
+	// serial scan, and a partition must stop when fn returns false.
 	scanLabels := make([]storage.SymbolID, 0, len(labels)+1)
 	for _, l := range labels {
-		scanLabels = append(scanLabels, fg.LabelID(l))
+		scanLabels = append(scanLabels, view.LabelID(l))
 	}
 	scanLabels = append(scanLabels, storage.AnySymbol)
 	for _, id := range scanLabels {
-		want := collectScan(fg, id)
-		for _, parts := range []int{1, 3, 8, 64} {
-			scans := fg.PlanVertexScan(id, parts)
-			if len(scans) > parts {
+		want := collectScan(view, id)
+		for _, parts := range []int{-1, 0, 1, 3, 8, 64} {
+			scans := view.PlanVertexScan(id, parts)
+			if len(scans) > max(parts, 1) {
 				t.Errorf("PlanVertexScan(%d, %d) returned %d partitions", id, parts, len(scans))
 			}
 			got := []storage.VID{}
@@ -570,25 +564,97 @@ func CheckFastEquivalence(t *testing.T, g storage.Graph, fg storage.FastGraph) {
 			}
 		}
 	}
-	if got := fg.PlanVertexScan(storage.NoSymbol, 4); len(got) != 0 {
+	if got := view.PlanVertexScan(storage.NoSymbol, 4); len(got) != 0 {
 		t.Errorf("PlanVertexScan(NoSymbol) returned %d partitions", len(got))
 	}
-	if fg.CountLabelID(storage.NoSymbol) != 0 {
+	if view.CountLabelID(storage.NoSymbol) != 0 {
 		t.Error("CountLabelID(NoSymbol) != 0")
 	}
-	fg.ForEachVertexID(storage.NoSymbol, func(storage.VID) bool {
+	view.ForEachVertexID(storage.NoSymbol, func(storage.VID) bool {
 		t.Error("ForEachVertexID(NoSymbol) yielded a vertex")
 		return false
 	})
-	fg.ForEachOutID(0, storage.NoSymbol, func(storage.EID, storage.VID) bool {
+	view.ForEachOutID(0, storage.NoSymbol, func(storage.EID, storage.VID) bool {
 		t.Error("ForEachOutID(NoSymbol) yielded an edge")
 		return false
 	})
 }
 
-func collectScan(fg storage.FastGraph, label storage.SymbolID) []storage.VID {
+// checkByName pins the by-name rules on a buildFastPathGraph store: the
+// empty string is the wildcard for vertex scans and edge types and
+// matches nothing for CountLabel, HasLabel and Prop; unknown names and
+// out-of-range VIDs read as absent.
+func checkByName(t *testing.T, g storage.Graph) {
+	t.Helper()
+	n := g.NumVertices()
+	if got := g.CountLabel(""); got != 0 {
+		t.Errorf("CountLabel(\"\") = %d, want 0", got)
+	}
+	if got := g.CountLabelID(storage.AnySymbol); got != n {
+		t.Errorf("CountLabelID(AnySymbol) = %d, want NumVertices = %d", got, n)
+	}
+	if got := g.CountLabel("Drug"); got != 1 {
+		t.Errorf("CountLabel(Drug) = %d, want 1", got)
+	}
+	if got, want := collectScanStr(g, ""), collectScan(g, storage.AnySymbol); len(got) != n || !reflect.DeepEqual(got, want) {
+		t.Errorf("ForEachVertex(\"\") = %v, want every vertex %v", got, want)
+	}
+	if got, want := collectScanStr(g, "Compound"), collectScan(g, g.LabelID("Compound")); !reflect.DeepEqual(got, want) {
+		t.Errorf("ForEachVertex(Compound) = %v, want %v", got, want)
+	}
+	if val, ok := g.Prop(0, "name"); !ok || val.Str() != "Aspirin" {
+		t.Errorf("Prop(0, name) = (%v, %v), want Aspirin", val, ok)
+	}
+	if !g.HasLabel(0, "Drug") || g.HasLabel(1, "Drug") {
+		t.Error("HasLabel(Drug) wrong")
+	}
+	for v := 0; v < n; v++ {
+		id := storage.VID(v)
+		if _, ok := g.Prop(id, ""); ok {
+			t.Errorf("Prop(%d, \"\") reported present", v)
+		}
+		if g.HasLabel(id, "") {
+			t.Errorf("HasLabel(%d, \"\") = true", v)
+		}
+		for _, out := range []bool{true, false} {
+			var typed [][2]int64
+			for _, et := range []string{"treat", "cause", "implies"} {
+				typed = append(typed, collectAdjStr(g, id, et, out)...)
+			}
+			all := collectAdjStr(g, id, "", out)
+			if len(all) != len(typed) || len(all) != g.Degree(id, "", out) {
+				t.Errorf("vertex %d out=%v: %d edges of any type, %d of the named types, Degree(\"\") = %d", v, out, len(all), len(typed), g.Degree(id, "", out))
+			}
+			if got := collectAdjStr(g, id, "noSuchType", out); len(got) != 0 {
+				t.Errorf("ForEach(%d, noSuchType, out=%v) = %v", v, out, got)
+			}
+		}
+	}
+	if g.CountLabel("NoSuchLabel") != 0 || len(collectScanStr(g, "NoSuchLabel")) != 0 {
+		t.Error("unknown label matched vertices")
+	}
+	if g.HasLabel(0, "NoSuchLabel") || g.Degree(0, "noSuchType", true) != 0 {
+		t.Error("unknown label or type matched on vertex 0")
+	}
+	if _, ok := g.Prop(0, "noSuchKey"); ok {
+		t.Error("Prop(0, noSuchKey) reported present")
+	}
+	for _, v := range []storage.VID{-1, storage.VID(n)} {
+		if g.HasLabel(v, "Drug") || g.Degree(v, "", true) != 0 || len(g.Labels(v)) != 0 || len(g.PropKeys(v)) != 0 {
+			t.Errorf("out-of-range vertex %d reads as present", v)
+		}
+		if _, ok := g.Prop(v, "name"); ok {
+			t.Errorf("Prop(%d, name) reported present", v)
+		}
+		if len(collectAdjStr(g, v, "", true)) != 0 || len(collectAdjStr(g, v, "", false)) != 0 {
+			t.Errorf("out-of-range vertex %d has edges", v)
+		}
+	}
+}
+
+func collectScan(g storage.Graph, label storage.SymbolID) []storage.VID {
 	out := []storage.VID{}
-	fg.ForEachVertexID(label, func(v storage.VID) bool {
+	g.ForEachVertexID(label, func(v storage.VID) bool {
 		out = append(out, v)
 		return true
 	})
@@ -604,16 +670,16 @@ func collectScanStr(g storage.Graph, label string) []storage.VID {
 	return out
 }
 
-func collectAdj(fg storage.FastGraph, v storage.VID, etype storage.SymbolID, out bool) [][2]int64 {
+func collectAdj(g storage.Graph, v storage.VID, etype storage.SymbolID, out bool) [][2]int64 {
 	res := [][2]int64{}
 	fn := func(e storage.EID, other storage.VID) bool {
 		res = append(res, [2]int64{int64(e), int64(other)})
 		return true
 	}
 	if out {
-		fg.ForEachOutID(v, etype, fn)
+		g.ForEachOutID(v, etype, fn)
 	} else {
-		fg.ForEachInID(v, etype, fn)
+		g.ForEachInID(v, etype, fn)
 	}
 	return res
 }
@@ -633,13 +699,13 @@ func collectAdjStr(g storage.Graph, v storage.VID, etype string, out bool) [][2]
 }
 
 // degreeSweep collects typed and untyped degrees of every vertex through
-// the fast path, using the BuildRandom vocabulary.
-func degreeSweep(fg storage.FastGraph) []int {
+// the ID methods, using the BuildRandom vocabulary.
+func degreeSweep(g storage.Graph) []int {
 	var out []int
-	types := []storage.SymbolID{fg.TypeID("r1"), fg.TypeID("r2"), fg.TypeID("r3"), storage.AnySymbol}
-	for v := 0; v < fg.NumVertices(); v++ {
+	types := []storage.SymbolID{g.TypeID("r1"), g.TypeID("r2"), g.TypeID("r3"), storage.AnySymbol}
+	for v := 0; v < g.NumVertices(); v++ {
 		for _, tid := range types {
-			out = append(out, fg.DegreeID(storage.VID(v), tid, true), fg.DegreeID(storage.VID(v), tid, false))
+			out = append(out, g.DegreeID(storage.VID(v), tid, true), g.DegreeID(storage.VID(v), tid, false))
 		}
 	}
 	return out
@@ -733,8 +799,7 @@ func BuildRandom(b storage.Builder, seed int64, nVertices, nEdges int) (int, err
 
 // BuildRandomBulk builds the same pseudo-random graph as BuildRandom with
 // the same seed, but through the storage.BulkLoader batched write path
-// (native BatchBuilder batches where the store provides them, per-item
-// calls otherwise), finishing with one Finalize. Used to prove the two
+// (the store's BatchBuilder batches), finishing with one Finalize. Used to prove the two
 // write paths produce observably identical graphs.
 func BuildRandomBulk(b storage.Builder, seed int64, nVertices, nEdges, batchSize int) (int, error) {
 	bl := storage.NewBulkLoader(b, batchSize)
