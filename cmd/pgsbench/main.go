@@ -240,8 +240,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("Crash recovery — SIGKILL loop: %d rounds, %d killed, %d clean exits, %d mid-compact detections, %d mutations survive\n\n",
-			krep.Rounds, krep.Kills, krep.CleanExits, krep.Detected, krep.FinalOps)
+		fmt.Printf("Crash recovery — SIGKILL loop: %d rounds, %d killed, %d clean exits, %d mutations survive\n\n",
+			krep.Rounds, krep.Kills, krep.CleanExits, krep.FinalOps)
 		report.Add("crash", "Crash recovery — SIGKILL loop", krep)
 	}
 	if run("compact") {

@@ -81,7 +81,12 @@ func ColdOpen(env *Env) ([]ColdOpenResult, error) {
 	if err := open("indexed"); err != nil {
 		return nil, err
 	}
-	if err := os.Remove(filepath.Join(dir, "index.db")); err != nil {
+	// The index file carries its generation's suffix (index.db.gN).
+	idx, err := filepath.Glob(filepath.Join(dir, "index.db*"))
+	if err != nil || len(idx) != 1 {
+		return nil, fmt.Errorf("bench: want one index file in %s, found %v (%v)", dir, idx, err)
+	}
+	if err := os.Remove(idx[0]); err != nil {
 		return nil, err
 	}
 	if err := open("scan"); err != nil {

@@ -191,9 +191,9 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 		}
 	}
 
-	// One finalize builds the deferred adjacency/degree/index structures
-	// (and, on diskstore, leaves the finished store accepting durable
-	// live mutations).
+	// One finalize builds the deferred adjacency/degree/index structures.
+	// On diskstore it also commits the store durably and leaves it
+	// accepting durable live mutations.
 	if err := bl.Finalize(); err != nil {
 		return 0, 0, err
 	}

@@ -37,6 +37,8 @@ type BulkEdge struct {
 //   - Finalize is idempotent and also legal after purely incremental
 //     building, where it (re)establishes the store's optimal physical
 //     layout — for diskstore, type-segmented adjacency.
+//   - On a persistent backend Finalize is a durable commit: once it
+//     returns, the built store survives a crash without a Flush or Close.
 type BatchBuilder interface {
 	// AddVertexBatch creates len(batch) vertices with the given labels and
 	// returns the VID of the first; the rest follow consecutively.

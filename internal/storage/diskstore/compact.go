@@ -1,23 +1,24 @@
 package diskstore
 
-// Background compaction: fold the base plus a frozen delta snapshot into
-// a fresh generation of base files while reads and writes keep flowing.
+// Background compaction: Finalize on a live store. The base plus a frozen
+// delta snapshot become a fresh generation of base files while reads and
+// writes keep flowing.
 //
 // The fold never touches the files serving reads. It freezes the delta at
 // a WAL fence W (everything with seq <= W goes into the new base; younger
-// mutations keep landing in the live delta and survive the swap), builds
-// generation N+1 in the fold.tmp directory with the ordinary exclusive
-// build path, renames the finished files to their name.gN+1 homes, and
-// commits with one manifest rename naming the new generation and fence.
-// The swap then retargets s.cur under liveMu/epMu; pinned snapshots keep
-// reading the old generation's files until their pins drain, at which
-// point the superseded files are deleted and the delta's folded prefix
-// pruned.
+// mutations keep landing in the live delta and survive the swap),
+// re-ingests base and frozen delta into a private build-mode store in the
+// fold.tmp directory, and runs the finalize sort pass from there straight
+// into generation N+1 of the store directory. commit then names the new
+// generation and fence in one manifest rename. The swap retargets s.cur
+// under liveMu/epMu; pinned snapshots keep reading the old generation's
+// files until their pins drain, at which point the superseded files are
+// deleted and the delta's folded prefix pruned.
 //
 // Crash safety needs no marker file: before the manifest rename the
 // manifest still names the old generation (the new generation's files are
 // unreachable orphans, swept at next Open); after it, the new generation
-// is complete and durable (files are fsynced before the rename) and WAL
+// is complete and durable (commit fsyncs it before the rename) and WAL
 // replay skips the folded prefix via the wal_seq fence.
 
 import (
@@ -37,33 +38,11 @@ const foldTmpDir = "fold.tmp"
 const foldBatch = 4096
 
 // Compact folds accumulated live writes into a fresh finalized base
-// generation. On a live store it runs as a background fold — concurrent
-// reads and ApplyMutations proceed throughout, with only a bounded pause
-// at the commit point — and blocks until the fold commits (callers
-// wanting fire-and-forget run it from a goroutine). On a store still in
-// build mode it takes the exclusive Finalize+Flush path, under the usual
-// exclusive-access contract. Only one compaction may run at a time; a
-// concurrent call returns storage.ErrCompactInProgress.
-func (s *Store) Compact() error {
-	if !s.folding.CompareAndSwap(false, true) {
-		return storage.ErrCompactInProgress
-	}
-	defer func() {
-		s.foldProgress.Store(0)
-		s.folding.Store(false)
-	}()
-	if !s.liveMode.Load() {
-		if err := s.Finalize(); err != nil {
-			return err
-		}
-		if err := s.Flush(); err != nil {
-			return err
-		}
-		s.compactions.Add(1)
-		return nil
-	}
-	return s.foldBackground()
-}
+// generation and blocks until it commits (callers wanting fire-and-forget
+// run it from a goroutine). It is Finalize: a background fold on a live
+// store, the sort pass on a store still in build mode, and single-flight
+// either way (storage.ErrCompactInProgress).
+func (s *Store) Compact() error { return s.Finalize() }
 
 // foldBackground is the live-store fold. See the package comment above
 // for the protocol; the numbered stages below follow it.
@@ -93,13 +72,17 @@ func (s *Store) foldBackground() error {
 	s.symMu.RUnlock()
 	s.liveMu.Unlock()
 
-	if alreadyFolded && len(fd.verts) == 0 && len(fd.edges) == 0 &&
+	// A base still in build-mode records (a legacy store being upgraded)
+	// is rewritten even with nothing new to fold.
+	if alreadyFolded && old.compressed && len(fd.verts) == 0 && len(fd.edges) == 0 &&
 		len(fd.labelAdds) == 0 && len(fd.propOver) == 0 {
 		return nil // nothing new since the last fold
 	}
 
-	// Stage 2 — build generation gen+1 in fold.tmp using the ordinary
-	// exclusive build path on a private Store.
+	// Stage 2 — re-ingest base and frozen delta into a private build-mode
+	// store in fold.tmp. Its files are scratch however the fold ends: the
+	// sort pass writes (or hard-links) everything the new generation
+	// keeps.
 	newGen := old.gen + 1
 	foldDir := filepath.Join(s.dir, foldTmpDir)
 	if err := os.RemoveAll(foldDir); err != nil {
@@ -109,11 +92,10 @@ func (s *Store) foldBackground() error {
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
+	defer func() {
 		b.cur.closeFiles()
 		os.RemoveAll(foldDir)
-		return err
-	}
+	}()
 	b.seedSymbols(labels, types, keys)
 
 	total := 2*old.numVertices + old.numEdges + int64(len(fd.verts)) + int64(len(fd.edges)) + 1
@@ -147,14 +129,14 @@ func (s *Store) foldBackground() error {
 	for v := int64(0); v < old.numVertices; v++ {
 		rec, err := old.readVertex(storage.VID(v))
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		ids := labelBitsToIDs(rec.labels)
 		ids = append(ids, fd.labelAdds[storage.VID(v)]...)
 		vbatch = append(vbatch, storage.BulkVertex{Labels: labelNames(ids)})
 		if len(vbatch) == foldBatch {
 			if err := flushV(); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 	}
@@ -162,12 +144,12 @@ func (s *Store) foldBackground() error {
 		vbatch = append(vbatch, storage.BulkVertex{Labels: labelNames(fd.verts[i].labelIDs)})
 		if len(vbatch) == foldBatch {
 			if err := flushV(); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 	}
 	if err := flushV(); err != nil {
-		return fail(err)
+		return err
 	}
 
 	// Properties: each base vertex's chain (frozen overrides winning per
@@ -177,7 +159,7 @@ func (s *Store) foldBackground() error {
 	for v := int64(0); v < old.numVertices; v++ {
 		rec, err := old.readVertex(storage.VID(v))
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		over := fd.propOver[storage.VID(v)]
 		var seen map[int]bool
@@ -187,17 +169,17 @@ func (s *Store) foldBackground() error {
 		for p := rec.firstProp; p != 0; {
 			pr, err := old.readProp(p - 1)
 			if err != nil {
-				return fail(err)
+				return err
 			}
 			keyID := int(pr.keyID)
 			val, ok := over[keyID]
 			if !ok {
 				if val, err = old.decodeValue(pr); err != nil {
-					return fail(err)
+					return err
 				}
 			}
 			if err := b.SetProp(storage.VID(v), keys[keyID], val); err != nil {
-				return fail(err)
+				return err
 			}
 			if seen != nil {
 				seen[keyID] = true
@@ -207,7 +189,7 @@ func (s *Store) foldBackground() error {
 		for keyID, val := range over {
 			if !seen[keyID] {
 				if err := b.SetProp(storage.VID(v), keys[keyID], val); err != nil {
-					return fail(err)
+					return err
 				}
 			}
 		}
@@ -217,14 +199,14 @@ func (s *Store) foldBackground() error {
 		fv := &fd.verts[i]
 		for keyID, val := range fv.props {
 			if err := b.SetProp(fv.v, keys[keyID], val); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 	}
 
 	// Edges: old base in EID order, then frozen delta edges in EID
-	// order — EIDs are renumbered by the builder's Finalize anyway (the
-	// type-segmented rewrite), matching the documented Compact contract.
+	// order — EIDs are renumbered by the sort pass anyway, matching the
+	// documented Compact contract.
 	ebatch := make([]storage.BulkEdge, 0, foldBatch)
 	flushE := func() error {
 		if len(ebatch) == 0 {
@@ -244,92 +226,28 @@ func (s *Store) foldBackground() error {
 		}
 		return nil
 	}); err != nil {
-		return fail(err)
+		return err
 	}
 	for _, fe := range fd.edges {
 		ebatch = append(ebatch, storage.BulkEdge{Src: fe.src, Dst: fe.dst, Type: types[fe.typeID]})
 		if len(ebatch) == foldBatch {
 			if err := flushE(); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 	}
 	if err := flushE(); err != nil {
-		return fail(err)
-	}
-	if err := b.Finalize(); err != nil {
-		return fail(err)
-	}
-	if err := b.Flush(); err != nil {
-		return fail(err)
-	}
-	// Flush wrote every dirty page and the index file, but pager writes
-	// are not fsynced; the new generation must be durable before the
-	// manifest can name it.
-	for _, f := range b.cur.pager.files {
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-	}
-	bep := b.cur
-	if err := bep.closeFiles(); err != nil {
-		os.RemoveAll(foldDir)
 		return err
 	}
 
-	// Stage 3 — move the finished files to their generation names. They
-	// are orphans until the manifest commits (a crash here leaves them
-	// for Open's sweep).
-	for _, name := range append(append([]string(nil), baseFileNames[:]...), indexFileName) {
-		if err := os.Rename(filepath.Join(foldDir, name), filepath.Join(s.dir, genFileName(name, newGen))); err != nil {
-			s.removeGenFiles(newGen)
-			os.RemoveAll(foldDir)
-			return err
-		}
-	}
-	if err := syncDir(s.dir); err != nil {
-		s.removeGenFiles(newGen)
-		os.RemoveAll(foldDir)
-		return err
-	}
-	os.RemoveAll(foldDir) // only the builder's manifest.json remains
-
-	var files [numFiles]*os.File
-	for i, name := range baseFileNames {
-		f, err := os.OpenFile(filepath.Join(s.dir, genFileName(name, newGen)), os.O_RDWR, 0o644)
-		if err != nil {
-			for _, g := range files[:i] {
-				g.Close()
-			}
-			s.removeGenFiles(newGen)
-			return err
-		}
-		files[i] = f
-	}
-	pg, err := newPager(files, s.opts.PageSize, s.opts.CachePages, &s.pagerStats)
+	// Stage 3 — the finalize sort pass writes generation gen+1 straight
+	// into the store directory. Until the commit names them its files are
+	// orphans: discarded on error here, swept at Open after a crash.
+	newEp, err := s.writeGeneration(b.cur, newGen, len(types))
 	if err != nil {
-		for _, f := range files {
-			f.Close()
-		}
-		s.removeGenFiles(newGen)
 		return err
 	}
-	if s.opts.Mmap {
-		pg.enableMmap(fileVertices, fileEdges)
-	}
-	newEp := &epoch{
-		gen:         newGen,
-		compressed:  bep.compressed,
-		edgeBytes:   bep.edgeBytes,
-		pager:       pg,
-		numVertices: bep.numVertices, numEdges: bep.numEdges,
-		numProps: bep.numProps, numDegs: bep.numDegs, blobSize: bep.blobSize,
-		byLabel:    bep.byLabel,
-		typeCounts: bep.typeCounts, blooms: bep.blooms, statsValid: bep.statsValid,
-		baseSeq: fence,
-	}
-	newEp.pins.Store(1) // the store's own reference
-	newEp.setLabelBits()
+	newEp.baseSeq = fence
 
 	// Stage 4 — commit. flushMu keeps a concurrent Flush from writing a
 	// stale-generation manifest around ours; the manifest rename is the
@@ -337,23 +255,17 @@ func (s *Store) foldBackground() error {
 	// epoch swap — happens under liveMu so writers observe the routing
 	// change atomically. Lock order: flushMu before liveMu, everywhere.
 	s.flushMu.Lock()
-	if err := s.writeManifest(newEp, labels, types, keys, fence); err != nil {
+	if err := s.commit(newEp, labels, types, keys, fence); err != nil {
 		s.flushMu.Unlock()
-		newEp.closeFiles()
-		s.removeGenFiles(newGen)
+		s.discard(newEp)
 		return err
 	}
-	// The manifest now names a complete, durable generation — the commit
-	// point is passed, so everything from here on completes the swap
-	// unconditionally. A finalize marker still pending its committing
-	// Flush (the in-process rewrite it guards finished before the fold
-	// read the old files) can go, exactly as in Flush; a failed removal
-	// is reported after the swap rather than unwinding the committed
-	// fold (the marker only costs a refused Open, never corruption).
-	markerErr := os.Remove(filepath.Join(s.dir, finalizeMarker))
-	if os.IsNotExist(markerErr) {
-		markerErr = nil
+	// The manifest now names a complete, durable generation; everything
+	// from here on completes the swap unconditionally.
+	if s.opts.Mmap {
+		newEp.pager.enableMmap(fileVertices, fileEdges)
 	}
+	newEp.setLabelBits()
 	s.liveMu.Lock()
 	if w := s.wal.Load(); w != nil {
 		// Drop the folded WAL prefix. Failure is not fatal to the fold —
@@ -362,7 +274,6 @@ func (s *Store) foldBackground() error {
 		w.rotate(walOff)
 	}
 	s.walFoldedSeq = fence
-	s.pendingCheckpoint = false
 	// Young label/prop writes that landed on now-folded delta vertices
 	// while the fold ran must move to the base-override maps before
 	// routing flips (see delta.rebase).
@@ -379,7 +290,6 @@ func (s *Store) foldBackground() error {
 	s.symMu.RLock()
 	s.indexCurrent = len(s.labels) == len(labels) && len(s.types) == len(types) && len(s.keys) == len(keys)
 	s.symMu.RUnlock()
-	s.dirty = false
 	s.liveMu.Unlock()
 	s.flushMu.Unlock()
 	s.compactions.Add(1)
@@ -391,7 +301,7 @@ func (s *Store) foldBackground() error {
 	if old.pins.Add(-1) == 0 {
 		s.reclaimEpoch(old)
 	}
-	return markerErr
+	return nil
 }
 
 // seedSymbols pre-interns the frozen symbol tables into a fold's builder
@@ -422,10 +332,17 @@ func (s *Store) genFilePaths(gen int64) []string {
 	return append(paths, s.indexPath(gen))
 }
 
-// removeGenFiles best-effort deletes a never-committed generation's
-// files after a failed fold; anything left is swept at the next Open.
+// removeGenFiles best-effort deletes one generation's files: a
+// never-committed one after a failed Finalize (anything left is swept at
+// the next Open), or a superseded one.
 func (s *Store) removeGenFiles(gen int64) {
 	for _, p := range s.genFilePaths(gen) {
 		os.Remove(p)
 	}
+}
+
+// discard closes an epoch's files and deletes its generation.
+func (s *Store) discard(ep *epoch) {
+	ep.closeFiles()
+	s.removeGenFiles(ep.gen)
 }

@@ -13,9 +13,7 @@ package crashtest
 // true count to be L+1, never more — the child is serial). The reopened
 // store must fingerprint-match exactly prefix L or L+1; anything less is
 // a lost acknowledgment, anything else is a phantom or corrupted write.
-// A reopen refused with ErrFinalizeInterrupted (the kill landed inside
-// Compact's base rewrite) counts as detected corruption — the documented
-// contract — and the round restores the pre-round snapshot.
+// Every reopen must succeed: a refused one is a violation like any other.
 
 import (
 	"bufio"
@@ -33,6 +31,7 @@ import (
 
 	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
+	"repro/internal/storage/memstore"
 	"repro/internal/storage/storetest"
 )
 
@@ -55,20 +54,24 @@ type KillConfig struct {
 	Child          []string      // argv of a process that calls ChildMain
 	ChildEnv       []string      // extra environment for the child
 	MaxOpsPerRound int           // child exits cleanly after this many ops (default 200)
-	CompactEvery   int           // child runs Compact every k ops (default 23; 0 disables)
+	CompactEvery   int           // child runs Compact every k ops (default 23; negative disables)
 	MaxKillDelay   time.Duration // upper bound on the random kill delay (default 40ms)
 
 	// CompactInBackground makes the child run Compact in a goroutine
 	// and keep mutating while the fold is in flight, so the SIGKILL can
 	// land anywhere inside a background fold — mid-build, between the
-	// manifest commit and the WAL rotation, mid-swap. A background fold
-	// never places the finalize marker (the old base stays live until
-	// the atomic manifest commit), so reopen refusals
-	// (KillReport.Detected) are a violation in this mode, not a
-	// documented outcome.
+	// manifest commit and the WAL rotation, mid-swap.
 	CompactInBackground bool
-	Seed                int64
-	Log                 func(format string, args ...any) // optional progress logging
+	// buildInChild starts every round from an empty directory: the child
+	// bulk-builds the base itself (BuildRandomBulk, whose Finalize commits
+	// it), acknowledges mutations and never flushes or closes the store,
+	// so kills land mid-load, mid-finalize and after acknowledgements. A
+	// reopen with nothing acknowledged may also show the empty store (the
+	// kill came before the load's commit). The child must run
+	// childMain(true).
+	buildInChild bool
+	Seed         int64
+	Log          func(format string, args ...any) // optional progress logging
 }
 
 // KillReport summarizes a KillLoop run.
@@ -76,7 +79,6 @@ type KillReport struct {
 	Rounds     int // rounds executed
 	Kills      int // children that died by our SIGKILL
 	CleanExits int // children that finished their op budget first
-	Detected   int // reopens refused with ErrFinalizeInterrupted (kill inside Compact)
 	FinalOps   int // acknowledged mutations surviving in the final store
 }
 
@@ -103,21 +105,26 @@ func KillLoop(cfg KillConfig) (KillReport, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	dir := filepath.Join(cfg.Scratch, "store")
-	snap := filepath.Join(cfg.Scratch, "snapshot")
 	ackPath := filepath.Join(cfg.Scratch, "acks")
-	if err := buildBase(dir); err != nil {
-		return rep, err
+	if !cfg.buildInChild {
+		if err := buildBase(dir); err != nil {
+			return rep, err
+		}
 	}
 	o, err := newOracle()
 	if err != nil {
 		return rep, err
 	}
+	empty := storetest.Fingerprint(memstore.New())
 
 	n := 0 // verified acknowledged-mutation count in dir
 	for round := 0; round < cfg.Rounds; round++ {
 		rep.Rounds = round + 1
-		if err := copyDir(dir, snap); err != nil {
-			return rep, err
+		if cfg.buildInChild {
+			if err := os.RemoveAll(dir); err != nil {
+				return rep, err
+			}
+			n = 0
 		}
 		if err := os.RemoveAll(ackPath); err != nil {
 			return rep, err
@@ -168,27 +175,16 @@ func KillLoop(cfg KillConfig) (KillReport, error) {
 		}
 
 		s, err := diskstore.Open(dir, diskstore.Options{})
-		if errors.Is(err, diskstore.ErrFinalizeInterrupted) {
-			// The kill landed inside Compact's base rewrite. Detection —
-			// not silent corruption — is the contract for the exclusive
-			// (foreground) fold; a background fold never leaves the
-			// marker behind, so in that mode a refusal is a bug.
-			if cfg.CompactInBackground {
-				return rep, fmt.Errorf("crashtest: round %d: reopen refused (%v) after a kill during a BACKGROUND fold — the old base should have stayed live", round, err)
-			}
-			rep.Detected++
-			logf("round %d: kill landed mid-compact, corruption detected and snapshot restored", round)
-			if err := copyDir(snap, dir); err != nil {
-				return rep, err
-			}
-			continue
-		}
 		if err != nil {
 			return rep, fmt.Errorf("crashtest: reopen after kill (round %d): %w", round, err)
 		}
 		got := storetest.Fingerprint(s)
 		if err := s.Close(); err != nil {
 			return rep, err
+		}
+		if cfg.buildInChild && lastAcked == 0 && got == empty {
+			logf("round %d: killed=%v before the load committed, store empty", round, killed)
+			continue
 		}
 		matched := -1
 		for _, m := range []int{lastAcked, lastAcked + 1} {
@@ -241,8 +237,14 @@ func readAcks(path string, floor int) (int, error) {
 // environment, opens the store, and applies the deterministic workload,
 // fsyncing one ack line per acknowledged mutation. It never returns —
 // the normal exit is the parent's SIGKILL; running out of the op budget
-// exits 0.
-func ChildMain() {
+// closes the store and exits 0.
+func ChildMain() { childMain(false) }
+
+// childMain is ChildMain; with build set it is the child of a
+// buildInChild loop, which first bulk-builds the store into the empty
+// directory and never flushes or closes it — running out of the op
+// budget exits 0 as abruptly as a kill.
+func childMain(build bool) {
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "crashtest child:", err)
 		os.Exit(1)
@@ -259,6 +261,11 @@ func ChildMain() {
 	s, err := diskstore.Open(dir, diskstore.Options{})
 	if err != nil {
 		die(err)
+	}
+	if build {
+		if _, err := storetest.BuildRandomBulk(s, baseSeed, baseNV, baseNE, baseBatch); err != nil {
+			die(err)
+		}
 	}
 	ack, err := os.OpenFile(ackPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -306,8 +313,10 @@ func ChildMain() {
 	// A clean exit must not close the store under an in-flight fold —
 	// Close mid-Compact is a caller bug, not a crash we are simulating.
 	folds.Wait()
-	if err := s.Close(); err != nil {
-		die(err)
+	if !build {
+		if err := s.Close(); err != nil {
+			die(err)
+		}
 	}
 	os.Exit(0)
 }

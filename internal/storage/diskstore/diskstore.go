@@ -21,9 +21,9 @@
 // the plain file names (vertices.db, ...), generation N > 0 suffixes them
 // (vertices.db.gN). The manifest records which generation is current, and
 // swapping that single field — via the usual atomic manifest rename — is
-// the commit point for background compaction (see compact.go): a fold
-// builds a complete new generation in a temp directory, renames its files
-// into place, commits the manifest, and then swaps the in-memory epoch.
+// the commit point of every Finalize (see finalize.go and compact.go): the
+// finalize sort pass writes a complete generation N+1 beside N, commit
+// fsyncs it and renames the manifest, and then the in-memory epoch swaps.
 // Files from any other generation are orphans and are swept at Open.
 //
 // In memory, each open generation is an epoch: the pager, record counts,
@@ -163,7 +163,7 @@ func genFileName(name string, gen int64) string {
 // pager, their counts, the label-scan index, and the WAL fence (baseSeq)
 // identifying which logged batches the files already absorbed. Once a
 // store is live its current epoch's files are never mutated in place —
-// background compaction writes a whole new generation — so every field
+// Finalize writes a whole new generation — so every field
 // here is immutable for the epoch's lifetime and readers touch it without
 // locks. (During single-writer building, before live mode, the one
 // existing epoch is mutated freely.)
@@ -320,8 +320,8 @@ type Store struct {
 
 	// liveMode gates the durable post-finalize write path: Builder calls
 	// reroute through ApplyMutations, reads merge the delta segment, and
-	// symbol-table access takes symMu. Flipped only at Open and around
-	// the exclusive Finalize path.
+	// symbol-table access takes symMu. Set at Open or by a build-mode
+	// Finalize, and never cleared.
 	liveMode atomic.Bool
 	// liveMu serializes ApplyMutations batches (WAL append order = delta
 	// apply order = replay order) and the fold's freeze/swap steps.
@@ -338,15 +338,11 @@ type Store struct {
 	wal atomic.Pointer[wal]
 	// walFoldedSeq mirrors manifest.WalSeq; advanced by folds.
 	walFoldedSeq uint64
-	// pendingCheckpoint is set by the exclusive foldDelta: the next
-	// committed Flush truncates the WAL. (Background folds rotate the
-	// log themselves instead.)
-	pendingCheckpoint bool
 
 	// ---- background compaction state (see compact.go) ----
 
-	// folding is the single-flight guard: a second Compact while one is
-	// in progress returns storage.ErrCompactInProgress.
+	// folding is the single-flight guard: a second Finalize or Compact
+	// while one is in progress returns storage.ErrCompactInProgress.
 	folding atomic.Bool
 	// foldProgress is the running fold's progress in permille.
 	foldProgress atomic.Int64
@@ -357,7 +353,7 @@ type Store struct {
 	retired atomic.Int64
 	// pinnedSnaps counts snapshots acquired and not yet released.
 	pinnedSnaps atomic.Int64
-	// compactions counts completed folds (background or exclusive).
+	// compactions counts committed folds of a live store.
 	compactions atomic.Int64
 	// flushMu serializes manifest commits: a Flush racing a background
 	// fold must not write a stale generation over the fold's commit.
@@ -426,14 +422,13 @@ func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, fal
 var ErrLegacyFormat = errors.New("store was written in a legacy on-disk format; convert it offline with diskstore.Upgrade")
 
 // Upgrade converts a legacy (v2-v4) store in dir to the current format
-// in place and closes it; on a current-format store it does nothing. It
-// needs exclusive access. The legacy files are opened as an unfinalized
+// and closes it; on a current-format store it does nothing. It needs
+// exclusive access. The legacy files are opened as an unfinalized
 // build-mode store — only vertex, property and edge records (and any WAL
 // a live v4 session left) are trusted; the label index is rebuilt by
-// scanning and degrees.db is rewritten from scratch — then Finalize +
-// Flush run under the usual finalize.inprogress marker: an upgrade that
-// crashes before its manifest commit leaves a store Open refuses with
-// ErrFinalizeInterrupted.
+// scanning — and Finalize writes the v5 base as a new generation and
+// commits it. An upgrade that fails or crashes before that commit leaves
+// the legacy store as it was, plus orphans the next Upgrade sweeps.
 func Upgrade(dir string, opts Options) error {
 	m, ok, err := readManifest(dir)
 	if err != nil {
@@ -450,12 +445,7 @@ func Upgrade(dir string, opts Options) error {
 		return err
 	}
 	if err := s.Finalize(); err != nil {
-		// No Flush: the marker Finalize placed stays, and flags the
-		// possibly half-rewritten files to the next Open.
-		if w := s.wal.Load(); w != nil {
-			w.close()
-		}
-		s.cur.closeFiles()
+		s.closeFiles() // no Flush: it would commit the legacy files as v5
 		return err
 	}
 	return s.Close()
@@ -470,13 +460,6 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 		return nil, err
 	}
 	if _, err := os.Stat(filepath.Join(dir, finalizeMarker)); err == nil {
-		// The exclusive Finalize path rewrites edges.db in place; the
-		// marker survives only when that rewrite never committed, so the
-		// edge file may hold a mix of old- and new-order records that the
-		// manifest cannot detect. Refusing is the only safe answer.
-		// (Background Compact never places this marker — it builds a new
-		// generation in a temp directory and a crashed fold leaves only
-		// orphan files, swept below.)
 		return nil, fmt.Errorf("diskstore: %s: %w; rebuild the store from its source data (or restore a backup), then remove %s",
 			dir, ErrFinalizeInterrupted, finalizeMarker)
 	}
@@ -577,16 +560,12 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 }
 
 // ErrFinalizeInterrupted is returned (wrapped, with a recovery hint) by
-// Open when the finalize.inprogress marker is present: an exclusive
-// Finalize (or the exclusive Compact path a non-live store takes)
-// crashed after it may have started rewriting edge records in place and
-// before the rewrite was committed by a Flush, so edges.db may hold a
-// mix of old- and new-order records that the manifest cannot detect.
-// Background Compact on a live store never hits this: it builds the new
-// generation in a temp directory and commits it with one manifest
-// rename, so a crash at any instant leaves either the old or the new
-// generation fully intact. Test with errors.Is.
-var ErrFinalizeInterrupted = errors.New("store was interrupted mid-finalize/compact and its edge records may be partially rewritten")
+// Open when the directory holds a finalize.inprogress marker. Nothing in
+// this package creates one any more: an earlier build's Finalize rewrote
+// edges.db in place under that marker, and a store it left behind may
+// hold a mix of old- and new-order edge records that the manifest cannot
+// detect, so refusing is the only safe answer. Test with errors.Is.
+var ErrFinalizeInterrupted = errors.New("store carries the finalize.inprogress marker of an earlier build's interrupted in-place finalize; its edge records may be partially rewritten")
 
 // readManifest loads and validates manifest.json, reporting whether one
 // exists (a fresh directory has none).
@@ -613,8 +592,8 @@ func readManifest(dir string) (manifest, bool, error) {
 
 // sweepOrphans removes base-generation files that do not belong to the
 // committed generation, leftover temp files, and any fold.tmp build
-// directory — the residue of a background fold that crashed before or
-// after its manifest commit. Best-effort: sweep failures leave garbage,
+// directory — the residue of a Finalize that crashed before or after its
+// manifest commit. Best-effort: sweep failures leave garbage,
 // never break an open.
 func sweepOrphans(dir string, gen int64) {
 	entries, err := os.ReadDir(dir)
@@ -624,7 +603,6 @@ func sweepOrphans(dir string, gen int64) {
 	keep := map[string]bool{
 		"manifest.json": true,
 		walFileName:     true,
-		finalizeMarker:  true,
 	}
 	for _, name := range baseFileNames {
 		keep[genFileName(name, gen)] = true
@@ -690,17 +668,18 @@ func (s *Store) markDirty() error {
 	return nil
 }
 
-// Flush writes dirty pages, the derived-index file, and the manifest to
-// disk. The index and manifest are each written to a temp file and
-// renamed into place, so a crash mid-flush leaves either the old or the
-// new file — never a torn one — and the manifest rename is the commit
-// point (the index file itself was already removed by the first
-// mutation; see markDirty). A store with nothing mutated since open
-// skips the rewrites entirely — read-only workloads stay read-only on
-// close — unless its index had to be rebuilt by scanning, which writes
-// once to repair the missing index file. Pending bulk edges (AddEdgeBatch
-// without Finalize) are finalized first so a flushed store is always
-// fully linked.
+// Flush commits the current generation if anything changed since the
+// last commit (see commit): dirty pages, the derived-index file and the
+// manifest. The index file itself was already removed by the first
+// mutation (see markDirty), so a crash before the manifest rename leaves
+// a store that rebuilds its index by scanning. A store with nothing
+// mutated since open skips the rewrites entirely — read-only workloads
+// stay read-only on close — unless its index had to be rebuilt by
+// scanning, which writes once to repair the missing index file. Pending
+// bulk edges (AddEdgeBatch without Finalize) are finalized first so a
+// flushed store is always fully linked. In live mode the delta segment is
+// not flushed here: it is durable through the WAL and folded into the
+// base by the next Finalize or Compact.
 func (s *Store) Flush() error {
 	if s.needFinalize {
 		if err := s.Finalize(); err != nil {
@@ -716,46 +695,33 @@ func (s *Store) Flush() error {
 	if !s.dirty && s.indexCurrent {
 		return ep.pager.flush()
 	}
-	if err := ep.pager.flush(); err != nil {
-		return err
-	}
-	if err := s.writeIndex(ep); err != nil {
+	if err := s.commit(ep, s.labels, s.types, s.keys, s.walFoldedSeq); err != nil {
 		return err
 	}
 	s.indexCurrent = true
-	// Note the counts describe the base files only: in live mode the
-	// delta segment is not flushed here — it is durable through the WAL
-	// and folded into the base by the next Compact.
-	if err := s.writeManifest(ep, s.labels, s.types, s.keys, s.walFoldedSeq); err != nil {
-		return err
-	}
-	// The manifest rename committed the flush; a finalize that ran since
-	// the last commit is now fully durable, so its marker can go. (A
-	// crash between the two leaves the marker on a consistent store — a
-	// safe false positive: Open refuses and asks for a rebuild.)
-	if err := os.Remove(filepath.Join(s.dir, finalizeMarker)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	// Checkpoint: the manifest just committed a wal_seq covering every
-	// folded record, so the WAL can be emptied. A crash before this
-	// truncation leaves a stale log that replay skips (and truncates) via
-	// the fence.
-	if s.pendingCheckpoint {
-		if w := s.wal.Load(); w != nil {
-			if err := w.reset(); err != nil {
-				return err
-			}
-		}
-		s.pendingCheckpoint = false
-	}
 	s.dirty = false
 	return nil
 }
 
-// writeManifest atomically replaces manifest.json with one describing
-// ep's files, the given symbol tables and WAL fence — the commit point of
-// both Flush and the background fold.
-func (s *Store) writeManifest(ep *epoch, labels, types, keys []string, walSeq uint64) error {
+// commit is the one commit protocol, which Finalize (both the sort pass
+// and the fold) and Flush end in: write back and fsync ep's record files,
+// write its index file, then atomically replace manifest.json with one
+// naming ep's generation, the given symbol tables and WAL fence
+// (writeFileAtomic — the rename is the commit point, and the directory
+// sync after it makes the rename durable). A failure or crash before the
+// rename leaves the previous manifest in charge.
+func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) error {
+	if err := ep.pager.flush(); err != nil {
+		return err
+	}
+	for _, f := range ep.pager.files {
+		if err := f.Sync(); err != nil {
+			return err
+		}
+	}
+	if err := s.writeIndex(ep, labels, types, keys); err != nil {
+		return err
+	}
 	data, err := json.Marshal(manifest{
 		Version: formatVersion, Generation: ep.gen,
 		Labels: labels, Types: types, Keys: keys,
@@ -771,22 +737,15 @@ func (s *Store) writeManifest(ep *epoch, labels, types, keys []string, walSeq ui
 	return writeFileAtomic(filepath.Join(s.dir, "manifest.json"), data)
 }
 
-// finalizeMarker is the sentinel file present while an exclusive
-// Finalize edge rewrite is in flight but not yet committed by a Flush;
-// see Finalize and Open. Background folds never place it.
+// finalizeMarker is the sentinel an earlier build's in-place Finalize
+// left while its edge rewrite was uncommitted; Open refuses a directory
+// holding one (see ErrFinalizeInterrupted).
 const finalizeMarker = "finalize.inprogress"
-
-// placeFinalizeMarker creates (and syncs) the in-flight finalize
-// sentinel.
-func (s *Store) placeFinalizeMarker() error {
-	return writeFileAtomic(filepath.Join(s.dir, finalizeMarker),
-		[]byte("edge rewrite in flight; removed by the next committed Flush\n"))
-}
 
 // writeFileAtomic writes data to a sibling temp file, syncs it, renames
 // it over path, and syncs the parent directory, so readers only ever
 // observe the old or the new content — and the rename itself survives a
-// power loss, which the finalize-marker protocol depends on.
+// power loss, which the commit protocol depends on.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -836,6 +795,12 @@ func (s *Store) Close() error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
+	return s.closeFiles()
+}
+
+// closeFiles closes the WAL and the current generation's files without
+// committing anything.
+func (s *Store) closeFiles() error {
 	if w := s.wal.Load(); w != nil {
 		if err := w.close(); err != nil {
 			return err
@@ -930,7 +895,11 @@ func (ep *epoch) readVertex(v storage.VID) (vertexRec, error) {
 }
 
 func (ep *epoch) writeVertex(v storage.VID, r vertexRec) error {
-	var buf [vertexRecSize]byte
+	buf := r.encode()
+	return ep.pager.write(fileVertices, int64(v)*vertexRecSize, buf[:])
+}
+
+func (r vertexRec) encode() (buf [vertexRecSize]byte) {
 	if r.inUse {
 		buf[0] = 1
 	}
@@ -942,7 +911,7 @@ func (ep *epoch) writeVertex(v storage.VID, r vertexRec) error {
 	binary.LittleEndian.PutUint32(buf[41:], r.outDeg)
 	binary.LittleEndian.PutUint32(buf[45:], r.inDeg)
 	binary.LittleEndian.PutUint64(buf[49:], uint64(r.firstDeg))
-	return ep.pager.write(fileVertices, int64(v)*vertexRecSize, buf[:])
+	return buf
 }
 
 func (ep *epoch) readEdge(e storage.EID) (edgeRec, error) {
@@ -1021,7 +990,11 @@ func (ep *epoch) readDeg(d int64) (degRec, error) {
 }
 
 func (ep *epoch) writeDeg(d int64, r degRec) error {
-	var buf [degRecSize]byte
+	buf := r.encode()
+	return ep.pager.write(fileDegrees, d*degRecSize, buf[:])
+}
+
+func (r degRec) encode() (buf [degRecSize]byte) {
 	if r.inUse {
 		buf[0] = 1
 	}
@@ -1034,7 +1007,7 @@ func (ep *epoch) writeDeg(d int64, r degRec) error {
 	binary.LittleEndian.PutUint32(buf[37:], r.outLen)
 	binary.LittleEndian.PutUint32(buf[41:], r.inLen)
 	binary.LittleEndian.PutUint64(buf[45:], uint64(r.firstOutEID))
-	return ep.pager.write(fileDegrees, d*degRecSize, buf[:])
+	return buf
 }
 
 // bumpDeg increments the per-type degree counter reachable from rec,
@@ -1389,7 +1362,7 @@ func (s *Store) AddEdge(src, dst storage.VID, etype string) (storage.EID, error)
 	e := storage.EID(ep.numEdges)
 	ep.numEdges++
 	// An edge record follows, prepended to chain heads that interleave
-	// types: adjacency is in build mode until the next Finalize/Compact.
+	// types: adjacency is in build mode until the next Finalize.
 	// Safe on a finalized store, because one that holds edges is always
 	// live (writes route through the delta instead), so this path only
 	// runs while edges.db is still empty.

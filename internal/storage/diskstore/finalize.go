@@ -1,19 +1,24 @@
 package diskstore
 
-// The bulk-build write path (storage.BatchBuilder) and the finalize /
-// compact step that turns build-mode edge records into type-segmented
-// delta-varint adjacency.
+// The bulk-build write path (storage.BatchBuilder) and Finalize, the one
+// way a store gets a new base generation.
 //
 // Bulk ingestion defers all adjacency work: AddVertexBatch writes bare
 // vertex records, AddEdgeBatch appends bare edge records with no chain
-// links, and Finalize builds everything derived — segments, degree
-// records with their descriptors, untyped degree counters, statistics —
-// in one sorted pass. The same pass is the conversion step for legacy
-// stores (Upgrade), because it never trusts any derived structure: only
-// the src/dst/type triples in edges.db.
+// links, and the finalize sort pass builds everything derived — segments,
+// degree records with their descriptors, untyped degree counters,
+// statistics — in one sorted pass. The pass writes generation N+1 beside
+// generation N and commit makes it current with one manifest rename, so
+// no file a committed manifest names is ever rewritten by it. It is also
+// the conversion step for legacy stores (Upgrade), because it never
+// trusts any derived structure: only the src/dst/type triples of the
+// edges.
 
 import (
+	"bufio"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/storage"
@@ -118,69 +123,133 @@ type edgeLite struct {
 }
 
 // Finalize completes deferred bulk construction and (re)establishes the
-// finalized physical layout. It sorts the edges by (source vertex, edge
-// type, destination) — which assigns the new edge IDs — and rewrites
-// edges.db as one gap-encoded out segment and one in segment per (vertex,
-// type), rebuilds every vertex's degree counters and per-type degree
-// records (doubling as segment descriptors), and accumulates the
-// statistics block. Afterwards a typed ForEach seeks straight to its
-// type's segment and never reads another type's bytes.
-//
-// Because Finalize rebuilds all derived structures from the base
-// src/dst/type records, it also serves as the conversion step for legacy
-// stores (see Upgrade) and as the repair step after incremental AddEdge
-// calls left adjacency in build mode. Edge IDs are renumbered by the
-// sort; EIDs observed before Finalize are invalid after it (the
+// finalized physical layout in a new base generation, which it commits
+// before returning: a crash at any instant leaves either the previous
+// commit or the new generation, complete. Edge IDs are renumbered; EIDs
+// observed before Finalize are invalid after it (the
 // storage.BatchBuilder contract).
+//
+// On a live store Finalize is the background fold (see compact.go), run
+// to completion while readers and writers keep going. On a store in build
+// mode — a bulk load, Upgrade — it is the sort pass of writeGeneration,
+// and it needs exclusive access; a finalized build-mode store with
+// nothing written since writes nothing. Either way Finalize is
+// single-flight with Compact: a concurrent call returns
+// storage.ErrCompactInProgress.
 func (s *Store) Finalize() error {
-	// Live state is folded into the base below; base writers are used for
-	// the fold, so live routing is switched off for the duration.
-	// Finalize requires exclusive access (no concurrent readers or
-	// writers) — it rewrites edges.db in place.
-	wasLive := s.liveMode.Load()
-	s.liveMode.Store(false)
-	ep := s.cur
-	if err := s.markDirty(); err != nil {
+	if !s.folding.CompareAndSwap(false, true) {
+		return storage.ErrCompactInProgress
+	}
+	defer func() {
+		s.foldProgress.Store(0)
+		s.folding.Store(false)
+	}()
+	if s.liveMode.Load() {
+		return s.foldBackground()
+	}
+	old := s.cur
+	if old.compressed && !s.dirty {
+		return nil
+	}
+	ep, err := s.writeGeneration(old, old.gen+1, len(s.types))
+	if err != nil {
 		return err
 	}
-	// The fold and the rewrite below mutate base records in place, and
-	// cache eviction may push any subset of the new pages to disk at any
-	// moment — a crash leaves files in a mixed old/new state that the
-	// (unchanged) manifest still validates. The marker file turns that
-	// silent corruption into a detected one: it is created before the
-	// first mutated page can reach disk and removed only by the next
-	// successful Flush, so Open refuses a store whose finalize never
-	// committed (see ErrFinalizeInterrupted).
-	if err := s.placeFinalizeMarker(); err != nil {
+	if err := s.commit(ep, s.labels, s.types, s.keys, s.walFoldedSeq); err != nil {
+		s.discard(ep)
 		return err
 	}
-	var extra []edgeLite
-	if wasLive {
-		var err error
-		if extra, err = s.foldDelta(); err != nil {
-			return err
+	if s.opts.Mmap {
+		ep.pager.enableMmap(fileVertices, fileEdges)
+	}
+	s.epMu.Lock()
+	s.cur = ep
+	s.epMu.Unlock()
+	s.generation.Store(ep.gen)
+	s.discard(old) // build mode pins no epoch: the superseded one goes at once
+	s.needFinalize, s.dirty, s.indexCurrent = false, false, true
+	// A finalized store with at least one vertex and one edge accepts
+	// durable live mutations (see live.go). Empty or vertex-only stores
+	// stay in build mode: they are still being constructed and their
+	// cheap base mutations need no WAL.
+	if ep.numVertices > 0 && ep.numEdges > 0 {
+		s.delta = newDelta(ep.numVertices, ep.numEdges)
+		s.delta.appliedSeq.Store(s.walFoldedSeq)
+		ep.setLabelBits()
+		s.liveMode.Store(true)
+	}
+	return nil
+}
+
+// writeGeneration is the finalize sort pass. It reads the records of the
+// epoch from — build-mode edge records and finalized segments alike,
+// through forEachEdgeLite — and writes generation gen into the store
+// directory: fresh vertices, edges and degrees files, plus hard links to
+// the props and blobs files of from, which the pass does not rewrite.
+// Beyond writing back the build-mode pages still dirty in the cache of
+// from, it never writes a file it reads.
+//
+// It sorts the edges by (source vertex, edge type, destination), which
+// assigns the new edge IDs, writes one gap-encoded out segment and one in
+// segment per (vertex, type), rebuilds every vertex's degree counters and
+// per-type degree records (doubling as segment descriptors), and
+// accumulates the statistics block. Afterwards a typed ForEach seeks
+// straight to its type's segment and never reads another type's bytes.
+// numTypes is the size of the type table the edges' type IDs index.
+//
+// The returned epoch is open, with a cold cache, but neither durable nor
+// named by the manifest until commit; on error its files are already
+// gone.
+func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, error) {
+	// The links must carry every byte of from.
+	if err := from.pager.flush(); err != nil {
+		return nil, err
+	}
+	var files [numFiles]*os.File
+	fail := func(err error) (*epoch, error) {
+		for _, f := range files {
+			if f != nil {
+				f.Close()
+			}
 		}
+		s.removeGenFiles(gen)
+		return nil, fmt.Errorf("diskstore: finalize: %w", err)
 	}
-	// Gather base edges through the layout-aware enumerator: build-mode
-	// records are read as such, an already-finalized base is decoded from
-	// its segments. Delta edges ride along after the base so the stable
-	// sort preserves ingest order.
-	recs := make([]edgeLite, 0, int(ep.numEdges)+len(extra))
-	if err := ep.forEachEdgeLite(func(el edgeLite) error {
+	for i, name := range baseFileNames {
+		path := filepath.Join(s.dir, genFileName(name, gen))
+		flag := os.O_RDWR | os.O_CREATE | os.O_TRUNC
+		if id := fileID(i); id == fileProps || id == fileBlobs {
+			os.Remove(path) // a failed attempt's leftover would make Link fail
+			if err := os.Link(from.pager.files[i].Name(), path); err != nil {
+				return fail(err)
+			}
+			flag = os.O_RDWR
+		}
+		f, err := os.OpenFile(path, flag, 0o644)
+		if err != nil {
+			return fail(err)
+		}
+		files[i] = f
+	}
+	// Each file the pass writes grows strictly in order — vertex records
+	// by VID, segments at a running cursor, degree records by ID — so it
+	// is streamed rather than cached. A bufio.Writer's error is sticky:
+	// the Flush below reports any failed Write.
+	vout := bufio.NewWriter(files[fileVertices])
+	eout := bufio.NewWriter(files[fileEdges])
+	dout := bufio.NewWriter(files[fileDegrees])
+
+	recs := make([]edgeLite, 0, int(from.numEdges))
+	if err := from.forEachEdgeLite(func(el edgeLite) error {
 		recs = append(recs, el)
 		return nil
 	}); err != nil {
-		return fmt.Errorf("diskstore: finalize: %w", err)
+		return fail(err)
 	}
-	if int64(len(recs)) != ep.numEdges {
-		return fmt.Errorf("diskstore: finalize: gathered %d base edges, expected %d", len(recs), ep.numEdges)
+	if int64(len(recs)) != from.numEdges {
+		return fail(fmt.Errorf("gathered %d edges, expected %d", len(recs), from.numEdges))
 	}
-	recs = append(recs, extra...)
 	nE := len(recs)
-	ep.numEdges = int64(nE)
-	// Everything below writes segments; the old bytes in edges.db are
-	// dead once the gather above is done.
-	ep.compressed = true
 
 	// New edge order, clustered by (src, type, dst): the new ID of edge
 	// perm[k] is k, so each out segment's EIDs are contiguous and its dst
@@ -225,24 +294,23 @@ func (s *Store) Finalize() error {
 	})
 
 	// Per-vertex: untyped degree counters and the ascending-type degree
-	// chain of segment descriptors; degrees.db is rewritten from scratch.
-	// The same pass emits the delta-varint segments at a running cursor
-	// and accumulates the statistics block: per-edge-type counts and
-	// per-(label, key) bloom hashes over every property value.
-	ep.numDegs = 0
+	// chain of segment descriptors. The same pass emits the delta-varint
+	// segments at a running cursor and accumulates the statistics block:
+	// per-edge-type counts and per-(label, key) bloom hashes over every
+	// property value.
 	oi, ii := 0, 0
 	var degs []degRec
-	var cursor int64
+	var cursor, numDegs int64
 	var segBuf []byte
 	hashAcc := make(map[uint64][]uint64)
-	typeCounts := make([]int64, len(s.types))
+	typeCounts := make([]int64, numTypes)
 	for i := range recs {
 		typeCounts[recs[i].typeID]++
 	}
-	for v := int64(0); v < ep.numVertices; v++ {
-		rec, err := ep.readVertex(storage.VID(v))
+	for v := int64(0); v < from.numVertices; v++ {
+		rec, err := from.readVertex(storage.VID(v))
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		outStart := oi
 		for oi < nE && recs[perm[oi]].src == v {
@@ -254,7 +322,7 @@ func (s *Store) Finalize() error {
 		}
 		rec.outDeg = uint32(oi - outStart)
 		rec.inDeg = uint32(ii - inStart)
-		// No edge records remain for adjacency heads to point at: a
+		// No edge records exist for adjacency heads to point at: a
 		// finalized vertex reaches its edges only through the degree
 		// chain's segment descriptors.
 		rec.firstOut, rec.firstIn, rec.firstDeg = 0, 0, 0
@@ -286,9 +354,7 @@ func (s *Store) Finalize() error {
 				}
 				dr.outOff = cursor + 1
 				dr.outLen = uint32(len(segBuf))
-				if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
-					return err
-				}
+				eout.Write(segBuf)
 				cursor += int64(len(segBuf))
 			}
 			if i < ii && recs[inOrder[i]].typeID == t {
@@ -305,39 +371,35 @@ func (s *Store) Finalize() error {
 				}
 				dr.inOff = cursor + 1
 				dr.inLen = uint32(len(segBuf))
-				if err := ep.pager.write(fileEdges, cursor, segBuf); err != nil {
-					return err
-				}
+				eout.Write(segBuf)
 				cursor += int64(len(segBuf))
 			}
 			degs = append(degs, dr)
 		}
 		if len(degs) > 0 {
-			base := ep.numDegs
-			rec.firstDeg = base + 1
+			rec.firstDeg = numDegs + 1
 			for j := range degs {
 				if j+1 < len(degs) {
-					degs[j].next = base + int64(j) + 2
+					degs[j].next = numDegs + int64(j) + 2
 				}
-				if err := ep.writeDeg(base+int64(j), degs[j]); err != nil {
-					return err
-				}
+				buf := degs[j].encode()
+				dout.Write(buf[:])
 			}
-			ep.numDegs += int64(len(degs))
+			numDegs += int64(len(degs))
 		}
 		// Statistics: hash every property value once, bucketed by each
 		// label the vertex carries. Filters are sized after the pass,
 		// when per-bucket cardinalities are known.
 		if labelIDs := labelBitsToIDs(rec.labels); len(labelIDs) > 0 {
 			for p := rec.firstProp; p != 0; {
-				pr, err := ep.readProp(p - 1)
+				pr, err := from.readProp(p - 1)
 				if err != nil {
-					return err
+					return fail(err)
 				}
 				p = pr.next
-				val, err := ep.decodeValue(pr)
+				val, err := from.decodeValue(pr)
 				if err != nil {
-					return err
+					return fail(err)
 				}
 				h := hashValue(val)
 				for _, lid := range labelIDs {
@@ -346,16 +408,17 @@ func (s *Store) Finalize() error {
 				}
 			}
 		}
-		if err := ep.writeVertex(storage.VID(v), rec); err != nil {
-			return err
+		buf := rec.encode()
+		vout.Write(buf[:])
+	}
+	for _, w := range []*bufio.Writer{vout, eout, dout} {
+		if err := w.Flush(); err != nil {
+			return fail(err)
 		}
 	}
-	// Segments are strictly smaller than the records they replace (<= 27
-	// bytes/edge worst case vs 64), so the tail past the cursor is dead —
-	// reclaim it.
-	ep.edgeBytes = cursor
-	if err := ep.pager.truncate(fileEdges, cursor); err != nil {
-		return err
+	pg, err := newPager(files, s.opts.PageSize, s.opts.CachePages, &s.pagerStats)
+	if err != nil {
+		return fail(err)
 	}
 	blooms := make(map[uint64]*bloom, len(hashAcc))
 	for k, hs := range hashAcc {
@@ -365,114 +428,14 @@ func (s *Store) Finalize() error {
 		}
 		blooms[k] = b
 	}
-	ep.typeCounts = typeCounts
-	ep.blooms = blooms
-	ep.statsValid = true
-	s.needFinalize = false
-	// A finalized store with at least one vertex and one edge accepts
-	// durable live mutations (see live.go). Empty or vertex-only stores
-	// stay in build mode: they are still being constructed and their
-	// cheap base mutations need no WAL. The delta restarts at the new
-	// base boundaries either way.
-	if ep.numVertices > 0 && ep.numEdges > 0 {
-		s.delta = newDelta(ep.numVertices, ep.numEdges)
-		s.delta.appliedSeq.Store(s.walFoldedSeq)
-		ep.setLabelBits() // foldDelta may have grown byLabel under the old one
-		s.liveMode.Store(true)
+	ep := &epoch{
+		gen: gen, compressed: true, edgeBytes: cursor, pager: pg,
+		numVertices: from.numVertices, numEdges: int64(nE), numProps: from.numProps,
+		numDegs: numDegs, blobSize: from.blobSize,
+		byLabel:    from.byLabel,
+		typeCounts: typeCounts, blooms: blooms, statsValid: true,
+		baseSeq: from.baseSeq,
 	}
-	return nil
-}
-
-// foldDelta appends the delta segment's visible vertex/label/property
-// state to the base files so the rebuild that follows links it, and
-// returns the delta's edges in ingest order for the caller to merge into
-// its gather (Finalize renumbers and writes them — appending records
-// here would corrupt a compressed base, whose edges.db holds segments,
-// not records). It consumes a frozen copy of the delta (freeze with an
-// unbounded watermark — the caller has exclusive access, so everything
-// is visible): delta vertices keep their VIDs (the delta numbered them
-// past the base, so appending in VID order reproduces the live IDs).
-// Once the fold is in the base, the WAL records it absorbed are dead
-// weight: walFoldedSeq advances to fence them out of replay, and the
-// next Flush — the manifest commit that makes the fold durable —
-// truncates the log (pendingCheckpoint). The caller has switched live
-// routing off and placed the finalize marker, so every write here uses
-// the base build path and a crash mid-fold is detected at next Open;
-// the caller's tail also restarts the delta at the new base boundaries.
-func (s *Store) foldDelta() ([]edgeLite, error) {
-	ep := s.cur
-	w := vis{baseVerts: ep.numVertices, baseEdges: ep.numEdges, baseSeq: ep.baseSeq, maxSeq: ^uint64(0)}
-	fd := s.delta.freeze(w)
-	for i := range fd.verts {
-		fv := &fd.verts[i]
-		v := storage.VID(ep.numVertices)
-		ep.numVertices++
-		rec := vertexRec{inUse: true}
-		for _, id := range fv.labelIDs {
-			w, b := id/64, uint(id%64)
-			if rec.labels[w]&(1<<b) == 0 {
-				rec.labels[w] |= 1 << b
-				ep.byLabel[id] = append(ep.byLabel[id], v)
-			}
-		}
-		if err := ep.writeVertex(v, rec); err != nil {
-			return nil, err
-		}
-	}
-	// Label additions on base vertices (delta-vertex labels were folded
-	// into their fresh records above). The delta deduplicated against
-	// base bits at apply time, but re-checking here keeps byLabel clean
-	// even if the same label was added twice across batches.
-	for v, ids := range fd.labelAdds {
-		rec, err := ep.readVertex(v)
-		if err != nil {
-			return nil, err
-		}
-		changed := false
-		for _, id := range ids {
-			w, b := id/64, uint(id%64)
-			if rec.labels[w]&(1<<b) == 0 {
-				rec.labels[w] |= 1 << b
-				ep.byLabel[id] = append(ep.byLabel[id], v)
-				changed = true
-			}
-		}
-		if changed {
-			if err := ep.writeVertex(v, rec); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Delta edges in EID order, handed back rather than written: ingest
-	// order is preserved for the stable sort, and the caller's rebuild
-	// assigns their final IDs and bytes.
-	extra := make([]edgeLite, len(fd.edges))
-	for i, fe := range fd.edges {
-		extra[i] = edgeLite{src: int64(fe.src), dst: int64(fe.dst), typeID: fe.typeID}
-	}
-	// Properties last, once every vertex they touch has a base record:
-	// delta-vertex values and base-vertex overrides both go through the
-	// base prop chain.
-	for i := range fd.verts {
-		fv := &fd.verts[i]
-		for keyID, val := range fv.props {
-			if err := s.SetProp(fv.v, s.keys[keyID], val); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for v, m := range fd.propOver {
-		for keyID, val := range m {
-			if err := s.SetProp(v, s.keys[keyID], val); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if w := s.wal.Load(); w != nil {
-		s.walFoldedSeq = w.lastAppended()
-		s.pendingCheckpoint = true
-	}
-	// The base now holds everything up to the fence.
-	ep.baseSeq = s.walFoldedSeq
-	return extra, nil
+	ep.pins.Store(1) // the store's own reference, once it is installed
+	return ep, nil
 }

@@ -331,8 +331,9 @@ func checkGoldenUpgrade(t *testing.T, fixture string) {
 		t.Fatal("refused Open modified the legacy store directory")
 	}
 
-	// An upgrade that crashed mid-rewrite left its marker; neither Open
-	// nor a second Upgrade may take the half-rewritten files at face value.
+	// An earlier build's upgrade that crashed mid-rewrite left its marker;
+	// neither Open nor Upgrade may take the half-rewritten files at face
+	// value.
 	marker := filepath.Join(dir, finalizeMarker)
 	if err := os.WriteFile(marker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -344,8 +345,48 @@ func checkGoldenUpgrade(t *testing.T, fixture string) {
 		t.Fatal(err)
 	}
 
+	// An upgrade that crashed before its commit left the next
+	// generation's files and a fold.tmp directory behind: the store is
+	// still legacy, and the next Upgrade sweeps them.
+	m, _, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genNames := append(baseFileNames[:], indexFileName)
+	orphans := []string{filepath.Join(foldTmpDir, "vertices.db")}
+	for _, name := range genNames {
+		orphans = append(orphans, genFileName(name, m.Generation+1))
+	}
+	if err := os.Mkdir(filepath.Join(dir, foldTmpDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range orphans {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(dir, opts); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("Open of a legacy store with orphans: err = %v, want ErrLegacyFormat", err)
+	}
+
 	if err := Upgrade(dir, opts); err != nil {
 		t.Fatalf("Upgrade: %v", err)
+	}
+	if m, _, err = readManifest(dir); err != nil {
+		t.Fatal(err)
+	}
+	keep := map[string]bool{"manifest.json": true, "FINGERPRINT.txt": true}
+	for _, name := range genNames {
+		keep[genFileName(name, m.Generation)] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !keep[e.Name()] {
+			t.Errorf("Upgrade left %s beside the committed generation %d", e.Name(), m.Generation)
+		}
 	}
 	s, err := Open(dir, opts)
 	if err != nil {
@@ -425,7 +466,28 @@ func TestUpgradeReplaysLegacyWAL(t *testing.T) {
 		t.Fatalf("twin left no WAL to borrow (err=%v)", err)
 	}
 	dir := copyDir(t, "testdata/golden-v4")
-	if err := os.WriteFile(filepath.Join(dir, walFileName), wal, 0o644); err != nil {
+	// The twin's records carry its base generation (1, after its bulk
+	// Finalize). Replay refuses records from a generation newer than the
+	// manifest's, so the borrowed log is re-stamped with the fixture's.
+	m, _, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, _ := parseWAL(wal, ^uint32(0))
+	w, err := openWAL(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		ops, err := encodeWALOps(b.ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.append(ops, len(b.ops), uint32(m.Generation)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -618,13 +680,16 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	}
 }
 
-// TestInterruptedFinalizeRefused: a finalize/compact that never committed
-// leaves its marker behind, and Open must refuse the store instead of
-// serving possibly half-rewritten edge records; a committed Compact
-// leaves no marker.
+// TestInterruptedFinalizeRefused: an earlier build's in-place Finalize
+// that never committed left its finalize.inprogress marker behind, and
+// Open must refuse such a directory instead of serving possibly
+// half-rewritten edge records, and leave it as found: the refusal sweeps,
+// truncates and rewrites nothing. (The typed error and its recovery hint
+// are TestInterruptedFinalizeTypedError's.)
 func TestInterruptedFinalizeRefused(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})
+	opts := Options{PageSize: 512, CachePages: 16}
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,23 +702,31 @@ func TestInterruptedFinalizeRefused(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, finalizeMarker)); !os.IsNotExist(err) {
-		t.Fatalf("marker survived a committed Compact (stat err: %v)", err)
-	}
-	re, err := Open(dir, Options{PageSize: 512, CachePages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the crash: the marker is on disk, the rewrite never
-	// committed.
 	if err := os.WriteFile(filepath.Join(dir, finalizeMarker), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{PageSize: 512, CachePages: 16}); err == nil {
-		t.Fatal("store with an in-flight finalize marker was opened")
+	listing := func() map[string]int64 {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := make(map[string]int64, len(ents))
+		for _, e := range ents {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[e.Name()] = fi.Size()
+		}
+		return sizes
+	}
+	before := listing()
+	if _, err := Open(dir, opts); !errors.Is(err, ErrFinalizeInterrupted) {
+		t.Fatalf("Open of a store with a finalize marker: err = %v, want ErrFinalizeInterrupted", err)
+	}
+	if after := listing(); !maps.Equal(before, after) {
+		t.Errorf("refused Open changed the directory\nbefore %v\n after %v", before, after)
 	}
 }
 

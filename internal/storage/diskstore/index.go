@@ -3,7 +3,7 @@ package diskstore
 // index.db persists the store's derived open-time structures — the
 // label-scan index and (redundantly, for validation) the symbol tables —
 // so reopening a store costs O(index size) instead of a full vertex
-// scan. The file is advisory: it is rewritten on every Flush via
+// scan. The file is advisory: it is rewritten by every commit via
 // writeFileAtomic, carries a CRC, and is cross-checked against the
 // manifest on load; if it is missing, torn, or out of step, Open silently
 // falls back to rebuilding the index by scanning vertices.
@@ -46,9 +46,9 @@ func (s *Store) indexPath(gen int64) string {
 	return filepath.Join(s.dir, genFileName(indexFileName, gen))
 }
 
-// writeIndex serializes the epoch's label index and the store's symbol
+// writeIndex serializes the epoch's label index and the given symbol
 // tables and atomically replaces the generation's index file.
-func (s *Store) writeIndex(ep *epoch) error {
+func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 	var buf []byte
 	var scratch [8]byte
 	u32 := func(v uint32) {
@@ -66,14 +66,14 @@ func (s *Store) writeIndex(ep *epoch) error {
 	u64(uint64(ep.numVertices))
 	u64(uint64(ep.numEdges))
 	u64(uint64(ep.numDegs))
-	for _, table := range [][]string{s.labels, s.types, s.keys} {
+	for _, table := range [][]string{labels, types, keys} {
 		u32(uint32(len(table)))
 		for _, entry := range table {
 			str(entry)
 		}
 	}
-	u32(uint32(len(s.labels)))
-	for id := range s.labels {
+	u32(uint32(len(labels)))
+	for id := range labels {
 		vids := ep.byLabel[id]
 		u64(uint64(len(vids)))
 		for _, v := range vids {

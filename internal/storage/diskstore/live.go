@@ -15,8 +15,8 @@ package diskstore
 //
 // Crashing before the fsync completes leaves at most a torn record that
 // recovery truncates (the batch was never acknowledged); crashing after
-// it leaves a whole record that recovery replays. Compact folds the
-// delta into a fresh finalized base and checkpoints the WAL.
+// it leaves a whole record that recovery replays. Finalize (or Compact)
+// folds the delta into a fresh finalized base and rotates the WAL.
 //
 // Concurrency: ApplyMutations calls serialize on liveMu. Readers never
 // block on it — they see the delta through its own RWMutex and the
@@ -417,9 +417,9 @@ func (s *Store) internKey(key string) int {
 
 // symRLock/symRUnlock guard symbol-table reads against live interning.
 // Outside live mode the tables are immutable after build and the lock is
-// skipped, keeping the read fast path lock-free. liveMode only flips
-// during Open and Finalize/Compact, both of which require exclusive
-// access, so the mode cannot change between the two calls.
+// skipped, keeping the read fast path lock-free. liveMode is only ever
+// set, at Open or by a build-mode Finalize, both of which require
+// exclusive access, so the mode cannot change between the two calls.
 func (s *Store) symRLock() {
 	if s.liveMode.Load() {
 		s.symMu.RLock()

@@ -532,6 +532,9 @@ func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	}
 }
 
+// TestInterruptedFinalizeTypedError: the marker an earlier build's
+// in-place Finalize left behind surfaces as ErrFinalizeInterrupted, with
+// a recovery hint that names the marker.
 func TestInterruptedFinalizeTypedError(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openLivePair(t, dir)
@@ -556,6 +559,114 @@ func TestInterruptedFinalizeTypedError(t *testing.T) {
 	}
 }
 
+// TestLiveFinalizeKeepsLaterWrites: writes acknowledged after a Finalize
+// of a live store survive a clean Close and reopen. Finalize is the fold,
+// so the WAL keeps every record past the fold's fence.
+func TestLiveFinalizeKeepsLaterWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, ms := openLivePair(t, dir)
+	applyLiveStream(t, 51, 60, s, ms)
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	applyLiveStream(t, 53, 60, s, ms)
+	want := storetest.Fingerprint(ms)
+	if got := storetest.Fingerprint(s); got != want {
+		t.Fatalf("live store diverged from reference before the reopen\n got %s\nwant %s", got, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := storetest.Fingerprint(re); got != want {
+		t.Errorf("writes acknowledged after Finalize were lost at reopen\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFailedFinalizeKeepsPreviousCommit makes Finalize fail partway — a
+// directory squats on a path it must create — in build mode and on a live
+// store, at the new generation's first file, at its index and at the
+// manifest rename. The store keeps serving its previous state, reopens
+// at its previous commit after a crash, and finalizes once the path is
+// free.
+func TestFailedFinalizeKeepsPreviousCommit(t *testing.T) {
+	build := func(t *testing.T, dir string) (*Store, string) {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := storetest.BuildRandom(s, liveSeed, liveNV, liveNE); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return s, storetest.Fingerprint(s)
+	}
+	live := func(t *testing.T, dir string) (*Store, string) {
+		s, ms := openLivePair(t, dir)
+		applyLiveStream(t, 57, 40, s, ms)
+		return s, storetest.Fingerprint(ms)
+	}
+	squats := []struct {
+		at   string // the step whose path is occupied
+		path func(gen int64) string
+	}{
+		{"edges file", func(gen int64) string { return genFileName("edges.db", gen+1) }},
+		{"index", func(gen int64) string { return genFileName(indexFileName, gen+1) + ".tmp" }},
+		{"manifest", func(int64) string { return "manifest.json.tmp" }},
+	}
+	for _, store := range []struct {
+		name  string
+		setup func(*testing.T, string) (*Store, string)
+	}{{"build", build}, {"live", live}} {
+		for _, squat := range squats {
+			t.Run(store.name+"/"+squat.at, func(t *testing.T) {
+				dir := t.TempDir()
+				s, want := store.setup(t, dir)
+				gen := s.Format().Generation
+				path := filepath.Join(dir, squat.path(gen))
+				if err := os.Mkdir(path, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Finalize(); err == nil {
+					t.Errorf("Finalize succeeded with %s occupied", path)
+				}
+				if got := s.Format().Generation; got != gen {
+					t.Errorf("failed Finalize moved the store to generation %d, want %d", got, gen)
+				}
+				if got := storetest.Fingerprint(s); got != want {
+					t.Errorf("failed Finalize changed what the store serves\n got %s\nwant %s", got, want)
+				}
+				if err := s.closeFiles(); err != nil { // crash: nothing more is committed
+					t.Fatal(err)
+				}
+				if err := os.RemoveAll(path); err != nil { // the cleanup may have taken it
+					t.Fatal(err)
+				}
+				re, err := Open(dir, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				if got := storetest.Fingerprint(re); got != want {
+					t.Errorf("reopen after a failed Finalize lost the previous commit\n got %s\nwant %s", got, want)
+				}
+				if err := re.Finalize(); err != nil {
+					t.Fatal(err)
+				}
+				if got := storetest.Fingerprint(re); got != want {
+					t.Errorf("Finalize after the failed one changed the graph\n got %s\nwant %s", got, want)
+				}
+			})
+		}
+	}
+}
+
 // TestIndexTornWriteFallback corrupts index.db at every truncation
 // boundary and at every single byte; Open must silently fall back to the
 // vertex scan and produce an identical graph each time.
@@ -572,10 +683,10 @@ func TestIndexTornWriteFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := storetest.Fingerprint(s)
+	idxPath := s.indexPath(s.Format().Generation)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	idxPath := filepath.Join(dir, "index.db")
 	orig, err := os.ReadFile(idxPath)
 	if err != nil {
 		t.Fatal(err)
@@ -746,19 +857,19 @@ func TestHasLabelAgreesWithLabelsAcrossLifecycle(t *testing.T) {
 	pinned := s.AcquireSnapshot()
 	defer pinned.Release()
 
+	gen := s.LiveStats().Generation
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LiveStats().Generation; got != 1 {
-		t.Fatalf("generation %d after Compact, want a background fold to 1", got)
+	if got := s.LiveStats().Generation; got != gen+1 {
+		t.Fatalf("generation %d after Compact, want a background fold to %d", got, gen+1)
 	}
 	check("after a background fold", s)
 	check("snapshot pinned on the superseded epoch", pinned)
 	pinned.Release()
 
-	// The stale-bitmap case: these land in the delta, the exclusive
-	// Finalize folds them into the very epoch whose bitmap was built
-	// before they existed.
+	// The stale-bitmap case: these land in the delta, and Finalize folds
+	// them into a new epoch whose bitmap must include them.
 	addLabel(s, 2, "Fresh")
 	addLabel(s, dv, "Fresh")
 	addVertex(s, "Fresh", "B")
@@ -766,12 +877,9 @@ func TestHasLabelAgreesWithLabelsAcrossLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.Live() {
-		t.Fatal("store not live again after Finalize")
+		t.Fatal("store not live after Finalize")
 	}
 	check("after an exclusive Finalize of a live store", s)
-	if err := s.Flush(); err != nil { // commits the Finalize, checkpoints the WAL
-		t.Fatal(err)
-	}
 
 	addLabel(s, 3, "Replayed") // stays in the WAL across the reopen
 	if err := s.Close(); err != nil {
@@ -866,11 +974,12 @@ func TestPagerStatsSurviveFold(t *testing.T) {
 	if before.PageHits == 0 || before.PageReads == 0 {
 		t.Fatalf("no pager traffic before the fold: %+v", before)
 	}
+	gen := s.LiveStats().Generation
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LiveStats().Generation; got != 1 {
-		t.Fatalf("generation %d after Compact, want a background fold to 1", got)
+	if got := s.LiveStats().Generation; got != gen+1 {
+		t.Fatalf("generation %d after Compact, want a background fold to %d", got, gen+1)
 	}
 	folded := s.Stats()
 	atLeast("across the fold", folded, before)

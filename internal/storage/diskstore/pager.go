@@ -135,8 +135,8 @@ type pager struct {
 	// Optional read-only mmap fast path (Options.Mmap). A non-nil entry
 	// serves in-range reads of that file straight from the kernel's page
 	// cache, bypassing the clock sweep entirely; the pager keeps ownership
-	// of every write path, and the first write or truncate to a mapped
-	// file atomically drops its mapping, falling back to the page cache.
+	// of every write path, and the first write to a mapped file
+	// atomically drops its mapping, falling back to the page cache.
 	// Dropped mappings are retired, not unmapped: a concurrent reader may
 	// still be copying from the old bytes, so the memory stays valid until
 	// closeMaps (file close), when no readers remain.
@@ -380,8 +380,7 @@ func (p *pager) enableMmap(files ...fileID) {
 }
 
 // dropMap retires the file's mapping (if any) so subsequent reads go
-// through the page cache. Called on the first write or truncate to a
-// mapped file.
+// through the page cache. Called on the first write to a mapped file.
 func (p *pager) dropMap(f fileID) {
 	if m := p.maps[f].Swap(nil); m != nil {
 		p.mapMu.Lock()
@@ -467,39 +466,6 @@ func (p *pager) write(f fileID, off int64, buf []byte) error {
 		buf = buf[n:]
 		off += int64(n)
 	}
-	return nil
-}
-
-// truncate shrinks the file to size bytes, discarding any cached frames
-// that lie wholly past the new end (their dirty bytes are dead by
-// definition — the caller declared everything past size garbage). The
-// frame straddling the boundary may keep stale tail bytes; harmless,
-// because all reads past a truncate use explicit in-range lengths.
-// Single-writer contract, like flush.
-func (p *pager) truncate(f fileID, size int64) error {
-	p.dropMap(f)
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for j := 0; j < len(sh.clock); {
-			pg := sh.clock[j]
-			if pg.key.file == f && pg.key.page*int64(p.pageSize) >= size {
-				pg.mu.Lock()
-				pg.dirty = false
-				pg.mu.Unlock()
-				delete(sh.table, pg.key)
-				sh.removeAt(j)
-				continue
-			}
-			j++
-		}
-		sh.hand = 0
-		sh.mu.Unlock()
-	}
-	if err := p.files[f].Truncate(size); err != nil {
-		return fmt.Errorf("diskstore: truncate %d: %w", f, err)
-	}
-	p.sizes[f].Store(size)
 	return nil
 }
 

@@ -17,9 +17,8 @@ package diskstore
 //     are non-negative (the EID gap strictly positive).
 //
 // Worst case an edge costs 9 bytes in its out segment and 18 in its in
-// segment — 27 < 64, so the in-place rewrite in Finalize always shrinks
-// edges.db and a truncate reclaims the tail. Typical graphs land far
-// lower (2-5 bytes/edge out, ~2x that in), which is where the >= 2x
+// segment — 27 < 64, so a finalized edges.db is always smaller than the
+// edge records it replaces. Typical graphs land far lower (2-5 bytes/edge out, ~2x that in), which is where the >= 2x
 // bytes-per-edge win over 64-byte edge records comes from.
 //
 // Decoding is morsel-local: each traversal grabs one pooled scratch
@@ -167,7 +166,7 @@ func (ep *epoch) forEachCompressed(rec vertexRec, etype storage.SymbolID, out bo
 // triple in EID order, reading whichever state the epoch is in —
 // build-mode 64-byte records, or finalized segments via the degree chain
 // (vertex order x ascending type x ascending dst is exactly EID order
-// under Finalize's sort). Finalize and the background fold gather
+// under Finalize's sort). The finalize sort pass and the fold gather
 // through this, so neither can misread segments as records.
 func (ep *epoch) forEachEdgeLite(fn func(edgeLite) error) error {
 	if !ep.compressed {

@@ -100,13 +100,14 @@ func TestStatisticsRoundTrip(t *testing.T) {
 	if !storage.Statistics(re).MayHaveProp(haveLabel, haveKey, haveVal) {
 		t.Fatal("reopened store lost a present value from its bloom filter")
 	}
+	idx := re.indexPath(re.Format().Generation)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Without index.db the store still opens (index rebuilt by scan) but
 	// has no statistics: nil counts, conservative "maybe" probes.
-	if err := os.Remove(dir + "/index.db"); err != nil {
+	if err := os.Remove(idx); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := Open(dir, Options{PageSize: 512, CachePages: 64})

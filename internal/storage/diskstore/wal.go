@@ -25,11 +25,11 @@ package diskstore
 // values are a u8 graph.Kind followed by a kind-specific encoding.
 //
 // The sequence number fences replay against the checkpoint protocol:
-// a fold (background Compact or exclusive Finalize) absorbs the delta
-// prefix up to some batch W into the base, commits a manifest whose
-// wal_seq records W, and only then rotates/truncates the log. A crash
-// between commit and rotation leaves records with seq <= wal_seq in the
-// log; replay skips them. Records also carry the base generation
+// a fold (Finalize or Compact on a live store) absorbs the delta prefix
+// up to some batch W into the base, commits a manifest whose wal_seq
+// records W, and only then rotates the log. A crash between commit and
+// rotation leaves records with seq <= wal_seq in the log; replay skips
+// them. Records also carry the base generation
 // (epoch) they were appended under: epochs are non-decreasing along the
 // log, and because the manifest commits before in-memory epoch swap, a
 // record claiming a generation newer than the manifest's is impossible
@@ -236,27 +236,6 @@ func (w *wal) truncateTo(off int64) error {
 	return nil
 }
 
-// reset empties the log — the checkpoint step after a committed Compact
-// folded every record into the base. Sequence numbers keep counting from
-// where they were so the manifest's wal_seq fence stays monotonic.
-func (w *wal) reset() error {
-	if err := w.stickyErr(); err != nil {
-		return err
-	}
-	w.appendMu.Lock()
-	defer w.appendMu.Unlock()
-	if err := w.f.Truncate(0); err != nil {
-		w.fail(err)
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.fail(err)
-		return err
-	}
-	w.size = 0
-	return nil
-}
-
 // lastAppended returns the highest sequence number ever appended (or
 // seeded from replay) — the checkpoint fence for a fold that absorbed
 // every logged batch.
@@ -278,7 +257,7 @@ func (w *wal) sizeNow() int64 {
 
 func (w *wal) close() error { return w.f.Close() }
 
-// rotate drops the folded prefix after a committed background fold: the
+// rotate drops the folded prefix after a committed fold: the
 // records before keepFrom all carry seq <= the manifest's new wal_seq
 // fence, so only the tail (batches that arrived mid-fold) needs to
 // survive. The tail is copied into a fresh file that atomically replaces
