@@ -492,7 +492,6 @@ func (d *delta) addLabelLocked(seq uint64, v storage.VID, curBase int64, id int,
 // order, with property version lists collapsed to their newest visible
 // value.
 type frozenVertex struct {
-	v        storage.VID
 	labelIDs []int
 	props    map[int]graph.Value
 }
@@ -505,8 +504,7 @@ type frozenEdge struct {
 }
 
 type frozenDelta struct {
-	maxSeq    uint64
-	verts     []frozenVertex // VID order
+	verts     []frozenVertex // VIDs baseVerts, baseVerts+1, ... of the window
 	edges     []frozenEdge   // EID order
 	labelAdds map[storage.VID][]int
 	propOver  map[storage.VID]map[int]graph.Value
@@ -520,7 +518,6 @@ func (d *delta) freeze(w vis) *frozenDelta {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	fd := &frozenDelta{
-		maxSeq:    w.maxSeq,
 		labelAdds: map[storage.VID][]int{},
 		propOver:  map[storage.VID]map[int]graph.Value{},
 	}
@@ -529,11 +526,10 @@ func (d *delta) freeze(w vis) *frozenDelta {
 		if dv.seq > w.maxSeq {
 			break // seq-ordered: nothing later is visible
 		}
-		v := storage.VID(d.origVerts + d.vertsLo + int64(i))
-		if int64(v) < w.baseVerts {
+		if d.origVerts+d.vertsLo+int64(i) < w.baseVerts {
 			continue // already folded into this epoch's base
 		}
-		fv := frozenVertex{v: v}
+		var fv frozenVertex
 		for _, l := range dv.labelIDs {
 			if l.seq <= w.maxSeq {
 				fv.labelIDs = append(fv.labelIDs, l.id)

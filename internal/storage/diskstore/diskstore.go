@@ -286,9 +286,7 @@ type Store struct {
 	epMu sync.RWMutex
 	cur  *epoch
 	// pagerStats is the one block of page-cache counters every serving
-	// epoch's pager bumps, so Stats never restarts at a fold's swap. (A
-	// fold's builder is a separate Store with its own block: the pages it
-	// writes are not served traffic.)
+	// epoch's pager bumps, so Stats never restarts at a fold's swap.
 	pagerStats pagerStats
 
 	// needFinalize is set by AddEdgeBatch: edges were appended without
@@ -526,9 +524,9 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 			s.keyIDs[k] = i
 		}
 	}
-	// A crashed background fold leaves files from generations the
-	// manifest never committed (and possibly a fold.tmp build directory);
-	// none of them are reachable, so sweep them before touching anything.
+	// A crashed Finalize leaves files of a generation the manifest never
+	// committed; none of them are reachable, so sweep them before touching
+	// anything.
 	sweepOrphans(dir, gen)
 	// Restore the label-scan index: it is persisted alongside the
 	// generation, so opening costs O(index size). A store whose index file
@@ -591,10 +589,10 @@ func readManifest(dir string) (manifest, bool, error) {
 }
 
 // sweepOrphans removes base-generation files that do not belong to the
-// committed generation, leftover temp files, and any fold.tmp build
-// directory — the residue of a Finalize that crashed before or after its
-// manifest commit. Best-effort: sweep failures leave garbage,
-// never break an open.
+// committed generation and leftover temp files — the residue of a
+// Finalize that crashed before or after its manifest commit — and the
+// fold.tmp scratch directory an earlier build's fold used. Best-effort:
+// sweep failures leave garbage, never break an open.
 func sweepOrphans(dir string, gen int64) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -614,7 +612,7 @@ func sweepOrphans(dir string, gen int64) {
 			continue
 		}
 		if e.IsDir() {
-			if name == foldTmpDir {
+			if name == "fold.tmp" {
 				os.RemoveAll(filepath.Join(dir, name))
 			}
 			continue
@@ -703,13 +701,13 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// commit is the one commit protocol, which Finalize (both the sort pass
-// and the fold) and Flush end in: write back and fsync ep's record files,
-// write its index file, then atomically replace manifest.json with one
-// naming ep's generation, the given symbol tables and WAL fence
-// (writeFileAtomic — the rename is the commit point, and the directory
-// sync after it makes the rename durable). A failure or crash before the
-// rename leaves the previous manifest in charge.
+// commit is the one commit protocol, which Finalize and Flush end in:
+// write back and fsync ep's record files, write its index file, then
+// atomically replace manifest.json with one naming ep's generation, the
+// given symbol tables and WAL fence (writeFileAtomic — the rename is the
+// commit point, and the directory sync after it makes the rename
+// durable). A failure or crash before the rename leaves the previous
+// manifest in charge.
 func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) error {
 	if err := ep.pager.flush(); err != nil {
 		return err
@@ -958,7 +956,11 @@ func (ep *epoch) readProp(p int64) (propRec, error) {
 }
 
 func (ep *epoch) writeProp(p int64, r propRec) error {
-	var buf [propRecSize]byte
+	buf := r.encode()
+	return ep.pager.write(fileProps, p*propRecSize, buf[:])
+}
+
+func (r propRec) encode() (buf [propRecSize]byte) {
 	if r.inUse {
 		buf[0] = 1
 	}
@@ -967,7 +969,7 @@ func (ep *epoch) writeProp(p int64, r propRec) error {
 	binary.LittleEndian.PutUint64(buf[6:], r.a)
 	binary.LittleEndian.PutUint64(buf[14:], r.b)
 	binary.LittleEndian.PutUint64(buf[22:], uint64(r.next))
-	return ep.pager.write(fileProps, p*propRecSize, buf[:])
+	return buf
 }
 
 func (ep *epoch) readDeg(d int64) (degRec, error) {
@@ -1080,38 +1082,32 @@ func labelBitsToIDs(bitsets [2]uint64) []int {
 
 // ---- value <-> prop record encoding ----
 
-// encodeValue fills kind/a/b for a value, appending blob data as needed.
-func (ep *epoch) encodeValue(v graph.Value) (kind graph.Kind, a, b uint64, err error) {
+// encodeValue returns the prop-record fields for a value. A string or
+// list lives in blobs.db: its bytes come back as blob, b is their length,
+// and the caller sets a to the offset it stores them at.
+func encodeValue(v graph.Value) (kind graph.Kind, a, b uint64, blob []byte, err error) {
 	switch v.Kind() {
 	case graph.KindNull:
-		return graph.KindNull, 0, 0, nil
+		return graph.KindNull, 0, 0, nil, nil
 	case graph.KindInt:
-		return graph.KindInt, uint64(v.Int()), 0, nil
+		return graph.KindInt, uint64(v.Int()), 0, nil, nil
 	case graph.KindFloat:
-		return graph.KindFloat, graph.FloatBits(v.Float()), 0, nil
+		return graph.KindFloat, graph.FloatBits(v.Float()), 0, nil, nil
 	case graph.KindBool:
 		if v.Bool() {
-			return graph.KindBool, 1, 0, nil
+			return graph.KindBool, 1, 0, nil, nil
 		}
-		return graph.KindBool, 0, 0, nil
+		return graph.KindBool, 0, 0, nil, nil
 	case graph.KindString:
-		off, err := ep.appendBlob([]byte(v.Str()))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return graph.KindString, uint64(off), uint64(len(v.Str())), nil
+		return graph.KindString, 0, uint64(len(v.Str())), []byte(v.Str()), nil
 	case graph.KindList:
 		data, err := encodeList(v.List())
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, 0, nil, err
 		}
-		off, err := ep.appendBlob(data)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return graph.KindList, uint64(off), uint64(len(data)), nil
+		return graph.KindList, 0, uint64(len(data)), data, nil
 	default:
-		return 0, 0, 0, fmt.Errorf("diskstore: unsupported value kind %v", v.Kind())
+		return 0, 0, 0, nil, fmt.Errorf("diskstore: unsupported value kind %v", v.Kind())
 	}
 }
 
@@ -1303,9 +1299,16 @@ func (s *Store) SetProp(v storage.VID, key string, val graph.Value) error {
 		return err
 	}
 	ep := s.cur
-	kind, a, b, err := ep.encodeValue(val)
+	kind, a, b, blob, err := encodeValue(val)
 	if err != nil {
 		return err
+	}
+	if blob != nil {
+		off, err := ep.appendBlob(blob)
+		if err != nil {
+			return err
+		}
+		a = uint64(off)
 	}
 	rec, err := ep.readVertex(v)
 	if err != nil {

@@ -1,26 +1,29 @@
 package diskstore
 
-// The bulk-build write path (storage.BatchBuilder) and Finalize, the one
-// way a store gets a new base generation.
+// The bulk-build write path (storage.BatchBuilder) and writeGeneration,
+// the one writer of a base generation (Finalize, in compact.go, runs it).
 //
 // Bulk ingestion defers all adjacency work: AddVertexBatch writes bare
 // vertex records, AddEdgeBatch appends bare edge records with no chain
-// links, and the finalize sort pass builds everything derived — segments,
-// degree records with their descriptors, untyped degree counters,
-// statistics — in one sorted pass. The pass writes generation N+1 beside
-// generation N and commit makes it current with one manifest rename, so
-// no file a committed manifest names is ever rewritten by it. It is also
-// the conversion step for legacy stores (Upgrade), because it never
-// trusts any derived structure: only the src/dst/type triples of the
-// edges.
+// links, and writeGeneration builds everything derived — segments, degree
+// records with their descriptors, untyped degree counters, property runs,
+// statistics — in one sorted pass over the current base and the frozen
+// delta. It writes generation N+1 beside generation N and commit makes it
+// current with one manifest rename, so no file a committed manifest names
+// is ever rewritten. It is also the conversion step for legacy stores
+// (Upgrade), because it never trusts any derived structure: only the
+// src/dst/type triples of the edges, and each vertex's labels and
+// property chain.
 
 import (
 	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
+	"repro/internal/graph"
 	"repro/internal/storage"
 )
 
@@ -122,89 +125,36 @@ type edgeLite struct {
 	typeID   uint32
 }
 
-// Finalize completes deferred bulk construction and (re)establishes the
-// finalized physical layout in a new base generation, which it commits
-// before returning: a crash at any instant leaves either the previous
-// commit or the new generation, complete. Edge IDs are renumbered; EIDs
-// observed before Finalize are invalid after it (the
-// storage.BatchBuilder contract).
-//
-// On a live store Finalize is the background fold (see compact.go), run
-// to completion while readers and writers keep going. On a store in build
-// mode — a bulk load, Upgrade — it is the sort pass of writeGeneration,
-// and it needs exclusive access; a finalized build-mode store with
-// nothing written since writes nothing. Either way Finalize is
-// single-flight with Compact: a concurrent call returns
-// storage.ErrCompactInProgress.
-func (s *Store) Finalize() error {
-	if !s.folding.CompareAndSwap(false, true) {
-		return storage.ErrCompactInProgress
-	}
-	defer func() {
-		s.foldProgress.Store(0)
-		s.folding.Store(false)
-	}()
-	if s.liveMode.Load() {
-		return s.foldBackground()
-	}
-	old := s.cur
-	if old.compressed && !s.dirty {
-		return nil
-	}
-	ep, err := s.writeGeneration(old, old.gen+1, len(s.types))
-	if err != nil {
-		return err
-	}
-	if err := s.commit(ep, s.labels, s.types, s.keys, s.walFoldedSeq); err != nil {
-		s.discard(ep)
-		return err
-	}
-	if s.opts.Mmap {
-		ep.pager.enableMmap(fileVertices, fileEdges)
-	}
-	s.epMu.Lock()
-	s.cur = ep
-	s.epMu.Unlock()
-	s.generation.Store(ep.gen)
-	s.discard(old) // build mode pins no epoch: the superseded one goes at once
-	s.needFinalize, s.dirty, s.indexCurrent = false, false, true
-	// A finalized store with at least one vertex and one edge accepts
-	// durable live mutations (see live.go). Empty or vertex-only stores
-	// stay in build mode: they are still being constructed and their
-	// cheap base mutations need no WAL.
-	if ep.numVertices > 0 && ep.numEdges > 0 {
-		s.delta = newDelta(ep.numVertices, ep.numEdges)
-		s.delta.appliedSeq.Store(s.walFoldedSeq)
-		ep.setLabelBits()
-		s.liveMode.Store(true)
-	}
-	return nil
+// keyVal is one property of a vertex's run in a new generation.
+type keyVal struct {
+	keyID int
+	val   graph.Value
 }
 
-// writeGeneration is the finalize sort pass. It reads the records of the
-// epoch from — build-mode edge records and finalized segments alike,
-// through forEachEdgeLite — and writes generation gen into the store
-// directory: fresh vertices, edges and degrees files, plus hard links to
-// the props and blobs files of from, which the pass does not rewrite.
-// Beyond writing back the build-mode pages still dirty in the cache of
-// from, it never writes a file it reads.
+// writeGeneration is the finalize sort pass. It reads its two inputs
+// directly — the epoch from (build-mode edge records and finalized
+// segments alike, through forEachEdgeLite) and the frozen delta fd on top
+// of it — and streams generation gen into the store directory as five
+// fresh files. It never writes a file it reads.
 //
-// It sorts the edges by (source vertex, edge type, destination), which
-// assigns the new edge IDs, writes one gap-encoded out segment and one in
-// segment per (vertex, type), rebuilds every vertex's degree counters and
-// per-type degree records (doubling as segment descriptors), and
-// accumulates the statistics block. Afterwards a typed ForEach seeks
+// Vertices keep their IDs: from's, then fd's in VID order. A vertex's
+// labels are its record bits plus fd's additions; its properties are its
+// base chain with fd's overrides replacing values in place, then the
+// override-only keys in key-ID order (a delta vertex has only those), and
+// they are written as one contiguous run of property records; blobs.db
+// holds their blobs grouped by key. The edges, from's then fd's in EID
+// order, are sorted by (source vertex, edge type, destination), which
+// assigns the new edge IDs; the pass writes one gap-encoded out segment
+// and one in segment per (vertex, type), rebuilds every vertex's degree
+// counters and per-type degree records (doubling as segment descriptors),
+// and accumulates the statistics block. Afterwards a typed ForEach seeks
 // straight to its type's segment and never reads another type's bytes.
 // numTypes is the size of the type table the edges' type IDs index.
 //
-// The returned epoch is open, with a cold cache, but neither durable nor
-// named by the manifest until commit; on error its files are already
-// gone.
-func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, error) {
-	// The links must carry every byte of from.
-	if err := from.pager.flush(); err != nil {
-		return nil, err
-	}
+// The same inputs give the same bytes. The returned epoch is open, with a
+// cold cache, but neither durable nor named by the manifest until commit;
+// on error its files are already gone.
+func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numTypes int) (*epoch, error) {
 	var files [numFiles]*os.File
 	fail := func(err error) (*epoch, error) {
 		for _, f := range files {
@@ -215,31 +165,21 @@ func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, e
 		s.removeGenFiles(gen)
 		return nil, fmt.Errorf("diskstore: finalize: %w", err)
 	}
+	// Each file grows strictly in order — vertex, property and degree
+	// records by ID, blobs and segments at a running cursor — so it is
+	// streamed rather than cached. A bufio.Writer's error is sticky: the
+	// Flush below reports any failed Write.
+	var out [numFiles]*bufio.Writer
 	for i, name := range baseFileNames {
-		path := filepath.Join(s.dir, genFileName(name, gen))
-		flag := os.O_RDWR | os.O_CREATE | os.O_TRUNC
-		if id := fileID(i); id == fileProps || id == fileBlobs {
-			os.Remove(path) // a failed attempt's leftover would make Link fail
-			if err := os.Link(from.pager.files[i].Name(), path); err != nil {
-				return fail(err)
-			}
-			flag = os.O_RDWR
-		}
-		f, err := os.OpenFile(path, flag, 0o644)
+		f, err := os.OpenFile(filepath.Join(s.dir, genFileName(name, gen)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			return fail(err)
 		}
 		files[i] = f
+		out[i] = bufio.NewWriter(f)
 	}
-	// Each file the pass writes grows strictly in order — vertex records
-	// by VID, segments at a running cursor, degree records by ID — so it
-	// is streamed rather than cached. A bufio.Writer's error is sticky:
-	// the Flush below reports any failed Write.
-	vout := bufio.NewWriter(files[fileVertices])
-	eout := bufio.NewWriter(files[fileEdges])
-	dout := bufio.NewWriter(files[fileDegrees])
 
-	recs := make([]edgeLite, 0, int(from.numEdges))
+	recs := make([]edgeLite, 0, int(from.numEdges)+len(fd.edges))
 	if err := from.forEachEdgeLite(func(el edgeLite) error {
 		recs = append(recs, el)
 		return nil
@@ -249,7 +189,11 @@ func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, e
 	if int64(len(recs)) != from.numEdges {
 		return fail(fmt.Errorf("gathered %d edges, expected %d", len(recs), from.numEdges))
 	}
+	for _, fe := range fd.edges {
+		recs = append(recs, edgeLite{src: int64(fe.src), dst: int64(fe.dst), typeID: fe.typeID})
+	}
 	nE := len(recs)
+	nV := from.numVertices + int64(len(fd.verts))
 
 	// New edge order, clustered by (src, type, dst): the new ID of edge
 	// perm[k] is k, so each out segment's EIDs are contiguous and its dst
@@ -293,25 +237,90 @@ func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, e
 		return newID[inOrder[i]] < newID[inOrder[j]]
 	})
 
-	// Per-vertex: untyped degree counters and the ascending-type degree
-	// chain of segment descriptors. The same pass emits the delta-varint
-	// segments at a running cursor and accumulates the statistics block:
-	// per-edge-type counts and per-(label, key) bloom hashes over every
-	// property value.
+	// Per-vertex: labels, the property run, untyped degree counters and
+	// the ascending-type degree chain of segment descriptors. The same
+	// pass emits the delta-varint segments at a running cursor and
+	// accumulates the statistics block: per-edge-type counts and
+	// per-(label, key) bloom hashes over every property value.
 	oi, ii := 0, 0
 	var degs []degRec
 	var cursor, numDegs int64
 	var segBuf []byte
+	var run []keyVal
+	// The property records wait for the end of the pass because blobs.db
+	// is grouped by key: one property's values across vertices lie
+	// together, as a scan that reads that property wants them (and as the
+	// loader's property phases leave them). Until every group's size is
+	// known, a record's blob offset is relative to its key's group.
+	var props []propRec
+	var keyBlobs [][]byte
+	byLabel := make(map[int][]storage.VID)
 	hashAcc := make(map[uint64][]uint64)
 	typeCounts := make([]int64, numTypes)
 	for i := range recs {
 		typeCounts[recs[i].typeID]++
 	}
-	for v := int64(0); v < from.numVertices; v++ {
-		rec, err := from.readVertex(storage.VID(v))
-		if err != nil {
+	for v := int64(0); v < nV; v++ {
+		s.foldProgress.Store(v * 1000 / nV)
+		rec := vertexRec{inUse: true}
+		var firstProp int64
+		var labelAdds []int
+		var over map[int]graph.Value
+		if v < from.numVertices {
+			base, err := from.readVertex(storage.VID(v))
+			if err != nil {
+				return fail(err)
+			}
+			rec.labels, firstProp = base.labels, base.firstProp
+			labelAdds, over = fd.labelAdds[storage.VID(v)], fd.propOver[storage.VID(v)]
+		} else {
+			fv := &fd.verts[v-from.numVertices]
+			labelAdds, over = fv.labelIDs, fv.props
+		}
+		for _, id := range labelAdds {
+			rec.labels[id/64] |= 1 << uint(id%64)
+		}
+		labelIDs := labelBitsToIDs(rec.labels)
+		for _, id := range labelIDs {
+			byLabel[id] = append(byLabel[id], storage.VID(v))
+		}
+
+		var err error
+		if run, err = from.propRun(run, firstProp, over); err != nil {
 			return fail(err)
 		}
+		if len(run) > 0 {
+			rec.firstProp = int64(len(props)) + 1
+		}
+		for j, kv := range run {
+			pr := propRec{inUse: true, keyID: uint32(kv.keyID)}
+			var blob []byte
+			if pr.kind, pr.a, pr.b, blob, err = encodeValue(kv.val); err != nil {
+				return fail(err)
+			}
+			if blob != nil {
+				for len(keyBlobs) <= kv.keyID {
+					keyBlobs = append(keyBlobs, nil)
+				}
+				pr.a = uint64(len(keyBlobs[kv.keyID]))
+				keyBlobs[kv.keyID] = append(keyBlobs[kv.keyID], blob...)
+			}
+			if j+1 < len(run) {
+				pr.next = int64(len(props)) + 2
+			}
+			props = append(props, pr)
+			// Statistics: hash every property value once, bucketed by each
+			// label the vertex carries. Filters are sized after the pass,
+			// when per-bucket cardinalities are known.
+			if len(labelIDs) > 0 {
+				h := hashValue(kv.val)
+				for _, lid := range labelIDs {
+					k := bloomKey(lid, kv.keyID)
+					hashAcc[k] = append(hashAcc[k], h)
+				}
+			}
+		}
+
 		outStart := oi
 		for oi < nE && recs[perm[oi]].src == v {
 			oi++
@@ -322,11 +331,10 @@ func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, e
 		}
 		rec.outDeg = uint32(oi - outStart)
 		rec.inDeg = uint32(ii - inStart)
-		// No edge records exist for adjacency heads to point at: a
-		// finalized vertex reaches its edges only through the degree
-		// chain's segment descriptors.
-		rec.firstOut, rec.firstIn, rec.firstDeg = 0, 0, 0
-		// Merge the two type-grouped runs into one ascending-type chain.
+		// The adjacency heads stay zero: no edge records exist for them to
+		// point at, and a finalized vertex reaches its edges only through
+		// the degree chain's segment descriptors. Merge the two
+		// type-grouped runs into one ascending-type chain.
 		degs = degs[:0]
 		o, i := outStart, inStart
 		for o < oi || i < ii {
@@ -354,7 +362,7 @@ func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, e
 				}
 				dr.outOff = cursor + 1
 				dr.outLen = uint32(len(segBuf))
-				eout.Write(segBuf)
+				out[fileEdges].Write(segBuf)
 				cursor += int64(len(segBuf))
 			}
 			if i < ii && recs[inOrder[i]].typeID == t {
@@ -371,7 +379,7 @@ func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, e
 				}
 				dr.inOff = cursor + 1
 				dr.inLen = uint32(len(segBuf))
-				eout.Write(segBuf)
+				out[fileEdges].Write(segBuf)
 				cursor += int64(len(segBuf))
 			}
 			degs = append(degs, dr)
@@ -383,35 +391,28 @@ func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, e
 					degs[j].next = numDegs + int64(j) + 2
 				}
 				buf := degs[j].encode()
-				dout.Write(buf[:])
+				out[fileDegrees].Write(buf[:])
 			}
 			numDegs += int64(len(degs))
 		}
-		// Statistics: hash every property value once, bucketed by each
-		// label the vertex carries. Filters are sized after the pass,
-		// when per-bucket cardinalities are known.
-		if labelIDs := labelBitsToIDs(rec.labels); len(labelIDs) > 0 {
-			for p := rec.firstProp; p != 0; {
-				pr, err := from.readProp(p - 1)
-				if err != nil {
-					return fail(err)
-				}
-				p = pr.next
-				val, err := from.decodeValue(pr)
-				if err != nil {
-					return fail(err)
-				}
-				h := hashValue(val)
-				for _, lid := range labelIDs {
-					k := bloomKey(lid, int(pr.keyID))
-					hashAcc[k] = append(hashAcc[k], h)
-				}
-			}
-		}
 		buf := rec.encode()
-		vout.Write(buf[:])
+		out[fileVertices].Write(buf[:])
 	}
-	for _, w := range []*bufio.Writer{vout, eout, dout} {
+	groupOff := make([]uint64, len(keyBlobs))
+	var blobSize int64
+	for k, b := range keyBlobs {
+		groupOff[k] = uint64(blobSize)
+		out[fileBlobs].Write(b)
+		blobSize += int64(len(b))
+	}
+	for _, pr := range props {
+		if pr.kind == graph.KindString || pr.kind == graph.KindList {
+			pr.a += groupOff[pr.keyID]
+		}
+		buf := pr.encode()
+		out[fileProps].Write(buf[:])
+	}
+	for _, w := range out {
 		if err := w.Flush(); err != nil {
 			return fail(err)
 		}
@@ -430,12 +431,41 @@ func (s *Store) writeGeneration(from *epoch, gen int64, numTypes int) (*epoch, e
 	}
 	ep := &epoch{
 		gen: gen, compressed: true, edgeBytes: cursor, pager: pg,
-		numVertices: from.numVertices, numEdges: int64(nE), numProps: from.numProps,
-		numDegs: numDegs, blobSize: from.blobSize,
-		byLabel:    from.byLabel,
+		numVertices: nV, numEdges: int64(nE), numProps: int64(len(props)),
+		numDegs: numDegs, blobSize: blobSize,
+		byLabel:    byLabel,
 		typeCounts: typeCounts, blooms: blooms, statsValid: true,
-		baseSeq: from.baseSeq,
 	}
 	ep.pins.Store(1) // the store's own reference, once it is installed
 	return ep, nil
+}
+
+// propRun returns a vertex's properties in the order a new generation
+// stores them, reusing run's array: the chain from firstProp (0 = none)
+// with the values in over replacing their keys' in place, then the keys
+// only over has, in key-ID order.
+func (ep *epoch) propRun(run []keyVal, firstProp int64, over map[int]graph.Value) ([]keyVal, error) {
+	run = run[:0]
+	for p := firstProp; p != 0; {
+		pr, err := ep.readProp(p - 1)
+		if err != nil {
+			return nil, err
+		}
+		p = pr.next
+		val, ok := over[int(pr.keyID)]
+		if !ok {
+			if val, err = ep.decodeValue(pr); err != nil {
+				return nil, err
+			}
+		}
+		run = append(run, keyVal{keyID: int(pr.keyID), val: val})
+	}
+	extra := len(run)
+	for keyID, val := range over {
+		if !slices.ContainsFunc(run[:extra], func(kv keyVal) bool { return kv.keyID == keyID }) {
+			run = append(run, keyVal{keyID: keyID, val: val})
+		}
+	}
+	slices.SortFunc(run[extra:], func(a, b keyVal) int { return a.keyID - b.keyID })
+	return run, nil
 }

@@ -346,18 +346,19 @@ func checkGoldenUpgrade(t *testing.T, fixture string) {
 	}
 
 	// An upgrade that crashed before its commit left the next
-	// generation's files and a fold.tmp directory behind: the store is
-	// still legacy, and the next Upgrade sweeps them.
+	// generation's files behind, and an earlier build's fold its fold.tmp
+	// scratch directory: the store is still legacy, and the next Upgrade
+	// sweeps them.
 	m, _, err := readManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	genNames := append(baseFileNames[:], indexFileName)
-	orphans := []string{filepath.Join(foldTmpDir, "vertices.db")}
+	orphans := []string{filepath.Join("fold.tmp", "vertices.db")}
 	for _, name := range genNames {
 		orphans = append(orphans, genFileName(name, m.Generation+1))
 	}
-	if err := os.Mkdir(filepath.Join(dir, foldTmpDir), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, "fold.tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range orphans {

@@ -16,23 +16,27 @@ package diskstore
 //	labels, types, keys   3 × (u32 count, then per entry u32 len + bytes)
 //	label index           u32 count (== len(labels)), then per label:
 //	                      u64 entry count + that many u64 VIDs, in the
-//	                      in-memory (insertion) order of the scan index
+//	                      in-memory order of the scan index (VID order
+//	                      in a generation Finalize wrote)
 //
 // A statistics block follows the postings:
 //
 //	present  u8   0 = the epoch carried no statistics (stop here),
 //	              1 = counts + blooms follow
 //	type counts    u32 count, then u64 per edge type (typeID order)
-//	bloom filters  u32 count, then per filter: u32 labelID, u32 keyID,
-//	               u64 m (bits), u32 k, and m/8 bytes of filter bits
+//	bloom filters  u32 count, then per filter in (labelID, keyID) order:
+//	               u32 labelID, u32 keyID, u64 m (bits), u32 k, and m/8
+//	               bytes of filter bits
 //
 // The block is advisory like everything else here: a store that loads
 // postings but not statistics just answers "maybe" to every bloom probe.
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -89,8 +93,8 @@ func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 			u64(uint64(c))
 		}
 		u32(uint32(len(ep.blooms)))
-		// Map order is fine: entries carry their own (label, key) ids.
-		for k, b := range ep.blooms {
+		for _, k := range slices.Sorted(maps.Keys(ep.blooms)) {
+			b := ep.blooms[k]
 			u32(uint32(k >> 32))
 			u32(uint32(k))
 			u64(b.m())

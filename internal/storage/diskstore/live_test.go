@@ -6,6 +6,7 @@ package diskstore
 // index.db files, interrupted finalize).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -156,26 +157,36 @@ func TestLiveReopenReplaysWAL(t *testing.T) {
 	}
 }
 
+// TestCompactFoldsDeltaAndCheckpointsWAL folds three times with live
+// writes before each fold — from the second fold on, the generation
+// writer folds a base it wrote itself — and compares against the
+// memstore reference after every step and after a reopen.
 func TestCompactFoldsDeltaAndCheckpointsWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, ms := openLivePair(t, dir)
-	applyLiveStream(t, 31, 250, s, ms)
-	want := storetest.Fingerprint(ms)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := storetest.Fingerprint(s); got != want {
-		t.Errorf("compacted store diverged from reference\n got %s\nwant %s", got, want)
-	}
-	ls := s.LiveStats()
-	if ls.DeltaVertices != 0 || ls.DeltaEdges != 0 {
-		t.Errorf("delta not empty after Compact: %+v", ls)
-	}
-	if !ls.Live || !ls.Segmented {
-		t.Errorf("store should stay live and segmented after Compact: %+v", ls)
-	}
-	if st, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || st.Size() != 0 {
-		t.Errorf("wal.db not truncated by checkpoint: size=%v err=%v", st, err)
+	var want string
+	for fold, seed := range []int64{31, 37, 41} {
+		applyLiveStream(t, seed, 250, s, ms)
+		want = storetest.Fingerprint(ms)
+		if got := storetest.Fingerprint(s); got != want {
+			t.Fatalf("fold %d: live store diverged from reference before the fold\n got %s\nwant %s", fold, got, want)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if got := storetest.Fingerprint(s); got != want {
+			t.Errorf("fold %d: compacted store diverged from reference\n got %s\nwant %s", fold, got, want)
+		}
+		ls := s.LiveStats()
+		if ls.DeltaVertices != 0 || ls.DeltaEdges != 0 {
+			t.Errorf("fold %d: delta not empty after Compact: %+v", fold, ls)
+		}
+		if !ls.Live || !ls.Segmented || ls.Compactions != int64(fold+1) {
+			t.Errorf("fold %d: store should stay live and segmented, with %d compactions: %+v", fold, fold+1, ls)
+		}
+		if st, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || st.Size() != 0 {
+			t.Errorf("fold %d: wal.db not truncated by checkpoint: size=%v err=%v", fold, st, err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -191,6 +202,148 @@ func TestCompactFoldsDeltaAndCheckpointsWAL(t *testing.T) {
 	// Typed traversal over the folded edges must use segment seeks again.
 	if !s2.Format().Compressed {
 		t.Error("reopened compacted store should be segmented")
+	}
+}
+
+// TestFinalizeIsDeterministic folds one live store in two byte-identical
+// copies and requires the two new generations to be byte-identical too.
+// The delta holds what map iteration could reorder: delta vertices with
+// several properties, override-only keys and overrides on base vertices,
+// and labels added to base vertices.
+func TestFinalizeIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openLivePair(t, dir)
+	for i := 0; i < 12; i++ {
+		v, err := s.AddVertex("Live")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := storage.VID(i * 3)
+		for _, err := range []error{
+			s.SetProp(v, "p0", graph.S(fmt.Sprintf("new%d", i))),
+			s.SetProp(v, "p1", graph.I(int64(i))),
+			s.SetProp(v, "q0", graph.L(graph.S("z"), graph.I(int64(i)))),
+			s.SetProp(b, "q0", graph.S(fmt.Sprintf("over%d", i))),
+			s.SetProp(b, "q1", graph.B(i%2 == 0)),
+			s.SetProp(b, "p2", graph.F(float64(i)/4)),
+			s.AddLabel(b, "Live"),
+			s.AddLabel(b, "E"),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.AddEdge(v, b, "follows"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var files [2]map[string][]byte
+	for i := range files {
+		c, err := Open(copyDir(t, dir), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		gen := c.Format().Generation
+		files[i] = map[string][]byte{}
+		for _, name := range append(baseFileNames[:], indexFileName) {
+			data, err := os.ReadFile(filepath.Join(c.dir, genFileName(name, gen)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[i][name] = data
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range files[0] {
+		if !bytes.Equal(data, files[1][name]) {
+			t.Errorf("%s differs between two folds of the same store", name)
+		}
+	}
+}
+
+// TestPropertyRunsAreContiguous sets properties in two phases, as the
+// loader does — a list on every vertex first, then the scalars — and
+// requires every vertex's property chain to be one run of consecutive
+// records after Finalize and again after a fold.
+func TestPropertyRunsAreContiguous(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{PageSize: 512, CachePages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ms := memstore.New()
+	const n = 60
+	stores := []storage.Builder{s, ms}
+	for _, g := range stores {
+		for v := 0; v < n; v++ {
+			if _, err := g.AddVertex([]string{"A", "B"}[v%2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for v := 0; v < n; v++ {
+			if err := g.SetProp(storage.VID(v), "tags", graph.L(graph.S("t"), graph.I(int64(v)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for v := 0; v < n; v++ {
+			if err := g.SetProp(storage.VID(v), "name", graph.S(fmt.Sprintf("v%d", v))); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.SetProp(storage.VID(v), "rank", graph.I(int64(v))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.AddEdge(storage.VID(v), storage.VID((v+1)%n), "next"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	checkPropertyRuns(t, s, "after Finalize")
+	applyLiveStream(t, 61, 120, s, ms)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	checkPropertyRuns(t, s, "after a fold")
+	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
+		t.Errorf("store diverged from reference\n got %s\nwant %s", got, want)
+	}
+}
+
+// checkPropertyRuns requires each vertex's property chain in the current
+// generation to be consecutive records, and the chains to cover props.db.
+func checkPropertyRuns(t *testing.T, s *Store, when string) {
+	t.Helper()
+	ep := s.curEp()
+	var chained int64
+	for v := int64(0); v < ep.numVertices; v++ {
+		rec, err := ep.readVertex(storage.VID(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := rec.firstProp; p != 0; {
+			pr, err := ep.readProp(p - 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chained++
+			if pr.next != 0 && pr.next != p+1 {
+				t.Fatalf("%s: vertex %d's property record %d chains to record %d, not the next one", when, v, p-1, pr.next-1)
+			}
+			p = pr.next
+		}
+	}
+	if chained != ep.numProps {
+		t.Errorf("%s: chains hold %d of %d property records", when, chained, ep.numProps)
 	}
 }
 

@@ -166,8 +166,8 @@ func (ep *epoch) forEachCompressed(rec vertexRec, etype storage.SymbolID, out bo
 // triple in EID order, reading whichever state the epoch is in —
 // build-mode 64-byte records, or finalized segments via the degree chain
 // (vertex order x ascending type x ascending dst is exactly EID order
-// under Finalize's sort). The finalize sort pass and the fold gather
-// through this, so neither can misread segments as records.
+// under Finalize's sort). writeGeneration gathers the base's edges
+// through this, so it cannot misread segments as records.
 func (ep *epoch) forEachEdgeLite(fn func(edgeLite) error) error {
 	if !ep.compressed {
 		for e := int64(0); e < ep.numEdges; e++ {
