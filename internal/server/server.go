@@ -570,7 +570,8 @@ type StatsResponse struct {
 	Storage *StorageStats `json:"storage,omitempty"`
 	// Graph is present only when the backend persists statistics
 	// (storage.Statistics): per-label vertex counts and per-type edge
-	// counts — the same numbers optimizer.FromStorage feeds Equation 5.
+	// counts — the numbers optimizer.FromStorage turns into Equation 5's
+	// cardinalities (not yet called outside tests).
 	Graph *GraphStats `json:"graph,omitempty"`
 	// Bloom reports the statistics-guarded root scans: probes the bloom
 	// filters proved empty (skipped without scanning) and guarded scans

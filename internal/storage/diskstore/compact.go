@@ -128,6 +128,15 @@ func (s *Store) Finalize() error {
 		s.delta = newDelta(newEp.numVertices, newEp.numEdges)
 		s.delta.appliedSeq.Store(fence)
 	}
+	// A finalized store with at least one vertex and one edge accepts
+	// durable live mutations (see live.go). Empty or vertex-only stores
+	// stay in build mode: they are still being constructed and their
+	// cheap base mutations need no WAL. A live epoch's files are never
+	// written again, so its pager turns read-only before readers see it.
+	goLive := newEp.numVertices > 0 && newEp.numEdges > 0
+	if goLive {
+		newEp.pager.readOnly = true
+	}
 	s.epMu.Lock()
 	s.cur = newEp
 	s.epMu.Unlock()
@@ -141,11 +150,7 @@ func (s *Store) Finalize() error {
 	s.indexCurrent = len(s.labels) == len(labels) && len(s.types) == len(types) && len(s.keys) == len(keys)
 	s.symMu.RUnlock()
 	s.needFinalize, s.dirty = false, false
-	// A finalized store with at least one vertex and one edge accepts
-	// durable live mutations (see live.go). Empty or vertex-only stores
-	// stay in build mode: they are still being constructed and their
-	// cheap base mutations need no WAL.
-	if newEp.numVertices > 0 && newEp.numEdges > 0 {
+	if goLive {
 		s.liveMode.Store(true)
 	}
 	s.liveMu.Unlock()

@@ -2,11 +2,12 @@
 // store: fixed-size vertex and edge records with linked-list adjacency,
 // fixed-size property records chained off vertices, and a variable-length
 // blob file for strings and lists — all accessed through a sharded,
-// write-back page cache with clock-sweep eviction and per-page latches.
-// The cache recycles its frames — a miss in a full shard loads into the
-// buffer of the frame it evicts — which rests on one rule of the read
-// path: a pin is held only for the duration of one copy out of (or into)
-// a frame, so an unpinned frame has no reader (see pager).
+// write-back page cache with clock-sweep eviction, whose hits take no
+// lock: a per-file frame table and a CAS pin. The cache recycles its
+// frames — a miss in a full shard loads into the buffer of the frame it
+// evicts — which rests on one rule: the sweep claims a victim only while
+// it is unpinned, by a CAS that makes every later pin of it fail, so a
+// recycled buffer has no reader (see pager).
 //
 // It stands in for the paper's disk-based backend (Neo4j): every edge
 // traversal dereferences edge and vertex records that may or may not be

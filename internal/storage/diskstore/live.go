@@ -329,6 +329,7 @@ func (s *Store) recoverLive() error {
 		return nil
 	}
 	ep.setLabelBits()
+	ep.pager.readOnly = true
 	s.liveMode.Store(true)
 	s.delta.appliedSeq.Store(s.walFoldedSeq)
 	if size <= 0 {

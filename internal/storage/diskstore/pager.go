@@ -1,8 +1,10 @@
 package diskstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -27,22 +29,32 @@ type pageKey struct {
 	page int64
 }
 
-// page is one cached page frame.
+// page is one cached page frame. A frame header belongs to one page for
+// its whole life: eviction never re-keys a header, it moves the data
+// buffer into a fresh one (see evictLocked).
 //
-// Three independent mechanisms coordinate access to a frame:
+// Four mechanisms coordinate access to a frame:
 //
-//   - the latch (mu) guards the frame contents (data, dirty, loadErr). A
-//     loader holds the write latch across its disk read, so concurrent
-//     readers that found the frame in the table simply block on RLock
-//     until the bytes are in — page loads are de-duplicated for free —
-//     and then find loadErr final under that same acquisition.
-//   - the pin count (ref) keeps the frame resident: the clock sweep never
-//     evicts a pinned frame, so a reader can copy from the frame after
-//     releasing the shard lock. Pins are held only for the duration of one
-//     copy, never across I/O on another frame — which is also what makes
-//     recycling safe: an unpinned frame the sweep has taken out of the
-//     table has no reader left, so its data buffer goes straight to the
-//     next tenant (see evictLocked).
+//   - the frame table (pager.frames) publishes it to the hit path. Its
+//     slot is set only after a successful load and cleared when the frame
+//     leaves the shard table, so a frame found there holds its page's
+//     bytes and a final nil loadErr.
+//   - the pin count (ref) keeps the frame resident. A pin is a CAS that
+//     succeeds only while ref >= 0; the clock sweep claims an unpinned
+//     victim by swapping ref from 0 to evictedRef, after which no pin can
+//     ever succeed. A reader that loaded the pointer from its slot just
+//     before the sweep claimed it therefore fails its pin and retries
+//     through the shard, and a pinned frame is never recycled. Pins are
+//     held for the duration of one copy, never across I/O on another
+//     frame.
+//   - the latch (mu) guards the frame contents (data, dirty, loadErr)
+//     while they can change. A loader holds the write latch across its
+//     disk read, so a request that found the loading frame in the shard
+//     table blocks on RLock until the bytes are in — page loads are
+//     de-duplicated for free — and then finds loadErr final. A writable
+//     (build-mode) pager's readers copy under RLock and its writers
+//     mutate under Lock; a read-only pager's frames never change after
+//     their load, so its hits copy without touching the latch.
 //   - used is the clock-sweep reference bit, set on a hit that finds it
 //     clear and cleared (one second chance) as the hand passes.
 type page struct {
@@ -55,31 +67,63 @@ type page struct {
 	used    atomic.Bool
 }
 
+// evictedRef is the pin count of a frame the clock sweep has claimed:
+// negative, so every later pin attempt on the stale header fails.
+const evictedRef = math.MinInt32
+
+// pin takes a pin unless the sweep has claimed the frame.
+func (pg *page) pin() bool {
+	for {
+		r := pg.ref.Load()
+		if r < 0 {
+			return false
+		}
+		if pg.ref.CompareAndSwap(r, r+1) {
+			return true
+		}
+	}
+}
+
 func (pg *page) unpin() { pg.ref.Add(-1) }
 
 // shard is one independently locked slice of the page cache: its own
 // table, its own clock ring, its own hand. A page load or eviction in one
-// shard never blocks lookups in any other shard.
+// shard never blocks lookups in any other shard, and a hit through the
+// frame table takes no shard lock at all.
 type shard struct {
 	mu    sync.Mutex
-	table map[pageKey]*page
-	clock []*page // resident frames, swept circularly by hand
+	table map[pageKey]*page // every frame of the shard, loading ones included
+	clock []*page           // resident frames, swept circularly by hand
 	hand  int
+}
+
+// hitStripe is one shard's hit counter, alone on its cache line so hits
+// in different shards never write the same line.
+type hitStripe struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
 // pagerStats are the I/O counters, kept as atomics so the read hot path
 // bumps them without holding any lock and Stats() snapshots never contend
-// with the data path. One block belongs to a Store and is shared by every
-// pager serving its reads, so the counters run on across generations and
-// a read through a superseded-but-pinned epoch still counts.
+// with the data path. Hits, the one counter every cached read bumps, are
+// striped by shard and summed on read. One block belongs to a Store and
+// is shared by every pager serving its reads, so the counters run on
+// across generations and a read through a superseded-but-pinned epoch
+// still counts.
 type pagerStats struct {
-	hits, misses, reads, writes atomic.Int64
+	hits                  [maxPagerShards]hitStripe
+	misses, reads, writes atomic.Int64
 }
 
 // snapshot reads the I/O counters.
 func (st *pagerStats) snapshot() storage.Stats {
+	var hits int64
+	for i := range st.hits {
+		hits += st.hits[i].n.Load()
+	}
 	return storage.Stats{
-		PageHits:   st.hits.Load(),
+		PageHits:   hits,
 		PageMisses: st.misses.Load(),
 		PageReads:  st.reads.Load(),
 		PageWrites: st.writes.Load(),
@@ -88,7 +132,9 @@ func (st *pagerStats) snapshot() storage.Stats {
 
 // reset zeroes the I/O counters.
 func (st *pagerStats) reset() {
-	st.hits.Store(0)
+	for i := range st.hits {
+		st.hits[i].n.Store(0)
+	}
 	st.misses.Store(0)
 	st.reads.Store(0)
 	st.writes.Store(0)
@@ -99,17 +145,21 @@ func (st *pagerStats) reset() {
 // controls how disk-bound traversals are — the knob that makes this
 // backend behave like the paper's Neo4j.
 //
+// A hit is one atomic load from the frame table, one CAS pin and a copy:
+// each file has a dense table of frame pointers indexed by page number,
+// sized when the pager opens. The shard lock and the shard's map are
+// taken only on a miss (or a page past the table, which only a build-mode
+// file grown since open has) and for eviction.
+//
 // The cache is sharded by hash of (file, page): each shard owns a fraction
 // of the page budget behind its own mutex and evicts with a clock sweep
 // (second-chance) instead of a linked LRU list. Within a shard, the shard
-// lock covers table lookup, pinning, victim selection, and dirty-victim
-// write-back; the disk read that fills a missing frame happens outside it
-// under the frame's own latch, so a page load (the read path's only I/O —
-// frames are clean while serving) stalls at most same-page requests, and
-// a dirty write-back stalls at most its own shard. Concurrent readers
-// therefore serialize only when they touch the
-// same shard at the same instant, and a cold miss in one shard never
-// stalls hits in the others — this is what lets N goroutines traverse a
+// lock covers map lookup, victim selection, and dirty-victim write-back;
+// the disk read that fills a missing frame happens outside it under the
+// frame's own latch, so a page load (the read path's only I/O — frames
+// are clean while serving) stalls at most same-page requests, and a dirty
+// write-back stalls at most its own shard. A cold miss in one shard never
+// stalls hits anywhere — this is what lets N goroutines traverse a
 // disk-bound graph faster than one.
 //
 // Frames are recycled: a miss in a shard at budget takes its buffer from
@@ -120,9 +170,12 @@ func (st *pagerStats) reset() {
 // that the file does not define reads as zero, never as the previous
 // tenant's data.
 //
-// Writes follow the storage.Builder contract: building is single-writer,
-// so flush and dropCache assume no concurrent mutators (concurrent readers
-// are fine at any time).
+// A pager is read-only once its epoch is live: live writes go to the
+// delta and a fold writes its generation's files directly, so nothing
+// writes through the pager, write refuses, and hits copy without the
+// latch. Until then, writes follow the storage.Builder contract: building
+// is single-writer, so flush and dropCache assume no concurrent mutators
+// (concurrent readers are fine at any time).
 type pager struct {
 	files      [numFiles]*os.File
 	sizes      [numFiles]atomic.Int64 // logical file sizes in bytes
@@ -131,6 +184,16 @@ type pager struct {
 	shardCap   int // page budget per shard
 	shardShift uint
 	shards     []shard
+
+	// frames is the hit path's table: per file, one slot per page the
+	// file held at open. A slot holds the page's loaded frame or nil.
+	frames [numFiles][]atomic.Pointer[page]
+
+	// readOnly makes write refuse and lets hits copy without the latch.
+	// It is set once the epoch goes live, while no other goroutine can
+	// reach the pager — at Open, or before a fold publishes the new
+	// epoch — with nothing dirty, and never cleared.
+	readOnly bool
 
 	// Optional read-only mmap fast path (Options.Mmap). A non-nil entry
 	// serves in-range reads of that file straight from the kernel's page
@@ -198,34 +261,71 @@ func newPager(files [numFiles]*os.File, pageSize, capacity int, stats *pagerStat
 			return nil, err
 		}
 		p.sizes[i].Store(st.Size())
+		p.frames[i] = make([]atomic.Pointer[page], (st.Size()+int64(pageSize)-1)/int64(pageSize))
 	}
 	return p, nil
 }
 
-// shardOf maps a page key to its shard by Fibonacci hashing; the shard
+// shardIndex maps a page key to its shard by Fibonacci hashing; the shard
 // count is a power of two, so the top bits of the product index directly.
-func (p *pager) shardOf(key pageKey) *shard {
-	h := (uint64(key.page)<<3 ^ uint64(key.file)) * 0x9E3779B97F4A7C15
-	return &p.shards[h>>p.shardShift]
+func (p *pager) shardIndex(key pageKey) uint64 {
+	return (uint64(key.page)<<3 ^ uint64(key.file)) * 0x9E3779B97F4A7C15 >> p.shardShift
 }
 
-// fetch returns the frame for key, pinned and unlatched. The caller takes
-// the frame's latch (RLock to copy out, Lock to modify), checks loadErr
-// under it — on a hit the frame may still be loading, or its load may have
-// failed — and unpins when done. A miss loads the page before returning
-// and reports a failed load itself.
+func (p *pager) shardOf(key pageKey) *shard { return &p.shards[p.shardIndex(key)] }
+
+// slot returns key's frame-table slot, or nil for a page past the table.
+func (p *pager) slot(key pageKey) *atomic.Pointer[page] {
+	if t := p.frames[key.file]; uint64(key.page) < uint64(len(t)) {
+		return &t[key.page]
+	}
+	return nil
+}
+
+// hit records a cache hit on a pinned frame of shard i.
+func (p *pager) hit(pg *page, i uint64) {
+	// Hot frames are hit from every core; leave their cache line shared
+	// unless the bit actually changes.
+	if !pg.used.Load() {
+		pg.used.Store(true)
+	}
+	p.stats.hits[i].n.Add(1)
+}
+
+// fetch returns the frame for key, pinned. A miss loads the page before
+// returning and reports a failed load itself. A request that found the
+// frame in the shard table may find it still loading, or its load failed:
+// on a read-only pager fetch waits out the load and reports loadErr, so
+// the caller copies without the latch; on a writable pager the caller
+// takes the latch (RLock to copy out, Lock to modify) and checks loadErr
+// under it, the one acquisition doing both. The caller unpins when done.
 func (p *pager) fetch(key pageKey) (*page, error) {
-	sh := p.shardOf(key)
+	i := p.shardIndex(key)
+	if sl := p.slot(key); sl != nil {
+		if pg := sl.Load(); pg != nil && pg.pin() {
+			p.hit(pg, i)
+			return pg, nil
+		}
+	}
+
+	sh := &p.shards[i]
 	sh.mu.Lock()
 	if pg, ok := sh.table[key]; ok {
-		pg.ref.Add(1) // pin under the shard lock so the sweep cannot free it
+		// Under sh.mu no frame in the table is claimed by the sweep (it
+		// claims and removes under this same lock), so this pin holds.
+		pg.ref.Add(1)
 		sh.mu.Unlock()
-		// Hot frames are hit from every core; leave their cache line
-		// shared unless the bit actually changes.
-		if !pg.used.Load() {
-			pg.used.Store(true)
+		p.hit(pg, i)
+		if p.readOnly {
+			// The frame may still be loading: wait out the loader's latch.
+			pg.mu.RLock()
+			err := pg.loadErr
+			pg.mu.RUnlock()
+			if err != nil {
+				pg.unpin()
+				return nil, err
+			}
 		}
-		p.stats.hits.Add(1)
 		return pg, nil
 	}
 	p.stats.misses.Add(1)
@@ -238,7 +338,7 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 		buf = make([]byte, p.pageSize)
 	}
 	pg := &page{key: key, data: buf}
-	pg.ref.Add(1)
+	pg.ref.Store(1)
 	pg.used.Store(true)
 	pg.mu.Lock() // held across the load; see page docs
 	sh.table[key] = pg
@@ -262,8 +362,9 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 	if pg.loadErr != nil {
 		err := pg.loadErr
 		pg.mu.Unlock()
-		// Drop the failed frame so a later fetch retries the read. Hits
-		// that pinned it meanwhile see loadErr under their latch; its
+		// Drop the failed frame so a later fetch retries the read. It was
+		// never published to the frame table; requests that found it in
+		// the shard table meanwhile see loadErr under their latch. Its
 		// buffer is not recycled.
 		sh.mu.Lock()
 		if cur, ok := sh.table[key]; ok && cur == pg {
@@ -276,17 +377,26 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 	}
 	clear(pg.data[n:])
 	pg.mu.Unlock()
+	// Publish the loaded frame to the hit path. Under sh.mu, so a
+	// dropCache that orphaned the frame during the load is not undone.
+	if sl := p.slot(key); sl != nil {
+		sh.mu.Lock()
+		if sh.table[key] == pg {
+			sl.Store(pg)
+		}
+		sh.mu.Unlock()
+	}
 	return pg, nil
 }
 
 // evictLocked makes room for one more frame in the shard, writing dirty
 // victims back, and returns a victim's data buffer for the caller to
 // reuse (nil if nothing was evicted). Caller holds sh.mu. A victim is
-// unpinned and, once out of the table, unreachable: pins are taken only
-// under sh.mu and held only across one copy, so no reader can still be
-// looking at its bytes. Pinned frames are skipped; if every frame is
-// pinned the shard temporarily overflows its budget rather than
-// deadlocking.
+// claimed with ref.CompareAndSwap(0, evictedRef), which fails if a hit
+// pinned it since the check; once claimed no pin can succeed, so after
+// its slot and table entry are cleared no reader can still be looking at
+// its bytes. Pinned frames are skipped; if every frame is pinned the
+// shard temporarily overflows its budget rather than deadlocking.
 func (p *pager) evictLocked(sh *shard) ([]byte, error) {
 	var buf []byte
 	attempts := 0
@@ -304,8 +414,16 @@ func (p *pager) evictLocked(sh *shard) ([]byte, error) {
 			sh.hand++ // second chance
 			continue
 		}
+		if !pg.ref.CompareAndSwap(0, evictedRef) {
+			sh.hand++ // pinned since the check
+			continue
+		}
 		if err := p.writePage(pg); err != nil {
+			pg.ref.Store(0) // still resident; release the claim
 			return nil, err
+		}
+		if sl := p.slot(pg.key); sl != nil {
+			sl.CompareAndSwap(pg, nil)
 		}
 		delete(sh.table, pg.key)
 		sh.removeAt(sh.hand)
@@ -412,7 +530,7 @@ func (p *pager) closeMaps() {
 func (p *pager) read(f fileID, off int64, buf []byte) error {
 	if m := p.maps[f].Load(); m != nil && off >= 0 && off+int64(len(buf)) <= int64(len(m.data)) {
 		copy(buf, m.data[off:])
-		p.stats.hits.Add(1)
+		p.stats.hits[p.shardIndex(pageKey{f, off / int64(p.pageSize)})].n.Add(1)
 		return nil
 	}
 	for len(buf) > 0 {
@@ -422,13 +540,16 @@ func (p *pager) read(f fileID, off int64, buf []byte) error {
 		if err != nil {
 			return err
 		}
-		pg.mu.RLock()
-		err = pg.loadErr
-		n := 0
-		if err == nil {
+		var n int
+		if p.readOnly {
 			n = copy(buf, pg.data[within:])
+		} else {
+			pg.mu.RLock()
+			if err = pg.loadErr; err == nil {
+				n = copy(buf, pg.data[within:])
+			}
+			pg.mu.RUnlock()
 		}
-		pg.mu.RUnlock()
 		pg.unpin()
 		if err != nil {
 			return err
@@ -439,10 +560,17 @@ func (p *pager) read(f fileID, off int64, buf []byte) error {
 	return nil
 }
 
+// errReadOnlyPager is returned by a write to a live epoch's pager, whose
+// frames readers copy without the latch.
+var errReadOnlyPager = errors.New("diskstore: write to a read-only page cache")
+
 // write copies buf to off in the file, through the cache (write-back).
 // Writing to an mmapped file drops its mapping first: the mapping is a
 // read-only snapshot and must not alias pages the cache now owns.
 func (p *pager) write(f fileID, off int64, buf []byte) error {
+	if p.readOnly {
+		return errReadOnlyPager
+	}
 	p.dropMap(f)
 	for len(buf) > 0 {
 		pageNo := off / int64(p.pageSize)
@@ -488,7 +616,9 @@ func (p *pager) flush() error {
 // dropCache empties the cache (flushing dirty pages first), simulating a
 // cold start without reopening the files. Like flush, it relies on the
 // single-writer build contract: concurrent readers are fine (frames they
-// hold pinned stay readable, merely orphaned), concurrent writers are not.
+// hold pinned, or loaded from a slot just before it was cleared, stay
+// readable — merely orphaned, and never recycled), concurrent writers are
+// not.
 func (p *pager) dropCache() error {
 	if err := p.flush(); err != nil {
 		return err
@@ -496,6 +626,11 @@ func (p *pager) dropCache() error {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
+		for _, pg := range sh.clock {
+			if sl := p.slot(pg.key); sl != nil {
+				sl.CompareAndSwap(pg, nil)
+			}
+		}
 		sh.table = map[pageKey]*page{}
 		sh.clock = nil
 		sh.hand = 0

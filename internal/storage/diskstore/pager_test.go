@@ -166,10 +166,171 @@ func TestPagerConcurrentEvictionPressure(t *testing.T) {
 	})
 }
 
+// TestPagerReadOnlyStampedRace is the latch-free hit path's stress test:
+// a read-only pager with a 4-page budget over 64 stamped pages, hammered
+// by eight goroutines. Nearly every read either misses or races an
+// eviction, so a hit that pinned a frame after the sweep claimed it — and
+// copied from a buffer the next tenant is loading into — shows up as a
+// wrong stamp (or, under -race, as a data race on the buffer).
+func TestPagerReadOnlyStampedRace(t *testing.T) {
+	const pageSize, pages, workers = 256, 64, 8
+	p, _ := newTestPager(t, pageSize, 4, stampedPages(pageSize, pages, 0))
+	p.readOnly = true
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			buf := make([]byte, pageSize)
+			for i := 0; i < 4000; i++ {
+				// Mostly four hot pages, so hits on the frame table race
+				// the sweep recycling those same frames.
+				pg := rng.Intn(4)
+				if i%2 == 1 {
+					pg = rng.Intn(pages)
+				}
+				within := rng.Intn(pageSize)
+				if err := p.read(fileVertices, int64(pg)*pageSize+int64(within), buf[:pageSize-within]); err != nil {
+					t.Errorf("goroutine %d: read page %d: %v", g, pg, err)
+					return
+				}
+				if j := firstByteNot(buf[:pageSize-within], byte(pg+1)); j >= 0 {
+					t.Errorf("goroutine %d: page %d byte %d = %#x, want stamp %#x", g, pg, within+j, buf[j], byte(pg+1))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := p.resident(); got > p.capacity {
+		t.Errorf("%d pages resident, budget %d", got, p.capacity)
+	}
+	st := p.stats.snapshot()
+	if st.PageMisses < 4*pages || st.PageHits == 0 {
+		t.Errorf("hits = %d, misses = %d; the sweep did not race the hit path", st.PageHits, st.PageMisses)
+	}
+}
+
+// TestPagerReadOnlyRefusesWrites: a write to a read-only pager fails
+// before touching any frame, so readers copying without the latch never
+// see bytes change under them.
+func TestPagerReadOnlyRefusesWrites(t *testing.T) {
+	const pageSize = 256
+	p, _ := newTestPager(t, pageSize, 4, stampedPages(pageSize, 8, 0))
+	buf := make([]byte, pageSize)
+	if err := p.read(fileVertices, 2*pageSize, buf); err != nil { // page 2 resident
+		t.Fatal(err)
+	}
+	p.readOnly = true
+	for _, pg := range []int64{2, 5} { // resident, and not yet loaded
+		if err := p.write(fileVertices, pg*pageSize+8, []byte{0xAA}); !errors.Is(err, errReadOnlyPager) {
+			t.Errorf("write to page %d of a read-only pager: err = %v, want errReadOnlyPager", pg, err)
+		}
+		if err := p.read(fileVertices, pg*pageSize, buf); err != nil {
+			t.Fatal(err)
+		}
+		if j := firstByteNot(buf, byte(pg+1)); j >= 0 {
+			t.Errorf("page %d byte %d = %#x after a refused write, want stamp %#x", pg, j, buf[j], byte(pg+1))
+		}
+	}
+	if err := p.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.stats.snapshot(); st.PageWrites != 0 {
+		t.Errorf("%d page writes after refused writes, want 0", st.PageWrites)
+	}
+}
+
+// TestPagerStripedStatsExact: hits are counted on per-shard stripes, and
+// the snapshot Stats() returns sums them exactly — k hits and m misses in,
+// k and m out — while a hit allocates nothing.
+func TestPagerStripedStatsExact(t *testing.T) {
+	const pageSize, pages = 256, 32
+	for _, readOnly := range []bool{false, true} {
+		p, _ := newTestPager(t, pageSize, 64, stampedPages(pageSize, pages, 0))
+		if readOnly {
+			p.readOnly = true
+		}
+		var buf [16]byte
+		for pg := 0; pg < pages; pg++ { // m = pages cold misses
+			if err := p.read(fileVertices, int64(pg)*pageSize, buf[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const k = 1000
+		for i := 0; i < k; i++ {
+			if err := p.read(fileVertices, int64(i%pages)*pageSize+64, buf[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := p.stats.snapshot()
+		if st.PageHits != k || st.PageMisses != pages {
+			t.Errorf("readOnly=%v: hits = %d, misses = %d; want %d and %d", readOnly, st.PageHits, st.PageMisses, k, pages)
+		}
+		stripes := 0
+		for i := range p.stats.hits {
+			if p.stats.hits[i].n.Load() > 0 {
+				stripes++
+			}
+		}
+		if stripes < 2 {
+			t.Errorf("readOnly=%v: hits landed on %d stripe(s); the counters are not striped", readOnly, stripes)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := p.read(fileVertices, 7*pageSize, buf[:]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("readOnly=%v: %.1f allocations per hit, want 0", readOnly, allocs)
+		}
+		p.stats.reset()
+		if st := p.stats.snapshot(); st != (storage.Stats{}) {
+			t.Errorf("readOnly=%v: stats after reset = %+v", readOnly, st)
+		}
+	}
+}
+
+// BenchmarkPagerHitParallel measures the hit path: every goroutine reads
+// 8-byte records from pages of a fully resident read-only pager, so each
+// op is exactly one hit (frame-table load, pin, copy, unpin).
+func BenchmarkPagerHitParallel(b *testing.B) {
+	const pageSize, pages = 8192, 64
+	p, _ := newTestPager(b, pageSize, 4*pages, stampedPages(pageSize, pages, 0))
+	var buf [8]byte
+	for pg := int64(0); pg < pages; pg++ {
+		if err := p.read(fileVertices, pg*pageSize, buf[:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p.readOnly = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var buf [8]byte
+		x := uint64(rand.Int63()) | 1
+		for pb.Next() {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			off := int64(x%pages)*pageSize + int64(x>>32%(pageSize/8))*8
+			if err := p.read(fileVertices, off, buf[:]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if st := p.stats.snapshot(); st.PageMisses != pages {
+		b.Fatalf("%d misses, want only the %d warm-up loads", st.PageMisses, pages)
+	}
+}
+
 // newTestPager opens a bare pager (no Store around it) whose vertex file
 // holds content; the other four files are empty. It returns the vertex
 // file's path so a test can swap the descriptor underneath the pager.
-func newTestPager(t *testing.T, pageSize, capacity int, content []byte) (*pager, string) {
+func newTestPager(t testing.TB, pageSize, capacity int, content []byte) (*pager, string) {
 	t.Helper()
 	dir := t.TempDir()
 	var files [numFiles]*os.File
