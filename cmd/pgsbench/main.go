@@ -282,7 +282,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			title := fmt.Sprintf("Dataset load — bulk pipeline vs incremental writes (%s, MED)", b)
+			title := fmt.Sprintf("Dataset load — bulk pipeline (%s, MED)", b)
 			fmt.Println(bench.FormatBulkLoadTable(title, rows))
 			report.Add("bulkload", title, rows)
 		}

@@ -209,15 +209,15 @@ func main() {
 		}{{"DIR", dir}, {"OPT", opt}} {
 			if sr, ok := side.g.(storage.StatsReporter); ok {
 				ps := sr.Stats()
-				fmt.Printf("%s pager: %d hits, %d misses, %d page reads, %d page writes\n",
-					side.tag, ps.PageHits, ps.PageMisses, ps.PageReads, ps.PageWrites)
+				fmt.Printf("%s pager: %d hits, %d misses, %d page reads\n",
+					side.tag, ps.PageHits, ps.PageMisses, ps.PageReads)
 			}
 			if d, ok := side.g.(*diskstore.Store); ok {
 				f := d.Format()
 				ls := d.LiveStats()
-				fmt.Printf("%s store: format v%d, adjacency finalized=%v, live writes=%v, delta %d vertices / %d edges\n",
-					side.tag, f.Version, f.Compressed, ls.Live, ls.DeltaVertices, ls.DeltaEdges)
-				if f.Compressed && d.NumEdges() > 0 {
+				fmt.Printf("%s store: format v%d, generation %d, delta %d vertices / %d edges\n",
+					side.tag, f.Version, f.Generation, ls.DeltaVertices, ls.DeltaEdges)
+				if d.NumEdges() > 0 {
 					bpe := float64(f.EdgeBytes) / float64(d.NumEdges())
 					fmt.Printf("%s adjacency: %d bytes compressed (%.2f B/edge, %.1fx vs 64 B edge records)\n",
 						side.tag, f.EdgeBytes, bpe, 64/bpe)

@@ -71,7 +71,7 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			"index.db", "segmented", "Compact", "Finalize",
 			"BulkLoader", "BatchBuilder", "writeFileAtomic", "commit point",
 			"Format v5", "delta-varint", "uvarint", "firstOutEID",
-			"bytes-per-edge", "Options.Mmap", "drops its mapping",
+			"bytes-per-edge", "Options.Mmap", "never goes stale",
 			"PGSIDX05", "bloom", "MayHaveProp", "EdgeTypeCounts",
 			"FromStorage", "pgs_stats_bloom_skips_total",
 			"compression_ratio", "Upgrade", "ErrLegacyFormat",

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/loader"
-	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
 )
 
@@ -97,8 +96,7 @@ func ColdOpen(env *Env) ([]ColdOpenResult, error) {
 
 // BulkLoadResult is one timed load of the environment's dataset.
 type BulkLoadResult struct {
-	// Mode is "bulk" (the native BatchBuilder pipeline with one finalize)
-	// or "incremental" (per-item AddVertex/AddEdge).
+	// Mode is "bulk": the native BatchBuilder pipeline with one finalize.
 	Mode     string
 	Backend  Backend
 	Ms       float64
@@ -106,63 +104,25 @@ type BulkLoadResult struct {
 	Edges    int
 }
 
-// incrementalOnly routes loader.Load's batches through the store's
-// per-item AddVertex/AddEdge calls and skips Finalize, measuring the
-// incremental write path.
-type incrementalOnly struct{ storage.Builder }
-
-func (s incrementalOnly) AddVertexBatch(batch []storage.BulkVertex) (storage.VID, error) {
-	first := storage.VID(s.NumVertices())
-	for _, bv := range batch {
-		if _, err := s.AddVertex(bv.Labels...); err != nil {
-			return 0, err
-		}
-	}
-	return first, nil
-}
-
-func (s incrementalOnly) AddEdgeBatch(batch []storage.BulkEdge) error {
-	for _, be := range batch {
-		if _, err := s.AddEdge(be.Src, be.Dst, be.Type); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (incrementalOnly) Finalize() error { return nil }
-
 // BulkLoad measures loading the environment's dataset through the bulk
-// pipeline versus the incremental write path on the given backend. Both
-// loads produce observably identical graphs (gated by a test); the
-// difference is pure write-path cost — on diskstore, one sorted finalize
-// pass instead of a read-modify-write per edge.
+// pipeline on the given backend — on diskstore, an in-memory load that
+// one Finalize writes as the store's first generation.
 func BulkLoad(env *Env, b Backend) ([]BulkLoadResult, error) {
-	var results []BulkLoadResult
-	for _, mode := range []string{"bulk", "incremental"} {
-		st, cleanup, err := env.openStore(b, "load-"+mode)
-		if err != nil {
-			return nil, err
-		}
-		target := storage.Builder(st)
-		if mode == "incremental" {
-			target = incrementalOnly{st}
-		}
-		var vertices, edges int
-		ms, err := timeIt(func() error {
-			var lerr error
-			vertices, edges, lerr = loader.Load(target, env.Dataset, nil)
-			return lerr
-		})
-		cleanup()
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, BulkLoadResult{
-			Mode: mode, Backend: b, Ms: ms, Vertices: vertices, Edges: edges,
-		})
+	st, cleanup, err := env.openStore(b, "load-bulk")
+	if err != nil {
+		return nil, err
 	}
-	return results, nil
+	defer cleanup()
+	var vertices, edges int
+	ms, err := timeIt(func() error {
+		var lerr error
+		vertices, edges, lerr = loader.Load(st, env.Dataset, nil)
+		return lerr
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []BulkLoadResult{{Mode: "bulk", Backend: b, Ms: ms, Vertices: vertices, Edges: edges}}, nil
 }
 
 // FormatColdOpenTable renders cold-open results.

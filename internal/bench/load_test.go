@@ -2,10 +2,6 @@ package bench
 
 import (
 	"testing"
-
-	"repro/internal/loader"
-	"repro/internal/storage/diskstore"
-	"repro/internal/storage/storetest"
 )
 
 // TestColdOpenIndexGate is the cold-open regression gate (also run by the
@@ -39,8 +35,8 @@ func TestColdOpenIndexGate(t *testing.T) {
 	}
 }
 
-// TestBulkLoadShapes runs the bulk-vs-incremental load comparison on both
-// backends and checks both paths ingested the whole dataset.
+// TestBulkLoadShapes runs the bulk-load measurement on both backends and
+// checks it ingested the whole dataset.
 func TestBulkLoadShapes(t *testing.T) {
 	env := newEnv(t, "MED")
 	for _, b := range []Backend{Memstore, Diskstore} {
@@ -48,45 +44,11 @@ func TestBulkLoadShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
-		if len(rows) != 2 {
-			t.Fatalf("%s: %d rows", b, len(rows))
+		if len(rows) != 1 {
+			t.Fatalf("%s: %d rows, want 1", b, len(rows))
 		}
-		for _, r := range rows {
-			if r.Vertices == 0 || r.Edges == 0 {
-				t.Errorf("%s/%s loaded %d vertices, %d edges", b, r.Mode, r.Vertices, r.Edges)
-			}
+		if r := rows[0]; r.Mode != "bulk" || r.Vertices == 0 || r.Edges == 0 {
+			t.Errorf("%s: %+v, want a bulk load of the whole dataset", b, r)
 		}
-		if rows[0].Vertices != rows[1].Vertices || rows[0].Edges != rows[1].Edges {
-			t.Errorf("%s: bulk and incremental loads ingested different counts: %+v", b, rows)
-		}
-	}
-}
-
-// TestBulkLoadMatchesIncremental proves the two loader write paths
-// produce observably identical diskstore graphs for a real dataset, and
-// that the bulk-loaded store comes out segmented.
-func TestBulkLoadMatchesIncremental(t *testing.T) {
-	env := newEnv(t, "MED")
-	bulk, bulkClean, err := env.openStore(Diskstore, "eqbulk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bulkClean()
-	inc, incClean, err := env.openStore(Diskstore, "eqinc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer incClean()
-	if _, _, err := loader.Load(bulk, env.Dataset, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loader.Load(incrementalOnly{inc}, env.Dataset, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := storetest.Fingerprint(bulk), storetest.Fingerprint(inc); got != want {
-		t.Errorf("bulk-loaded diskstore diverges from incremental load:\n got: %.300s...\nwant: %.300s...", got, want)
-	}
-	if ds, ok := bulk.(*diskstore.Store); !ok || !ds.Format().Compressed {
-		t.Error("bulk-loaded diskstore is not finalized into compressed segments")
 	}
 }

@@ -27,14 +27,14 @@ type instRef struct {
 // Load populates the builder with the dataset under the mapping and
 // returns the number of vertices and edges created.
 //
-// Vertices and edges stream through a storage.BulkLoader in batches: on
-// stores with a native batched write path (diskstore) this defers all
-// adjacency, degree, and index construction to one finalize pass — which
-// also leaves diskstore adjacency type-segmented — instead of paying a
-// read-modify-write per AddEdge; on other stores it degrades to the
-// per-item calls transparently. Properties are written before the single
-// finalize at the end of the load, scalars last so they sit at the head
-// of record-store property chains (see step 5).
+// Everything streams through a storage.BulkLoader and ends in one
+// Finalize. On diskstore that makes the whole load one bulk load: the
+// vertices, edges and properties gather in memory and the Finalize writes
+// them as the store's first generation — adjacency type-segmented, each
+// vertex's properties one run. On memstore the batches are plain
+// in-memory writes. Scalar properties are written before the replicated
+// lists, so their keys intern first and lead each vertex's property run
+// (see step 4).
 func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, edges int, err error) {
 	if m == nil {
 		m = &core.Mapping{}
@@ -56,8 +56,10 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 		}
 	}
 
-	// 2. One vertex per merge group, in deterministic order.
+	// 2. One vertex per merge group, in deterministic order. byLabel
+	// records each label's vertices in VID order for step 5.
 	vertexOf := map[instRef]storage.VID{}
+	byLabel := map[string][]storage.VID{}
 	conceptNames := make([]string, 0, len(o.Concepts))
 	for _, c := range o.Concepts {
 		conceptNames = append(conceptNames, c.Name)
@@ -104,6 +106,9 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 		for _, ref := range members {
 			vertexOf[ref] = v
 		}
+		for _, l := range labels {
+			byLabel[l] = append(byLabel[l], v)
+		}
 	}
 
 	// 3. Edges for every non-collapsed relationship. Inheritance and
@@ -127,17 +132,29 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 			edges++
 		}
 	}
-	// All structural data is in. Flush the buffered batches so the
-	// property phases below can address every vertex, but defer the
-	// finalize itself to the end of the load: the property phases only
-	// need label iteration (safe on an unfinalized store), and finalizing
-	// first would flip a live-capable store into durable-write mode —
-	// WAL-logging and fsyncing every one of the bulk SetProp calls below.
-	if err := bl.Flush(); err != nil {
-		return 0, 0, err
+
+	// 4. Scalar instance properties. They go in before the replicated
+	// lists so their keys intern first: a generation stores each vertex's
+	// properties in key-ID order, and point lookups find the scalars at
+	// the head of the run.
+	for _, root := range roots {
+		for _, ref := range groups[root] {
+			v := vertexOf[ref]
+			inst := ds.Extents[ref.concept][ref.ordinal]
+			keys := make([]string, 0, len(inst.Props))
+			for k := range inst.Props {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				if err := bl.SetProp(v, k, inst.Props[k]); err != nil {
+					return 0, 0, err
+				}
+			}
+		}
 	}
 
-	// 4. Replicated list properties. Values are collected directly from
+	// 5. Replicated list properties. Values are collected directly from
 	// the dataset links so they are exact regardless of merges.
 	for _, lp := range m.ListProps {
 		r := relByKey(o, lp.RelKey)
@@ -159,41 +176,16 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 		}
 		// Every carrier vertex gets the property, empty list included,
 		// so size() is 0 rather than NULL on childless vertices.
-		b.ForEachVertex(lp.Carrier, func(v storage.VID) bool {
-			if err = b.SetProp(v, lp.Key, graph.L(values[v]...)); err != nil {
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-
-	// 5. Scalar instance properties go in last: record-store backends
-	// prepend property records, so writing scalars after the (larger)
-	// replicated lists keeps them at the head of each vertex's property
-	// chain where point lookups find them first.
-	for _, root := range roots {
-		for _, ref := range groups[root] {
-			v := vertexOf[ref]
-			inst := ds.Extents[ref.concept][ref.ordinal]
-			keys := make([]string, 0, len(inst.Props))
-			for k := range inst.Props {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if err := b.SetProp(v, k, inst.Props[k]); err != nil {
-					return 0, 0, err
-				}
+		for _, v := range byLabel[lp.Carrier] {
+			if err := bl.SetProp(v, lp.Key, graph.L(values[v]...)); err != nil {
+				return 0, 0, err
 			}
 		}
 	}
 
-	// One finalize builds the deferred adjacency/degree/index structures.
-	// On diskstore it also commits the store durably and leaves it
-	// accepting durable live mutations.
+	// One finalize flushes the batches and builds the deferred structures.
+	// On diskstore it writes and commits the first generation, after which
+	// the store accepts durable live mutations.
 	if err := bl.Finalize(); err != nil {
 		return 0, 0, err
 	}

@@ -151,8 +151,6 @@ func (s *Server) registerBridges() {
 		pager(func(ps storage.Stats) int64 { return ps.PageMisses }))
 	reg.CounterFunc("pgs_pager_page_reads_total", "Pages read from disk.",
 		pager(func(ps storage.Stats) int64 { return ps.PageReads }))
-	reg.CounterFunc("pgs_pager_page_writes_total", "Pages written to disk.",
-		pager(func(ps storage.Stats) int64 { return ps.PageWrites }))
 
 	// Live-write storage: WAL, delta segment, compaction.
 	live := func(pick func(storage.LiveStats) float64) func() float64 {

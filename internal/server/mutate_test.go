@@ -12,8 +12,8 @@ import (
 	"repro/internal/storage/memstore"
 )
 
-// newLiveServer builds a finalized (and therefore live-writable) diskstore
-// carrying the med fixture and serves it.
+// newLiveServer bulk-loads the med fixture into a diskstore and serves
+// it.
 func newLiveServer(t *testing.T) (*Server, *httptest.Server, *diskstore.Store) {
 	t.Helper()
 	ds, err := diskstore.Open(t.TempDir(), diskstore.Options{})
@@ -26,7 +26,7 @@ func newLiveServer(t *testing.T) (*Server, *httptest.Server, *diskstore.Store) {
 		t.Fatal(err)
 	}
 	if !ds.Live() {
-		t.Fatal("finalized med store is not live")
+		t.Fatal("med store is not live after its load's Finalize")
 	}
 	s, ts := newMedServer(t, Config{Graph: ds})
 	return s, ts, ds
@@ -128,21 +128,21 @@ func TestMutateRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestMutateNotLive: a diskstore still in build mode refuses live writes
-// with 409 and the recovery hint.
+// TestMutateNotLive: a diskstore with a bulk load pending refuses live
+// writes with 409 and the recovery hint.
 func TestMutateNotLive(t *testing.T) {
 	ds, err := diskstore.Open(t.TempDir(), diskstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ds.Close() })
-	buildMedGraph(t, ds) // never finalized: build mode
+	buildMedGraph(t, ds) // never finalized: the load stays pending
 	_, ts := newMedServer(t, Config{Graph: ds})
 	status, _, errMsg := postMutate(t, ts, `{"vertices": [{"labels": ["Drug"]}]}`)
 	if status != http.StatusConflict {
 		t.Errorf("status = %d (%s), want 409", status, errMsg)
 	}
-	if !strings.Contains(errMsg, "Compact") {
+	if !strings.Contains(errMsg, "Finalize") {
 		t.Errorf("409 message %q carries no recovery hint", errMsg)
 	}
 }

@@ -618,7 +618,6 @@ type PagerStats struct {
 	PageHits   int64 `json:"page_hits"`
 	PageMisses int64 `json:"page_misses"`
 	PageReads  int64 `json:"page_reads"`
-	PageWrites int64 `json:"page_writes"`
 }
 
 // StorageStats is storage.LiveStats in the /stats JSON shape.
@@ -712,7 +711,7 @@ func (s *Server) Stats() StatsResponse {
 		ps := sr.Stats()
 		resp.Pager = &PagerStats{
 			PageHits: ps.PageHits, PageMisses: ps.PageMisses,
-			PageReads: ps.PageReads, PageWrites: ps.PageWrites,
+			PageReads: ps.PageReads,
 		}
 	}
 	if lr, ok := g.(storage.LiveStatsReporter); ok {

@@ -26,12 +26,14 @@ import (
 // package's tests: two drugs, two indications, one treat fan-out.
 func buildMedGraph(t *testing.T, b storage.Builder) {
 	t.Helper()
-	add := func(labels ...string) storage.VID {
-		v, err := b.AddVertex(labels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
+	// The vertices go in as one batch, which on an empty diskstore opens a
+	// bulk load: the rest gathers with them until the caller's Finalize.
+	first, err := b.AddVertexBatch([]storage.BulkVertex{
+		{Labels: []string{"Drug"}}, {Labels: []string{"Drug"}},
+		{Labels: []string{"Indication"}}, {Labels: []string{"Indication"}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	set := func(v storage.VID, key, val string) {
 		if err := b.SetProp(v, key, graph.S(val)); err != nil {
@@ -43,10 +45,9 @@ func buildMedGraph(t *testing.T, b storage.Builder) {
 			t.Fatal(err)
 		}
 	}
-	d1, d2 := add("Drug"), add("Drug")
+	d1, d2, i1, i2 := first, first+1, first+2, first+3
 	set(d1, "name", "Aspirin")
 	set(d2, "name", "Ibuprofen")
-	i1, i2 := add("Indication"), add("Indication")
 	set(i1, "desc", "Fever")
 	set(i2, "desc", "Headache")
 	edge(d1, i1, "treat")
@@ -499,7 +500,8 @@ func TestConcurrentClients(t *testing.T) {
 				g = ds
 			}
 			addDrugs(t, g, drugs)
-			// A diskstore goes live for /mutate only once it holds an edge.
+			// One edge, and on diskstore a Finalize that folds the fixture
+			// into a base generation.
 			if _, err := g.AddEdge(0, 1, "interacts"); err != nil {
 				t.Fatal(err)
 			}

@@ -20,23 +20,27 @@ type BulkEdge struct {
 	Type     string
 }
 
-// BatchBuilder is Builder's batched write path. It trades the per-call
-// read-modify-write work of AddVertex/AddEdge for deferred construction:
-// batches only append raw records, and Finalize builds adjacency, degree,
-// and index structures in one pass.
+// BatchBuilder is Builder's batched write path: a bulk load. Batches
+// only gather their vertices and edges, and Finalize builds adjacency,
+// degree, and index structures in one pass.
 //
 // Contract:
 //
 //   - AddVertexBatch assigns the batch consecutive VIDs starting at the
-//     returned first ID (== NumVertices() before the call).
-//   - Edges ingested through AddEdgeBatch may be invisible to the read
-//     surface until Finalize runs; Finalize must be called after the last
-//     batch and before the store is queried.
+//     returned first ID, which is the number of vertices created before
+//     the call.
+//   - On a store that holds nothing, the first batch may open a pending
+//     load: every write after it — batches and single Builder calls alike
+//     — may be invisible to the read surface until Finalize, and the
+//     store may refuse ApplyMutations (ErrNotLive) until then. Finalize
+//     must be called after the last write and before the store is
+//     queried.
 //   - Finalize may renumber edge IDs (e.g. to cluster adjacency by edge
 //     type on disk); EIDs observed before Finalize are invalid after it.
 //   - Finalize is idempotent and also legal after purely incremental
 //     building, where it (re)establishes the store's optimal physical
-//     layout — for diskstore, type-segmented adjacency.
+//     layout — for diskstore, a fold of its live writes into a new
+//     generation.
 //   - On a persistent backend Finalize is a durable commit: once it
 //     returns, the built store survives a crash without a Flush or Close.
 type BatchBuilder interface {
@@ -47,7 +51,7 @@ type BatchBuilder interface {
 	// construction may be deferred to Finalize.
 	AddEdgeBatch(batch []BulkEdge) error
 	// Finalize completes all deferred construction. Required before reads
-	// after AddEdgeBatch; see the interface contract above.
+	// after a batch; see the interface contract above.
 	Finalize() error
 }
 
@@ -58,7 +62,8 @@ const DefaultBulkBatch = 4096
 // path in batches (deferred degree/index construction, one finalize).
 //
 // Vertex IDs are assigned at buffering time (stores assign VIDs
-// sequentially from NumVertices(); each flush verifies this), so
+// sequentially from NumVertices() at construction; each flush verifies
+// this), so
 // buffered edges may reference buffered vertices. AddLabel and SetProp
 // flush pending vertices and pass through, since they require the vertex
 // to exist. Finalize must be called after the last Add; it flushes both

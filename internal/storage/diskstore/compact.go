@@ -1,7 +1,7 @@
 package diskstore
 
 // Finalize (and Compact, the same call): the one way a store gets a new
-// base generation, on a live store while reads and writes keep flowing.
+// base generation, while reads and writes keep flowing.
 //
 // Finalize never touches the files serving reads. It freezes the delta at
 // a WAL fence W (everything with seq <= W goes into the new base; younger
@@ -12,8 +12,8 @@ package diskstore
 // s.cur under liveMu/epMu; pinned snapshots keep reading the old
 // generation's files until their pins drain, at which point the
 // superseded files are deleted and the delta's folded prefix pruned. A
-// store in build mode (a bulk load, Upgrade) takes the same steps with an
-// empty delta and no WAL.
+// pending bulk load takes the same steps with the load set in place of
+// the frozen delta (see finalize.go).
 //
 // Crash safety needs no marker file: before the manifest rename the
 // manifest still names the old generation (the new generation's files are
@@ -33,17 +33,18 @@ import (
 // run it from a goroutine). It is Finalize.
 func (s *Store) Compact() error { return s.Finalize() }
 
-// Finalize completes deferred bulk construction and folds the live delta:
-// it writes the next base generation from the current one plus the
-// frozen delta and commits it before returning, so a crash at any instant
-// leaves either the previous commit or the new generation, complete. Edge
-// IDs are renumbered; EIDs observed before Finalize are invalid after it
-// (the storage.BatchBuilder contract). On a live store readers and
-// writers keep going while it runs; in build mode it needs exclusive
-// access, like every build-mode call. A store with nothing to fold writes
-// nothing. Finalize is single-flight with Compact: a concurrent call
-// returns storage.ErrCompactInProgress. The numbered stages follow the
-// protocol in the comment above.
+// Finalize commits a pending bulk load, or else folds the live delta: it
+// writes the next base generation from the current one plus the load set
+// or the frozen delta, and commits it before returning, so a crash at any
+// instant leaves either the previous commit or the new generation,
+// complete. Edge IDs are renumbered; EIDs observed before Finalize are
+// invalid after it (the storage.BatchBuilder contract). Readers and live
+// writers keep going while it runs; a bulk load's Finalize comes from its
+// single writer, like every call of the load. If it fails, a load stays
+// pending. A store with nothing to fold writes nothing. Finalize is
+// single-flight with Compact: a concurrent call returns
+// storage.ErrCompactInProgress. The numbered stages follow the protocol
+// in the comment above.
 func (s *Store) Finalize() error {
 	if !s.folding.CompareAndSwap(false, true) {
 		return storage.ErrCompactInProgress
@@ -57,9 +58,10 @@ func (s *Store) Finalize() error {
 	// applied, so the WAL's last appended seq is exactly the delta's
 	// applied watermark: freezing at fence = lastAppended captures whole
 	// batches only. The byte size at the same instant is the rotate
-	// offset (every record below it has seq <= fence).
+	// offset (every record below it has seq <= fence). A pending load
+	// needs no freeze: its store has no WAL and an empty delta, and
+	// nothing but its single writer touches the load set.
 	s.liveMu.Lock()
-	live := s.liveMode.Load()
 	old := s.cur
 	fence := s.walFoldedSeq
 	var walOff int64
@@ -67,7 +69,11 @@ func (s *Store) Finalize() error {
 		fence = w.lastAppended()
 		walOff = w.sizeNow()
 	}
-	fd := s.delta.freeze(vis{baseVerts: old.numVertices, baseEdges: old.numEdges, baseSeq: old.baseSeq, maxSeq: fence})
+	load := s.load.Load()
+	fd := load
+	if load == nil {
+		fd = s.delta.freeze(vis{baseVerts: old.numVertices, baseEdges: old.numEdges, baseSeq: old.baseSeq, maxSeq: fence})
+	}
 	s.symMu.RLock()
 	labels := append([]string(nil), s.labels...)
 	types := append([]string(nil), s.types...)
@@ -75,10 +81,10 @@ func (s *Store) Finalize() error {
 	s.symMu.RUnlock()
 	s.liveMu.Unlock()
 
-	// A base with build-mode records (a bulk load, a legacy store being
-	// upgraded) or build-mode writes since its last commit is rewritten
-	// even with nothing new to fold.
-	if fence == old.baseSeq && old.compressed && !s.dirty && len(fd.verts) == 0 &&
+	// A legacy base (a store being upgraded) is rewritten even with
+	// nothing new to fold, and a pending load is committed even if a
+	// failed first batch left it empty, so that the store leaves it.
+	if load == nil && fence == old.baseSeq && !old.legacy && len(fd.verts) == 0 &&
 		len(fd.edges) == 0 && len(fd.labelAdds) == 0 && len(fd.propOver) == 0 {
 		return nil
 	}
@@ -117,25 +123,17 @@ func (s *Store) Finalize() error {
 		w.rotate(walOff)
 	}
 	s.walFoldedSeq = fence
-	if live {
+	if load != nil {
+		// The delta stayed empty through the load; the load's IDs are the
+		// new base's, so live writes number on from its end.
+		s.delta = newDelta(newEp.numVertices, newEp.numEdges)
+		s.delta.appliedSeq.Store(fence)
+		s.load.Store(nil)
+	} else {
 		// Young label/prop writes that landed on now-folded delta vertices
 		// while the fold ran must move to the base-override maps before
 		// routing flips (see delta.rebase).
 		s.delta.rebase(fence, newEp.numVertices)
-	} else {
-		// A build-mode store's delta is empty and numbered from the base
-		// it had at Open; the new base gets one numbered from its own end.
-		s.delta = newDelta(newEp.numVertices, newEp.numEdges)
-		s.delta.appliedSeq.Store(fence)
-	}
-	// A finalized store with at least one vertex and one edge accepts
-	// durable live mutations (see live.go). Empty or vertex-only stores
-	// stay in build mode: they are still being constructed and their
-	// cheap base mutations need no WAL. A live epoch's files are never
-	// written again, so its pager turns read-only before readers see it.
-	goLive := newEp.numVertices > 0 && newEp.numEdges > 0
-	if goLive {
-		newEp.pager.readOnly = true
 	}
 	s.epMu.Lock()
 	s.cur = newEp
@@ -149,20 +147,15 @@ func (s *Store) Finalize() error {
 	s.symMu.RLock()
 	s.indexCurrent = len(s.labels) == len(labels) && len(s.types) == len(types) && len(s.keys) == len(keys)
 	s.symMu.RUnlock()
-	s.needFinalize, s.dirty = false, false
-	if goLive {
-		s.liveMode.Store(true)
-	}
 	s.liveMu.Unlock()
 	s.flushMu.Unlock()
-	if live {
+	if load == nil {
 		s.compactions.Add(1)
 	}
 
 	// Drop the store's reference to the superseded epoch; its files are
 	// reclaimed (and the delta's folded prefix pruned) once the last
-	// pinned snapshot or in-flight read drains — at once in build mode,
-	// which pins nothing.
+	// pinned snapshot or in-flight read drains.
 	if old.pins.Add(-1) == 0 {
 		s.reclaimEpoch(old)
 	}

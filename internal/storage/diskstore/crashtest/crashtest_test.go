@@ -106,10 +106,12 @@ func TestCrashBuildChild(t *testing.T) {
 // itself, acknowledges writes on the freshly finalized store and never
 // flushes it: kills land mid-load, mid-finalize and after
 // acknowledgements, and the rounds that run out their op budget exit
-// without a Close. Every reopen must succeed and show either the empty
-// store (the kill came before the load's commit) or the loaded base plus
-// the acknowledged prefix — a freshly loaded store is crash-safe from the
-// moment its Finalize returns.
+// without a Close. A pending load lives in memory only, so a kill before
+// its Finalize commits leaves nothing on disk but empty files and, at
+// most, orphans of the uncommitted generation. Every reopen must succeed
+// and show either the empty store (the kill came before the load's
+// commit) or the loaded base plus the acknowledged prefix — a freshly
+// loaded store is crash-safe from the moment its Finalize returns.
 func TestKillRecoveryBuildInChild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills real processes; skipped in -short")

@@ -63,12 +63,13 @@ type KillConfig struct {
 	// manifest commit and the WAL rotation, mid-swap.
 	CompactInBackground bool
 	// buildInChild starts every round from an empty directory: the child
-	// bulk-builds the base itself (BuildRandomBulk, whose Finalize commits
-	// it), acknowledges mutations and never flushes or closes the store,
-	// so kills land mid-load, mid-finalize and after acknowledgements. A
-	// reopen with nothing acknowledged may also show the empty store (the
-	// kill came before the load's commit). The child must run
-	// childMain(true).
+	// bulk-builds the base itself (BuildRandomBulk: an in-memory load
+	// whose Finalize writes and commits generation 1), acknowledges
+	// mutations and never flushes or closes the store, so kills land
+	// mid-load, mid-finalize and after acknowledgements. A reopen with
+	// nothing acknowledged may also show the empty store (the kill came
+	// before the load's commit, and the load had written nothing). The
+	// child must run childMain(true).
 	buildInChild bool
 	Seed         int64
 	Log          func(format string, args ...any) // optional progress logging

@@ -1,10 +1,9 @@
 package diskstore
 
-// The in-memory delta segment: where live (post-finalize) mutations
-// live between WAL append and the next Compact. The base files stay
-// frozen in live mode — no page is dirtied, index.db stays valid, and
-// the segmented-adjacency invariant keeps holding for base edges — while
-// the read paths merge the delta on top:
+// The in-memory delta segment: where live mutations live between WAL
+// append and the next Compact. The base files stay frozen — index.db
+// stays valid, and base edges keep their segments — while the read paths
+// merge the delta on top:
 //
 //   - vertices: delta VIDs continue the base range (base+i), so VID
 //     arithmetic distinguishes the two without lookups;
@@ -111,8 +110,9 @@ type delta struct {
 	appliedSeq atomic.Uint64
 
 	// origVerts/origEdges are the base counts when the delta was
-	// created (live mode entered). They never change across background
-	// folds, which is what keeps delta VIDs/EIDs stable.
+	// created (at Open, or by a bulk load's Finalize). They never change
+	// across background folds, which is what keeps delta VIDs/EIDs
+	// stable.
 	origVerts int64
 	origEdges int64
 

@@ -1,16 +1,16 @@
 // Package diskstore implements storage.Graph as a Neo4j-style record
-// store: fixed-size vertex and edge records with linked-list adjacency,
-// fixed-size property records chained off vertices, and a variable-length
-// blob file for strings and lists — all accessed through a sharded,
-// write-back page cache with clock-sweep eviction, whose hits take no
-// lock: a per-file frame table and a CAS pin. The cache recycles its
+// store: fixed-size vertex records, adjacency as delta-varint segments per
+// (vertex, edge type), fixed-size property records chained off vertices,
+// and a variable-length blob file for strings and lists — all read through
+// a sharded page cache with clock-sweep eviction, whose hits take no lock:
+// a per-file frame table and a CAS pin. The cache recycles its
 // frames — a miss in a full shard loads into the buffer of the frame it
 // evicts — which rests on one rule: the sweep claims a victim only while
 // it is unpinned, by a CAS that makes every later pin of it fail, so a
 // recycled buffer has no reader (see pager).
 //
 // It stands in for the paper's disk-based backend (Neo4j): every edge
-// traversal dereferences edge and vertex records that may or may not be
+// traversal reads segment bytes and vertex records that may or may not be
 // resident in the page cache, so schemas that need fewer traversals do
 // proportionally less I/O. The cache size is configurable to reproduce the
 // paper's observation that disk-based systems benefit most from schema
@@ -25,7 +25,10 @@
 // the commit point of every Finalize (see finalize.go and compact.go): the
 // finalize sort pass writes a complete generation N+1 beside N, commit
 // fsyncs it and renames the manifest, and then the in-memory epoch swaps.
-// Files from any other generation are orphans and are swept at Open.
+// Files from any other generation are orphans and are swept at Open. A
+// generation's files are written once and never again: every store is
+// live from Open, its writes go to the WAL and the in-memory delta, and a
+// bulk load gathers in memory until its Finalize writes generation 1.
 //
 // In memory, each open generation is an epoch: the pager, record counts,
 // label index, and the WAL fence (baseSeq) that tells readers which delta
@@ -71,11 +74,9 @@ type Options struct {
 	// with the default page size).
 	CachePages int
 
-	// Mmap maps the read-mostly record files (edges.db, vertices.db)
-	// read-only into memory and serves page loads from the mapping
-	// instead of the clock-sweep pager copy. The pager keeps ownership of
-	// every write path and of the non-mapped files; the first write to a
-	// mapped file atomically drops its mapping (see pager.write). No-op
+	// Mmap maps the record files edges.db and vertices.db read-only into
+	// memory and serves their reads from the mapping instead of the
+	// clock-sweep pager copy; the other files stay with the pager. No-op
 	// on platforms without mmap support.
 	Mmap bool
 }
@@ -94,20 +95,20 @@ func (o Options) withDefaults() Options {
 //
 //   - fixed-size vertex, property and degree records (one 64-byte degree
 //     record per (vertex, edge type), chained off the vertex record);
-//   - adjacency in one of two states. Finalized ("compressed" manifest
-//     flag): edges.db holds delta-varint (src, type) segments and each
-//     degree record doubles as its segment descriptor (byte offsets +
-//     lengths + the first out-EID; see segcodec.go). Unfinalized (build
-//     mode — incremental AddEdge or AddEdgeBatch before Finalize):
-//     edges.db holds 64-byte edge records, chained per vertex;
+//   - adjacency as delta-varint (src, type) segments in edges.db, each
+//     degree record doubling as its segment descriptor (byte offsets +
+//     lengths + the first out-EID; see segcodec.go);
 //   - index.db, the persisted label-scan index, redundant symbol tables
 //     and a statistics block (per-edge-type counts, per-(label, key)
 //     bloom filters), so Open is O(index size) instead of a vertex scan.
 //
-// Stores written by earlier releases (manifest versions 2-4) are refused
-// by Open with ErrLegacyFormat and converted offline by Upgrade. Version
-// 1 and unknown versions are rejected outright — v1 vertex records would
-// silently read their degree counters as zero.
+// Stores written by earlier releases are refused by Open with
+// ErrLegacyFormat and converted offline by Upgrade: manifest versions 2-4,
+// and a v5 store whose manifest has "compressed" false and edges — an
+// earlier build's unfinalized store, whose edges.db holds 64-byte edge
+// records chained per vertex. Version 1 and unknown versions are rejected
+// outright — v1 vertex records would silently read their degree counters
+// as zero.
 const formatVersion = 5
 
 type manifest struct {
@@ -125,8 +126,8 @@ type manifest struct {
 	NumProps    int64    `json:"num_props"`
 	NumDegs     int64    `json:"num_degs,omitempty"`
 	BlobSize    int64    `json:"blob_size"`
-	// Compressed records that adjacency is finalized: edges.db holds
-	// delta-varint segments rather than build-mode edge records (see
+	// Compressed records that edges.db holds delta-varint segments; every
+	// commit writes true, and false with edges marks a legacy store (see
 	// formatVersion). Segmented always carries the same value; it is kept
 	// so the manifest's JSON shape is unchanged. EdgeBytes is the logical
 	// size of the segment data — the bytes-on-disk numerator of the
@@ -162,12 +163,10 @@ func genFileName(name string, gen int64) string {
 
 // epoch is one open base generation: the five record files behind a
 // pager, their counts, the label-scan index, and the WAL fence (baseSeq)
-// identifying which logged batches the files already absorbed. Once a
-// store is live its current epoch's files are never mutated in place —
-// Finalize writes a whole new generation — so every field
-// here is immutable for the epoch's lifetime and readers touch it without
-// locks. (During single-writer building, before live mode, the one
-// existing epoch is mutated freely.)
+// identifying which logged batches the files already absorbed. An epoch's
+// files are never mutated — Finalize writes a whole new generation — so
+// every field here is immutable once the epoch is published, and readers
+// touch it without locks.
 //
 // pins counts references: 1 for the store itself while the epoch is
 // current, plus one per in-flight read and per held snapshot. When a fold
@@ -176,13 +175,13 @@ func genFileName(name string, gen int64) string {
 // delta prune entries the new generation absorbed).
 type epoch struct {
 	gen int64
-	// compressed reports that adjacency is finalized: edges.db holds
-	// type-segmented delta-varint segments, degree records carry their
-	// descriptors and edgeBytes the logical segment-data size. False is
-	// build mode: edges.db holds chained 64-byte edge records.
-	compressed bool
-	edgeBytes  int64
-	pager      *pager
+	// legacy marks the source epoch of an Upgrade: its edges.db may hold
+	// 64-byte edge records rather than segments, so nothing but
+	// writeGeneration reads it (see forEachEdgeLite). edgeBytes is the
+	// logical segment-data size.
+	legacy    bool
+	edgeBytes int64
+	pager     *pager
 
 	numVertices int64
 	numEdges    int64
@@ -193,17 +192,16 @@ type epoch struct {
 	byLabel map[int][]storage.VID
 	// labelBits is byLabel again as one membership bitmap per label ID
 	// (⌈numVertices/64⌉ words, nil for a label without base members —
-	// 64× smaller than the postings), so a live view answers HasLabelID
-	// without a vertex-record read. setLabelBits derives it wherever an
-	// immutable serving epoch comes into being; build-mode views, under
-	// which byLabel still grows, never consult it and read the record.
+	// 64× smaller than the postings), so a view answers HasLabelID
+	// without a vertex-record read. setLabelBits derives it wherever a
+	// serving epoch comes into being.
 	labelBits [][]uint64
 
 	// Persisted statistics (from Finalize or index.db): base edge counts
 	// per type ID, and per-(label, key) bloom filters over the property
 	// values present at finalize time. statsValid distinguishes "no pair
 	// exists" (definitive) from "statistics unavailable" (missing/torn
-	// index, post-finalize build mutations).
+	// index).
 	typeCounts []int64
 	blooms     map[uint64]*bloom
 	statsValid bool
@@ -262,19 +260,18 @@ func (ep *epoch) closeFiles() error {
 	return first
 }
 
-// Store is a disk-backed property graph. Building (AddVertex, AddEdge,
-// SetProp, Flush) is single-writer, but once the store is fully built its
-// entire read surface — traversals, property and label lookups, degree
-// queries, stats — is safe for any number of concurrent reader
-// goroutines: the symbol tables and label index are immutable after
-// build, and record access goes through the pager's sharded page cache,
-// where readers contend only when they touch the same cache shard at the
-// same instant (see pager).
+// Store is a disk-backed property graph, live from Open: its entire read
+// surface — traversals, property and label lookups, degree queries, stats
+// — is safe for any number of concurrent reader goroutines alongside
+// durable writes (see live.go). Base records are read through the pager's
+// sharded page cache, where readers contend only when they touch the same
+// cache shard at the same instant (see pager). A bulk load (see
+// finalize.go) is single-writer and invisible to reads until its Finalize.
 //
-// On a live store, Compact runs in the background: readers and writers
-// keep going against the current epoch while the fold builds the next
-// generation (see compact.go), and AcquireSnapshot pins a consistent
-// {epoch, delta watermark} view across the swap (see view.go).
+// Compact runs in the background: readers and writers keep going against
+// the current epoch while the fold builds the next generation (see
+// compact.go), and AcquireSnapshot pins a consistent {epoch, delta
+// watermark} view across the swap (see view.go).
 type Store struct {
 	storage.ByName
 
@@ -290,23 +287,14 @@ type Store struct {
 	// epoch's pager bumps, so Stats never restarts at a fold's swap.
 	pagerStats pagerStats
 
-	// needFinalize is set by AddEdgeBatch: edges were appended without
-	// adjacency linkage and Finalize must run before the store is read.
-	// Flush finalizes automatically as a safety net.
-	needFinalize bool
 	// indexLoaded reports that Open restored the label index from
 	// index.db instead of scanning every vertex record.
 	indexLoaded bool
 	// indexCurrent reports that the index file on disk describes the
-	// current in-memory state: set by a successful load at Open and by
-	// every index write, cleared by the first mutation. A clean Flush
-	// with a current index skips the rewrite.
+	// current generation and symbol tables: set by a successful load at
+	// Open and by every index write. A Flush with a current index writes
+	// nothing.
 	indexCurrent bool
-	// dirty is set by the first mutation since open/flush (markDirty),
-	// which also removes the index file at that moment — so no crash
-	// window exists in which on-disk data coexists with a
-	// stale-but-validating index.
-	dirty bool
 
 	labels   []string
 	labelIDs map[string]int
@@ -317,16 +305,17 @@ type Store struct {
 
 	// ---- live-write state (see live.go, wal.go, delta.go) ----
 
-	// liveMode gates the durable post-finalize write path: Builder calls
-	// reroute through ApplyMutations, reads merge the delta segment, and
-	// symbol-table access takes symMu. Set at Open or by a build-mode
-	// Finalize, and never cleared.
-	liveMode atomic.Bool
+	// load is the pending bulk load, nil when none is open: the vertices
+	// and edges gathered since a first AddVertexBatch on a store that held
+	// nothing (see finalize.go). Reads never see it; ApplyMutations
+	// refuses while it is open.
+	load atomic.Pointer[frozenDelta]
 	// liveMu serializes ApplyMutations batches (WAL append order = delta
-	// apply order = replay order) and the fold's freeze/swap steps.
+	// apply order = replay order), the opening of a load, and the fold's
+	// freeze/swap steps.
 	liveMu sync.Mutex
-	// symMu guards the symbol tables once liveMode is set; never taken
-	// outside live mode.
+	// symMu guards the symbol tables: readers resolve under RLock while
+	// writes intern under Lock.
 	symMu sync.RWMutex
 	// delta is the in-memory segment of live mutations; always non-nil.
 	// It is shared across epochs: entries carry WAL sequence numbers and
@@ -366,17 +355,15 @@ type FormatInfo struct {
 	Version int
 	// Generation is the base file generation currently serving reads.
 	Generation int64
-	// Segmented and Compressed both report that adjacency is finalized
-	// into type-segmented delta-varint segments; false means build-mode
-	// edge records.
+	// Segmented and Compressed both report that adjacency is stored as
+	// type-segmented delta-varint segments, which every open store's is.
 	Segmented  bool
 	Compressed bool
 	// IndexLoaded reports that Open restored the label index from
 	// index.db rather than scanning every vertex record.
 	IndexLoaded bool
-	// EdgeBytes is the logical adjacency size in edges.db: segment bytes
-	// on a finalized store, numEdges × 64 in build mode. EdgeBytes /
-	// NumEdges is the bytes-per-edge figure.
+	// EdgeBytes is the logical adjacency size in edges.db, in segment
+	// bytes. EdgeBytes / NumEdges is the bytes-per-edge figure.
 	EdgeBytes int64
 }
 
@@ -385,14 +372,10 @@ type FormatInfo struct {
 // fast way" is observable.
 func (s *Store) Format() FormatInfo {
 	ep := s.curEp()
-	eb := ep.numEdges * edgeRecSize
-	if ep.compressed {
-		eb = ep.edgeBytes
-	}
 	return FormatInfo{
 		Version: formatVersion, Generation: ep.gen,
-		Segmented: ep.compressed, Compressed: ep.compressed,
-		IndexLoaded: s.indexLoaded, EdgeBytes: eb,
+		Segmented: true, Compressed: true,
+		IndexLoaded: s.indexLoaded, EdgeBytes: ep.edgeBytes,
 	}
 }
 
@@ -417,14 +400,15 @@ var (
 func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, false) }
 
 // ErrLegacyFormat is returned (wrapped) by Open for a store whose
-// manifest names format version 2, 3 or 4. Test with errors.Is.
+// manifest names format version 2, 3 or 4, or an unfinalized v5 store
+// with edges (see formatVersion). Test with errors.Is.
 var ErrLegacyFormat = errors.New("store was written in a legacy on-disk format; convert it offline with diskstore.Upgrade")
 
-// Upgrade converts a legacy (v2-v4) store in dir to the current format
-// and closes it; on a current-format store it does nothing. It needs
-// exclusive access. The legacy files are opened as an unfinalized
-// build-mode store — only vertex, property and edge records (and any WAL
-// a live v4 session left) are trusted; the label index is rebuilt by
+// Upgrade converts a legacy store in dir (see ErrLegacyFormat) to the
+// current format and closes it; on a current-format store it does
+// nothing. It needs exclusive access. The legacy files are opened as a
+// legacy source epoch — only vertex, property and edge records (and any
+// WAL a live v4 session left) are trusted; the label index is rebuilt by
 // scanning — and Finalize writes the v5 base as a new generation and
 // commits it. An upgrade that fails or crashes before that commit leaves
 // the legacy store as it was, plus orphans the next Upgrade sweeps.
@@ -436,7 +420,7 @@ func Upgrade(dir string, opts Options) error {
 	if !ok {
 		return fmt.Errorf("diskstore: %s: no store to upgrade", dir)
 	}
-	if m.Version == formatVersion {
+	if !m.legacy() {
 		return nil
 	}
 	s, err := open(dir, opts, true)
@@ -466,9 +450,9 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	legacy := haveManifest && m.Version < formatVersion
+	legacy := haveManifest && m.legacy()
 	if legacy && !upgrade {
-		return nil, fmt.Errorf("diskstore: %s (format v%d): %w", dir, m.Version, ErrLegacyFormat)
+		return nil, fmt.Errorf("diskstore: %s (format v%d, compressed=%v): %w", dir, m.Version, m.Compressed, ErrLegacyFormat)
 	}
 	gen := int64(0)
 	if haveManifest {
@@ -499,6 +483,7 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	}
 	ep := &epoch{
 		gen:     gen,
+		legacy:  legacy,
 		pager:   pg,
 		byLabel: map[int][]storage.VID{},
 	}
@@ -506,9 +491,6 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	s.cur = ep
 	s.generation.Store(gen)
 	if haveManifest {
-		// A legacy store's adjacency is read as build-mode edge records
-		// whatever its manifest claims; Upgrade's Finalize re-derives it.
-		ep.compressed = m.Compressed && !legacy
 		ep.edgeBytes = m.EdgeBytes
 		ep.numVertices, ep.numEdges, ep.numProps, ep.blobSize = m.NumVertices, m.NumEdges, m.NumProps, m.BlobSize
 		ep.numDegs = m.NumDegs
@@ -550,8 +532,8 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 		}
 	}
 	s.delta = newDelta(ep.numVertices, ep.numEdges)
-	// Recovery pass: enter live mode for finalized stores and replay any
-	// write-ahead log a crashed live session left behind (see live.go).
+	// Recovery pass: replay any write-ahead log a crashed session left
+	// behind (see live.go).
 	if err := s.recoverLive(); err != nil {
 		return nil, err
 	}
@@ -587,6 +569,13 @@ func readManifest(dir string) (manifest, bool, error) {
 		return m, false, fmt.Errorf("diskstore: negative base generation %d in manifest", m.Generation)
 	}
 	return m, true, nil
+}
+
+// legacy reports a store Open refuses and Upgrade converts: an earlier
+// format version, or a v5 store an earlier build left unfinalized, with
+// edge records in edges.db.
+func (m manifest) legacy() bool {
+	return m.Version < formatVersion || !m.Compressed && m.NumEdges > 0
 }
 
 // sweepOrphans removes base-generation files that do not belong to the
@@ -640,47 +629,15 @@ func isGenFile(name string) bool {
 	return false
 }
 
-// markDirty records the first mutation since open/flush. It removes the
-// index file at that moment — before the mutation's page write, and
-// crucially before cache eviction can push any dirty page to disk —
-// because no index may ever sit on disk alongside data newer than it:
-// record counts and symbol tables cannot catch every mutation (e.g.
-// AddLabel of an existing label to an existing vertex changes neither),
-// so a surviving stale index could still validate. From the first
-// mutation until the next successful Flush, a crash leaves a store with
-// no index that rebuilds correctly by scanning.
-func (s *Store) markDirty() error {
-	if s.dirty {
-		return nil
-	}
-	if err := os.Remove(s.indexPath(s.cur.gen)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	// Build-mode mutations can change label membership and property
-	// values, so the persisted statistics stop being definitive the same
-	// instant the index file goes (Finalize rebuilds them).
-	s.cur.statsValid = false
-	s.cur.typeCounts = nil
-	s.cur.blooms = nil
-	s.indexCurrent = false
-	s.dirty = true
-	return nil
-}
-
-// Flush commits the current generation if anything changed since the
-// last commit (see commit): dirty pages, the derived-index file and the
-// manifest. The index file itself was already removed by the first
-// mutation (see markDirty), so a crash before the manifest rename leaves
-// a store that rebuilds its index by scanning. A store with nothing
-// mutated since open skips the rewrites entirely — read-only workloads
-// stay read-only on close — unless its index had to be rebuilt by
-// scanning, which writes once to repair the missing index file. Pending
-// bulk edges (AddEdgeBatch without Finalize) are finalized first so a
-// flushed store is always fully linked. In live mode the delta segment is
-// not flushed here: it is durable through the WAL and folded into the
-// base by the next Finalize or Compact.
+// Flush commits what a store holds beyond its last commit: a pending
+// bulk load is finalized, and an index file that does not describe the
+// current generation (one Open had to rebuild by scanning, or one a fold
+// wrote before live writes grew the symbol tables) is rewritten with the
+// manifest. Anything else is already durable — generations by their
+// commit, live writes through the WAL — so a store with nothing pending
+// writes nothing: read-only workloads stay read-only on close.
 func (s *Store) Flush() error {
-	if s.needFinalize {
+	if s.load.Load() != nil {
 		if err := s.Finalize(); err != nil {
 			return err
 		}
@@ -690,29 +647,24 @@ func (s *Store) Flush() error {
 	// read below cannot see a generation the manifest no longer names.
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	ep := s.curEp()
-	if !s.dirty && s.indexCurrent {
-		return ep.pager.flush()
+	if s.indexCurrent {
+		return nil
 	}
-	if err := s.commit(ep, s.labels, s.types, s.keys, s.walFoldedSeq); err != nil {
+	if err := s.commit(s.curEp(), s.labels, s.types, s.keys, s.walFoldedSeq); err != nil {
 		return err
 	}
 	s.indexCurrent = true
-	s.dirty = false
 	return nil
 }
 
 // commit is the one commit protocol, which Finalize and Flush end in:
-// write back and fsync ep's record files, write its index file, then
+// fsync ep's record files, write its index file, then
 // atomically replace manifest.json with one naming ep's generation, the
 // given symbol tables and WAL fence (writeFileAtomic — the rename is the
 // commit point, and the directory sync after it makes the rename
 // durable). A failure or crash before the rename leaves the previous
 // manifest in charge.
 func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) error {
-	if err := ep.pager.flush(); err != nil {
-		return err
-	}
 	for _, f := range ep.pager.files {
 		if err := f.Sync(); err != nil {
 			return err
@@ -726,7 +678,7 @@ func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) e
 		Labels: labels, Types: types, Keys: keys,
 		NumVertices: ep.numVertices, NumEdges: ep.numEdges, NumProps: ep.numProps,
 		NumDegs: ep.numDegs, BlobSize: ep.blobSize,
-		Segmented: ep.compressed, Compressed: ep.compressed,
+		Segmented: true, Compressed: true,
 		EdgeBytes: ep.edgeBytes,
 		WalSeq:    walSeq,
 	})
@@ -785,8 +737,8 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Close flushes and closes the underlying files. A live store's delta
-// segment is not folded — it stays durable through the WAL and is
+// Close flushes and closes the underlying files. The delta segment is not
+// folded — it stays durable through the WAL and is
 // replayed on the next Open; call Compact first to fold it instead.
 // Closing with unreleased snapshots is a caller bug; their epochs' files
 // may already be closed under them.
@@ -809,7 +761,10 @@ func (s *Store) closeFiles() error {
 }
 
 // DropCache empties the page cache, simulating a cold start.
-func (s *Store) DropCache() error { return s.curEp().pager.dropCache() }
+func (s *Store) DropCache() error {
+	s.curEp().pager.dropCache()
+	return nil
+}
 
 // Stats returns the page cache counters, cumulative across generations:
 // they only ever decrease at ResetStats.
@@ -820,11 +775,12 @@ func (s *Store) ResetStats() { s.pagerStats.reset() }
 
 // ---- record codecs (per epoch: each generation has its own files) ----
 
+// vertexRec is one 64-byte vertex record. Bytes 17-32 are written as
+// zero; in a legacy store they may hold edge-chain heads, which nothing
+// reads.
 type vertexRec struct {
 	inUse     bool
 	labels    [2]uint64
-	firstOut  int64 // edge id + 1; 0 = none
-	firstIn   int64
 	firstProp int64 // prop id + 1
 	// Degree counters let Degree(v, "", out) answer from the vertex
 	// record alone instead of walking the whole adjacency chain.
@@ -836,26 +792,16 @@ type vertexRec struct {
 	firstDeg int64
 }
 
-type edgeRec struct {
-	inUse    bool
-	typeID   uint32
-	src, dst int64
-	nextOut  int64 // edge id + 1
-	nextIn   int64
-}
-
 // degRec is one vertex's degree counters for one edge type, chained per
-// vertex (Finalize chains them in ascending type order; incremental
-// building in type-first-seen order). Chains are short — one record per
+// vertex in ascending type order. Chains are short — one record per
 // distinct edge type the vertex touches — so walking them is cheap even
 // for hub vertices with huge adjacency.
 //
-// On a finalized (compressed) epoch the record doubles as the type's
-// adjacency segment descriptor: bytes 21-36 hold the byte offsets of the
-// type's out/in varint segments in edges.db (stored +1; 0 = empty), bytes
-// 37-44 their encoded lengths, and bytes 45-52 the EID of the segment's
-// first out-edge (+1) — out-EIDs are contiguous per segment, so one stored
-// EID recovers all of them. In build mode the descriptor is zero.
+// The record doubles as the type's adjacency segment descriptor: bytes
+// 21-36 hold the byte offsets of the type's out/in varint segments in
+// edges.db (stored +1; 0 = empty), bytes 37-44 their encoded lengths, and
+// bytes 45-52 the EID of the segment's first out-edge (+1) — out-EIDs are
+// contiguous per segment, so one stored EID recovers all of them.
 type degRec struct {
 	inUse  bool
 	typeID uint32
@@ -884,18 +830,11 @@ func (ep *epoch) readVertex(v storage.VID) (vertexRec, error) {
 	return vertexRec{
 		inUse:     buf[0]&1 != 0,
 		labels:    [2]uint64{binary.LittleEndian.Uint64(buf[1:]), binary.LittleEndian.Uint64(buf[9:])},
-		firstOut:  int64(binary.LittleEndian.Uint64(buf[17:])),
-		firstIn:   int64(binary.LittleEndian.Uint64(buf[25:])),
 		firstProp: int64(binary.LittleEndian.Uint64(buf[33:])),
 		outDeg:    binary.LittleEndian.Uint32(buf[41:]),
 		inDeg:     binary.LittleEndian.Uint32(buf[45:]),
 		firstDeg:  int64(binary.LittleEndian.Uint64(buf[49:])),
 	}, nil
-}
-
-func (ep *epoch) writeVertex(v storage.VID, r vertexRec) error {
-	buf := r.encode()
-	return ep.pager.write(fileVertices, int64(v)*vertexRecSize, buf[:])
 }
 
 func (r vertexRec) encode() (buf [vertexRecSize]byte) {
@@ -904,8 +843,6 @@ func (r vertexRec) encode() (buf [vertexRecSize]byte) {
 	}
 	binary.LittleEndian.PutUint64(buf[1:], r.labels[0])
 	binary.LittleEndian.PutUint64(buf[9:], r.labels[1])
-	binary.LittleEndian.PutUint64(buf[17:], uint64(r.firstOut))
-	binary.LittleEndian.PutUint64(buf[25:], uint64(r.firstIn))
 	binary.LittleEndian.PutUint64(buf[33:], uint64(r.firstProp))
 	binary.LittleEndian.PutUint32(buf[41:], r.outDeg)
 	binary.LittleEndian.PutUint32(buf[45:], r.inDeg)
@@ -913,32 +850,19 @@ func (r vertexRec) encode() (buf [vertexRecSize]byte) {
 	return buf
 }
 
-func (ep *epoch) readEdge(e storage.EID) (edgeRec, error) {
+// readEdge decodes the 64-byte edge record e of a legacy epoch: type
+// (bytes 1-4), source (5-12) and destination (13-20). Only Upgrade's
+// record scan reads one (see forEachEdgeLite).
+func (ep *epoch) readEdge(e storage.EID) (edgeLite, error) {
 	var buf [edgeRecSize]byte
 	if err := ep.pager.read(fileEdges, int64(e)*edgeRecSize, buf[:]); err != nil {
-		return edgeRec{}, err
+		return edgeLite{}, err
 	}
-	return edgeRec{
-		inUse:   buf[0]&1 != 0,
-		typeID:  binary.LittleEndian.Uint32(buf[1:]),
-		src:     int64(binary.LittleEndian.Uint64(buf[5:])),
-		dst:     int64(binary.LittleEndian.Uint64(buf[13:])),
-		nextOut: int64(binary.LittleEndian.Uint64(buf[21:])),
-		nextIn:  int64(binary.LittleEndian.Uint64(buf[29:])),
+	return edgeLite{
+		typeID: binary.LittleEndian.Uint32(buf[1:]),
+		src:    int64(binary.LittleEndian.Uint64(buf[5:])),
+		dst:    int64(binary.LittleEndian.Uint64(buf[13:])),
 	}, nil
-}
-
-func (ep *epoch) writeEdge(e storage.EID, r edgeRec) error {
-	var buf [edgeRecSize]byte
-	if r.inUse {
-		buf[0] = 1
-	}
-	binary.LittleEndian.PutUint32(buf[1:], r.typeID)
-	binary.LittleEndian.PutUint64(buf[5:], uint64(r.src))
-	binary.LittleEndian.PutUint64(buf[13:], uint64(r.dst))
-	binary.LittleEndian.PutUint64(buf[21:], uint64(r.nextOut))
-	binary.LittleEndian.PutUint64(buf[29:], uint64(r.nextIn))
-	return ep.pager.write(fileEdges, int64(e)*edgeRecSize, buf[:])
 }
 
 func (ep *epoch) readProp(p int64) (propRec, error) {
@@ -954,11 +878,6 @@ func (ep *epoch) readProp(p int64) (propRec, error) {
 		b:     binary.LittleEndian.Uint64(buf[14:]),
 		next:  int64(binary.LittleEndian.Uint64(buf[22:])),
 	}, nil
-}
-
-func (ep *epoch) writeProp(p int64, r propRec) error {
-	buf := r.encode()
-	return ep.pager.write(fileProps, p*propRecSize, buf[:])
 }
 
 func (r propRec) encode() (buf [propRecSize]byte) {
@@ -992,11 +911,6 @@ func (ep *epoch) readDeg(d int64) (degRec, error) {
 	}, nil
 }
 
-func (ep *epoch) writeDeg(d int64, r degRec) error {
-	buf := r.encode()
-	return ep.pager.write(fileDegrees, d*degRecSize, buf[:])
-}
-
 func (r degRec) encode() (buf [degRecSize]byte) {
 	if r.inUse {
 		buf[0] = 1
@@ -1011,49 +925,6 @@ func (r degRec) encode() (buf [degRecSize]byte) {
 	binary.LittleEndian.PutUint32(buf[41:], r.inLen)
 	binary.LittleEndian.PutUint64(buf[45:], uint64(r.firstOutEID))
 	return buf
-}
-
-// bumpDeg increments the per-type degree counter reachable from rec,
-// creating (and chaining) the type's record on first sight. May update
-// rec.firstDeg; the caller writes the vertex record afterwards.
-func (ep *epoch) bumpDeg(rec *vertexRec, typeID uint32, out bool) error {
-	for d := rec.firstDeg; d != 0; {
-		dr, err := ep.readDeg(d - 1)
-		if err != nil {
-			return err
-		}
-		if dr.typeID == typeID {
-			if out {
-				dr.outDeg++
-			} else {
-				dr.inDeg++
-			}
-			return ep.writeDeg(d-1, dr)
-		}
-		d = dr.next
-	}
-	id := ep.numDegs
-	ep.numDegs++
-	dr := degRec{inUse: true, typeID: typeID, next: rec.firstDeg}
-	if out {
-		dr.outDeg = 1
-	} else {
-		dr.inDeg = 1
-	}
-	if err := ep.writeDeg(id, dr); err != nil {
-		return err
-	}
-	rec.firstDeg = id + 1
-	return nil
-}
-
-func (ep *epoch) appendBlob(data []byte) (off int64, err error) {
-	off = ep.blobSize
-	if err := ep.pager.write(fileBlobs, off, data); err != nil {
-		return 0, err
-	}
-	ep.blobSize += int64(len(data))
-	return off, nil
 }
 
 // readBlob reads n bytes at off, both straight from a prop record and so
@@ -1205,36 +1076,19 @@ func decodeList(data []byte) (graph.Value, error) {
 	return graph.L(vs...), nil
 }
 
-// ---- Builder (single-writer build mode; operates on the one epoch) ----
+// ---- Builder: each call is a batch of one for Store.write ----
 
-// AddVertex creates a vertex with the given labels. On a live
-// (finalized) store the write is rerouted through the durable
-// WAL-backed path; see ApplyMutations.
+// AddVertex creates a vertex with the given labels.
 func (s *Store) AddVertex(labels ...string) (storage.VID, error) {
-	if s.liveMode.Load() {
-		res, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutAddVertex, Labels: labels}})
-		if err != nil {
-			return 0, err
-		}
-		return res.Vertices[0], nil
-	}
-	if err := s.markDirty(); err != nil {
+	res, err := s.write([]storage.Mutation{{Op: storage.MutAddVertex, Labels: labels}})
+	if err != nil {
 		return 0, err
 	}
-	ep := s.cur
-	v := storage.VID(ep.numVertices)
-	ep.numVertices++
-	if err := ep.writeVertex(v, vertexRec{inUse: true}); err != nil {
-		return 0, err
-	}
-	for _, l := range labels {
-		if err := s.AddLabel(v, l); err != nil {
-			return 0, err
-		}
-	}
-	return v, nil
+	return res.Vertices[0], nil
 }
 
+// labelID resolves a label, interning it if create is set; a caller
+// that may intern holds symMu.
 func (s *Store) labelID(label string, create bool) (int, bool, error) {
 	if id, ok := s.labelIDs[label]; ok {
 		return id, true, nil
@@ -1251,171 +1105,25 @@ func (s *Store) labelID(label string, create bool) (int, bool, error) {
 	return id, true, nil
 }
 
-// AddLabel adds a label to an existing vertex (durably via the WAL on a
-// live store).
+// AddLabel adds a label to an existing vertex.
 func (s *Store) AddLabel(v storage.VID, label string) error {
-	if s.liveMode.Load() {
-		_, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutAddLabel, V: v, Label: label}})
-		return err
-	}
-	if err := s.check(v); err != nil {
-		return err
-	}
-	id, _, err := s.labelID(label, true)
-	if err != nil {
-		return err
-	}
-	ep := s.cur
-	rec, err := ep.readVertex(v)
-	if err != nil {
-		return err
-	}
-	w, b := id/64, uint(id%64)
-	if rec.labels[w]&(1<<b) != 0 {
-		return nil
-	}
-	rec.labels[w] |= 1 << b
-	if err := s.markDirty(); err != nil {
-		return err
-	}
-	if err := ep.writeVertex(v, rec); err != nil {
-		return err
-	}
-	ep.byLabel[id] = append(ep.byLabel[id], v)
-	return nil
+	_, err := s.write([]storage.Mutation{{Op: storage.MutAddLabel, V: v, Label: label}})
+	return err
 }
 
-// SetProp sets a vertex property, replacing any previous value (durably
-// via the WAL on a live store).
+// SetProp sets a vertex property, replacing any previous value.
 func (s *Store) SetProp(v storage.VID, key string, val graph.Value) error {
-	if s.liveMode.Load() {
-		_, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutSetProp, V: v, Key: key, Value: val}})
-		return err
-	}
-	if err := s.check(v); err != nil {
-		return err
-	}
-	keyID := s.internKey(key)
-	if err := s.markDirty(); err != nil {
-		return err
-	}
-	ep := s.cur
-	kind, a, b, blob, err := encodeValue(val)
-	if err != nil {
-		return err
-	}
-	if blob != nil {
-		off, err := ep.appendBlob(blob)
-		if err != nil {
-			return err
-		}
-		a = uint64(off)
-	}
-	rec, err := ep.readVertex(v)
-	if err != nil {
-		return err
-	}
-	// Overwrite in place if the key exists in the chain.
-	for p := rec.firstProp; p != 0; {
-		pr, err := ep.readProp(p - 1)
-		if err != nil {
-			return err
-		}
-		if pr.keyID == uint32(keyID) {
-			pr.kind, pr.a, pr.b = kind, a, b
-			return ep.writeProp(p-1, pr)
-		}
-		p = pr.next
-	}
-	// Prepend a new record.
-	pid := ep.numProps
-	ep.numProps++
-	pr := propRec{inUse: true, keyID: uint32(keyID), kind: kind, a: a, b: b, next: rec.firstProp}
-	if err := ep.writeProp(pid, pr); err != nil {
-		return err
-	}
-	rec.firstProp = pid + 1
-	return ep.writeVertex(v, rec)
+	_, err := s.write([]storage.Mutation{{Op: storage.MutSetProp, V: v, Key: key, Value: val}})
+	return err
 }
 
-// AddEdge creates a directed edge of the given type. During building it
-// prepends to the source's out-chain and the destination's in-chain; on
-// a live (finalized) store it is rerouted through the durable WAL-backed
-// delta path instead, which leaves the base's segments intact — typed
-// traversals of base edges stay on the segment fast path rather than
-// silently degrading to the filter path.
+// AddEdge creates a directed edge of the given type. Outside a bulk load
+// it lands in the delta and leaves the base's segments intact, so typed
+// traversals of base edges stay on the segment fast path.
 func (s *Store) AddEdge(src, dst storage.VID, etype string) (storage.EID, error) {
-	if s.liveMode.Load() {
-		res, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutAddEdge, Src: src, Dst: dst, Type: etype}})
-		if err != nil {
-			return 0, err
-		}
-		return res.Edges[0], nil
-	}
-	if err := s.check(src); err != nil {
-		return 0, err
-	}
-	if err := s.check(dst); err != nil {
-		return 0, err
-	}
-	typeID := s.internType(etype)
-	if err := s.markDirty(); err != nil {
-		return 0, err
-	}
-	ep := s.cur
-	e := storage.EID(ep.numEdges)
-	ep.numEdges++
-	// An edge record follows, prepended to chain heads that interleave
-	// types: adjacency is in build mode until the next Finalize.
-	// Safe on a finalized store, because one that holds edges is always
-	// live (writes route through the delta instead), so this path only
-	// runs while edges.db is still empty.
-	ep.compressed = false
-
-	srcRec, err := ep.readVertex(src)
+	res, err := s.write([]storage.Mutation{{Op: storage.MutAddEdge, Src: src, Dst: dst, Type: etype}})
 	if err != nil {
 		return 0, err
 	}
-	er := edgeRec{
-		inUse: true, typeID: uint32(typeID),
-		src: int64(src), dst: int64(dst),
-		nextOut: srcRec.firstOut,
-	}
-	srcRec.firstOut = int64(e) + 1
-	srcRec.outDeg++
-	if err := ep.bumpDeg(&srcRec, uint32(typeID), true); err != nil {
-		return 0, err
-	}
-	if err := ep.writeVertex(src, srcRec); err != nil {
-		return 0, err
-	}
-	dstRec, err := ep.readVertex(dst)
-	if err != nil {
-		return 0, err
-	}
-	er.nextIn = dstRec.firstIn
-	dstRec.firstIn = int64(e) + 1
-	dstRec.inDeg++
-	if err := ep.bumpDeg(&dstRec, uint32(typeID), false); err != nil {
-		return 0, err
-	}
-	if err := ep.writeVertex(dst, dstRec); err != nil {
-		return 0, err
-	}
-	return e, ep.writeEdge(e, er)
-}
-
-// check validates a vertex reference on the write path. In live mode the
-// bound is the delta's global high-water mark (every vertex ever
-// created, folded or not — IDs are stable across folds); in build mode
-// it is the single epoch's count.
-func (s *Store) check(v storage.VID) error {
-	bound := s.cur.numVertices
-	if s.liveMode.Load() {
-		bound = s.delta.nextV.Load()
-	}
-	if v < 0 || int64(v) >= bound {
-		return fmt.Errorf("diskstore: vertex %d out of range", v)
-	}
-	return nil
+	return res.Edges[0], nil
 }

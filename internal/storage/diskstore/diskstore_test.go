@@ -39,14 +39,24 @@ func TestConformanceTinyCache(t *testing.T) {
 	})
 }
 
+// TestDifferentialAgainstMemstore builds one pseudo-random graph into a
+// memstore and into diskstore twice — by single calls (the WAL and the
+// delta) and by a bulk load (generation 1 through a tiny cache) — and
+// requires all three to read the same.
 func TestDifferentialAgainstMemstore(t *testing.T) {
+	mem := newMemReference(t, 42, 80, 200)
 	disk := newTestStore(t, Options{PageSize: 512, CachePages: 8})
 	if _, err := storetest.BuildRandom(disk, 42, 80, 200); err != nil {
 		t.Fatal(err)
 	}
-	mem := newMemReference(t, 42, 80, 200)
-	if got, want := storetest.Fingerprint(disk), mem; got != want {
-		t.Errorf("diskstore state diverges from memstore reference:\n got: %.300s...\nwant: %.300s...", got, want)
+	bulk := newTestStore(t, Options{PageSize: 512, CachePages: 8})
+	if _, err := storetest.BuildRandomBulk(bulk, 42, 80, 200, 16); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{disk, bulk} {
+		if got := storetest.Fingerprint(s); got != mem {
+			t.Errorf("diskstore (generation %d) diverges from memstore reference:\n got: %.300s...\nwant: %.300s...", s.Format().Generation, got, mem)
+		}
 	}
 }
 
@@ -56,7 +66,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandom(s, 99, 60, 150); err != nil {
+	if _, err := storetest.BuildRandomBulk(s, 99, 60, 150, 16); err != nil {
 		t.Fatal(err)
 	}
 	before := storetest.Fingerprint(s)
@@ -78,15 +88,10 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 func TestStatsCountersMove(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 256, CachePages: 2})
-	v, err := s.AddVertex("N")
-	if err != nil {
+	if _, err := storetest.BuildRandomBulk(s, 13, 40, 100, 16); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		if err := s.SetProp(v, "k", graph.I(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	storetest.Fingerprint(s)
 	st := s.Stats()
 	if st.PageMisses == 0 {
 		t.Error("tiny cache produced no misses")
@@ -107,6 +112,9 @@ func TestDropCachePreservesData(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s.SetProp(v, "k", graph.S("survives")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil { // into the base, where the cache matters
 		t.Fatal(err)
 	}
 	if err := s.DropCache(); err != nil {
@@ -134,6 +142,9 @@ func TestLongStringsSpanPages(t *testing.T) {
 	if err := s.SetProp(v, "blob", graph.S(string(long))); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Compact(); err != nil { // into blobs.db
+		t.Fatal(err)
+	}
 	got, ok := s.Prop(v, "blob")
 	if !ok || got.Str() != string(long) {
 		t.Error("multi-page blob corrupted")
@@ -148,6 +159,9 @@ func TestListRoundTripThroughDisk(t *testing.T) {
 	}
 	want := graph.L(graph.S("fever"), graph.S("headache"), graph.I(3), graph.F(1.5), graph.B(true), graph.Null)
 	if err := s.SetProp(v, "list", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil { // into blobs.db
 		t.Fatal(err)
 	}
 	got, ok := s.Prop(v, "list")
@@ -204,10 +218,22 @@ func TestCorruptBlobsAreErrors(t *testing.T) {
 	if err := s.SetProp(v, "k", graph.L(graph.S("fever"), graph.I(3))); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	ep := s.curEp()
 	intact, err := ep.readProp(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The test stands in for a disk that returns the wrong bytes: it
+	// rewrites the record in props.db and drops the cached page.
+	writeProp := func(r propRec) {
+		buf := r.encode()
+		if _, err := ep.pager.files[fileProps].WriteAt(buf[:], 0); err != nil {
+			t.Fatal(err)
+		}
+		ep.pager.dropCache()
 	}
 	for name, edit := range map[string]func(*propRec){
 		"length past end of blobs.db": func(r *propRec) { r.b = uint64(ep.blobSize) + 1 },
@@ -220,16 +246,12 @@ func TestCorruptBlobsAreErrors(t *testing.T) {
 	} {
 		pr := intact
 		edit(&pr)
-		if err := ep.writeProp(0, pr); err != nil {
-			t.Fatal(err)
-		}
+		writeProp(pr)
 		if val, ok := s.Prop(v, "k"); ok {
 			t.Errorf("%s: Prop returned %v, want absent", name, val)
 		}
 	}
-	if err := ep.writeProp(0, intact); err != nil {
-		t.Fatal(err)
-	}
+	writeProp(intact)
 	if val, ok := s.Prop(v, "k"); !ok || val.Kind() != graph.KindList {
 		t.Errorf("restored record: Prop = %v, %v", val, ok)
 	}
@@ -242,29 +264,13 @@ func TestBadOptionsRejected(t *testing.T) {
 }
 
 // TestTypedDegreeAvoidsAdjacencyWalk proves typed DegreeID is served from
-// the per-type degree chain: on a hub vertex with a long adjacency chain,
-// a cold typed degree lookup must read far fewer pages than the chain
-// spans.
+// the per-type degree chain: on a hub vertex with a long adjacency, a
+// cold typed degree lookup must read far fewer pages than its segments
+// span.
 func TestTypedDegreeAvoidsAdjacencyWalk(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 512, CachePages: 64})
-	hub, err := s.AddVertex("Hub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const fan = 500
-	for i := 0; i < fan; i++ {
-		v, err := s.AddVertex("Leaf")
-		if err != nil {
-			t.Fatal(err)
-		}
-		et := "a"
-		if i%5 == 0 {
-			et = "b"
-		}
-		if _, err := s.AddEdge(hub, v, et); err != nil {
-			t.Fatal(err)
-		}
-	}
+	const fan = 20000
+	hub := loadHub(t, s, fan, "b", "a", "a", "a", "a")
 	if err := s.DropCache(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,17 +282,48 @@ func TestTypedDegreeAvoidsAdjacencyWalk(t *testing.T) {
 		t.Fatalf("Degree(hub, a, out) = %d, want %d", got, fan-fan/5)
 	}
 	st := s.Stats()
-	// 500 edge records at 64 B span ~63 pages at 512 B; the degree chain
-	// (2 records) plus the vertex record fit in a handful.
+	// The hub's segments take a byte or two per edge — over 40 pages at
+	// 512 B; the degree chain (2 records) plus the vertex record fit in a
+	// handful.
 	if st.PageReads > 6 {
 		t.Errorf("typed degree read %d pages cold; looks like an adjacency walk", st.PageReads)
 	}
 	// And the result still matches an actual walk.
+	s.ResetStats()
 	n := 0
-	s.ForEachOut(hub, "b", func(storage.EID, storage.VID) bool { n++; return true })
-	if n != fan/5 {
-		t.Errorf("walk count %d disagrees with degree counter", n)
+	s.ForEachOut(hub, "", func(storage.EID, storage.VID) bool { n++; return true })
+	if n != fan {
+		t.Errorf("walk count %d disagrees with degree counters", n)
 	}
+	if st := s.Stats(); st.PageHits+st.PageMisses < 30 {
+		t.Errorf("the untyped walk touched %d pages; the segments are too small to tell a walk from the chain", st.PageHits+st.PageMisses)
+	}
+}
+
+// loadHub bulk-loads a hub vertex with fan out-edges to fan leaves, the
+// i-th of type types[i%len(types)], and returns the hub.
+func loadHub(t *testing.T, s *Store, fan int, types ...string) storage.VID {
+	t.Helper()
+	vs := make([]storage.BulkVertex, fan+1)
+	for i := range vs {
+		vs[i].Labels = []string{"Leaf"}
+	}
+	vs[0].Labels = []string{"Hub"}
+	hub, err := s.AddVertexBatch(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := make([]storage.BulkEdge, fan)
+	for i := range es {
+		es[i] = storage.BulkEdge{Src: hub, Dst: hub + storage.VID(i) + 1, Type: types[i%len(types)]}
+	}
+	if err := s.AddEdgeBatch(es); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return hub
 }
 
 // rewriteManifestVersion rewrites dir's manifest to the given format

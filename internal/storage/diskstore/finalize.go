@@ -1,19 +1,26 @@
 package diskstore
 
-// The bulk-build write path (storage.BatchBuilder) and writeGeneration,
-// the one writer of a base generation (Finalize, in compact.go, runs it).
+// The bulk load (storage.BatchBuilder) and writeGeneration, the one
+// writer of a base generation (Finalize, in compact.go, runs it).
 //
-// Bulk ingestion defers all adjacency work: AddVertexBatch writes bare
-// vertex records, AddEdgeBatch appends bare edge records with no chain
-// links, and writeGeneration builds everything derived — segments, degree
-// records with their descriptors, untyped degree counters, property runs,
-// statistics — in one sorted pass over the current base and the frozen
-// delta. It writes generation N+1 beside generation N and commit makes it
-// current with one manifest rename, so no file a committed manifest names
-// is ever rewritten. It is also the conversion step for legacy stores
-// (Upgrade), because it never trusts any derived structure: only the
-// src/dst/type triples of the edges, and each vertex's labels and
-// property chain.
+// A bulk load opens with an AddVertexBatch on a store that holds nothing:
+// no base vertices, an empty delta and no WAL. From then on that batch and
+// every later Builder call append to one in-memory frozenDelta, the load
+// set — vertices with their label IDs and properties, edges in ingest
+// order — and nothing reaches disk. Reads never see a pending load, and
+// ApplyMutations refuses with storage.ErrNotLive until Finalize hands the
+// load set to writeGeneration over the empty base, which writes
+// generation 1 and commits it.
+//
+// writeGeneration builds everything derived — segments, degree records
+// with their descriptors, untyped degree counters, property runs,
+// statistics — in one sorted pass over the current base and a frozen
+// delta (the live delta's fold prefix, or the load set). It writes
+// generation N+1 beside generation N and commit makes it current with one
+// manifest rename, so no file a committed manifest names is ever
+// rewritten. It is also the conversion step for legacy stores (Upgrade),
+// because it never trusts any derived structure: only the src/dst/type
+// triples of the edges, and each vertex's labels and property chain.
 
 import (
 	"bufio"
@@ -28,93 +35,122 @@ import (
 )
 
 // AddVertexBatch creates the batch's vertices with consecutive VIDs
-// starting at the returned ID. Labels are set directly in the fresh
-// record — one record write per vertex instead of AddVertex's write plus
-// one read-modify-write per label.
+// starting at the returned ID. On a store that holds nothing, a non-empty
+// batch opens a bulk load; during one the batch joins it, and otherwise
+// it is one ApplyMutations batch.
 func (s *Store) AddVertexBatch(batch []storage.BulkVertex) (storage.VID, error) {
-	if s.liveMode.Load() {
-		if len(batch) == 0 {
-			return storage.VID(s.NumVertices()), nil
+	if len(batch) == 0 {
+		if ld := s.load.Load(); ld != nil {
+			return storage.VID(len(ld.verts)), nil
 		}
-		muts := make([]storage.Mutation, len(batch))
-		for i, bv := range batch {
-			muts[i] = storage.Mutation{Op: storage.MutAddVertex, Labels: bv.Labels}
-		}
-		res, err := s.ApplyMutations(muts)
-		if err != nil {
-			return 0, err
-		}
-		return res.Vertices[0], nil
+		return storage.VID(s.NumVertices()), nil
 	}
-	if err := s.markDirty(); err != nil {
+	s.beginLoad()
+	muts := make([]storage.Mutation, len(batch))
+	for i, bv := range batch {
+		muts[i] = storage.Mutation{Op: storage.MutAddVertex, Labels: bv.Labels}
+	}
+	res, err := s.write(muts)
+	if err != nil {
 		return 0, err
 	}
-	ep := s.cur
-	first := storage.VID(ep.numVertices)
-	for _, bv := range batch {
-		v := storage.VID(ep.numVertices)
-		ep.numVertices++
-		rec := vertexRec{inUse: true}
-		for _, l := range bv.Labels {
-			id, _, err := s.labelID(l, true)
-			if err != nil {
-				return 0, err
-			}
-			w, b := id/64, uint(id%64)
-			if rec.labels[w]&(1<<b) == 0 {
-				rec.labels[w] |= 1 << b
-				ep.byLabel[id] = append(ep.byLabel[id], v)
-			}
-		}
-		if err := ep.writeVertex(v, rec); err != nil {
-			return 0, err
-		}
-	}
-	return first, nil
+	return res.Vertices[0], nil
 }
 
-// AddEdgeBatch appends bare edge records — src, dst, type, no chain
-// links. The edges are invisible to traversals until Finalize links them;
-// Flush runs Finalize automatically if the caller has not. The
-// pending-finalize state is set before the first record goes out, so even
-// a mid-batch failure leaves a store whose next Flush links whatever was
-// appended.
+// AddEdgeBatch creates the batch's edges: into a pending bulk load one at
+// a time (a failed edge leaves the ones before it in the load), or else
+// as one ApplyMutations batch.
 func (s *Store) AddEdgeBatch(batch []storage.BulkEdge) error {
-	if s.liveMode.Load() {
-		muts := make([]storage.Mutation, len(batch))
-		for i, be := range batch {
-			muts[i] = storage.Mutation{Op: storage.MutAddEdge, Src: be.Src, Dst: be.Dst, Type: be.Type}
+	muts := make([]storage.Mutation, len(batch))
+	for i, be := range batch {
+		muts[i] = storage.Mutation{Op: storage.MutAddEdge, Src: be.Src, Dst: be.Dst, Type: be.Type}
+	}
+	_, err := s.write(muts)
+	return err
+}
+
+// beginLoad opens a bulk load if none is open and the store holds
+// nothing. Under liveMu, so an ApplyMutations batch either commits first
+// (and no load opens) or finds the load open and is refused.
+func (s *Store) beginLoad() {
+	s.liveMu.Lock()
+	defer s.liveMu.Unlock()
+	if s.load.Load() == nil && s.cur.numVertices == 0 && s.delta.nextV.Load() == 0 && s.wal.Load() == nil {
+		s.load.Store(&frozenDelta{})
+	}
+}
+
+// write routes Builder calls: one at a time into the pending bulk load if
+// one is open, else through ApplyMutations as one batch.
+func (s *Store) write(muts []storage.Mutation) (storage.MutationResult, error) {
+	ld := s.load.Load()
+	if ld == nil {
+		return s.ApplyMutations(muts)
+	}
+	var res storage.MutationResult
+	for i := range muts {
+		if err := s.loadMutation(ld, &muts[i], &res); err != nil {
+			return res, err
 		}
-		_, err := s.ApplyMutations(muts)
+	}
+	return res, nil
+}
+
+// loadMutation validates one write as ApplyMutations would and applies
+// it to the load set ld, recording the ID it creates in res.
+func (s *Store) loadMutation(ld *frozenDelta, m *storage.Mutation, res *storage.MutationResult) error {
+	if err := checkMutation(m); err != nil {
 		return err
 	}
-	if err := s.markDirty(); err != nil {
+	vertex := func(v storage.VID) (*frozenVertex, error) {
+		if v < 0 || int(v) >= len(ld.verts) {
+			return nil, fmt.Errorf("diskstore: vertex %d out of range", v)
+		}
+		return &ld.verts[v], nil
+	}
+	s.symMu.Lock()
+	defer s.symMu.Unlock()
+	addLabel := func(fv *frozenVertex, label string) error {
+		id, _, err := s.labelID(label, true)
+		if err == nil && !slices.Contains(fv.labelIDs, id) {
+			fv.labelIDs = append(fv.labelIDs, id)
+		}
 		return err
 	}
-	ep := s.cur
-	ep.compressed = false // bare records follow; see AddEdge
-	s.needFinalize = true
-	for _, be := range batch {
-		if err := s.check(be.Src); err != nil {
+	switch m.Op {
+	case storage.MutAddVertex:
+		var fv frozenVertex
+		for _, l := range m.Labels {
+			if err := addLabel(&fv, l); err != nil {
+				return err
+			}
+		}
+		res.Vertices = append(res.Vertices, storage.VID(len(ld.verts)))
+		ld.verts = append(ld.verts, fv)
+	case storage.MutAddEdge:
+		for _, v := range []storage.VID{m.Src, m.Dst} {
+			if _, err := vertex(v); err != nil {
+				return err
+			}
+		}
+		e := storage.EID(len(ld.edges))
+		ld.edges = append(ld.edges, frozenEdge{e: e, src: m.Src, dst: m.Dst, typeID: uint32(s.internType(m.Type))})
+		res.Edges = append(res.Edges, e)
+	case storage.MutSetProp:
+		fv, err := vertex(m.V)
+		if err != nil {
 			return err
 		}
-		if err := s.check(be.Dst); err != nil {
+		if fv.props == nil {
+			fv.props = map[int]graph.Value{}
+		}
+		fv.props[s.internKey(m.Key)] = m.Value
+	case storage.MutAddLabel:
+		fv, err := vertex(m.V)
+		if err != nil {
 			return err
 		}
-		typeID, ok := s.typeIDs[be.Type]
-		if !ok {
-			typeID = len(s.types)
-			s.types = append(s.types, be.Type)
-			s.typeIDs[be.Type] = typeID
-		}
-		e := storage.EID(ep.numEdges)
-		ep.numEdges++
-		if err := ep.writeEdge(e, edgeRec{
-			inUse: true, typeID: uint32(typeID),
-			src: int64(be.Src), dst: int64(be.Dst),
-		}); err != nil {
-			return err
-		}
+		return addLabel(fv, m.Label)
 	}
 	return nil
 }
@@ -132,10 +168,10 @@ type keyVal struct {
 }
 
 // writeGeneration is the finalize sort pass. It reads its two inputs
-// directly — the epoch from (build-mode edge records and finalized
-// segments alike, through forEachEdgeLite) and the frozen delta fd on top
-// of it — and streams generation gen into the store directory as five
-// fresh files. It never writes a file it reads.
+// directly — the epoch from (through forEachEdgeLite, which also reads a
+// legacy epoch's edge records) and the frozen delta fd on top of it — and
+// streams generation gen into the store directory as five fresh files. It
+// never writes a file it reads.
 //
 // Vertices keep their IDs: from's, then fd's in VID order. A vertex's
 // labels are its record bits plus fd's additions; its properties are its
@@ -430,7 +466,7 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		blooms[k] = b
 	}
 	ep := &epoch{
-		gen: gen, compressed: true, edgeBytes: cursor, pager: pg,
+		gen: gen, edgeBytes: cursor, pager: pg,
 		numVertices: nV, numEdges: int64(nE), numProps: int64(len(props)),
 		numDegs: numDegs, blobSize: blobSize,
 		byLabel:    byLabel,

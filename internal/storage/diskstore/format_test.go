@@ -5,6 +5,8 @@ package diskstore
 // golden v3/v4 fixtures, and crash-safe (atomic) flushes.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -15,8 +17,10 @@ import (
 	"time"
 
 	"repro/internal/cypher"
+	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/storage"
+	"repro/internal/storage/memstore"
 	"repro/internal/storage/storetest"
 )
 
@@ -31,12 +35,18 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nVertices = 2000
-	for i := 0; i < nVertices; i++ {
-		if _, err := s.AddVertex("L" + string(rune('A'+i%7))); err != nil {
-			t.Fatal(err)
-		}
+	batch := make([]storage.BulkVertex, nVertices)
+	for i := range batch {
+		batch[i].Labels = []string{"L" + string(rune('A'+i%7))}
+	}
+	if _, err := s.AddVertexBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
 	}
 	want := s.CountLabel("LA")
+	idx := s.indexPath(s.Format().Generation)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 	// Without the index file the store must still open — via the scan —
 	// and that scan must touch O(vertices) pages, demonstrating exactly
 	// the cost the index removes.
-	if err := os.Remove(filepath.Join(dir, "index.db")); err != nil {
+	if err := os.Remove(idx); err != nil {
 		t.Fatal(err)
 	}
 	scan, err := Open(dir, Options{PageSize: 512, CachePages: 64})
@@ -89,14 +99,14 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandom(s, 5, 60, 150); err != nil {
+	if _, err := storetest.BuildRandomBulk(s, 5, 60, 150, 16); err != nil {
 		t.Fatal(err)
 	}
 	want := storetest.Fingerprint(s)
+	path := s.indexPath(s.Format().Generation)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "index.db")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +137,7 @@ func TestFlushIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandom(s, 9, 30, 60); err != nil {
+	if _, err := storetest.BuildRandomBulk(s, 9, 30, 60, 16); err != nil {
 		t.Fatal(err)
 	}
 	want := storetest.Fingerprint(s)
@@ -160,34 +170,16 @@ func TestFlushIsAtomic(t *testing.T) {
 	}
 }
 
-// buildMixedHub builds a hub vertex with fan out-edges of several
-// interleaved types — the worst case for filtering typed traversals.
-func buildMixedHub(t *testing.T, s *Store, fan int, types []string) storage.VID {
-	t.Helper()
-	hub, err := s.AddVertex("Hub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < fan; i++ {
-		v, err := s.AddVertex("Leaf")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AddEdge(hub, v, types[i%len(types)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return hub
-}
-
 // TestSegmentedTypedTraversalReadsFewerPages is the acceptance gate for
-// type-segmented adjacency: after Compact, a typed ForEachOut on a
-// mixed-type hub must touch a small fraction of the pages the unsegmented
-// chain walk touches, while visiting exactly the same edges.
+// type-segmented adjacency: a typed ForEachOut on a mixed-type hub seeks
+// straight to its type's segment, so cold it touches a small fraction of
+// the pages the untyped walk over every type's segment touches.
 func TestSegmentedTypedTraversalReadsFewerPages(t *testing.T) {
-	const fan = 500
+	const fan = 20000
 	types := []string{"a", "b", "c", "d", "e"}
-	collect := func(s *Store, hub storage.VID, et string) (int, int64) {
+	s := newTestStore(t, Options{PageSize: 512, CachePages: 64})
+	hub := loadHub(t, s, fan, types...) // interleaved types: the worst case for a filter
+	collect := func(et string) (int, int64) {
 		if err := s.DropCache(); err != nil {
 			t.Fatal(err)
 		}
@@ -196,40 +188,18 @@ func TestSegmentedTypedTraversalReadsFewerPages(t *testing.T) {
 		s.ForEachOut(hub, et, func(storage.EID, storage.VID) bool { n++; return true })
 		return n, s.Stats().PageReads
 	}
-
-	plain := newTestStore(t, Options{PageSize: 512, CachePages: 64})
-	plainHub := buildMixedHub(t, plain, fan, types)
-	seg := newTestStore(t, Options{PageSize: 512, CachePages: 64})
-	segHub := buildMixedHub(t, seg, fan, types)
-	if seg.Format().Compressed {
-		t.Fatal("incrementally built store claims segmentation")
+	gotN, typedReads := collect("b")
+	allN, allReads := collect("")
+	if gotN != fan/len(types) || allN != fan {
+		t.Fatalf("traversals visited %d (typed) and %d (untyped), want %d and %d", gotN, allN, fan/len(types), fan)
 	}
-	if err := seg.Compact(); err != nil {
-		t.Fatal(err)
+	// Each type's segment takes about a byte per edge: ~8 of the ~40
+	// pages at 512 B, plus the vertex and degree records.
+	if typedReads >= allReads/3 {
+		t.Errorf("typed traversal read %d pages vs %d for the untyped walk; expected well under a third", typedReads, allReads)
 	}
-	if !seg.Format().Compressed {
-		t.Fatal("Compact did not establish segmentation")
-	}
-
-	wantN, plainReads := collect(plain, plainHub, "b")
-	gotN, segReads := collect(seg, segHub, "b")
-	if wantN != fan/len(types) || gotN != wantN {
-		t.Fatalf("typed traversal visited %d (segmented) vs %d (plain), want %d", gotN, wantN, fan/len(types))
-	}
-	// 500 edges at 64 B span ~63 pages at 512 B; one type's segment is
-	// ~13 contiguous pages plus the vertex and degree records.
-	if segReads >= plainReads/3 {
-		t.Errorf("segmented typed traversal read %d pages vs %d unsegmented; expected well under a third", segReads, plainReads)
-	}
-	// Typed degrees keep answering from the degree chain after Compact.
-	if got := seg.Degree(segHub, "b", true); got != wantN {
-		t.Errorf("Degree after Compact = %d, want %d", got, wantN)
-	}
-	// And the untyped walk still sees every edge.
-	n := 0
-	seg.ForEachOut(segHub, "", func(storage.EID, storage.VID) bool { n++; return true })
-	if n != fan {
-		t.Errorf("untyped walk after Compact visited %d, want %d", n, fan)
+	if got := s.Degree(hub, "b", true); got != gotN {
+		t.Errorf("Degree = %d, want %d", got, gotN)
 	}
 }
 
@@ -511,8 +481,82 @@ func TestUpgradeReplaysLegacyWAL(t *testing.T) {
 	}
 }
 
-// TestBulkFlushAutoFinalizes: closing a store with pending bulk edges
-// must finalize them — a reopened store sees fully linked adjacency.
+// TestUnfinalizedV5StoreIsLegacy: an earlier build could close a v5
+// store built by single AddEdge calls without finalizing it — manifest
+// "compressed" false, 64-byte edge records in edges.db, properties in
+// chained records. Open refuses it with ErrLegacyFormat and leaves it as
+// found; Upgrade converts it through the record scan, into the graph the
+// records describe.
+func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, recs ...[]byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), bytes.Join(recs, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vertex := func(labels uint64, firstProp int64) []byte {
+		b := vertexRec{inUse: true, labels: [2]uint64{labels}, firstProp: firstProp}.encode()
+		return b[:]
+	}
+	prop := func(r propRec) []byte {
+		b := r.encode()
+		return b[:]
+	}
+	edge := func(typeID uint32, src, dst int64) []byte {
+		var b [edgeRecSize]byte
+		b[0] = 1
+		binary.LittleEndian.PutUint32(b[1:], typeID)
+		binary.LittleEndian.PutUint64(b[5:], uint64(src))
+		binary.LittleEndian.PutUint64(b[13:], uint64(dst))
+		return b[:]
+	}
+	write("vertices.db", vertex(1, 1), vertex(2, 0), vertex(3, 0))
+	write("props.db",
+		prop(propRec{inUse: true, keyID: 0, kind: graph.KindString, a: 0, b: 7, next: 2}),
+		prop(propRec{inUse: true, keyID: 1, kind: graph.KindInt, a: 1}))
+	write("blobs.db", []byte("aspirin"))
+	write("edges.db", edge(0, 0, 1), edge(1, 1, 2), edge(0, 0, 2))
+	write("degrees.db")
+	write("manifest.json", []byte(`{"version":5,"labels":["A","B"],"types":["r1","r2"],"keys":["name","rank"],`+
+		`"num_vertices":3,"num_edges":3,"num_props":2,"blob_size":7}`))
+
+	ms := memstore.New()
+	for _, labels := range [][]string{{"A"}, {"B"}, {"A", "B"}} {
+		ms.AddVertex(labels...)
+	}
+	ms.SetProp(0, "name", graph.S("aspirin"))
+	ms.SetProp(0, "rank", graph.I(1))
+	ms.AddEdge(0, 1, "r1")
+	ms.AddEdge(1, 2, "r2")
+	ms.AddEdge(0, 2, "r1")
+
+	opts := Options{PageSize: 512, CachePages: 8}
+	before := dirState(t, dir)
+	if _, err := Open(dir, opts); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("Open of an unfinalized v5 store: err = %v, want ErrLegacyFormat", err)
+	}
+	if !maps.Equal(before, dirState(t, dir)) {
+		t.Fatal("refused Open modified the store directory")
+	}
+	if err := Upgrade(dir, opts); err != nil {
+		t.Fatalf("Upgrade: %v", err)
+	}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("upgraded store rejected: %v", err)
+	}
+	defer s.Close()
+	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
+		t.Errorf("upgraded store diverges from its records\n got %s\nwant %s", got, want)
+	}
+	if f := s.Format(); f.Generation != 1 || f.EdgeBytes == 0 {
+		t.Errorf("upgraded store opened as %+v, want generation 1 with segments", f)
+	}
+}
+
+// TestBulkFlushAutoFinalizes: closing a store with a pending bulk load
+// must finalize it — a reopened store sees fully linked adjacency.
 func TestBulkFlushAutoFinalizes(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})
@@ -553,79 +597,6 @@ func TestBulkFlushAutoFinalizes(t *testing.T) {
 	}
 }
 
-// TestDirtyFlushInvalidatesIndexFirst pins the crash-safety ordering:
-// the first mutation removes index.db immediately — before any page
-// write, and in particular before cache eviction can push a dirty page
-// to disk — so a crash at any later point leaves no index rather than a
-// stale one that still validates. The nasty case is a mutation invisible
-// to the index's count/symbol validation — adding an existing label to
-// an existing vertex.
-func TestDirtyFlushInvalidatesIndexFirst(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddVertex("L"); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := s.AddVertex("M")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir, Options{PageSize: 512, CachePages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !re.Format().IndexLoaded {
-		t.Fatal("precondition: index not loaded")
-	}
-	// Counts and symbol tables are unchanged by this mutation, so the old
-	// index would still pass validation if it survived.
-	if err := re.AddLabel(v1, "L"); err != nil {
-		t.Fatal(err)
-	}
-	// The mutation itself must have removed the index — eviction could
-	// write the dirty vertex page to disk at any moment from here on.
-	if _, err := os.Stat(re.indexPath(0)); !os.IsNotExist(err) {
-		t.Fatalf("index.db still present after a mutation (stat err: %v)", err)
-	}
-	// Simulate a crash after the dirty page reaches disk and before any
-	// Flush completes.
-	if err := re.curEp().pager.flush(); err != nil {
-		t.Fatal(err)
-	}
-	// (crash: no writeIndex, no manifest rewrite, no Close)
-
-	crashed, err := Open(dir, Options{PageSize: 512, CachePages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer crashed.Close()
-	if crashed.Format().IndexLoaded {
-		t.Error("crashed store loaded an index that predates its data")
-	}
-	if got := crashed.CountLabel("L"); got != 2 {
-		t.Errorf("label scan after crash sees %d L-vertices, want 2 (stale index served?)", got)
-	}
-	// And the real Flush must behave identically up to its crash point:
-	// a dirty store's Flush leaves a fresh, loadable index behind.
-	if err := crashed.AddLabel(v1, "M"); err == nil {
-		// v1 already has M; this is a no-op that must not dirty anything.
-		_ = err
-	}
-	if err := crashed.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(crashed.indexPath(0)); err != nil {
-		t.Errorf("Flush did not restore index.db: %v", err)
-	}
-}
-
 // TestCleanCloseDoesNotRewrite: opening and closing a store without
 // mutating it must leave index.db and manifest.json untouched — reading
 // a store is not a write workload.
@@ -635,16 +606,17 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandom(s, 3, 30, 60); err != nil {
+	if _, err := storetest.BuildRandomBulk(s, 3, 30, 60, 16); err != nil {
 		t.Fatal(err)
 	}
+	idx := s.indexPath(s.Format().Generation)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	old := time.Unix(1_000_000_000, 0)
-	files := []string{"index.db", "manifest.json"}
+	files := []string{idx, filepath.Join(dir, "manifest.json")}
 	for _, f := range files {
-		if err := os.Chtimes(filepath.Join(dir, f), old, old); err != nil {
+		if err := os.Chtimes(f, old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -657,7 +629,7 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		st, err := os.Stat(filepath.Join(dir, f))
+		st, err := os.Stat(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -666,7 +638,7 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 		}
 	}
 	// But a store whose index is missing self-repairs on close.
-	if err := os.Remove(filepath.Join(dir, "index.db")); err != nil {
+	if err := os.Remove(idx); err != nil {
 		t.Fatal(err)
 	}
 	scan, err := Open(dir, Options{PageSize: 512, CachePages: 16})
@@ -676,7 +648,7 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "index.db")); err != nil {
+	if _, err := os.Stat(idx); err != nil {
 		t.Errorf("scan-opened store did not repair index.db on close: %v", err)
 	}
 }
@@ -694,10 +666,7 @@ func TestInterruptedFinalizeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandom(s, 11, 40, 90); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
+	if _, err := storetest.BuildRandomBulk(s, 11, 40, 90, 16); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -732,9 +701,8 @@ func TestInterruptedFinalizeRefused(t *testing.T) {
 }
 
 // TestAddEdgeBatchPartialFailureStillFinalizes: a batch that fails
-// mid-way must leave the store flagged for finalize, so the appended
-// prefix gets linked by the next Flush instead of becoming unreachable
-// counted edges.
+// mid-way leaves the edges before the failure in the pending load, so the
+// Flush at Close writes them with the rest of the load.
 func TestAddEdgeBatchPartialFailureStillFinalizes(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})

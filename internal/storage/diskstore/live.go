@@ -1,11 +1,8 @@
 package diskstore
 
-// Live-write mode: the durable post-finalize mutation path.
-//
-// A store is live when its base is finalized and holds at least one edge
-// (or when a wal.db from a previous live session needs replaying). In
-// live mode the base files are frozen — Builder calls are rerouted here
-// instead of dirtying pages — and every mutation batch is:
+// The durable write path. Every store is live from Open: its base files
+// are frozen, single Builder calls come here as batches of one (see
+// Store.write), and every mutation batch is:
 //
 //  1. validated and resolved (batch-relative vertex references become
 //     absolute VIDs),
@@ -20,13 +17,13 @@ package diskstore
 //
 // Concurrency: ApplyMutations calls serialize on liveMu. Readers never
 // block on it — they see the delta through its own RWMutex and the
-// symbol tables through symMu, which is only engaged in live mode so the
-// build-then-read fast path stays lock-free.
+// symbol tables through symMu.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/storage"
@@ -37,8 +34,9 @@ var (
 	_ storage.LiveStatsReporter = (*Store)(nil)
 )
 
-// Live reports whether the store accepts ApplyMutations.
-func (s *Store) Live() bool { return s.liveMode.Load() }
+// Live reports whether the store accepts ApplyMutations: always, except
+// while a bulk load is pending.
+func (s *Store) Live() bool { return s.load.Load() == nil }
 
 // LiveStats reports delta segment sizes, WAL activity, and background
 // compaction state. Delta sizes are the entries visible beyond the
@@ -46,9 +44,9 @@ func (s *Store) Live() bool { return s.liveMode.Load() }
 func (s *Store) LiveStats() storage.LiveStats {
 	ep := s.curEp()
 	ls := storage.LiveStats{
-		Live:            s.liveMode.Load(),
-		Segmented:       ep.compressed,
-		Compressed:      ep.compressed,
+		Live:            s.Live(),
+		Segmented:       true,
+		Compressed:      true,
 		EdgeBytes:       ep.edgeBytes,
 		Generation:      s.generation.Load(),
 		FoldRunning:     s.folding.Load(),
@@ -56,10 +54,8 @@ func (s *Store) LiveStats() storage.LiveStats {
 		PinnedSnapshots: s.pinnedSnaps.Load(),
 		Compactions:     s.compactions.Load(),
 	}
-	if ls.Live {
-		ls.DeltaVertices = max(s.delta.nextV.Load()-ep.numVertices, 0)
-		ls.DeltaEdges = max(s.delta.nextE.Load()-ep.numEdges, 0)
-	}
+	ls.DeltaVertices = max(s.delta.nextV.Load()-ep.numVertices, 0)
+	ls.DeltaEdges = max(s.delta.nextE.Load()-ep.numEdges, 0)
 	if w := s.wal.Load(); w != nil {
 		ls.WALAppends = w.appends.Load()
 		ls.WALSyncs = w.syncs.Load()
@@ -72,17 +68,18 @@ func (s *Store) LiveStats() storage.LiveStats {
 // ApplyMutations validates, logs, fsyncs, and applies one batch; see the
 // storage.MutableGraph contract. The batch is atomic with respect to
 // crashes: it becomes one WAL record, so after reopen either every
-// mutation in it is present or none is.
+// mutation in it is present or none is. While a bulk load is pending it
+// returns storage.ErrNotLive.
 func (s *Store) ApplyMutations(batch []storage.Mutation) (storage.MutationResult, error) {
 	var res storage.MutationResult
-	if !s.liveMode.Load() {
-		return res, fmt.Errorf("diskstore: %w (run Compact to finalize the store first)", storage.ErrNotLive)
+	s.liveMu.Lock()
+	defer s.liveMu.Unlock()
+	if s.load.Load() != nil {
+		return res, fmt.Errorf("diskstore: %w (a bulk load is pending; Finalize commits it)", storage.ErrNotLive)
 	}
 	if len(batch) == 0 {
 		return res, nil
 	}
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
 	resolved, err := s.resolveBatch(batch)
 	if err != nil {
 		return res, err
@@ -111,7 +108,7 @@ func (s *Store) ApplyMutations(batch []storage.Mutation) (storage.MutationResult
 	return s.applyToDelta(seq, resolved), nil
 }
 
-// walHandle returns the open WAL, creating wal.db on the first live
+// walHandle returns the open WAL, creating wal.db on the first
 // mutation — never at Open, so read-only open/close cycles leave the
 // store directory untouched.
 func (s *Store) walHandle() (*wal, error) {
@@ -167,49 +164,56 @@ func (s *Store) resolveBatchAt(batch []storage.Mutation, replay bool) ([]storage
 	out := make([]storage.Mutation, len(batch))
 	for i := range batch {
 		m := batch[i]
+		if err := checkMutation(&m); err != nil {
+			return nil, err
+		}
 		var err error
 		switch m.Op {
 		case storage.MutAddVertex:
-			for _, l := range m.Labels {
-				if l == "" {
-					return nil, fmt.Errorf("diskstore: empty label in AddVertex")
-				}
-			}
 			m.Labels = append([]string(nil), m.Labels...)
 			newSoFar++
 		case storage.MutAddEdge:
-			if m.Type == "" {
-				return nil, fmt.Errorf("diskstore: empty edge type in AddEdge")
-			}
 			if m.Src, err = resolveRef(m.Src); err != nil {
 				return nil, err
 			}
 			if m.Dst, err = resolveRef(m.Dst); err != nil {
 				return nil, err
 			}
-		case storage.MutSetProp:
-			if m.Key == "" {
-				return nil, fmt.Errorf("diskstore: empty property key in SetProp")
-			}
-			if err := checkValueKind(m.Value); err != nil {
-				return nil, err
-			}
+		case storage.MutSetProp, storage.MutAddLabel:
 			if m.V, err = resolveRef(m.V); err != nil {
 				return nil, err
 			}
-		case storage.MutAddLabel:
-			if m.Label == "" {
-				return nil, fmt.Errorf("diskstore: empty label in AddLabel")
-			}
-			if m.V, err = resolveRef(m.V); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("diskstore: unknown mutation op %d", m.Op)
 		}
 		out[i] = m
 	}
 	return out, nil
+}
+
+// checkMutation rejects an unknown op, an empty symbol name, or an
+// unstorable value.
+func checkMutation(m *storage.Mutation) error {
+	switch m.Op {
+	case storage.MutAddVertex:
+		if slices.Contains(m.Labels, "") {
+			return fmt.Errorf("diskstore: empty label in AddVertex")
+		}
+	case storage.MutAddEdge:
+		if m.Type == "" {
+			return fmt.Errorf("diskstore: empty edge type in AddEdge")
+		}
+	case storage.MutSetProp:
+		if m.Key == "" {
+			return fmt.Errorf("diskstore: empty property key in SetProp")
+		}
+		return checkValueKind(m.Value)
+	case storage.MutAddLabel:
+		if m.Label == "" {
+			return fmt.Errorf("diskstore: empty label in AddLabel")
+		}
+	default:
+		return fmt.Errorf("diskstore: unknown mutation op %d", m.Op)
+	}
+	return nil
 }
 
 // checkValueKind rejects values the record format cannot store, before
@@ -310,7 +314,7 @@ func (s *Store) applyToDelta(seq uint64, batch []storage.Mutation) storage.Mutat
 	return res
 }
 
-// recoverLive runs at Open: it decides whether the store is live and
+// recoverLive runs at Open: it readies the current epoch for serving and
 // replays any WAL a previous process left behind. Records at or below
 // the manifest's wal_seq fence were already folded into the base by a
 // committed Compact and are skipped; a torn tail is truncated; a log
@@ -324,13 +328,7 @@ func (s *Store) recoverLive() error {
 		size = st.Size()
 	}
 	ep := s.cur
-	live := ep.compressed && ep.numVertices > 0 && ep.numEdges > 0
-	if !live && size <= 0 {
-		return nil
-	}
 	ep.setLabelBits()
-	ep.pager.readOnly = true
-	s.liveMode.Store(true)
 	s.delta.appliedSeq.Store(s.walFoldedSeq)
 	if size <= 0 {
 		return nil // no log to replay; walHandle opens one lazily
@@ -394,7 +392,7 @@ func (s *Store) replayBatch(seq uint64, ops []storage.Mutation) error {
 	return nil
 }
 
-// internType interns an edge type; caller holds symMu in live mode.
+// internType interns an edge type; caller holds symMu.
 func (s *Store) internType(etype string) int {
 	id, ok := s.typeIDs[etype]
 	if !ok {
@@ -405,7 +403,7 @@ func (s *Store) internType(etype string) int {
 	return id
 }
 
-// internKey interns a property key; caller holds symMu in live mode.
+// internKey interns a property key; caller holds symMu.
 func (s *Store) internKey(key string) int {
 	id, ok := s.keyIDs[key]
 	if !ok {
@@ -414,21 +412,4 @@ func (s *Store) internKey(key string) int {
 		s.keyIDs[key] = id
 	}
 	return id
-}
-
-// symRLock/symRUnlock guard symbol-table reads against live interning.
-// Outside live mode the tables are immutable after build and the lock is
-// skipped, keeping the read fast path lock-free. liveMode is only ever
-// set, at Open or by a build-mode Finalize, both of which require
-// exclusive access, so the mode cannot change between the two calls.
-func (s *Store) symRLock() {
-	if s.liveMode.Load() {
-		s.symMu.RLock()
-	}
-}
-
-func (s *Store) symRUnlock() {
-	if s.liveMode.Load() {
-		s.symMu.RUnlock()
-	}
 }

@@ -29,8 +29,8 @@ const (
 	liveBatch = 16
 )
 
-// openLivePair builds the same pseudo-random base graph into a finalized
-// diskstore (live mode) and an incremental memstore reference, in dir.
+// openLivePair builds the same pseudo-random base graph into a bulk-loaded
+// diskstore in dir and an incremental memstore reference.
 func openLivePair(t *testing.T, dir string) (*Store, *memstore.Store) {
 	t.Helper()
 	s, err := Open(dir, Options{})
@@ -41,7 +41,7 @@ func openLivePair(t *testing.T, dir string) (*Store, *memstore.Store) {
 		t.Fatal(err)
 	}
 	if !s.Live() {
-		t.Fatal("finalized non-empty store should be live")
+		t.Fatal("store not live after its bulk load's Finalize")
 	}
 	ms := memstore.New()
 	if _, err := storetest.BuildRandom(ms, liveSeed, liveNV, liveNE); err != nil {
@@ -626,33 +626,168 @@ func TestApplyMutationsBatchSemantics(t *testing.T) {
 	}
 }
 
+// TestApplyMutationsNotLive: ErrNotLive means a pending bulk load, and
+// says how to end it.
 func TestApplyMutationsNotLive(t *testing.T) {
 	s := newTestStore(t, Options{})
-	if _, err := s.AddVertex("A"); err != nil {
+	if _, err := s.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"A"}}}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutAddVertex}})
 	if !errors.Is(err, storage.ErrNotLive) {
-		t.Fatalf("ApplyMutations on build-mode store: err = %v, want ErrNotLive", err)
+		t.Fatalf("ApplyMutations during a bulk load: err = %v, want ErrNotLive", err)
 	}
-	if !strings.Contains(fmt.Sprint(err), "Compact") {
-		t.Errorf("ErrNotLive should hint at Compact: %v", err)
-	}
-}
-
-// TestVertexOnlyStoreStaysBuildMode: live mode requires at least one
-// finalized edge; vertex-only stores keep the cheap build-mode mutation
-// path (and its dirty-flush index protocol).
-func TestVertexOnlyStoreStaysBuildMode(t *testing.T) {
-	s := newTestStore(t, Options{})
-	if _, err := s.AddVertex("A"); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(fmt.Sprint(err), "Finalize") {
+		t.Errorf("ErrNotLive should hint at Finalize: %v", err)
 	}
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Live() {
-		t.Error("vertex-only finalized store should not be live")
+	if _, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutAddVertex}}); err != nil {
+		t.Errorf("ApplyMutations after the load's Finalize: %v", err)
+	}
+
+	// A load whose first batch failed holds nothing; its Finalize still
+	// ends it.
+	empty := newTestStore(t, Options{})
+	if _, err := empty.AddVertexBatch([]storage.BulkVertex{{Labels: []string{""}}}); err == nil {
+		t.Fatal("a vertex with an empty label was accepted")
+	}
+	if err := empty.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if !empty.Live() {
+		t.Error("the Finalize of an empty load left it pending")
+	}
+}
+
+// TestFreshStoreIsLive: a store is live from Open, with nothing built. A
+// batch applies and reads back at once, and a reopen without Close
+// replays it from the WAL.
+func TestFreshStoreIsLive(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Live() {
+		t.Fatal("fresh store is not live")
+	}
+	res, err := s.ApplyMutations([]storage.Mutation{
+		{Op: storage.MutAddVertex, Labels: []string{"A"}},
+		{Op: storage.MutAddVertex, Labels: []string{"B"}},
+		{Op: storage.MutAddEdge, Src: -1, Dst: -2, Type: "r"},
+		{Op: storage.MutSetProp, V: -2, Key: "k", Value: graph.S("v")},
+	})
+	if err != nil {
+		t.Fatalf("ApplyMutations on a fresh store: %v", err)
+	}
+	ms := memstore.New()
+	a, _ := ms.AddVertex("A")
+	b, _ := ms.AddVertex("B")
+	ms.AddEdge(a, b, "r")
+	ms.SetProp(b, "k", graph.S("v"))
+	want := storetest.Fingerprint(ms)
+	if got := storetest.Fingerprint(s); got != want || len(res.Vertices) != 2 || len(res.Edges) != 1 {
+		t.Fatalf("fresh store after one batch (result %+v)\n got %s\nwant %s", res, got, want)
+	}
+	if err := s.closeFiles(); err != nil { // crash: no Flush, no Close
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := storetest.Fingerprint(re); got != want {
+		t.Errorf("reopen did not replay the batch from the WAL\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestPendingLoadWritesNothing: a bulk load gathers in memory. While it is
+// pending every file in the store directory is empty or absent, reads see
+// the empty store and ApplyMutations is refused; a Finalize that fails
+// keeps it pending, and the one that succeeds commits exactly the graph
+// the single calls build in memstore.
+func TestPendingLoadWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{PageSize: 512, CachePages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	first, err := s.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"A"}}, {Labels: []string{"B"}}, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddEdgeBatch([]storage.BulkEdge{{Src: first, Dst: first + 1, Type: "r"}, {Src: first + 2, Dst: first, Type: "s"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		s.AddLabel(first+2, "A"),
+		s.SetProp(first, "name", graph.S("a")),
+		s.SetProp(first+1, "tags", graph.L(graph.S("x"), graph.I(2))),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := s.AddVertex("C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddEdge(v, first+1, "r"); err != nil {
+		t.Fatal(err)
+	}
+	ms := memstore.New()
+	for _, labels := range [][]string{{"A"}, {"B"}, nil, {"C"}} {
+		ms.AddVertex(labels...)
+	}
+	ms.AddEdge(0, 1, "r")
+	ms.AddEdge(2, 0, "s")
+	ms.AddLabel(2, "A")
+	ms.SetProp(0, "name", graph.S("a"))
+	ms.SetProp(1, "tags", graph.L(graph.S("x"), graph.I(2)))
+	ms.AddEdge(3, 1, "r")
+
+	pending := func() {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if info, err := e.Info(); err != nil || info.Size() != 0 {
+				t.Errorf("%s holds %d bytes during a pending load (err %v)", e.Name(), info.Size(), err)
+			}
+		}
+		if s.NumVertices() != 0 || s.NumEdges() != 0 || s.CountLabel("A") != 0 {
+			t.Errorf("reads see a pending load: %d vertices, %d edges", s.NumVertices(), s.NumEdges())
+		}
+		if _, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutAddVertex}}); !errors.Is(err, storage.ErrNotLive) {
+			t.Errorf("ApplyMutations during the load: err = %v, want ErrNotLive", err)
+		}
+	}
+	pending()
+	squat := filepath.Join(dir, genFileName("edges.db", 1))
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(); err == nil {
+		t.Fatal("Finalize succeeded with its edges file occupied")
+	}
+	if err := os.RemoveAll(squat); err != nil { // the cleanup may have taken it
+		t.Fatal(err)
+	}
+	pending()
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
+		t.Errorf("finalized load diverges from the reference\n got %s\nwant %s", got, want)
+	}
+	if !s.Live() || s.Format().Generation != 1 {
+		t.Errorf("after the load's Finalize: live=%v generation %d, want live at generation 1", s.Live(), s.Format().Generation)
 	}
 }
 
@@ -741,9 +876,10 @@ func TestLiveFinalizeKeepsLaterWrites(t *testing.T) {
 }
 
 // TestFailedFinalizeKeepsPreviousCommit makes Finalize fail partway — a
-// directory squats on a path it must create — in build mode and on a live
-// store, at the new generation's first file, at its index and at the
-// manifest rename. The store keeps serving its previous state, reopens
+// directory squats on a path it must create — on a store built by single
+// calls (all of it in the WAL and the delta over an empty base) and on a
+// bulk-loaded one with live writes, at the new generation's first file,
+// at its index and at the manifest rename. The store keeps serving its previous state, reopens
 // at its previous commit after a crash, and finalizes once the path is
 // free.
 func TestFailedFinalizeKeepsPreviousCommit(t *testing.T) {
@@ -1119,7 +1255,7 @@ func TestPagerStatsSurviveFold(t *testing.T) {
 	atLeast := func(stage string, got, floor storage.Stats) {
 		t.Helper()
 		if got.PageHits < floor.PageHits || got.PageMisses < floor.PageMisses ||
-			got.PageReads < floor.PageReads || got.PageWrites < floor.PageWrites {
+			got.PageReads < floor.PageReads {
 			t.Errorf("%s: counters went backwards: %+v -> %+v", stage, floor, got)
 		}
 	}

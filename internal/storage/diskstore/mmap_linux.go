@@ -7,9 +7,8 @@ import (
 	"syscall"
 )
 
-// mmapFile maps size bytes of f read-only. MAP_SHARED keeps the mapping
-// coherent with pager write-back that happens after the mapping is
-// dropped but before close (the dropped mapping is only read until then).
+// mmapFile maps size bytes of f read-only. A generation's files are never
+// written after they are opened, so the mapping never goes stale.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }

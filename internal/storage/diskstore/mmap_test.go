@@ -9,8 +9,8 @@ import (
 
 // TestMmapReadPathMatches opens the same store with and without the mmap
 // read path and checks every observable read is identical, that mapped
-// reads bypass physical page reads, and that the write path safely
-// degrades the mapping instead of corrupting it.
+// reads bypass physical page reads, and that a live write, which lands in
+// the delta, reads back on top of the mapping.
 func TestMmapReadPathMatches(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 64})
@@ -51,14 +51,10 @@ func TestMmapReadPathMatches(t *testing.T) {
 		t.Fatal("no page hits recorded while fingerprinting through mmap path")
 	}
 
-	// Live writes must drop the mapping, not corrupt it: apply a
-	// mutation, then re-read everything.
-	if m.Live() {
-		if _, err := m.ApplyMutations([]storage.Mutation{
-			{Op: storage.MutAddVertex, Labels: []string{"A"}},
-		}); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := m.ApplyMutations([]storage.Mutation{
+		{Op: storage.MutAddVertex, Labels: []string{"A"}},
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if got := m.NumVertices(); got != 81 {
 		t.Fatalf("vertex count after live write on mmap store = %d, want 81", got)

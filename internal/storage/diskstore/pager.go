@@ -1,7 +1,6 @@
 package diskstore
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -47,21 +46,17 @@ type pageKey struct {
 //     through the shard, and a pinned frame is never recycled. Pins are
 //     held for the duration of one copy, never across I/O on another
 //     frame.
-//   - the latch (mu) guards the frame contents (data, dirty, loadErr)
-//     while they can change. A loader holds the write latch across its
-//     disk read, so a request that found the loading frame in the shard
-//     table blocks on RLock until the bytes are in — page loads are
-//     de-duplicated for free — and then finds loadErr final. A writable
-//     (build-mode) pager's readers copy under RLock and its writers
-//     mutate under Lock; a read-only pager's frames never change after
-//     their load, so its hits copy without touching the latch.
+//   - the latch (mu) waits out a load. A loader holds the write latch
+//     across its disk read, so a request that found the loading frame in
+//     the shard table blocks on RLock until the bytes are in — page loads
+//     are de-duplicated for free — and then finds loadErr final. A frame
+//     never changes after its load, so a hit copies without the latch.
 //   - used is the clock-sweep reference bit, set on a hit that finds it
 //     clear and cleared (one second chance) as the hand passes.
 type page struct {
 	key     pageKey
 	mu      sync.RWMutex
 	data    []byte
-	dirty   bool
 	loadErr error
 	ref     atomic.Int32
 	used    atomic.Bool
@@ -112,8 +107,8 @@ type hitStripe struct {
 // across generations and a read through a superseded-but-pinned epoch
 // still counts.
 type pagerStats struct {
-	hits                  [maxPagerShards]hitStripe
-	misses, reads, writes atomic.Int64
+	hits          [maxPagerShards]hitStripe
+	misses, reads atomic.Int64
 }
 
 // snapshot reads the I/O counters.
@@ -126,7 +121,6 @@ func (st *pagerStats) snapshot() storage.Stats {
 		PageHits:   hits,
 		PageMisses: st.misses.Load(),
 		PageReads:  st.reads.Load(),
-		PageWrites: st.writes.Load(),
 	}
 }
 
@@ -137,28 +131,27 @@ func (st *pagerStats) reset() {
 	}
 	st.misses.Store(0)
 	st.reads.Store(0)
-	st.writes.Store(0)
 }
 
-// pager is a write-back page cache over the store's record files. All
-// record reads and writes go through it, so the cache size directly
-// controls how disk-bound traversals are — the knob that makes this
-// backend behave like the paper's Neo4j.
+// pager is a read-only page cache over one generation's record files.
+// All record reads go through it, so the cache size directly controls how
+// disk-bound traversals are — the knob that makes this backend behave
+// like the paper's Neo4j. Nothing writes through it: a generation's files
+// are written once, by writeGeneration, before a pager opens them, and
+// live writes go to the delta.
 //
 // A hit is one atomic load from the frame table, one CAS pin and a copy:
 // each file has a dense table of frame pointers indexed by page number,
 // sized when the pager opens. The shard lock and the shard's map are
-// taken only on a miss (or a page past the table, which only a build-mode
-// file grown since open has) and for eviction.
+// taken only on a miss (or a page past the table, which only a read past
+// the file's end asks for) and for eviction.
 //
 // The cache is sharded by hash of (file, page): each shard owns a fraction
 // of the page budget behind its own mutex and evicts with a clock sweep
 // (second-chance) instead of a linked LRU list. Within a shard, the shard
-// lock covers map lookup, victim selection, and dirty-victim write-back;
-// the disk read that fills a missing frame happens outside it under the
-// frame's own latch, so a page load (the read path's only I/O — frames
-// are clean while serving) stalls at most same-page requests, and a dirty
-// write-back stalls at most its own shard. A cold miss in one shard never
+// lock covers map lookup and victim selection; the disk read that fills a
+// missing frame happens outside it under the frame's own latch, so a page
+// load stalls at most same-page requests. A cold miss in one shard never
 // stalls hits anywhere — this is what lets N goroutines traverse a
 // disk-bound graph faster than one.
 //
@@ -169,16 +162,9 @@ func (st *pagerStats) reset() {
 // fresh buffer gave for free is explicit in fetch: every byte of a frame
 // that the file does not define reads as zero, never as the previous
 // tenant's data.
-//
-// A pager is read-only once its epoch is live: live writes go to the
-// delta and a fold writes its generation's files directly, so nothing
-// writes through the pager, write refuses, and hits copy without the
-// latch. Until then, writes follow the storage.Builder contract: building
-// is single-writer, so flush and dropCache assume no concurrent mutators
-// (concurrent readers are fine at any time).
 type pager struct {
 	files      [numFiles]*os.File
-	sizes      [numFiles]atomic.Int64 // logical file sizes in bytes
+	sizes      [numFiles]int64 // file sizes in bytes, fixed at open
 	pageSize   int
 	capacity   int // total page budget, split across shards
 	shardCap   int // page budget per shard
@@ -186,26 +172,14 @@ type pager struct {
 	shards     []shard
 
 	// frames is the hit path's table: per file, one slot per page the
-	// file held at open. A slot holds the page's loaded frame or nil.
+	// file holds. A slot holds the page's loaded frame or nil.
 	frames [numFiles][]atomic.Pointer[page]
 
-	// readOnly makes write refuse and lets hits copy without the latch.
-	// It is set once the epoch goes live, while no other goroutine can
-	// reach the pager — at Open, or before a fold publishes the new
-	// epoch — with nothing dirty, and never cleared.
-	readOnly bool
-
-	// Optional read-only mmap fast path (Options.Mmap). A non-nil entry
-	// serves in-range reads of that file straight from the kernel's page
-	// cache, bypassing the clock sweep entirely; the pager keeps ownership
-	// of every write path, and the first write to a mapped file
-	// atomically drops its mapping, falling back to the page cache.
-	// Dropped mappings are retired, not unmapped: a concurrent reader may
-	// still be copying from the old bytes, so the memory stays valid until
-	// closeMaps (file close), when no readers remain.
-	maps    [numFiles]atomic.Pointer[mmapRegion]
-	mapMu   sync.Mutex
-	retired []*mmapRegion
+	// Optional mmap fast path (Options.Mmap). A non-nil entry serves
+	// in-range reads of that file straight from the kernel's page cache,
+	// bypassing the clock sweep entirely; closeMaps unmaps it when the
+	// files close.
+	maps [numFiles]atomic.Pointer[mmapRegion]
 
 	stats *pagerStats // the owning Store's block, shared across its epochs
 }
@@ -260,7 +234,7 @@ func newPager(files [numFiles]*os.File, pageSize, capacity int, stats *pagerStat
 		if err != nil {
 			return nil, err
 		}
-		p.sizes[i].Store(st.Size())
+		p.sizes[i] = st.Size()
 		p.frames[i] = make([]atomic.Pointer[page], (st.Size()+int64(pageSize)-1)/int64(pageSize))
 	}
 	return p, nil
@@ -292,13 +266,11 @@ func (p *pager) hit(pg *page, i uint64) {
 	p.stats.hits[i].n.Add(1)
 }
 
-// fetch returns the frame for key, pinned. A miss loads the page before
-// returning and reports a failed load itself. A request that found the
-// frame in the shard table may find it still loading, or its load failed:
-// on a read-only pager fetch waits out the load and reports loadErr, so
-// the caller copies without the latch; on a writable pager the caller
-// takes the latch (RLock to copy out, Lock to modify) and checks loadErr
-// under it, the one acquisition doing both. The caller unpins when done.
+// fetch returns the frame for key, pinned and loaded. A miss loads the
+// page before returning and reports a failed load itself; a request that
+// found the frame in the shard table while it was still loading waits out
+// the load and reports its loadErr. Either way the caller copies without
+// the latch, and unpins when done.
 func (p *pager) fetch(key pageKey) (*page, error) {
 	i := p.shardIndex(key)
 	if sl := p.slot(key); sl != nil {
@@ -316,24 +288,18 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 		pg.ref.Add(1)
 		sh.mu.Unlock()
 		p.hit(pg, i)
-		if p.readOnly {
-			// The frame may still be loading: wait out the loader's latch.
-			pg.mu.RLock()
-			err := pg.loadErr
-			pg.mu.RUnlock()
-			if err != nil {
-				pg.unpin()
-				return nil, err
-			}
+		// The frame may still be loading: wait out the loader's latch.
+		pg.mu.RLock()
+		err := pg.loadErr
+		pg.mu.RUnlock()
+		if err != nil {
+			pg.unpin()
+			return nil, err
 		}
 		return pg, nil
 	}
 	p.stats.misses.Add(1)
-	buf, err := p.evictLocked(sh)
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, err
-	}
+	buf := p.evictLocked(sh)
 	if buf == nil {
 		buf = make([]byte, p.pageSize)
 	}
@@ -349,9 +315,10 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 	// needing this same page wait (on the latch); the rest of the shard
 	// stays available. The buffer may be a recycled one, so everything the
 	// file does not define — the tail after a short read, or the whole of
-	// a page at or past the logical size — is cleared here.
+	// a page at or past the file's end — is cleared here.
 	n := 0
-	if off := key.page * int64(p.pageSize); off < p.sizes[key.file].Load() {
+	if off := key.page * int64(p.pageSize); off < p.sizes[key.file] {
+		var err error
 		n, err = p.files[key.file].ReadAt(pg.data, off)
 		if err != nil && err != io.EOF {
 			pg.loadErr = fmt.Errorf("diskstore: read page %v: %w", key, err)
@@ -364,8 +331,8 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 		pg.mu.Unlock()
 		// Drop the failed frame so a later fetch retries the read. It was
 		// never published to the frame table; requests that found it in
-		// the shard table meanwhile see loadErr under their latch. Its
-		// buffer is not recycled.
+		// the shard table meanwhile see loadErr once the latch is free.
+		// Its buffer is not recycled.
 		sh.mu.Lock()
 		if cur, ok := sh.table[key]; ok && cur == pg {
 			delete(sh.table, key)
@@ -389,15 +356,15 @@ func (p *pager) fetch(key pageKey) (*page, error) {
 	return pg, nil
 }
 
-// evictLocked makes room for one more frame in the shard, writing dirty
-// victims back, and returns a victim's data buffer for the caller to
-// reuse (nil if nothing was evicted). Caller holds sh.mu. A victim is
-// claimed with ref.CompareAndSwap(0, evictedRef), which fails if a hit
-// pinned it since the check; once claimed no pin can succeed, so after
-// its slot and table entry are cleared no reader can still be looking at
-// its bytes. Pinned frames are skipped; if every frame is pinned the
-// shard temporarily overflows its budget rather than deadlocking.
-func (p *pager) evictLocked(sh *shard) ([]byte, error) {
+// evictLocked makes room for one more frame in the shard and returns a
+// victim's data buffer for the caller to reuse (nil if nothing was
+// evicted). Caller holds sh.mu. A victim is claimed with
+// ref.CompareAndSwap(0, evictedRef), which fails if a hit pinned it since
+// the check; once claimed no pin can succeed, so after its slot and table
+// entry are cleared no reader can still be looking at its bytes. Pinned
+// frames are skipped; if every frame is pinned the shard temporarily
+// overflows its budget rather than deadlocking.
+func (p *pager) evictLocked(sh *shard) []byte {
 	var buf []byte
 	attempts := 0
 	for len(sh.clock) >= p.shardCap && attempts < 2*len(sh.clock)+1 {
@@ -418,10 +385,6 @@ func (p *pager) evictLocked(sh *shard) ([]byte, error) {
 			sh.hand++ // pinned since the check
 			continue
 		}
-		if err := p.writePage(pg); err != nil {
-			pg.ref.Store(0) // still resident; release the claim
-			return nil, err
-		}
 		if sl := p.slot(pg.key); sl != nil {
 			sl.CompareAndSwap(pg, nil)
 		}
@@ -429,7 +392,7 @@ func (p *pager) evictLocked(sh *shard) ([]byte, error) {
 		sh.removeAt(sh.hand)
 		buf = pg.data
 	}
-	return buf, nil
+	return buf
 }
 
 // removeAt swap-removes the ring entry at index i. Caller holds sh.mu.
@@ -450,42 +413,13 @@ func (sh *shard) removeFromClock(pg *page) {
 	}
 }
 
-// writePage writes the frame back to its file if dirty. It takes the
-// frame latch itself; safe to call with only sh.mu held (lock order is
-// always shard → page).
-func (p *pager) writePage(pg *page) error {
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	if !pg.dirty {
-		return nil
-	}
-	off := pg.key.page * int64(p.pageSize)
-	if _, err := p.files[pg.key.file].WriteAt(pg.data, off); err != nil {
-		return fmt.Errorf("diskstore: write page %v: %w", pg.key, err)
-	}
-	p.grow(pg.key.file, off+int64(p.pageSize))
-	pg.dirty = false
-	p.stats.writes.Add(1)
-	return nil
-}
-
-// grow raises the logical size of the file to at least end.
-func (p *pager) grow(f fileID, end int64) {
-	for {
-		cur := p.sizes[f].Load()
-		if end <= cur || p.sizes[f].CompareAndSwap(cur, end) {
-			return
-		}
-	}
-}
-
 // enableMmap maps the given files read-only, if the platform supports it
 // and the file is non-empty. Failure to map (unsupported platform, empty
 // file, kernel refusal) is not an error — the pager simply keeps serving
 // that file through the page cache.
 func (p *pager) enableMmap(files ...fileID) {
 	for _, f := range files {
-		size := p.sizes[f].Load()
+		size := p.sizes[f]
 		if size <= 0 {
 			continue
 		}
@@ -497,26 +431,9 @@ func (p *pager) enableMmap(files ...fileID) {
 	}
 }
 
-// dropMap retires the file's mapping (if any) so subsequent reads go
-// through the page cache. Called on the first write to a mapped file.
-func (p *pager) dropMap(f fileID) {
-	if m := p.maps[f].Swap(nil); m != nil {
-		p.mapMu.Lock()
-		p.retired = append(p.retired, m)
-		p.mapMu.Unlock()
-	}
-}
-
-// closeMaps unmaps every live and retired mapping. Callers must ensure no
-// reads are in flight (same contract as closing the files).
+// closeMaps unmaps every mapping. Callers must ensure no reads are in
+// flight (same contract as closing the files).
 func (p *pager) closeMaps() {
-	p.mapMu.Lock()
-	retired := p.retired
-	p.retired = nil
-	p.mapMu.Unlock()
-	for _, m := range retired {
-		munmapRegion(m.data)
-	}
 	for f := range p.maps {
 		if m := p.maps[f].Swap(nil); m != nil {
 			munmapRegion(m.data)
@@ -540,89 +457,19 @@ func (p *pager) read(f fileID, off int64, buf []byte) error {
 		if err != nil {
 			return err
 		}
-		var n int
-		if p.readOnly {
-			n = copy(buf, pg.data[within:])
-		} else {
-			pg.mu.RLock()
-			if err = pg.loadErr; err == nil {
-				n = copy(buf, pg.data[within:])
-			}
-			pg.mu.RUnlock()
-		}
+		n := copy(buf, pg.data[within:])
 		pg.unpin()
-		if err != nil {
-			return err
-		}
 		buf = buf[n:]
 		off += int64(n)
 	}
 	return nil
 }
 
-// errReadOnlyPager is returned by a write to a live epoch's pager, whose
-// frames readers copy without the latch.
-var errReadOnlyPager = errors.New("diskstore: write to a read-only page cache")
-
-// write copies buf to off in the file, through the cache (write-back).
-// Writing to an mmapped file drops its mapping first: the mapping is a
-// read-only snapshot and must not alias pages the cache now owns.
-func (p *pager) write(f fileID, off int64, buf []byte) error {
-	if p.readOnly {
-		return errReadOnlyPager
-	}
-	p.dropMap(f)
-	for len(buf) > 0 {
-		pageNo := off / int64(p.pageSize)
-		within := int(off % int64(p.pageSize))
-		pg, err := p.fetch(pageKey{f, pageNo})
-		if err != nil {
-			return err
-		}
-		pg.mu.Lock()
-		err = pg.loadErr
-		n := 0
-		if err == nil {
-			n = copy(pg.data[within:], buf)
-			pg.dirty = true
-		}
-		pg.mu.Unlock()
-		pg.unpin()
-		if err != nil {
-			return err
-		}
-		buf = buf[n:]
-		off += int64(n)
-	}
-	return nil
-}
-
-// flush writes all dirty pages back to their files.
-func (p *pager) flush() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, pg := range sh.clock {
-			if err := p.writePage(pg); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// dropCache empties the cache (flushing dirty pages first), simulating a
-// cold start without reopening the files. Like flush, it relies on the
-// single-writer build contract: concurrent readers are fine (frames they
-// hold pinned, or loaded from a slot just before it was cleared, stay
-// readable — merely orphaned, and never recycled), concurrent writers are
-// not.
-func (p *pager) dropCache() error {
-	if err := p.flush(); err != nil {
-		return err
-	}
+// dropCache empties the cache, simulating a cold start without reopening
+// the files. Concurrent readers are fine: frames they hold pinned, or
+// loaded from a slot just before it was cleared, stay readable — merely
+// orphaned, and never recycled.
+func (p *pager) dropCache() {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
@@ -636,7 +483,6 @@ func (p *pager) dropCache() error {
 		sh.hand = 0
 		sh.mu.Unlock()
 	}
-	return nil
 }
 
 // resident counts the frames currently cached across all shards.

@@ -55,7 +55,7 @@ func TestPagerShardIndexInRange(t *testing.T) {
 // sweeps actually evict.
 func TestPagerCapacityRespected(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 256, CachePages: 16})
-	if _, err := storetest.BuildRandom(s, 11, 300, 900); err != nil {
+	if _, err := storetest.BuildRandomBulk(s, 11, 300, 900, 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DropCache(); err != nil {
@@ -79,7 +79,7 @@ func TestPagerCapacityRespected(t *testing.T) {
 // and the atomic stats counters are data-race free.
 func TestPagerConcurrentEvictionPressure(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 256, CachePages: 16})
-	if _, err := storetest.BuildRandom(s, 99, 200, 600); err != nil {
+	if _, err := storetest.BuildRandomBulk(s, 99, 200, 600, 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DropCache(); err != nil {
@@ -167,15 +167,14 @@ func TestPagerConcurrentEvictionPressure(t *testing.T) {
 }
 
 // TestPagerReadOnlyStampedRace is the latch-free hit path's stress test:
-// a read-only pager with a 4-page budget over 64 stamped pages, hammered
-// by eight goroutines. Nearly every read either misses or races an
+// a pager with a 4-page budget over 64 stamped pages, hammered by eight
+// goroutines. Nearly every read either misses or races an
 // eviction, so a hit that pinned a frame after the sweep claimed it — and
 // copied from a buffer the next tenant is loading into — shows up as a
 // wrong stamp (or, under -race, as a data race on the buffer).
 func TestPagerReadOnlyStampedRace(t *testing.T) {
 	const pageSize, pages, workers = 256, 64, 8
 	p, _ := newTestPager(t, pageSize, 4, stampedPages(pageSize, pages, 0))
-	p.readOnly = true
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -212,89 +211,54 @@ func TestPagerReadOnlyStampedRace(t *testing.T) {
 	}
 }
 
-// TestPagerReadOnlyRefusesWrites: a write to a read-only pager fails
-// before touching any frame, so readers copying without the latch never
-// see bytes change under them.
-func TestPagerReadOnlyRefusesWrites(t *testing.T) {
-	const pageSize = 256
-	p, _ := newTestPager(t, pageSize, 4, stampedPages(pageSize, 8, 0))
-	buf := make([]byte, pageSize)
-	if err := p.read(fileVertices, 2*pageSize, buf); err != nil { // page 2 resident
-		t.Fatal(err)
-	}
-	p.readOnly = true
-	for _, pg := range []int64{2, 5} { // resident, and not yet loaded
-		if err := p.write(fileVertices, pg*pageSize+8, []byte{0xAA}); !errors.Is(err, errReadOnlyPager) {
-			t.Errorf("write to page %d of a read-only pager: err = %v, want errReadOnlyPager", pg, err)
-		}
-		if err := p.read(fileVertices, pg*pageSize, buf); err != nil {
-			t.Fatal(err)
-		}
-		if j := firstByteNot(buf, byte(pg+1)); j >= 0 {
-			t.Errorf("page %d byte %d = %#x after a refused write, want stamp %#x", pg, j, buf[j], byte(pg+1))
-		}
-	}
-	if err := p.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.stats.snapshot(); st.PageWrites != 0 {
-		t.Errorf("%d page writes after refused writes, want 0", st.PageWrites)
-	}
-}
-
 // TestPagerStripedStatsExact: hits are counted on per-shard stripes, and
 // the snapshot Stats() returns sums them exactly — k hits and m misses in,
 // k and m out — while a hit allocates nothing.
 func TestPagerStripedStatsExact(t *testing.T) {
 	const pageSize, pages = 256, 32
-	for _, readOnly := range []bool{false, true} {
-		p, _ := newTestPager(t, pageSize, 64, stampedPages(pageSize, pages, 0))
-		if readOnly {
-			p.readOnly = true
+	p, _ := newTestPager(t, pageSize, 64, stampedPages(pageSize, pages, 0))
+	var buf [16]byte
+	for pg := 0; pg < pages; pg++ { // m = pages cold misses
+		if err := p.read(fileVertices, int64(pg)*pageSize, buf[:]); err != nil {
+			t.Fatal(err)
 		}
-		var buf [16]byte
-		for pg := 0; pg < pages; pg++ { // m = pages cold misses
-			if err := p.read(fileVertices, int64(pg)*pageSize, buf[:]); err != nil {
-				t.Fatal(err)
-			}
+	}
+	const k = 1000
+	for i := 0; i < k; i++ {
+		if err := p.read(fileVertices, int64(i%pages)*pageSize+64, buf[:]); err != nil {
+			t.Fatal(err)
 		}
-		const k = 1000
-		for i := 0; i < k; i++ {
-			if err := p.read(fileVertices, int64(i%pages)*pageSize+64, buf[:]); err != nil {
-				t.Fatal(err)
-			}
+	}
+	st := p.stats.snapshot()
+	if st.PageHits != k || st.PageMisses != pages {
+		t.Errorf("hits = %d, misses = %d; want %d and %d", st.PageHits, st.PageMisses, k, pages)
+	}
+	stripes := 0
+	for i := range p.stats.hits {
+		if p.stats.hits[i].n.Load() > 0 {
+			stripes++
 		}
-		st := p.stats.snapshot()
-		if st.PageHits != k || st.PageMisses != pages {
-			t.Errorf("readOnly=%v: hits = %d, misses = %d; want %d and %d", readOnly, st.PageHits, st.PageMisses, k, pages)
+	}
+	if stripes < 2 {
+		t.Errorf("hits landed on %d stripe(s); the counters are not striped", stripes)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := p.read(fileVertices, 7*pageSize, buf[:]); err != nil {
+			t.Fatal(err)
 		}
-		stripes := 0
-		for i := range p.stats.hits {
-			if p.stats.hits[i].n.Load() > 0 {
-				stripes++
-			}
-		}
-		if stripes < 2 {
-			t.Errorf("readOnly=%v: hits landed on %d stripe(s); the counters are not striped", readOnly, stripes)
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := p.read(fileVertices, 7*pageSize, buf[:]); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("readOnly=%v: %.1f allocations per hit, want 0", readOnly, allocs)
-		}
-		p.stats.reset()
-		if st := p.stats.snapshot(); st != (storage.Stats{}) {
-			t.Errorf("readOnly=%v: stats after reset = %+v", readOnly, st)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per hit, want 0", allocs)
+	}
+	p.stats.reset()
+	if st := p.stats.snapshot(); st != (storage.Stats{}) {
+		t.Errorf("stats after reset = %+v", st)
 	}
 }
 
 // BenchmarkPagerHitParallel measures the hit path: every goroutine reads
-// 8-byte records from pages of a fully resident read-only pager, so each
-// op is exactly one hit (frame-table load, pin, copy, unpin).
+// 8-byte records from pages of a fully resident pager, so each op is
+// exactly one hit (frame-table load, pin, copy, unpin).
 func BenchmarkPagerHitParallel(b *testing.B) {
 	const pageSize, pages = 8192, 64
 	p, _ := newTestPager(b, pageSize, 4*pages, stampedPages(pageSize, pages, 0))
@@ -304,7 +268,6 @@ func BenchmarkPagerHitParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	p.readOnly = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -421,7 +384,8 @@ func TestPagerMissPathDoesNotAllocate(t *testing.T) {
 
 // TestPagerRecycledFrameIsClean: a recycled frame shows its new page and
 // nothing of the previous tenant — bytes past a short read and whole
-// pages past the logical size read as zero, as a fresh buffer's would.
+// pages past the file's end read as zero, as a fresh buffer's would. The
+// file is written before the pager opens, as a generation's files are.
 func TestPagerRecycledFrameIsClean(t *testing.T) {
 	const pageSize, full, tail = 256, 10, 100
 	content := bytes.Repeat([]byte{0xFF}, full*pageSize+tail)
@@ -464,23 +428,13 @@ func TestPagerRecycledFrameIsClean(t *testing.T) {
 	if !recycled(full) {
 		t.Error("short page was not served from a recycled frame; the test lost its teeth")
 	}
-	// (b) a page wholly past the logical size, read and then written to
-	// (the build path's first touch of a new page).
+	// (b) pages wholly past the file's end.
 	for _, pg := range []int64{full + 2, full + 3} {
-		if pg == full+3 {
-			if err := p.write(fileVertices, pg*pageSize+8, []byte{1, 2, 3}); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if err := p.read(fileVertices, pg*pageSize, buf); err != nil {
 			t.Fatal(err)
 		}
-		want := make([]byte, pageSize)
-		if pg == full+3 {
-			copy(want[8:], []byte{1, 2, 3})
-		}
-		if !bytes.Equal(buf, want) {
-			t.Errorf("page %d past the logical size = % x..., want only what was written to it", pg, buf[:16])
+		if j := firstByteNot(buf, 0); j >= 0 {
+			t.Errorf("page %d past the file's end: byte %d = %#x, want 0", pg, j, buf[j])
 		}
 		if !recycled(pg) {
 			t.Errorf("page %d was not served from a recycled frame; the test lost its teeth", pg)
@@ -490,8 +444,8 @@ func TestPagerRecycledFrameIsClean(t *testing.T) {
 
 // TestPagerFailedLoadReachesHitAndLoader: a page load that fails reports
 // "diskstore: read page" to the goroutine that ran it and to every
-// goroutine that found the frame in the table meanwhile (they check
-// loadErr under the one latch they take to copy), the frame is dropped,
+// goroutine that found the frame in the table meanwhile (they wait out
+// the load on the latch and then check loadErr), the frame is dropped,
 // and a fetch after the fault clears reads the page again.
 func TestPagerFailedLoadReachesHitAndLoader(t *testing.T) {
 	const pageSize = 256
@@ -549,9 +503,6 @@ func TestPagerFailedLoadReachesHitAndLoader(t *testing.T) {
 	if j := firstByteNot(buf, 0x11); j >= 0 {
 		t.Errorf("failed hit copied frame bytes out (byte %d = %#x)", j, buf[j])
 	}
-	if err := p.write(fileVertices, 5*pageSize, []byte{1}); !isLoadErr(err) {
-		t.Errorf("write to a frame whose load failed: err = %v, want the loader's error", err)
-	}
 	sh.mu.Lock()
 	delete(sh.table, key)
 	sh.removeFromClock(fr)
@@ -574,22 +525,5 @@ func TestPagerFailedLoadReachesHitAndLoader(t *testing.T) {
 	}
 	if got := p.stats.snapshot().PageReads - reads; got != 2 {
 		t.Errorf("%d physical reads after the fault cleared, want 2 (the failed frames were not cached)", got)
-	}
-}
-
-// TestPagerDirtyEvictionRoundTrip forces dirty pages out through the clock
-// sweep (not flush) and checks the data survives: write-back on eviction
-// works.
-func TestPagerDirtyEvictionRoundTrip(t *testing.T) {
-	s := newTestStore(t, Options{PageSize: 256, CachePages: 4})
-	// Build enough state that building itself overflows 4 pages many
-	// times over, evicting dirty pages mid-build.
-	if _, err := storetest.BuildRandom(s, 5, 120, 300); err != nil {
-		t.Fatal(err)
-	}
-	got := storetest.Fingerprint(s)
-	want := newMemReference(t, 5, 120, 300)
-	if got != want {
-		t.Error("state diverged after dirty evictions (write-back broken)")
 	}
 }

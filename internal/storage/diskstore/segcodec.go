@@ -119,12 +119,13 @@ func decodeInSeg(data []byte, fn func(storage.EID, storage.VID) bool) bool {
 	return true
 }
 
-// forEachCompressed is forEachBase on a compressed epoch: walk the
-// vertex's degree chain, decode the matching type's segment (every
-// type's, for untyped traversals — the chain is in ascending type
-// order, so untyped out-walks still see edges in EID order). Reports
-// whether iteration ran to completion.
-func (ep *epoch) forEachCompressed(rec vertexRec, etype storage.SymbolID, out bool, fn func(storage.EID, storage.VID) bool) bool {
+// forEachSegment iterates a base vertex's adjacency in one direction:
+// walk its degree chain, decode the matching type's segment (every
+// type's, for untyped traversals — the chain is in ascending type order,
+// so untyped out-walks still see edges in EID order). Reports whether
+// iteration ran to completion (false = fn stopped it or a read failed),
+// so a caller knows whether to continue into the delta.
+func (ep *epoch) forEachSegment(rec vertexRec, etype storage.SymbolID, out bool, fn func(storage.EID, storage.VID) bool) bool {
 	sc := segScratch.Get().(*[]byte)
 	defer segScratch.Put(sc)
 	for d := rec.firstDeg; d != 0; {
@@ -163,22 +164,19 @@ func (ep *epoch) forEachCompressed(rec vertexRec, etype storage.SymbolID, out bo
 }
 
 // forEachEdgeLite enumerates every base edge as a (src, dst, type)
-// triple in EID order, reading whichever state the epoch is in —
-// build-mode 64-byte records, or finalized segments via the degree chain
-// (vertex order x ascending type x ascending dst is exactly EID order
-// under Finalize's sort). writeGeneration gathers the base's edges
-// through this, so it cannot misread segments as records.
+// triple in EID order: from the segments via the degree chain (vertex
+// order x ascending type x ascending dst is exactly EID order under
+// writeGeneration's sort), or, on a legacy epoch, from its 64-byte edge
+// records. writeGeneration gathers the base's edges through this, so it
+// cannot misread records as segments.
 func (ep *epoch) forEachEdgeLite(fn func(edgeLite) error) error {
-	if !ep.compressed {
+	if ep.legacy {
 		for e := int64(0); e < ep.numEdges; e++ {
-			er, err := ep.readEdge(storage.EID(e))
+			el, err := ep.readEdge(storage.EID(e))
 			if err != nil {
 				return fmt.Errorf("read edge %d: %w", e, err)
 			}
-			if !er.inUse {
-				return fmt.Errorf("edge %d not in use", e)
-			}
-			if err := fn(edgeLite{src: er.src, dst: er.dst, typeID: er.typeID}); err != nil {
+			if err := fn(el); err != nil {
 				return err
 			}
 		}

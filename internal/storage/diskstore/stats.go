@@ -12,9 +12,9 @@ import (
 // LabelCounts returns the exact number of vertices per label, including
 // any live delta beyond the base.
 func (s *Store) LabelCounts() map[string]int {
-	s.symRLock()
+	s.symMu.RLock()
 	labels := append([]string(nil), s.labels...)
-	s.symRUnlock()
+	s.symMu.RUnlock()
 	out := make(map[string]int, len(labels))
 	for _, l := range labels {
 		out[l] = s.CountLabel(l)
@@ -26,15 +26,15 @@ func (s *Store) LabelCounts() map[string]int {
 // statistics block. Live delta edges accumulated since the last
 // Finalize/Compact are not broken down by type, so counts lag the base
 // by at most the delta size; nil means the base carries no statistics
-// (unfinalized build-mode store, or a torn index file).
+// (a store with no generation written yet, or a torn index file).
 func (s *Store) EdgeTypeCounts() map[string]int {
 	ep := s.curEp()
 	if !ep.statsValid {
 		return nil
 	}
-	s.symRLock()
+	s.symMu.RLock()
 	types := append([]string(nil), s.types...)
-	s.symRUnlock()
+	s.symMu.RUnlock()
 	out := make(map[string]int, len(ep.typeCounts))
 	for i, c := range ep.typeCounts {
 		if i < len(types) {
@@ -59,7 +59,7 @@ func (s *Store) MayHaveProp(label, key string, val graph.Value) bool {
 		return false
 	}
 	ep := s.curEp()
-	if s.liveMode.Load() && s.delta.statsDirty() {
+	if s.delta.statsDirty() {
 		return true
 	}
 	if ep != s.curEp() {

@@ -18,6 +18,7 @@ package diskstore
 
 import (
 	"os"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -26,39 +27,34 @@ import (
 )
 
 // view is one consistent read context: an epoch (pinned by the caller
-// for the duration of use unless the store is in exclusive build mode)
-// and the delta window visible on top of it. nV/nE are the view's total
-// vertex/edge counts; -1 means dynamic (a current-epoch view tracks the
-// delta as it grows), a fixed value means a frozen snapshot.
+// for the duration of use) and the delta window visible on top of it.
+// nV/nE are the view's total vertex/edge counts; -1 means dynamic (a
+// current-epoch view tracks the delta as it grows), a fixed value means a
+// frozen snapshot.
 type view struct {
-	s    *Store
-	ep   *epoch
-	w    vis
-	live bool
-	nV   int64
-	nE   int64
+	s  *Store
+	ep *epoch
+	w  vis
+	nV int64
+	nE int64
 }
 
 // acquire pins the current epoch and returns a dynamic view of it. Pair
 // with release.
 func (s *Store) acquire() view {
-	if !s.liveMode.Load() {
-		// Exclusive build mode: one epoch, no folds, delta invisible.
-		return view{s: s, ep: s.cur, nV: -1, nE: -1}
-	}
 	s.epMu.RLock()
 	ep := s.cur
 	ep.pins.Add(1)
 	s.epMu.RUnlock()
 	return view{
-		s: s, ep: ep, live: true,
+		s: s, ep: ep,
 		w:  vis{baseVerts: ep.numVertices, baseEdges: ep.numEdges, baseSeq: ep.baseSeq, maxSeq: ^uint64(0)},
 		nV: -1, nE: -1,
 	}
 }
 
 func (s *Store) release(vw view) {
-	if vw.live && vw.ep.pins.Add(-1) == 0 {
+	if vw.ep.pins.Add(-1) == 0 {
 		s.reclaimEpoch(vw.ep)
 	}
 }
@@ -89,9 +85,6 @@ func (s *Store) reclaimEpoch(ep *epoch) {
 // delta VIDs continue the base range with no holes inside a consistent
 // view).
 func (vw view) NumVertices() int {
-	if !vw.live {
-		return int(vw.ep.numVertices)
-	}
 	if vw.nV >= 0 {
 		return int(vw.nV)
 	}
@@ -102,9 +95,6 @@ func (vw view) NumVertices() int {
 
 // NumEdges is the view's total edge count (base plus visible delta).
 func (vw view) NumEdges() int {
-	if !vw.live {
-		return int(vw.ep.numEdges)
-	}
 	if vw.nE >= 0 {
 		return int(vw.nE)
 	}
@@ -114,9 +104,6 @@ func (vw view) NumEdges() int {
 // deltaEdges is the number of delta edges visible in the view — a cheap
 // "can I skip the delta merge" hint for traversals.
 func (vw view) deltaEdges() int64 {
-	if !vw.live {
-		return 0
-	}
 	return int64(vw.NumEdges()) - vw.ep.numEdges
 }
 
@@ -139,11 +126,7 @@ func (vw view) CountLabelID(label storage.SymbolID) int {
 	if label < 0 {
 		return 0
 	}
-	n := len(vw.ep.byLabel[int(label)])
-	if vw.live {
-		n += vw.s.delta.labelCount(int(label), vw.w)
-	}
-	return n
+	return len(vw.ep.byLabel[int(label)]) + vw.s.delta.labelCount(int(label), vw.w)
 }
 
 // ForEachVertexID scans the base index first, then the visible delta
@@ -166,11 +149,9 @@ func (vw view) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool
 			return
 		}
 	}
-	if vw.live {
-		for _, v := range vw.s.delta.labelVIDs(int(label), vw.w) {
-			if !fn(v) {
-				return
-			}
+	for _, v := range vw.s.delta.labelVIDs(int(label), vw.w) {
+		if !fn(v) {
+			return
 		}
 	}
 }
@@ -207,10 +188,7 @@ func (vw view) PlanVertexScan(label storage.SymbolID, parts int) []storage.Verte
 		return nil
 	}
 	base := vw.ep.byLabel[int(label)]
-	var delta []storage.VID
-	if vw.live {
-		delta = vw.s.delta.labelVIDs(int(label), vw.w)
-	}
+	delta := vw.s.delta.labelVIDs(int(label), vw.w)
 	// Split the virtual concatenation base ++ delta so partition sizes
 	// stay even regardless of how much of the label lives in the delta.
 	ranges := storage.SplitRange(len(base)+len(delta), parts)
@@ -239,17 +217,12 @@ func (vw view) PlanVertexScan(label storage.SymbolID, parts int) []storage.Verte
 	return scans
 }
 
-// HasLabelID answers from memory on a live view: the epoch's membership
-// bitmap for base vertices, else the delta (delta vertices, and labels
-// added live to base vertices). Build mode has no bitmap — the single
-// writer is still changing labels — and reads the vertex record.
+// HasLabelID answers from memory: the epoch's membership bitmap for base
+// vertices, else the delta (delta vertices, and labels added live to base
+// vertices).
 func (vw view) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	if label < 0 || !vw.checkV(v) {
 		return false
-	}
-	if !vw.live {
-		rec, err := vw.ep.readVertex(v)
-		return err == nil && rec.labels[label/64]&(1<<uint(label%64)) != 0
 	}
 	if int64(v) < vw.ep.numVertices && vw.ep.hasLabelBit(v, label) {
 		return true
@@ -263,18 +236,14 @@ func (vw view) Labels(v storage.VID) []string {
 	if !vw.checkV(v) {
 		return nil
 	}
-	if vw.live && int64(v) >= vw.ep.numVertices {
+	if int64(v) >= vw.ep.numVertices {
 		return vw.s.labelNames(vw.s.delta.vertexLabelIDs(v, vw.w))
 	}
 	rec, err := vw.ep.readVertex(v)
 	if err != nil {
 		return nil
 	}
-	ids := labelBitsToIDs(rec.labels)
-	if vw.live {
-		ids = append(ids, vw.s.delta.labelAddIDs(v, vw.w)...)
-	}
-	return vw.s.labelNames(ids)
+	return vw.s.labelNames(append(labelBitsToIDs(rec.labels), vw.s.delta.labelAddIDs(v, vw.w)...))
 }
 
 // PropID returns the property value visible in the view. Delta-side
@@ -285,13 +254,11 @@ func (vw view) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	if key < 0 || !vw.checkV(v) {
 		return graph.Null, false
 	}
-	if vw.live {
-		if int64(v) >= vw.ep.numVertices {
-			return vw.s.delta.prop(v, int(key), vw.w)
-		}
-		if val, ok := vw.s.delta.prop(v, int(key), vw.w); ok {
-			return val, true
-		}
+	if int64(v) >= vw.ep.numVertices {
+		return vw.s.delta.prop(v, int(key), vw.w)
+	}
+	if val, ok := vw.s.delta.prop(v, int(key), vw.w); ok {
+		return val, true
 	}
 	rec, err := vw.ep.readVertex(v)
 	if err != nil {
@@ -329,7 +296,7 @@ func (vw view) PropKeys(v storage.VID) []string {
 		return nil
 	}
 	var ids []int
-	if !vw.live || int64(v) < vw.ep.numVertices {
+	if int64(v) < vw.ep.numVertices {
 		rec, err := vw.ep.readVertex(v)
 		if err != nil {
 			return nil
@@ -343,18 +310,9 @@ func (vw view) PropKeys(v storage.VID) []string {
 			p = pr.next
 		}
 	}
-	if vw.live {
-		for _, id := range vw.s.delta.propKeyIDs(v, vw.w) {
-			dup := false
-			for _, have := range ids {
-				if have == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				ids = append(ids, id)
-			}
+	for _, id := range vw.s.delta.propKeyIDs(v, vw.w) {
+		if !slices.Contains(ids, id) {
+			ids = append(ids, id)
 		}
 	}
 	return vw.s.keyNames(ids)
@@ -364,15 +322,12 @@ func (vw view) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn fun
 	if !vw.checkV(v) || etype == storage.NoSymbol {
 		return
 	}
-	if !vw.live {
-		vw.ep.forEachBase(v, etype, out, fn)
-		return
-	}
-	// Live merge: base edges first — on the segment fast path, untouched
-	// by live writes — then the vertex's visible delta adjacency. Delta
-	// vertices have no base records at all.
+	// Base edges first — on the segment fast path, untouched by live
+	// writes — then the vertex's visible delta adjacency. Delta vertices
+	// have no base records at all.
 	if int64(v) < vw.ep.numVertices {
-		if !vw.ep.forEachBase(v, etype, out, fn) {
+		rec, err := vw.ep.readVertex(v)
+		if err != nil || !vw.ep.forEachSegment(rec, etype, out, fn) {
 			return
 		}
 	}
@@ -406,12 +361,9 @@ func (vw view) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	if !vw.checkV(v) || etype == storage.NoSymbol {
 		return 0
 	}
-	deltaN := 0
-	if vw.live {
-		if int64(v) >= vw.ep.numVertices {
-			return vw.s.delta.degree(v, etype, out, vw.w) // delta vertex: no base records
-		}
-		deltaN = vw.s.delta.degree(v, etype, out, vw.w)
+	deltaN := vw.s.delta.degree(v, etype, out, vw.w)
+	if int64(v) >= vw.ep.numVertices {
+		return deltaN // delta vertex: no base records
 	}
 	ep := vw.ep
 	rec, err := ep.readVertex(v)
@@ -440,47 +392,6 @@ func (vw view) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	return deltaN
 }
 
-// ---- base-only iteration (per epoch) ----
-
-// forEachBase iterates v's base-file adjacency only, reporting whether
-// iteration ran to completion (false = fn stopped it or a read failed),
-// so a live caller knows whether to continue into the delta.
-func (ep *epoch) forEachBase(v storage.VID, etype storage.SymbolID, out bool, fn func(storage.EID, storage.VID) bool) bool {
-	rec, err := ep.readVertex(v)
-	if err != nil {
-		return false
-	}
-	if ep.compressed {
-		// A finalized epoch has no edge records at all — every traversal,
-		// typed or not, decodes varint segments.
-		return ep.forEachCompressed(rec, etype, out, fn)
-	}
-	// Build mode: walk the vertex's edge-record chain, filtering by type.
-	p := rec.firstOut
-	if !out {
-		p = rec.firstIn
-	}
-	for p != 0 {
-		er, err := ep.readEdge(storage.EID(p - 1))
-		if err != nil {
-			return false
-		}
-		other := storage.VID(er.dst)
-		next := er.nextOut
-		if !out {
-			other = storage.VID(er.src)
-			next = er.nextIn
-		}
-		if etype == storage.AnySymbol || er.typeID == uint32(etype) {
-			if !fn(storage.EID(p-1), other) {
-				return false
-			}
-		}
-		p = next
-	}
-	return true
-}
-
 // ---- symbol resolution (store-wide: symbols are append-only, so IDs
 // resolved through any epoch or snapshot stay consistent) ----
 
@@ -497,9 +408,9 @@ func (s *Store) resolveSym(name string, ids map[string]int) storage.SymbolID {
 	if name == "" {
 		return storage.AnySymbol
 	}
-	s.symRLock()
+	s.symMu.RLock()
 	id, ok := ids[name]
-	s.symRUnlock()
+	s.symMu.RUnlock()
 	if ok {
 		return storage.SymbolID(id)
 	}
@@ -508,23 +419,23 @@ func (s *Store) resolveSym(name string, ids map[string]int) storage.SymbolID {
 
 // labelNames/keyNames map IDs back to sorted strings.
 func (s *Store) labelNames(ids []int) []string {
-	s.symRLock()
+	s.symMu.RLock()
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, s.labels[id])
 	}
-	s.symRUnlock()
+	s.symMu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 func (s *Store) keyNames(ids []int) []string {
-	s.symRLock()
+	s.symMu.RLock()
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, s.keys[id])
 	}
-	s.symRUnlock()
+	s.symMu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -656,11 +567,6 @@ func newSnap(vw view) *Snap {
 // reads are not.
 func (s *Store) AcquireSnapshot() storage.Snapshot {
 	s.pinnedSnaps.Add(1)
-	if !s.liveMode.Load() {
-		// Exclusive build mode: no concurrent mutation by contract, so
-		// the store itself is the snapshot.
-		return newSnap(view{s: s, ep: s.cur, nV: -1, nE: -1})
-	}
 	s.epMu.RLock()
 	ep := s.cur
 	ep.pins.Add(1)
@@ -679,7 +585,7 @@ func (s *Store) AcquireSnapshot() storage.Snapshot {
 	}
 	nv, ne := s.delta.counts(w)
 	return newSnap(view{
-		s: s, ep: ep, w: w, live: true,
+		s: s, ep: ep, w: w,
 		nV: ep.numVertices + nv,
 		nE: ep.numEdges + ne,
 	})

@@ -279,9 +279,9 @@ type MutationResult struct {
 	Edges    []EID
 }
 
-// ErrNotLive is returned by ApplyMutations when the store does not accept
-// durable live writes in its current state (e.g. a diskstore that has not
-// been finalized yet).
+// ErrNotLive is returned by ApplyMutations while a bulk load is pending
+// (see BatchBuilder): the store accepts durable live writes again once
+// Finalize has committed the load.
 var ErrNotLive = errors.New("storage: store is not in live-write mode")
 
 // ErrCompactInProgress is returned by Compact when another compaction is
@@ -362,9 +362,9 @@ type LiveStats struct {
 	PinnedSnapshots int64
 	// Compactions counts folds committed since open.
 	Compactions int64
-	// Compressed reports that the base adjacency is finalized into
+	// Compressed reports that the base adjacency is stored as
 	// delta-varint segments (diskstore); EdgeBytes is their logical size in
-	// bytes (0 when not — the base still holds build-mode edge records).
+	// bytes.
 	Compressed bool
 	EdgeBytes  int64
 }
@@ -382,7 +382,6 @@ type Stats struct {
 	PageHits   int64
 	PageMisses int64
 	PageReads  int64 // physical page reads from disk
-	PageWrites int64 // physical page writes to disk
 }
 
 // StatsReporter is implemented by backends that track I/O statistics.
