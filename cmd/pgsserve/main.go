@@ -22,11 +22,11 @@
 // pgsquery's OPT side.
 //
 // POST /mutate accepts one durable mutation batch on a diskstore backend
-// in live-write mode: the batch is WAL-logged and fsynced before the 200,
-// so acknowledged writes survive a crash (see the server package for the
-// request shape). /stats reports the live-write gauges — delta segment
-// sizes, WAL fsync counts and mean latency — next to the pager and
-// admission numbers.
+// (one ApplyMutations call): the batch is WAL-logged and fsynced before
+// the 200, so acknowledged writes survive a crash (see the server package
+// for the request shape). /stats reports the live-write gauges — delta
+// segment sizes, WAL fsync counts and mean latency — next to the pager
+// and admission numbers.
 //
 // Observability: GET /metrics serves the same registry as /stats in
 // Prometheus text exposition format; every response carries an

@@ -69,7 +69,7 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// the refuse-then-Upgrade path for legacy stores must stay
 			// documented alongside the code that implements them.
 			"index.db", "segmented", "Compact", "Finalize",
-			"BulkLoader", "BatchBuilder", "writeFileAtomic", "commit point",
+			"ErrFinalized", "BulkVertex.Props", "writeFileAtomic", "commit point",
 			"Format v5", "delta-varint", "uvarint", "firstOutEID",
 			"bytes-per-edge", "Options.Mmap", "never goes stale",
 			"PGSIDX05", "bloom", "MayHaveProp", "EdgeTypeCounts",

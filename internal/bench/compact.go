@@ -117,7 +117,7 @@ func CompactLatency(dir string, nV, nE, readers int, seed int64) (*CompactReport
 		return nil, err
 	}
 	defer s.Close()
-	if _, err := storetest.BuildRandomBulk(s, seed, nV, nE, 1024); err != nil {
+	if _, err := storetest.BuildRandom(s, seed, nV, nE); err != nil {
 		return nil, err
 	}
 	if !s.Live() {

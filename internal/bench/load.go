@@ -96,7 +96,7 @@ func ColdOpen(env *Env) ([]ColdOpenResult, error) {
 
 // BulkLoadResult is one timed load of the environment's dataset.
 type BulkLoadResult struct {
-	// Mode is "bulk": the native BatchBuilder pipeline with one finalize.
+	// Mode is "bulk": the storage.Builder batches with one Finalize.
 	Mode     string
 	Backend  Backend
 	Ms       float64

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -86,8 +85,7 @@ type Graph struct {
 	sortedCache map[string][]prop // all props, sorted by name
 	scalarCache map[string][]prop // non-list props, sorted by name
 
-	orig   map[edge]bool // edges present in the original ontology
-	passes int
+	orig map[edge]bool // edges present in the original ontology
 
 	// version counts changes (props, incident edges, merges) per group
 	// root; rule applications memoize the versions they last ran against
@@ -345,7 +343,6 @@ func (g *Graph) Close() {
 				}
 			}
 		}
-		g.passes++
 		if !changed {
 			break
 		}
@@ -506,17 +503,4 @@ func (g *Graph) applyReplicate(e edge, near, far string, reverse bool) bool {
 		}
 	}
 	return changed
-}
-
-// DebugStats reports closure sizes; used by profiling tools.
-func (g *Graph) DebugStats() string {
-	groups := map[string]int{}
-	for _, c := range g.order {
-		groups[g.find(c)]++
-	}
-	nprops := 0
-	for _, pm := range g.props {
-		nprops += len(pm)
-	}
-	return fmt.Sprintf("edges=%d groups=%d props=%d passes=%d", len(g.edges), len(groups), nprops, g.passes)
 }

@@ -9,6 +9,7 @@ package loader
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -24,23 +25,26 @@ type instRef struct {
 	ordinal int
 }
 
+// loadBatch is how many vertices or edges one Builder batch carries.
+const loadBatch = 4096
+
 // Load populates the builder with the dataset under the mapping and
 // returns the number of vertices and edges created.
 //
-// Everything streams through a storage.BulkLoader and ends in one
-// Finalize. On diskstore that makes the whole load one bulk load: the
-// vertices, edges and properties gather in memory and the Finalize writes
-// them as the store's first generation — adjacency type-segmented, each
-// vertex's properties one run. On memstore the batches are plain
-// in-memory writes. Scalar properties are written before the replicated
-// lists, so their keys intern first and lead each vertex's property run
-// (see step 4).
+// It writes through the one bulk-write contract: vertex batches that carry
+// each vertex's labels and properties, then edge batches, then one
+// Finalize. On diskstore that makes the whole load one bulk load: it
+// gathers in memory and the Finalize writes it as the store's first
+// generation — adjacency type-segmented, each vertex's properties one run
+// in key-ID order. Keys intern in the order vertices carry them, each
+// vertex's scalars before its lists, so a vertex's scalars lead its run
+// unless an earlier vertex interned one of its list keys first (see
+// step 4).
 func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, edges int, err error) {
 	if m == nil {
 		m = &core.Mapping{}
 	}
 	o := ds.Ontology
-	bl := storage.NewBulkLoader(b, 0)
 
 	// 1. Union-find over instances, seeded by the mapping's merges.
 	uf := newInstanceUF()
@@ -56,106 +60,45 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 		}
 	}
 
-	// 2. One vertex per merge group, in deterministic order. byLabel
-	// records each label's vertices in VID order for step 5.
-	vertexOf := map[instRef]storage.VID{}
-	byLabel := map[string][]storage.VID{}
-	conceptNames := make([]string, 0, len(o.Concepts))
-	for _, c := range o.Concepts {
-		conceptNames = append(conceptNames, c.Name)
-	}
+	// 2. One vertex per merge group, in deterministic order: group i gets
+	// VID first+i, where first is the store's vertex count. byLabel
+	// records each label's vertices in VID order for step 3.
+	first := storage.VID(b.NumVertices())
 	groups := map[instRef][]instRef{}
-	for _, cn := range conceptNames {
-		for ord := range ds.Extents[cn] {
-			ref := instRef{cn, ord}
+	for _, c := range o.Concepts {
+		for ord := range ds.Extents[c.Name] {
+			ref := instRef{c.Name, ord}
 			root := uf.find(ref)
 			groups[root] = append(groups[root], ref)
 		}
 	}
-	var roots []instRef
+	roots := make([]instRef, 0, len(groups))
 	for root := range groups {
 		roots = append(roots, root)
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		if roots[i].concept != roots[j].concept {
-			return roots[i].concept < roots[j].concept
-		}
-		return roots[i].ordinal < roots[j].ordinal
-	})
-	for _, root := range roots {
+	sort.Slice(roots, func(i, j int) bool { return less(roots[i], roots[j]) })
+	vertexOf := map[instRef]storage.VID{}
+	byLabel := map[string][]storage.VID{}
+	labelsOf := make([][]string, len(roots))
+	for i, root := range roots {
 		members := groups[root]
-		sort.Slice(members, func(i, j int) bool {
-			if members[i].concept != members[j].concept {
-				return members[i].concept < members[j].concept
-			}
-			return members[i].ordinal < members[j].ordinal
-		})
-		labels := make([]string, 0, len(members))
-		seen := map[string]bool{}
-		for _, ref := range members {
-			if !seen[ref.concept] {
-				seen[ref.concept] = true
-				labels = append(labels, ref.concept)
-			}
-		}
-		v, err := bl.AddVertex(labels...)
-		if err != nil {
-			return 0, 0, err
-		}
-		vertices++
+		sort.Slice(members, func(i, j int) bool { return less(members[i], members[j]) })
+		v := first + storage.VID(i)
 		for _, ref := range members {
 			vertexOf[ref] = v
-		}
-		for _, l := range labels {
-			byLabel[l] = append(byLabel[l], v)
-		}
-	}
-
-	// 3. Edges for every non-collapsed relationship. Inheritance and
-	// union links materialize child→parent / member→union facet edges
-	// (the paper's Figure 1(b) DIR layout).
-	for _, r := range o.Relationships {
-		if mergedRels[r.Key()] {
-			continue
-		}
-		src, dst := r.Src, r.Dst
-		reversed := r.Type == ontology.Inheritance || r.Type == ontology.Union
-		for _, l := range ds.Links[r.Key()] {
-			sv := vertexOf[instRef{src, l.Src}]
-			dv := vertexOf[instRef{dst, l.Dst}]
-			if reversed {
-				sv, dv = dv, sv
-			}
-			if err := bl.AddEdge(sv, dv, r.Name); err != nil {
-				return 0, 0, err
-			}
-			edges++
-		}
-	}
-
-	// 4. Scalar instance properties. They go in before the replicated
-	// lists so their keys intern first: a generation stores each vertex's
-	// properties in key-ID order, and point lookups find the scalars at
-	// the head of the run.
-	for _, root := range roots {
-		for _, ref := range groups[root] {
-			v := vertexOf[ref]
-			inst := ds.Extents[ref.concept][ref.ordinal]
-			keys := make([]string, 0, len(inst.Props))
-			for k := range inst.Props {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				if err := bl.SetProp(v, k, inst.Props[k]); err != nil {
-					return 0, 0, err
-				}
+			if !slices.Contains(labelsOf[i], ref.concept) {
+				labelsOf[i] = append(labelsOf[i], ref.concept)
+				byLabel[ref.concept] = append(byLabel[ref.concept], v)
 			}
 		}
 	}
 
-	// 5. Replicated list properties. Values are collected directly from
-	// the dataset links so they are exact regardless of merges.
+	// 3. Replicated list properties, per carrier vertex in mapping order.
+	// Values are collected directly from the dataset links so they are
+	// exact regardless of merges. Every carrier vertex gets the property,
+	// empty list included, so size() is 0 rather than NULL on childless
+	// vertices.
+	lists := make([][]storage.BulkProp, len(roots))
 	for _, lp := range m.ListProps {
 		r := relByKey(o, lp.RelKey)
 		if r == nil {
@@ -174,19 +117,84 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 				values[cv] = append(values[cv], val)
 			}
 		}
-		// Every carrier vertex gets the property, empty list included,
-		// so size() is 0 rather than NULL on childless vertices.
 		for _, v := range byLabel[lp.Carrier] {
-			if err := bl.SetProp(v, lp.Key, graph.L(values[v]...)); err != nil {
-				return 0, 0, err
-			}
+			i := v - first
+			lists[i] = append(lists[i], storage.BulkProp{Key: lp.Key, Value: graph.L(values[v]...)})
 		}
 	}
 
-	// One finalize flushes the batches and builds the deferred structures.
-	// On diskstore it writes and commits the first generation, after which
-	// the store accepts durable live mutations.
-	if err := bl.Finalize(); err != nil {
+	// 4. The vertices, each whole: its labels, then its members' scalar
+	// properties — members in (concept, ordinal) order, each member's keys
+	// sorted, so when merged members share a key the last one wins — then
+	// its lists. A store interns keys in that order, so its key IDs put a
+	// vertex's scalars before its lists unless an earlier vertex carried
+	// one of those list keys before this vertex's scalar key was first
+	// seen.
+	batch := make([]storage.BulkVertex, 0, min(len(roots), loadBatch))
+	for i, root := range roots {
+		var props []storage.BulkProp
+		for _, ref := range groups[root] {
+			inst := ds.Extents[ref.concept][ref.ordinal]
+			keys := make([]string, 0, len(inst.Props))
+			for k := range inst.Props {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				props = append(props, storage.BulkProp{Key: k, Value: inst.Props[k]})
+			}
+		}
+		batch = append(batch, storage.BulkVertex{Labels: labelsOf[i], Props: append(props, lists[i]...)})
+		if len(batch) == cap(batch) || i == len(roots)-1 {
+			got, err := b.AddVertexBatch(batch)
+			if err != nil {
+				return 0, 0, err
+			}
+			if want := first + storage.VID(i+1-len(batch)); got != want {
+				return 0, 0, fmt.Errorf("loader: batch vertex IDs start at %d, want %d", got, want)
+			}
+			batch = batch[:0]
+		}
+	}
+	vertices = len(roots)
+
+	// 5. Edges for every non-collapsed relationship. Inheritance and
+	// union links materialize child→parent / member→union facet edges
+	// (the paper's Figure 1(b) DIR layout).
+	ebatch := make([]storage.BulkEdge, 0, loadBatch)
+	for _, r := range o.Relationships {
+		if mergedRels[r.Key()] {
+			continue
+		}
+		src, dst := r.Src, r.Dst
+		reversed := r.Type == ontology.Inheritance || r.Type == ontology.Union
+		for _, l := range ds.Links[r.Key()] {
+			sv := vertexOf[instRef{src, l.Src}]
+			dv := vertexOf[instRef{dst, l.Dst}]
+			if reversed {
+				sv, dv = dv, sv
+			}
+			ebatch = append(ebatch, storage.BulkEdge{Src: sv, Dst: dv, Type: r.Name})
+			if len(ebatch) == loadBatch {
+				if err := b.AddEdgeBatch(ebatch); err != nil {
+					return 0, 0, err
+				}
+				edges += len(ebatch)
+				ebatch = ebatch[:0]
+			}
+		}
+	}
+	if len(ebatch) > 0 {
+		if err := b.AddEdgeBatch(ebatch); err != nil {
+			return 0, 0, err
+		}
+		edges += len(ebatch)
+	}
+
+	// One Finalize builds the deferred structures. On diskstore it writes
+	// and commits the first generation, after which the store accepts
+	// durable live mutations.
+	if err := b.Finalize(); err != nil {
 		return 0, 0, err
 	}
 	return vertices, edges, nil

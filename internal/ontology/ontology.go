@@ -241,17 +241,6 @@ func (o *Ontology) Rels(concept string) []*Relationship {
 	return rs
 }
 
-// RelsByType returns all relationships of the given type.
-func (o *Ontology) RelsByType(t RelType) []*Relationship {
-	var rs []*Relationship
-	for _, r := range o.Relationships {
-		if r.Type == t {
-			rs = append(rs, r)
-		}
-	}
-	return rs
-}
-
 // CountByType returns the number of relationships per type.
 func (o *Ontology) CountByType() map[RelType]int {
 	m := map[RelType]int{}

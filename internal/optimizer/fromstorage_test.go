@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ontology"
 	"repro/internal/storage/memstore"
+	"repro/internal/storage/storetest"
 )
 
 // skewStore builds a store whose edge-type counts are deliberately
@@ -13,22 +14,17 @@ import (
 // flip-test ontology's labels.
 func skewStore(t *testing.T, nTreat, nCause int) *memstore.Store {
 	t.Helper()
-	mem := memstore.New()
-	drug, err := mem.AddVertex("Drug")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var g storetest.Batch
+	drug := g.Vertex("Drug")
 	for i := 0; i < nTreat; i++ {
-		v, _ := mem.AddVertex("Indication")
-		if _, err := mem.AddEdge(drug, v, "treat"); err != nil {
-			t.Fatal(err)
-		}
+		g.Edge(drug, g.Vertex("Indication"), "treat")
 	}
 	for i := 0; i < nCause; i++ {
-		v, _ := mem.AddVertex("Risk")
-		if _, err := mem.AddEdge(drug, v, "cause"); err != nil {
-			t.Fatal(err)
-		}
+		g.Edge(drug, g.Vertex("Risk"), "cause")
+	}
+	mem := memstore.New()
+	if err := g.Load(mem); err != nil {
+		t.Fatal(err)
 	}
 	return mem
 }

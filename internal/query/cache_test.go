@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/storage"
 	"repro/internal/storage/memstore"
+	"repro/internal/storage/storetest"
 )
 
 func TestCacheHitsAndMisses(t *testing.T) {
@@ -100,17 +101,13 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheCrossGraphIsolation(t *testing.T) {
-	g1, g2 := memstore.New(), memstore.New()
+	g1 := memstore.New()
 	buildMedGraph(t, g1)
 	// g2 holds different data under the same labels, so a plan leak across
 	// graphs would produce visibly wrong rows (and wrong symbol IDs).
-	v, err := g2.AddVertex("Drug")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.SetProp(v, "name", graph.S("OnlyInG2")); err != nil {
-		t.Fatal(err)
-	}
+	var g storetest.Batch
+	g.Prop(g.Vertex("Drug"), "name", graph.S("OnlyInG2"))
+	g2 := loadMem(t, &g)
 
 	c := NewCache(8)
 	const src = `MATCH (d:Drug) RETURN d.name ORDER BY d.name`

@@ -11,23 +11,18 @@ import (
 	"repro/internal/graph"
 	"repro/internal/storage"
 	"repro/internal/storage/memstore"
+	"repro/internal/storage/storetest"
 )
 
 // buildWideGraph creates n Drug vertices so a cross-product query has
 // enough iterations (n*n) for the cancellation checkpoint to fire.
 func buildWideGraph(t *testing.T, n int) storage.Builder {
 	t.Helper()
-	mem := memstore.New()
+	var g storetest.Batch
 	for i := 0; i < n; i++ {
-		v, err := mem.AddVertex("Drug")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.SetProp(v, "name", graph.I(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		g.Prop(g.Vertex("Drug"), "name", graph.I(int64(i)))
 	}
-	return mem
+	return loadMem(t, &g)
 }
 
 // TestExecContext is the context contract at both ends of the Workers

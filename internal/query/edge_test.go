@@ -6,6 +6,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/storage"
 	"repro/internal/storage/memstore"
+	"repro/internal/storage/storetest"
 )
 
 // Additional executor edge cases beyond the main battery.
@@ -20,15 +21,14 @@ func TestLimitZero(t *testing.T) {
 }
 
 func TestOrderByNullsLast(t *testing.T) {
-	mem := memstore.New()
+	var g storetest.Batch
 	for i := 0; i < 3; i++ {
-		v, _ := mem.AddVertex("N")
+		v := g.Vertex("N")
 		if i != 1 { // leave one vertex without the property
-			if err := mem.SetProp(v, "x", graph.I(int64(i))); err != nil {
-				t.Fatal(err)
-			}
+			g.Prop(v, "x", graph.I(int64(i)))
 		}
 	}
+	mem := loadMem(t, &g)
 	res := mustRun(t, mem, `MATCH (n:N) RETURN n.x ORDER BY n.x`)
 	if !res.Rows[len(res.Rows)-1][0].IsNull() {
 		t.Errorf("NULL not sorted last: %v", res.Rows)
@@ -36,15 +36,14 @@ func TestOrderByNullsLast(t *testing.T) {
 }
 
 func TestCollectSkipsNulls(t *testing.T) {
-	mem := memstore.New()
+	var g storetest.Batch
 	for i := 0; i < 4; i++ {
-		v, _ := mem.AddVertex("N")
+		v := g.Vertex("N")
 		if i%2 == 0 {
-			if err := mem.SetProp(v, "x", graph.I(int64(i))); err != nil {
-				t.Fatal(err)
-			}
+			g.Prop(v, "x", graph.I(int64(i)))
 		}
 	}
+	mem := loadMem(t, &g)
 	res := mustRun(t, mem, `MATCH (n:N) RETURN size(COLLECT(n.x))`)
 	if res.Rows[0][0].Int() != 2 {
 		t.Errorf("COLLECT kept nulls: %v", res.Rows)
@@ -52,10 +51,9 @@ func TestCollectSkipsNulls(t *testing.T) {
 }
 
 func TestAvgOverEmptyGroupIsNull(t *testing.T) {
-	mem := memstore.New()
-	if _, err := mem.AddVertex("N"); err != nil {
-		t.Fatal(err)
-	}
+	var g storetest.Batch
+	g.Vertex("N")
+	mem := loadMem(t, &g)
 	res := mustRun(t, mem, `MATCH (n:N) RETURN AVG(n.absent)`)
 	if !res.Rows[0][0].IsNull() {
 		t.Errorf("AVG over no values = %v, want null", res.Rows[0][0])
@@ -63,11 +61,9 @@ func TestAvgOverEmptyGroupIsNull(t *testing.T) {
 }
 
 func TestSizeOfString(t *testing.T) {
-	mem := memstore.New()
-	v, _ := mem.AddVertex("N")
-	if err := mem.SetProp(v, "s", graph.S("hello")); err != nil {
-		t.Fatal(err)
-	}
+	var g storetest.Batch
+	g.Prop(g.Vertex("N"), "s", graph.S("hello"))
+	mem := loadMem(t, &g)
 	res := mustRun(t, mem, `MATCH (n:N) RETURN size(n.s)`)
 	if res.Rows[0][0].Int() != 5 {
 		t.Errorf("size(string) = %v", res.Rows[0][0])
@@ -77,11 +73,10 @@ func TestSizeOfString(t *testing.T) {
 func TestSelfLoopMatching(t *testing.T) {
 	// Merged graphs can contain self-loops; a two-node pattern may bind
 	// both variables to the same vertex (Cypher only forbids edge reuse).
-	mem := memstore.New()
-	v, _ := mem.AddVertex("N")
-	if _, err := mem.AddEdge(v, v, "r"); err != nil {
-		t.Fatal(err)
-	}
+	var g storetest.Batch
+	v := g.Vertex("N")
+	g.Edge(v, v, "r")
+	mem := loadMem(t, &g)
 	res := mustRun(t, mem, `MATCH (a:N)-[:r]->(b:N) RETURN COUNT(*)`)
 	if res.Rows[0][0].Int() != 1 {
 		t.Errorf("self-loop rows = %v", res.Rows[0][0])
@@ -89,14 +84,12 @@ func TestSelfLoopMatching(t *testing.T) {
 }
 
 func TestParallelEdgesProduceDistinctRows(t *testing.T) {
-	mem := memstore.New()
-	a, _ := mem.AddVertex("A")
-	b, _ := mem.AddVertex("B")
+	var g storetest.Batch
+	a, b := g.Vertex("A"), g.Vertex("B")
 	for i := 0; i < 3; i++ {
-		if _, err := mem.AddEdge(a, b, "r"); err != nil {
-			t.Fatal(err)
-		}
+		g.Edge(a, b, "r")
 	}
+	mem := loadMem(t, &g)
 	res := mustRun(t, mem, `MATCH (a:A)-[:r]->(b:B) RETURN COUNT(*)`)
 	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("parallel edges rows = %v, want 3", res.Rows[0][0])
@@ -104,15 +97,14 @@ func TestParallelEdgesProduceDistinctRows(t *testing.T) {
 }
 
 func TestGroupingByNullKey(t *testing.T) {
-	mem := memstore.New()
+	var g storetest.Batch
 	for i := 0; i < 3; i++ {
-		v, _ := mem.AddVertex("N")
+		v := g.Vertex("N")
 		if i == 0 {
-			if err := mem.SetProp(v, "g", graph.S("x")); err != nil {
-				t.Fatal(err)
-			}
+			g.Prop(v, "g", graph.S("x"))
 		}
 	}
+	mem := loadMem(t, &g)
 	res := mustRun(t, mem, `MATCH (n:N) RETURN n.g, COUNT(*)`)
 	if len(res.Rows) != 2 {
 		t.Fatalf("groups = %v", res.Rows)
@@ -127,21 +119,17 @@ func TestGroupingByNullKey(t *testing.T) {
 }
 
 func TestLongChainPattern(t *testing.T) {
-	mem := memstore.New()
+	var g storetest.Batch
 	const n = 6
 	ids := make([]storage.VID, n)
 	for i := range ids {
-		v, _ := mem.AddVertex("N")
-		if err := mem.SetProp(v, "i", graph.I(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = v
+		ids[i] = g.Vertex("N")
+		g.Prop(ids[i], "i", graph.I(int64(i)))
 	}
 	for i := 0; i+1 < n; i++ {
-		if _, err := mem.AddEdge(ids[i], ids[i+1], "next"); err != nil {
-			t.Fatal(err)
-		}
+		g.Edge(ids[i], ids[i+1], "next")
 	}
+	mem := loadMem(t, &g)
 	res := mustRun(t, mem,
 		`MATCH (a:N)-[:next]->(b:N)-[:next]->(c:N)-[:next]->(d:N)-[:next]->(e:N) RETURN a.i, e.i`)
 	if len(res.Rows) != 2 {

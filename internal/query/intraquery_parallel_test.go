@@ -20,6 +20,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
 	"repro/internal/storage/memstore"
+	"repro/internal/storage/storetest"
 )
 
 // buildPeopleGraph loads n Person vertices (every 11th also Admin) with
@@ -28,34 +29,28 @@ import (
 // patterns produce real fan-out.
 func buildPeopleGraph(t testing.TB, b storage.Builder, n int) {
 	t.Helper()
-	vids := make([]storage.VID, n)
+	mustLoad(t, b, peopleGraph(n))
+}
+
+// peopleGraph is the graph buildPeopleGraph loads.
+func peopleGraph(n int) *storetest.Batch {
+	var g storetest.Batch
 	for i := 0; i < n; i++ {
 		labels := []string{"Person"}
 		if i%11 == 0 {
 			labels = append(labels, "Admin")
 		}
-		v, err := b.AddVertex(labels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vids[i] = v
-		for k, val := range map[string]graph.Value{
-			"name": graph.S(fmt.Sprintf("p%05d", i)),
-			"age":  graph.I(int64(i % 13)),
-			"grp":  graph.S(fmt.Sprintf("g%d", i%7)),
-		} {
-			if err := b.SetProp(v, k, val); err != nil {
-				t.Fatal(err)
-			}
-		}
+		v := g.Vertex(labels...)
+		g.Prop(v, "name", graph.S(fmt.Sprintf("p%05d", i)))
+		g.Prop(v, "age", graph.I(int64(i%13)))
+		g.Prop(v, "grp", graph.S(fmt.Sprintf("g%d", i%7)))
 	}
 	for i := 0; i < n; i++ {
 		for _, j := range []int{(i*7 + 1) % n, (i*13 + 5) % n} {
-			if _, err := b.AddEdge(vids[i], vids[j], "knows"); err != nil {
-				t.Fatal(err)
-			}
+			g.Edge(storage.VID(i), storage.VID(j), "knows")
 		}
 	}
+	return &g
 }
 
 // intraShape is one entry of the parallel-vs-serial shape matrix.

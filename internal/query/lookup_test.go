@@ -18,19 +18,14 @@ import (
 // value kind: a DOUBLE holding whole numbers, a BOOL and a mixed list.
 func buildLookupGraph(t *testing.T, b storage.Builder, n int) {
 	t.Helper()
-	buildPeopleGraph(t, b, n)
+	g := peopleGraph(n)
 	for i := 0; i < n; i++ {
 		v := storage.VID(i)
-		for k, val := range map[string]graph.Value{
-			"score": graph.F(float64(i%5) * 0.5),
-			"flag":  graph.B(i%2 == 0),
-			"tags":  graph.L(graph.I(int64(i%3)), graph.S("t")),
-		} {
-			if err := b.SetProp(v, k, val); err != nil {
-				t.Fatal(err)
-			}
-		}
+		g.Prop(v, "score", graph.F(float64(i%5)*0.5))
+		g.Prop(v, "flag", graph.B(i%2 == 0))
+		g.Prop(v, "tags", graph.L(graph.I(int64(i%3)), graph.S("t")))
 	}
+	mustLoad(t, b, g)
 }
 
 // lookupShapes are property-rooted queries; lookupLists adds list-valued
@@ -127,18 +122,14 @@ func runProfiled(t *testing.T, g storage.Graph, q *cypher.Query, workers int) (*
 // TestLookupMatchesLabelScan: a property-rooted plan, whose root the store
 // serves through ForEachVertexByPropID, returns exactly the rows — order
 // included — of the same query filtering a label scan in WHERE, on every
-// backend state that answers the lookup differently: memstore before
-// Finalize (a filtered scan) and after (its value index), and a live
-// diskstore whose delta overrides base values and adds vertices.
+// backend state that answers the lookup differently: memstore (its value
+// index), and diskstore (a filtered label scan) as loaded and live, with a
+// delta that overrides base values and adds vertices.
 func TestLookupMatchesLabelScan(t *testing.T) {
 	const n = 300
 	t.Run("memstore", func(t *testing.T) {
 		s := memstore.New()
 		buildLookupGraph(t, s, n)
-		t.Run("unfinalized", func(t *testing.T) { checkLookupMatchesScan(t, s) })
-		if err := s.Finalize(); err != nil {
-			t.Fatal(err)
-		}
 		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, s) })
 	})
 	t.Run("diskstore", func(t *testing.T) {
@@ -148,33 +139,29 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 		}
 		defer s.Close()
 		buildLookupGraph(t, s, n)
-		if err := s.Finalize(); err != nil {
-			t.Fatal(err)
-		}
 		if !s.Live() {
 			t.Fatal("finalized diskstore did not enter live mode")
 		}
 		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, s) })
 		// Live writes: override base values the shapes look up, and add
 		// matching vertices past the base.
+		var muts []storage.Mutation
 		for i, w := range []struct {
 			key string
 			val graph.Value
 		}{{"grp", graph.S("g3")}, {"age", graph.I(5)}, {"score", graph.I(1)}, {"tags", lookupLists[0]}} {
-			if err := s.SetProp(storage.VID(i*7+1), w.key, w.val); err != nil {
-				t.Fatal(err)
-			}
+			muts = append(muts, storage.Mutation{Op: storage.MutSetProp, V: storage.VID(i*7 + 1), Key: w.key, Value: w.val})
 		}
 		for i := 0; i < 3; i++ {
-			v, err := s.AddVertex("Person")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, val := range map[string]graph.Value{"name": graph.S(fmt.Sprintf("late%d", i)), "grp": graph.S("g3"), "age": graph.F(5)} {
-				if err := s.SetProp(v, k, val); err != nil {
-					t.Fatal(err)
-				}
-			}
+			muts = append(muts,
+				storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"Person"}},
+				storage.Mutation{Op: storage.MutSetProp, V: storage.VID(-i - 1), Key: "name", Value: graph.S(fmt.Sprintf("late%d", i))},
+				storage.Mutation{Op: storage.MutSetProp, V: storage.VID(-i - 1), Key: "grp", Value: graph.S("g3")},
+				storage.Mutation{Op: storage.MutSetProp, V: storage.VID(-i - 1), Key: "age", Value: graph.F(5)},
+			)
+		}
+		if _, err := s.ApplyMutations(muts); err != nil {
+			t.Fatal(err)
 		}
 		t.Run("live", func(t *testing.T) { checkLookupMatchesScan(t, s) })
 	})

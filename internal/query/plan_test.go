@@ -7,6 +7,7 @@ import (
 	"repro/internal/cypher"
 	"repro/internal/storage"
 	"repro/internal/storage/memstore"
+	"repro/internal/storage/storetest"
 )
 
 func TestPreparedPlanIsReusable(t *testing.T) {
@@ -41,24 +42,18 @@ func TestPreparedPlanIsReusable(t *testing.T) {
 // buildTwoHopGraph wires fanout² two-hop paths: A -r-> 10×B -s-> 10×C per
 // B, giving fanout² complete bindings per A vertex.
 func buildTwoHopGraph(t testing.TB, mem *memstore.Store, fanout int) int {
-	a, err := mem.AddVertex("A")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var g storetest.Batch
+	a := g.Vertex("A")
 	bindings := 0
 	for i := 0; i < fanout; i++ {
-		bv, _ := mem.AddVertex("B")
-		if _, err := mem.AddEdge(a, bv, "r"); err != nil {
-			t.Fatal(err)
-		}
+		bv := g.Vertex("B")
+		g.Edge(a, bv, "r")
 		for j := 0; j < fanout; j++ {
-			cv, _ := mem.AddVertex("C")
-			if _, err := mem.AddEdge(bv, cv, "s"); err != nil {
-				t.Fatal(err)
-			}
+			g.Edge(bv, g.Vertex("C"), "s")
 			bindings++
 		}
 	}
+	mustLoad(t, mem, &g)
 	return bindings
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
 	"repro/internal/storage/memstore"
+	"repro/internal/storage/storetest"
 )
 
 // buildMedGraph creates the paper's Figure 1(b)-style direct-mapped graph:
@@ -20,25 +21,11 @@ import (
 //	drug2(Ibuprofen) -cause-> risk1(Risk) <-unionOf- ci1(ContraIndication)
 func buildMedGraph(t *testing.T, b storage.Builder) map[string]storage.VID {
 	t.Helper()
+	var g storetest.Batch
 	v := map[string]storage.VID{}
-	add := func(name string, labels ...string) storage.VID {
-		id, err := b.AddVertex(labels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v[name] = id
-		return id
-	}
-	set := func(name, key string, val graph.Value) {
-		if err := b.SetProp(v[name], key, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	edge := func(src, dst, etype string) {
-		if _, err := b.AddEdge(v[src], v[dst], etype); err != nil {
-			t.Fatal(err)
-		}
-	}
+	add := func(name string, labels ...string) { v[name] = g.Vertex(labels...) }
+	set := func(name, key string, val graph.Value) { g.Prop(v[name], key, val) }
+	edge := func(src, dst, etype string) { g.Edge(v[src], v[dst], etype) }
 	add("drug1", "Drug")
 	set("drug1", "name", graph.S("Aspirin"))
 	set("drug1", "brand", graph.S("Ecotrin"))
@@ -66,7 +53,25 @@ func buildMedGraph(t *testing.T, b storage.Builder) map[string]storage.VID {
 	edge("dli1", "di1", "isA")
 	edge("drug2", "risk1", "cause")
 	edge("ci1", "risk1", "unionOf")
+	mustLoad(t, b, &g)
 	return v
+}
+
+// mustLoad writes g into b, a store that holds nothing, as its one bulk
+// load.
+func mustLoad(t testing.TB, b storage.Builder, g *storetest.Batch) {
+	t.Helper()
+	if err := g.Load(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// loadMem loads g into a fresh memstore.
+func loadMem(t testing.TB, g *storetest.Batch) *memstore.Store {
+	t.Helper()
+	mem := memstore.New()
+	mustLoad(t, mem, g)
+	return mem
 }
 
 // forEachBackend runs the test body against both storage backends.
@@ -229,15 +234,11 @@ func TestCountStarOnEmptyMatch(t *testing.T) {
 
 func TestSumAvgMinMax(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b storage.Builder) {
+		var g storetest.Batch
 		for i := 1; i <= 4; i++ {
-			v, err := b.AddVertex("N")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.SetProp(v, "x", graph.I(int64(i))); err != nil {
-				t.Fatal(err)
-			}
+			g.Prop(g.Vertex("N"), "x", graph.I(int64(i)))
 		}
+		mustLoad(t, b, &g)
 		res := mustRun(t, b, `MATCH (n:N) RETURN SUM(n.x), AVG(n.x), MIN(n.x), MAX(n.x)`)
 		row := res.Rows[0]
 		if row[0].Int() != 10 || row[1].Float() != 2.5 || row[2].Int() != 1 || row[3].Int() != 4 {
@@ -248,15 +249,11 @@ func TestSumAvgMinMax(t *testing.T) {
 
 func TestCountDistinct(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b storage.Builder) {
+		var g storetest.Batch
 		for i := 0; i < 6; i++ {
-			v, err := b.AddVertex("N")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.SetProp(v, "x", graph.I(int64(i%2))); err != nil {
-				t.Fatal(err)
-			}
+			g.Prop(g.Vertex("N"), "x", graph.I(int64(i%2)))
 		}
+		mustLoad(t, b, &g)
 		res := mustRun(t, b, `MATCH (n:N) RETURN COUNT(DISTINCT n.x)`)
 		if res.Rows[0][0].Int() != 2 {
 			t.Errorf("rows = %v", rowStrings(res))
@@ -305,11 +302,9 @@ func TestAnonymousNodesAndUntypedRels(t *testing.T) {
 
 func TestRelationshipUniqueness(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b storage.Builder) {
-		a, _ := b.AddVertex("A")
-		c, _ := b.AddVertex("A")
-		if _, err := b.AddEdge(a, c, "r"); err != nil {
-			t.Fatal(err)
-		}
+		var g storetest.Batch
+		g.Edge(g.Vertex("A"), g.Vertex("A"), "r")
+		mustLoad(t, b, &g)
 		// A 2-hop pattern a-r->b<-r-c must not reuse the single edge for
 		// both hops (Cypher relationship isomorphism).
 		res := mustRun(t, b, `MATCH (x:A)-[:r]->(y)<-[:r]-(z:A) RETURN COUNT(*)`)
@@ -321,13 +316,10 @@ func TestRelationshipUniqueness(t *testing.T) {
 
 func TestMultiLabelPattern(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b storage.Builder) {
-		merged, _ := b.AddVertex("Indication", "Condition")
-		if err := b.SetProp(merged, "desc", graph.S("x")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.AddVertex("Indication"); err != nil {
-			t.Fatal(err)
-		}
+		var g storetest.Batch
+		g.Prop(g.Vertex("Indication", "Condition"), "desc", graph.S("x"))
+		g.Vertex("Indication")
+		mustLoad(t, b, &g)
 		res := mustRun(t, b, `MATCH (x:Indication:Condition) RETURN COUNT(*)`)
 		if res.Rows[0][0].Int() != 1 {
 			t.Errorf("rows = %v", rowStrings(res))
@@ -359,19 +351,14 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestPlannerStartsAtSmallestLabel(t *testing.T) {
-	mem := memstore.New()
-	// 100 Big vertices, 1 Small vertex, no edges: the pattern below must
+	// 100 Big vertices, 1 Small vertex, one edge: the pattern below must
 	// start from Small, so the scan count stays tiny.
+	var g storetest.Batch
 	for i := 0; i < 100; i++ {
-		if _, err := mem.AddVertex("Big"); err != nil {
-			t.Fatal(err)
-		}
+		g.Vertex("Big")
 	}
-	small, _ := mem.AddVertex("Small")
-	big0 := storage.VID(0)
-	if _, err := mem.AddEdge(small, big0, "r"); err != nil {
-		t.Fatal(err)
-	}
+	g.Edge(g.Vertex("Small"), 0, "r")
+	mem := loadMem(t, &g)
 	var st Stats
 	q := cypher.MustParse(`MATCH (b:Big)<-[:r]-(s:Small) RETURN COUNT(*)`)
 	p, err := Prepare(mem, q)

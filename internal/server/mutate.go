@@ -22,9 +22,9 @@ package server
 // Values may be JSON null, bool, number (integral numbers store as
 // ints), string, or a flat array of those.
 //
-// Responses: 200 with the assigned IDs; 400 on malformed input; 409 when
-// the store is not in live-write mode (finalize it with Compact first);
-// 501 when the backend has no durable write path (memstore).
+// Responses: 200 with the assigned IDs; 400 on malformed input; 409
+// while a bulk load is pending (its Finalize commits it); 501 when the
+// backend has no durable write path (memstore).
 
 import (
 	"bytes"

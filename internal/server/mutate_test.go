@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
 	"repro/internal/storage/memstore"
 )
@@ -136,7 +137,10 @@ func TestMutateNotLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ds.Close() })
-	buildMedGraph(t, ds) // never finalized: the load stays pending
+	// A batch that is never finalized: the load stays pending.
+	if _, err := ds.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"Drug"}}}); err != nil {
+		t.Fatal(err)
+	}
 	_, ts := newMedServer(t, Config{Graph: ds})
 	status, _, errMsg := postMutate(t, ts, `{"vertices": [{"labels": ["Drug"]}]}`)
 	if status != http.StatusConflict {

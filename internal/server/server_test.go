@@ -20,53 +20,42 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
 	"repro/internal/storage/memstore"
+	"repro/internal/storage/storetest"
 )
 
 // buildMedGraph loads the Figure 1(b)-style fixture shared with the query
 // package's tests: two drugs, two indications, one treat fan-out.
 func buildMedGraph(t *testing.T, b storage.Builder) {
 	t.Helper()
-	// The vertices go in as one batch, which on an empty diskstore opens a
-	// bulk load: the rest gathers with them until the caller's Finalize.
-	first, err := b.AddVertexBatch([]storage.BulkVertex{
-		{Labels: []string{"Drug"}}, {Labels: []string{"Drug"}},
-		{Labels: []string{"Indication"}}, {Labels: []string{"Indication"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := func(v storage.VID, key, val string) {
-		if err := b.SetProp(v, key, graph.S(val)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	edge := func(src, dst storage.VID, etype string) {
-		if _, err := b.AddEdge(src, dst, etype); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d1, d2, i1, i2 := first, first+1, first+2, first+3
-	set(d1, "name", "Aspirin")
-	set(d2, "name", "Ibuprofen")
-	set(i1, "desc", "Fever")
-	set(i2, "desc", "Headache")
-	edge(d1, i1, "treat")
-	edge(d1, i2, "treat")
-	edge(d2, i1, "treat")
+	var g storetest.Batch
+	d1, d2 := g.Vertex("Drug"), g.Vertex("Drug")
+	i1, i2 := g.Vertex("Indication"), g.Vertex("Indication")
+	g.Prop(d1, "name", graph.S("Aspirin"))
+	g.Prop(d2, "name", graph.S("Ibuprofen"))
+	g.Prop(i1, "desc", graph.S("Fever"))
+	g.Prop(i2, "desc", graph.S("Headache"))
+	g.Edge(d1, i1, "treat")
+	g.Edge(d1, i2, "treat")
+	g.Edge(d2, i1, "treat")
+	mustLoad(t, b, &g)
 }
 
-// addDrugs appends n Drug vertices named 0..n-1 to b.
-func addDrugs(t *testing.T, b storage.Builder, n int) {
+// mustLoad writes g into b, a store that holds nothing, as its one bulk
+// load.
+func mustLoad(t *testing.T, b storage.Builder, g *storetest.Batch) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		v, err := b.AddVertex("Drug")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.SetProp(v, "name", graph.I(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.Load(b); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// drugGraph is n Drug vertices named 0..n-1.
+func drugGraph(n int) *storetest.Batch {
+	var g storetest.Batch
+	for i := 0; i < n; i++ {
+		g.Prop(g.Vertex("Drug"), "name", graph.I(int64(i)))
+	}
+	return &g
 }
 
 // buildWideGraph creates n Drug vertices — enough scan iterations for the
@@ -74,7 +63,7 @@ func addDrugs(t *testing.T, b storage.Builder, n int) {
 func buildWideGraph(t *testing.T, n int) storage.Builder {
 	t.Helper()
 	mem := memstore.New()
-	addDrugs(t, mem, n)
+	mustLoad(t, mem, drugGraph(n))
 	return mem
 }
 
@@ -171,19 +160,12 @@ func TestQueryJSONBody(t *testing.T) {
 // lookup found the wrong vertex), and a small or huge DOUBLE in exponent
 // form the lexer rejects (a 400 for a valid query).
 func TestQueryLiteralsSurviveThePlanCache(t *testing.T) {
-	mem := memstore.New()
+	var g storetest.Batch
 	for _, name := range []graph.Value{graph.S("a\rb"), graph.S("arb"), graph.S("a\x01b"), graph.S("ax01b"), graph.F(1e-7), graph.F(1e21)} {
-		v, err := mem.AddVertex("Drug")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mem.SetProp(v, "name", name); err != nil {
-			t.Fatal(err)
-		}
+		g.Prop(g.Vertex("Drug"), "name", name)
 	}
-	if err := mem.Finalize(); err != nil {
-		t.Fatal(err)
-	}
+	mem := memstore.New()
+	mustLoad(t, mem, &g)
 	_, ts := newMedServer(t, Config{Graph: mem})
 	for _, c := range []struct {
 		query string
@@ -499,17 +481,11 @@ func TestConcurrentClients(t *testing.T) {
 				t.Cleanup(func() { ds.Close() })
 				g = ds
 			}
-			addDrugs(t, g, drugs)
-			// One edge, and on diskstore a Finalize that folds the fixture
-			// into a base generation.
-			if _, err := g.AddEdge(0, 1, "interacts"); err != nil {
-				t.Fatal(err)
-			}
-			if ds != nil {
-				if err := ds.Finalize(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			// The drugs and one edge; on diskstore the load's Finalize
+			// writes them as a base generation.
+			fixture := drugGraph(drugs)
+			fixture.Edge(0, 1, "interacts")
+			mustLoad(t, g, fixture)
 			s, ts := newMedServer(t, Config{Graph: g})
 
 			// postOK posts body and returns the 200 response's bytes.
@@ -778,14 +754,10 @@ func TestSwapPurgesOldPlans(t *testing.T) {
 		t.Fatalf("pre-swap rows = %v", qr.Rows)
 	}
 
+	var only storetest.Batch
+	only.Prop(only.Vertex("Drug"), "name", graph.S("OnlyInG2"))
 	g2 := memstore.New()
-	v, err := g2.AddVertex("Drug")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.SetProp(v, "name", graph.S("OnlyInG2")); err != nil {
-		t.Fatal(err)
-	}
+	mustLoad(t, g2, &only)
 	if purged := s.Swap(g2, nil); purged != 1 {
 		t.Errorf("Swap purged %d plans, want 1", purged)
 	}

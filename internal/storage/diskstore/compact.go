@@ -38,10 +38,10 @@ func (s *Store) Compact() error { return s.Finalize() }
 // or the frozen delta, and commits it before returning, so a crash at any
 // instant leaves either the previous commit or the new generation,
 // complete. Edge IDs are renumbered; EIDs observed before Finalize are
-// invalid after it (the storage.BatchBuilder contract). Readers and live
+// invalid after it (the storage.Builder contract). Readers and live
 // writers keep going while it runs; a bulk load's Finalize comes from its
-// single writer, like every call of the load. If it fails, a load stays
-// pending. A store with nothing to fold writes nothing. Finalize is
+// single writer, like every batch of the load. If it fails, a load stays
+// pending; once it succeeds the store refuses batches. A store with nothing to fold writes nothing. Finalize is
 // single-flight with Compact: a concurrent call returns
 // storage.ErrCompactInProgress. The numbered stages follow the protocol
 // in the comment above.
@@ -86,6 +86,7 @@ func (s *Store) Finalize() error {
 	// failed first batch left it empty, so that the store leaves it.
 	if load == nil && fence == old.baseSeq && !old.legacy && len(fd.verts) == 0 &&
 		len(fd.edges) == 0 && len(fd.labelAdds) == 0 && len(fd.propOver) == 0 {
+		s.finalized.Store(true)
 		return nil
 	}
 
@@ -129,6 +130,7 @@ func (s *Store) Finalize() error {
 		s.delta = newDelta(newEp.numVertices, newEp.numEdges)
 		s.delta.appliedSeq.Store(fence)
 		s.load.Store(nil)
+		s.finalized.Store(true)
 	} else {
 		// Young label/prop writes that landed on now-folded delta vertices
 		// while the fold ran must move to the base-override maps before

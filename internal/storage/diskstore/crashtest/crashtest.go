@@ -44,10 +44,9 @@ import (
 // built identically into the diskstore under test and the memstore
 // oracle.
 const (
-	baseSeed  = 5
-	baseNV    = 30
-	baseNE    = 90
-	baseBatch = 16
+	baseSeed = 5
+	baseNV   = 30
+	baseNE   = 90
 )
 
 var (
@@ -94,20 +93,32 @@ func countsVertex(muts []storage.Mutation) bool {
 	return len(muts) > 0 && muts[0].Op == storage.MutAddVertex
 }
 
-// oracle is the memstore shadow of the workload plus the fingerprint of
-// every prefix: fps[k] is the observable state after k live mutations.
+// oracle is a plain model of the workload — the base graph plus every
+// mutation of the prefix, as one storetest.Batch — and the fingerprint of
+// every prefix: fps[k] is the observable state after k live mutations,
+// read from a memstore loaded with the model's first k mutations.
 type oracle struct {
-	ms   *memstore.Store
-	curV int
-	fps  []string
+	model *storetest.Batch
+	fps   []string
 }
 
 func newOracle() (*oracle, error) {
-	ms := memstore.New()
-	if _, err := storetest.BuildRandom(ms, baseSeed, baseNV, baseNE); err != nil {
+	o := &oracle{model: storetest.RandomBatch(baseSeed, baseNV, baseNE)}
+	fp, err := o.fingerprint()
+	if err != nil {
 		return nil, err
 	}
-	return &oracle{ms: ms, curV: baseNV, fps: []string{storetest.Fingerprint(ms)}}, nil
+	o.fps = []string{fp}
+	return o, nil
+}
+
+// fingerprint loads the model into a fresh memstore and fingerprints it.
+func (o *oracle) fingerprint() (string, error) {
+	ms := memstore.New()
+	if err := o.model.Load(ms); err != nil {
+		return "", err
+	}
+	return storetest.Fingerprint(ms), nil
 }
 
 // fingerprintAt extends the oracle to m mutations if needed and returns
@@ -115,63 +126,65 @@ func newOracle() (*oracle, error) {
 func (o *oracle) fingerprintAt(m int) (string, error) {
 	for len(o.fps) <= m {
 		n := len(o.fps) - 1
-		muts := mutationAt(n, o.curV)
-		if err := applyToOracle(o.ms, muts); err != nil {
+		if err := applyToModel(o.model, mutationAt(n, len(o.model.Vertices))); err != nil {
 			return "", fmt.Errorf("oracle mutation %d: %w", n, err)
 		}
-		if countsVertex(muts) {
-			o.curV++
+		fp, err := o.fingerprint()
+		if err != nil {
+			return "", fmt.Errorf("oracle mutation %d: %w", n, err)
 		}
-		o.fps = append(o.fps, storetest.Fingerprint(o.ms))
+		o.fps = append(o.fps, fp)
 	}
 	return o.fps[m], nil
 }
 
-func applyToOracle(ms *memstore.Store, muts []storage.Mutation) error {
-	// Batch-relative references (-1 = first vertex this batch created)
-	// resolve against the vertices AddVertex returned, mirroring the
-	// MutableGraph contract the store under test implements.
+// applyToModel appends one batch to the model. Batch-relative references
+// (-1 = first vertex this batch created) resolve against the vertices it
+// added, mirroring the MutableGraph contract the store under test
+// implements.
+func applyToModel(model *storetest.Batch, muts []storage.Mutation) error {
 	var created []storage.VID
 	ref := func(v storage.VID) (storage.VID, error) {
-		if v >= 0 {
-			return v, nil
+		if v < 0 {
+			k := int(-v)
+			if k > len(created) {
+				return 0, fmt.Errorf("batch reference %d points at a vertex not yet created", v)
+			}
+			v = created[k-1]
 		}
-		k := int(-v)
-		if k > len(created) {
-			return 0, fmt.Errorf("batch reference %d points at a vertex not yet created", v)
+		if int(v) >= len(model.Vertices) {
+			return 0, fmt.Errorf("vertex %d out of range", v)
 		}
-		return created[k-1], nil
+		return v, nil
 	}
 	for _, m := range muts {
-		var err error
 		switch m.Op {
 		case storage.MutAddVertex:
-			var v storage.VID
-			if v, err = ms.AddVertex(m.Labels...); err == nil {
-				created = append(created, v)
-			}
+			created = append(created, model.Vertex(m.Labels...))
 		case storage.MutAddEdge:
-			var src, dst storage.VID
-			if src, err = ref(m.Src); err == nil {
-				if dst, err = ref(m.Dst); err == nil {
-					_, err = ms.AddEdge(src, dst, m.Type)
-				}
+			src, err := ref(m.Src)
+			if err != nil {
+				return err
 			}
+			dst, err := ref(m.Dst)
+			if err != nil {
+				return err
+			}
+			model.Edge(src, dst, m.Type)
 		case storage.MutSetProp:
-			var v storage.VID
-			if v, err = ref(m.V); err == nil {
-				err = ms.SetProp(v, m.Key, m.Value)
+			v, err := ref(m.V)
+			if err != nil {
+				return err
 			}
+			model.Prop(v, m.Key, m.Value)
 		case storage.MutAddLabel:
-			var v storage.VID
-			if v, err = ref(m.V); err == nil {
-				err = ms.AddLabel(v, m.Label)
+			v, err := ref(m.V)
+			if err != nil {
+				return err
 			}
+			model.Label(v, m.Label)
 		default:
-			err = fmt.Errorf("unknown op %d", m.Op)
-		}
-		if err != nil {
-			return err
+			return fmt.Errorf("unknown op %d", m.Op)
 		}
 	}
 	return nil
@@ -186,7 +199,7 @@ func buildBase(dir string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := storetest.BuildRandomBulk(s, baseSeed, baseNV, baseNE, baseBatch); err != nil {
+	if _, err := storetest.BuildRandom(s, baseSeed, baseNV, baseNE); err != nil {
 		s.Close()
 		return err
 	}

@@ -63,7 +63,7 @@ type KillConfig struct {
 	// manifest commit and the WAL rotation, mid-swap.
 	CompactInBackground bool
 	// buildInChild starts every round from an empty directory: the child
-	// bulk-builds the base itself (BuildRandomBulk: an in-memory load
+	// bulk-builds the base itself (BuildRandom: an in-memory load
 	// whose Finalize writes and commits generation 1), acknowledges
 	// mutations and never flushes or closes the store, so kills land
 	// mid-load, mid-finalize and after acknowledgements. A reopen with
@@ -264,7 +264,7 @@ func childMain(build bool) {
 		die(err)
 	}
 	if build {
-		if _, err := storetest.BuildRandomBulk(s, baseSeed, baseNV, baseNE, baseBatch); err != nil {
+		if _, err := storetest.BuildRandom(s, baseSeed, baseNV, baseNE); err != nil {
 			die(err)
 		}
 	}

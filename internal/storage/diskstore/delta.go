@@ -150,29 +150,6 @@ func newDelta(baseVerts, baseEdges int64) *delta {
 func (d *delta) nextVID() int64 { return d.origVerts + d.vertsLo + int64(len(d.verts)) }
 func (d *delta) nextEID() int64 { return d.origEdges + d.edgesLo + int64(len(d.edgeSeqs)) }
 
-// totalVerts/totalEdges under lock; callers needing a racy hint use the
-// atomics.
-func (d *delta) totalVertsLocked() int64 { return d.vertsLo + int64(len(d.verts)) }
-func (d *delta) totalEdgesLocked() int64 { return d.edgesLo + int64(len(d.edgeSeqs)) }
-
-// writeBounds returns the ID bounds writers validate references
-// against: every vertex/edge ever created, folded or not.
-func (d *delta) writeBounds() (nextVID, nextEID int64) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.nextVID(), d.nextEID()
-}
-
-// empty reports a delta with nothing at all in memory (folded-but-
-// unpruned entries count as content). Callers that only need a fast
-// emptiness hint on the read path use the atomic counters instead.
-func (d *delta) empty() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.verts) == 0 && len(d.out) == 0 && len(d.in) == 0 &&
-		len(d.labelAdds) == 0 && len(d.propOver) == 0
-}
-
 // statsDirty reports delta content that can invalidate the base's
 // persisted vertex statistics (bloom filters): new vertices, label
 // additions, or property overrides. Edge-only deltas stay clean — edges
@@ -209,18 +186,6 @@ func (d *delta) vertIdxLocked(v storage.VID) int64 {
 		return -1
 	}
 	return idx
-}
-
-// hasVertexState reports whether v has any delta-side label or property
-// state (cheap pre-check for base-vertex reads).
-func (d *delta) hasVertexState(v storage.VID) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if _, ok := d.labelAdds[v]; ok {
-		return true
-	}
-	_, ok := d.propOver[v]
-	return ok
 }
 
 // adj returns a copy of v's delta adjacency visible through w in one

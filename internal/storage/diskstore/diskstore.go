@@ -310,6 +310,9 @@ type Store struct {
 	// nothing (see finalize.go). Reads never see it; ApplyMutations
 	// refuses while it is open.
 	load atomic.Pointer[frozenDelta]
+	// finalized is set by the first successful Finalize; from then on the
+	// store refuses batches (storage.ErrFinalized).
+	finalized atomic.Bool
 	// liveMu serializes ApplyMutations batches (WAL append order = delta
 	// apply order = replay order), the opening of a load, and the fold's
 	// freeze/swap steps.
@@ -1076,17 +1079,6 @@ func decodeList(data []byte) (graph.Value, error) {
 	return graph.L(vs...), nil
 }
 
-// ---- Builder: each call is a batch of one for Store.write ----
-
-// AddVertex creates a vertex with the given labels.
-func (s *Store) AddVertex(labels ...string) (storage.VID, error) {
-	res, err := s.write([]storage.Mutation{{Op: storage.MutAddVertex, Labels: labels}})
-	if err != nil {
-		return 0, err
-	}
-	return res.Vertices[0], nil
-}
-
 // labelID resolves a label, interning it if create is set; a caller
 // that may intern holds symMu.
 func (s *Store) labelID(label string, create bool) (int, bool, error) {
@@ -1103,27 +1095,4 @@ func (s *Store) labelID(label string, create bool) (int, bool, error) {
 	s.labels = append(s.labels, label)
 	s.labelIDs[label] = id
 	return id, true, nil
-}
-
-// AddLabel adds a label to an existing vertex.
-func (s *Store) AddLabel(v storage.VID, label string) error {
-	_, err := s.write([]storage.Mutation{{Op: storage.MutAddLabel, V: v, Label: label}})
-	return err
-}
-
-// SetProp sets a vertex property, replacing any previous value.
-func (s *Store) SetProp(v storage.VID, key string, val graph.Value) error {
-	_, err := s.write([]storage.Mutation{{Op: storage.MutSetProp, V: v, Key: key, Value: val}})
-	return err
-}
-
-// AddEdge creates a directed edge of the given type. Outside a bulk load
-// it lands in the delta and leaves the base's segments intact, so typed
-// traversals of base edges stay on the segment fast path.
-func (s *Store) AddEdge(src, dst storage.VID, etype string) (storage.EID, error) {
-	res, err := s.write([]storage.Mutation{{Op: storage.MutAddEdge, Src: src, Dst: dst, Type: etype}})
-	if err != nil {
-		return 0, err
-	}
-	return res.Edges[0], nil
 }

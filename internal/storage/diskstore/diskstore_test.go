@@ -40,17 +40,17 @@ func TestConformanceTinyCache(t *testing.T) {
 }
 
 // TestDifferentialAgainstMemstore builds one pseudo-random graph into a
-// memstore and into diskstore twice — by single calls (the WAL and the
-// delta) and by a bulk load (generation 1 through a tiny cache) — and
-// requires all three to read the same.
+// memstore and into diskstore twice — by live ApplyMutations batches (the
+// WAL and the delta) and by a bulk load (generation 1 through a tiny
+// cache) — and requires all three to read the same.
 func TestDifferentialAgainstMemstore(t *testing.T) {
 	mem := newMemReference(t, 42, 80, 200)
 	disk := newTestStore(t, Options{PageSize: 512, CachePages: 8})
-	if _, err := storetest.BuildRandom(disk, 42, 80, 200); err != nil {
+	if _, err := storetest.RandomBatch(42, 80, 200).Apply(disk); err != nil {
 		t.Fatal(err)
 	}
 	bulk := newTestStore(t, Options{PageSize: 512, CachePages: 8})
-	if _, err := storetest.BuildRandomBulk(bulk, 42, 80, 200, 16); err != nil {
+	if _, err := storetest.BuildRandom(bulk, 42, 80, 200); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []*Store{disk, bulk} {
@@ -66,7 +66,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 99, 60, 150, 16); err != nil {
+	if _, err := storetest.BuildRandom(s, 99, 60, 150); err != nil {
 		t.Fatal(err)
 	}
 	before := storetest.Fingerprint(s)
@@ -88,7 +88,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 func TestStatsCountersMove(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 256, CachePages: 2})
-	if _, err := storetest.BuildRandomBulk(s, 13, 40, 100, 16); err != nil {
+	if _, err := storetest.BuildRandom(s, 13, 40, 100); err != nil {
 		t.Fatal(err)
 	}
 	storetest.Fingerprint(s)
@@ -107,13 +107,10 @@ func TestStatsCountersMove(t *testing.T) {
 
 func TestDropCachePreservesData(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 512, CachePages: 16})
-	v, err := s.AddVertex("N")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetProp(v, "k", graph.S("survives")); err != nil {
-		t.Fatal(err)
-	}
+	v := mustApply(t, s,
+		storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"N"}},
+		storage.Mutation{Op: storage.MutSetProp, V: -1, Key: "k", Value: graph.S("survives")},
+	).Vertices[0]
 	if err := s.Compact(); err != nil { // into the base, where the cache matters
 		t.Fatal(err)
 	}
@@ -131,17 +128,14 @@ func TestDropCachePreservesData(t *testing.T) {
 
 func TestLongStringsSpanPages(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 256, CachePages: 4})
-	v, err := s.AddVertex("N")
-	if err != nil {
-		t.Fatal(err)
-	}
 	long := make([]byte, 5000)
 	for i := range long {
 		long[i] = byte('a' + i%26)
 	}
-	if err := s.SetProp(v, "blob", graph.S(string(long))); err != nil {
-		t.Fatal(err)
-	}
+	v := mustApply(t, s,
+		storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"N"}},
+		storage.Mutation{Op: storage.MutSetProp, V: -1, Key: "blob", Value: graph.S(string(long))},
+	).Vertices[0]
 	if err := s.Compact(); err != nil { // into blobs.db
 		t.Fatal(err)
 	}
@@ -153,14 +147,11 @@ func TestLongStringsSpanPages(t *testing.T) {
 
 func TestListRoundTripThroughDisk(t *testing.T) {
 	s := newTestStore(t, Options{})
-	v, err := s.AddVertex("N")
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := graph.L(graph.S("fever"), graph.S("headache"), graph.I(3), graph.F(1.5), graph.B(true), graph.Null)
-	if err := s.SetProp(v, "list", want); err != nil {
-		t.Fatal(err)
-	}
+	v := mustApply(t, s,
+		storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"N"}},
+		storage.Mutation{Op: storage.MutSetProp, V: -1, Key: "list", Value: want},
+	).Vertices[0]
 	if err := s.Compact(); err != nil { // into blobs.db
 		t.Fatal(err)
 	}
@@ -171,12 +162,13 @@ func TestListRoundTripThroughDisk(t *testing.T) {
 }
 
 func TestNestedListRejected(t *testing.T) {
-	s := newTestStore(t, Options{})
-	v, err := s.AddVertex("N")
-	if err != nil {
-		t.Fatal(err)
+	nested := graph.L(graph.L(graph.I(1)))
+	if _, err := newTestStore(t, Options{}).AddVertexBatch([]storage.BulkVertex{{Props: []storage.BulkProp{{Key: "nested", Value: nested}}}}); err == nil {
+		t.Error("nested list loaded without error")
 	}
-	if err := s.SetProp(v, "nested", graph.L(graph.L(graph.I(1)))); err == nil {
+	s := newTestStore(t, Options{})
+	v := mustApply(t, s, storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"N"}}).Vertices[0]
+	if _, err := s.ApplyMutations([]storage.Mutation{{Op: storage.MutSetProp, V: v, Key: "nested", Value: nested}}); err == nil {
 		t.Error("nested list stored without error")
 	}
 }
@@ -211,14 +203,11 @@ func TestCorruptBlobsAreErrors(t *testing.T) {
 	}
 
 	s := newTestStore(t, Options{PageSize: 512, CachePages: 16})
-	v, err := s.AddVertex("N")
+	v, err := s.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"N"}, Props: []storage.BulkProp{{Key: "k", Value: graph.L(graph.S("fever"), graph.I(3))}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetProp(v, "k", graph.L(graph.S("fever"), graph.I(3))); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
+	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
 	ep := s.curEp()
@@ -359,9 +348,7 @@ func TestUnknownFormatVersionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddVertex("N"); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, s, storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"N"}})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

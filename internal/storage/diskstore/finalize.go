@@ -1,13 +1,13 @@
 package diskstore
 
-// The bulk load (storage.BatchBuilder) and writeGeneration, the one
+// The bulk load (storage.Builder's batches) and writeGeneration, the one
 // writer of a base generation (Finalize, in compact.go, runs it).
 //
-// A bulk load opens with an AddVertexBatch on a store that holds nothing:
-// no base vertices, an empty delta and no WAL. From then on that batch and
-// every later Builder call append to one in-memory frozenDelta, the load
-// set — vertices with their label IDs and properties, edges in ingest
-// order — and nothing reaches disk. Reads never see a pending load, and
+// A bulk load opens with the first batch on a store that holds nothing:
+// no generation, no base vertices, an empty delta and no WAL. From then on
+// that batch and every later one append to one in-memory frozenDelta, the
+// load set — each vertex whole, with its label IDs and properties, edges
+// in ingest order — and nothing reaches disk. Reads never see a pending load, and
 // ApplyMutations refuses with storage.ErrNotLive until Finalize hands the
 // load set to writeGeneration over the empty base, which writes
 // generation 1 and commits it.
@@ -34,125 +34,100 @@ import (
 	"repro/internal/storage"
 )
 
-// AddVertexBatch creates the batch's vertices with consecutive VIDs
-// starting at the returned ID. On a store that holds nothing, a non-empty
-// batch opens a bulk load; during one the batch joins it, and otherwise
-// it is one ApplyMutations batch.
+// AddVertexBatch creates the batch's vertices, each with its labels and
+// properties, with consecutive VIDs starting at the returned ID. The
+// batch joins the pending bulk load, opening one on a store that holds
+// nothing (see openLoad). It is checked whole before any vertex joins.
 func (s *Store) AddVertexBatch(batch []storage.BulkVertex) (storage.VID, error) {
-	if len(batch) == 0 {
-		if ld := s.load.Load(); ld != nil {
-			return storage.VID(len(ld.verts)), nil
-		}
-		return storage.VID(s.NumVertices()), nil
-	}
-	s.beginLoad()
-	muts := make([]storage.Mutation, len(batch))
-	for i, bv := range batch {
-		muts[i] = storage.Mutation{Op: storage.MutAddVertex, Labels: bv.Labels}
-	}
-	res, err := s.write(muts)
+	ld, err := s.openLoad()
 	if err != nil {
 		return 0, err
 	}
-	return res.Vertices[0], nil
-}
-
-// AddEdgeBatch creates the batch's edges: into a pending bulk load one at
-// a time (a failed edge leaves the ones before it in the load), or else
-// as one ApplyMutations batch.
-func (s *Store) AddEdgeBatch(batch []storage.BulkEdge) error {
-	muts := make([]storage.Mutation, len(batch))
-	for i, be := range batch {
-		muts[i] = storage.Mutation{Op: storage.MutAddEdge, Src: be.Src, Dst: be.Dst, Type: be.Type}
-	}
-	_, err := s.write(muts)
-	return err
-}
-
-// beginLoad opens a bulk load if none is open and the store holds
-// nothing. Under liveMu, so an ApplyMutations batch either commits first
-// (and no load opens) or finds the load open and is refused.
-func (s *Store) beginLoad() {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	if s.load.Load() == nil && s.cur.numVertices == 0 && s.delta.nextV.Load() == 0 && s.wal.Load() == nil {
-		s.load.Store(&frozenDelta{})
-	}
-}
-
-// write routes Builder calls: one at a time into the pending bulk load if
-// one is open, else through ApplyMutations as one batch.
-func (s *Store) write(muts []storage.Mutation) (storage.MutationResult, error) {
-	ld := s.load.Load()
-	if ld == nil {
-		return s.ApplyMutations(muts)
-	}
-	var res storage.MutationResult
-	for i := range muts {
-		if err := s.loadMutation(ld, &muts[i], &res); err != nil {
-			return res, err
+	for i := range batch {
+		if slices.Contains(batch[i].Labels, "") {
+			return 0, fmt.Errorf("diskstore: empty label in AddVertexBatch")
 		}
-	}
-	return res, nil
-}
-
-// loadMutation validates one write as ApplyMutations would and applies
-// it to the load set ld, recording the ID it creates in res.
-func (s *Store) loadMutation(ld *frozenDelta, m *storage.Mutation, res *storage.MutationResult) error {
-	if err := checkMutation(m); err != nil {
-		return err
-	}
-	vertex := func(v storage.VID) (*frozenVertex, error) {
-		if v < 0 || int(v) >= len(ld.verts) {
-			return nil, fmt.Errorf("diskstore: vertex %d out of range", v)
+		for _, p := range batch[i].Props {
+			if p.Key == "" {
+				return 0, fmt.Errorf("diskstore: empty property key in AddVertexBatch")
+			}
+			if err := checkValueKind(p.Value); err != nil {
+				return 0, err
+			}
 		}
-		return &ld.verts[v], nil
 	}
 	s.symMu.Lock()
 	defer s.symMu.Unlock()
-	addLabel := func(fv *frozenVertex, label string) error {
-		id, _, err := s.labelID(label, true)
-		if err == nil && !slices.Contains(fv.labelIDs, id) {
-			fv.labelIDs = append(fv.labelIDs, id)
+	first := len(ld.verts)
+	for _, bv := range batch {
+		var fv frozenVertex
+		for _, l := range bv.Labels {
+			id, _, err := s.labelID(l, true)
+			if err != nil {
+				ld.verts = ld.verts[:first]
+				return 0, err
+			}
+			if !slices.Contains(fv.labelIDs, id) {
+				fv.labelIDs = append(fv.labelIDs, id)
+			}
 		}
+		if len(bv.Props) > 0 {
+			fv.props = make(map[int]graph.Value, len(bv.Props))
+			for _, p := range bv.Props {
+				fv.props[s.internKey(p.Key)] = p.Value
+			}
+		}
+		ld.verts = append(ld.verts, fv)
+	}
+	return storage.VID(first), nil
+}
+
+// AddEdgeBatch adds the batch's edges to the pending bulk load (see
+// openLoad), in order. It is checked whole before any edge joins.
+func (s *Store) AddEdgeBatch(batch []storage.BulkEdge) error {
+	ld, err := s.openLoad()
+	if err != nil {
 		return err
 	}
-	switch m.Op {
-	case storage.MutAddVertex:
-		var fv frozenVertex
-		for _, l := range m.Labels {
-			if err := addLabel(&fv, l); err != nil {
-				return err
+	n := storage.VID(len(ld.verts))
+	for _, be := range batch {
+		if be.Type == "" {
+			return fmt.Errorf("diskstore: empty edge type in AddEdgeBatch")
+		}
+		for _, v := range []storage.VID{be.Src, be.Dst} {
+			if v < 0 || v >= n {
+				return fmt.Errorf("diskstore: vertex %d out of range", v)
 			}
 		}
-		res.Vertices = append(res.Vertices, storage.VID(len(ld.verts)))
-		ld.verts = append(ld.verts, fv)
-	case storage.MutAddEdge:
-		for _, v := range []storage.VID{m.Src, m.Dst} {
-			if _, err := vertex(v); err != nil {
-				return err
-			}
-		}
+	}
+	s.symMu.Lock()
+	defer s.symMu.Unlock()
+	for _, be := range batch {
 		e := storage.EID(len(ld.edges))
-		ld.edges = append(ld.edges, frozenEdge{e: e, src: m.Src, dst: m.Dst, typeID: uint32(s.internType(m.Type))})
-		res.Edges = append(res.Edges, e)
-	case storage.MutSetProp:
-		fv, err := vertex(m.V)
-		if err != nil {
-			return err
-		}
-		if fv.props == nil {
-			fv.props = map[int]graph.Value{}
-		}
-		fv.props[s.internKey(m.Key)] = m.Value
-	case storage.MutAddLabel:
-		fv, err := vertex(m.V)
-		if err != nil {
-			return err
-		}
-		return addLabel(fv, m.Label)
+		ld.edges = append(ld.edges, frozenEdge{e: e, src: be.Src, dst: be.Dst, typeID: uint32(s.internType(be.Type))})
 	}
 	return nil
+}
+
+// openLoad returns the pending bulk load. If none is open it opens one on
+// a store that has never been finalized and holds nothing (no generation,
+// an empty delta, no WAL); any other store refuses batches with
+// storage.ErrFinalized. Under liveMu, so an ApplyMutations batch either
+// commits first (and no load opens) or finds the load open and is
+// refused.
+func (s *Store) openLoad() (*frozenDelta, error) {
+	s.liveMu.Lock()
+	defer s.liveMu.Unlock()
+	ld := s.load.Load()
+	if ld == nil && !s.finalized.Load() && s.cur.gen == 0 && s.cur.numVertices == 0 &&
+		s.delta.nextV.Load() == 0 && s.wal.Load() == nil {
+		ld = &frozenDelta{}
+		s.load.Store(ld)
+	}
+	if ld == nil {
+		return nil, fmt.Errorf("diskstore: %w; live writes go through ApplyMutations", storage.ErrFinalized)
+	}
+	return ld, nil
 }
 
 // edgeLite is the in-memory shape of one edge during Finalize.

@@ -20,7 +20,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/storage"
-	"repro/internal/storage/memstore"
 	"repro/internal/storage/storetest"
 )
 
@@ -99,7 +98,7 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 5, 60, 150, 16); err != nil {
+	if _, err := storetest.BuildRandom(s, 5, 60, 150); err != nil {
 		t.Fatal(err)
 	}
 	want := storetest.Fingerprint(s)
@@ -137,7 +136,7 @@ func TestFlushIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 9, 30, 60, 16); err != nil {
+	if _, err := storetest.BuildRandom(s, 9, 30, 60); err != nil {
 		t.Fatal(err)
 	}
 	want := storetest.Fingerprint(s)
@@ -417,7 +416,7 @@ func TestUpgradeReplaysLegacyWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(twin, 21, 60, 160, 32); err != nil {
+	if _, err := storetest.BuildRandom(twin, 21, 60, 160); err != nil {
 		t.Fatal(err)
 	}
 	base, err := os.ReadFile("testdata/golden-v4/FINGERPRINT.txt")
@@ -427,7 +426,7 @@ func TestUpgradeReplaysLegacyWAL(t *testing.T) {
 	if storetest.Fingerprint(twin) != string(base) {
 		t.Fatal("precondition: the golden-v4 recipe no longer rebuilds the fixture's graph")
 	}
-	applyLiveStream(t, 5, 40, twin)
+	applyLiveStream(t, 5, 40, twin, storetest.RandomBatch(21, 60, 160))
 	want := storetest.Fingerprint(twin)
 	if err := twin.Close(); err != nil {
 		t.Fatal(err)
@@ -521,15 +520,15 @@ func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
 	write("manifest.json", []byte(`{"version":5,"labels":["A","B"],"types":["r1","r2"],"keys":["name","rank"],`+
 		`"num_vertices":3,"num_edges":3,"num_props":2,"blob_size":7}`))
 
-	ms := memstore.New()
+	ms := &storetest.Batch{}
 	for _, labels := range [][]string{{"A"}, {"B"}, {"A", "B"}} {
-		ms.AddVertex(labels...)
+		ms.Vertex(labels...)
 	}
-	ms.SetProp(0, "name", graph.S("aspirin"))
-	ms.SetProp(0, "rank", graph.I(1))
-	ms.AddEdge(0, 1, "r1")
-	ms.AddEdge(1, 2, "r2")
-	ms.AddEdge(0, 2, "r1")
+	ms.Prop(0, "name", graph.S("aspirin"))
+	ms.Prop(0, "rank", graph.I(1))
+	ms.Edge(0, 1, "r1")
+	ms.Edge(1, 2, "r2")
+	ms.Edge(0, 2, "r1")
 
 	opts := Options{PageSize: 512, CachePages: 8}
 	before := dirState(t, dir)
@@ -547,7 +546,7 @@ func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
 		t.Fatalf("upgraded store rejected: %v", err)
 	}
 	defer s.Close()
-	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
 		t.Errorf("upgraded store diverges from its records\n got %s\nwant %s", got, want)
 	}
 	if f := s.Format(); f.Generation != 1 || f.EdgeBytes == 0 {
@@ -606,7 +605,7 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 3, 30, 60, 16); err != nil {
+	if _, err := storetest.BuildRandom(s, 3, 30, 60); err != nil {
 		t.Fatal(err)
 	}
 	idx := s.indexPath(s.Format().Generation)
@@ -666,7 +665,7 @@ func TestInterruptedFinalizeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 11, 40, 90, 16); err != nil {
+	if _, err := storetest.BuildRandom(s, 11, 40, 90); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -700,9 +699,10 @@ func TestInterruptedFinalizeRefused(t *testing.T) {
 	}
 }
 
-// TestAddEdgeBatchPartialFailureStillFinalizes: a batch that fails
-// mid-way leaves the edges before the failure in the pending load, so the
-// Flush at Close writes them with the rest of the load.
+// TestAddEdgeBatchPartialFailureStillFinalizes: a batch with a bad edge
+// is refused whole — not even the edges before the bad one join the
+// pending load — and the load stays open, so the Flush at Close writes
+// the batches that were accepted.
 func TestAddEdgeBatchPartialFailureStillFinalizes(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})
@@ -720,6 +720,9 @@ func TestAddEdgeBatchPartialFailureStillFinalizes(t *testing.T) {
 	if err := s.AddEdgeBatch(batch); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
+	if err := s.AddEdgeBatch(batch[:1]); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -729,7 +732,7 @@ func TestAddEdgeBatchPartialFailureStillFinalizes(t *testing.T) {
 	}
 	defer re.Close()
 	if got := re.NumEdges(); got != 1 {
-		t.Fatalf("NumEdges = %d, want the 1 successfully appended edge", got)
+		t.Fatalf("NumEdges = %d, want the 1 edge of the accepted batch", got)
 	}
 	n := 0
 	re.ForEachOut(first, "t", func(_ storage.EID, dst storage.VID) bool { n++; return true })

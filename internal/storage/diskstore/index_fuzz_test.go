@@ -29,7 +29,7 @@ func FuzzLoadIndex(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 5, 40, 90, 16); err != nil {
+	if _, err := storetest.BuildRandom(s, 5, 40, 90); err != nil {
 		f.Fatal(err)
 	}
 	want := storetest.Fingerprint(s)

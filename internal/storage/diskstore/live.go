@@ -1,8 +1,8 @@
 package diskstore
 
-// The durable write path. Every store is live from Open: its base files
-// are frozen, single Builder calls come here as batches of one (see
-// Store.write), and every mutation batch is:
+// The durable write path. Every store is live from Open, except while a
+// bulk load is pending (finalize.go): its base files are frozen, and every
+// mutation batch is:
 //
 //  1. validated and resolved (batch-relative vertex references become
 //     absolute VIDs),

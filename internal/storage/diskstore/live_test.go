@@ -23,67 +23,73 @@ import (
 )
 
 const (
-	liveSeed  = 7
-	liveNV    = 40
-	liveNE    = 120
-	liveBatch = 16
+	liveSeed = 7
+	liveNV   = 40
+	liveNE   = 120
 )
 
-// openLivePair builds the same pseudo-random base graph into a bulk-loaded
-// diskstore in dir and an incremental memstore reference.
-func openLivePair(t *testing.T, dir string) (*Store, *memstore.Store) {
+// openLivePair bulk-loads the pseudo-random base graph into a diskstore
+// in dir and returns it with the graph itself, the model applyLiveStream
+// keeps in step with the store.
+func openLivePair(t *testing.T, dir string) (*Store, *storetest.Batch) {
 	t.Helper()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, liveSeed, liveNV, liveNE, liveBatch); err != nil {
+	if _, err := storetest.BuildRandom(s, liveSeed, liveNV, liveNE); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Live() {
 		t.Fatal("store not live after its bulk load's Finalize")
 	}
-	ms := memstore.New()
-	if _, err := storetest.BuildRandom(ms, liveSeed, liveNV, liveNE); err != nil {
-		t.Fatal(err)
-	}
-	return s, ms
+	return s, storetest.RandomBatch(liveSeed, liveNV, liveNE)
 }
 
-// applyLiveStream applies n deterministic random mutations through the
-// storage.Builder surface of both stores — on the live diskstore every
-// call reroutes through ApplyMutations/WAL, on the memstore it is a
-// plain in-memory write — so fingerprints can be compared afterwards.
-func applyLiveStream(t *testing.T, seed int64, n int, stores ...storage.Builder) {
+// modelFingerprint is the fingerprint of the model loaded into a fresh
+// memstore: the reference a live diskstore must read as.
+func modelFingerprint(t *testing.T, model *storetest.Batch) string {
+	t.Helper()
+	ms := memstore.New()
+	if err := model.Load(ms); err != nil {
+		t.Fatal(err)
+	}
+	return storetest.Fingerprint(ms)
+}
+
+// mustApply applies one ApplyMutations batch and returns its result.
+func mustApply(t *testing.T, s *Store, muts ...storage.Mutation) storage.MutationResult {
+	t.Helper()
+	res, err := s.ApplyMutations(muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// applyLiveStream applies n deterministic random mutations to the live
+// diskstore, each as one ApplyMutations batch (WAL + delta), and records
+// the same writes in the model, so fingerprints can be compared
+// afterwards.
+func applyLiveStream(t *testing.T, seed int64, n int, s *Store, model *storetest.Batch) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	labels := []string{"A", "B", "C", "D", "Live"}
 	etypes := []string{"r1", "r2", "r3", "follows"}
-	nV := stores[0].NumVertices()
+	nV := s.NumVertices()
 	for i := 0; i < n; i++ {
 		op := rng.Intn(10)
 		v := storage.VID(rng.Intn(nV))
 		w := storage.VID(rng.Intn(nV))
 		label := labels[rng.Intn(len(labels))]
+		var m storage.Mutation
 		switch {
 		case op < 2: // add vertex
-			for _, s := range stores {
-				got, err := s.AddVertex(label)
-				if err != nil {
-					t.Fatalf("op %d AddVertex: %v", i, err)
-				}
-				if int(got) != nV {
-					t.Fatalf("op %d AddVertex VID = %d, want %d", i, got, nV)
-				}
-			}
-			nV++
+			m = storage.Mutation{Op: storage.MutAddVertex, Labels: []string{label}}
+			model.Vertex(label)
 		case op < 6: // add edge
-			et := etypes[rng.Intn(len(etypes))]
-			for _, s := range stores {
-				if _, err := s.AddEdge(v, w, et); err != nil {
-					t.Fatalf("op %d AddEdge: %v", i, err)
-				}
-			}
+			m = storage.Mutation{Op: storage.MutAddEdge, Src: v, Dst: w, Type: etypes[rng.Intn(len(etypes))]}
+			model.Edge(v, w, m.Type)
 		case op < 8: // set prop
 			key := fmt.Sprintf("p%d", rng.Intn(5))
 			var val graph.Value
@@ -97,17 +103,21 @@ func applyLiveStream(t *testing.T, seed int64, n int, stores ...storage.Builder)
 			default:
 				val = graph.L(graph.S("y"), graph.I(rng.Int63n(9)))
 			}
-			for _, s := range stores {
-				if err := s.SetProp(v, key, val); err != nil {
-					t.Fatalf("op %d SetProp: %v", i, err)
-				}
-			}
+			m = storage.Mutation{Op: storage.MutSetProp, V: v, Key: key, Value: val}
+			model.Prop(v, key, val)
 		default: // add label
-			for _, s := range stores {
-				if err := s.AddLabel(v, label); err != nil {
-					t.Fatalf("op %d AddLabel: %v", i, err)
-				}
+			m = storage.Mutation{Op: storage.MutAddLabel, V: v, Label: label}
+			model.Label(v, label)
+		}
+		res, err := s.ApplyMutations([]storage.Mutation{m})
+		if err != nil {
+			t.Fatalf("op %d (%d): %v", i, m.Op, err)
+		}
+		if m.Op == storage.MutAddVertex {
+			if int(res.Vertices[0]) != nV {
+				t.Fatalf("op %d AddVertex VID = %d, want %d", i, res.Vertices[0], nV)
 			}
+			nV++
 		}
 	}
 }
@@ -116,7 +126,7 @@ func TestLiveEquivalenceDifferential(t *testing.T) {
 	s, ms := openLivePair(t, t.TempDir())
 	defer s.Close()
 	applyLiveStream(t, 11, 300, s, ms)
-	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
 		t.Errorf("live diskstore diverged from memstore reference\n got %s\nwant %s", got, want)
 	}
 	// The fast-path interface must agree with the generic one over the
@@ -132,7 +142,7 @@ func TestLiveReopenReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
 	s, ms := openLivePair(t, dir)
 	applyLiveStream(t, 23, 200, s, ms)
-	want := storetest.Fingerprint(ms)
+	want := modelFingerprint(t, ms)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +162,7 @@ func TestLiveReopenReplaysWAL(t *testing.T) {
 	}
 	// Replay must continue accepting writes whose effects persist again.
 	applyLiveStream(t, 29, 50, s2, ms)
-	if got, want := storetest.Fingerprint(s2), storetest.Fingerprint(ms); got != want {
+	if got, want := storetest.Fingerprint(s2), modelFingerprint(t, ms); got != want {
 		t.Errorf("post-replay writes diverged\n got %s\nwant %s", got, want)
 	}
 }
@@ -167,7 +177,7 @@ func TestCompactFoldsDeltaAndCheckpointsWAL(t *testing.T) {
 	var want string
 	for fold, seed := range []int64{31, 37, 41} {
 		applyLiveStream(t, seed, 250, s, ms)
-		want = storetest.Fingerprint(ms)
+		want = modelFingerprint(t, ms)
 		if got := storetest.Fingerprint(s); got != want {
 			t.Fatalf("fold %d: live store diverged from reference before the fold\n got %s\nwant %s", fold, got, want)
 		}
@@ -214,28 +224,19 @@ func TestFinalizeIsDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openLivePair(t, dir)
 	for i := 0; i < 12; i++ {
-		v, err := s.AddVertex("Live")
-		if err != nil {
-			t.Fatal(err)
-		}
 		b := storage.VID(i * 3)
-		for _, err := range []error{
-			s.SetProp(v, "p0", graph.S(fmt.Sprintf("new%d", i))),
-			s.SetProp(v, "p1", graph.I(int64(i))),
-			s.SetProp(v, "q0", graph.L(graph.S("z"), graph.I(int64(i)))),
-			s.SetProp(b, "q0", graph.S(fmt.Sprintf("over%d", i))),
-			s.SetProp(b, "q1", graph.B(i%2 == 0)),
-			s.SetProp(b, "p2", graph.F(float64(i)/4)),
-			s.AddLabel(b, "Live"),
-			s.AddLabel(b, "E"),
-		} {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := s.AddEdge(v, b, "follows"); err != nil {
-			t.Fatal(err)
-		}
+		mustApply(t, s,
+			storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"Live"}},
+			storage.Mutation{Op: storage.MutSetProp, V: -1, Key: "p0", Value: graph.S(fmt.Sprintf("new%d", i))},
+			storage.Mutation{Op: storage.MutSetProp, V: -1, Key: "p1", Value: graph.I(int64(i))},
+			storage.Mutation{Op: storage.MutSetProp, V: -1, Key: "q0", Value: graph.L(graph.S("z"), graph.I(int64(i)))},
+			storage.Mutation{Op: storage.MutSetProp, V: b, Key: "q0", Value: graph.S(fmt.Sprintf("over%d", i))},
+			storage.Mutation{Op: storage.MutSetProp, V: b, Key: "q1", Value: graph.B(i%2 == 0)},
+			storage.Mutation{Op: storage.MutSetProp, V: b, Key: "p2", Value: graph.F(float64(i) / 4)},
+			storage.Mutation{Op: storage.MutAddLabel, V: b, Label: "Live"},
+			storage.Mutation{Op: storage.MutAddLabel, V: b, Label: "E"},
+			storage.Mutation{Op: storage.MutAddEdge, Src: -1, Dst: b, Type: "follows"},
+		)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -269,43 +270,26 @@ func TestFinalizeIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPropertyRunsAreContiguous sets properties in two phases, as the
-// loader does — a list on every vertex first, then the scalars — and
-// requires every vertex's property chain to be one run of consecutive
-// records after Finalize and again after a fold.
+// TestPropertyRunsAreContiguous loads vertices whose properties mix a
+// list and scalars and requires every vertex's property chain to be one
+// run of consecutive records after the load's Finalize and again after a
+// fold of live writes.
 func TestPropertyRunsAreContiguous(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{PageSize: 512, CachePages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ms := memstore.New()
+	ms := &storetest.Batch{}
 	const n = 60
-	stores := []storage.Builder{s, ms}
-	for _, g := range stores {
-		for v := 0; v < n; v++ {
-			if _, err := g.AddVertex([]string{"A", "B"}[v%2]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for v := 0; v < n; v++ {
-			if err := g.SetProp(storage.VID(v), "tags", graph.L(graph.S("t"), graph.I(int64(v)))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for v := 0; v < n; v++ {
-			if err := g.SetProp(storage.VID(v), "name", graph.S(fmt.Sprintf("v%d", v))); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.SetProp(storage.VID(v), "rank", graph.I(int64(v))); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := g.AddEdge(storage.VID(v), storage.VID((v+1)%n), "next"); err != nil {
-				t.Fatal(err)
-			}
-		}
+	for v := 0; v < n; v++ {
+		ms.Vertex([]string{"A", "B"}[v%2])
+		ms.Prop(storage.VID(v), "tags", graph.L(graph.S("t"), graph.I(int64(v))))
+		ms.Prop(storage.VID(v), "name", graph.S(fmt.Sprintf("v%d", v)))
+		ms.Prop(storage.VID(v), "rank", graph.I(int64(v)))
+		ms.Edge(storage.VID(v), storage.VID((v+1)%n), "next")
 	}
-	if err := s.Finalize(); err != nil {
+	if err := ms.Load(s); err != nil {
 		t.Fatal(err)
 	}
 	checkPropertyRuns(t, s, "after Finalize")
@@ -314,7 +298,7 @@ func TestPropertyRunsAreContiguous(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPropertyRuns(t, s, "after a fold")
-	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
 		t.Errorf("store diverged from reference\n got %s\nwant %s", got, want)
 	}
 }
@@ -361,7 +345,7 @@ func TestLiveSnapshotIsolationAcrossFold(t *testing.T) {
 	defer snap.Release()
 
 	applyLiveStream(t, 909, 40, s, ms)
-	after := storetest.Fingerprint(ms)
+	after := modelFingerprint(t, ms)
 	if got := storetest.Fingerprint(s); got != after {
 		t.Fatalf("live store diverged from reference before the fold\n got %s\nwant %s", got, after)
 	}
@@ -474,7 +458,7 @@ func TestTornWALTailTruncatedOnOpen(t *testing.T) {
 			dir := t.TempDir()
 			s, ms := openLivePair(t, dir)
 			applyLiveStream(t, 37, 120, s, ms)
-			want := storetest.Fingerprint(ms)
+			want := modelFingerprint(t, ms)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -519,7 +503,7 @@ func TestStaleWALSkippedBySeqFence(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	want := storetest.Fingerprint(ms)
+	want := modelFingerprint(t, ms)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +525,7 @@ func TestStaleWALSkippedBySeqFence(t *testing.T) {
 	// New writes after the fence must still be logged, replayed, and not
 	// collide with the stale sequence range.
 	applyLiveStream(t, 43, 40, s2, ms)
-	want = storetest.Fingerprint(ms)
+	want = modelFingerprint(t, ms)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -682,12 +666,11 @@ func TestFreshStoreIsLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApplyMutations on a fresh store: %v", err)
 	}
-	ms := memstore.New()
-	a, _ := ms.AddVertex("A")
-	b, _ := ms.AddVertex("B")
-	ms.AddEdge(a, b, "r")
-	ms.SetProp(b, "k", graph.S("v"))
-	want := storetest.Fingerprint(ms)
+	ms := &storetest.Batch{}
+	a, b := ms.Vertex("A"), ms.Vertex("B")
+	ms.Edge(a, b, "r")
+	ms.Prop(b, "k", graph.S("v"))
+	want := modelFingerprint(t, ms)
 	if got := storetest.Fingerprint(s); got != want || len(res.Vertices) != 2 || len(res.Edges) != 1 {
 		t.Fatalf("fresh store after one batch (result %+v)\n got %s\nwant %s", res, got, want)
 	}
@@ -708,7 +691,7 @@ func TestFreshStoreIsLive(t *testing.T) {
 // pending every file in the store directory is empty or absent, reads see
 // the empty store and ApplyMutations is refused; a Finalize that fails
 // keeps it pending, and the one that succeeds commits exactly the graph
-// the single calls build in memstore.
+// its batches hold.
 func TestPendingLoadWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 8})
@@ -716,39 +699,33 @@ func TestPendingLoadWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	first, err := s.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"A"}}, {Labels: []string{"B"}}, {}})
+	first, err := s.AddVertexBatch([]storage.BulkVertex{
+		{Labels: []string{"A"}, Props: []storage.BulkProp{{Key: "name", Value: graph.S("a")}}},
+		{Labels: []string{"B"}, Props: []storage.BulkProp{{Key: "tags", Value: graph.L(graph.S("x"), graph.I(2))}}},
+		{Labels: []string{"A"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddEdgeBatch([]storage.BulkEdge{{Src: first, Dst: first + 1, Type: "r"}, {Src: first + 2, Dst: first, Type: "s"}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, err := range []error{
-		s.AddLabel(first+2, "A"),
-		s.SetProp(first, "name", graph.S("a")),
-		s.SetProp(first+1, "tags", graph.L(graph.S("x"), graph.I(2))),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, err := s.AddVertex("C")
+	v, err := s.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"C"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddEdge(v, first+1, "r"); err != nil {
+	if err := s.AddEdgeBatch([]storage.BulkEdge{{Src: v, Dst: first + 1, Type: "r"}}); err != nil {
 		t.Fatal(err)
 	}
-	ms := memstore.New()
-	for _, labels := range [][]string{{"A"}, {"B"}, nil, {"C"}} {
-		ms.AddVertex(labels...)
+	ms := &storetest.Batch{}
+	for _, labels := range [][]string{{"A"}, {"B"}, {"A"}, {"C"}} {
+		ms.Vertex(labels...)
 	}
-	ms.AddEdge(0, 1, "r")
-	ms.AddEdge(2, 0, "s")
-	ms.AddLabel(2, "A")
-	ms.SetProp(0, "name", graph.S("a"))
-	ms.SetProp(1, "tags", graph.L(graph.S("x"), graph.I(2)))
-	ms.AddEdge(3, 1, "r")
+	ms.Edge(0, 1, "r")
+	ms.Edge(2, 0, "s")
+	ms.Prop(0, "name", graph.S("a"))
+	ms.Prop(1, "tags", graph.L(graph.S("x"), graph.I(2)))
+	ms.Edge(3, 1, "r")
 
 	pending := func() {
 		t.Helper()
@@ -783,7 +760,7 @@ func TestPendingLoadWritesNothing(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
 		t.Errorf("finalized load diverges from the reference\n got %s\nwant %s", got, want)
 	}
 	if !s.Live() || s.Format().Generation != 1 {
@@ -792,8 +769,8 @@ func TestPendingLoadWritesNothing(t *testing.T) {
 }
 
 // TestAddEdgeAfterFinalizeStaysSegmented is the silent-degradation fix:
-// an incremental AddEdge on a finalized store used to clear the
-// segmented invariant and push every typed traversal onto the
+// an incremental edge on a finalized store used to clear the segmented
+// invariant and push every typed traversal onto the
 // filter-the-full-adjacency path. Now it lands in the delta and base
 // edges keep their segment fast path.
 func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
@@ -802,20 +779,16 @@ func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	if !s.Format().Compressed {
 		t.Fatal("base store not segmented")
 	}
-	if _, err := s.AddEdge(0, 1, "r1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.AddEdge(0, 1, "r1"); err != nil {
-		t.Fatal(err)
-	}
+	mustApply(t, s, storage.Mutation{Op: storage.MutAddEdge, Src: 0, Dst: 1, Type: "r1"})
+	ms.Edge(0, 1, "r1")
 	if !s.Format().Compressed {
-		t.Error("incremental AddEdge on a live store cleared the segmented invariant")
+		t.Error("a live edge on a finalized store cleared the segmented invariant")
 	}
 	ls := s.LiveStats()
 	if !ls.Segmented || ls.DeltaEdges != 1 {
 		t.Errorf("LiveStats = %+v, want Segmented with one delta edge", ls)
 	}
-	if got, want := storetest.Fingerprint(s), storetest.Fingerprint(ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
 		t.Errorf("graph state diverged after live AddEdge\n got %s\nwant %s", got, want)
 	}
 }
@@ -858,7 +831,7 @@ func TestLiveFinalizeKeepsLaterWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyLiveStream(t, 53, 60, s, ms)
-	want := storetest.Fingerprint(ms)
+	want := modelFingerprint(t, ms)
 	if got := storetest.Fingerprint(s); got != want {
 		t.Fatalf("live store diverged from reference before the reopen\n got %s\nwant %s", got, want)
 	}
@@ -876,19 +849,19 @@ func TestLiveFinalizeKeepsLaterWrites(t *testing.T) {
 }
 
 // TestFailedFinalizeKeepsPreviousCommit makes Finalize fail partway — a
-// directory squats on a path it must create — on a store built by single
-// calls (all of it in the WAL and the delta over an empty base) and on a
+// directory squats on a path it must create — on a store built by live
+// batches (all of it in the WAL and the delta over an empty base) and on a
 // bulk-loaded one with live writes, at the new generation's first file,
-// at its index and at the manifest rename. The store keeps serving its previous state, reopens
-// at its previous commit after a crash, and finalizes once the path is
-// free.
+// at its index and at the manifest rename. The store keeps serving its
+// previous state, reopens at its previous commit after a crash, and
+// finalizes once the path is free.
 func TestFailedFinalizeKeepsPreviousCommit(t *testing.T) {
 	build := func(t *testing.T, dir string) (*Store, string) {
 		s, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := storetest.BuildRandom(s, liveSeed, liveNV, liveNE); err != nil {
+		if _, err := storetest.RandomBatch(liveSeed, liveNV, liveNE).Apply(s); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Flush(); err != nil {
@@ -899,7 +872,7 @@ func TestFailedFinalizeKeepsPreviousCommit(t *testing.T) {
 	live := func(t *testing.T, dir string) (*Store, string) {
 		s, ms := openLivePair(t, dir)
 		applyLiveStream(t, 57, 40, s, ms)
-		return s, storetest.Fingerprint(ms)
+		return s, modelFingerprint(t, ms)
 	}
 	squats := []struct {
 		at   string // the step whose path is occupied
@@ -965,7 +938,7 @@ func TestIndexTornWriteFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 3, 8, 12, 4); err != nil {
+	if _, err := storetest.BuildRandom(s, 3, 8, 12); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Compact(); err != nil {
@@ -1124,17 +1097,11 @@ func TestHasLabelAgreesWithLabelsAcrossLifecycle(t *testing.T) {
 	}
 	addLabel := func(s *Store, v storage.VID, label string) {
 		t.Helper()
-		if err := s.AddLabel(v, label); err != nil {
-			t.Fatal(err)
-		}
+		mustApply(t, s, storage.Mutation{Op: storage.MutAddLabel, V: v, Label: label})
 	}
 	addVertex := func(s *Store, labels ...string) storage.VID {
 		t.Helper()
-		v, err := s.AddVertex(labels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
+		return mustApply(t, s, storage.Mutation{Op: storage.MutAddVertex, Labels: labels}).Vertices[0]
 	}
 	check("finalized by the bulk load", s)
 
@@ -1209,9 +1176,8 @@ func TestHasLabelAgreesWithLabelsAcrossLifecycle(t *testing.T) {
 func TestLiveLabelCheckTouchesNoPage(t *testing.T) {
 	s, _ := openLivePair(t, t.TempDir())
 	defer s.Close()
-	if err := s.AddLabel(0, "Live"); err != nil { // a non-empty delta must not change the answer
-		t.Fatal(err)
-	}
+	// A non-empty delta must not change the answer.
+	mustApply(t, s, storage.Mutation{Op: storage.MutAddLabel, V: 0, Label: "Live"})
 	r1, a, live := s.TypeID("r1"), s.LabelID("A"), s.LabelID("Live")
 	expand := func(withCheck bool) (accesses int64, edges, matched int) {
 		s.ResetStats()

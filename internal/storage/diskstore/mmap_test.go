@@ -17,7 +17,7 @@ func TestMmapReadPathMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 99, 80, 240, 32); err != nil {
+	if _, err := storetest.BuildRandom(s, 99, 80, 240); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

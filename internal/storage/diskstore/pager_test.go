@@ -55,7 +55,7 @@ func TestPagerShardIndexInRange(t *testing.T) {
 // sweeps actually evict.
 func TestPagerCapacityRespected(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 256, CachePages: 16})
-	if _, err := storetest.BuildRandomBulk(s, 11, 300, 900, 64); err != nil {
+	if _, err := storetest.BuildRandom(s, 11, 300, 900); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DropCache(); err != nil {
@@ -79,7 +79,7 @@ func TestPagerCapacityRespected(t *testing.T) {
 // and the atomic stats counters are data-race free.
 func TestPagerConcurrentEvictionPressure(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 256, CachePages: 16})
-	if _, err := storetest.BuildRandomBulk(s, 99, 200, 600, 64); err != nil {
+	if _, err := storetest.BuildRandom(s, 99, 200, 600); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DropCache(); err != nil {

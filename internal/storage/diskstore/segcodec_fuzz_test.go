@@ -27,7 +27,7 @@ func realSegments(f *testing.F) (out, in []byte) {
 		f.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := storetest.BuildRandomBulk(s, 21, 60, 160, 32); err != nil {
+	if _, err := storetest.BuildRandom(s, 21, 60, 160); err != nil {
 		f.Fatal(err)
 	}
 	ep := s.curEp()

@@ -19,7 +19,7 @@ func TestStatisticsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storetest.BuildRandomBulk(s, 77, 120, 300, 32); err != nil {
+	if _, err := storetest.BuildRandom(s, 77, 120, 300); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -134,7 +134,7 @@ func TestStatisticsLiveDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := storetest.BuildRandomBulk(s, 78, 60, 150, 32); err != nil {
+	if _, err := storetest.BuildRandom(s, 78, 60, 150); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {

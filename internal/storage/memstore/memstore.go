@@ -38,9 +38,11 @@ type vertex struct {
 // Store is an in-memory property graph. The zero value is not usable; call
 // New.
 //
-// Building (AddVertex, AddLabel, SetProp, AddEdge) is single-writer; once
-// built, every read method touches only data that no longer changes, so
-// the store serves any number of concurrent readers without locking.
+// A store is written once, through storage.Builder's batches, by a single
+// writer; Finalize ends the load and the store takes no writes after it
+// (storage.ErrFinalized). Once finalized, every read method touches only
+// data that no longer changes, so the store serves any number of
+// concurrent readers without locking.
 type Store struct {
 	storage.ByName
 
@@ -56,15 +58,12 @@ type Store struct {
 
 	byLabel map[int32][]storage.VID
 
-	// segmented reports that every vertex's out/in lists are sorted by
-	// (etype, id), so typed iteration and degree queries can binary-search
-	// the matching segment. Established by Finalize, broken by AddEdge.
-	segmented bool
-
-	// index holds the (label, key, value) postings (propindex.go). Built
-	// by Finalize, dropped by AddLabel and SetProp; while nil, lookups
-	// filter the label scan.
-	index *propIndex
+	// finalized is set by Finalize. From then on every vertex's out/in
+	// lists are sorted by (etype, id), so typed iteration and degree
+	// queries binary-search the matching segment, and index holds the
+	// (label, key, value) postings (propindex.go).
+	finalized bool
+	index     *propIndex
 }
 
 var (
@@ -75,13 +74,13 @@ var (
 // New returns an empty in-memory store.
 func New() *Store {
 	s := &Store{
-		labelIDs:  map[string]int32{},
-		typeIDs:   map[string]int32{},
-		keyIDs:    map[string]int32{},
-		byLabel:   map[int32][]storage.VID{},
-		segmented: true, // trivially: no edges yet
+		labelIDs: map[string]int32{},
+		typeIDs:  map[string]int32{},
+		keyIDs:   map[string]int32{},
+		byLabel:  map[int32][]storage.VID{},
 	}
 	s.ByName = storage.NewByName(s)
+	s.index = buildPropIndex(s)
 	return s
 }
 
@@ -95,30 +94,35 @@ func intern(s string, ids map[string]int32, names *[]string) int32 {
 	return id
 }
 
-// AddVertex creates a vertex with the given labels.
-func (s *Store) AddVertex(labels ...string) (storage.VID, error) {
-	id := storage.VID(len(s.vertices))
-	s.vertices = append(s.vertices, vertex{})
-	for _, l := range labels {
-		if err := s.AddLabel(id, l); err != nil {
-			return 0, err
+// AddVertexBatch creates the batch's vertices with consecutive IDs, each
+// with its labels and its properties applied in order.
+func (s *Store) AddVertexBatch(batch []storage.BulkVertex) (storage.VID, error) {
+	if s.finalized {
+		return 0, fmt.Errorf("memstore: %w", storage.ErrFinalized)
+	}
+	first := storage.VID(len(s.vertices))
+	s.vertices = append(s.vertices, make([]vertex, len(batch))...)
+	for i, bv := range batch {
+		v := first + storage.VID(i)
+		for _, l := range bv.Labels {
+			s.addLabel(v, l)
+		}
+		for _, p := range bv.Props {
+			s.setProp(v, p.Key, p.Value)
 		}
 	}
-	return id, nil
+	return first, nil
 }
 
-// AddLabel adds a label to an existing vertex.
-func (s *Store) AddLabel(v storage.VID, label string) error {
-	if err := s.check(v); err != nil {
-		return err
-	}
+// addLabel adds a label to an existing vertex.
+func (s *Store) addLabel(v storage.VID, label string) {
 	id := intern(label, s.labelIDs, &s.labels)
 	vx := &s.vertices[v]
 	// Insert in label-name order so Labels() never has to sort.
 	at := len(vx.labels)
 	for i, l := range vx.labels {
 		if l == id {
-			return nil
+			return
 		}
 		if s.labels[l] > label {
 			at = i
@@ -129,24 +133,18 @@ func (s *Store) AddLabel(v storage.VID, label string) error {
 	copy(vx.labels[at+1:], vx.labels[at:])
 	vx.labels[at] = id
 	s.byLabel[id] = append(s.byLabel[id], v)
-	s.index = nil
-	return nil
 }
 
-// SetProp sets a vertex property, replacing any previous value.
-func (s *Store) SetProp(v storage.VID, key string, val graph.Value) error {
-	if err := s.check(v); err != nil {
-		return err
-	}
+// setProp sets a vertex property, replacing any previous value.
+func (s *Store) setProp(v storage.VID, key string, val graph.Value) {
 	id := intern(key, s.keyIDs, &s.keys)
-	s.index = nil
 	vx := &s.vertices[v]
 	// Insert in key-name order so PropKeys() never has to sort.
 	at := len(vx.props)
 	for i, p := range vx.props {
 		if p.key == id {
 			vx.props[i].val = val
-			return nil
+			return
 		}
 		if s.keys[p.key] > key {
 			at = i
@@ -156,67 +154,49 @@ func (s *Store) SetProp(v storage.VID, key string, val graph.Value) error {
 	vx.props = append(vx.props, prop{})
 	copy(vx.props[at+1:], vx.props[at:])
 	vx.props[at] = prop{key: id, val: val}
-	return nil
-}
-
-// AddEdge creates a directed edge of the given type.
-func (s *Store) AddEdge(src, dst storage.VID, etype string) (storage.EID, error) {
-	if err := s.check(src); err != nil {
-		return 0, err
-	}
-	if err := s.check(dst); err != nil {
-		return 0, err
-	}
-	t := intern(etype, s.typeIDs, &s.types)
-	id := storage.EID(s.numEdges)
-	s.numEdges++
-	s.vertices[src].out = append(s.vertices[src].out, halfEdge{etype: t, other: dst, id: id})
-	s.vertices[dst].in = append(s.vertices[dst].in, halfEdge{etype: t, other: src, id: id})
-	// Appending in arrival order breaks type grouping until the next
-	// Finalize.
-	s.segmented = false
-	return id, nil
-}
-
-// ---- storage.BatchBuilder ----
-
-// AddVertexBatch creates the batch's vertices with consecutive IDs.
-func (s *Store) AddVertexBatch(batch []storage.BulkVertex) (storage.VID, error) {
-	first := storage.VID(len(s.vertices))
-	s.vertices = append(s.vertices, make([]vertex, len(batch))...)
-	for i, bv := range batch {
-		for _, l := range bv.Labels {
-			if err := s.AddLabel(first+storage.VID(i), l); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return first, nil
 }
 
 // AddEdgeBatch creates the batch's edges. In-memory adjacency is built
 // eagerly (there is no deferred-linkage saving to be had), so the only
-// deferred work is Finalize's type segmentation.
+// deferred work is Finalize's type segmentation. The batch is checked
+// whole before any edge is added.
 func (s *Store) AddEdgeBatch(batch []storage.BulkEdge) error {
+	if s.finalized {
+		return fmt.Errorf("memstore: %w", storage.ErrFinalized)
+	}
 	for _, be := range batch {
-		if _, err := s.AddEdge(be.Src, be.Dst, be.Type); err != nil {
+		if err := s.check(be.Src); err != nil {
 			return err
 		}
+		if err := s.check(be.Dst); err != nil {
+			return err
+		}
+	}
+	for _, be := range batch {
+		t := intern(be.Type, s.typeIDs, &s.types)
+		id := storage.EID(s.numEdges)
+		s.numEdges++
+		s.vertices[be.Src].out = append(s.vertices[be.Src].out, halfEdge{etype: t, other: be.Dst, id: id})
+		s.vertices[be.Dst].in = append(s.vertices[be.Dst].in, halfEdge{etype: t, other: be.Src, id: id})
 	}
 	return nil
 }
 
-// Finalize sorts every vertex's out/in lists by (edge type, edge id), so
-// typed traversals and degree queries binary-search straight to their
-// type's segment instead of filtering the whole list, and builds the
-// (label, key, value) postings index.
+// Finalize ends the load: it sorts every vertex's out/in lists by (edge
+// type, edge id), so typed traversals and degree queries binary-search
+// straight to their type's segment instead of filtering the whole list,
+// and builds the (label, key, value) postings index. A second call does
+// nothing.
 func (s *Store) Finalize() error {
+	if s.finalized {
+		return nil
+	}
 	for i := range s.vertices {
 		sortSegmented(s.vertices[i].out)
 		sortSegmented(s.vertices[i].in)
 	}
-	s.segmented = true
 	s.index = buildPropIndex(s)
+	s.finalized = true
 	return nil
 }
 
@@ -288,22 +268,11 @@ func (s *Store) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn fu
 		}
 		return
 	}
+	// Type-segmented list: seek to the segment, stop at its end — no
+	// per-edge type filtering.
 	want := int32(etype)
-	if s.segmented {
-		// Type-segmented list: seek to the segment, stop at its end — no
-		// per-edge type filtering.
-		for i := segmentStart(list, want); i < len(list) && list[i].etype == want; i++ {
-			if !fn(list[i].id, list[i].other) {
-				return
-			}
-		}
-		return
-	}
-	for _, e := range list {
-		if e.etype != want {
-			continue
-		}
-		if !fn(e.id, e.other) {
+	for i := segmentStart(list, want); i < len(list) && list[i].etype == want; i++ {
+		if !fn(list[i].id, list[i].other) {
 			return
 		}
 	}
@@ -433,10 +402,10 @@ func (s *Store) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) 
 }
 
 // ForEachVertexByPropID calls fn for every vertex carrying the label and
-// the property value: the index's postings once finalized, a filtered
-// label scan before (and for the AnySymbol label, which has no postings).
+// the property value: the index's postings, or a filtered label scan for
+// the AnySymbol label, which has no postings.
 func (s *Store) ForEachVertexByPropID(label, key storage.SymbolID, val graph.Value, fn func(storage.VID) bool) {
-	if s.index == nil || label < 0 || key < 0 {
+	if label < 0 || key < 0 {
 		storage.ScanByPropID(s, label, key, val, fn)
 		return
 	}
@@ -471,18 +440,9 @@ func (s *Store) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 		return len(list)
 	}
 	want := int32(etype)
-	if s.segmented {
-		lo := segmentStart(list, want)
-		hi := lo + sort.Search(len(list)-lo, func(i int) bool { return list[lo+i].etype > want })
-		return hi - lo
-	}
-	n := 0
-	for _, e := range list {
-		if e.etype == want {
-			n++
-		}
-	}
-	return n
+	lo := segmentStart(list, want)
+	hi := lo + sort.Search(len(list)-lo, func(i int) bool { return list[lo+i].etype > want })
+	return hi - lo
 }
 
 // LabelCounts returns the exact number of vertices per label
@@ -512,8 +472,8 @@ func (s *Store) EdgeTypeCounts() map[string]int {
 }
 
 // MayHaveProp reports whether any vertex with the label carries val for
-// the key (storage.Statistics). Memstore answers exactly: one index probe
-// once finalized, a label scan that stops at the first match before.
+// the key (storage.Statistics). Memstore answers exactly, with one index
+// probe.
 func (s *Store) MayHaveProp(label, key string, val graph.Value) bool {
 	lid, ok := s.labelIDs[label]
 	if !ok {
@@ -523,13 +483,5 @@ func (s *Store) MayHaveProp(label, key string, val graph.Value) bool {
 	if !ok {
 		return false
 	}
-	if s.index != nil {
-		return len(s.index.lookup(s, lid, kid, val)) > 0
-	}
-	found := false
-	storage.ScanByPropID(s, storage.SymbolID(lid), storage.SymbolID(kid), val, func(storage.VID) bool {
-		found = true
-		return false
-	})
-	return found
+	return len(s.index.lookup(s, lid, kid, val)) > 0
 }

@@ -1,6 +1,8 @@
 // Package storage defines the backend-independent interface between
 // property graph stores and the query engine: Graph is the one read
-// contract and Builder the write contract. Two implementations exist:
+// contract, Builder the bulk-write contract (vertex batches that carry
+// their properties, edge batches, one Finalize) and
+// MutableGraph.ApplyMutations the live one. Two implementations exist:
 // memstore (an in-memory adjacency store, the JanusGraph-like backend of
 // the paper's evaluation) and diskstore (a Neo4j-like record store behind
 // a sharded clock-sweep page cache). Both implement Graph's ID methods
@@ -222,23 +224,65 @@ func SplitRange(n, parts int) [][2]int {
 	return out
 }
 
-// Builder is the write interface used by the graph loader: per-item
-// writes plus the batched BatchBuilder path. Stores must be fully built
-// before being queried.
+// Builder is the one bulk-write contract: a load is vertex batches that
+// carry their labels and properties, edge batches, and one Finalize. After
+// its first Finalize a store takes no more batches (ErrFinalized); a
+// backend with live writes takes them through MutableGraph.ApplyMutations.
+//
+//   - AddVertexBatch assigns the batch consecutive VIDs starting at the
+//     returned first ID, which is the number of vertices created before
+//     the call. Each vertex's properties are applied in order, so a
+//     repeated key keeps its last value; a repeated label is one label.
+//   - AddEdgeBatch takes edges between vertices of earlier batches.
+//   - On a store that holds nothing, the first batch may open a pending
+//     load: every batch after it may be invisible to the read surface
+//     until Finalize, and the store may refuse ApplyMutations
+//     (ErrNotLive) until then. Reads are defined only after Finalize.
+//   - Finalize may renumber edge IDs (e.g. to cluster adjacency by edge
+//     type on disk); EIDs observed before Finalize are invalid after it.
+//   - Finalize is idempotent. On a backend with live writes a later
+//     Finalize (re)establishes the optimal physical layout — for
+//     diskstore, a fold of its live writes into a new generation.
+//   - On a persistent backend Finalize is a durable commit: once it
+//     returns, the built store survives a crash without a Flush or Close.
 type Builder interface {
 	Graph
-	BatchBuilder
-	// AddVertex creates a vertex with the given labels.
-	AddVertex(labels ...string) (VID, error)
-	// AddLabel adds a label to an existing vertex.
-	AddLabel(v VID, label string) error
-	// SetProp sets a vertex property, replacing any previous value.
-	SetProp(v VID, key string, val graph.Value) error
-	// AddEdge creates a directed edge of the given type.
-	AddEdge(src, dst VID, etype string) (EID, error)
+	// AddVertexBatch creates len(batch) vertices with the given labels and
+	// properties and returns the VID of the first; the rest follow
+	// consecutively.
+	AddVertexBatch(batch []BulkVertex) (first VID, err error)
+	// AddEdgeBatch creates the given edges. Adjacency construction may be
+	// deferred to Finalize.
+	AddEdgeBatch(batch []BulkEdge) error
+	// Finalize completes the load; see the contract above.
+	Finalize() error
 	// Close releases resources (flushes files for disk-backed stores).
 	Close() error
 }
+
+// BulkVertex describes one vertex of an AddVertexBatch.
+type BulkVertex struct {
+	Labels []string
+	// Props are applied in order: a repeated key keeps its last value.
+	Props []BulkProp
+}
+
+// BulkProp is one property of a BulkVertex.
+type BulkProp struct {
+	Key   string
+	Value graph.Value
+}
+
+// BulkEdge describes one edge of an AddEdgeBatch.
+type BulkEdge struct {
+	Src, Dst VID
+	Type     string
+}
+
+// ErrFinalized is returned by AddVertexBatch and AddEdgeBatch on a store
+// whose load has been finalized: a live write goes through
+// MutableGraph.ApplyMutations instead.
+var ErrFinalized = errors.New("storage: store is finalized; batches are refused")
 
 // MutationOp selects which write a Mutation performs.
 type MutationOp uint8
@@ -280,9 +324,9 @@ type MutationResult struct {
 }
 
 // ErrNotLive is returned by ApplyMutations while a bulk load is pending
-// (see BatchBuilder): the store accepts durable live writes again once
+// (see Builder): the store accepts durable live writes again once
 // Finalize has committed the load.
-var ErrNotLive = errors.New("storage: store is not in live-write mode")
+var ErrNotLive = errors.New("storage: a bulk load is pending")
 
 // ErrCompactInProgress is returned by Compact when another compaction is
 // already running on the same store. Compactions are single-flight: the

@@ -1,10 +1,13 @@
 // Package storetest provides a conformance suite run against every
-// storage.Builder implementation, plus a randomized graph generator used
-// for differential testing between backends.
+// storage.Builder implementation, the Batch fixture builder tests write
+// graphs with, and a randomized graph generator used for differential
+// testing between backends.
 package storetest
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -20,10 +23,16 @@ import (
 // Factory creates a fresh empty store for each subtest.
 type Factory func(t *testing.T) storage.Builder
 
-// Run executes the conformance suite against the implementation.
+// Run executes the conformance suite against the implementation. Every
+// subtest loads its graph through the Builder batches and Finalize;
+// writes after that are MutableGraph.ApplyMutations batches, checked
+// only on stores that implement it.
 func Run(t *testing.T, newStore Factory) {
 	t.Run("EmptyStore", func(t *testing.T) {
 		s := newStore(t)
+		if err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
 		if s.NumVertices() != 0 || s.NumEdges() != 0 {
 			t.Errorf("empty store reports %d vertices, %d edges", s.NumVertices(), s.NumEdges())
 		}
@@ -38,9 +47,14 @@ func Run(t *testing.T, newStore Factory) {
 
 	t.Run("VerticesAndLabels", func(t *testing.T) {
 		s := newStore(t)
-		a := mustVertex(t, s, "Drug")
-		b := mustVertex(t, s, "Drug", "Compound")
-		c := mustVertex(t, s)
+		var g Batch
+		a := g.Vertex("Drug")
+		// A repeated label, in one list or added later, is one label.
+		b := g.Vertex("Drug", "Compound", "Drug")
+		c := g.Vertex()
+		g.Label(c, "Late")
+		g.Label(b, "Drug")
+		mustLoad(t, &g, s)
 		if s.NumVertices() != 3 {
 			t.Fatalf("NumVertices = %d, want 3", s.NumVertices())
 		}
@@ -50,29 +64,26 @@ func Run(t *testing.T, newStore Factory) {
 		if !s.HasLabel(b, "Compound") || s.HasLabel(a, "Compound") || s.HasLabel(c, "Drug") {
 			t.Error("HasLabel wrong")
 		}
-		if err := s.AddLabel(c, "Late"); err != nil {
-			t.Fatalf("AddLabel: %v", err)
-		}
 		if !s.HasLabel(c, "Late") {
 			t.Error("label added after creation not visible")
 		}
-		// Duplicate label must be idempotent.
-		if err := s.AddLabel(b, "Drug"); err != nil {
-			t.Fatalf("AddLabel dup: %v", err)
-		}
-		if got := s.CountLabel("Drug"); got != 2 {
-			t.Errorf("CountLabel(Drug) after dup add = %d, want 2", got)
-		}
 		if got := s.Labels(b); !reflect.DeepEqual(got, []string{"Compound", "Drug"}) {
 			t.Errorf("Labels = %v", got)
+		}
+		if mg, ok := s.(storage.MutableGraph); ok {
+			if _, err := mg.ApplyMutations([]storage.Mutation{{Op: storage.MutAddLabel, V: b, Label: "Drug"}}); err != nil {
+				t.Fatalf("AddLabel dup: %v", err)
+			}
+			if got := s.CountLabel("Drug"); got != 2 {
+				t.Errorf("CountLabel(Drug) after a live duplicate label = %d, want 2", got)
+			}
 		}
 	})
 
 	t.Run("Properties", func(t *testing.T) {
 		s := newStore(t)
-		v := mustVertex(t, s, "N")
 		vals := map[string]graph.Value{
-			"s":    graph.S("hello"),
+			"s":    graph.S("world"),
 			"i":    graph.I(-42),
 			"f":    graph.F(3.25),
 			"b":    graph.B(true),
@@ -80,11 +91,14 @@ func Run(t *testing.T, newStore Factory) {
 			"nil":  graph.Null,
 			"es":   graph.S(""),
 		}
-		for k, val := range vals {
-			if err := s.SetProp(v, k, val); err != nil {
-				t.Fatalf("SetProp(%s): %v", k, err)
-			}
+		var g Batch
+		v := g.Vertex("N")
+		// A repeated key keeps its last value.
+		g.Prop(v, "s", graph.S("hello"))
+		for _, k := range slices.Sorted(maps.Keys(vals)) {
+			g.Prop(v, k, vals[k])
 		}
+		mustLoad(t, &g, s)
 		for k, want := range vals {
 			got, ok := s.Prop(v, k)
 			if !ok {
@@ -98,13 +112,6 @@ func Run(t *testing.T, newStore Factory) {
 		if _, ok := s.Prop(v, "absent"); ok {
 			t.Error("Prop(absent) reported present")
 		}
-		// Overwrite.
-		if err := s.SetProp(v, "s", graph.S("world")); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := s.Prop(v, "s"); got.Str() != "world" {
-			t.Errorf("overwritten prop = %v", got)
-		}
 		keys := s.PropKeys(v)
 		if len(keys) != len(vals) {
 			t.Errorf("PropKeys = %v, want %d keys", keys, len(vals))
@@ -112,23 +119,27 @@ func Run(t *testing.T, newStore Factory) {
 		if !sort.StringsAreSorted(keys) {
 			t.Errorf("PropKeys not sorted: %v", keys)
 		}
+		if mg, ok := s.(storage.MutableGraph); ok {
+			if _, err := mg.ApplyMutations([]storage.Mutation{{Op: storage.MutSetProp, V: v, Key: "s", Value: graph.S("again")}}); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := s.Prop(v, "s"); got.Str() != "again" {
+				t.Errorf("live-overwritten prop = %v", got)
+			}
+		}
 	})
 
 	t.Run("EdgesAndTraversal", func(t *testing.T) {
 		s := newStore(t)
-		drug := mustVertex(t, s, "Drug")
-		i1 := mustVertex(t, s, "Indication")
-		i2 := mustVertex(t, s, "Indication")
-		risk := mustVertex(t, s, "Risk")
-		if _, err := s.AddEdge(drug, i1, "treat"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AddEdge(drug, i2, "treat"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.AddEdge(drug, risk, "cause"); err != nil {
-			t.Fatal(err)
-		}
+		var g Batch
+		drug := g.Vertex("Drug")
+		i1 := g.Vertex("Indication")
+		i2 := g.Vertex("Indication")
+		risk := g.Vertex("Risk")
+		g.Edge(drug, i1, "treat")
+		g.Edge(drug, i2, "treat")
+		g.Edge(drug, risk, "cause")
+		mustLoad(t, &g, s)
 		if s.NumEdges() != 3 {
 			t.Fatalf("NumEdges = %d, want 3", s.NumEdges())
 		}
@@ -174,17 +185,19 @@ func Run(t *testing.T, newStore Factory) {
 
 	t.Run("LabelScan", func(t *testing.T) {
 		s := newStore(t)
+		var g Batch
 		var want []storage.VID
 		for i := 0; i < 10; i++ {
 			label := "Even"
 			if i%2 == 1 {
 				label = "Odd"
 			}
-			v := mustVertex(t, s, label)
+			v := g.Vertex(label)
 			if label == "Even" {
 				want = append(want, v)
 			}
 		}
+		mustLoad(t, &g, s)
 		var got []storage.VID
 		s.ForEachVertex("Even", func(v storage.VID) bool {
 			got = append(got, v)
@@ -203,7 +216,7 @@ func Run(t *testing.T, newStore Factory) {
 
 	t.Run("SymbolFastPath", func(t *testing.T) {
 		s := newStore(t)
-		buildFastPathGraph(t, s)
+		mustLoad(t, fastPathGraph(), s)
 		t.Run("Native", func(t *testing.T) {
 			CheckFastEquivalence(t, s, s)
 		})
@@ -230,9 +243,9 @@ func Run(t *testing.T, newStore Factory) {
 		// methods; this pins their empty-string and unknown-name rules, on
 		// the store and, where the backend has them, on a snapshot.
 		s := newStore(t)
-		buildFastPathGraph(t, s)
+		mustLoad(t, fastPathGraph(), s)
 		t.Run("store", func(t *testing.T) { checkByName(t, s) })
-		if sn, ok := storage.Builder(s).(storage.Snapshotter); ok {
+		if sn, ok := s.(storage.Snapshotter); ok {
 			snap := sn.AcquireSnapshot()
 			defer snap.Release()
 			t.Run("snapshot", func(t *testing.T) { checkByName(t, snap) })
@@ -271,48 +284,55 @@ func Run(t *testing.T, newStore Factory) {
 	})
 
 	t.Run("BulkBuild", func(t *testing.T) {
-		// The batched write path must produce a graph observably identical
-		// to the incremental one: same vertices, labels, properties, and
-		// (order-insensitively) the same adjacency. A small batch size
-		// forces multiple flush cycles, and the finalized store must also
-		// keep its ID reads and scan partitions consistent.
-		inc := newStore(t)
-		if _, err := BuildRandom(inc, 77, 50, 130); err != nil {
-			t.Fatal(err)
-		}
+		// A bulk load must read the same as the same graph written as
+		// live ApplyMutations batches, before and after a Finalize folds
+		// them, and keep its ID reads and scan partitions consistent.
 		bulk := newStore(t)
-		if _, err := BuildRandomBulk(bulk, 77, 50, 130, 16); err != nil {
+		if _, err := BuildRandom(bulk, 77, 50, 130); err != nil {
 			t.Fatal(err)
-		}
-		if got, want := Fingerprint(bulk), Fingerprint(inc); got != want {
-			t.Errorf("bulk-built store diverges from incremental build:\n got: %.300s...\nwant: %.300s...", got, want)
 		}
 		CheckFastEquivalence(t, bulk, bulk)
+		live, ok := newStore(t).(storage.MutableGraph)
+		if !ok {
+			return
+		}
+		if _, err := RandomBatch(77, 50, 130).Apply(live); err != nil {
+			t.Fatal(err)
+		}
+		for _, stage := range []string{"live", "folded"} {
+			if got, want := Fingerprint(live), Fingerprint(bulk); got != want {
+				t.Errorf("%s store diverges from the bulk load:\n got: %.300s...\nwant: %.300s...", stage, got, want)
+			}
+			CheckFastEquivalence(t, live, live)
+			if err := live.(storage.Builder).Finalize(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
 
 	t.Run("HasLabelMatchesLabels", func(t *testing.T) {
-		// Both write paths, because a backend may answer HasLabelID from a
-		// different structure once a bulk build has been finalized.
-		inc := newStore(t)
-		if _, err := BuildRandom(inc, 31, 150, 300); err != nil {
+		// A backend may answer HasLabelID from a different structure than
+		// Labels — a load's, a live write's — so check both.
+		s := newStore(t)
+		if _, err := BuildRandom(s, 31, 150, 300); err != nil {
 			t.Fatal(err)
 		}
-		bulk := newStore(t)
-		if _, err := BuildRandomBulk(bulk, 31, 150, 300, 16); err != nil {
+		CheckLabelMembership(t, s)
+		mg, ok := s.(storage.MutableGraph)
+		if !ok {
+			return
+		}
+		// A label the store has never seen, on an old vertex and a new
+		// one.
+		if _, err := mg.ApplyMutations([]storage.Mutation{
+			{Op: storage.MutAddLabel, V: 3, Label: "Late"},
+			{Op: storage.MutAddVertex, Labels: []string{"Late", "B"}},
+		}); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []storage.Builder{inc, bulk} {
-			CheckLabelMembership(t, s)
-			// A label the store has never seen, on an old vertex and a
-			// new one, after whatever Finalize did.
-			if err := s.AddLabel(3, "Late"); err != nil {
-				t.Fatal(err)
-			}
-			mustVertex(t, s, "Late", "B")
-			CheckLabelMembership(t, s)
-			if !s.HasLabel(3, "Late") || s.HasLabel(4, "Late") {
-				t.Error("HasLabel(Late) wrong after AddLabel")
-			}
+		CheckLabelMembership(t, s)
+		if !s.HasLabel(3, "Late") || s.HasLabel(4, "Late") {
+			t.Error("HasLabel(Late) wrong after AddLabel")
 		}
 	})
 
@@ -323,11 +343,11 @@ func Run(t *testing.T, newStore Factory) {
 		}
 		before := Fingerprint(s)
 
-		sn, ok := storage.Builder(s).(storage.Snapshotter)
+		sn, ok := s.(storage.Snapshotter)
 		if !ok {
 			// The query layer pins a snapshot only on a MutableGraph, so
 			// a store without snapshots must take no writes once built.
-			if _, mutable := storage.Builder(s).(storage.MutableGraph); mutable {
+			if _, mutable := s.(storage.MutableGraph); mutable {
 				t.Error("store is a MutableGraph but not a Snapshotter; queries would read it live mid-write")
 			}
 			return
@@ -338,24 +358,13 @@ func Run(t *testing.T, newStore Factory) {
 		}
 		CheckFastEquivalence(t, s, snap1)
 
-		// Isolation under mutation only applies when snapshots are real
-		// copies or pinned epochs. An exclusive-build store (a live-write
-		// backend before its first finalize: LiveStatsReporter with
-		// Live=false) hands out the store itself — no concurrent
-		// mutation by contract, so there is nothing to isolate.
-		isolated := true
-		if lr, ok := storage.Builder(s).(storage.LiveStatsReporter); ok && !lr.LiveStats().Live {
-			isolated = false
-		}
-		if isolated {
-			w := mustVertex(t, s, "SnapIso")
-			if err := s.SetProp(w, "iso", graph.S("after")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.AddLabel(0, "SnapIso"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.AddEdge(0, w, "snapEdge"); err != nil {
+		if mg, ok := s.(storage.MutableGraph); ok {
+			if _, err := mg.ApplyMutations([]storage.Mutation{
+				{Op: storage.MutAddVertex, Labels: []string{"SnapIso"}},
+				{Op: storage.MutSetProp, V: -1, Key: "iso", Value: graph.S("after")},
+				{Op: storage.MutAddLabel, V: 0, Label: "SnapIso"},
+				{Op: storage.MutAddEdge, Src: 0, Dst: -1, Type: "snapEdge"},
+			}); err != nil {
 				t.Fatal(err)
 			}
 			after := Fingerprint(s)
@@ -373,7 +382,7 @@ func Run(t *testing.T, newStore Factory) {
 		}
 		snap1.Release()
 		snap1.Release() // Release must be idempotent
-		if lr, ok := storage.Builder(s).(storage.LiveStatsReporter); ok {
+		if lr, ok := s.(storage.LiveStatsReporter); ok {
 			if got := lr.LiveStats().PinnedSnapshots; got != 0 {
 				t.Errorf("%d snapshots still reported pinned after every Release", got)
 			}
@@ -382,18 +391,16 @@ func Run(t *testing.T, newStore Factory) {
 
 	t.Run("PropLookup", func(t *testing.T) {
 		// ForEachVertexByPropID against a brute-force filter of the label
-		// scan, across the store's lifecycle: as built, finalized (where a
-		// backend may answer from a value index), after label writes, and
-		// after property writes that override indexed values — each of
-		// those following a Finalize, so each must invalidate on its own.
-		// A snapshot pinned before the property writes keeps answering
-		// with the old values.
+		// scan, across the store's lifecycle: as loaded (where a backend
+		// may answer from a value index), and on a MutableGraph after live
+		// label writes and after property writes that override indexed
+		// values — each of those following a Finalize, so each must
+		// invalidate on its own. A snapshot pinned before the property
+		// writes keeps answering with the old values.
 		s := newStore(t)
-		vs := buildPropLookupGraph(t, s)
+		g := propLookupGraph()
+		mustLoad(t, g, s)
 		checkPropLookup(t, s)
-		if err := s.Finalize(); err != nil {
-			t.Fatal(err)
-		}
 		// Lookups are reads: a built store serves any number at once.
 		var wg sync.WaitGroup
 		for range 4 {
@@ -404,36 +411,44 @@ func Run(t *testing.T, newStore Factory) {
 			}()
 		}
 		wg.Wait()
-		if err := s.AddLabel(vs[2], "L"); err != nil {
+		mg, ok := s.(storage.MutableGraph)
+		if !ok {
+			return
+		}
+		// A live label on an old vertex puts the label's scan out of VID
+		// order.
+		res, err := mg.ApplyMutations([]storage.Mutation{
+			{Op: storage.MutAddLabel, V: 2, Label: "L"},
+			{Op: storage.MutAddVertex, Labels: []string{"L"}},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		late := mustVertex(t, s, "L")
+		late := res.Vertices[0]
 		checkPropLookup(t, s)
 		if err := s.Finalize(); err != nil {
 			t.Fatal(err)
 		}
 
 		var snap storage.Snapshot
-		if lr, ok := storage.Builder(s).(storage.LiveStatsReporter); ok && lr.LiveStats().Live {
-			snap = storage.Builder(s).(storage.Snapshotter).AcquireSnapshot()
+		if sn, ok := s.(storage.Snapshotter); ok {
+			snap = sn.AcquireSnapshot()
 		}
-		for _, w := range []struct {
-			v   storage.VID
-			key string
-			val graph.Value
-		}{{vs[1], "n", graph.I(7)}, {vs[2], "k", graph.S("b")}, {late, "n", graph.F(1)}} {
-			if err := s.SetProp(w.v, w.key, w.val); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := mg.ApplyMutations([]storage.Mutation{
+			{Op: storage.MutSetProp, V: 1, Key: "n", Value: graph.I(7)},
+			{Op: storage.MutSetProp, V: 2, Key: "k", Value: graph.S("b")},
+			{Op: storage.MutSetProp, V: late, Key: "n", Value: graph.F(1)},
+		}); err != nil {
+			t.Fatal(err)
 		}
 		checkPropLookup(t, s)
-		if got := collectByProp(s, s.LabelID("L"), s.KeyID("n"), graph.I(1)); slices.Contains(got, vs[1]) || !slices.Contains(got, late) {
-			t.Errorf("lookup of n=1 after the writes = %v: want the new vertex %d, not the overridden %d", got, late, vs[1])
+		if got := collectByProp(s, s.LabelID("L"), s.KeyID("n"), graph.I(1)); slices.Contains(got, 1) || !slices.Contains(got, late) {
+			t.Errorf("lookup of n=1 after the writes = %v: want the new vertex %d, not the overridden 1", got, late)
 		}
 		if snap != nil {
 			checkPropLookup(t, snap)
-			if got := collectByProp(snap, snap.LabelID("L"), snap.KeyID("n"), graph.I(1)); !slices.Contains(got, vs[1]) || slices.Contains(got, late) {
-				t.Errorf("snapshot lookup of n=1 = %v: want the pre-write vertex %d, not the later %d", got, vs[1], late)
+			if got := collectByProp(snap, snap.LabelID("L"), snap.KeyID("n"), graph.I(1)); !slices.Contains(got, 1) || slices.Contains(got, late) {
+				t.Errorf("snapshot lookup of n=1 = %v: want the pre-write vertex 1, not the later %d", got, late)
 			}
 			snap.Release()
 		}
@@ -445,47 +460,95 @@ func Run(t *testing.T, newStore Factory) {
 
 	t.Run("InvalidVertex", func(t *testing.T) {
 		s := newStore(t)
-		if err := s.SetProp(99, "k", graph.I(1)); err == nil {
-			t.Error("SetProp on missing vertex succeeded")
+		if err := s.AddEdgeBatch([]storage.BulkEdge{{Src: 0, Dst: 1, Type: "t"}}); err == nil {
+			t.Error("AddEdgeBatch on missing vertices succeeded")
 		}
-		if _, err := s.AddEdge(0, 1, "t"); err == nil {
-			t.Error("AddEdge on missing vertices succeeded")
+		var g Batch
+		g.Vertex("N")
+		mustLoad(t, &g, s)
+		mg, ok := s.(storage.MutableGraph)
+		if !ok {
+			return
 		}
-		if err := s.AddLabel(-1, "L"); err == nil {
-			t.Error("AddLabel on negative vertex succeeded")
+		for _, m := range []storage.Mutation{
+			{Op: storage.MutSetProp, V: 99, Key: "k", Value: graph.I(1)},
+			{Op: storage.MutAddEdge, Src: 0, Dst: 1, Type: "t"},
+			{Op: storage.MutAddLabel, V: -1, Label: "L"},
+		} {
+			if _, err := mg.ApplyMutations([]storage.Mutation{m}); err == nil {
+				t.Errorf("mutation %+v on a missing vertex succeeded", m)
+			}
+		}
+	})
+
+	t.Run("Finalized", func(t *testing.T) {
+		// After its first Finalize a store refuses batches with
+		// storage.ErrFinalized — an empty store too — and a MutableGraph
+		// still takes ApplyMutations.
+		empty := newStore(t)
+		if err := empty.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := empty.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"A"}}}); !errors.Is(err, storage.ErrFinalized) {
+			t.Errorf("AddVertexBatch after Finalize of an empty store: err = %v, want ErrFinalized", err)
+		}
+		s := newStore(t)
+		var g Batch
+		a := g.Vertex("A")
+		g.Edge(a, a, "t")
+		mustLoad(t, &g, s)
+		if _, err := s.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"A"}}}); !errors.Is(err, storage.ErrFinalized) {
+			t.Errorf("AddVertexBatch after Finalize: err = %v, want ErrFinalized", err)
+		}
+		if err := s.AddEdgeBatch([]storage.BulkEdge{{Src: a, Dst: a, Type: "t"}}); !errors.Is(err, storage.ErrFinalized) {
+			t.Errorf("AddEdgeBatch after Finalize: err = %v, want ErrFinalized", err)
+		}
+		if s.NumVertices() != 1 || s.NumEdges() != 1 {
+			t.Errorf("refused batches changed the store: %d vertices, %d edges", s.NumVertices(), s.NumEdges())
+		}
+		mg, ok := s.(storage.MutableGraph)
+		if !ok {
+			return
+		}
+		if _, err := mg.ApplyMutations([]storage.Mutation{
+			{Op: storage.MutAddVertex, Labels: []string{"A"}},
+			{Op: storage.MutAddEdge, Src: a, Dst: -1, Type: "t"},
+		}); err != nil {
+			t.Fatalf("ApplyMutations after Finalize: %v", err)
+		}
+		if s.NumVertices() != 2 || s.NumEdges() != 2 {
+			t.Errorf("after a live batch: %d vertices, %d edges, want 2 and 2", s.NumVertices(), s.NumEdges())
+		}
+		if err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AddVertexBatch(nil); !errors.Is(err, storage.ErrFinalized) {
+			t.Errorf("AddVertexBatch after a fold: err = %v, want ErrFinalized", err)
 		}
 	})
 }
 
-// buildFastPathGraph populates a small graph exercising every symbol kind:
-// multiple labels per vertex, typed and parallel edges, and properties.
-func buildFastPathGraph(t *testing.T, s storage.Builder) {
-	t.Helper()
-	a := mustVertex(t, s, "Drug", "Compound")
-	b := mustVertex(t, s, "Indication")
-	c := mustVertex(t, s, "Risk")
-	if err := s.SetProp(a, "name", graph.S("Aspirin")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetProp(a, "doses", graph.I(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetProp(b, "desc", graph.S("Fever")); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range [][3]interface{}{{a, b, "treat"}, {a, b, "treat"}, {a, c, "cause"}, {b, c, "implies"}} {
-		if _, err := s.AddEdge(e[0].(storage.VID), e[1].(storage.VID), e[2].(string)); err != nil {
-			t.Fatal(err)
-		}
-	}
+// fastPathGraph is a small graph exercising every symbol kind: multiple
+// labels per vertex, typed and parallel edges, and properties.
+func fastPathGraph() *Batch {
+	var g Batch
+	a := g.Vertex("Drug", "Compound")
+	b := g.Vertex("Indication")
+	c := g.Vertex("Risk")
+	g.Prop(a, "name", graph.S("Aspirin"))
+	g.Prop(a, "doses", graph.I(3))
+	g.Prop(b, "desc", graph.S("Fever"))
+	g.Edge(a, b, "treat")
+	g.Edge(a, b, "treat")
+	g.Edge(a, c, "cause")
+	g.Edge(b, c, "implies")
+	return &g
 }
 
-// buildPropLookupGraph writes vertices whose values tell Equal apart from
-// byte identity — INT vs DOUBLE, -0.0, NaN, integers past 2^53, lists of
-// mixed numbers — and a label added late, so the label's scan order is
-// not VID order. It returns the vertices in creation order.
-func buildPropLookupGraph(t *testing.T, s storage.Builder) []storage.VID {
-	t.Helper()
+// propLookupGraph holds vertices whose values tell Equal apart from byte
+// identity — INT vs DOUBLE, -0.0, NaN, integers past 2^53, lists of mixed
+// numbers — and one vertex whose label comes after its properties.
+func propLookupGraph() *Batch {
 	props := []map[string]graph.Value{
 		{"k": graph.S("a"), "n": graph.I(1), "list": graph.L(graph.I(1), graph.S("x"))},
 		{"k": graph.S("b"), "n": graph.F(1), "list": graph.L(graph.F(1), graph.S("x"))},
@@ -496,22 +559,16 @@ func buildPropLookupGraph(t *testing.T, s storage.Builder) []storage.VID {
 		{"n": graph.F(1 << 53), "list": graph.L(graph.I(2), graph.B(true)), "z": graph.Null},
 	}
 	labels := [][]string{{"L", "M"}, {"L"}, {"M"}, {"L"}, {"L"}, nil, {"L"}}
-	vs := make([]storage.VID, len(props))
+	var g Batch
 	for i, ps := range props {
-		vs[i] = mustVertex(t, s, labels[i]...)
-		for k, v := range ps {
-			if err := s.SetProp(vs[i], k, v); err != nil {
-				t.Fatal(err)
-			}
+		v := g.Vertex(labels[i]...)
+		for _, k := range slices.Sorted(maps.Keys(ps)) {
+			g.Prop(v, k, ps[k])
 		}
 	}
-	if err := s.AddLabel(vs[5], "L"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddEdge(vs[0], vs[1], "e"); err != nil {
-		t.Fatal(err)
-	}
-	return vs
+	g.Label(5, "L")
+	g.Edge(0, 1, "e")
+	return &g
 }
 
 // checkPropLookup compares ForEachVertexByPropID on g with a brute-force
@@ -870,54 +927,113 @@ func degreeSweep(g storage.Graph) []int {
 	return out
 }
 
-func mustVertex(t *testing.T, s storage.Builder, labels ...string) storage.VID {
+func mustLoad(t *testing.T, g *Batch, s storage.Builder) {
 	t.Helper()
-	v, err := s.AddVertex(labels...)
-	if err != nil {
-		t.Fatalf("AddVertex: %v", err)
+	if err := g.Load(s); err != nil {
+		t.Fatalf("Load: %v", err)
 	}
-	return v
 }
 
 func sortVIDs(vs []storage.VID) {
 	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 }
 
-// randomWriter is the write surface buildRandomInto needs. Both write
-// paths satisfy it — storage.Builder through the builderWriter adapter,
-// *storage.BulkLoader directly — so the generator exists exactly once
-// and the BulkBuild conformance comparison can never drift out of rng
-// sync between the two.
-type randomWriter interface {
-	AddVertex(labels ...string) (storage.VID, error)
-	AddLabel(v storage.VID, label string) error
-	SetProp(v storage.VID, key string, val graph.Value) error
-	AddEdge(src, dst storage.VID, etype string) error
+// Batch is a test graph in the shape storage.Builder takes it: vertices,
+// each whole with its labels and properties, and edges between them.
+// Fixtures are built with Vertex, Label, Prop and Edge; Load writes the
+// graph into a store as a bulk load, Apply as live ApplyMutations
+// batches.
+type Batch struct {
+	Vertices []storage.BulkVertex
+	Edges    []storage.BulkEdge
 }
 
-// builderWriter adapts storage.Builder's AddEdge signature (which returns
-// the EID) to randomWriter.
-type builderWriter struct{ storage.Builder }
-
-func (w builderWriter) AddEdge(src, dst storage.VID, etype string) error {
-	_, err := w.Builder.AddEdge(src, dst, etype)
-	return err
+// Vertex adds a vertex and returns its VID, which is its VID in a store
+// the batch is loaded into.
+func (b *Batch) Vertex(labels ...string) storage.VID {
+	b.Vertices = append(b.Vertices, storage.BulkVertex{Labels: slices.Clone(labels)})
+	return storage.VID(len(b.Vertices) - 1)
 }
 
-// buildRandomInto writes the pseudo-random graph for seed through w.
-func buildRandomInto(w randomWriter, seed int64, nVertices, nEdges int) error {
-	rng := rand.New(rand.NewSource(seed))
-	labels := []string{"A", "B", "C", "D"}
-	etypes := []string{"r1", "r2", "r3"}
-	for i := 0; i < nVertices; i++ {
-		v, err := w.AddVertex(labels[rng.Intn(len(labels))])
+// Label adds a label to vertex v.
+func (b *Batch) Label(v storage.VID, label string) {
+	b.Vertices[v].Labels = append(b.Vertices[v].Labels, label)
+}
+
+// Prop sets a property of vertex v; a later Prop of the same key wins.
+func (b *Batch) Prop(v storage.VID, key string, val graph.Value) {
+	b.Vertices[v].Props = append(b.Vertices[v].Props, storage.BulkProp{Key: key, Value: val})
+}
+
+// Edge adds an edge.
+func (b *Batch) Edge(src, dst storage.VID, etype string) {
+	b.Edges = append(b.Edges, storage.BulkEdge{Src: src, Dst: dst, Type: etype})
+}
+
+// loadChunk is the batch size Load and Apply cut the graph into, so that
+// every fixture crosses batch boundaries.
+const loadChunk = 16
+
+// Load writes the batch into s, a store that holds nothing, as vertex
+// batches and edge batches of loadChunk, and finalizes it.
+func (b *Batch) Load(s storage.Builder) error {
+	for lo := 0; lo < len(b.Vertices); lo += loadChunk {
+		first, err := s.AddVertexBatch(b.Vertices[lo:min(lo+loadChunk, len(b.Vertices))])
 		if err != nil {
 			return err
 		}
+		if first != storage.VID(lo) {
+			return fmt.Errorf("storetest: vertex batch got VIDs from %d, want %d", first, lo)
+		}
+	}
+	for lo := 0; lo < len(b.Edges); lo += loadChunk {
+		if err := s.AddEdgeBatch(b.Edges[lo:min(lo+loadChunk, len(b.Edges))]); err != nil {
+			return err
+		}
+	}
+	return s.Finalize()
+}
+
+// Apply writes the batch into g as live ApplyMutations batches: one per
+// vertex with its properties, then the edges, loadChunk to a batch. It
+// returns the VIDs the vertices got.
+func (b *Batch) Apply(g storage.MutableGraph) ([]storage.VID, error) {
+	vids := make([]storage.VID, len(b.Vertices))
+	for i, bv := range b.Vertices {
+		muts := []storage.Mutation{{Op: storage.MutAddVertex, Labels: bv.Labels}}
+		for _, p := range bv.Props {
+			muts = append(muts, storage.Mutation{Op: storage.MutSetProp, V: -1, Key: p.Key, Value: p.Value})
+		}
+		res, err := g.ApplyMutations(muts)
+		if err != nil {
+			return nil, err
+		}
+		vids[i] = res.Vertices[0]
+	}
+	for lo := 0; lo < len(b.Edges); lo += loadChunk {
+		var muts []storage.Mutation
+		for _, e := range b.Edges[lo:min(lo+loadChunk, len(b.Edges))] {
+			muts = append(muts, storage.Mutation{Op: storage.MutAddEdge, Src: vids[e.Src], Dst: vids[e.Dst], Type: e.Type})
+		}
+		if _, err := g.ApplyMutations(muts); err != nil {
+			return nil, err
+		}
+	}
+	return vids, nil
+}
+
+// RandomBatch returns the pseudo-random graph for seed: nVertices
+// vertices with one or two of four labels and up to three properties
+// (repeated keys included), then nEdges edges of three types.
+func RandomBatch(seed int64, nVertices, nEdges int) *Batch {
+	rng := rand.New(rand.NewSource(seed))
+	labels := []string{"A", "B", "C", "D"}
+	etypes := []string{"r1", "r2", "r3"}
+	var b Batch
+	for i := 0; i < nVertices; i++ {
+		v := b.Vertex(labels[rng.Intn(len(labels))])
 		if rng.Intn(2) == 0 {
-			if err := w.AddLabel(v, labels[rng.Intn(len(labels))]); err != nil {
-				return err
-			}
+			b.Label(v, labels[rng.Intn(len(labels))])
 		}
 		nProps := rng.Intn(4)
 		for j := 0; j < nProps; j++ {
@@ -932,40 +1048,22 @@ func buildRandomInto(w randomWriter, seed int64, nVertices, nEdges int) error {
 			default:
 				val = graph.L(graph.S("x"), graph.I(rng.Int63n(10)))
 			}
-			if err := w.SetProp(v, fmt.Sprintf("p%d", rng.Intn(5)), val); err != nil {
-				return err
-			}
+			b.Prop(v, fmt.Sprintf("p%d", rng.Intn(5)), val)
 		}
 	}
 	for i := 0; i < nEdges; i++ {
 		src := storage.VID(rng.Intn(nVertices))
 		dst := storage.VID(rng.Intn(nVertices))
-		if err := w.AddEdge(src, dst, etypes[rng.Intn(len(etypes))]); err != nil {
-			return err
-		}
+		b.Edge(src, dst, etypes[rng.Intn(len(etypes))])
 	}
-	return nil
+	return &b
 }
 
-// BuildRandom populates b with a pseudo-random graph (deterministic in
-// seed) and returns the vertex count. Used for differential tests.
+// BuildRandom loads the RandomBatch graph for seed into b, a store that
+// holds nothing, finalizes it and returns the vertex count. Used for
+// differential tests.
 func BuildRandom(b storage.Builder, seed int64, nVertices, nEdges int) (int, error) {
-	if err := buildRandomInto(builderWriter{b}, seed, nVertices, nEdges); err != nil {
-		return 0, err
-	}
-	return nVertices, nil
-}
-
-// BuildRandomBulk builds the same pseudo-random graph as BuildRandom with
-// the same seed, but through the storage.BulkLoader batched write path
-// (the store's BatchBuilder batches), finishing with one Finalize. Used to prove the two
-// write paths produce observably identical graphs.
-func BuildRandomBulk(b storage.Builder, seed int64, nVertices, nEdges, batchSize int) (int, error) {
-	bl := storage.NewBulkLoader(b, batchSize)
-	if err := buildRandomInto(bl, seed, nVertices, nEdges); err != nil {
-		return 0, err
-	}
-	if err := bl.Finalize(); err != nil {
+	if err := RandomBatch(seed, nVertices, nEdges).Load(b); err != nil {
 		return 0, err
 	}
 	return nVertices, nil
