@@ -132,7 +132,11 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 	// seen.
 	batch := make([]storage.BulkVertex, 0, min(len(roots), loadBatch))
 	for i, root := range roots {
-		var props []storage.BulkProp
+		n := len(lists[i])
+		for _, ref := range groups[root] {
+			n += len(ds.Extents[ref.concept][ref.ordinal].Props)
+		}
+		props := make([]storage.BulkProp, 0, n)
 		for _, ref := range groups[root] {
 			inst := ds.Extents[ref.concept][ref.ordinal]
 			keys := make([]string, 0, len(inst.Props))

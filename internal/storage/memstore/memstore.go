@@ -104,6 +104,7 @@ func (s *Store) AddVertexBatch(batch []storage.BulkVertex) (storage.VID, error) 
 	s.vertices = append(s.vertices, make([]vertex, len(batch))...)
 	for i, bv := range batch {
 		v := first + storage.VID(i)
+		s.vertices[v].props = make([]prop, 0, len(bv.Props))
 		for _, l := range bv.Labels {
 			s.addLabel(v, l)
 		}
