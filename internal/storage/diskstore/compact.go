@@ -41,10 +41,10 @@ func (s *Store) Compact() error { return s.Finalize() }
 // invalid after it (the storage.Builder contract). Readers and live
 // writers keep going while it runs; a bulk load's Finalize comes from its
 // single writer, like every batch of the load. If it fails, a load stays
-// pending; once it succeeds the store refuses batches. A store with nothing to fold writes nothing. Finalize is
-// single-flight with Compact: a concurrent call returns
-// storage.ErrCompactInProgress. The numbered stages follow the protocol
-// in the comment above.
+// pending; once it succeeds the store refuses batches. A store with
+// nothing to fold writes nothing. Finalize is single-flight with Compact:
+// a concurrent call returns storage.ErrCompactInProgress. The numbered
+// stages follow the protocol in the comment above.
 func (s *Store) Finalize() error {
 	if !s.folding.CompareAndSwap(false, true) {
 		return storage.ErrCompactInProgress

@@ -7,10 +7,11 @@ package diskstore
 // no generation, no base vertices, an empty delta and no WAL. From then on
 // that batch and every later one append to one in-memory frozenDelta, the
 // load set — each vertex whole, with its label IDs and properties, edges
-// in ingest order — and nothing reaches disk. Reads never see a pending load, and
-// ApplyMutations refuses with storage.ErrNotLive until Finalize hands the
-// load set to writeGeneration over the empty base, which writes
-// generation 1 and commits it.
+// in ingest order — and nothing reaches disk. Reads never see a pending
+// load, and ApplyMutations refuses with storage.ErrNotLive until Finalize
+// hands the load set to writeGeneration over the empty base, which writes
+// generation 1 and commits it; after that the store refuses batches with
+// storage.ErrFinalized.
 //
 // writeGeneration builds everything derived — segments, degree records
 // with their descriptors, untyped degree counters, property runs,

@@ -75,7 +75,7 @@ func (s *Store) ApplyMutations(batch []storage.Mutation) (storage.MutationResult
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
 	if s.load.Load() != nil {
-		return res, fmt.Errorf("diskstore: %w (a bulk load is pending; Finalize commits it)", storage.ErrNotLive)
+		return res, fmt.Errorf("diskstore: %w; its Finalize commits it", storage.ErrNotLive)
 	}
 	if len(batch) == 0 {
 		return res, nil

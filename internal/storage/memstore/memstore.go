@@ -61,7 +61,8 @@ type Store struct {
 	// finalized is set by Finalize. From then on every vertex's out/in
 	// lists are sorted by (etype, id), so typed iteration and degree
 	// queries binary-search the matching segment, and index holds the
-	// (label, key, value) postings (propindex.go).
+	// (label, key, value) postings (propindex.go); before it, index is
+	// empty and reads are undefined (the storage.Builder contract).
 	finalized bool
 	index     *propIndex
 }
