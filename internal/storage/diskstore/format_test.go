@@ -520,15 +520,15 @@ func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
 	write("manifest.json", []byte(`{"version":5,"labels":["A","B"],"types":["r1","r2"],"keys":["name","rank"],`+
 		`"num_vertices":3,"num_edges":3,"num_props":2,"blob_size":7}`))
 
-	ms := &storetest.Batch{}
+	model := &storetest.Batch{}
 	for _, labels := range [][]string{{"A"}, {"B"}, {"A", "B"}} {
-		ms.Vertex(labels...)
+		model.Vertex(labels...)
 	}
-	ms.Prop(0, "name", graph.S("aspirin"))
-	ms.Prop(0, "rank", graph.I(1))
-	ms.Edge(0, 1, "r1")
-	ms.Edge(1, 2, "r2")
-	ms.Edge(0, 2, "r1")
+	model.Prop(0, "name", graph.S("aspirin"))
+	model.Prop(0, "rank", graph.I(1))
+	model.Edge(0, 1, "r1")
+	model.Edge(1, 2, "r2")
+	model.Edge(0, 2, "r1")
 
 	opts := Options{PageSize: 512, CachePages: 8}
 	before := dirState(t, dir)
@@ -546,7 +546,7 @@ func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
 		t.Fatalf("upgraded store rejected: %v", err)
 	}
 	defer s.Close()
-	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
 		t.Errorf("upgraded store diverges from its records\n got %s\nwant %s", got, want)
 	}
 	if f := s.Format(); f.Generation != 1 || f.EdgeBytes == 0 {

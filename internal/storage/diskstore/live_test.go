@@ -123,10 +123,10 @@ func applyLiveStream(t *testing.T, seed int64, n int, s *Store, model *storetest
 }
 
 func TestLiveEquivalenceDifferential(t *testing.T) {
-	s, ms := openLivePair(t, t.TempDir())
+	s, model := openLivePair(t, t.TempDir())
 	defer s.Close()
-	applyLiveStream(t, 11, 300, s, ms)
-	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
+	applyLiveStream(t, 11, 300, s, model)
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
 		t.Errorf("live diskstore diverged from memstore reference\n got %s\nwant %s", got, want)
 	}
 	// The fast-path interface must agree with the generic one over the
@@ -140,9 +140,9 @@ func TestLiveEquivalenceDifferential(t *testing.T) {
 
 func TestLiveReopenReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
-	s, ms := openLivePair(t, dir)
-	applyLiveStream(t, 23, 200, s, ms)
-	want := modelFingerprint(t, ms)
+	s, model := openLivePair(t, dir)
+	applyLiveStream(t, 23, 200, s, model)
+	want := modelFingerprint(t, model)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestLiveReopenReplaysWAL(t *testing.T) {
 		t.Errorf("replayed store diverged from reference\n got %s\nwant %s", got, want)
 	}
 	// Replay must continue accepting writes whose effects persist again.
-	applyLiveStream(t, 29, 50, s2, ms)
-	if got, want := storetest.Fingerprint(s2), modelFingerprint(t, ms); got != want {
+	applyLiveStream(t, 29, 50, s2, model)
+	if got, want := storetest.Fingerprint(s2), modelFingerprint(t, model); got != want {
 		t.Errorf("post-replay writes diverged\n got %s\nwant %s", got, want)
 	}
 }
@@ -173,11 +173,11 @@ func TestLiveReopenReplaysWAL(t *testing.T) {
 // memstore reference after every step and after a reopen.
 func TestCompactFoldsDeltaAndCheckpointsWAL(t *testing.T) {
 	dir := t.TempDir()
-	s, ms := openLivePair(t, dir)
+	s, model := openLivePair(t, dir)
 	var want string
 	for fold, seed := range []int64{31, 37, 41} {
-		applyLiveStream(t, seed, 250, s, ms)
-		want = modelFingerprint(t, ms)
+		applyLiveStream(t, seed, 250, s, model)
+		want = modelFingerprint(t, model)
 		if got := storetest.Fingerprint(s); got != want {
 			t.Fatalf("fold %d: live store diverged from reference before the fold\n got %s\nwant %s", fold, got, want)
 		}
@@ -280,25 +280,25 @@ func TestPropertyRunsAreContiguous(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ms := &storetest.Batch{}
+	model := &storetest.Batch{}
 	const n = 60
 	for v := 0; v < n; v++ {
-		ms.Vertex([]string{"A", "B"}[v%2])
-		ms.Prop(storage.VID(v), "tags", graph.L(graph.S("t"), graph.I(int64(v))))
-		ms.Prop(storage.VID(v), "name", graph.S(fmt.Sprintf("v%d", v)))
-		ms.Prop(storage.VID(v), "rank", graph.I(int64(v)))
-		ms.Edge(storage.VID(v), storage.VID((v+1)%n), "next")
+		model.Vertex([]string{"A", "B"}[v%2])
+		model.Prop(storage.VID(v), "tags", graph.L(graph.S("t"), graph.I(int64(v))))
+		model.Prop(storage.VID(v), "name", graph.S(fmt.Sprintf("v%d", v)))
+		model.Prop(storage.VID(v), "rank", graph.I(int64(v)))
+		model.Edge(storage.VID(v), storage.VID((v+1)%n), "next")
 	}
-	if err := ms.Load(s); err != nil {
+	if err := model.Load(s); err != nil {
 		t.Fatal(err)
 	}
 	checkPropertyRuns(t, s, "after Finalize")
-	applyLiveStream(t, 61, 120, s, ms)
+	applyLiveStream(t, 61, 120, s, model)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	checkPropertyRuns(t, s, "after a fold")
-	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
 		t.Errorf("store diverged from reference\n got %s\nwant %s", got, want)
 	}
 }
@@ -338,14 +338,14 @@ func checkPropertyRuns(t *testing.T, s *Store, when string) {
 // pins. This is the long-traversal contract: a reader that started
 // before a compaction is never torn between generations.
 func TestLiveSnapshotIsolationAcrossFold(t *testing.T) {
-	s, ms := openLivePair(t, t.TempDir())
+	s, model := openLivePair(t, t.TempDir())
 	defer s.Close()
 	before := storetest.Fingerprint(s)
 	snap := s.AcquireSnapshot()
 	defer snap.Release()
 
-	applyLiveStream(t, 909, 40, s, ms)
-	after := modelFingerprint(t, ms)
+	applyLiveStream(t, 909, 40, s, model)
+	after := modelFingerprint(t, model)
 	if got := storetest.Fingerprint(s); got != after {
 		t.Fatalf("live store diverged from reference before the fold\n got %s\nwant %s", got, after)
 	}
@@ -456,9 +456,9 @@ func TestTornWALTailTruncatedOnOpen(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, ms := openLivePair(t, dir)
-			applyLiveStream(t, 37, 120, s, ms)
-			want := modelFingerprint(t, ms)
+			s, model := openLivePair(t, dir)
+			applyLiveStream(t, 37, 120, s, model)
+			want := modelFingerprint(t, model)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -493,8 +493,8 @@ func TestTornWALTailTruncatedOnOpen(t *testing.T) {
 // recovery must finish the truncation.
 func TestStaleWALSkippedBySeqFence(t *testing.T) {
 	dir := t.TempDir()
-	s, ms := openLivePair(t, dir)
-	applyLiveStream(t, 41, 150, s, ms)
+	s, model := openLivePair(t, dir)
+	applyLiveStream(t, 41, 150, s, model)
 	walPath := filepath.Join(dir, walFileName)
 	stale, err := os.ReadFile(walPath)
 	if err != nil {
@@ -503,7 +503,7 @@ func TestStaleWALSkippedBySeqFence(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	want := modelFingerprint(t, ms)
+	want := modelFingerprint(t, model)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -524,8 +524,8 @@ func TestStaleWALSkippedBySeqFence(t *testing.T) {
 	}
 	// New writes after the fence must still be logged, replayed, and not
 	// collide with the stale sequence range.
-	applyLiveStream(t, 43, 40, s2, ms)
-	want = modelFingerprint(t, ms)
+	applyLiveStream(t, 43, 40, s2, model)
+	want = modelFingerprint(t, model)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -666,11 +666,11 @@ func TestFreshStoreIsLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApplyMutations on a fresh store: %v", err)
 	}
-	ms := &storetest.Batch{}
-	a, b := ms.Vertex("A"), ms.Vertex("B")
-	ms.Edge(a, b, "r")
-	ms.Prop(b, "k", graph.S("v"))
-	want := modelFingerprint(t, ms)
+	model := &storetest.Batch{}
+	a, b := model.Vertex("A"), model.Vertex("B")
+	model.Edge(a, b, "r")
+	model.Prop(b, "k", graph.S("v"))
+	want := modelFingerprint(t, model)
 	if got := storetest.Fingerprint(s); got != want || len(res.Vertices) != 2 || len(res.Edges) != 1 {
 		t.Fatalf("fresh store after one batch (result %+v)\n got %s\nwant %s", res, got, want)
 	}
@@ -717,15 +717,15 @@ func TestPendingLoadWritesNothing(t *testing.T) {
 	if err := s.AddEdgeBatch([]storage.BulkEdge{{Src: v, Dst: first + 1, Type: "r"}}); err != nil {
 		t.Fatal(err)
 	}
-	ms := &storetest.Batch{}
+	model := &storetest.Batch{}
 	for _, labels := range [][]string{{"A"}, {"B"}, {"A"}, {"C"}} {
-		ms.Vertex(labels...)
+		model.Vertex(labels...)
 	}
-	ms.Edge(0, 1, "r")
-	ms.Edge(2, 0, "s")
-	ms.Prop(0, "name", graph.S("a"))
-	ms.Prop(1, "tags", graph.L(graph.S("x"), graph.I(2)))
-	ms.Edge(3, 1, "r")
+	model.Edge(0, 1, "r")
+	model.Edge(2, 0, "s")
+	model.Prop(0, "name", graph.S("a"))
+	model.Prop(1, "tags", graph.L(graph.S("x"), graph.I(2)))
+	model.Edge(3, 1, "r")
 
 	pending := func() {
 		t.Helper()
@@ -760,7 +760,7 @@ func TestPendingLoadWritesNothing(t *testing.T) {
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
 		t.Errorf("finalized load diverges from the reference\n got %s\nwant %s", got, want)
 	}
 	if !s.Live() || s.Format().Generation != 1 {
@@ -774,13 +774,13 @@ func TestPendingLoadWritesNothing(t *testing.T) {
 // filter-the-full-adjacency path. Now it lands in the delta and base
 // edges keep their segment fast path.
 func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
-	s, ms := openLivePair(t, t.TempDir())
+	s, model := openLivePair(t, t.TempDir())
 	defer s.Close()
 	if !s.Format().Compressed {
 		t.Fatal("base store not segmented")
 	}
 	mustApply(t, s, storage.Mutation{Op: storage.MutAddEdge, Src: 0, Dst: 1, Type: "r1"})
-	ms.Edge(0, 1, "r1")
+	model.Edge(0, 1, "r1")
 	if !s.Format().Compressed {
 		t.Error("a live edge on a finalized store cleared the segmented invariant")
 	}
@@ -788,7 +788,7 @@ func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	if !ls.Segmented || ls.DeltaEdges != 1 {
 		t.Errorf("LiveStats = %+v, want Segmented with one delta edge", ls)
 	}
-	if got, want := storetest.Fingerprint(s), modelFingerprint(t, ms); got != want {
+	if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
 		t.Errorf("graph state diverged after live AddEdge\n got %s\nwant %s", got, want)
 	}
 }
@@ -825,13 +825,13 @@ func TestInterruptedFinalizeTypedError(t *testing.T) {
 // so the WAL keeps every record past the fold's fence.
 func TestLiveFinalizeKeepsLaterWrites(t *testing.T) {
 	dir := t.TempDir()
-	s, ms := openLivePair(t, dir)
-	applyLiveStream(t, 51, 60, s, ms)
+	s, model := openLivePair(t, dir)
+	applyLiveStream(t, 51, 60, s, model)
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	applyLiveStream(t, 53, 60, s, ms)
-	want := modelFingerprint(t, ms)
+	applyLiveStream(t, 53, 60, s, model)
+	want := modelFingerprint(t, model)
 	if got := storetest.Fingerprint(s); got != want {
 		t.Fatalf("live store diverged from reference before the reopen\n got %s\nwant %s", got, want)
 	}
@@ -870,9 +870,9 @@ func TestFailedFinalizeKeepsPreviousCommit(t *testing.T) {
 		return s, storetest.Fingerprint(s)
 	}
 	live := func(t *testing.T, dir string) (*Store, string) {
-		s, ms := openLivePair(t, dir)
-		applyLiveStream(t, 57, 40, s, ms)
-		return s, modelFingerprint(t, ms)
+		s, model := openLivePair(t, dir)
+		applyLiveStream(t, 57, 40, s, model)
+		return s, modelFingerprint(t, model)
 	}
 	squats := []struct {
 		at   string // the step whose path is occupied
@@ -1208,9 +1208,9 @@ func TestLiveLabelCheckTouchesNoPage(t *testing.T) {
 // and reads through a snapshot pinned on the superseded epoch keep
 // counting.
 func TestPagerStatsSurviveFold(t *testing.T) {
-	s, ms := openLivePair(t, t.TempDir())
+	s, model := openLivePair(t, t.TempDir())
 	defer s.Close()
-	applyLiveStream(t, 41, 60, s, ms)
+	applyLiveStream(t, 41, 60, s, model)
 	pinned := s.AcquireSnapshot()
 	defer pinned.Release()
 	if err := s.DropCache(); err != nil { // so the sweep below reads from disk
