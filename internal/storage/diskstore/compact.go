@@ -84,7 +84,7 @@ func (s *Store) Finalize() error {
 	// A legacy base (a store being upgraded) is rewritten even with
 	// nothing new to fold, and a pending load is committed even if a
 	// failed first batch left it empty, so that the store leaves it.
-	if load == nil && fence == old.baseSeq && !old.legacy && len(fd.verts) == 0 &&
+	if load == nil && fence == old.baseSeq && old.legacy == nil && len(fd.verts) == 0 &&
 		len(fd.edges) == 0 && len(fd.labelAdds) == 0 && len(fd.propOver) == 0 {
 		s.finalized.Store(true)
 		return nil
@@ -164,14 +164,14 @@ func (s *Store) Finalize() error {
 	return nil
 }
 
-// genFilePaths lists one generation's files (the five record files plus
-// its index), for the epoch retire list.
+// genFilePaths lists one generation's files (see genFileNames), for the
+// epoch retire list.
 func (s *Store) genFilePaths(gen int64) []string {
-	paths := make([]string, 0, numFiles+1)
-	for _, name := range baseFileNames {
+	var paths []string
+	for _, name := range genFileNames() {
 		paths = append(paths, filepath.Join(s.dir, genFileName(name, gen)))
 	}
-	return append(paths, s.indexPath(gen))
+	return paths
 }
 
 // removeGenFiles best-effort deletes one generation's files: a

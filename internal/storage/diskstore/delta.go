@@ -103,6 +103,12 @@ type delta struct {
 	nextV atomic.Int64
 	nextE atomic.Int64
 
+	// overrides counts the property versions propOver holds. A base
+	// property read that finds it zero skips the delta and its lock: an
+	// override counted before its batch is acknowledged is seen by every
+	// read that starts after the acknowledgement.
+	overrides atomic.Int64
+
 	// appliedSeq is the highest WAL seq whose batch is fully visible in
 	// the delta. It is the snapshot watermark: acquiring a snapshot at
 	// maxSeq = appliedSeq guarantees batch atomicity (a batch is either
@@ -418,6 +424,7 @@ func (d *delta) setPropLocked(seq uint64, v storage.VID, curBase int64, keyID in
 		d.propOver[v] = m
 	}
 	m[keyID] = append(m[keyID], propVersion{seq: seq, val: val})
+	d.overrides.Add(1)
 }
 
 // addLabelLocked records a label addition; baseHas reports whether the
@@ -572,6 +579,7 @@ func (d *delta) rebase(bound uint64, newBaseVerts int64) {
 						d.propOver[v] = m
 					}
 					m[keyID] = append(m[keyID], pv)
+					d.overrides.Add(1)
 				}
 			}
 		}
@@ -624,6 +632,7 @@ func (d *delta) prune(bound uint64, curBaseVerts, curBaseEdges int64) {
 			d.labelAdds[v] = kept
 		}
 	}
+	var overrides int64
 	for v, m := range d.propOver {
 		for id, vers := range m {
 			kept := vers[:0]
@@ -632,6 +641,7 @@ func (d *delta) prune(bound uint64, curBaseVerts, curBaseEdges int64) {
 					kept = append(kept, pv)
 				}
 			}
+			overrides += int64(len(kept))
 			if len(kept) == 0 {
 				delete(m, id)
 			} else {
@@ -642,6 +652,7 @@ func (d *delta) prune(bound uint64, curBaseVerts, curBaseEdges int64) {
 			delete(d.propOver, v)
 		}
 	}
+	d.overrides.Store(overrides)
 	for id, ps := range d.byLabel {
 		kept := ps[:0]
 		for _, p := range ps {

@@ -1,7 +1,9 @@
-// Package diskstore implements storage.Graph as a Neo4j-style record
-// store: fixed-size vertex records, adjacency as delta-varint segments per
-// (vertex, edge type), fixed-size property records chained off vertices,
-// and a variable-length blob file for strings and lists — all read through
+// Package diskstore implements storage.Graph as a vertex-local record
+// store: a fixed-size vertex record per vertex that locates two
+// contiguous runs — the vertex's properties, sorted by key, and its
+// adjacency block, a type directory followed by delta-varint segments per
+// edge type — and a variable-length blob file for strings and lists, all
+// read through
 // a sharded page cache with clock-sweep eviction, whose hits take no lock:
 // a per-file frame table and a CAS pin. The cache recycles its
 // frames — a miss in a full shard loads into the buffer of the frame it
@@ -44,6 +46,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -59,16 +62,18 @@ import (
 
 const (
 	vertexRecSize = 64
-	edgeRecSize   = 64
-	propRecSize   = 32
-	degRecSize    = 64
+	propRecSize   = 16
+	dirEntrySize  = 20
 	maxLabels     = 128
+	// maxKeyID bounds the key IDs a property record's 24-bit key field
+	// holds.
+	maxKeyID = 1<<24 - 1
 )
 
 // Options configures a Store.
 type Options struct {
-	// PageSize is the cache page size in bytes (default 8192). Record
-	// sizes (64/64/32/64) must divide it.
+	// PageSize is the cache page size in bytes (default 8192). The vertex
+	// and property record sizes (64 and 16) must divide it.
 	PageSize int
 	// CachePages is the page cache capacity (default 256 pages = 2 MiB
 	// with the default page size).
@@ -91,25 +96,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// formatVersion is the one on-disk layout this package reads and writes:
+// formatVersion is the one on-disk layout this package reads and writes,
+// vertex-local:
 //
-//   - fixed-size vertex, property and degree records (one 64-byte degree
-//     record per (vertex, edge type), chained off the vertex record);
-//   - adjacency as delta-varint (src, type) segments in edges.db, each
-//     degree record doubling as its segment descriptor (byte offsets +
-//     lengths + the first out-EID; see segcodec.go);
+//   - vertices.db: one 64-byte record per vertex holding its labels,
+//     untyped degrees and first out-EID, and locating its property run
+//     and its adjacency block;
+//   - props.db: each vertex's properties as one run of 16-byte records
+//     sorted by key ID (strings and lists in blobs.db, grouped by key);
+//   - edges.db: each vertex's adjacency block — a type directory sorted by
+//     type ID, then the vertex's delta-varint out/in segments in directory
+//     order (see segcodec.go);
 //   - index.db, the persisted label-scan index, redundant symbol tables
 //     and a statistics block (per-edge-type counts, per-(label, key)
 //     bloom filters), so Open is O(index size) instead of a vertex scan.
 //
-// Stores written by earlier releases are refused by Open with
-// ErrLegacyFormat and converted offline by Upgrade: manifest versions 2-4,
-// and a v5 store whose manifest has "compressed" false and edges — an
-// earlier build's unfinalized store, whose edges.db holds 64-byte edge
-// records chained per vertex. Version 1 and unknown versions are rejected
-// outright — v1 vertex records would silently read their degree counters
-// as zero.
-const formatVersion = 5
+// Stores written by earlier releases — manifest versions 2 to 5, whose
+// properties and per-type degree records are linked chains — are refused
+// by Open with ErrLegacyFormat and converted offline by Upgrade (see
+// legacy.go). Version 1 and unknown versions are rejected outright — v1
+// vertex records would silently read their degree counters as zero.
+const formatVersion = 6
 
 type manifest struct {
 	Version int `json:"version"`
@@ -124,14 +131,13 @@ type manifest struct {
 	NumVertices int64    `json:"num_vertices"`
 	NumEdges    int64    `json:"num_edges"`
 	NumProps    int64    `json:"num_props"`
-	NumDegs     int64    `json:"num_degs,omitempty"`
 	BlobSize    int64    `json:"blob_size"`
 	// Compressed records that edges.db holds delta-varint segments; every
-	// commit writes true, and false with edges marks a legacy store (see
-	// formatVersion). Segmented always carries the same value; it is kept
-	// so the manifest's JSON shape is unchanged. EdgeBytes is the logical
-	// size of the segment data — the bytes-on-disk numerator of the
-	// compression ratio.
+	// commit writes true, and a v5 store with false and edges holds edge
+	// records instead (see legacy.go). Segmented always carries the same
+	// value; it is kept so the manifest's JSON shape is unchanged.
+	// EdgeBytes is the size of edges.db — directories and segments, the
+	// bytes-on-disk numerator of the compression ratio.
 	Segmented  bool  `json:"segmented,omitempty"`
 	Compressed bool  `json:"compressed,omitempty"`
 	EdgeBytes  int64 `json:"edge_bytes,omitempty"`
@@ -145,7 +151,7 @@ type manifest struct {
 
 // baseFileNames are the record files backing one base generation, in
 // pager file-slot order.
-var baseFileNames = [numFiles]string{"vertices.db", "edges.db", "props.db", "blobs.db", "degrees.db"}
+var baseFileNames = [numFiles]string{"vertices.db", "edges.db", "props.db", "blobs.db"}
 
 // indexFileName is the persisted derived-structure file, also
 // generation-suffixed.
@@ -161,7 +167,7 @@ func genFileName(name string, gen int64) string {
 	return fmt.Sprintf("%s.g%d", name, gen)
 }
 
-// epoch is one open base generation: the five record files behind a
+// epoch is one open base generation: the four record files behind a
 // pager, their counts, the label-scan index, and the WAL fence (baseSeq)
 // identifying which logged batches the files already absorbed. An epoch's
 // files are never mutated — Finalize writes a whole new generation — so
@@ -175,18 +181,17 @@ func genFileName(name string, gen int64) string {
 // delta prune entries the new generation absorbed).
 type epoch struct {
 	gen int64
-	// legacy marks the source epoch of an Upgrade: its edges.db may hold
-	// 64-byte edge records rather than segments, so nothing but
-	// writeGeneration reads it (see forEachEdgeLite). edgeBytes is the
-	// logical segment-data size.
-	legacy    bool
+	// legacy is set on the source epoch of an Upgrade: its files hold an
+	// earlier format's chained records, so nothing but writeGeneration
+	// reads it, through legacy.go's readers. edgeBytes is the size of
+	// edges.db.
+	legacy    *legacySource
 	edgeBytes int64
 	pager     *pager
 
 	numVertices int64
 	numEdges    int64
 	numProps    int64
-	numDegs     int64
 	blobSize    int64
 
 	byLabel map[int][]storage.VID
@@ -256,6 +261,9 @@ func (ep *epoch) closeFiles() error {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
+	}
+	if ep.legacy != nil && ep.legacy.degrees != nil {
+		ep.legacy.degrees.Close()
 	}
 	return first
 }
@@ -403,18 +411,19 @@ var (
 func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, false) }
 
 // ErrLegacyFormat is returned (wrapped) by Open for a store whose
-// manifest names format version 2, 3 or 4, or an unfinalized v5 store
-// with edges (see formatVersion). Test with errors.Is.
+// manifest names format version 2 to 5 (see formatVersion). Test with
+// errors.Is.
 var ErrLegacyFormat = errors.New("store was written in a legacy on-disk format; convert it offline with diskstore.Upgrade")
 
 // Upgrade converts a legacy store in dir (see ErrLegacyFormat) to the
 // current format and closes it; on a current-format store it does
 // nothing. It needs exclusive access. The legacy files are opened as a
-// legacy source epoch — only vertex, property and edge records (and any
-// WAL a live v4 session left) are trusted; the label index is rebuilt by
-// scanning — and Finalize writes the v5 base as a new generation and
-// commits it. An upgrade that fails or crashes before that commit leaves
-// the legacy store as it was, plus orphans the next Upgrade sweeps.
+// legacy source epoch — only vertex and property records, the edges'
+// (src, dst, type) triples (and any WAL a live session left) are
+// trusted; the label index is rebuilt by scanning — and Finalize writes
+// the current base as a new generation and commits it. An upgrade that
+// fails or crashes before that commit leaves the legacy store as it was,
+// plus orphans the next Upgrade sweeps.
 func Upgrade(dir string, opts Options) error {
 	m, ok, err := readManifest(dir)
 	if err != nil {
@@ -431,7 +440,7 @@ func Upgrade(dir string, opts Options) error {
 		return err
 	}
 	if err := s.Finalize(); err != nil {
-		s.closeFiles() // no Flush: it would commit the legacy files as v5
+		s.closeFiles() // no Flush: it would commit the legacy files as current
 		return err
 	}
 	return s.Close()
@@ -439,7 +448,7 @@ func Upgrade(dir string, opts Options) error {
 
 func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	opts = opts.withDefaults()
-	if opts.PageSize%vertexRecSize != 0 || opts.PageSize%propRecSize != 0 || opts.PageSize%degRecSize != 0 {
+	if opts.PageSize%vertexRecSize != 0 || opts.PageSize%propRecSize != 0 {
 		return nil, fmt.Errorf("diskstore: page size %d must be a multiple of record sizes", opts.PageSize)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -455,7 +464,7 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	}
 	legacy := haveManifest && m.legacy()
 	if legacy && !upgrade {
-		return nil, fmt.Errorf("diskstore: %s (format v%d, compressed=%v): %w", dir, m.Version, m.Compressed, ErrLegacyFormat)
+		return nil, fmt.Errorf("diskstore: %s (format v%d): %w", dir, m.Version, ErrLegacyFormat)
 	}
 	gen := int64(0)
 	if haveManifest {
@@ -486,9 +495,14 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	}
 	ep := &epoch{
 		gen:     gen,
-		legacy:  legacy,
 		pager:   pg,
 		byLabel: map[int][]storage.VID{},
+	}
+	if legacy {
+		if ep.legacy, err = openLegacy(dir, gen, m); err != nil {
+			ep.closeFiles()
+			return nil, err
+		}
 	}
 	ep.pins.Store(1)
 	s.cur = ep
@@ -496,7 +510,6 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	if haveManifest {
 		ep.edgeBytes = m.EdgeBytes
 		ep.numVertices, ep.numEdges, ep.numProps, ep.blobSize = m.NumVertices, m.NumEdges, m.NumProps, m.BlobSize
-		ep.numDegs = m.NumDegs
 		ep.baseSeq = m.WalSeq
 		s.labels, s.types, s.keys = m.Labels, m.Types, m.Keys
 		s.walFoldedSeq = m.WalSeq
@@ -524,11 +537,11 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 			s.indexCurrent = true
 		} else {
 			for v := int64(0); v < ep.numVertices; v++ {
-				rec, err := ep.readVertex(storage.VID(v))
+				labels, err := ep.vertexLabels(storage.VID(v))
 				if err != nil {
 					return nil, err
 				}
-				for _, id := range labelBitsToIDs(rec.labels) {
+				for _, id := range labelBitsToIDs(labels) {
 					ep.byLabel[id] = append(ep.byLabel[id], storage.VID(v))
 				}
 			}
@@ -566,7 +579,7 @@ func readManifest(dir string) (manifest, bool, error) {
 		return m, false, err
 	}
 	if m.Version < 2 || m.Version > formatVersion {
-		return m, false, fmt.Errorf("diskstore: store format v%d is not supported (want v%d, or v2..v4 through Upgrade); rebuild the store", m.Version, formatVersion)
+		return m, false, fmt.Errorf("diskstore: store format v%d is not supported (want v%d, or v2..v%d through Upgrade); rebuild the store", m.Version, formatVersion, formatVersion-1)
 	}
 	if m.Generation < 0 {
 		return m, false, fmt.Errorf("diskstore: negative base generation %d in manifest", m.Generation)
@@ -575,11 +588,8 @@ func readManifest(dir string) (manifest, bool, error) {
 }
 
 // legacy reports a store Open refuses and Upgrade converts: an earlier
-// format version, or a v5 store an earlier build left unfinalized, with
-// edge records in edges.db.
-func (m manifest) legacy() bool {
-	return m.Version < formatVersion || !m.Compressed && m.NumEdges > 0
-}
+// format version.
+func (m manifest) legacy() bool { return m.Version < formatVersion }
 
 // sweepOrphans removes base-generation files that do not belong to the
 // committed generation and leftover temp files — the residue of a
@@ -595,10 +605,9 @@ func sweepOrphans(dir string, gen int64) {
 		"manifest.json": true,
 		walFileName:     true,
 	}
-	for _, name := range baseFileNames {
+	for _, name := range genFileNames() {
 		keep[genFileName(name, gen)] = true
 	}
-	keep[genFileName(indexFileName, gen)] = true
 	for _, e := range entries {
 		name := e.Name()
 		if keep[name] {
@@ -616,10 +625,17 @@ func sweepOrphans(dir string, gen int64) {
 	}
 }
 
+// genFileNames are the names of one generation's files: the record
+// files, the index, and a legacy store's degree records, which an
+// Upgrade reads and then retires with the rest of its source generation.
+func genFileNames() []string {
+	return append(baseFileNames[:], indexFileName, legacyDegreesName)
+}
+
 // isGenFile reports whether name is a base-generation file of some
 // generation (plain or .gN-suffixed).
 func isGenFile(name string) bool {
-	for _, base := range append(baseFileNames[:], indexFileName) {
+	for _, base := range genFileNames() {
 		if name == base {
 			return true
 		}
@@ -680,7 +696,7 @@ func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) e
 		Version: formatVersion, Generation: ep.gen,
 		Labels: labels, Types: types, Keys: keys,
 		NumVertices: ep.numVertices, NumEdges: ep.numEdges, NumProps: ep.numProps,
-		NumDegs: ep.numDegs, BlobSize: ep.blobSize,
+		BlobSize: ep.blobSize,
 		Segmented: true, Compressed: true,
 		EdgeBytes: ep.edgeBytes,
 		WalSeq:    walSeq,
@@ -778,51 +794,38 @@ func (s *Store) ResetStats() { s.pagerStats.reset() }
 
 // ---- record codecs (per epoch: each generation has its own files) ----
 
-// vertexRec is one 64-byte vertex record. Bytes 17-32 are written as
-// zero; in a legacy store they may hold edge-chain heads, which nothing
-// reads.
-type vertexRec struct {
-	inUse     bool
-	labels    [2]uint64
-	firstProp int64 // prop id + 1
-	// Degree counters let Degree(v, "", out) answer from the vertex
-	// record alone instead of walking the whole adjacency chain.
-	outDeg uint32
-	inDeg  uint32
-	// firstDeg chains per-type degree records (deg id + 1; 0 = none) so
-	// typed Degree walks one short record per distinct edge type instead
-	// of the full adjacency chain.
-	firstDeg int64
+// ErrCorrupt is returned (wrapped) for base bytes that fail the format's
+// checks: a vertex record whose property run or adjacency block lies
+// outside its file, a run or directory whose lengths do not add up, a
+// blob reference past the end of blobs.db, a malformed value. Reads
+// check every extent before they touch the pager. Test with errors.Is.
+var ErrCorrupt = errors.New("diskstore: corrupt base record")
+
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-// degRec is one vertex's degree counters for one edge type, chained per
-// vertex in ascending type order. Chains are short — one record per
-// distinct edge type the vertex touches — so walking them is cheap even
-// for hub vertices with huge adjacency.
+// vertexRec is one 64-byte vertex record (little-endian):
 //
-// The record doubles as the type's adjacency segment descriptor: bytes
-// 21-36 hold the byte offsets of the type's out/in varint segments in
-// edges.db (stored +1; 0 = empty), bytes 37-44 their encoded lengths, and
-// bytes 45-52 the EID of the segment's first out-edge (+1) — out-EIDs are
-// contiguous per segment, so one stored EID recovers all of them.
-type degRec struct {
-	inUse  bool
-	typeID uint32
-	outDeg uint32
-	inDeg  uint32
-	next   int64 // deg id + 1
-	// Varint segment descriptors (offsets stored +1).
-	outOff, inOff int64
-	outLen, inLen uint32
-	firstOutEID   int64 // EID of the segment's first out-edge, stored +1
-}
-
-type propRec struct {
-	inUse bool
-	keyID uint32
-	kind  graph.Kind
-	a, b  uint64
-	next  int64 // prop id + 1
+//	bytes  0-15  label bitset, maxLabels bits
+//	bytes 16-23  propStart: the property run's first record in props.db
+//	bytes 24-27  propCount: the run's length, in records
+//	bytes 28-31  nTypes: the adjacency block's directory entries
+//	bytes 32-39  blockOff: the adjacency block's byte offset in edges.db
+//	bytes 40-43  blockLen: its length in bytes, directory included
+//	bytes 44-51  outDeg, inDeg: the untyped degrees
+//	bytes 52-59  firstOutEID: the EID of the vertex's first out-edge
+//	bytes 60-63  zero
+type vertexRec struct {
+	labels      [2]uint64
+	propStart   uint64
+	propCount   uint32
+	nTypes      uint32
+	blockOff    uint64
+	blockLen    uint32
+	outDeg      uint32
+	inDeg       uint32
+	firstOutEID uint64
 }
 
 func (ep *epoch) readVertex(v storage.VID) (vertexRec, error) {
@@ -830,114 +833,118 @@ func (ep *epoch) readVertex(v storage.VID) (vertexRec, error) {
 	if err := ep.pager.read(fileVertices, int64(v)*vertexRecSize, buf[:]); err != nil {
 		return vertexRec{}, err
 	}
+	return decodeVertexRec(buf[:]), nil
+}
+
+func decodeVertexRec(buf []byte) vertexRec {
+	_ = buf[vertexRecSize-1]
 	return vertexRec{
-		inUse:     buf[0]&1 != 0,
-		labels:    [2]uint64{binary.LittleEndian.Uint64(buf[1:]), binary.LittleEndian.Uint64(buf[9:])},
-		firstProp: int64(binary.LittleEndian.Uint64(buf[33:])),
-		outDeg:    binary.LittleEndian.Uint32(buf[41:]),
-		inDeg:     binary.LittleEndian.Uint32(buf[45:]),
-		firstDeg:  int64(binary.LittleEndian.Uint64(buf[49:])),
-	}, nil
+		labels:      [2]uint64{binary.LittleEndian.Uint64(buf[0:]), binary.LittleEndian.Uint64(buf[8:])},
+		propStart:   binary.LittleEndian.Uint64(buf[16:]),
+		propCount:   binary.LittleEndian.Uint32(buf[24:]),
+		nTypes:      binary.LittleEndian.Uint32(buf[28:]),
+		blockOff:    binary.LittleEndian.Uint64(buf[32:]),
+		blockLen:    binary.LittleEndian.Uint32(buf[40:]),
+		outDeg:      binary.LittleEndian.Uint32(buf[44:]),
+		inDeg:       binary.LittleEndian.Uint32(buf[48:]),
+		firstOutEID: binary.LittleEndian.Uint64(buf[52:]),
+	}
 }
 
 func (r vertexRec) encode() (buf [vertexRecSize]byte) {
-	if r.inUse {
-		buf[0] = 1
-	}
-	binary.LittleEndian.PutUint64(buf[1:], r.labels[0])
-	binary.LittleEndian.PutUint64(buf[9:], r.labels[1])
-	binary.LittleEndian.PutUint64(buf[33:], uint64(r.firstProp))
-	binary.LittleEndian.PutUint32(buf[41:], r.outDeg)
-	binary.LittleEndian.PutUint32(buf[45:], r.inDeg)
-	binary.LittleEndian.PutUint64(buf[49:], uint64(r.firstDeg))
+	binary.LittleEndian.PutUint64(buf[0:], r.labels[0])
+	binary.LittleEndian.PutUint64(buf[8:], r.labels[1])
+	binary.LittleEndian.PutUint64(buf[16:], r.propStart)
+	binary.LittleEndian.PutUint32(buf[24:], r.propCount)
+	binary.LittleEndian.PutUint32(buf[28:], r.nTypes)
+	binary.LittleEndian.PutUint64(buf[32:], r.blockOff)
+	binary.LittleEndian.PutUint32(buf[40:], r.blockLen)
+	binary.LittleEndian.PutUint32(buf[44:], r.outDeg)
+	binary.LittleEndian.PutUint32(buf[48:], r.inDeg)
+	binary.LittleEndian.PutUint64(buf[52:], r.firstOutEID)
 	return buf
 }
 
-// readEdge decodes the 64-byte edge record e of a legacy epoch: type
-// (bytes 1-4), source (5-12) and destination (13-20). Only Upgrade's
-// record scan reads one (see forEachEdgeLite).
-func (ep *epoch) readEdge(e storage.EID) (edgeLite, error) {
-	var buf [edgeRecSize]byte
-	if err := ep.pager.read(fileEdges, int64(e)*edgeRecSize, buf[:]); err != nil {
-		return edgeLite{}, err
+// vertexLabels returns base vertex v's label bitset, from whichever
+// record layout the epoch holds.
+func (ep *epoch) vertexLabels(v storage.VID) ([2]uint64, error) {
+	if ep.legacy != nil {
+		rec, err := ep.readLegacyVertex(v)
+		return rec.labels, err
 	}
-	return edgeLite{
-		typeID: binary.LittleEndian.Uint32(buf[1:]),
-		src:    int64(binary.LittleEndian.Uint64(buf[5:])),
-		dst:    int64(binary.LittleEndian.Uint64(buf[13:])),
-	}, nil
+	rec, err := ep.readVertex(v)
+	return rec.labels, err
 }
 
-func (ep *epoch) readProp(p int64) (propRec, error) {
-	var buf [propRecSize]byte
-	if err := ep.pager.read(fileProps, p*propRecSize, buf[:]); err != nil {
-		return propRec{}, err
-	}
+// propRec is one 16-byte record of a property run (little-endian): the
+// key ID in bytes 0-2, the value's kind in byte 3, then the value — a
+// scalar's bits in a (bytes 4-11), or a string's or list's blob offset in
+// a and its length in b (bytes 12-15).
+type propRec struct {
+	keyID uint32
+	kind  graph.Kind
+	a     uint64
+	b     uint32
+}
+
+func decodePropRec(buf []byte) propRec {
+	_ = buf[propRecSize-1]
 	return propRec{
-		inUse: buf[0]&1 != 0,
-		keyID: binary.LittleEndian.Uint32(buf[1:]),
-		kind:  graph.Kind(buf[5]),
-		a:     binary.LittleEndian.Uint64(buf[6:]),
-		b:     binary.LittleEndian.Uint64(buf[14:]),
-		next:  int64(binary.LittleEndian.Uint64(buf[22:])),
-	}, nil
+		keyID: uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16,
+		kind:  graph.Kind(buf[3]),
+		a:     binary.LittleEndian.Uint64(buf[4:]),
+		b:     binary.LittleEndian.Uint32(buf[12:]),
+	}
 }
 
 func (r propRec) encode() (buf [propRecSize]byte) {
-	if r.inUse {
-		buf[0] = 1
-	}
-	binary.LittleEndian.PutUint32(buf[1:], r.keyID)
-	buf[5] = byte(r.kind)
-	binary.LittleEndian.PutUint64(buf[6:], r.a)
-	binary.LittleEndian.PutUint64(buf[14:], r.b)
-	binary.LittleEndian.PutUint64(buf[22:], uint64(r.next))
+	buf[0], buf[1], buf[2] = byte(r.keyID), byte(r.keyID>>8), byte(r.keyID>>16)
+	buf[3] = byte(r.kind)
+	binary.LittleEndian.PutUint64(buf[4:], r.a)
+	binary.LittleEndian.PutUint32(buf[12:], r.b)
 	return buf
 }
 
-func (ep *epoch) readDeg(d int64) (degRec, error) {
-	var buf [degRecSize]byte
-	if err := ep.pager.read(fileDegrees, d*degRecSize, buf[:]); err != nil {
-		return degRec{}, err
-	}
-	return degRec{
-		inUse:       buf[0]&1 != 0,
-		typeID:      binary.LittleEndian.Uint32(buf[1:]),
-		outDeg:      binary.LittleEndian.Uint32(buf[5:]),
-		inDeg:       binary.LittleEndian.Uint32(buf[9:]),
-		next:        int64(binary.LittleEndian.Uint64(buf[13:])),
-		outOff:      int64(binary.LittleEndian.Uint64(buf[21:])),
-		inOff:       int64(binary.LittleEndian.Uint64(buf[29:])),
-		outLen:      binary.LittleEndian.Uint32(buf[37:]),
-		inLen:       binary.LittleEndian.Uint32(buf[41:]),
-		firstOutEID: int64(binary.LittleEndian.Uint64(buf[45:])),
-	}, nil
+// dirEntry is one 20-byte entry of an adjacency block's type directory
+// (little-endian uint32s): the edge type, the vertex's out- and in-degree
+// in it, and the byte lengths of its out and in segments. The segments
+// follow the directory in its order, each type's out segment before its
+// in segment, so an offset is the directory's size plus the lengths
+// before it.
+type dirEntry struct {
+	typeID        uint32
+	outDeg, inDeg uint32
+	outLen, inLen uint32
 }
 
-func (r degRec) encode() (buf [degRecSize]byte) {
-	if r.inUse {
-		buf[0] = 1
+func decodeDirEntry(buf []byte) dirEntry {
+	_ = buf[dirEntrySize-1]
+	return dirEntry{
+		typeID: binary.LittleEndian.Uint32(buf[0:]),
+		outDeg: binary.LittleEndian.Uint32(buf[4:]),
+		inDeg:  binary.LittleEndian.Uint32(buf[8:]),
+		outLen: binary.LittleEndian.Uint32(buf[12:]),
+		inLen:  binary.LittleEndian.Uint32(buf[16:]),
 	}
-	binary.LittleEndian.PutUint32(buf[1:], r.typeID)
-	binary.LittleEndian.PutUint32(buf[5:], r.outDeg)
-	binary.LittleEndian.PutUint32(buf[9:], r.inDeg)
-	binary.LittleEndian.PutUint64(buf[13:], uint64(r.next))
-	binary.LittleEndian.PutUint64(buf[21:], uint64(r.outOff))
-	binary.LittleEndian.PutUint64(buf[29:], uint64(r.inOff))
-	binary.LittleEndian.PutUint32(buf[37:], r.outLen)
-	binary.LittleEndian.PutUint32(buf[41:], r.inLen)
-	binary.LittleEndian.PutUint64(buf[45:], uint64(r.firstOutEID))
-	return buf
 }
 
-// readBlob reads n bytes at off, both straight from a prop record and so
-// checked against the blob file's extent before anything is allocated.
-func (ep *epoch) readBlob(off, n int64) ([]byte, error) {
-	if off < 0 || n < 0 || off > ep.blobSize || n > ep.blobSize-off {
-		return nil, fmt.Errorf("diskstore: blob [%d,+%d) outside blobs.db (%d bytes)", off, n, ep.blobSize)
+func (d dirEntry) appendTo(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, d.typeID)
+	buf = binary.LittleEndian.AppendUint32(buf, d.outDeg)
+	buf = binary.LittleEndian.AppendUint32(buf, d.inDeg)
+	buf = binary.LittleEndian.AppendUint32(buf, d.outLen)
+	return binary.LittleEndian.AppendUint32(buf, d.inLen)
+}
+
+// readBlob reads n bytes at off into the scratch buffer sc, both straight
+// from a prop record and so checked against the blob file's extent
+// before anything is read.
+func (ep *epoch) readBlob(off, n uint64, sc *[]byte) ([]byte, error) {
+	if off > uint64(ep.blobSize) || n > uint64(ep.blobSize)-off {
+		return nil, corruptf("blob [%d,+%d) outside blobs.db (%d bytes)", off, n, ep.blobSize)
 	}
-	buf := make([]byte, n)
-	if err := ep.pager.read(fileBlobs, off, buf); err != nil {
+	buf := takeScratch(sc, int(n))
+	if err := ep.pager.read(fileBlobs, int64(off), buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -957,36 +964,44 @@ func labelBitsToIDs(bitsets [2]uint64) []int {
 
 // ---- value <-> prop record encoding ----
 
-// encodeValue returns the prop-record fields for a value. A string or
-// list lives in blobs.db: its bytes come back as blob, b is their length,
-// and the caller sets a to the offset it stores them at.
-func encodeValue(v graph.Value) (kind graph.Kind, a, b uint64, blob []byte, err error) {
+// encodeValue returns the property record of key keyID with value v. A
+// string or list lives in blobs.db: its bytes come back as blob, the
+// record's b is their length, and the caller sets a to the offset it
+// stores them at.
+func encodeValue(keyID int, v graph.Value) (pr propRec, blob []byte, err error) {
+	if keyID < 0 || keyID > maxKeyID {
+		return pr, nil, fmt.Errorf("diskstore: property key ID %d exceeds the record's 24-bit field", keyID)
+	}
+	pr = propRec{keyID: uint32(keyID), kind: v.Kind()}
 	switch v.Kind() {
 	case graph.KindNull:
-		return graph.KindNull, 0, 0, nil, nil
 	case graph.KindInt:
-		return graph.KindInt, uint64(v.Int()), 0, nil, nil
+		pr.a = uint64(v.Int())
 	case graph.KindFloat:
-		return graph.KindFloat, graph.FloatBits(v.Float()), 0, nil, nil
+		pr.a = graph.FloatBits(v.Float())
 	case graph.KindBool:
 		if v.Bool() {
-			return graph.KindBool, 1, 0, nil, nil
+			pr.a = 1
 		}
-		return graph.KindBool, 0, 0, nil, nil
 	case graph.KindString:
-		return graph.KindString, 0, uint64(len(v.Str())), []byte(v.Str()), nil
+		blob = []byte(v.Str())
 	case graph.KindList:
-		data, err := encodeList(v.List())
-		if err != nil {
-			return 0, 0, 0, nil, err
+		if blob, err = encodeList(v.List()); err != nil {
+			return pr, nil, err
 		}
-		return graph.KindList, 0, uint64(len(data)), data, nil
 	default:
-		return 0, 0, 0, nil, fmt.Errorf("diskstore: unsupported value kind %v", v.Kind())
+		return pr, nil, fmt.Errorf("diskstore: unsupported value kind %v", v.Kind())
 	}
+	if uint64(len(blob)) > math.MaxUint32 {
+		return pr, nil, fmt.Errorf("diskstore: %d-byte value exceeds the record's 32-bit length", len(blob))
+	}
+	pr.b = uint32(len(blob))
+	return pr, blob, nil
 }
 
-func (ep *epoch) decodeValue(r propRec) (graph.Value, error) {
+// decodeValue decodes a property record's value, reading a blob through
+// the scratch buffer sc: a string costs one allocation, the string's.
+func (ep *epoch) decodeValue(r propRec, sc *[]byte) (graph.Value, error) {
 	switch r.kind {
 	case graph.KindNull:
 		return graph.Null, nil
@@ -997,19 +1012,19 @@ func (ep *epoch) decodeValue(r propRec) (graph.Value, error) {
 	case graph.KindBool:
 		return graph.B(r.a == 1), nil
 	case graph.KindString:
-		data, err := ep.readBlob(int64(r.a), int64(r.b))
+		data, err := ep.readBlob(r.a, uint64(r.b), sc)
 		if err != nil {
 			return graph.Null, err
 		}
 		return graph.S(string(data)), nil
 	case graph.KindList:
-		data, err := ep.readBlob(int64(r.a), int64(r.b))
+		data, err := ep.readBlob(r.a, uint64(r.b), sc)
 		if err != nil {
 			return graph.Null, err
 		}
 		return decodeList(data)
 	default:
-		return graph.Null, fmt.Errorf("diskstore: unsupported stored kind %v", r.kind)
+		return graph.Null, corruptf("unsupported stored kind %v", r.kind)
 	}
 }
 
@@ -1054,7 +1069,7 @@ func decodeList(data []byte) (graph.Value, error) {
 	r := idxReader{data: data, ok: true}
 	count := r.u32()
 	if !r.ok || uint64(count) > uint64(len(r.data)) { // every element takes >= 1 byte
-		return graph.Null, fmt.Errorf("diskstore: corrupt list blob")
+		return graph.Null, corruptf("list blob counts %d elements in %d bytes", count, len(data))
 	}
 	vs := make([]graph.Value, 0, count)
 	for i := uint32(0); i < count; i++ {
@@ -1070,10 +1085,10 @@ func decodeList(data []byte) (graph.Value, error) {
 		case graph.KindString:
 			vs = append(vs, graph.S(r.str()))
 		default:
-			return graph.Null, fmt.Errorf("diskstore: corrupt list element kind %v", kind)
+			return graph.Null, corruptf("list element kind %v", kind)
 		}
 		if !r.ok {
-			return graph.Null, fmt.Errorf("diskstore: truncated list blob")
+			return graph.Null, corruptf("truncated list blob")
 		}
 	}
 	return graph.L(vs...), nil

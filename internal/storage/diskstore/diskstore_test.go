@@ -211,10 +211,11 @@ func TestCorruptBlobsAreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := s.curEp()
-	intact, err := ep.readProp(0)
-	if err != nil {
+	var raw [propRecSize]byte
+	if err := ep.pager.read(fileProps, 0, raw[:]); err != nil {
 		t.Fatal(err)
 	}
+	intact := decodePropRec(raw[:])
 	// The test stands in for a disk that returns the wrong bytes: it
 	// rewrites the record in props.db and drops the cached page.
 	writeProp := func(r propRec) {
@@ -225,13 +226,13 @@ func TestCorruptBlobsAreErrors(t *testing.T) {
 		ep.pager.dropCache()
 	}
 	for name, edit := range map[string]func(*propRec){
-		"length past end of blobs.db": func(r *propRec) { r.b = uint64(ep.blobSize) + 1 },
-		"length beyond any slice":     func(r *propRec) { r.b = 1 << 62 },
-		"negative length":             func(r *propRec) { r.b = 1 << 63 },
+		"length past end of blobs.db": func(r *propRec) { r.b = uint32(ep.blobSize) + 1 },
+		"longest length":              func(r *propRec) { r.b = 1<<32 - 1 },
 		"offset past end":             func(r *propRec) { r.a = uint64(ep.blobSize) + 1 },
 		"negative offset":             func(r *propRec) { r.a = 1 << 63 },
-		"offset + length overflows":   func(r *propRec) { r.a, r.b = 1, 1<<63-1 },
+		"offset + length overflows":   func(r *propRec) { r.a, r.b = 1<<64-1, 2 },
 		"list cut short":              func(r *propRec) { r.b -= 3 },
+		"unknown kind":                func(r *propRec) { r.kind = 0xEE },
 	} {
 		pr := intact
 		edit(&pr)
@@ -253,9 +254,9 @@ func TestBadOptionsRejected(t *testing.T) {
 }
 
 // TestTypedDegreeAvoidsAdjacencyWalk proves typed DegreeID is served from
-// the per-type degree chain: on a hub vertex with a long adjacency, a
-// cold typed degree lookup must read far fewer pages than its segments
-// span.
+// the adjacency block's type directory: on a hub vertex with a long
+// adjacency, a cold typed degree lookup must read far fewer pages than its
+// segments span.
 func TestTypedDegreeAvoidsAdjacencyWalk(t *testing.T) {
 	s := newTestStore(t, Options{PageSize: 512, CachePages: 64})
 	const fan = 20000
@@ -272,7 +273,7 @@ func TestTypedDegreeAvoidsAdjacencyWalk(t *testing.T) {
 	}
 	st := s.Stats()
 	// The hub's segments take a byte or two per edge — over 40 pages at
-	// 512 B; the degree chain (2 records) plus the vertex record fit in a
+	// 512 B; the directory (2 entries) plus the vertex record fit in a
 	// handful.
 	if st.PageReads > 6 {
 		t.Errorf("typed degree read %d pages cold; looks like an adjacency walk", st.PageReads)
@@ -285,7 +286,7 @@ func TestTypedDegreeAvoidsAdjacencyWalk(t *testing.T) {
 		t.Errorf("walk count %d disagrees with degree counters", n)
 	}
 	if st := s.Stats(); st.PageHits+st.PageMisses < 30 {
-		t.Errorf("the untyped walk touched %d pages; the segments are too small to tell a walk from the chain", st.PageHits+st.PageMisses)
+		t.Errorf("the untyped walk touched %d pages; the segments are too small to tell a walk from the directory", st.PageHits+st.PageMisses)
 	}
 }
 
@@ -339,7 +340,7 @@ func rewriteManifestVersion(t *testing.T, dir string, version int) {
 }
 
 // TestUnknownFormatVersionRejected: Open serves exactly one manifest
-// version. The three an earlier release wrote are refused with the typed
+// version. The four an earlier release wrote are refused with the typed
 // error that points at Upgrade; v1 and versions from the future are
 // plain rejections.
 func TestUnknownFormatVersionRejected(t *testing.T) {
@@ -355,7 +356,7 @@ func TestUnknownFormatVersionRejected(t *testing.T) {
 	for _, tc := range []struct {
 		version int
 		legacy  bool
-	}{{1, false}, {2, true}, {3, true}, {4, true}, {formatVersion + 1, false}} {
+	}{{1, false}, {2, true}, {3, true}, {4, true}, {5, true}, {formatVersion + 1, false}} {
 		rewriteManifestVersion(t, dir, tc.version)
 		_, err := Open(dir, Options{})
 		if err == nil {

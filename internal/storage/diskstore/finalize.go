@@ -13,19 +13,20 @@ package diskstore
 // generation 1 and commits it; after that the store refuses batches with
 // storage.ErrFinalized.
 //
-// writeGeneration builds everything derived — segments, degree records
-// with their descriptors, untyped degree counters, property runs,
+// writeGeneration builds everything derived — property runs, adjacency
+// blocks with their type directories, untyped degree counters,
 // statistics — in one sorted pass over the current base and a frozen
 // delta (the live delta's fold prefix, or the load set). It writes
 // generation N+1 beside generation N and commit makes it current with one
 // manifest rename, so no file a committed manifest names is ever
 // rewritten. It is also the conversion step for legacy stores (Upgrade),
 // because it never trusts any derived structure: only the src/dst/type
-// triples of the edges, and each vertex's labels and property chain.
+// triples of the edges, and each vertex's labels and properties.
 
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -144,24 +145,24 @@ type keyVal struct {
 }
 
 // writeGeneration is the finalize sort pass. It reads its two inputs
-// directly — the epoch from (through forEachEdgeLite, which also reads a
-// legacy epoch's edge records) and the frozen delta fd on top of it — and
-// streams generation gen into the store directory as five fresh files. It
-// never writes a file it reads.
+// directly — the epoch from (through sourceVertex and forEachEdgeLite,
+// which also read a legacy epoch) and the frozen delta fd on top of it —
+// and streams generation gen into the store directory as four fresh
+// files. It never writes a file it reads.
 //
 // Vertices keep their IDs: from's, then fd's in VID order. A vertex's
 // labels are its record bits plus fd's additions; its properties are its
-// base chain with fd's overrides replacing values in place, then the
-// override-only keys in key-ID order (a delta vertex has only those), and
-// they are written as one contiguous run of property records; blobs.db
-// holds their blobs grouped by key. The edges, from's then fd's in EID
-// order, are sorted by (source vertex, edge type, destination), which
-// assigns the new edge IDs; the pass writes one gap-encoded out segment
-// and one in segment per (vertex, type), rebuilds every vertex's degree
-// counters and per-type degree records (doubling as segment descriptors),
-// and accumulates the statistics block. Afterwards a typed ForEach seeks
-// straight to its type's segment and never reads another type's bytes.
-// numTypes is the size of the type table the edges' type IDs index.
+// base run with fd's overrides replacing values in place, plus the
+// override-only keys (a delta vertex has only those), written as one run
+// of property records sorted by key ID; blobs.db holds their blobs
+// grouped by key. The edges, from's then fd's in EID order, are sorted by
+// (source vertex, edge type, destination), which assigns the new edge
+// IDs; the pass writes each vertex's adjacency block — a type directory,
+// then one gap-encoded out segment and one in segment per type it
+// touches — and rebuilds its degree counters, and accumulates the
+// statistics block. Afterwards a typed ForEach finds its type in one
+// directory read and never decodes another type's bytes. numTypes is the
+// size of the type table the edges' type IDs index.
 //
 // The same inputs give the same bytes. The returned epoch is open, with a
 // cold cache, but neither durable nor named by the manifest until commit;
@@ -177,10 +178,10 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		s.removeGenFiles(gen)
 		return nil, fmt.Errorf("diskstore: finalize: %w", err)
 	}
-	// Each file grows strictly in order — vertex, property and degree
-	// records by ID, blobs and segments at a running cursor — so it is
-	// streamed rather than cached. A bufio.Writer's error is sticky: the
-	// Flush below reports any failed Write.
+	// Each file grows strictly in order — vertex and property records by
+	// ID, blobs and blocks at a running cursor — so it is streamed rather
+	// than cached. A bufio.Writer's error is sticky: the Flush below
+	// reports any failed Write.
 	var out [numFiles]*bufio.Writer
 	for i, name := range baseFileNames {
 		f, err := os.OpenFile(filepath.Join(s.dir, genFileName(name, gen)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -249,16 +250,15 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		return newID[inOrder[i]] < newID[inOrder[j]]
 	})
 
-	// Per-vertex: labels, the property run, untyped degree counters and
-	// the ascending-type degree chain of segment descriptors. The same
-	// pass emits the delta-varint segments at a running cursor and
+	// Per vertex: labels, the property run, untyped degree counters and
+	// the adjacency block, written at a running cursor. The same pass
 	// accumulates the statistics block: per-edge-type counts and
 	// per-(label, key) bloom hashes over every property value.
 	oi, ii := 0, 0
-	var degs []degRec
-	var cursor, numDegs int64
-	var segBuf []byte
+	var cursor int64
+	var dir, segs []byte
 	var run []keyVal
+	var runBuf, blobBuf []byte
 	// The property records wait for the end of the pass because blobs.db
 	// is grouped by key: one property's values across vertices lie
 	// together, as a scan that reads that property wants them (and as the
@@ -274,16 +274,15 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	}
 	for v := int64(0); v < nV; v++ {
 		s.foldProgress.Store(v * 1000 / nV)
-		rec := vertexRec{inUse: true}
-		var firstProp int64
+		var rec vertexRec
 		var labelAdds []int
 		var over map[int]graph.Value
+		run = run[:0]
 		if v < from.numVertices {
-			base, err := from.readVertex(storage.VID(v))
-			if err != nil {
+			var err error
+			if rec.labels, run, err = from.sourceVertex(storage.VID(v), run, &runBuf, &blobBuf); err != nil {
 				return fail(err)
 			}
-			rec.labels, firstProp = base.labels, base.firstProp
 			labelAdds, over = fd.labelAdds[storage.VID(v)], fd.propOver[storage.VID(v)]
 		} else {
 			fv := &fd.verts[v-from.numVertices]
@@ -297,17 +296,11 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 			byLabel[id] = append(byLabel[id], storage.VID(v))
 		}
 
-		var err error
-		if run, err = from.propRun(run, firstProp, over); err != nil {
-			return fail(err)
-		}
-		if len(run) > 0 {
-			rec.firstProp = int64(len(props)) + 1
-		}
-		for j, kv := range run {
-			pr := propRec{inUse: true, keyID: uint32(kv.keyID)}
-			var blob []byte
-			if pr.kind, pr.a, pr.b, blob, err = encodeValue(kv.val); err != nil {
+		run = mergeRun(run, over)
+		rec.propStart, rec.propCount = uint64(len(props)), uint32(len(run))
+		for _, kv := range run {
+			pr, blob, err := encodeValue(kv.keyID, kv.val)
+			if err != nil {
 				return fail(err)
 			}
 			if blob != nil {
@@ -316,9 +309,6 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 				}
 				pr.a = uint64(len(keyBlobs[kv.keyID]))
 				keyBlobs[kv.keyID] = append(keyBlobs[kv.keyID], blob...)
-			}
-			if j+1 < len(run) {
-				pr.next = int64(len(props)) + 2
 			}
 			props = append(props, pr)
 			// Statistics: hash every property value once, bucketed by each
@@ -343,11 +333,11 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		}
 		rec.outDeg = uint32(oi - outStart)
 		rec.inDeg = uint32(ii - inStart)
-		// The adjacency heads stay zero: no edge records exist for them to
-		// point at, and a finalized vertex reaches its edges only through
-		// the degree chain's segment descriptors. Merge the two
-		// type-grouped runs into one ascending-type chain.
-		degs = degs[:0]
+		rec.firstOutEID = uint64(outStart)
+		// The adjacency block: merge the two type-grouped runs into one
+		// ascending-type directory, each entry's segments appended in
+		// directory order.
+		dir, segs = dir[:0], segs[:0]
 		o, i := outStart, inStart
 		for o < oi || i < ii {
 			var t uint32
@@ -359,54 +349,35 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 			default:
 				t = min(recs[perm[o]].typeID, recs[inOrder[i]].typeID)
 			}
-			dr := degRec{inUse: true, typeID: t}
-			if o < oi && recs[perm[o]].typeID == t {
-				dr.firstOutEID = int64(o) + 1
-				segBuf = segBuf[:0]
-				first := o
-				var prev int64
-				for o < oi && recs[perm[o]].typeID == t {
-					d := recs[perm[o]].dst
-					segBuf = appendOutSeg(segBuf, d, prev, o == first)
-					prev = d
-					o++
-					dr.outDeg++
-				}
-				dr.outOff = cursor + 1
-				dr.outLen = uint32(len(segBuf))
-				out[fileEdges].Write(segBuf)
-				cursor += int64(len(segBuf))
+			d := dirEntry{typeID: t}
+			start := len(segs)
+			var prev int64
+			for first := o; o < oi && recs[perm[o]].typeID == t; o++ {
+				dst := recs[perm[o]].dst
+				segs = appendOutSeg(segs, dst, prev, o == first)
+				prev = dst
+				d.outDeg++
 			}
-			if i < ii && recs[inOrder[i]].typeID == t {
-				segBuf = segBuf[:0]
-				first := i
-				var prevSrc, prevEid int64
-				for i < ii && recs[inOrder[i]].typeID == t {
-					src := recs[inOrder[i]].src
-					eid := int64(newID[inOrder[i]])
-					segBuf = appendInSeg(segBuf, src, prevSrc, eid, prevEid, i == first)
-					prevSrc, prevEid = src, eid
-					i++
-					dr.inDeg++
-				}
-				dr.inOff = cursor + 1
-				dr.inLen = uint32(len(segBuf))
-				out[fileEdges].Write(segBuf)
-				cursor += int64(len(segBuf))
+			d.outLen = uint32(len(segs) - start)
+			start = len(segs)
+			var prevSrc, prevEid int64
+			for first := i; i < ii && recs[inOrder[i]].typeID == t; i++ {
+				src, eid := recs[inOrder[i]].src, int64(newID[inOrder[i]])
+				segs = appendInSeg(segs, src, prevSrc, eid, prevEid, i == first)
+				prevSrc, prevEid = src, eid
+				d.inDeg++
 			}
-			degs = append(degs, dr)
+			d.inLen = uint32(len(segs) - start)
+			dir = d.appendTo(dir)
+			rec.nTypes++
 		}
-		if len(degs) > 0 {
-			rec.firstDeg = numDegs + 1
-			for j := range degs {
-				if j+1 < len(degs) {
-					degs[j].next = numDegs + int64(j) + 2
-				}
-				buf := degs[j].encode()
-				out[fileDegrees].Write(buf[:])
-			}
-			numDegs += int64(len(degs))
+		if uint64(len(dir)+len(segs)) > math.MaxUint32 {
+			return fail(fmt.Errorf("vertex %d's %d-byte adjacency block exceeds the record's 32-bit length", v, len(dir)+len(segs)))
 		}
+		rec.blockOff, rec.blockLen = uint64(cursor), uint32(len(dir)+len(segs))
+		out[fileEdges].Write(dir)
+		out[fileEdges].Write(segs)
+		cursor += int64(rec.blockLen)
 		buf := rec.encode()
 		out[fileVertices].Write(buf[:])
 	}
@@ -444,40 +415,29 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	ep := &epoch{
 		gen: gen, edgeBytes: cursor, pager: pg,
 		numVertices: nV, numEdges: int64(nE), numProps: int64(len(props)),
-		numDegs: numDegs, blobSize: blobSize,
-		byLabel:    byLabel,
+		blobSize: blobSize,
+		byLabel:  byLabel,
 		typeCounts: typeCounts, blooms: blooms, statsValid: true,
 	}
 	ep.pins.Store(1) // the store's own reference, once it is installed
 	return ep, nil
 }
 
-// propRun returns a vertex's properties in the order a new generation
-// stores them, reusing run's array: the chain from firstProp (0 = none)
-// with the values in over replacing their keys' in place, then the keys
-// only over has, in key-ID order.
-func (ep *epoch) propRun(run []keyVal, firstProp int64, over map[int]graph.Value) ([]keyVal, error) {
-	run = run[:0]
-	for p := firstProp; p != 0; {
-		pr, err := ep.readProp(p - 1)
-		if err != nil {
-			return nil, err
+// mergeRun applies a vertex's overrides to its property run, reusing
+// run's array: the values in over replace their keys' in place, the keys
+// only over has are added, and the whole run is sorted by key ID — a
+// legacy chain's order is not.
+func mergeRun(run []keyVal, over map[int]graph.Value) []keyVal {
+	for i := range run {
+		if val, ok := over[run[i].keyID]; ok {
+			run[i].val = val
 		}
-		p = pr.next
-		val, ok := over[int(pr.keyID)]
-		if !ok {
-			if val, err = ep.decodeValue(pr); err != nil {
-				return nil, err
-			}
-		}
-		run = append(run, keyVal{keyID: int(pr.keyID), val: val})
 	}
-	extra := len(run)
 	for keyID, val := range over {
-		if !slices.ContainsFunc(run[:extra], func(kv keyVal) bool { return kv.keyID == keyID }) {
+		if !slices.ContainsFunc(run, func(kv keyVal) bool { return kv.keyID == keyID }) {
 			run = append(run, keyVal{keyID: keyID, val: val})
 		}
 	}
-	slices.SortFunc(run[extra:], func(a, b keyVal) int { return a.keyID - b.keyID })
-	return run, nil
+	slices.SortFunc(run, func(a, b keyVal) int { return a.keyID - b.keyID })
+	return run
 }

@@ -2,7 +2,7 @@ package diskstore
 
 // On-disk format tests: persisted index opens, type-segmented adjacency,
 // bulk finalize, the refuse-then-Upgrade contract for the committed
-// golden v3/v4 fixtures, and crash-safe (atomic) flushes.
+// golden v3/v4/v5 fixtures, and crash-safe (atomic) flushes.
 
 import (
 	"bytes"
@@ -362,6 +362,7 @@ func checkGoldenUpgrade(t *testing.T, fixture string) {
 	if err != nil {
 		t.Fatalf("upgraded store rejected: %v", err)
 	}
+	checkLayout(t, s, "after Upgrade")
 	if got := s.Format(); got.Version != formatVersion || !got.Compressed || !got.IndexLoaded {
 		t.Errorf("upgraded store opened as %+v, want v%d compressed+indexed", got, formatVersion)
 	}
@@ -402,6 +403,14 @@ func TestGoldenV3Store(t *testing.T) { checkGoldenUpgrade(t, "testdata/golden-v3
 // compression became the only layout — bulk build, type-segmented 64-byte
 // edge records, a PGSIDX04 index.
 func TestGoldenV4Store(t *testing.T) { checkGoldenUpgrade(t, "testdata/golden-v4") }
+
+// TestGoldenV5Store: testdata/golden-v5 was written by the v5 code before
+// the vertex-local layout — BuildRandom seed 37 (60 vertices, 160 edges),
+// 40 live mutations (applyLiveStream seed 38) folded into generation 2:
+// property chains, a degrees.db of per-type degree records locating the
+// delta-varint segments, a PGSIDX05 index. Its WAL, empty after the fold,
+// is not part of the fixture.
+func TestGoldenV5Store(t *testing.T) { checkGoldenUpgrade(t, "testdata/golden-v5") }
 
 // TestUpgradeReplaysLegacyWAL: a legacy v4 store that took live writes
 // carries them in wal.db, not in its base files, and Upgrade must fold
@@ -494,16 +503,26 @@ func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The v5 record layouts (see legacy.go).
 	vertex := func(labels uint64, firstProp int64) []byte {
-		b := vertexRec{inUse: true, labels: [2]uint64{labels}, firstProp: firstProp}.encode()
+		var b [vertexRecSize]byte
+		b[0] = 1
+		binary.LittleEndian.PutUint64(b[1:], labels)
+		binary.LittleEndian.PutUint64(b[33:], uint64(firstProp))
 		return b[:]
 	}
-	prop := func(r propRec) []byte {
-		b := r.encode()
+	prop := func(keyID uint32, kind graph.Kind, a, n uint64, next int64) []byte {
+		var b [legacyPropRecSize]byte
+		b[0] = 1
+		binary.LittleEndian.PutUint32(b[1:], keyID)
+		b[5] = byte(kind)
+		binary.LittleEndian.PutUint64(b[6:], a)
+		binary.LittleEndian.PutUint64(b[14:], n)
+		binary.LittleEndian.PutUint64(b[22:], uint64(next))
 		return b[:]
 	}
 	edge := func(typeID uint32, src, dst int64) []byte {
-		var b [edgeRecSize]byte
+		var b [legacyEdgeRecSize]byte
 		b[0] = 1
 		binary.LittleEndian.PutUint32(b[1:], typeID)
 		binary.LittleEndian.PutUint64(b[5:], uint64(src))
@@ -512,8 +531,8 @@ func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
 	}
 	write("vertices.db", vertex(1, 1), vertex(2, 0), vertex(3, 0))
 	write("props.db",
-		prop(propRec{inUse: true, keyID: 0, kind: graph.KindString, a: 0, b: 7, next: 2}),
-		prop(propRec{inUse: true, keyID: 1, kind: graph.KindInt, a: 1}))
+		prop(0, graph.KindString, 0, 7, 2),
+		prop(1, graph.KindInt, 1, 0, 0))
 	write("blobs.db", []byte("aspirin"))
 	write("edges.db", edge(0, 0, 1), edge(1, 1, 2), edge(0, 0, 2))
 	write("degrees.db")
@@ -552,6 +571,7 @@ func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
 	if f := s.Format(); f.Generation != 1 || f.EdgeBytes == 0 {
 		t.Errorf("upgraded store opened as %+v, want generation 1 with segments", f)
 	}
+	checkLayout(t, s, "after Upgrade")
 }
 
 // TestBulkFlushAutoFinalizes: closing a store with a pending bulk load

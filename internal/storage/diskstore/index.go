@@ -10,9 +10,9 @@ package diskstore
 //
 // Layout (little-endian):
 //
-//	magic   [8]byte  "PGSIDX05"
+//	magic   [8]byte  "PGSIDX06"
 //	crc32   u32      IEEE CRC of everything after this field
-//	numVertices, numEdges, numDegs  u64 × 3   (validated vs manifest)
+//	numVertices, numEdges  u64 × 2   (validated vs manifest)
 //	labels, types, keys   3 × (u32 count, then per entry u32 len + bytes)
 //	label index           u32 count (== len(labels)), then per label:
 //	                      u64 entry count + that many u64 VIDs, in the
@@ -41,7 +41,7 @@ import (
 	"repro/internal/storage"
 )
 
-const indexMagic = "PGSIDX05"
+const indexMagic = "PGSIDX06"
 
 // indexPath is the index file of one base generation (index.db, or
 // index.db.gN for generation N — the index describes one generation's
@@ -69,7 +69,6 @@ func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 	}
 	u64(uint64(ep.numVertices))
 	u64(uint64(ep.numEdges))
-	u64(uint64(ep.numDegs))
 	for _, table := range [][]string{labels, types, keys} {
 		u32(uint32(len(table)))
 		for _, entry := range table {
@@ -127,7 +126,7 @@ func (s *Store) loadIndex(ep *epoch) bool {
 		return false
 	}
 	r := idxReader{data: payload, ok: true}
-	if int64(r.u64()) != ep.numVertices || int64(r.u64()) != ep.numEdges || int64(r.u64()) != ep.numDegs {
+	if int64(r.u64()) != ep.numVertices || int64(r.u64()) != ep.numEdges {
 		return false
 	}
 	for _, table := range [][]string{s.labels, s.types, s.keys} {

@@ -271,9 +271,10 @@ func TestFinalizeIsDeterministic(t *testing.T) {
 }
 
 // TestPropertyRunsAreContiguous loads vertices whose properties mix a
-// list and scalars and requires every vertex's property chain to be one
-// run of consecutive records after the load's Finalize and again after a
-// fold of live writes.
+// list and scalars and requires the generation's layout to pass
+// checkLayout — every vertex's properties one sorted run, the runs and
+// the adjacency blocks tiling their files — after the load's Finalize and
+// again after a fold of live writes.
 func TestPropertyRunsAreContiguous(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{PageSize: 512, CachePages: 16})
 	if err != nil {
@@ -292,42 +293,14 @@ func TestPropertyRunsAreContiguous(t *testing.T) {
 	if err := model.Load(s); err != nil {
 		t.Fatal(err)
 	}
-	checkPropertyRuns(t, s, "after Finalize")
+	checkLayout(t, s, "after Finalize")
 	applyLiveStream(t, 61, 120, s, model)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	checkPropertyRuns(t, s, "after a fold")
+	checkLayout(t, s, "after a fold")
 	if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
 		t.Errorf("store diverged from reference\n got %s\nwant %s", got, want)
-	}
-}
-
-// checkPropertyRuns requires each vertex's property chain in the current
-// generation to be consecutive records, and the chains to cover props.db.
-func checkPropertyRuns(t *testing.T, s *Store, when string) {
-	t.Helper()
-	ep := s.curEp()
-	var chained int64
-	for v := int64(0); v < ep.numVertices; v++ {
-		rec, err := ep.readVertex(storage.VID(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := rec.firstProp; p != 0; {
-			pr, err := ep.readProp(p - 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chained++
-			if pr.next != 0 && pr.next != p+1 {
-				t.Fatalf("%s: vertex %d's property record %d chains to record %d, not the next one", when, v, p-1, pr.next-1)
-			}
-			p = pr.next
-		}
-	}
-	if chained != ep.numProps {
-		t.Errorf("%s: chains hold %d of %d property records", when, chained, ep.numProps)
 	}
 }
 

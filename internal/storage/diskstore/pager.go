@@ -19,7 +19,6 @@ const (
 	fileEdges
 	fileProps
 	fileBlobs
-	fileDegrees
 	numFiles
 )
 

@@ -291,7 +291,7 @@ func BenchmarkPagerHitParallel(b *testing.B) {
 }
 
 // newTestPager opens a bare pager (no Store around it) whose vertex file
-// holds content; the other four files are empty. It returns the vertex
+// holds content; the other three files are empty. It returns the vertex
 // file's path so a test can swap the descriptor underneath the pager.
 func newTestPager(t testing.TB, pageSize, capacity int, content []byte) (*pager, string) {
 	t.Helper()

@@ -31,20 +31,25 @@ func realSegments(f *testing.F) (out, in []byte) {
 		f.Fatal(err)
 	}
 	ep := s.curEp()
-	for d := int64(0); d < ep.numDegs && (out == nil || in == nil); d++ {
-		dr, err := ep.readDeg(d)
+	var sc []byte
+	for v := int64(0); v < ep.numVertices && (out == nil || in == nil); v++ {
+		rec, err := ep.readVertex(storage.VID(v))
 		if err != nil {
 			f.Fatal(err)
 		}
-		if out == nil && dr.outLen > 1 {
-			out = make([]byte, dr.outLen)
-			err = ep.pager.read(fileEdges, dr.outOff-1, out)
-		}
-		if in == nil && dr.inLen > 2 {
-			in = make([]byte, dr.inLen)
-			err = ep.pager.read(fileEdges, dr.inOff-1, in)
-		}
+		block, err := ep.readBlock(rec, &sc, false)
 		if err != nil {
+			f.Fatal(err)
+		}
+		if err := walkDir(rec, block, func(d dirEntry, outOff, inOff, _ uint64) bool {
+			if out == nil && d.outLen > 1 {
+				out = append([]byte(nil), block[outOff:outOff+uint64(d.outLen)]...)
+			}
+			if in == nil && d.inLen > 2 {
+				in = append([]byte(nil), block[inOff:inOff+uint64(d.inLen)]...)
+			}
+			return true
+		}); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -247,9 +247,11 @@ func (vw view) Labels(v storage.VID) []string {
 }
 
 // PropID returns the property value visible in the view. Delta-side
-// values win: a live SetProp overrides the base chain without touching
-// it (the delta hides overrides the base already absorbed, so the two
-// sides never double-report).
+// values win: a live SetProp overrides the base run without touching it
+// (the delta hides overrides the base already absorbed, so the two sides
+// never double-report). A delta that holds no override of any base
+// vertex is skipped without its lock, as forEachID skips an edgeless
+// one.
 func (vw view) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	if key < 0 || !vw.checkV(v) {
 		return graph.Null, false
@@ -257,28 +259,20 @@ func (vw view) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	if int64(v) >= vw.ep.numVertices {
 		return vw.s.delta.prop(v, int(key), vw.w)
 	}
-	if val, ok := vw.s.delta.prop(v, int(key), vw.w); ok {
-		return val, true
+	if vw.s.delta.overrides.Load() > 0 {
+		if val, ok := vw.s.delta.prop(v, int(key), vw.w); ok {
+			return val, true
+		}
 	}
 	rec, err := vw.ep.readVertex(v)
 	if err != nil {
 		return graph.Null, false
 	}
-	for p := rec.firstProp; p != 0; {
-		pr, err := vw.ep.readProp(p - 1)
-		if err != nil {
-			return graph.Null, false
-		}
-		if pr.keyID == uint32(key) {
-			val, err := vw.ep.decodeValue(pr)
-			if err != nil {
-				return graph.Null, false
-			}
-			return val, true
-		}
-		p = pr.next
+	val, ok, err := vw.ep.prop(rec, uint32(key))
+	if err != nil {
+		return graph.Null, false
 	}
-	return graph.Null, false
+	return val, ok
 }
 
 // ForEachVertexByPropID filters the view's label scan on the property:
@@ -289,7 +283,7 @@ func (vw view) ForEachVertexByPropID(label, key storage.SymbolID, val graph.Valu
 }
 
 // PropKeys returns the keys with values on v in the view, sorted and
-// deduplicated (an override of an existing key appears once): base-chain
+// deduplicated (an override of an existing key appears once): base-run
 // keys merged with delta-side values.
 func (vw view) PropKeys(v storage.VID) []string {
 	if !vw.checkV(v) {
@@ -301,13 +295,8 @@ func (vw view) PropKeys(v storage.VID) []string {
 		if err != nil {
 			return nil
 		}
-		for p := rec.firstProp; p != 0; {
-			pr, err := vw.ep.readProp(p - 1)
-			if err != nil {
-				return nil
-			}
-			ids = append(ids, int(pr.keyID))
-			p = pr.next
+		if ids, err = vw.ep.propKeys(rec); err != nil {
+			return nil
 		}
 	}
 	for _, id := range vw.s.delta.propKeyIDs(v, vw.w) {
@@ -322,12 +311,15 @@ func (vw view) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn fun
 	if !vw.checkV(v) || etype == storage.NoSymbol {
 		return
 	}
-	// Base edges first — on the segment fast path, untouched by live
-	// writes — then the vertex's visible delta adjacency. Delta vertices
-	// have no base records at all.
+	// Base edges first — from the vertex's adjacency block, untouched by
+	// live writes — then the vertex's visible delta adjacency. Delta
+	// vertices have no base records at all.
 	if int64(v) < vw.ep.numVertices {
 		rec, err := vw.ep.readVertex(v)
-		if err != nil || !vw.ep.forEachSegment(rec, etype, out, fn) {
+		if err != nil {
+			return
+		}
+		if done, err := vw.ep.forEachAdj(rec, etype, out, fn); !done || err != nil {
 			return
 		}
 	}
@@ -353,10 +345,9 @@ func (vw view) ForEachInID(v storage.VID, etype storage.SymbolID, fn func(storag
 	vw.forEachID(v, etype, false, fn)
 }
 
-// DegreeID answers degree queries without touching the edge file:
-// untyped degrees come from the vertex record's counters, typed degrees
-// from the per-type degree chain (one record per distinct edge type),
-// plus the visible delta count.
+// DegreeID answers degree queries without decoding a segment: untyped
+// degrees come from the vertex record's counters, typed degrees from its
+// adjacency block's type directory, plus the visible delta count.
 func (vw view) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	if !vw.checkV(v) || etype == storage.NoSymbol {
 		return 0
@@ -376,20 +367,11 @@ func (vw view) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 		}
 		return int(rec.inDeg) + deltaN
 	}
-	for d := rec.firstDeg; d != 0; {
-		dr, err := ep.readDeg(d - 1)
-		if err != nil {
-			return 0
-		}
-		if dr.typeID == uint32(etype) {
-			if out {
-				return int(dr.outDeg) + deltaN
-			}
-			return int(dr.inDeg) + deltaN
-		}
-		d = dr.next
+	deg, err := ep.typedDegree(rec, etype, out)
+	if err != nil {
+		return 0
 	}
-	return deltaN
+	return deg + deltaN
 }
 
 // ---- symbol resolution (store-wide: symbols are append-only, so IDs
