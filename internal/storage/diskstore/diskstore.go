@@ -696,7 +696,7 @@ func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) e
 		Version: formatVersion, Generation: ep.gen,
 		Labels: labels, Types: types, Keys: keys,
 		NumVertices: ep.numVertices, NumEdges: ep.numEdges, NumProps: ep.numProps,
-		BlobSize: ep.blobSize,
+		BlobSize:  ep.blobSize,
 		Segmented: true, Compressed: true,
 		EdgeBytes: ep.edgeBytes,
 		WalSeq:    walSeq,

@@ -415,8 +415,8 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	ep := &epoch{
 		gen: gen, edgeBytes: cursor, pager: pg,
 		numVertices: nV, numEdges: int64(nE), numProps: int64(len(props)),
-		blobSize: blobSize,
-		byLabel:  byLabel,
+		blobSize:   blobSize,
+		byLabel:    byLabel,
 		typeCounts: typeCounts, blooms: blooms, statsValid: true,
 	}
 	ep.pins.Store(1) // the store's own reference, once it is installed
