@@ -375,3 +375,30 @@ func newMemReference(t *testing.T, seed int64, nv, ne int) string {
 	}
 	return storetest.Fingerprint(mem)
 }
+
+// TestStringPropReadAllocatesOnce: reading a cached string property
+// builds the string once — the run and the blob bytes go through a pooled
+// scratch buffer, so the string itself is the only allocation.
+func TestStringPropReadAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	s := newTestStore(t, Options{PageSize: 512, CachePages: 16})
+	v, err := s.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"N"}, Props: []storage.BulkProp{
+		{Key: "rank", Value: graph.I(3)},
+		{Key: "name", Value: graph.S("acetylsalicylic acid")},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	key := s.KeyID("name")
+	if val, ok := s.PropID(v, key); !ok || val.Str() != "acetylsalicylic acid" {
+		t.Fatalf("PropID = %v, %v", val, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.PropID(v, key) }); allocs != 1 {
+		t.Errorf("a cached string property read allocates %v times, want 1", allocs)
+	}
+}

@@ -304,6 +304,52 @@ func TestPropertyRunsAreContiguous(t *testing.T) {
 	}
 }
 
+// TestPropOverrideGuard: a base property read skips a delta that holds
+// no override, without its lock. The first override turns the guard on:
+// it is visible at once through the store, invisible through a snapshot
+// taken before it and visible through one taken after; once a fold
+// absorbs it and the delta is pruned, the guard is off again and the
+// base serves the new value.
+func TestPropOverrideGuard(t *testing.T) {
+	s := newTestStore(t, Options{PageSize: 512, CachePages: 16})
+	v, err := s.AddVertexBatch([]storage.BulkVertex{{Labels: []string{"N"}, Props: []storage.BulkProp{{Key: "k", Value: graph.I(1)}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.delta.overrides.Load(); n != 0 {
+		t.Fatalf("a finalized store's delta counts %d overrides", n)
+	}
+	before := s.AcquireSnapshot()
+	mustApply(t, s, storage.Mutation{Op: storage.MutSetProp, V: v, Key: "k", Value: graph.I(2)})
+	if n := s.delta.overrides.Load(); n != 1 {
+		t.Errorf("after one override the delta counts %d", n)
+	}
+	after := s.AcquireSnapshot()
+	for _, c := range []struct {
+		name string
+		g    storage.Graph
+		want int64
+	}{{"store", s, 2}, {"snapshot before", before, 1}, {"snapshot after", after, 2}} {
+		if val, ok := c.g.Prop(v, "k"); !ok || val.Int() != c.want {
+			t.Errorf("%s: Prop = %v, %v; want %d", c.name, val, ok, c.want)
+		}
+	}
+	before.Release()
+	after.Release()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.delta.overrides.Load(); n != 0 {
+		t.Errorf("after the fold absorbed it the delta counts %d overrides", n)
+	}
+	if val, ok := s.Prop(v, "k"); !ok || val.Int() != 2 {
+		t.Errorf("after the fold: Prop = %v, %v; want 2", val, ok)
+	}
+}
+
 // TestLiveSnapshotIsolationAcrossFold pins a snapshot of a live store,
 // writes a delta on top, then folds the delta into a new base
 // generation — and demands the snapshot keeps reading the pre-write
