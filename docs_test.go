@@ -60,19 +60,23 @@ func TestDocsPresentAndLinked(t *testing.T) {
 		// likely to be invalidated by code changes, so a rewrite that
 		// removes them should revisit the doc.
 		"docs/ARCHITECTURE.md": {
-			"manifest", "degrees.db", "shard", "clock", "latch",
+			"manifest", "type directory", "shard", "clock", "latch",
 			"build-then-concurrent-read", "singleflight",
 			// The one on-disk format: the persisted index, the two
 			// adjacency states and the bulk-load finalize contract, the
-			// delta-varint segment layout, the mmap read contract, the
+			// vertex-local layout (property runs, adjacency blocks with
+			// their type directories, the layout checker and the decoder
+			// fuzz target), the delta-varint segment layout, the mmap
+			// read contract, the
 			// persisted-statistics block (with its two consumers), and
 			// the refuse-then-Upgrade path for legacy stores must stay
 			// documented alongside the code that implements them.
 			"index.db", "segmented", "Compact", "Finalize",
 			"ErrFinalized", "BulkVertex.Props", "writeFileAtomic", "commit point",
-			"Format v5", "delta-varint", "uvarint", "firstOutEID",
+			"Format v6", "property run", "adjacency block", "checkLayout",
+			"FuzzVertexLayout", "delta-varint", "uvarint", "firstOutEID",
 			"bytes-per-edge", "Options.Mmap", "never goes stale",
-			"PGSIDX05", "bloom", "MayHaveProp", "EdgeTypeCounts",
+			"PGSIDX06", "bloom", "MayHaveProp", "EdgeTypeCounts",
 			"FromStorage", "pgs_stats_bloom_skips_total",
 			"compression_ratio", "Upgrade", "ErrLegacyFormat",
 			// Serving layer: admission control, shutdown semantics, and

@@ -647,8 +647,9 @@ type StorageStats struct {
 	// LastCompactError is the most recent background fold failure, empty
 	// while folds succeed.
 	LastCompactError string `json:"last_compact_error,omitempty"`
-	// Compressed reports the delta-varint adjacency layout (format v5);
-	// EdgeBytes is its logical size, BytesPerEdge that size per edge, and
+	// Compressed reports the delta-varint adjacency layout (format v5 and later);
+	// EdgeBytes is the size of edges.db, type directories included,
+	// BytesPerEdge that size per edge, and
 	// CompressionRatio the saving against the 64-byte v4 edge records.
 	Compressed       bool    `json:"compressed"`
 	EdgeBytes        int64   `json:"edge_bytes,omitempty"`

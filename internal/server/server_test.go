@@ -650,7 +650,7 @@ func TestDiskstorePagerStats(t *testing.T) {
 		t.Error("pager stats all zero after a query")
 	}
 
-	// A freshly finalized store uses the current (v5) layout, so /stats
+	// A freshly finalized store uses the current (v6) layout, so /stats
 	// must report the compressed adjacency and its ratio over the 64-byte
 	// v4 records, plus the persisted per-label counts.
 	if !ds.Format().Compressed {
@@ -669,7 +669,7 @@ func TestDiskstorePagerStats(t *testing.T) {
 		t.Errorf("graph stats missing persisted label counts: %+v", st.Graph)
 	}
 	if len(st.Graph.EdgeTypeCounts) == 0 {
-		t.Errorf("v5 store reported no edge-type counts: %+v", st.Graph)
+		t.Errorf("v6 store reported no edge-type counts: %+v", st.Graph)
 	}
 }
 

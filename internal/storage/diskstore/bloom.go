@@ -1,7 +1,7 @@
 package diskstore
 
 // Per-(label, property-key) bloom filters over the property values
-// present at Finalize time (format v5). The compiled scan step probes
+// present at Finalize time (format v5 and later). The compiled scan step probes
 // them before a property-constraint label scan: a negative answer is
 // definitive — no vertex with that label carried that value when the
 // base was built — so the scan can be skipped entirely. Positive answers

@@ -373,8 +373,9 @@ type FormatInfo struct {
 	// IndexLoaded reports that Open restored the label index from
 	// index.db rather than scanning every vertex record.
 	IndexLoaded bool
-	// EdgeBytes is the logical adjacency size in edges.db, in segment
-	// bytes. EdgeBytes / NumEdges is the bytes-per-edge figure.
+	// EdgeBytes is the size of edges.db: the adjacency blocks, type
+	// directories and segments. EdgeBytes / NumEdges is the
+	// bytes-per-edge figure.
 	EdgeBytes int64
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/storage/storetest"
 )
 
-// TestStatisticsRoundTrip checks the v5 statistics block end to end:
+// TestStatisticsRoundTrip checks the statistics block end to end:
 // counts and bloom answers survive Flush/Close/Open via index.db, and
 // deleting index.db degrades to conservative answers instead of wrong
 // ones.
@@ -29,7 +29,7 @@ func TestStatisticsRoundTrip(t *testing.T) {
 	var st storage.Statistics = s
 	etc := st.EdgeTypeCounts()
 	if etc == nil {
-		t.Fatal("finalized v5 store returned nil EdgeTypeCounts")
+		t.Fatal("finalized store returned nil EdgeTypeCounts")
 	}
 	totalE := 0
 	for _, c := range etc {

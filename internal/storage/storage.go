@@ -407,8 +407,8 @@ type LiveStats struct {
 	// Compactions counts folds committed since open.
 	Compactions int64
 	// Compressed reports that the base adjacency is stored as
-	// delta-varint segments (diskstore); EdgeBytes is their logical size in
-	// bytes.
+	// delta-varint segments (diskstore); EdgeBytes is the size of the
+	// file holding them, in bytes.
 	Compressed bool
 	EdgeBytes  int64
 }
