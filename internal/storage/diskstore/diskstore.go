@@ -3,9 +3,8 @@
 // contiguous runs — the vertex's properties, sorted by key, and its
 // adjacency block, a type directory followed by delta-varint segments per
 // edge type — and a variable-length blob file for strings and lists, all
-// read through
-// a sharded page cache with clock-sweep eviction, whose hits take no lock:
-// a per-file frame table and a CAS pin. The cache recycles its
+// read through a sharded page cache with clock-sweep eviction, whose hits
+// take no lock: a per-file frame table and a CAS pin. The cache recycles its
 // frames — a miss in a full shard loads into the buffer of the frame it
 // evicts — which rests on one rule: the sweep claims a victim only while
 // it is unpinned, by a CAS that makes every later pin of it fail, so a
@@ -891,7 +890,7 @@ type propRec struct {
 func decodePropRec(buf []byte) propRec {
 	_ = buf[propRecSize-1]
 	return propRec{
-		keyID: uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16,
+		keyID: runKey(buf, 0),
 		kind:  graph.Kind(buf[3]),
 		a:     binary.LittleEndian.Uint64(buf[4:]),
 		b:     binary.LittleEndian.Uint32(buf[12:]),

@@ -78,10 +78,9 @@ func (ep *epoch) readLegacyVertex(v storage.VID) (legacyVertexRec, error) {
 }
 
 // sourceVertex reads base vertex v as writeGeneration consumes it: its
-// label bitset and its properties, appended to run[:0] in stored order
-// (on a current epoch, by key ID). runBuf and blobBuf are scratch.
+// label bitset and its properties, appended to run in stored order (on a
+// current epoch, by key ID). runBuf and blobBuf are scratch.
 func (ep *epoch) sourceVertex(v storage.VID, run []keyVal, runBuf, blobBuf *[]byte) ([2]uint64, []keyVal, error) {
-	run = run[:0]
 	if ep.legacy != nil {
 		return ep.legacyVertex(v, run, blobBuf)
 	}
