@@ -57,6 +57,7 @@ import (
 	_ "net/http/pprof" // -pprof-addr registers /debug/pprof on DefaultServeMux
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -235,6 +236,10 @@ func run() error {
 		}
 	}
 
+	// The load leaves its scratch behind as garbage. Request garbage is
+	// too scarce to trigger a GC that would return it soon, so collect it
+	// once now instead of serving beside it.
+	debug.FreeOSMemory()
 	srv, err := server.New(server.Config{
 		Graph:          storage.Graph(st),
 		Mapping:        mapping,

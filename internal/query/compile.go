@@ -55,6 +55,7 @@ func (c *compiler) compileReturn(p *Prepared, q *cypher.Query) error {
 	}
 	p.grouped = true
 	aggIdx := map[*cypher.FuncCall]int{}
+	counted := map[*cypher.FuncCall]bool{}
 	for _, ri := range q.Return {
 		if !cypher.HasAggregate(ri.Expr) {
 			ce, err := c.expr(ri.Expr, nil)
@@ -69,10 +70,13 @@ func (c *compiler) compileReturn(p *Prepared, q *cypher.Query) error {
 			return err
 		}
 		var calls []*cypher.FuncCall
-		collectAggCalls(ri.Expr, &calls)
+		collectAggCalls(ri.Expr, &calls, counted)
 		for _, call := range calls {
 			aggIdx[call] = len(p.aggs)
 			spec := aggSpec{name: call.Name, distinct: call.Distinct, star: call.Star}
+			if counted[call] {
+				spec.name = "count"
+			}
 			if !call.Star {
 				arg, err := c.expr(call.Args[0], nil)
 				if err != nil {
@@ -119,24 +123,42 @@ func validateAggItem(e cypher.Expr, insideAgg bool) error {
 }
 
 // collectAggCalls gathers the aggregate FuncCall nodes inside e, in
-// evaluation order. Nested aggregates (aggregate inside aggregate) are
+// evaluation order, and marks in counted each COLLECT whose list only
+// size() reads. Nested aggregates (aggregate inside aggregate) are
 // rejected later when the argument expression is compiled.
-func collectAggCalls(e cypher.Expr, into *[]*cypher.FuncCall) {
+func collectAggCalls(e cypher.Expr, into *[]*cypher.FuncCall, counted map[*cypher.FuncCall]bool) {
 	switch x := e.(type) {
 	case *cypher.FuncCall:
 		if x.IsAggregate() {
 			*into = append(*into, x)
 			return
 		}
+		if c := sizedCollect(x); c != nil {
+			counted[c] = true
+		}
 		for _, a := range x.Args {
-			collectAggCalls(a, into)
+			collectAggCalls(a, into, counted)
 		}
 	case *cypher.Binary:
-		collectAggCalls(x.L, into)
-		collectAggCalls(x.R, into)
+		collectAggCalls(x.L, into, counted)
+		collectAggCalls(x.R, into, counted)
 	case *cypher.Not:
-		collectAggCalls(x.E, into)
+		collectAggCalls(x.E, into, counted)
 	}
+}
+
+// sizedCollect returns c when f is size(c) and c is a COLLECT aggregate,
+// else nil. size(COLLECT([DISTINCT] x)) is compiled as COUNT([DISTINCT] x):
+// both skip NULLs and a list-valued x is one element of the list, so the
+// count is the list's length without the list being built.
+func sizedCollect(f *cypher.FuncCall) *cypher.FuncCall {
+	if f.Name != "size" || len(f.Args) != 1 {
+		return nil
+	}
+	if c, ok := f.Args[0].(*cypher.FuncCall); ok && c.Name == "collect" {
+		return c
+	}
+	return nil
 }
 
 var nullExpr cexpr = func(*machine) (graph.Value, error) { return graph.Null, nil }
@@ -205,6 +227,10 @@ func (c *compiler) expr(e cypher.Expr, aggIdx map[*cypher.FuncCall]int) (cexpr, 
 				return nil, fmt.Errorf("query: aggregate %s has no accumulated state", n.Name)
 			}
 			return func(m *machine) (graph.Value, error) { return m.aggVals[idx], nil }, nil
+		}
+		if inner := sizedCollect(n); inner != nil && aggIdx != nil {
+			// The inner COLLECT was compiled as a COUNT: its value is the size.
+			return c.expr(inner, aggIdx)
 		}
 		return c.scalarFunc(n, aggIdx)
 	default:

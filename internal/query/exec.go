@@ -32,24 +32,56 @@ func (s *Stats) Add(other Stats) {
 type Result struct {
 	Columns []string
 	Rows    [][]graph.Value
+	arena   rowArena // the blocks AddRow copies rows into
 }
 
 // Sink receives an execution's result rows, one AddRow call per row, all
-// on the goroutine that called Exec. Each row is a freshly allocated
-// slice that belongs to the sink from that call on — the driver never
-// reads or writes it again — so a sink may keep it (a *Result does) or
-// encode it and let it die (the server does). A non-nil error stops the
-// execution and is returned from Exec. AddRow runs inside the traversal,
-// with the store's view pinned: it must not block on anything slower than
-// memory.
+// on the goroutine that called Exec. The row is lent: the executor owns
+// the slice and refills it for the next row, so the sink may read it only
+// for the length of the call. A sink that keeps a row copies it (a
+// *Result does); one that encodes the row and lets it go copies nothing
+// (the server does). A non-nil error stops the execution and is returned
+// from Exec. AddRow runs inside the traversal, with the store's view
+// pinned: it must not block on anything slower than memory.
 type Sink interface {
 	AddRow(row []graph.Value) error
 }
 
-// AddRow makes a *Result the materializing Sink.
+// AddRow makes a *Result the materializing Sink: it keeps a copy of the
+// lent row.
 func (r *Result) AddRow(row []graph.Value) error {
-	r.Rows = append(r.Rows, row)
+	r.Rows = append(r.Rows, r.arena.copy(row))
 	return nil
+}
+
+// rowArena copies rows that must outlive the call that lent them into
+// shared blocks of values, so keeping n rows costs a few allocations per
+// block instead of one per row. Each copy is a three-index sub-slice of
+// its block: appending to one kept row reallocates it rather than
+// overwriting the next.
+type rowArena struct {
+	spare []graph.Value // the current block's unused tail
+	kept  int           // rows copied so far; the next block grows with it
+}
+
+// A block holds as many rows as were kept before it, between
+// minBlockRows and maxBlockRows: a one-row result stays small, and a
+// large one pays one block allocation per maxBlockRows rows.
+const (
+	minBlockRows = 8
+	maxBlockRows = 256
+)
+
+func (a *rowArena) copy(row []graph.Value) []graph.Value {
+	n := len(row)
+	if len(a.spare) < n {
+		a.spare = make([]graph.Value, n*min(max(a.kept, minBlockRows), maxBlockRows))
+	}
+	kept := a.spare[:n:n]
+	copy(kept, row)
+	a.spare = a.spare[n:]
+	a.kept++
+	return kept
 }
 
 // Collect runs the plan once and materializes its rows: Exec with a
@@ -161,14 +193,17 @@ func Run(g storage.Graph, q *cypher.Query) (*Result, error) {
 // rows: DISTINCT, then either straight delivery under LIMIT or — for
 // ORDER BY — buffering until the traversal ends, as a bounded top-k heap
 // when there is a LIMIT too. It lives in the driver's machine and runs
-// only on the goroutine that called Exec.
+// only on the goroutine that called Exec. The rows it takes are lent, as
+// a Sink's are: DISTINCT keeps only their keys, and the ORDER BY buffer
+// keeps copies.
 type finisher struct {
-	p    *Prepared
-	sink Sink
-	seen map[string]struct{} // DISTINCT filter
-	key  []byte              // scratch for seen's keys, kept across executions
-	n    int64               // rows past DISTINCT so far
-	buf  []orderedRow        // ORDER BY: a max-heap rooted at the worst row under LIMIT, else arrival order
+	p     *Prepared
+	sink  Sink
+	seen  map[string]struct{} // DISTINCT filter
+	key   []byte              // scratch for seen's keys, kept across executions
+	n     int64               // rows past DISTINCT so far
+	buf   []orderedRow        // ORDER BY: a max-heap rooted at the worst row under LIMIT, else arrival order
+	arena rowArena            // the blocks buf's rows are copied into
 }
 
 // orderedRow is a buffered ORDER BY row with its arrival number, the
@@ -187,7 +222,7 @@ func (f *finisher) less(a, b orderedRow) bool {
 	return a.seq < b.seq
 }
 
-// add takes one projected or grouped row.
+// add takes one projected or grouped row, lent for the call.
 func (f *finisher) add(row []graph.Value) error {
 	p := f.p
 	if p.distinct {
@@ -211,12 +246,16 @@ func (f *finisher) add(row []graph.Value) error {
 	e := orderedRow{row, f.n}
 	switch {
 	case p.limit < 0:
+		e.row = f.arena.copy(row)
 		f.buf = append(f.buf, e)
 	case len(f.buf) < p.limit:
+		e.row = f.arena.copy(row)
 		f.buf = append(f.buf, e)
 		f.up(len(f.buf) - 1)
 	case p.limit > 0 && f.less(e, f.buf[0]):
-		f.buf[0] = e
+		// The evicted row's slice takes the new row's values.
+		copy(f.buf[0].row, row)
+		f.buf[0].seq = e.seq
 		f.down(0)
 	}
 	return nil

@@ -393,7 +393,7 @@ func TestIntraQueryStreamMatchesExecute(t *testing.T) {
 		var st Stats
 		var got [][]graph.Value
 		err := p.Exec(context.Background(), ExecOptions{Workers: workers, Stats: &st}, sinkFunc(func(row []graph.Value) error {
-			got = append(got, row)
+			got = append(got, append([]graph.Value(nil), row...)) // the row is lent: keeping it means copying it
 			return nil
 		}))
 		if err != nil {

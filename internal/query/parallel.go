@@ -168,10 +168,10 @@ func (p *Prepared) runMorsels(ctx context.Context, g storage.Graph, scans []stor
 	return failErr
 }
 
-// ship is emitRow's tail on a morsel worker: rows leave for the driver a
-// batch at a time.
+// ship is emitRow's tail on a morsel worker: it copies the machine's
+// row, and the copies leave for the driver a batch at a time.
 func (m *machine) ship(row []graph.Value) error {
-	m.batch = append(m.batch, row)
+	m.batch = append(m.batch, append([]graph.Value(nil), row...))
 	if len(m.batch) < rowBatchSize {
 		return nil
 	}

@@ -158,6 +158,7 @@ type machine struct {
 	keyScratch []graph.Value // group-key values of the current row
 
 	aggVals []graph.Value // aggregate outputs during the finish phase
+	row     []graph.Value // the output row emitRow and finish fill and lend to the finisher
 	groups  map[string]*groupRow
 	order   []string
 }
@@ -322,6 +323,7 @@ func (p *Prepared) buildMachine(profiled bool) *machine {
 		slots:      make([]storage.VID, p.nSlots),
 		keyScratch: make([]graph.Value, len(p.groupExprs)),
 		aggVals:    make([]graph.Value, len(p.aggs)),
+		row:        make([]graph.Value, len(p.items)),
 	}
 	if p.grouped {
 		m.groups = map[string]*groupRow{}
@@ -367,12 +369,13 @@ func (m *machine) begin(ctx context.Context, g storage.Graph, st *Stats) {
 
 // release returns a machine to the pool with every per-call reference
 // cleared, so a pooled machine cannot keep a released snapshot, a
-// request's context, its sink, or buffered rows alive.
+// request's context, its sink, or buffered rows and their values alive.
 func (p *Prepared) release(m *machine) {
 	m.g = p.g
 	m.stats, m.done, m.ctx = nil, nil, nil
 	m.fin = finisher{key: m.fin.key}
 	m.rowCh, m.batch = nil, nil
+	clear(m.row)
 	m.trackDistinct = false
 	if m.psteps != nil {
 		// Profiled machines carry an instrumented step chain; they are
@@ -775,13 +778,14 @@ func (p *Prepared) emitStep(m *machine) step {
 }
 
 // emitRow is the emit step's post-WHERE tail: group accumulation, or
-// projection of one freshly allocated row — finished right here on the
-// driver's machine, batched toward the driver on a morsel worker.
+// projection into the machine's one row — lent to the finisher right here
+// on the driver's machine, copied into a batch toward the driver on a
+// morsel worker.
 func (p *Prepared) emitRow(m *machine) error {
 	if p.grouped {
 		return p.accumulateGroup(m)
 	}
-	row := make([]graph.Value, len(p.items))
+	row := m.row
 	for i := range p.items {
 		v, err := p.items[i].out(m)
 		if err != nil {
@@ -848,7 +852,7 @@ func (p *Prepared) finish(m *machine) error {
 			for i := range gs.aggs {
 				m.aggVals[i] = gs.aggs[i].final(&p.aggs[i])
 			}
-			row := make([]graph.Value, len(p.items))
+			row := m.row
 			ki := 0
 			for i := range p.items {
 				if p.items[i].hasAgg {

@@ -1,10 +1,12 @@
 package query
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/cypher"
+	"repro/internal/graph"
 	"repro/internal/storage"
 	"repro/internal/storage/memstore"
 	"repro/internal/storage/storetest"
@@ -58,10 +60,11 @@ func buildTwoHopGraph(t testing.TB, mem *memstore.Store, fanout int) int {
 }
 
 // TestCompiledExecutionAllocs is the allocation regression gate for the
-// compiled executor: on a two-hop match the per-binding allocation count
-// must stay (amortized) at zero — the plan's slot array, edge stack, and
-// key buffer absorb everything, leaving only the handful of fixed per-
-// execution allocations (result, row, group bookkeeping).
+// compiled executor: per binding, per result row and per aggregated value
+// the allocation count must stay (amortized) at zero — the plan's slot
+// array, edge stack, key buffer and lent row absorb everything, leaving
+// only the handful of fixed per-execution allocations, plus the blocks a
+// *Result copies the rows it keeps into.
 func TestCompiledExecutionAllocs(t *testing.T) {
 	mem := memstore.New()
 	bindings := buildTwoHopGraph(t, mem, 12) // 144 bindings per execution
@@ -88,4 +91,66 @@ func TestCompiledExecutionAllocs(t *testing.T) {
 	if perExec > 16 {
 		t.Errorf("compiled execution did %.0f allocs over %d bindings, want <= 16 total", perExec, bindings)
 	}
+
+	// slack is how far two counts of the same fixed cost may drift: none,
+	// except under the race detector (see raceEnabled).
+	slack := 0.0
+	if raceEnabled {
+		slack = 8
+	}
+	// allocsAt prepares src over the people graph of n vertices and
+	// counts the allocations of one execution into sink (a fresh *Result
+	// when sink is nil).
+	allocsAt := func(t *testing.T, n int, src string, sink Sink) float64 {
+		mem := memstore.New()
+		buildPeopleGraph(t, mem, n)
+		p, err := Prepare(mem, cypher.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st Stats
+		return testing.AllocsPerRun(50, func() {
+			var err error
+			if sink == nil {
+				_, err = Collect(context.Background(), p, ExecOptions{Stats: &st})
+			} else {
+				err = p.Exec(context.Background(), ExecOptions{Stats: &st}, sink)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	t.Run("lent rows", func(t *testing.T) {
+		// A sink that keeps nothing costs the executor nothing per row.
+		const src = `MATCH (p:Person) RETURN p.name, p.age`
+		discard := sinkFunc(func([]graph.Value) error { return nil })
+		small, large := allocsAt(t, 10, src, discard), allocsAt(t, 1000, src, discard)
+		t.Logf("%.0f allocs at 10 rows, %.0f at 1000", small, large)
+		if large > small+slack {
+			t.Errorf("projection into a discarding sink: %.0f allocs at 1000 rows, %.0f at 10, want equal", large, small)
+		}
+	})
+
+	t.Run("size of COLLECT", func(t *testing.T) {
+		// Seven groups either way: 10 or 1000 values per group.
+		const src = `MATCH (p:Person) RETURN p.grp, size(COLLECT(p.name))`
+		small, large := allocsAt(t, 70, src, nil), allocsAt(t, 7000, src, nil)
+		t.Logf("%.0f allocs at 10 values per group, %.0f at 1000", small, large)
+		if large > small+slack {
+			t.Errorf("grouped size(COLLECT): %.0f allocs at 1000 values per group, %.0f at 10, want equal", large, small)
+		}
+	})
+
+	t.Run("Collect blocks", func(t *testing.T) {
+		// A kept row costs a share of a block, not an allocation: about
+		// one more allocation per 64 rows at most.
+		const src = `MATCH (p:Person) RETURN p.name, p.age`
+		small, large := allocsAt(t, 10, src, nil), allocsAt(t, 1000, src, nil)
+		t.Logf("%.0f allocs at 10 rows, %.0f at 1000", small, large)
+		if extra := large - small; extra > 1000/64+slack {
+			t.Errorf("Collect: %.0f allocs at 1000 rows, %.0f at 10: %.0f extra, want <= %d", large, small, extra, 1000/64)
+		}
+	})
 }

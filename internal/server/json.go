@@ -14,9 +14,9 @@ import (
 // from encPool, appends the whole response body into enc.buf with the
 // append* helpers below (no reflection, no intermediate allocations), and
 // returns it — so steady-state request encoding is allocation-flat. It is
-// also the request's query.Sink: the executor hands it each result row
-// and AddRow encodes the row in place, so the serving path never holds a
-// result set, only its JSON.
+// also the request's query.Sink: the executor lends it each result row
+// and AddRow encodes the row in place and keeps nothing of it, so the
+// serving path never holds a result set, only its JSON.
 type encoder struct {
 	buf  []byte
 	rows int // rows encoded so far

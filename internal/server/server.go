@@ -41,6 +41,7 @@ import (
 	"mime"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -352,10 +353,13 @@ func (t *queryTrace) profile() *query.Profile {
 
 // profileRequested detects PROFILE mode — ?profile=1 or a leading PROFILE
 // keyword (case-insensitive, followed by whitespace) — and returns the
-// bare query.
+// bare query. A URL without a query string is not parsed at all.
 func profileRequested(r *http.Request, src string) (string, bool) {
-	v := r.URL.Query().Get("profile")
-	profiled := v == "1" || v == "true"
+	profiled := false
+	if r.URL.RawQuery != "" {
+		v := r.URL.Query().Get("profile")
+		profiled = v == "1" || v == "true"
+	}
 	const kw = "PROFILE"
 	if len(src) > len(kw) && strings.EqualFold(src[:len(kw)], kw) {
 		rest := strings.TrimLeft(src[len(kw):], " \t\r\n")
@@ -486,7 +490,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		enc.buf = appendQueryResponseTail(enc.buf, &st, time.Since(start).Microseconds(), profileJSON)
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", fmt.Sprint(len(enc.buf)))
+		w.Header().Set("Content-Length", strconv.Itoa(len(enc.buf)))
 		w.Write(enc.buf)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.m.timeouts.Add(1)

@@ -983,3 +983,46 @@ func TestQueryWorkersParallelExecution(t *testing.T) {
 		t.Errorf("parallel /stats query_workers = %d, want 4", qw)
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps the status and drops the
+// body, so counting a handler's allocations counts the handler's alone.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// TestQueryAllocsIndependentOfRows: the executor lends the encoder one
+// reused row, so a /query answering 500 rows allocates within a small
+// constant of one answering 2 — the result rows cost the handler nothing.
+func TestQueryAllocsIndependentOfRows(t *testing.T) {
+	const src = `MATCH (d:Drug) RETURN d.name`
+	allocs := func(n int) float64 {
+		s, err := New(Config{Graph: buildWideGraph(t, n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(src)))
+		var qr queryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil || rec.Code != http.StatusOK || len(qr.Rows) != n {
+			t.Fatalf("%d drugs: status %d, %d rows, err %v", n, rec.Code, len(qr.Rows), err)
+		}
+		h := s.Handler()
+		return testing.AllocsPerRun(50, func() {
+			w := &discardWriter{h: http.Header{}}
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(src)))
+			if w.code != 0 && w.code != http.StatusOK {
+				t.Fatalf("status %d", w.code)
+			}
+		})
+	}
+	few, many := allocs(2), allocs(500)
+	t.Logf("/query allocations: %.0f with 2 rows, %.0f with 500", few, many)
+	if many > few+8 {
+		t.Errorf("/query with 500 rows made %.0f allocations, with 2 rows %.0f: want within 8", many, few)
+	}
+}
