@@ -20,8 +20,7 @@
 // format/live-write state (whether adjacency is finalized, its compressed
 // size and ratio, delta segment sizes, WAL activity) — so
 // -parallel runs surface how well the shared-plan path and the page cache
-// actually held up. -mmap serves the vertex/edge files from a read-only
-// memory map instead of the page cache.
+// actually held up.
 package main
 
 import (
@@ -79,7 +78,6 @@ func main() {
 	queryWorkers := flag.Int("query-workers", 1, "morsel workers inside each query execution (intra-query parallelism)")
 	backend := flag.String("backend", "memstore", "storage backend: memstore or diskstore")
 	cachePages := flag.Int("cache-pages", 64, "diskstore page cache size")
-	mmap := flag.Bool("mmap", false, "serve diskstore vertex/edge reads from a read-only memory map instead of the page cache")
 	stats := flag.Bool("stats", false, "print plan-cache stats (and pager I/O on diskstore) after the run")
 	profile := flag.Bool("profile", false, "print the per-step operator trace (visited/produced per plan step) for each schema")
 	flag.Parse()
@@ -155,7 +153,7 @@ func main() {
 			if err != nil {
 				fatalf("%v", err)
 			}
-			st, err := diskstore.Open(d, diskstore.Options{CachePages: *cachePages, Mmap: *mmap})
+			st, err := diskstore.Open(d, diskstore.Options{CachePages: *cachePages})
 			if err != nil {
 				os.RemoveAll(d)
 				fatalf("%v", err)

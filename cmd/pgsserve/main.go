@@ -90,7 +90,6 @@ func run() error {
 	backend := flag.String("backend", "memstore", "storage backend: memstore or diskstore")
 	dataDir := flag.String("data-dir", "", "diskstore directory (default: a temp dir, removed on exit)")
 	cachePages := flag.Int("cache-pages", 64, "diskstore page cache size")
-	mmap := flag.Bool("mmap", false, "serve diskstore vertex/edge reads from a read-only memory map instead of the page cache")
 	optimize := flag.Bool("optimize", false, "serve the optimized schema (PGSG over the dataset's microbenchmark workload)")
 	budgetPct := flag.Float64("budget-pct", 50, "space budget as % of Cost(NSC) when optimizing")
 	localize := flag.Bool("localize", false, "also localize scalar neighbor lookups in rewrites")
@@ -165,7 +164,7 @@ func run() error {
 			}
 			defer os.RemoveAll(dir)
 		}
-		dsk, err = diskstore.Open(dir, diskstore.Options{CachePages: *cachePages, Mmap: *mmap})
+		dsk, err = diskstore.Open(dir, diskstore.Options{CachePages: *cachePages})
 		if err != nil {
 			return err
 		}
@@ -228,8 +227,8 @@ func run() error {
 	}
 	if dsk != nil {
 		f := dsk.Format()
-		log.Printf("diskstore format v%d (adjacency finalized into compressed segments: %v, opened via persisted index: %v, mmap: %v)",
-			f.Version, f.Compressed, f.IndexLoaded, *mmap)
+		log.Printf("diskstore format v%d (adjacency finalized into compressed segments: %v, opened via persisted index: %v)",
+			f.Version, f.Compressed, f.IndexLoaded)
 		if ls := dsk.LiveStats(); ls.Live {
 			log.Printf("live writes enabled (POST /mutate): delta carries %d vertices / %d edges from the WAL",
 				ls.DeltaVertices, ls.DeltaEdges)

@@ -7,10 +7,11 @@
 // scale it; drivers load the dataset into a backend (memstore or
 // diskstore), run their experiment, and clean up. Beyond the paper's
 // figures, IntraQueryScaling measures how one query scales over morsel
-// workers (optionally in the disk-bound regime via Env.WithCachePages)
-// and the storage experiments cover load, open and compaction. Nothing
-// here drives HTTP traffic: served throughput and
-// latency are measured by benchmark/ against a real pgsserve.
+// workers (optionally in the disk-bound regime via Env.WithCachePages).
+// Nothing here drives HTTP traffic or measures storage on its own: load,
+// open, restart, live writes and compaction are measured by benchmark/
+// against a real pgsserve, and crash recovery by the diskstore/crashtest
+// package's tests.
 //
 // Format* helpers render each row type as the text table cmd/pgsbench
 // prints.

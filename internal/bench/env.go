@@ -29,9 +29,6 @@ type Options struct {
 	// CachePages is the diskstore page-cache size; small values make the
 	// backend disk-bound like the paper's Neo4j (default 64 pages).
 	CachePages int
-	// Mmap serves diskstore vertex/edge reads from a read-only memory
-	// map instead of the page cache.
-	Mmap bool
 	// WorkloadQueries is the mixed-workload size (default 15, §5.3).
 	WorkloadQueries int
 	// Reps repeats each timed query and reports the total, following the
@@ -136,7 +133,7 @@ func (e *Env) openStore(b Backend, tag string) (storage.Builder, func(), error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		st, err := diskstore.Open(dir, diskstore.Options{CachePages: e.Opts.CachePages, Mmap: e.Opts.Mmap})
+		st, err := diskstore.Open(dir, diskstore.Options{CachePages: e.Opts.CachePages})
 		if err != nil {
 			os.RemoveAll(dir)
 			return nil, nil, err

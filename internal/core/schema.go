@@ -22,14 +22,6 @@ func DefaultConfig() Config {
 	return Config{Theta1: 0.66, Theta2: 0.33}
 }
 
-// WithIterationSeed returns a copy of the config that randomizes rule
-// application order with the given seed; the produced schema must be
-// identical for every seed (Theorem 3).
-func (c Config) WithIterationSeed(seed int64) Config {
-	c.iterationSeed = seed
-	return c
-}
-
 // memoKey identifies one rule application site for version memoization.
 type memoKey struct {
 	e   edge

@@ -153,60 +153,6 @@ func Solve(items []Item, budget float64, eps float64) []int {
 	return chosen
 }
 
-// SolveExact solves small instances exactly by dynamic programming over
-// integer costs. Intended for tests (ground truth for the FPTAS bound);
-// costs must be non-negative integers and budget modest.
-func SolveExact(benefits []float64, costs []int, budget int) []int {
-	n := len(benefits)
-	if n == 0 || budget <= 0 {
-		return nil
-	}
-	dp := make([]float64, budget+1)
-	take := make([][]bool, n)
-	for i := range take {
-		take[i] = make([]bool, budget+1)
-	}
-	for i := 0; i < n; i++ {
-		if benefits[i] <= 0 || costs[i] < 0 || costs[i] > budget {
-			continue
-		}
-		for w := budget; w >= costs[i]; w-- {
-			if v := dp[w-costs[i]] + benefits[i]; v > dp[w] {
-				dp[w] = v
-				take[i][w] = true
-			}
-		}
-	}
-	var chosen []int
-	w := budget
-	for i := n - 1; i >= 0; i-- {
-		if w >= 0 && costs[i] <= w && take[i][w] {
-			chosen = append(chosen, i)
-			w -= costs[i]
-		}
-	}
-	sortInts(chosen)
-	return chosen
-}
-
-// TotalBenefit sums the benefits of the selected items.
-func TotalBenefit(items []Item, sel []int) float64 {
-	t := 0.0
-	for _, i := range sel {
-		t += items[i].Benefit
-	}
-	return t
-}
-
-// TotalCost sums the costs of the selected items.
-func TotalCost(items []Item, sel []int) float64 {
-	t := 0.0
-	for _, i := range sel {
-		t += items[i].Cost
-	}
-	return t
-}
-
 func sortInts(a []int) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && a[j] < a[j-1]; j-- {

@@ -25,10 +25,10 @@ func TestSolveSimple(t *testing.T) {
 		{Benefit: 120, Cost: 30},
 	}
 	sel := Solve(items, 50, 0.01)
-	if got := TotalBenefit(items, sel); got != 220 {
+	if got := totalBenefit(items, sel); got != 220 {
 		t.Errorf("benefit = %v (sel %v), want 220", got, sel)
 	}
-	if got := TotalCost(items, sel); got > 50 {
+	if got := totalCost(items, sel); got > 50 {
 		t.Errorf("cost = %v exceeds budget", got)
 	}
 }
@@ -46,7 +46,7 @@ func TestSolveRespectsBudgetAlways(t *testing.T) {
 		}
 		budget := float64(budget16 % 200)
 		sel := Solve(items, budget, 0.1)
-		return TotalCost(items, sel) <= budget
+		return totalCost(items, sel) <= budget
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -70,8 +70,8 @@ func TestFPTASBound(t *testing.T) {
 			benefits[i], costs[i] = b, c
 		}
 		budget := 10 + rng.Intn(200)
-		approx := TotalBenefit(items, Solve(items, float64(budget), eps))
-		exact := TotalBenefit(items, SolveExact(benefits, costs, budget))
+		approx := totalBenefit(items, Solve(items, float64(budget), eps))
+		exact := totalBenefit(items, solveExact(benefits, costs, budget))
 		return approx >= (1-eps)*exact
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -92,7 +92,7 @@ func TestSolveExactMatchesBruteForce(t *testing.T) {
 			items[i] = Item{Benefit: benefits[i], Cost: float64(costs[i])}
 		}
 		budget := rng.Intn(60)
-		got := TotalBenefit(items, SolveExact(benefits, costs, budget))
+		got := totalBenefit(items, solveExact(benefits, costs, budget))
 		// Brute force over all subsets.
 		best := 0.0
 		for mask := 0; mask < 1<<n; mask++ {
@@ -144,7 +144,61 @@ func TestLargeInstanceStaysFast(t *testing.T) {
 	if len(sel) == 0 {
 		t.Error("large instance selected nothing")
 	}
-	if TotalCost(items, sel) > 5e7 {
+	if totalCost(items, sel) > 5e7 {
 		t.Error("budget exceeded")
 	}
+}
+
+// solveExact solves small instances exactly by dynamic programming over
+// integer costs: the ground truth for the FPTAS bound. Costs must be
+// non-negative integers and budget modest.
+func solveExact(benefits []float64, costs []int, budget int) []int {
+	n := len(benefits)
+	if n == 0 || budget <= 0 {
+		return nil
+	}
+	dp := make([]float64, budget+1)
+	take := make([][]bool, n)
+	for i := range take {
+		take[i] = make([]bool, budget+1)
+	}
+	for i := 0; i < n; i++ {
+		if benefits[i] <= 0 || costs[i] < 0 || costs[i] > budget {
+			continue
+		}
+		for w := budget; w >= costs[i]; w-- {
+			if v := dp[w-costs[i]] + benefits[i]; v > dp[w] {
+				dp[w] = v
+				take[i][w] = true
+			}
+		}
+	}
+	var chosen []int
+	w := budget
+	for i := n - 1; i >= 0; i-- {
+		if w >= 0 && costs[i] <= w && take[i][w] {
+			chosen = append(chosen, i)
+			w -= costs[i]
+		}
+	}
+	sortInts(chosen)
+	return chosen
+}
+
+// totalBenefit sums the benefits of the selected items.
+func totalBenefit(items []Item, sel []int) float64 {
+	t := 0.0
+	for _, i := range sel {
+		t += items[i].Benefit
+	}
+	return t
+}
+
+// totalCost sums the costs of the selected items.
+func totalCost(items []Item, sel []int) float64 {
+	t := 0.0
+	for _, i := range sel {
+		t += items[i].Cost
+	}
+	return t
 }

@@ -112,9 +112,6 @@ func (s *Store) Finalize() error {
 	}
 	// The manifest now names a complete, durable generation; everything
 	// from here on completes the swap unconditionally.
-	if s.opts.Mmap {
-		newEp.pager.enableMmap(fileVertices, fileEdges)
-	}
 	newEp.setLabelBits()
 	s.liveMu.Lock()
 	if w := s.wal.Load(); w != nil {

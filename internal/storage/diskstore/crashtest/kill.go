@@ -36,8 +36,8 @@ import (
 )
 
 // Environment variables carrying the child's parameters (argv stays
-// caller-defined so any binary — a test binary re-invoking itself, or
-// pgsbench — can host ChildMain).
+// caller-defined so any binary, such as a test binary re-invoking itself,
+// can host ChildMain).
 const (
 	envDir          = "CRASH_DIR"
 	envAck          = "CRASH_ACK"

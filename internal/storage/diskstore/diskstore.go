@@ -77,12 +77,6 @@ type Options struct {
 	// CachePages is the page cache capacity (default 256 pages = 2 MiB
 	// with the default page size).
 	CachePages int
-
-	// Mmap maps the record files edges.db and vertices.db read-only into
-	// memory and serves their reads from the mapping instead of the
-	// clock-sweep pager copy; the other files stay with the pager. No-op
-	// on platforms without mmap support.
-	Mmap bool
 }
 
 func (o Options) withDefaults() Options {
@@ -251,10 +245,8 @@ func (ep *epoch) hasLabelBit(v storage.VID, label storage.SymbolID) bool {
 	return words != nil && words[v>>6]&(1<<(uint(v)&63)) != 0
 }
 
-// closeFiles closes the generation's backing files (and any mappings
-// over them).
+// closeFiles closes the generation's backing files.
 func (ep *epoch) closeFiles() error {
-	ep.pager.closeMaps()
 	var first error
 	for _, f := range ep.pager.files {
 		if err := f.Close(); err != nil && first == nil {
@@ -489,9 +481,6 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	pg, err := newPager(files, opts.PageSize, opts.CachePages, &s.pagerStats)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Mmap {
-		pg.enableMmap(fileVertices, fileEdges)
 	}
 	ep := &epoch{
 		gen:     gen,

@@ -14,7 +14,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/storage"
@@ -864,6 +866,109 @@ func TestLiveFinalizeKeepsLaterWrites(t *testing.T) {
 	defer re.Close()
 	if got := storetest.Fingerprint(re); got != want {
 		t.Errorf("writes acknowledged after Finalize were lost at reopen\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestWritesDuringFoldSurviveSwapAndReopen is the mid-fold audit: durable
+// writes keep arriving while a background Compact folds a delta into the
+// next base generation, and every acknowledged one must read back after
+// the swap and after a cold reopen. Each mid-fold batch adds a vertex and
+// also writes to a vertex of the frozen delta — a property, a label, an
+// edge — so a batch acknowledged after the freeze exercises the swap's
+// re-routing of young writes on vertices that the fold turns into base
+// vertices. Folds repeat until two of them had writes land after their
+// freeze.
+func TestWritesDuringFoldSurviveSwapAndReopen(t *testing.T) {
+	const nV, nE, perRound = 1500, 4500, 150
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	if _, err := storetest.BuildRandom(s, 99, nV, nE); err != nil {
+		t.Fatal(err)
+	}
+	model := storetest.RandomBatch(99, nV, nE)
+
+	folds, youngFolds := 0, 0
+	for round := 0; round < 8 && youngFolds < 2; round++ {
+		folds++
+		// A delta worth folding: fresh vertices wired back into the base.
+		var frozen []storage.VID
+		var batch []storage.Mutation
+		for i := 0; i < perRound; i++ {
+			v := model.Vertex("Delta")
+			model.Prop(v, "p0", graph.I(int64(i)))
+			model.Edge(v, storage.VID(i), "r1")
+			frozen = append(frozen, v)
+			ref := storage.VID(-(i + 1)) // the batch's i-th new vertex
+			batch = append(batch,
+				storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"Delta"}},
+				storage.Mutation{Op: storage.MutSetProp, V: ref, Key: "p0", Value: graph.I(int64(i))},
+				storage.Mutation{Op: storage.MutAddEdge, Src: ref, Dst: storage.VID(i), Type: "r1"},
+			)
+		}
+		mustApply(t, s, batch...)
+
+		var foldDone atomic.Bool
+		var foldErr error
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			foldErr = s.Compact()
+			foldDone.Store(true)
+		}()
+		for k := 0; !foldDone.Load(); k++ {
+			target := frozen[k%perRound]
+			val := graph.I(int64(round*1_000_000 + k))
+			muts := []storage.Mutation{
+				{Op: storage.MutAddVertex, Labels: []string{"MidFold"}},
+				{Op: storage.MutSetProp, V: -1, Key: "mid", Value: val},
+				{Op: storage.MutSetProp, V: target, Key: "mid", Value: val},
+				{Op: storage.MutAddEdge, Src: target, Dst: storage.VID(k % nV), Type: "r2"},
+			}
+			if k < perRound {
+				muts = append(muts, storage.Mutation{Op: storage.MutAddLabel, V: target, Label: "Touched"})
+			}
+			mustApply(t, s, muts...)
+			v := model.Vertex("MidFold")
+			model.Prop(v, "mid", val)
+			model.Prop(target, "mid", val)
+			model.Edge(target, storage.VID(k%nV), "r2")
+			if k < perRound {
+				model.Label(target, "Touched")
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		wg.Wait()
+		if foldErr != nil {
+			t.Fatalf("round %d: background fold: %v", round, foldErr)
+		}
+		// Vertices added after the freeze are still in the delta, so
+		// their batches' writes to frozen vertices were young at the swap.
+		if s.LiveStats().DeltaVertices > 0 {
+			youngFolds++
+		}
+		if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
+			t.Fatalf("round %d: writes acknowledged during the fold are not visible after the swap\n got %s\nwant %s", round, got, want)
+		}
+	}
+	if youngFolds == 0 {
+		t.Fatal("no fold had a write land after its freeze; the audit checked nothing mid-fold")
+	}
+	t.Logf("%d folds, %d with writes acknowledged after their freeze", folds, youngFolds)
+
+	want := modelFingerprint(t, model)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := storetest.Fingerprint(s); got != want {
+		t.Errorf("writes acknowledged during the folds were lost at reopen\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -174,18 +174,7 @@ type pager struct {
 	// file holds. A slot holds the page's loaded frame or nil.
 	frames [numFiles][]atomic.Pointer[page]
 
-	// Optional mmap fast path (Options.Mmap). A non-nil entry serves
-	// in-range reads of that file straight from the kernel's page cache,
-	// bypassing the clock sweep entirely; closeMaps unmaps it when the
-	// files close.
-	maps [numFiles]atomic.Pointer[mmapRegion]
-
 	stats *pagerStats // the owning Store's block, shared across its epochs
-}
-
-// mmapRegion is one live read-only file mapping.
-type mmapRegion struct {
-	data []byte
 }
 
 // pagerShards picks the shard count for a page budget: up to 16 shards,
@@ -412,43 +401,10 @@ func (sh *shard) removeFromClock(pg *page) {
 	}
 }
 
-// enableMmap maps the given files read-only, if the platform supports it
-// and the file is non-empty. Failure to map (unsupported platform, empty
-// file, kernel refusal) is not an error — the pager simply keeps serving
-// that file through the page cache.
-func (p *pager) enableMmap(files ...fileID) {
-	for _, f := range files {
-		size := p.sizes[f]
-		if size <= 0 {
-			continue
-		}
-		data, err := mmapFile(p.files[f], size)
-		if err != nil {
-			continue
-		}
-		p.maps[f].Store(&mmapRegion{data: data})
-	}
-}
-
-// closeMaps unmaps every mapping. Callers must ensure no reads are in
-// flight (same contract as closing the files).
-func (p *pager) closeMaps() {
-	for f := range p.maps {
-		if m := p.maps[f].Swap(nil); m != nil {
-			munmapRegion(m.data)
-		}
-	}
-}
-
 // read copies n bytes at off in the file into buf. Reads may span pages
 // (needed for blob data); record reads never do because record sizes
 // divide the page size.
 func (p *pager) read(f fileID, off int64, buf []byte) error {
-	if m := p.maps[f].Load(); m != nil && off >= 0 && off+int64(len(buf)) <= int64(len(m.data)) {
-		copy(buf, m.data[off:])
-		p.stats.hits[p.shardIndex(pageKey{f, off / int64(p.pageSize)})].n.Add(1)
-		return nil
-	}
 	for len(buf) > 0 {
 		pageNo := off / int64(p.pageSize)
 		within := int(off % int64(p.pageSize))

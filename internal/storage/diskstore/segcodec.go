@@ -33,7 +33,7 @@ package diskstore
 // read, and bytes that fail a check are an ErrCorrupt error.
 //
 // Decoding is morsel-local: each read grabs one pooled scratch buffer,
-// reads through the pager (or the mmap path) and walks the bytes — no
+// reads through the pager and walks the bytes — no
 // per-edge or per-record allocation.
 
 import (
