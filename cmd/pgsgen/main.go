@@ -111,7 +111,7 @@ func buildStore(o *ontology.Ontology, dir string, seed int64, card int) {
 	}
 	info := f.Format()
 	f.Close()
-	fmt.Printf("built %s in %v: %d vertices, %d edges, format v%d (adjacency finalized=%v, persisted index=%v)\n",
+	fmt.Printf("built %s in %v: %d vertices, %d edges, format v%d (persisted index=%v)\n",
 		dir, time.Since(start).Round(time.Millisecond), vertices, edges,
-		info.Version, info.Compressed, info.IndexLoaded)
+		info.Version, info.IndexLoaded)
 }

@@ -17,8 +17,8 @@
 // -stats prints plan-cache effectiveness after the run (hits, misses,
 // singleflight shares, compiles), each backend's per-label vertex counts,
 // and, on the diskstore backend, each store's pager I/O counters plus its
-// format/live-write state (whether adjacency is finalized, its compressed
-// size and ratio, delta segment sizes, WAL activity) — so
+// format/live-write state (its generation, compressed adjacency size and
+// ratio, delta segment sizes, WAL activity) — so
 // -parallel runs surface how well the shared-plan path and the page cache
 // actually held up.
 package main

@@ -227,8 +227,7 @@ func run() error {
 	}
 	if dsk != nil {
 		f := dsk.Format()
-		log.Printf("diskstore format v%d (adjacency finalized into compressed segments: %v, opened via persisted index: %v)",
-			f.Version, f.Compressed, f.IndexLoaded)
+		log.Printf("diskstore format v%d (opened via persisted index: %v)", f.Version, f.IndexLoaded)
 		if ls := dsk.LiveStats(); ls.Live {
 			log.Printf("live writes enabled (POST /mutate): delta carries %d vertices / %d edges from the WAL",
 				ls.DeltaVertices, ls.DeltaEdges)

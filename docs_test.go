@@ -67,15 +67,14 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// vertex-local layout (property runs, adjacency blocks with
 			// their type directories, the layout checker and the decoder
 			// fuzz target), the delta-varint segment layout, the
-			// persisted-statistics block (with its two consumers), and
+			// persisted-statistics block (with its consumer), and
 			// the refuse-then-Upgrade path for legacy stores must stay
 			// documented alongside the code that implements them.
 			"index.db", "segmented", "Compact", "Finalize",
 			"ErrFinalized", "BulkVertex.Props", "writeFileAtomic", "commit point",
 			"Format v6", "property run", "adjacency block", "checkLayout",
 			"FuzzVertexLayout", "delta-varint", "uvarint", "firstOutEID", "bytes-per-edge",
-			"PGSIDX06", "bloom", "MayHaveProp", "EdgeTypeCounts",
-			"FromStorage", "pgs_stats_bloom_skips_total",
+			"PGSIDX07", "EdgeTypeCounts", "FromStorage",
 			"compression_ratio", "Upgrade", "ErrLegacyFormat",
 			// Serving layer: admission control, shutdown semantics, and
 			// the stats endpoint schema must stay documented.

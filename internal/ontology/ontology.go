@@ -208,28 +208,6 @@ func (o *Ontology) reindex() {
 	}
 }
 
-// OutE returns all relationships whose source is the concept.
-func (o *Ontology) OutE(concept string) []*Relationship {
-	var out []*Relationship
-	for _, r := range o.Relationships {
-		if r.Src == concept {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// InE returns all relationships whose destination is the concept.
-func (o *Ontology) InE(concept string) []*Relationship {
-	var in []*Relationship
-	for _, r := range o.Relationships {
-		if r.Dst == concept {
-			in = append(in, r)
-		}
-	}
-	return in
-}
-
 // Rels returns all relationships touching the concept (ci.Ri in the paper).
 func (o *Ontology) Rels(concept string) []*Relationship {
 	var rs []*Relationship

@@ -43,6 +43,7 @@ var lookupShapes = []string{
 	`MATCH (p:Person {age: 5.0}) RETURN p.name`,
 	`MATCH (p:Person {flag: true, grp: 'g6'}) RETURN p.name`,
 	`MATCH (p:Person {grp: 'g4'}) RETURN COUNT(*), SUM(p.age)`,
+	`MATCH (p:Person {name: 'late1'}) RETURN p.name, p.grp`,
 }
 
 var lookupLists = []graph.Value{
@@ -76,10 +77,16 @@ func whereForm(q *cypher.Query) *cypher.Query {
 	return w
 }
 
-// checkLookupMatchesScan runs every lookup shape and its WHERE form on g:
-// the same rows in the same order, the root served by a lookup on one
-// side and a scan of the same label on the other.
-func checkLookupMatchesScan(t *testing.T, g storage.Graph) {
+// lookupPair is one lookup shape compiled twice: as written, and in its
+// WHERE form, whose root is a scan of the same label.
+type lookupPair struct {
+	q            *cypher.Query
+	lookup, scan *Prepared
+}
+
+// prepareLookupShapes compiles every lookup shape and its WHERE form
+// against g.
+func prepareLookupShapes(t *testing.T, g storage.Graph) []lookupPair {
 	t.Helper()
 	var queries []*cypher.Query
 	for _, src := range lookupShapes {
@@ -90,31 +97,48 @@ func checkLookupMatchesScan(t *testing.T, g storage.Graph) {
 		q.Patterns[0].Nodes[0].Props["tags"] = list
 		queries = append(queries, q)
 	}
-	for _, q := range queries {
-		// The lookup root is serial whatever Workers says; the reference
-		// must be told, or its label scan splits into morsels.
-		lookup, lookupProf := runProfiled(t, g, q, 4)
-		scan, scanProf := runProfiled(t, g, whereForm(q), 1)
-		if got, want := rowStrings(lookup), rowStrings(scan); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: lookup rows %v, label-scan rows %v", q, got, want)
-		}
-		first, ref := lookupProf.Steps[0], scanProf.Steps[0]
-		if first.Op != "lookup" || lookupProf.Parallel || ref.Op != "scan" || first.Target[:len(ref.Target)] != ref.Target {
-			t.Errorf("%s: root steps %+v vs %+v, want a serial lookup and a scan of one label", q, first, ref)
-		}
+	pairs := make([]lookupPair, len(queries))
+	for i, q := range queries {
+		pairs[i] = lookupPair{q: q, lookup: mustPrepare(t, g, q), scan: mustPrepare(t, g, whereForm(q))}
 	}
+	return pairs
 }
 
-func runProfiled(t *testing.T, g storage.Graph, q *cypher.Query, workers int) (*Result, *Profile) {
+func mustPrepare(t *testing.T, g storage.Graph, q *cypher.Query) *Prepared {
 	t.Helper()
 	p, err := Prepare(g, q)
 	if err != nil {
 		t.Fatalf("Prepare(%s): %v", q, err)
 	}
+	return p
+}
+
+// checkLookupMatchesScan runs every pair: the same rows in the same
+// order, the root served by a lookup on one side and a scan of the same
+// label on the other.
+func checkLookupMatchesScan(t *testing.T, pairs []lookupPair) {
+	t.Helper()
+	for _, pr := range pairs {
+		// The lookup root is serial whatever Workers says; the reference
+		// must be told, or its label scan splits into morsels.
+		lookup, lookupProf := runProfiled(t, pr.lookup, 4)
+		scan, scanProf := runProfiled(t, pr.scan, 1)
+		if got, want := rowStrings(lookup), rowStrings(scan); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: lookup rows %v, label-scan rows %v", pr.q, got, want)
+		}
+		first, ref := lookupProf.Steps[0], scanProf.Steps[0]
+		if first.Op != "lookup" || lookupProf.Parallel || ref.Op != "scan" || first.Target[:len(ref.Target)] != ref.Target {
+			t.Errorf("%s: root steps %+v vs %+v, want a serial lookup and a scan of one label", pr.q, first, ref)
+		}
+	}
+}
+
+func runProfiled(t *testing.T, p *Prepared, workers int) (*Result, *Profile) {
+	t.Helper()
 	var prof Profile
 	res, err := Collect(context.Background(), p, ExecOptions{Workers: workers, Profile: &prof})
 	if err != nil {
-		t.Fatalf("Exec(%s): %v", q, err)
+		t.Fatalf("Exec: %v", err)
 	}
 	return res, &prof
 }
@@ -124,13 +148,15 @@ func runProfiled(t *testing.T, g storage.Graph, q *cypher.Query, workers int) (*
 // included — of the same query filtering a label scan in WHERE, on every
 // backend state that answers the lookup differently: memstore (its value
 // index), and diskstore (a filtered label scan) as loaded and live, with a
-// delta that overrides base values and adds vertices.
+// delta that overrides base values and adds vertices. On the live store
+// the plans compiled before the write run too: they must find values
+// that did not exist when they were compiled ('late1').
 func TestLookupMatchesLabelScan(t *testing.T) {
 	const n = 300
 	t.Run("memstore", func(t *testing.T) {
 		s := memstore.New()
 		buildLookupGraph(t, s, n)
-		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, s) })
+		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, prepareLookupShapes(t, s)) })
 	})
 	t.Run("diskstore", func(t *testing.T) {
 		s, err := diskstore.Open(t.TempDir(), diskstore.Options{PageSize: 512, CachePages: 64})
@@ -142,7 +168,8 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 		if !s.Live() {
 			t.Fatal("finalized diskstore did not enter live mode")
 		}
-		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, s) })
+		before := prepareLookupShapes(t, s)
+		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, before) })
 		// Live writes: override base values the shapes look up, and add
 		// matching vertices past the base.
 		var muts []storage.Mutation
@@ -163,6 +190,9 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 		if _, err := s.ApplyMutations(muts); err != nil {
 			t.Fatal(err)
 		}
-		t.Run("live", func(t *testing.T) { checkLookupMatchesScan(t, s) })
+		t.Run("live", func(t *testing.T) {
+			checkLookupMatchesScan(t, prepareLookupShapes(t, s))
+			checkLookupMatchesScan(t, before)
+		})
 	})
 }

@@ -63,14 +63,6 @@ type Prepared struct {
 	parallelOK bool
 	rootLabel  storage.SymbolID
 
-	// probe, when non-nil, lets executions consult the store's persisted
-	// statistics (storage.Statistics) before the root lookup: if any inline
-	// property constraint on the root node is provably absent under that
-	// label, the lookup is skipped. Probes are re-evaluated per
-	// execution — live writes flip the store's answers back to "maybe", so
-	// a plan compiled before a write never wrongly skips after it.
-	probe *rootProbe
-
 	// pool recycles machines across executions. A machine is created on
 	// first use (or after a GC drained the pool) and costs one step-chain
 	// build; steady-state executions reuse it allocation-free.
@@ -141,12 +133,6 @@ type machine struct {
 	// presence also marks the machine as single-use (release skips the
 	// pool), so pooled machines never carry profiling code.
 	psteps []stepCounts
-
-	// rootMatched records whether the root scan accepted at least one
-	// vertex this execution; a probed scan that ran (the statistics said
-	// "maybe") but matched nothing was a bloom false positive, counted
-	// for the stats_bloom_fp metric.
-	rootMatched bool
 
 	slots []storage.VID // variable bindings; -1 = unbound
 	used  []storage.EID // edges bound on the current path (Cypher uniqueness)
@@ -263,25 +249,8 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 	p.uniqEdges = expands > 1
 	p.nSlots = len(c.order)
 	p.planParallel()
-	p.planProbe()
 	p.pool.New = func() any { return p.buildMachine(false) }
 	return p, nil
-}
-
-// planProbe arms the statistics guard for eligible plans: the root move
-// must be a lookup (an unbound start on a named label with at least one
-// inline property constraint), and the store must expose
-// storage.Statistics. Everything else — bound starts, label-less scans,
-// property-free roots — runs unguarded: the guard could never prove
-// those empty.
-func (p *Prepared) planProbe() {
-	if len(p.moves) == 0 || !p.moves[0].lookup {
-		return
-	}
-	mv := &p.moves[0]
-	if st, ok := p.g.(storage.Statistics); ok {
-		p.probe = &rootProbe{stats: st, label: mv.scanName, props: mv.node.props}
-	}
 }
 
 // planParallel is the compile-time half of the parallelism decision: it
@@ -424,36 +393,12 @@ type cnode struct {
 }
 
 // cprop is one inline property equality constraint. keyName keeps the
-// source-level property name alongside the interned ID: statistics
-// probes (storage.Statistics.MayHaveProp) take names, and a name that
-// never interned (key == NoSymbol) is itself a provably-empty signal.
+// source-level property name alongside the interned ID for PROFILE's
+// step targets.
 type cprop struct {
 	key     storage.SymbolID
 	keyName string
 	want    graph.Value
-}
-
-// rootProbe is the compiled bloom/statistics guard for a plan whose root
-// is an unbound label scan with inline property constraints.
-type rootProbe struct {
-	stats storage.Statistics
-	label string
-	props []cprop
-}
-
-// provablyEmpty reports whether the store's statistics prove that no
-// vertex under the probed label carries one of the root node's required
-// property values — in which case the label scan cannot emit a row and
-// may be skipped outright. The statistics are the store's own, not the
-// pinned view's: they are not graph data, and a store whose answers are
-// currently diluted by live writes says "maybe", so the scan runs.
-func (rp *rootProbe) provablyEmpty() bool {
-	for i := range rp.props {
-		if !rp.stats.MayHaveProp(rp.label, rp.props[i].keyName, rp.props[i].want) {
-			return true
-		}
-	}
-	return false
 }
 
 func (m *machine) checkNode(n *cnode, v storage.VID) bool {
@@ -612,7 +557,6 @@ func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 			if !m.checkNode(&node, v) {
 				return true
 			}
-			m.rootMatched = true
 			m.slots[node.slot] = v
 			m.err = next()
 			m.slots[node.slot] = unbound
@@ -634,27 +578,6 @@ func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 		if mv.lookup {
 			want := node.props[0]
 			run = func() { m.g.ForEachVertexByPropID(label, want.key, want.want, scan) }
-		}
-		if idx == 0 && p.probe != nil {
-			// Statistics-guarded root: consult the store's persisted
-			// per-(label,property) filters before paying for the lookup.
-			// A definitive "absent" answer skips it entirely; a "maybe"
-			// that then matches nothing is a false positive. Re-probed on
-			// every execution, so live writes (which flip the store's
-			// answers back to "maybe") are always honored.
-			probe := p.probe
-			return func() error {
-				if probe.provablyEmpty() {
-					bloomSkips.Add(1)
-					return nil
-				}
-				m.rootMatched = false
-				run()
-				if m.err == nil && !m.rootMatched {
-					bloomFP.Add(1)
-				}
-				return m.err
-			}
 		}
 		return func() error {
 			run()

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/storage"
 )
 
@@ -188,15 +187,6 @@ func (s *Server) registerBridges() {
 		live(func(ls storage.LiveStats) float64 { return float64(ls.PinnedSnapshots) }))
 	reg.CounterFunc("pgs_compact_folds_total", "Folds committed since the store opened.",
 		live(func(ls storage.LiveStats) float64 { return float64(ls.Compactions) }))
-
-	// Statistics-guarded root scans (the query package keeps these
-	// process-wide, mirroring the /stats bloom section).
-	reg.CounterFunc("pgs_stats_bloom_skips_total",
-		"Root label scans skipped because persisted statistics proved them empty.",
-		func() float64 { return float64(query.BloomSkips()) })
-	reg.CounterFunc("pgs_stats_bloom_fp_total",
-		"Guarded root scans that ran anyway and matched nothing (bloom false positives).",
-		func() float64 { return float64(query.BloomFP()) })
 }
 
 // QueryShapeStats is one executed query text's latency summary in the

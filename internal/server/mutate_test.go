@@ -188,8 +188,8 @@ func TestStatsStorageSection(t *testing.T) {
 	if sg == nil {
 		t.Fatal("diskstore-backed server reported no storage stats")
 	}
-	if !sg.Live || !sg.Segmented {
-		t.Errorf("storage = %+v, want live and segmented", sg)
+	if !sg.Live {
+		t.Errorf("storage = %+v, want live", sg)
 	}
 	if sg.DeltaVertices != 3 || sg.DeltaEdges != 3 {
 		t.Errorf("delta = %d vertices / %d edges, want 3/3", sg.DeltaVertices, sg.DeltaEdges)

@@ -568,19 +568,14 @@ type StatsResponse struct {
 	Pager *PagerStats `json:"pager,omitempty"`
 	// Storage is present only when the backend reports live-write state
 	// (diskstore does, memstore does not): whether the store accepts
-	// POST /mutate, whether base traversals still run on the segmented
-	// fast path, the delta-segment gauges, and WAL activity including
-	// mean fsync latency.
+	// POST /mutate, the delta-segment gauges, WAL activity including
+	// mean fsync latency, and the adjacency's size on disk.
 	Storage *StorageStats `json:"storage,omitempty"`
 	// Graph is present only when the backend persists statistics
 	// (storage.Statistics): per-label vertex counts and per-type edge
 	// counts — the numbers optimizer.FromStorage turns into Equation 5's
 	// cardinalities (not yet called outside tests).
-	Graph *GraphStats `json:"graph,omitempty"`
-	// Bloom reports the statistics-guarded root scans: probes the bloom
-	// filters proved empty (skipped without scanning) and guarded scans
-	// that ran anyway and matched nothing (observable false positives).
-	Bloom     BloomStats                   `json:"bloom"`
+	Graph     *GraphStats                  `json:"graph,omitempty"`
 	Endpoints map[string]HistogramSnapshot `json:"endpoints"`
 	// TopQueries lists the executed query shapes with the highest p99
 	// latency, worst first (Config.TopQueries entries at most).
@@ -627,7 +622,6 @@ type PagerStats struct {
 // StorageStats is storage.LiveStats in the /stats JSON shape.
 type StorageStats struct {
 	Live          bool  `json:"live"`
-	Segmented     bool  `json:"segmented"`
 	DeltaVertices int64 `json:"delta_vertices"`
 	DeltaEdges    int64 `json:"delta_edges"`
 	WALAppends    int64 `json:"wal_appends"`
@@ -651,11 +645,9 @@ type StorageStats struct {
 	// LastCompactError is the most recent background fold failure, empty
 	// while folds succeed.
 	LastCompactError string `json:"last_compact_error,omitempty"`
-	// Compressed reports the delta-varint adjacency layout (format v5 and later);
 	// EdgeBytes is the size of edges.db, type directories included,
 	// BytesPerEdge that size per edge, and
 	// CompressionRatio the saving against the 64-byte v4 edge records.
-	Compressed       bool    `json:"compressed"`
 	EdgeBytes        int64   `json:"edge_bytes,omitempty"`
 	BytesPerEdge     float64 `json:"bytes_per_edge,omitempty"`
 	CompressionRatio float64 `json:"compression_ratio,omitempty"`
@@ -670,12 +662,6 @@ type GraphStats struct {
 	// block.
 	LabelCounts    map[string]int `json:"label_counts,omitempty"`
 	EdgeTypeCounts map[string]int `json:"edge_type_counts,omitempty"`
-}
-
-// BloomStats mirrors the query package's statistics-guard counters.
-type BloomStats struct {
-	Skips int64 `json:"skips"`
-	FP    int64 `json:"fp"`
 }
 
 // Stats assembles the current StatsResponse; the /stats handler serves
@@ -722,7 +708,7 @@ func (s *Server) Stats() StatsResponse {
 	if lr, ok := g.(storage.LiveStatsReporter); ok {
 		ls := lr.LiveStats()
 		ss := &StorageStats{
-			Live: ls.Live, Segmented: ls.Segmented,
+			Live:          ls.Live,
 			DeltaVertices: ls.DeltaVertices, DeltaEdges: ls.DeltaEdges,
 			WALAppends: ls.WALAppends, WALSyncs: ls.WALSyncs, WALBytes: ls.WALBytes,
 			Generation:  ls.Generation,
@@ -730,19 +716,16 @@ func (s *Server) Stats() StatsResponse {
 			PinnedSnapshots:  ls.PinnedSnapshots,
 			Compactions:      ls.Compactions,
 			LastCompactError: s.lastCompactError(),
+			EdgeBytes:        ls.EdgeBytes,
 		}
 		if ls.WALSyncs > 0 {
 			ss.WALSyncMeanUS = ls.WALSyncNanos / ls.WALSyncs / 1000
 		}
-		if ls.Compressed {
-			ss.Compressed = true
-			ss.EdgeBytes = ls.EdgeBytes
-			if nE := g.NumEdges(); nE > 0 && ls.EdgeBytes > 0 {
-				ss.BytesPerEdge = float64(ls.EdgeBytes) / float64(nE)
-				// Against the 64-byte fixed records every pre-v5 layout
-				// stores per edge.
-				ss.CompressionRatio = 64 / ss.BytesPerEdge
-			}
+		if nE := g.NumEdges(); nE > 0 && ls.EdgeBytes > 0 {
+			ss.BytesPerEdge = float64(ls.EdgeBytes) / float64(nE)
+			// Against the 64-byte fixed records every pre-v5 layout
+			// stores per edge.
+			ss.CompressionRatio = 64 / ss.BytesPerEdge
 		}
 		resp.Storage = ss
 	}
@@ -754,7 +737,6 @@ func (s *Server) Stats() StatsResponse {
 			EdgeTypeCounts: st.EdgeTypeCounts(),
 		}
 	}
-	resp.Bloom = BloomStats{Skips: query.BloomSkips(), FP: query.BloomFP()}
 	return resp
 }
 

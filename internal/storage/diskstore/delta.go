@@ -156,16 +156,6 @@ func newDelta(baseVerts, baseEdges int64) *delta {
 func (d *delta) nextVID() int64 { return d.origVerts + d.vertsLo + int64(len(d.verts)) }
 func (d *delta) nextEID() int64 { return d.origEdges + d.edgesLo + int64(len(d.edgeSeqs)) }
 
-// statsDirty reports delta content that can invalidate the base's
-// persisted vertex statistics (bloom filters): new vertices, label
-// additions, or property overrides. Edge-only deltas stay clean — edges
-// carry no vertex properties, so the filters remain definitive.
-func (d *delta) statsDirty() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.verts) > 0 || len(d.labelAdds) > 0 || len(d.propOver) > 0
-}
-
 // counts returns the number of delta vertices/edges visible through w
 // beyond its base — the "unfolded delta size" for that epoch.
 func (d *delta) counts(w vis) (nv, ne int64) {

@@ -101,8 +101,8 @@ func (o Options) withDefaults() Options {
 //     type ID, then the vertex's delta-varint out/in segments in directory
 //     order (see segcodec.go);
 //   - index.db, the persisted label-scan index, redundant symbol tables
-//     and a statistics block (per-edge-type counts, per-(label, key)
-//     bloom filters), so Open is O(index size) instead of a vertex scan.
+//     and a statistics block (per-edge-type counts), so Open is
+//     O(index size) instead of a vertex scan.
 //
 // Stores written by earlier releases — manifest versions 2 to 5, whose
 // properties and per-type degree records are linked chains — are refused
@@ -196,12 +196,9 @@ type epoch struct {
 	labelBits [][]uint64
 
 	// Persisted statistics (from Finalize or index.db): base edge counts
-	// per type ID, and per-(label, key) bloom filters over the property
-	// values present at finalize time. statsValid distinguishes "no pair
-	// exists" (definitive) from "statistics unavailable" (missing/torn
-	// index).
+	// per type ID. statsValid distinguishes "no edges of the type"
+	// from "statistics unavailable" (missing/torn index).
 	typeCounts []int64
-	blooms     map[uint64]*bloom
 	statsValid bool
 
 	// baseSeq is the highest WAL sequence folded into this generation's
@@ -357,10 +354,6 @@ type FormatInfo struct {
 	Version int
 	// Generation is the base file generation currently serving reads.
 	Generation int64
-	// Segmented and Compressed both report that adjacency is stored as
-	// type-segmented delta-varint segments, which every open store's is.
-	Segmented  bool
-	Compressed bool
 	// IndexLoaded reports that Open restored the label index from
 	// index.db rather than scanning every vertex record.
 	IndexLoaded bool
@@ -377,7 +370,6 @@ func (s *Store) Format() FormatInfo {
 	ep := s.curEp()
 	return FormatInfo{
 		Version: formatVersion, Generation: ep.gen,
-		Segmented: true, Compressed: true,
 		IndexLoaded: s.indexLoaded, EdgeBytes: ep.edgeBytes,
 	}
 }

@@ -251,9 +251,7 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	})
 
 	// Per vertex: labels, the property run, untyped degree counters and
-	// the adjacency block, written at a running cursor. The same pass
-	// accumulates the statistics block: per-edge-type counts and
-	// per-(label, key) bloom hashes over every property value.
+	// the adjacency block, written at a running cursor.
 	oi, ii := 0, 0
 	var cursor int64
 	var dir, segs []byte
@@ -267,7 +265,6 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	var props []propRec
 	var keyBlobs [][]byte
 	byLabel := make(map[int][]storage.VID)
-	hashAcc := make(map[uint64][]uint64)
 	typeCounts := make([]int64, numTypes)
 	for i := range recs {
 		typeCounts[recs[i].typeID]++
@@ -291,8 +288,7 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		for _, id := range labelAdds {
 			rec.labels[id/64] |= 1 << uint(id%64)
 		}
-		labelIDs := labelBitsToIDs(rec.labels)
-		for _, id := range labelIDs {
+		for _, id := range labelBitsToIDs(rec.labels) {
 			byLabel[id] = append(byLabel[id], storage.VID(v))
 		}
 
@@ -311,16 +307,6 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 				keyBlobs[kv.keyID] = append(keyBlobs[kv.keyID], blob...)
 			}
 			props = append(props, pr)
-			// Statistics: hash every property value once, bucketed by each
-			// label the vertex carries. Filters are sized after the pass,
-			// when per-bucket cardinalities are known.
-			if len(labelIDs) > 0 {
-				h := hashValue(kv.val)
-				for _, lid := range labelIDs {
-					k := bloomKey(lid, kv.keyID)
-					hashAcc[k] = append(hashAcc[k], h)
-				}
-			}
 		}
 
 		outStart := oi
@@ -404,20 +390,12 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	if err != nil {
 		return fail(err)
 	}
-	blooms := make(map[uint64]*bloom, len(hashAcc))
-	for k, hs := range hashAcc {
-		b := newBloom(len(hs))
-		for _, h := range hs {
-			b.add(h)
-		}
-		blooms[k] = b
-	}
 	ep := &epoch{
 		gen: gen, edgeBytes: cursor, pager: pg,
 		numVertices: nV, numEdges: int64(nE), numProps: int64(len(props)),
 		blobSize:   blobSize,
 		byLabel:    byLabel,
-		typeCounts: typeCounts, blooms: blooms, statsValid: true,
+		typeCounts: typeCounts, statsValid: true,
 	}
 	ep.pins.Store(1) // the store's own reference, once it is installed
 	return ep, nil

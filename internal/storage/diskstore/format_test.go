@@ -90,40 +90,68 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 	}
 }
 
-// TestCorruptIndexFallsBackToScan flips a byte of index.db: the CRC must
-// reject it and the open must silently rebuild by scanning.
+// TestCorruptIndexFallsBackToScan opens a store over index.db files it
+// must not load: one with a flipped byte, which the CRC rejects, and one
+// carrying the previous format's magic over a body that otherwise
+// parses, which only the magic marks stale. Either way the open must
+// silently rebuild by scanning and read back as built, and its Close must
+// rewrite an index the next open loads.
 func TestCorruptIndexFallsBackToScan(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storetest.BuildRandom(s, 5, 60, 150); err != nil {
-		t.Fatal(err)
-	}
-	want := storetest.Fingerprint(s)
-	path := s.indexPath(s.Format().Generation)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, Options{PageSize: 512, CachePages: 16})
-	if err != nil {
-		t.Fatalf("corrupt index.db made Open fail: %v", err)
-	}
-	defer re.Close()
-	if re.Format().IndexLoaded {
-		t.Error("corrupt index.db was accepted")
-	}
-	if got := storetest.Fingerprint(re); got != want {
-		t.Error("scan fallback store diverges")
+	for _, tc := range []struct {
+		name    string
+		corrupt func([]byte)
+	}{
+		{"flipped byte", func(data []byte) { data[len(data)/2] ^= 0xff }},
+		{"PGSIDX06 magic", func(data []byte) { copy(data, "PGSIDX06") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{PageSize: 512, CachePages: 16}
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := storetest.BuildRandom(s, 5, 60, 150); err != nil {
+				t.Fatal(err)
+			}
+			want := storetest.Fingerprint(s)
+			path := s.indexPath(s.Format().Generation)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("rejected index.db made Open fail: %v", err)
+			}
+			if re.Format().IndexLoaded {
+				t.Error("rejected index.db was accepted")
+			}
+			if got := storetest.Fingerprint(re); got != want {
+				t.Error("scan fallback store diverges")
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			if !again.Format().IndexLoaded {
+				t.Error("Close after the scan fallback did not rewrite a loadable index.db")
+			}
+			if got := storetest.Fingerprint(again); got != want {
+				t.Error("store reopened over the rewritten index diverges")
+			}
+		})
 	}
 }
 
@@ -363,8 +391,8 @@ func checkGoldenUpgrade(t *testing.T, fixture string) {
 		t.Fatalf("upgraded store rejected: %v", err)
 	}
 	checkLayout(t, s, "after Upgrade")
-	if got := s.Format(); got.Version != formatVersion || !got.Compressed || !got.IndexLoaded {
-		t.Errorf("upgraded store opened as %+v, want v%d compressed+indexed", got, formatVersion)
+	if got := s.Format(); got.Version != formatVersion || !got.IndexLoaded {
+		t.Errorf("upgraded store opened as %+v, want v%d indexed", got, formatVersion)
 	}
 	if !s.Live() {
 		t.Error("upgraded store is not live")
@@ -597,9 +625,6 @@ func TestBulkFlushAutoFinalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if !re.Format().Compressed {
-		t.Error("auto-finalized store not segmented")
-	}
 	if got := re.Degree(first, "t", true); got != 1 {
 		t.Errorf("Degree = %d, want 1", got)
 	}

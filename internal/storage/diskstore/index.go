@@ -10,7 +10,7 @@ package diskstore
 //
 // Layout (little-endian):
 //
-//	magic   [8]byte  "PGSIDX06"
+//	magic   [8]byte  "PGSIDX07"
 //	crc32   u32      IEEE CRC of everything after this field
 //	numVertices, numEdges  u64 × 2   (validated vs manifest)
 //	labels, types, keys   3 × (u32 count, then per entry u32 len + bytes)
@@ -21,27 +21,22 @@ package diskstore
 //
 // A statistics block follows the postings:
 //
-//	present  u8   0 = the epoch carried no statistics (stop here),
-//	              1 = counts + blooms follow
-//	type counts    u32 count, then u64 per edge type (typeID order)
-//	bloom filters  u32 count, then per filter in (labelID, keyID) order:
-//	               u32 labelID, u32 keyID, u64 m (bits), u32 k, and m/8
-//	               bytes of filter bits
+//	present      u8  0 = the epoch carried no statistics (stop here),
+//	                 1 = type counts follow
+//	type counts  u32 count, then u64 per edge type (typeID order)
 //
 // The block is advisory like everything else here: a store that loads
-// postings but not statistics just answers "maybe" to every bloom probe.
+// postings but not statistics answers EdgeTypeCounts with nil.
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"repro/internal/storage"
 )
 
-const indexMagic = "PGSIDX06"
+const indexMagic = "PGSIDX07"
 
 // indexPath is the index file of one base generation (index.db, or
 // index.db.gN for generation N — the index describes one generation's
@@ -90,17 +85,6 @@ func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 		u32(uint32(len(ep.typeCounts)))
 		for _, c := range ep.typeCounts {
 			u64(uint64(c))
-		}
-		u32(uint32(len(ep.blooms)))
-		for _, k := range slices.Sorted(maps.Keys(ep.blooms)) {
-			b := ep.blooms[k]
-			u32(uint32(k >> 32))
-			u32(uint32(k))
-			u64(b.m())
-			u32(b.k)
-			for _, w := range b.bits {
-				u64(w)
-			}
 		}
 	}
 	out := make([]byte, 0, len(indexMagic)+4+len(buf))
@@ -163,7 +147,6 @@ func (s *Store) loadIndex(ep *epoch) bool {
 	// Statistics block — consumed before the trailing-bytes check so the
 	// file validates end-to-end.
 	var typeCounts []int64
-	var blooms map[uint64]*bloom
 	statsValid := false
 	present := r.u8()
 	if !r.ok {
@@ -178,30 +161,6 @@ func (s *Store) loadIndex(ep *epoch) bool {
 		for i := range typeCounts {
 			typeCounts[i] = int64(r.u64())
 		}
-		// Counts and sizes are checked against the bytes left before
-		// anything is allocated: a filter takes at least 28 of them.
-		nb := r.u32()
-		if !r.ok || uint64(nb) > uint64(len(r.data))/28 {
-			return false
-		}
-		blooms = make(map[uint64]*bloom, nb)
-		for i := uint32(0); i < nb; i++ {
-			labelID := r.u32()
-			keyID := r.u32()
-			m := r.u64()
-			k := r.u32()
-			if !r.ok || m == 0 || m%64 != 0 || m > bloomMaxBits || m/8 > uint64(len(r.data)) || k == 0 || k > 64 {
-				return false
-			}
-			bits := make([]uint64, m/64)
-			for j := range bits {
-				bits[j] = r.u64()
-			}
-			if !r.ok {
-				return false
-			}
-			blooms[bloomKey(int(labelID), int(keyID))] = &bloom{k: k, bits: bits}
-		}
 		statsValid = true
 	}
 	if !r.ok || len(r.data) != 0 {
@@ -209,7 +168,6 @@ func (s *Store) loadIndex(ep *epoch) bool {
 	}
 	ep.byLabel = byLabel
 	ep.typeCounts = typeCounts
-	ep.blooms = blooms
 	ep.statsValid = statsValid
 	return true
 }

@@ -17,7 +17,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/storage"
 	"repro/internal/storage/storetest"
 )
@@ -35,12 +34,9 @@ func FuzzLoadIndex(f *testing.F) {
 	want := storetest.Fingerprint(s)
 	ep := s.curEp()
 	path := s.indexPath(ep.gen)
-	// The bloom-count field sits before the filters, the file's last
-	// section: u32 labelID, u32 keyID, u64 m, u32 k, then m/8 bytes each.
-	tail := 4
-	for _, b := range ep.blooms {
-		tail += 20 + 8*len(b.bits)
-	}
+	// The statistics block is the file's last section: the presence
+	// byte, then u32 count and u64 per edge type.
+	tail := 1 + 4 + 8*len(ep.typeCounts)
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -53,7 +49,7 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Add(orig[:n])
 	}
 	huge := append([]byte(nil), orig...)
-	binary.LittleEndian.PutUint32(huge[len(orig)-tail:], bloomMaxBits)
+	binary.LittleEndian.PutUint32(huge[len(orig)-tail+1:], 1<<31)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -99,10 +95,5 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		s.LabelCounts()
 		s.EdgeTypeCounts()
-		for _, l := range s.labels {
-			for _, k := range s.keys {
-				s.MayHaveProp(l, k, graph.I(1))
-			}
-		}
 	})
 }

@@ -45,8 +45,6 @@ func (s *Store) LiveStats() storage.LiveStats {
 	ep := s.curEp()
 	ls := storage.LiveStats{
 		Live:            s.Live(),
-		Segmented:       true,
-		Compressed:      true,
 		EdgeBytes:       ep.edgeBytes,
 		Generation:      s.generation.Load(),
 		FoldRunning:     s.folding.Load(),

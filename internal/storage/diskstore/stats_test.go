@@ -4,14 +4,13 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/storage"
 	"repro/internal/storage/storetest"
 )
 
 // TestStatisticsRoundTrip checks the statistics block end to end:
-// counts and bloom answers survive Flush/Close/Open via index.db, and
-// deleting index.db degrades to conservative answers instead of wrong
+// label and edge-type counts survive Flush/Close/Open via index.db, and
+// deleting index.db degrades to no edge-type counts instead of wrong
 // ones.
 func TestStatisticsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -45,37 +44,6 @@ func TestStatisticsRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A value that exists must probe true (definitive-false contract);
-	// find one through the public read surface.
-	var haveLabel, haveKey string
-	var haveVal graph.Value
-	s.ForEachVertex("A", func(v storage.VID) bool {
-		for _, k := range s.PropKeys(v) {
-			if val, ok := s.Prop(v, k); ok {
-				haveLabel, haveKey, haveVal = "A", k, val
-				return false
-			}
-		}
-		return true
-	})
-	if haveLabel == "" {
-		t.Fatal("test graph has no A-labeled vertex with a property")
-	}
-	if !st.MayHaveProp(haveLabel, haveKey, haveVal) {
-		t.Fatalf("MayHaveProp(%s, %s, %v) = false for a present value", haveLabel, haveKey, haveVal)
-	}
-	if st.MayHaveProp("NoSuchLabel", haveKey, haveVal) {
-		t.Fatal("MayHaveProp with unknown label should be definitively false")
-	}
-	if st.MayHaveProp(haveLabel, "noSuchKey", haveVal) {
-		t.Fatal("MayHaveProp with unknown key should be definitively false")
-	}
-	// Deterministic absent value: with ~0.8% FP rate this specific probe
-	// coming back true would be a (fixed, reproducible) hash collision.
-	if st.MayHaveProp(haveLabel, haveKey, graph.S("definitely-absent-sentinel")) {
-		t.Fatal("MayHaveProp for an absent value probed true (bloom collision in fixed test data)")
-	}
-
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +65,13 @@ func TestStatisticsRoundTrip(t *testing.T) {
 			t.Fatalf("reopened EdgeTypeCounts[%s] = %d, want %d", k, etc2[k], v)
 		}
 	}
-	if !storage.Statistics(re).MayHaveProp(haveLabel, haveKey, haveVal) {
-		t.Fatal("reopened store lost a present value from its bloom filter")
-	}
 	idx := re.indexPath(re.Format().Generation)
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Without index.db the store still opens (index rebuilt by scan) but
-	// has no statistics: nil counts, conservative "maybe" probes.
+	// has no edge statistics: nil type counts.
 	if err := os.Remove(idx); err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +83,14 @@ func TestStatisticsRoundTrip(t *testing.T) {
 	if got := storage.Statistics(cold).EdgeTypeCounts(); got != nil {
 		t.Fatalf("store without index.db returned EdgeTypeCounts %v, want nil", got)
 	}
-	if !storage.Statistics(cold).MayHaveProp(haveLabel, haveKey, graph.S("definitely-absent-sentinel")) {
-		t.Fatal("store without statistics must answer MayHaveProp conservatively (true)")
-	}
 }
 
-// TestStatisticsLiveDelta checks that live writes flip bloom answers to
-// conservative until the delta folds: a fresh value applied via
-// ApplyMutations must probe "maybe" immediately, and definitively after
-// Compact rebuilds the filters.
+// TestStatisticsLiveDelta checks the counts under live writes: a vertex
+// applied through ApplyMutations counts under its label at once, while
+// edge-type counts describe the base and take in the delta's edges when
+// Compact folds it.
 func TestStatisticsLiveDelta(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{PageSize: 512, CachePages: 64})
+	s, err := Open(t.TempDir(), Options{PageSize: 512, CachePages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,37 +98,26 @@ func TestStatisticsLiveDelta(t *testing.T) {
 	if _, err := storetest.BuildRandom(s, 78, 60, 150); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Live() {
-		t.Fatal("finalized store with edges should be live")
-	}
-	val := graph.S("live-only-value")
-	if storage.Statistics(s).MayHaveProp("A", "p0", val) {
-		t.Fatal("value not yet written probed true on a clean base")
-	}
-	res, err := s.ApplyMutations([]storage.Mutation{
-		{Op: storage.MutAddVertex, Labels: []string{"A"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	labels0, types0 := s.LabelCounts(), s.EdgeTypeCounts()
 	if _, err := s.ApplyMutations([]storage.Mutation{
-		{Op: storage.MutSetProp, V: res.Vertices[0], Key: "p0", Value: val},
+		{Op: storage.MutAddVertex, Labels: []string{"A"}},
+		{Op: storage.MutAddEdge, Src: 0, Dst: -1, Type: "r1"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !storage.Statistics(s).MayHaveProp("A", "p0", val) {
-		t.Fatal("dirty delta must force conservative MayHaveProp answers")
+	if got, want := s.LabelCounts()["A"], labels0["A"]+1; got != want {
+		t.Errorf("LabelCounts[A] with a live vertex = %d, want %d", got, want)
+	}
+	if got := s.EdgeTypeCounts()["r1"]; got != types0["r1"] {
+		t.Errorf("EdgeTypeCounts[r1] before the fold = %d, want the base's %d", got, types0["r1"])
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if !storage.Statistics(s).MayHaveProp("A", "p0", val) {
-		t.Fatal("folded value must be in the rebuilt bloom filters")
+	if got, want := s.EdgeTypeCounts()["r1"], types0["r1"]+1; got != want {
+		t.Errorf("EdgeTypeCounts[r1] after the fold = %d, want %d", got, want)
 	}
-	if storage.Statistics(s).MayHaveProp("A", "p0", graph.S("still-absent-sentinel")) {
-		t.Fatal("absent value probed true after fold (bloom collision in fixed test data)")
+	if got, want := s.LabelCounts()["A"], labels0["A"]+1; got != want {
+		t.Errorf("LabelCounts[A] after the fold = %d, want %d", got, want)
 	}
 }

@@ -472,18 +472,3 @@ func (s *Store) EdgeTypeCounts() map[string]int {
 	}
 	return out
 }
-
-// MayHaveProp reports whether any vertex with the label carries val for
-// the key (storage.Statistics). Memstore answers exactly, with one index
-// probe.
-func (s *Store) MayHaveProp(label, key string, val graph.Value) bool {
-	lid, ok := s.labelIDs[label]
-	if !ok {
-		return false
-	}
-	kid, ok := s.keyIDs[key]
-	if !ok {
-		return false
-	}
-	return len(s.index.lookup(s, lid, kid, val)) > 0
-}

@@ -9,8 +9,8 @@ import (
 )
 
 // propIndex is Finalize's value index: the VID postings of every (label,
-// property key, value) triple, answering ForEachVertexByPropID and
-// MayHaveProp without a label scan.
+// property key, value) triple, answering ForEachVertexByPropID without a
+// label scan.
 //
 // vids is one flat array of every posting, one contiguous run per triple;
 // within a run the VIDs keep the label's scan order, so an index-served

@@ -379,9 +379,6 @@ type Snapshotter interface {
 type LiveStats struct {
 	// Live reports that the store accepts ApplyMutations.
 	Live bool
-	// Segmented reports the base layout's type-segmented invariant; live
-	// writes land in the delta and must not clear it.
-	Segmented bool
 	// DeltaVertices and DeltaEdges are the sizes of the in-memory delta
 	// segment awaiting the next Compact.
 	DeltaVertices int64
@@ -406,11 +403,9 @@ type LiveStats struct {
 	PinnedSnapshots int64
 	// Compactions counts folds committed since open.
 	Compactions int64
-	// Compressed reports that the base adjacency is stored as
-	// delta-varint segments (diskstore); EdgeBytes is the size of the
-	// file holding them, in bytes.
-	Compressed bool
-	EdgeBytes  int64
+	// EdgeBytes is the size of the file holding the base adjacency
+	// (diskstore), in bytes.
+	EdgeBytes int64
 }
 
 // LiveStatsReporter is implemented by backends with a live-write path.
@@ -436,15 +431,8 @@ type StatsReporter interface {
 }
 
 // Statistics is the data-statistics surface backends expose to the
-// optimizer and the query planner: real cardinalities instead of
-// uniformity assumptions, and value-presence filters that let a planner
-// prove a property-constrained scan empty without running it.
-//
-// The answers may be approximate in the conservative direction only:
-// counts should be exact or near-exact, and MayHaveProp must never
-// return false when a matching vertex exists — false is a definitive
-// "no vertex with this label has this value for this key", true means
-// "possibly" (subject to bloom false positives or absent statistics).
+// optimizer: real cardinalities instead of uniformity assumptions. The
+// counts should be exact or near-exact.
 type Statistics interface {
 	// LabelCounts returns the number of vertices per label, keyed by
 	// label name.
@@ -453,7 +441,4 @@ type Statistics interface {
 	// type name. A nil map means the backend has no edge statistics (the
 	// caller should fall back to its defaults).
 	EdgeTypeCounts() map[string]int
-	// MayHaveProp reports whether any vertex with the label may carry the
-	// given value for the given property key. False is definitive.
-	MayHaveProp(label, key string, val graph.Value) bool
 }
