@@ -196,3 +196,53 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 		})
 	})
 }
+
+// TestBloomProbeHonorsLiveWrites checks that a plan whose root is a
+// property lookup, compiled before a value was written on a live
+// diskstore, finds that value when run after the write.
+func TestBloomProbeHonorsLiveWrites(t *testing.T) {
+	s, err := diskstore.Open(t.TempDir(), diskstore.Options{PageSize: 512, CachePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buildMedGraph(t, s)
+	if err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Live() {
+		t.Fatal("finalized diskstore did not enter live mode")
+	}
+
+	src := `MATCH (d:Drug {name: 'Nabumetone'}) RETURN d.name`
+	p, err := Prepare(s, cypher.MustParse(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 0 {
+		t.Fatalf("value not yet written matched rows: %v", rowStrings(r))
+	}
+
+	res, err := s.ApplyMutations([]storage.Mutation{
+		{Op: storage.MutAddVertex, Labels: []string{"Drug"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyMutations([]storage.Mutation{
+		{Op: storage.MutSetProp, V: res.Vertices[0], Key: "name", Value: graph.S("Nabumetone")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r, err = p.Execute() // same compiled plan, run after the write
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowStrings(r); len(got) != 1 || got[0] != `["Nabumetone"]` {
+		t.Fatalf("live-written value not found through compiled plan: %v", got)
+	}
+}
