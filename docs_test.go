@@ -74,7 +74,10 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			"ErrFinalized", "BulkVertex.Props", "writeFileAtomic", "commit point",
 			"Format v6", "property run", "adjacency block", "checkLayout",
 			"FuzzVertexLayout", "delta-varint", "uvarint", "firstOutEID", "bytes-per-edge",
-			"PGSIDX07", "EdgeTypeCounts", "FromStorage",
+			"PGSIDX08", "EdgeTypeCounts", "FromStorage",
+			// The value index both backends share, diskstore's delta
+			// overlay on it, and the qualified keys of colliding merges.
+			"propindex", "TestValuePostingsOverlay", "ScalarKeys", "MergeCollisionError",
 			"compression_ratio", "Upgrade", "ErrLegacyFormat",
 			// Serving layer: admission control, shutdown semantics, and
 			// the stats endpoint schema must stay documented.

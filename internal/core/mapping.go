@@ -76,6 +76,17 @@ type ListProp struct {
 	Unambiguous bool
 }
 
+// ScalarKey records that a concept's scalar property is stored under a
+// qualified physical key on OPT vertices: another concept of its merge
+// group declares a property of the same name, and a merged vertex holds
+// one value per key, so under the plain name one member's value would
+// overwrite the other's.
+type ScalarKey struct {
+	Concept, Prop string
+	// Key is the physical key, "Concept:prop".
+	Key string
+}
+
 // Mapping is the schema transformation trace: everything the loader needs
 // to instantiate a property graph for the optimized schema, and everything
 // the rewriter needs to translate DIR queries into OPT queries.
@@ -83,6 +94,9 @@ type Mapping struct {
 	Config    Config
 	Merges    []Merge
 	ListProps []ListProp
+	// ScalarKeys lists the qualified scalar keys, sorted by concept and
+	// property; a (concept, property) pair not listed keeps its name.
+	ScalarKeys []ScalarKey
 	// Removed lists concepts without an own node type in the optimized
 	// schema (union concepts, absorbed children, fully pushed parents).
 	Removed map[string]bool
@@ -201,15 +215,13 @@ func (g *Graph) BuildMapping() *Mapping {
 		return !a.Reverse && b.Reverse
 	})
 	m.markColocatedListProps()
+	m.qualifyColocatedScalars(g.o)
 	return m
 }
 
-// markColocatedListProps demotes replication entries whose list property
-// name collides on vertices that the enabled merges can fuse: if carriers
-// A and B are merge-connected and both carry a list named "X.p" coming
-// from different relationships, a merged vertex holds only one of the two
-// value lists, so the rewriter must keep the traversal for both.
-func (m *Mapping) markColocatedListProps() {
+// mergeGroups returns the union-find root of each concept the enabled
+// merges connect: concepts with one root may share an OPT vertex.
+func (m *Mapping) mergeGroups() func(string) string {
 	parent := map[string]string{}
 	var find func(string) string
 	find = func(x string) string {
@@ -227,6 +239,57 @@ func (m *Mapping) markColocatedListProps() {
 			parent[a] = b
 		}
 	}
+	return find
+}
+
+// qualifyColocatedScalars gives a qualified physical key to every scalar
+// property that two concepts of one merge group both declare, as
+// markColocatedListProps keeps the traversal for colliding lists.
+func (m *Mapping) qualifyColocatedScalars(o *ontology.Ontology) {
+	find := m.mergeGroups()
+	declared := map[[2]string][]string{} // (group root, property) -> concepts
+	for _, c := range o.Concepts {
+		for _, p := range c.Props {
+			k := [2]string{find(c.Name), p.Name}
+			declared[k] = append(declared[k], c.Name)
+		}
+	}
+	for k, concepts := range declared {
+		if len(concepts) < 2 {
+			continue
+		}
+		for _, c := range concepts {
+			m.ScalarKeys = append(m.ScalarKeys, ScalarKey{Concept: c, Prop: k[1], Key: c + ":" + k[1]})
+		}
+	}
+	sort.Slice(m.ScalarKeys, func(i, j int) bool {
+		a, b := m.ScalarKeys[i], m.ScalarKeys[j]
+		if a.Concept != b.Concept {
+			return a.Concept < b.Concept
+		}
+		return a.Prop < b.Prop
+	})
+}
+
+// PropKey returns the physical key of a concept's scalar property on OPT
+// vertices: its qualified key when ScalarKeys lists the pair, else the
+// property's own name.
+func (m *Mapping) PropKey(concept, prop string) string {
+	for _, sk := range m.ScalarKeys {
+		if sk.Concept == concept && sk.Prop == prop {
+			return sk.Key
+		}
+	}
+	return prop
+}
+
+// markColocatedListProps demotes replication entries whose list property
+// name collides on vertices that the enabled merges can fuse: if carriers
+// A and B are merge-connected and both carry a list named "X.p" coming
+// from different relationships, a merged vertex holds only one of the two
+// value lists, so the rewriter must keep the traversal for both.
+func (m *Mapping) markColocatedListProps() {
+	find := m.mergeGroups()
 	byKey := map[string][]int{}
 	for i := range m.ListProps {
 		byKey[m.ListProps[i].Key] = append(byKey[m.ListProps[i].Key], i)

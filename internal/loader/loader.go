@@ -127,16 +127,22 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 
 	// 4. The vertices, each whole: its labels, then its members' scalar
 	// properties — members in (concept, ordinal) order, each member's keys
-	// sorted, so when merged members share a key the last one wins — then
-	// its lists.
+	// sorted, each under its physical key (the mapping's qualified key
+	// where two concepts of the group declare one name) — then its lists.
+	// No two members may write one physical key.
+	qualified := map[[2]string]string{}
+	for _, sk := range m.ScalarKeys {
+		qualified[[2]string{sk.Concept, sk.Prop}] = sk.Key
+	}
 	batch := make([]storage.BulkVertex, 0, min(len(roots), loadBatch))
 	for i, root := range roots {
+		members := groups[root]
 		n := len(lists[i])
-		for _, ref := range groups[root] {
+		for _, ref := range members {
 			n += len(ds.Extents[ref.concept][ref.ordinal].Props)
 		}
 		props := make([]storage.BulkProp, 0, n)
-		for _, ref := range groups[root] {
+		for _, ref := range members {
 			inst := ds.Extents[ref.concept][ref.ordinal]
 			keys := make([]string, 0, len(inst.Props))
 			for k := range inst.Props {
@@ -144,7 +150,14 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				props = append(props, storage.BulkProp{Key: k, Value: inst.Props[k]})
+				key := k
+				if q, ok := qualified[[2]string{ref.concept, k}]; ok {
+					key = q
+				}
+				if len(members) > 1 && slices.ContainsFunc(props, func(p storage.BulkProp) bool { return p.Key == key }) {
+					return 0, 0, &MergeCollisionError{Group: groupNames(members), Key: key}
+				}
+				props = append(props, storage.BulkProp{Key: key, Value: inst.Props[k]})
 			}
 		}
 		batch = append(batch, storage.BulkVertex{Labels: labelsOf[i], Props: append(props, lists[i]...)})
@@ -201,6 +214,26 @@ func Load(b storage.Builder, ds *datagen.Dataset, m *core.Mapping) (vertices, ed
 		return 0, 0, err
 	}
 	return vertices, edges, nil
+}
+
+// MergeCollisionError is returned by Load for a merge group two of whose
+// members would write one physical key: the merged vertex could keep only
+// one of the values. Group names the members as concept#ordinal.
+type MergeCollisionError struct {
+	Group []string
+	Key   string
+}
+
+func (e *MergeCollisionError) Error() string {
+	return fmt.Sprintf("loader: merge group %v writes property %q twice", e.Group, e.Key)
+}
+
+func groupNames(members []instRef) []string {
+	names := make([]string, len(members))
+	for i, ref := range members {
+		names[i] = fmt.Sprintf("%s#%d", ref.concept, ref.ordinal)
+	}
+	return names
 }
 
 func relByKey(o *ontology.Ontology, key string) *ontology.Relationship {

@@ -1,6 +1,8 @@
 package loader
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -264,4 +266,45 @@ func TestLoadWithBadMapping(t *testing.T) {
 	if _, _, err := Load(memstore.New(), ds, m); err == nil {
 		t.Error("bad mapping accepted")
 	}
+}
+
+// TestLoadRefusesCollidingMerge: a mapping that merges two concepts
+// declaring one scalar property but gives neither a qualified key (as no
+// optimizer-built mapping does) would have the merged vertex keep one
+// member's value; Load refuses it with an error naming the group and the
+// key, and with the qualified keys the same merge loads.
+func TestLoadRefusesCollidingMerge(t *testing.T) {
+	o := medOntology()
+	ds := genData(t, o, 20)
+	m := &core.Mapping{Merges: []core.Merge{{
+		Kind: core.MergeChildIntoParent, RelKey: relKey(t, o, "Immunization", "Treatment"), EdgeName: "isA",
+		From: "Immunization", To: "Treatment",
+	}}}
+	_, _, err := Load(memstore.New(), ds, m)
+	var ce *MergeCollisionError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Load of a colliding merge: err = %v, want a *MergeCollisionError", err)
+	}
+	if ce.Key != "attr18" || len(ce.Group) != 2 || !strings.Contains(err.Error(), "Immunization#") || !strings.Contains(err.Error(), "Treatment#") {
+		t.Errorf("collision error %v does not name the group's two members and the key attr18", err)
+	}
+	m.ScalarKeys = []core.ScalarKey{
+		{Concept: "Immunization", Prop: "attr18", Key: "Immunization:attr18"},
+		{Concept: "Treatment", Prop: "attr18", Key: "Treatment:attr18"},
+	}
+	if _, _, err := Load(memstore.New(), ds, m); err != nil {
+		t.Errorf("Load with the qualified keys: %v", err)
+	}
+}
+
+// relKey returns the key of the relationship between two concepts.
+func relKey(t *testing.T, o *ontology.Ontology, a, b string) string {
+	t.Helper()
+	for _, r := range o.Relationships {
+		if (r.Src == a && r.Dst == b) || (r.Src == b && r.Dst == a) {
+			return r.Key()
+		}
+	}
+	t.Fatalf("no relationship between %s and %s", a, b)
+	return ""
 }

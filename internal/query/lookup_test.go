@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -147,10 +149,14 @@ func runProfiled(t *testing.T, p *Prepared, workers int) (*Result, *Profile) {
 // serves through ForEachVertexByPropID, returns exactly the rows — order
 // included — of the same query filtering a label scan in WHERE, on every
 // backend state that answers the lookup differently: memstore (its value
-// index), and diskstore (a filtered label scan) as loaded and live, with a
-// delta that overrides base values and adds vertices. On the live store
-// the plans compiled before the write run too: they must find values
-// that did not exist when they were compiled ('late1').
+// index), and diskstore (its generation's postings under the live delta)
+// as loaded; live, with a delta that adds a label to a base vertex
+// holding a looked-up value, overrides base values to and away from
+// them, and adds vertices; through a snapshot pinned before those
+// writes; while a fold runs; and reopened with its index file and
+// without it. On the live store the plans compiled before the write run
+// too: they must find values that did not exist when they were compiled
+// ('late1').
 func TestLookupMatchesLabelScan(t *testing.T) {
 	const n = 300
 	t.Run("memstore", func(t *testing.T) {
@@ -159,19 +165,24 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, prepareLookupShapes(t, s)) })
 	})
 	t.Run("diskstore", func(t *testing.T) {
-		s, err := diskstore.Open(t.TempDir(), diskstore.Options{PageSize: 512, CachePages: 64})
+		dir := t.TempDir()
+		opts := diskstore.Options{PageSize: 512, CachePages: 64}
+		s, err := diskstore.Open(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
+		defer func() { s.Close() }()
 		buildLookupGraph(t, s, n)
 		if !s.Live() {
 			t.Fatal("finalized diskstore did not enter live mode")
 		}
 		before := prepareLookupShapes(t, s)
 		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, before) })
-		// Live writes: override base values the shapes look up, and add
-		// matching vertices past the base.
+		snap := s.AcquireSnapshot()
+		defer snap.Release()
+		// Live writes: override base values the shapes look up, to them
+		// and away from them (vertex 3 leaves g3), give vertex 4 (age 4)
+		// the Admin label, and add matching vertices past the base.
 		var muts []storage.Mutation
 		for i, w := range []struct {
 			key string
@@ -179,6 +190,10 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 		}{{"grp", graph.S("g3")}, {"age", graph.I(5)}, {"score", graph.I(1)}, {"tags", lookupLists[0]}} {
 			muts = append(muts, storage.Mutation{Op: storage.MutSetProp, V: storage.VID(i*7 + 1), Key: w.key, Value: w.val})
 		}
+		muts = append(muts,
+			storage.Mutation{Op: storage.MutSetProp, V: 3, Key: "grp", Value: graph.S("g9")},
+			storage.Mutation{Op: storage.MutAddLabel, V: 4, Label: "Admin"},
+		)
 		for i := 0; i < 3; i++ {
 			muts = append(muts,
 				storage.Mutation{Op: storage.MutAddVertex, Labels: []string{"Person"}},
@@ -194,6 +209,46 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 			checkLookupMatchesScan(t, prepareLookupShapes(t, s))
 			checkLookupMatchesScan(t, before)
 		})
+		t.Run("snapshot pinned before the writes", func(t *testing.T) {
+			checkLookupMatchesScan(t, prepareLookupShapes(t, snap))
+		})
+		t.Run("during a fold", func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- s.Compact() }()
+			for {
+				checkLookupMatchesScan(t, before)
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkLookupMatchesScan(t, before)
+					return
+				default:
+				}
+			}
+		})
+		snap.Release()
+		reopen := func(t *testing.T, keepIndex bool) {
+			gen := s.Format().Generation
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !keepIndex {
+				if err := os.Remove(filepath.Join(dir, fmt.Sprintf("index.db.g%d", gen))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s, err = diskstore.Open(dir, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Format().IndexLoaded; got != keepIndex {
+				t.Errorf("reopen loaded the index file: %v, want %v", got, keepIndex)
+			}
+			checkLookupMatchesScan(t, prepareLookupShapes(t, s))
+		}
+		t.Run("reopened with index.db", func(t *testing.T) { reopen(t, true) })
+		t.Run("reopened without index.db", func(t *testing.T) { reopen(t, false) })
 	})
 }
 

@@ -8,7 +8,10 @@
 //     4-6);
 //   - traversal-plus-aggregation over a replicated 1:M / M:N property is
 //     replaced by the local LIST property (Figure 7): COLLECT(x.p) becomes
-//     carrier.`X.p` and COUNT(x.p) becomes size(carrier.`X.p`).
+//     carrier.`X.p` and COUNT(x.p) becomes size(carrier.`X.p`);
+//   - a read of a scalar property that two concepts of one merge group
+//     declare reads the reading concept's qualified key: x.p on an X node
+//     becomes x.`X:p` (core.Mapping.ScalarKeys).
 package rewrite
 
 import (
@@ -34,6 +37,9 @@ type Options struct {
 func Rewrite(q *cypher.Query, m *core.Mapping, opts Options) (*cypher.Query, []string, error) {
 	out := q.Clone()
 	var notes []string
+	// Qualify colliding scalar keys while each variable still names the
+	// one concept it binds in DIR; collapsing merges them.
+	qualifyKeys(out, m)
 	// Collapse merged hops to fixpoint.
 	for {
 		changed, note, err := collapseOnce(out, m)
@@ -51,6 +57,65 @@ func Rewrite(q *cypher.Query, m *core.Mapping, opts Options) (*cypher.Query, []s
 	}
 	notes = append(notes, ln...)
 	return out, notes, nil
+}
+
+// qualifyKeys rewrites every property key — inline constraints and reads
+// in WHERE, RETURN and ORDER BY — to its physical key on the OPT graph,
+// taken from the first label of the node (or the variable's nodes) whose
+// concept the mapping qualifies it for.
+func qualifyKeys(q *cypher.Query, m *core.Mapping) {
+	if len(m.ScalarKeys) == 0 {
+		return
+	}
+	physical := func(labels []string, key string) string {
+		for _, l := range labels {
+			if pk := m.PropKey(l, key); pk != key {
+				return pk
+			}
+		}
+		return key
+	}
+	labelsOf := map[string][]string{}
+	for _, pat := range q.Patterns {
+		for _, n := range pat.Nodes {
+			if n.Var != "" {
+				labelsOf[n.Var] = append(labelsOf[n.Var], n.Labels...)
+			}
+			if len(n.Props) == 0 {
+				continue
+			}
+			props := make(map[string]graph.Value, len(n.Props))
+			for k, v := range n.Props {
+				props[physical(n.Labels, k)] = v
+			}
+			n.Props = props
+		}
+	}
+	var walk func(e cypher.Expr)
+	walk = func(e cypher.Expr) {
+		switch x := e.(type) {
+		case *cypher.PropAccess:
+			x.Key = physical(labelsOf[x.Var], x.Key)
+		case *cypher.Binary:
+			walk(x.L)
+			walk(x.R)
+		case *cypher.Not:
+			walk(x.E)
+		case *cypher.FuncCall:
+			for _, a := range x.Args {
+				walk(a)
+			}
+		}
+	}
+	if q.Where != nil {
+		walk(q.Where)
+	}
+	for _, ri := range q.Return {
+		walk(ri.Expr)
+	}
+	for _, s := range q.OrderBy {
+		walk(s.Expr)
+	}
 }
 
 // collapseOnce finds one hop whose relationship the mapping collapsed and
@@ -245,10 +310,11 @@ func tryLocalizeEnd(q *cypher.Query, pat *cypher.PathPattern, m *core.Mapping, o
 }
 
 // matchListProps collects the replication entries where far is the
-// neighbor and the other endpoint is the carrier, keyed by neighbor
-// property name. Only unambiguous entries (a single relationship between
-// the concept pair) are used, since the loader's list contents correspond
-// to that relationship's links.
+// neighbor and the other endpoint is the carrier, keyed by the neighbor
+// property's physical key, which far's reads name after qualifyKeys.
+// Only unambiguous entries (a single relationship between the concept
+// pair) are used, since the loader's list contents correspond to that
+// relationship's links.
 func matchListProps(m *core.Mapping, src, dst, far *cypher.NodePattern, edgeName string) (map[string]*core.ListProp, *cypher.NodePattern) {
 	carrier := src
 	if far == src {
@@ -273,8 +339,8 @@ func matchListProps(m *core.Mapping, src, dst, far *cypher.NodePattern, edgeName
 				if lp.Reverse && carrier != dst {
 					continue
 				}
-				if _, dup := out[lp.Prop]; !dup {
-					out[lp.Prop] = lp
+				if k := m.PropKey(lp.Neighbor, lp.Prop); out[k] == nil {
+					out[k] = lp
 				}
 			}
 		}

@@ -34,6 +34,7 @@ package diskstore
 // deadlocking a reader that re-enters the delta mid-iteration.
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,6 +236,49 @@ func (d *delta) labelVIDs(id int, w vis) []storage.VID {
 			vids = append(vids, p.v)
 		}
 	}
+	return vids
+}
+
+// labelMatches returns, in labelVIDs order, the label's members visible
+// through w that may hold val under keyID: each delta vertex whose visible
+// value is Equal to val, decided here under one lock, and each base vertex
+// the label was added to live, whose value the caller reads.
+func (d *delta) labelMatches(id, keyID int, val graph.Value, w vis) []storage.VID {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	var vids []storage.VID
+	for _, p := range d.byLabel[id] {
+		if !w.sees(p.seq) {
+			continue
+		}
+		if int64(p.v) < w.baseVerts {
+			vids = append(vids, p.v)
+			continue
+		}
+		idx := d.vertIdxLocked(p.v)
+		if idx < 0 || d.verts[idx].seq > w.maxSeq {
+			continue
+		}
+		if got, ok := latestVersion(d.verts[idx].props[keyID], w, false); ok && got.Equal(val) {
+			vids = append(vids, p.v)
+		}
+	}
+	return vids
+}
+
+// overridden returns, sorted, the base vertices below baseVerts that hold
+// any version of an override of keyID. It walks every overridden vertex,
+// so a lookup pays for the live overrides until a fold absorbs them.
+func (d *delta) overridden(keyID int, baseVerts int64) []storage.VID {
+	d.mu.RLock()
+	var vids []storage.VID
+	for v, m := range d.propOver {
+		if _, ok := m[keyID]; ok && int64(v) < baseVerts {
+			vids = append(vids, v)
+		}
+	}
+	d.mu.RUnlock()
+	slices.Sort(vids)
 	return vids
 }
 

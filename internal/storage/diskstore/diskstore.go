@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/storage"
+	"repro/internal/storage/propindex"
 )
 
 const (
@@ -100,9 +101,9 @@ func (o Options) withDefaults() Options {
 //   - edges.db: each vertex's adjacency block — a type directory sorted by
 //     type ID, then the vertex's delta-varint out/in segments in directory
 //     order (see segcodec.go);
-//   - index.db, the persisted label-scan index, redundant symbol tables
-//     and a statistics block (per-edge-type counts), so Open is
-//     O(index size) instead of a vertex scan.
+//   - index.db, the persisted label-scan index, value postings,
+//     redundant symbol tables and a statistics block (per-edge-type
+//     counts), so Open is O(index size) instead of a vertex scan.
 //
 // Stores written by earlier releases — manifest versions 2 to 5, whose
 // properties and per-type degree records are linked chains — are refused
@@ -161,11 +162,11 @@ func genFileName(name string, gen int64) string {
 }
 
 // epoch is one open base generation: the four record files behind a
-// pager, their counts, the label-scan index, and the WAL fence (baseSeq)
-// identifying which logged batches the files already absorbed. An epoch's
-// files are never mutated — Finalize writes a whole new generation — so
-// every field here is immutable once the epoch is published, and readers
-// touch it without locks.
+// pager, their counts, the label-scan index and value postings, and the
+// WAL fence (baseSeq) identifying which logged batches the files already
+// absorbed. An epoch's files are never mutated — Finalize writes a whole
+// new generation — so every field here is immutable once the epoch is
+// published, and readers touch it without locks.
 //
 // pins counts references: 1 for the store itself while the epoch is
 // current, plus one per in-flight read and per held snapshot. When a fold
@@ -188,6 +189,11 @@ type epoch struct {
 	blobSize    int64
 
 	byLabel map[int][]storage.VID
+	// values is the generation's (label, key, value) postings: the base
+	// files' values only, which a view overlays with the delta (see
+	// view.ForEachVertexByPropID). Built by writeGeneration, restored by
+	// loadIndex, or rebuilt by Open's scan.
+	values *propindex.Index
 	// labelBits is byLabel again as one membership bitmap per label ID
 	// (⌈numVertices/64⌉ words, nil for a label without base members —
 	// 64× smaller than the postings), so a view answers HasLabelID
@@ -508,23 +514,18 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	// committed; none of them are reachable, so sweep them before touching
 	// anything.
 	sweepOrphans(dir, gen)
-	// Restore the label-scan index: it is persisted alongside the
-	// generation, so opening costs O(index size). A store whose index file
-	// is missing, torn, or out of step with the manifest — and a legacy
-	// store being upgraded — rebuilds it from a full vertex scan.
+	// Restore the label-scan index and value postings: they are persisted
+	// alongside the generation, so opening costs O(index size). A store
+	// whose index file is missing, torn, or out of step with the manifest —
+	// and a legacy store being upgraded — rebuilds them from a full vertex
+	// scan.
 	if haveManifest {
 		if !legacy && s.loadIndex(ep) {
 			s.indexLoaded = true
 			s.indexCurrent = true
 		} else {
-			for v := int64(0); v < ep.numVertices; v++ {
-				labels, err := ep.vertexLabels(storage.VID(v))
-				if err != nil {
-					return nil, err
-				}
-				for _, id := range labelBitsToIDs(labels) {
-					ep.byLabel[id] = append(ep.byLabel[id], storage.VID(v))
-				}
+			if err := ep.scanIndex(); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -846,15 +847,39 @@ func (r vertexRec) encode() (buf [vertexRecSize]byte) {
 	return buf
 }
 
-// vertexLabels returns base vertex v's label bitset, from whichever
-// record layout the epoch holds.
-func (ep *epoch) vertexLabels(v storage.VID) ([2]uint64, error) {
-	if ep.legacy != nil {
-		rec, err := ep.readLegacyVertex(v)
-		return rec.labels, err
+// scanIndex rebuilds the label index and the value postings from a scan
+// of every vertex's labels and properties, for an Open that found no
+// loadable index file.
+func (ep *epoch) scanIndex() error {
+	var b propindex.Builder
+	var run []keyVal
+	var runBuf, blobBuf []byte
+	for v := int64(0); v < ep.numVertices; v++ {
+		labels, r, err := ep.sourceVertex(storage.VID(v), run[:0], &runBuf, &blobBuf)
+		if err != nil {
+			return err
+		}
+		run = r
+		for _, id := range labelBitsToIDs(labels) {
+			ep.byLabel[id] = append(ep.byLabel[id], storage.VID(v))
+			for _, kv := range run {
+				b.Add(int32(id), int32(kv.keyID), storage.VID(v), kv.val)
+			}
+		}
 	}
+	ep.values = b.Finish()
+	return nil
+}
+
+// baseProp returns base vertex v's value of key as the generation's files
+// hold it, without the delta's overrides: the value its postings index.
+func (ep *epoch) baseProp(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	rec, err := ep.readVertex(v)
-	return rec.labels, err
+	if err != nil {
+		return graph.Null, false
+	}
+	val, ok, err := ep.prop(rec, uint32(key))
+	return val, ok && err == nil
 }
 
 // propRec is one 16-byte record of a property run (little-endian): the

@@ -15,25 +15,27 @@ package diskstore
 //
 // writeGeneration builds everything derived — property runs, adjacency
 // blocks with their type directories, untyped degree counters,
-// statistics — in one sorted pass over the current base and a frozen
-// delta (the live delta's fold prefix, or the load set). It writes
-// generation N+1 beside generation N and commit makes it current with one
-// manifest rename, so no file a committed manifest names is ever
+// statistics, value postings — in one sorted pass over the current base
+// and a frozen delta (the live delta's fold prefix, or the load set). It
+// writes generation N+1 beside generation N and commit makes it current
+// with one manifest rename, so no file a committed manifest names is ever
 // rewritten. It is also the conversion step for legacy stores (Upgrade),
 // because it never trusts any derived structure: only the src/dst/type
 // triples of the edges, and each vertex's labels and properties.
 
 import (
 	"bufio"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/storage"
+	"repro/internal/storage/propindex"
 )
 
 // AddVertexBatch creates the batch's vertices, each with its labels and
@@ -155,11 +157,13 @@ type keyVal struct {
 // base run with fd's overrides replacing values in place, plus the
 // override-only keys (a delta vertex has only those), written as one run
 // of property records sorted by key ID; blobs.db holds their blobs
-// grouped by key. The edges, from's then fd's in EID order, are sorted by
-// (source vertex, edge type, destination), which assigns the new edge
-// IDs; the pass writes each vertex's adjacency block — a type directory,
-// then one gap-encoded out segment and one in segment per type it
-// touches — and rebuilds its degree counters, and accumulates the
+// grouped by key, and the generation's value postings index the run under
+// each of the vertex's labels. The edges, from's then fd's in EID order,
+// are sorted by (source vertex, edge type, destination) — a counting sort
+// by vertex, then a sort of each vertex's few edges — which assigns the
+// new edge IDs; the pass writes each vertex's adjacency block — a type
+// directory, then one gap-encoded out segment and one in segment per type
+// it touches — and rebuilds its degree counters, and accumulates the
 // statistics block. Afterwards a typed ForEach finds its type in one
 // directory read and never decodes another type's bytes. numTypes is the
 // size of the type table the edges' type IDs index.
@@ -207,48 +211,51 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	}
 	nE := len(recs)
 	nV := from.numVertices + int64(len(fd.verts))
+	if nE > math.MaxInt32 {
+		return fail(fmt.Errorf("%d edges exceed a generation's %d", nE, math.MaxInt32))
+	}
+	for i := range recs {
+		if r := &recs[i]; r.src < 0 || r.src >= nV || r.dst < 0 || r.dst >= nV || int(r.typeID) >= numTypes {
+			return fail(corruptf("edge %d (%d -[%d]-> %d) outside %d vertices and %d types", i, r.src, r.typeID, r.dst, nV, numTypes))
+		}
+	}
 
 	// New edge order, clustered by (src, type, dst): the new ID of edge
 	// perm[k] is k, so each out segment's EIDs are contiguous and its dst
-	// list sorted, as gap encoding requires.
-	perm := make([]int, nE)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool {
-		a, b := &recs[perm[i]], &recs[perm[j]]
-		if a.src != b.src {
-			return a.src < b.src
+	// list sorted, as gap encoding requires. A counting sort groups the
+	// edges by source, and each vertex's few edges are then sorted by
+	// (type, dst), ties kept in ingest order (parallel edges).
+	perm := groupEdges(nE, nV, func(i int) int64 { return recs[i].src })
+	for lo := 0; lo < nE; {
+		hi := lo + 1
+		for hi < nE && recs[perm[hi]].src == recs[perm[lo]].src {
+			hi++
 		}
-		if a.typeID != b.typeID {
-			return a.typeID < b.typeID
-		}
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		return perm[i] < perm[j] // stable: keep ingest order among parallel edges
-	})
-	newID := make([]int, nE)
-	for k, old := range perm {
-		newID[old] = k
+		slices.SortFunc(perm[lo:hi], func(i, j int32) int {
+			a, b := &recs[i], &recs[j]
+			if c := cmp.Compare(a.typeID, b.typeID); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.dst, b.dst); c != 0 {
+				return c
+			}
+			return cmp.Compare(i, j)
+		})
+		lo = hi
 	}
 
 	// In segments are grouped by (dst, type), in ascending new ID within a
-	// segment.
-	inOrder := make([]int, nE)
-	for i := range inOrder {
-		inOrder[i] = i
+	// segment: inOrder holds new IDs, which the counting sort by
+	// destination keeps ascending and a stable sort by type keeps so.
+	inOrder := groupEdges(nE, nV, func(k int) int64 { return recs[perm[k]].dst })
+	for lo := 0; lo < nE; {
+		hi := lo + 1
+		for hi < nE && recs[perm[inOrder[hi]]].dst == recs[perm[inOrder[lo]]].dst {
+			hi++
+		}
+		slices.SortStableFunc(inOrder[lo:hi], func(a, b int32) int { return cmp.Compare(recs[perm[a]].typeID, recs[perm[b]].typeID) })
+		lo = hi
 	}
-	sort.Slice(inOrder, func(i, j int) bool {
-		a, b := &recs[inOrder[i]], &recs[inOrder[j]]
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		if a.typeID != b.typeID {
-			return a.typeID < b.typeID
-		}
-		return newID[inOrder[i]] < newID[inOrder[j]]
-	})
 
 	// Per vertex: labels, the property run, untyped degree counters and
 	// the adjacency block, written at a running cursor.
@@ -257,14 +264,16 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	var dir, segs []byte
 	var run []keyVal
 	var runBuf, blobBuf []byte
-	// The property records wait for the end of the pass because blobs.db
-	// is grouped by key: one property's values across vertices lie
-	// together, as a scan that reads that property wants them (and as the
-	// loader's property phases leave them). Until every group's size is
-	// known, a record's blob offset is relative to its key's group.
-	var props []propRec
+	var recBuf [vertexRecSize]byte // escapes through Write: one, reused
+	// The property records wait, encoded, for the end of the pass because
+	// blobs.db is grouped by key: one property's values across vertices
+	// lie together, as a scan that reads that property wants them (and as
+	// the loader's property phases leave them). Until every group's size
+	// is known, a record's blob offset is relative to its key's group.
+	props := make([]byte, 0, min(from.numProps+from.numProps/8, 1<<24)*propRecSize)
 	var keyBlobs [][]byte
 	byLabel := make(map[int][]storage.VID)
+	values := propindex.NewBuilder(from.values)
 	typeCounts := make([]int64, numTypes)
 	for i := range recs {
 		typeCounts[recs[i].typeID]++
@@ -288,12 +297,14 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		for _, id := range labelAdds {
 			rec.labels[id/64] |= 1 << uint(id%64)
 		}
+		run = mergeRun(run, over)
 		for _, id := range labelBitsToIDs(rec.labels) {
 			byLabel[id] = append(byLabel[id], storage.VID(v))
+			for _, kv := range run {
+				values.Add(int32(id), int32(kv.keyID), storage.VID(v), kv.val)
+			}
 		}
-
-		run = mergeRun(run, over)
-		rec.propStart, rec.propCount = uint64(len(props)), uint32(len(run))
+		rec.propStart, rec.propCount = uint64(len(props)/propRecSize), uint32(len(run))
 		for _, kv := range run {
 			pr, blob, err := encodeValue(kv.keyID, kv.val)
 			if err != nil {
@@ -306,7 +317,8 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 				pr.a = uint64(len(keyBlobs[kv.keyID]))
 				keyBlobs[kv.keyID] = append(keyBlobs[kv.keyID], blob...)
 			}
-			props = append(props, pr)
+			buf := pr.encode()
+			props = append(props, buf[:]...)
 		}
 
 		outStart := oi
@@ -314,7 +326,7 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 			oi++
 		}
 		inStart := ii
-		for ii < nE && recs[inOrder[ii]].dst == v {
+		for ii < nE && recs[perm[inOrder[ii]]].dst == v {
 			ii++
 		}
 		rec.outDeg = uint32(oi - outStart)
@@ -329,11 +341,11 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 			var t uint32
 			switch {
 			case o >= oi:
-				t = recs[inOrder[i]].typeID
+				t = recs[perm[inOrder[i]]].typeID
 			case i >= ii:
 				t = recs[perm[o]].typeID
 			default:
-				t = min(recs[perm[o]].typeID, recs[inOrder[i]].typeID)
+				t = min(recs[perm[o]].typeID, recs[perm[inOrder[i]]].typeID)
 			}
 			d := dirEntry{typeID: t}
 			start := len(segs)
@@ -347,8 +359,8 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 			d.outLen = uint32(len(segs) - start)
 			start = len(segs)
 			var prevSrc, prevEid int64
-			for first := i; i < ii && recs[inOrder[i]].typeID == t; i++ {
-				src, eid := recs[inOrder[i]].src, int64(newID[inOrder[i]])
+			for first := i; i < ii && recs[perm[inOrder[i]]].typeID == t; i++ {
+				src, eid := recs[perm[inOrder[i]]].src, int64(inOrder[i])
 				segs = appendInSeg(segs, src, prevSrc, eid, prevEid, i == first)
 				prevSrc, prevEid = src, eid
 				d.inDeg++
@@ -364,8 +376,8 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		out[fileEdges].Write(dir)
 		out[fileEdges].Write(segs)
 		cursor += int64(rec.blockLen)
-		buf := rec.encode()
-		out[fileVertices].Write(buf[:])
+		recBuf = rec.encode()
+		out[fileVertices].Write(recBuf[:])
 	}
 	groupOff := make([]uint64, len(keyBlobs))
 	var blobSize int64
@@ -374,13 +386,13 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		out[fileBlobs].Write(b)
 		blobSize += int64(len(b))
 	}
-	for _, pr := range props {
-		if pr.kind == graph.KindString || pr.kind == graph.KindList {
-			pr.a += groupOff[pr.keyID]
+	for at := 0; at < len(props); at += propRecSize {
+		if kind := graph.Kind(props[at+3]); kind == graph.KindString || kind == graph.KindList {
+			a := props[at+4 : at+12]
+			binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+groupOff[runKey(props[at:], 0)])
 		}
-		buf := pr.encode()
-		out[fileProps].Write(buf[:])
 	}
+	out[fileProps].Write(props)
 	for _, w := range out {
 		if err := w.Flush(); err != nil {
 			return fail(err)
@@ -392,13 +404,34 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	}
 	ep := &epoch{
 		gen: gen, edgeBytes: cursor, pager: pg,
-		numVertices: nV, numEdges: int64(nE), numProps: int64(len(props)),
+		numVertices: nV, numEdges: int64(nE), numProps: int64(len(props) / propRecSize),
 		blobSize:   blobSize,
 		byLabel:    byLabel,
+		values:     values.Finish(),
 		typeCounts: typeCounts, statsValid: true,
 	}
 	ep.pins.Store(1) // the store's own reference, once it is installed
 	return ep, nil
+}
+
+// groupEdges is a counting sort of the positions 0..n-1 by the vertex
+// key names: it returns them grouped by ascending vertex, ascending
+// within a group.
+func groupEdges(n int, nV int64, key func(int) int64) []int32 {
+	start := make([]int, nV+1)
+	for k := range n {
+		start[key(k)+1]++
+	}
+	for v := int64(1); v <= nV; v++ {
+		start[v] += start[v-1]
+	}
+	out := make([]int32, n)
+	for k := range n {
+		v := key(k)
+		out[start[v]] = int32(k)
+		start[v]++
+	}
+	return out
 }
 
 // mergeRun applies a vertex's overrides to its property run, reusing

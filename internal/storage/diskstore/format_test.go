@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"os"
 	"path/filepath"
@@ -91,9 +92,12 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 }
 
 // TestCorruptIndexFallsBackToScan opens a store over index.db files it
-// must not load: one with a flipped byte, which the CRC rejects, and one
-// carrying the previous format's magic over a body that otherwise
-// parses, which only the magic marks stale. Either way the open must
+// must not load: one with a flipped byte, which the CRC rejects; ones
+// carrying an earlier format's magic over a body that otherwise parses,
+// which only the magic marks stale (PGSIDX07 is the last layout without
+// value postings); and ones whose value postings a valid CRC covers but
+// the parser must refuse — a run longer than the postings, a posting
+// past the last vertex, a slot naming no range. Either way the open must
 // silently rebuild by scanning and read back as built, and its Close must
 // rewrite an index the next open loads.
 func TestCorruptIndexFallsBackToScan(t *testing.T) {
@@ -103,6 +107,10 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 	}{
 		{"flipped byte", func(data []byte) { data[len(data)/2] ^= 0xff }},
 		{"PGSIDX06 magic", func(data []byte) { copy(data, "PGSIDX06") }},
+		{"PGSIDX07 magic", func(data []byte) { copy(data, "PGSIDX07") }},
+		{"run past the postings", func(data []byte) { corruptPostings(data, postingsRunLen, 1) }},
+		{"posting past the vertices", func(data []byte) { corruptPostings(data, postingsFirstVID, 60) }},
+		{"slot past the ranges", func(data []byte) { corruptPostings(data, postingsFirstSlot, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -153,6 +161,58 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The fields of an index file's value postings section corruptPostings
+// overwrites.
+const (
+	postingsRunLen    = iota // the first range's run length, plus arg
+	postingsFirstVID         // the first posting, set to arg
+	postingsFirstSlot        // the first filled slot, set to one past the ranges
+)
+
+// postingsOffsets locates the value postings section of an index file:
+// the offsets of its range table, its postings and its slot table, found
+// by walking the header, the symbol tables and the label index.
+func postingsOffsets(data []byte) (ranges, vids, slots int) {
+	off := len(indexMagic) + 4 + 16
+	u32 := func() int { x := int(binary.LittleEndian.Uint32(data[off:])); off += 4; return x }
+	for range 3 {
+		for n := u32(); n > 0; n-- {
+			off += u32()
+		}
+	}
+	for n := u32(); n > 0; n-- {
+		off += 8 + 8*int(binary.LittleEndian.Uint64(data[off:]))
+	}
+	nr := u32()
+	ranges = off
+	off += 20 * nr
+	vids = off + 8
+	off = vids + 4*int(binary.LittleEndian.Uint64(data[off:]))
+	return ranges, vids, off + 4
+}
+
+// corruptPostings damages one field of data's value postings section and
+// reseals the CRC, so only the parser can refuse it.
+func corruptPostings(data []byte, field int, arg uint64) {
+	ranges, vids, slots := postingsOffsets(data)
+	switch field {
+	case postingsRunLen:
+		at := ranges + 16
+		binary.LittleEndian.PutUint32(data[at:], binary.LittleEndian.Uint32(data[at:])+uint32(arg))
+	case postingsFirstVID:
+		binary.LittleEndian.PutUint32(data[vids:], uint32(arg))
+	case postingsFirstSlot:
+		nr := binary.LittleEndian.Uint32(data[ranges-4:])
+		for at := slots; ; at += 4 {
+			if binary.LittleEndian.Uint32(data[at:]) != 0 {
+				binary.LittleEndian.PutUint32(data[at:], nr+1)
+				break
+			}
+		}
+	}
+	binary.LittleEndian.PutUint32(data[len(indexMagic):], crc32.ChecksumIEEE(data[len(indexMagic)+4:]))
 }
 
 // TestFlushIsAtomic: flushes must go through temp-file + rename, so no

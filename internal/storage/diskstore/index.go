@@ -1,16 +1,17 @@
 package diskstore
 
 // index.db persists the store's derived open-time structures — the
-// label-scan index and (redundantly, for validation) the symbol tables —
-// so reopening a store costs O(index size) instead of a full vertex
-// scan. The file is advisory: it is rewritten by every commit via
-// writeFileAtomic, carries a CRC, and is cross-checked against the
-// manifest on load; if it is missing, torn, or out of step, Open silently
-// falls back to rebuilding the index by scanning vertices.
+// label-scan index, the value postings and (redundantly, for validation)
+// the symbol tables — so reopening a store costs O(index size) instead of
+// a full vertex scan, and reads no page. The file is advisory: it is
+// rewritten by every commit via writeFileAtomic, carries a CRC, and is
+// cross-checked against the manifest on load; if it is missing, torn, or
+// out of step, Open silently falls back to rebuilding both indexes by
+// scanning vertices.
 //
 // Layout (little-endian):
 //
-//	magic   [8]byte  "PGSIDX07"
+//	magic   [8]byte  "PGSIDX08"
 //	crc32   u32      IEEE CRC of everything after this field
 //	numVertices, numEdges  u64 × 2   (validated vs manifest)
 //	labels, types, keys   3 × (u32 count, then per entry u32 len + bytes)
@@ -18,6 +19,12 @@ package diskstore
 //	                      u64 entry count + that many u64 VIDs, in the
 //	                      in-memory order of the scan index (VID order
 //	                      in a generation Finalize wrote)
+//	value postings        the generation's propindex.Index:
+//	                      u32 range count, then per range u64 hash,
+//	                      u32 label, u32 key, u32 run length (the runs
+//	                      lie back to back, so each start is implied);
+//	                      u64 posting count + that many u32 VIDs;
+//	                      u32 slot count + that many u32 slots
 //
 // A statistics block follows the postings:
 //
@@ -34,9 +41,10 @@ import (
 	"path/filepath"
 
 	"repro/internal/storage"
+	"repro/internal/storage/propindex"
 )
 
-const indexMagic = "PGSIDX07"
+const indexMagic = "PGSIDX08"
 
 // indexPath is the index file of one base generation (index.db, or
 // index.db.gN for generation N — the index describes one generation's
@@ -45,29 +53,35 @@ func (s *Store) indexPath(gen int64) string {
 	return filepath.Join(s.dir, genFileName(indexFileName, gen))
 }
 
-// writeIndex serializes the epoch's label index and the given symbol
-// tables and atomically replaces the generation's index file.
+// writeIndex serializes the epoch's label index, value postings and
+// statistics with the given symbol tables, and atomically replaces the
+// generation's index file. The file is built in one buffer of its exact
+// size, the header's CRC filled in last.
 func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
-	var buf []byte
-	var scratch [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		buf = append(buf, scratch[:4]...)
+	vids, ranges, slots := ep.values.Parts()
+	size := len(indexMagic) + 4 + 16 + 3*4 + 4 + 4 + 20*len(ranges) + 8 + 4*len(vids) + 4 + 4*len(slots) + 1
+	if ep.statsValid {
+		size += 4 + 8*len(ep.typeCounts)
 	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		buf = append(buf, scratch[:]...)
+	for _, table := range [][]string{labels, types, keys} {
+		for _, entry := range table {
+			size += 4 + len(entry)
+		}
 	}
-	str := func(x string) {
-		u32(uint32(len(x)))
-		buf = append(buf, x...)
+	for id := range labels {
+		size += 8 + 8*len(ep.byLabel[id])
 	}
+	buf := make([]byte, len(indexMagic)+4, size)
+	copy(buf, indexMagic)
+	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	u64(uint64(ep.numVertices))
 	u64(uint64(ep.numEdges))
 	for _, table := range [][]string{labels, types, keys} {
 		u32(uint32(len(table)))
 		for _, entry := range table {
-			str(entry)
+			u32(uint32(len(entry)))
+			buf = append(buf, entry...)
 		}
 	}
 	u32(uint32(len(labels)))
@@ -78,6 +92,21 @@ func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 			u64(uint64(v))
 		}
 	}
+	u32(uint32(len(ranges)))
+	for _, r := range ranges {
+		u64(r.Hash)
+		u32(uint32(r.Label))
+		u32(uint32(r.Key))
+		u32(uint32(r.Hi - r.Lo))
+	}
+	u64(uint64(len(vids)))
+	for _, v := range vids {
+		u32(v)
+	}
+	u32(uint32(len(slots)))
+	for _, sl := range slots {
+		u32(uint32(sl))
+	}
 	if !ep.statsValid {
 		buf = append(buf, 0)
 	} else {
@@ -87,19 +116,16 @@ func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 			u64(uint64(c))
 		}
 	}
-	out := make([]byte, 0, len(indexMagic)+4+len(buf))
-	out = append(out, indexMagic...)
-	binary.LittleEndian.PutUint32(scratch[:4], crc32.ChecksumIEEE(buf))
-	out = append(out, scratch[:4]...)
-	out = append(out, buf...)
-	return writeFileAtomic(s.indexPath(ep.gen), out)
+	binary.LittleEndian.PutUint32(buf[len(indexMagic):], crc32.ChecksumIEEE(buf[len(indexMagic)+4:]))
+	return writeFileAtomic(s.indexPath(ep.gen), buf)
 }
 
-// loadIndex restores the label index from index.db, reporting success.
-// Any inconsistency — missing file, bad magic or CRC, counts or symbol
-// tables disagreeing with the already-loaded manifest — makes it report
-// false without touching store state, and the caller rebuilds by
-// scanning.
+// loadIndex restores the label index and the value postings from
+// index.db, reporting success. Any inconsistency — missing file, bad
+// magic or CRC, counts or symbol tables disagreeing with the
+// already-loaded manifest, postings propindex.FromParts refuses — makes
+// it report false without touching store state, and the caller rebuilds
+// by scanning.
 func (s *Store) loadIndex(ep *epoch) bool {
 	data, err := os.ReadFile(s.indexPath(ep.gen))
 	if err != nil || len(data) < len(indexMagic)+4 || string(data[:len(indexMagic)]) != indexMagic {
@@ -144,6 +170,10 @@ func (s *Store) loadIndex(ep *epoch) bool {
 			byLabel[id] = vids
 		}
 	}
+	values, ok := r.values(ep.numVertices)
+	if !ok {
+		return false
+	}
 	// Statistics block — consumed before the trailing-bytes check so the
 	// file validates end-to-end.
 	var typeCounts []int64
@@ -167,9 +197,48 @@ func (s *Store) loadIndex(ep *epoch) bool {
 		return false
 	}
 	ep.byLabel = byLabel
+	ep.values = values
 	ep.typeCounts = typeCounts
 	ep.statsValid = statsValid
 	return true
+}
+
+// values decodes the value postings section; propindex.FromParts checks
+// what the bytes cannot: runs that tile the postings in ascending VID
+// order, and a hash table that reaches every run.
+func (r *idxReader) values(numVertices int64) (*propindex.Index, bool) {
+	nr := r.u32()
+	if !r.ok || uint64(nr) > uint64(len(r.data))/20 {
+		return nil, false
+	}
+	ranges := make([]propindex.Range, nr)
+	lo := 0
+	for i := range ranges {
+		ranges[i] = propindex.Range{Hash: r.u64(), Label: int32(r.u32()), Key: int32(r.u32()), Lo: lo}
+		lo += int(r.u32())
+		ranges[i].Hi = lo
+	}
+	nv := r.u64()
+	if !r.ok || nv > uint64(len(r.data))/4 {
+		return nil, false
+	}
+	vids := make([]uint32, nv)
+	for i := range vids {
+		vids[i] = r.u32()
+	}
+	ns := r.u32()
+	if !r.ok || uint64(ns) > uint64(len(r.data))/4 {
+		return nil, false
+	}
+	slots := make([]int32, ns)
+	for i := range slots {
+		slots[i] = int32(r.u32())
+	}
+	if !r.ok {
+		return nil, false
+	}
+	ix, err := propindex.FromParts(vids, ranges, slots, numVertices)
+	return ix, err == nil
 }
 
 // idxReader is a bounds-checked little-endian decoder; after any

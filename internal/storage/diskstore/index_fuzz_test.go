@@ -6,8 +6,9 @@ package diskstore
 //
 //   - Open never panics or fails: a refused index falls back to the
 //     vertex scan (IndexLoaded false);
-//   - an accepted index names only vertices of the store, and a count and
-//     a scan of every label complete and agree;
+//   - an accepted index names only vertices of the store, a count and a
+//     scan of every label complete and agree, and a lookup of every value
+//     a label's members hold visits what the filtered label scan does;
 //   - either way the graph reads back as built, and the statistics
 //     surface answers without panicking.
 
@@ -15,6 +16,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -51,6 +53,20 @@ func FuzzLoadIndex(f *testing.F) {
 	huge := append([]byte(nil), orig...)
 	binary.LittleEndian.PutUint32(huge[len(orig)-tail+1:], 1<<31)
 	f.Add(huge)
+	// The value postings section: a run past the postings, a posting past
+	// the vertices, a slot past the ranges, and cuts through each table.
+	for _, c := range []struct {
+		field int
+		arg   uint64
+	}{{postingsRunLen, 1}, {postingsRunLen, 1 << 31}, {postingsFirstVID, 40}, {postingsFirstVID, 1<<32 - 1}, {postingsFirstSlot, 0}} {
+		bad := append([]byte(nil), orig...)
+		corruptPostings(bad, c.field, c.arg)
+		f.Add(bad)
+	}
+	ranges, vids, slots := postingsOffsets(orig)
+	for _, n := range []int{ranges + 10, vids + 4, slots + 2} {
+		f.Add(orig[:n])
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		data := append([]byte(nil), raw...)
@@ -88,6 +104,7 @@ func FuzzLoadIndex(f *testing.F) {
 				if c := s.CountLabelID(label); c != seen {
 					t.Fatalf("CountLabelID(%d) = %d, but its scan visited %d", id, c, seen)
 				}
+				checkLookupsOfHeldValues(t, s, label)
 			}
 		}
 		if got := storetest.Fingerprint(s); got != want {
@@ -95,5 +112,30 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		s.LabelCounts()
 		s.EdgeTypeCounts()
+	})
+}
+
+// checkLookupsOfHeldValues looks up every value a member of label holds
+// and compares the visit with the filtered label scan.
+func checkLookupsOfHeldValues(t *testing.T, g storage.Graph, label storage.SymbolID) {
+	t.Helper()
+	g.ForEachVertexID(label, func(v storage.VID) bool {
+		for _, key := range g.PropKeys(v) {
+			k := g.KeyID(key)
+			val, _ := g.PropID(v, k)
+			var got, want []storage.VID
+			g.ForEachVertexByPropID(label, k, val, func(u storage.VID) bool {
+				got = append(got, u)
+				return true
+			})
+			storage.ScanByPropID(g, label, k, val, func(u storage.VID) bool {
+				want = append(want, u)
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("lookup of label %d %s = %v: %v, label scan %v", label, key, val, got, want)
+			}
+		}
+		return true
 	})
 }

@@ -275,11 +275,60 @@ func (vw view) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 	return val, ok
 }
 
-// ForEachVertexByPropID filters the view's label scan on the property:
-// diskstore persists no value postings yet, so this is the label scan
-// plus one PropID per member, delta members and overrides included.
+// ForEachVertexByPropID is the epoch's value postings with the delta
+// laid over them, in ForEachVertexID order. The base candidates are the
+// postings of (label, key, val) — a probe that reads no page when the
+// value is absent — merged in VID order with the base members whose key a
+// live write overrode; each is checked against the view, which drops a
+// vertex overridden away from val. Then come the label's delta members:
+// delta vertices holding val, and base vertices the label was added to
+// live, checked like the rest. The AnySymbol label has no postings and
+// filters the scan of every vertex; a list value, which the postings
+// leave out, and an epoch without postings (a store never finalized)
+// filter the label scan.
 func (vw view) ForEachVertexByPropID(label, key storage.SymbolID, val graph.Value, fn func(storage.VID) bool) {
-	storage.ScanByPropID(vw, label, key, val, fn)
+	if label < 0 || key < 0 {
+		storage.ScanByPropID(vw, label, key, val, fn)
+		return
+	}
+	ep := vw.ep
+	base, indexed := ep.values.Lookup(int32(label), int32(key), val, func(v storage.VID) (graph.Value, bool) {
+		return ep.baseProp(v, key)
+	})
+	if !indexed {
+		storage.ScanByPropID(vw, label, key, val, fn)
+		return
+	}
+	var over []storage.VID
+	if vw.s.delta.overrides.Load() > 0 {
+		over = vw.s.delta.overridden(int(key), ep.numVertices)
+	}
+	// Merge the two ascending candidate lists, a vertex in both once.
+	for i, j := 0, 0; i < len(base) || j < len(over); {
+		var v storage.VID
+		switch {
+		case j == len(over) || i < len(base) && storage.VID(base[i]) < over[j]:
+			v, i = storage.VID(base[i]), i+1
+		case i == len(base) || over[j] < storage.VID(base[i]):
+			v, j = over[j], j+1
+		default:
+			v, i, j = over[j], i+1, j+1
+		}
+		if ep.hasLabelBit(v, label) && vw.holds(v, key, val) && !fn(v) {
+			return
+		}
+	}
+	for _, v := range vw.s.delta.labelMatches(int(label), int(key), val, vw.w) {
+		if (int64(v) >= ep.numVertices || vw.holds(v, key, val)) && !fn(v) {
+			return
+		}
+	}
+}
+
+// holds reports whether v's value of key in the view is Equal to val.
+func (vw view) holds(v storage.VID, key storage.SymbolID, val graph.Value) bool {
+	got, ok := vw.PropID(v, key)
+	return ok && got.Equal(val)
 }
 
 // PropKeys returns the keys with values on v in the view, sorted and

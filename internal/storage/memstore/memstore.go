@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/storage"
+	"repro/internal/storage/propindex"
 )
 
 type halfEdge struct {
@@ -61,10 +62,10 @@ type Store struct {
 	// finalized is set by Finalize. From then on every vertex's out/in
 	// lists are sorted by (etype, id), so typed iteration and degree
 	// queries binary-search the matching segment, and index holds the
-	// (label, key, value) postings (propindex.go); before it, index is
+	// (label, key, value) postings (package propindex); before it, index is
 	// empty and reads are undefined (the storage.Builder contract).
 	finalized bool
-	index     *propIndex
+	index     *propindex.Index
 }
 
 var (
@@ -81,7 +82,6 @@ func New() *Store {
 		byLabel:  map[int32][]storage.VID{},
 	}
 	s.ByName = storage.NewByName(s)
-	s.index = buildPropIndex(s)
 	return s
 }
 
@@ -197,7 +197,15 @@ func (s *Store) Finalize() error {
 		sortSegmented(s.vertices[i].out)
 		sortSegmented(s.vertices[i].in)
 	}
-	s.index = buildPropIndex(s)
+	var b propindex.Builder
+	for label := range s.labels {
+		for _, v := range s.byLabel[int32(label)] {
+			for _, p := range s.vertices[v].props {
+				b.Add(int32(label), p.key, v, p.val)
+			}
+		}
+	}
+	s.index = b.Finish()
 	s.finalized = true
 	return nil
 }
@@ -405,14 +413,22 @@ func (s *Store) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) 
 
 // ForEachVertexByPropID calls fn for every vertex carrying the label and
 // the property value: the index's postings, or a filtered label scan for
-// the AnySymbol label, which has no postings.
+// the AnySymbol label, which has no postings, and for a list value, which
+// the index leaves out.
 func (s *Store) ForEachVertexByPropID(label, key storage.SymbolID, val graph.Value, fn func(storage.VID) bool) {
-	if label < 0 || key < 0 {
+	var postings []uint32
+	indexed := false
+	if label >= 0 && key >= 0 {
+		postings, indexed = s.index.Lookup(int32(label), int32(key), val, func(v storage.VID) (graph.Value, bool) {
+			return s.PropID(v, key)
+		})
+	}
+	if !indexed {
 		storage.ScanByPropID(s, label, key, val, fn)
 		return
 	}
-	for _, v := range s.index.lookup(s, int32(label), int32(key), val) {
-		if !fn(v) {
+	for _, v := range postings {
+		if !fn(storage.VID(v)) {
 			return
 		}
 	}

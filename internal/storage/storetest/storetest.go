@@ -395,8 +395,9 @@ func Run(t *testing.T, newStore Factory) {
 		// may answer from a value index), and on a MutableGraph after live
 		// label writes and after property writes that override indexed
 		// values — each of those following a Finalize, so each must
-		// invalidate on its own. A snapshot pinned before the property
-		// writes keeps answering with the old values.
+		// invalidate on its own — and once more over the base they were
+		// folded into. A snapshot pinned before the property writes keeps
+		// answering with the old values.
 		s := newStore(t)
 		g := propLookupGraph()
 		mustLoad(t, g, s)
@@ -453,6 +454,17 @@ func Run(t *testing.T, newStore Factory) {
 			snap.Release()
 		}
 		if err := s.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		checkPropLookup(t, s)
+		// Over a base the writes were folded into: a label added to a
+		// base vertex holding indexed values, and overrides to and away
+		// from them.
+		if _, err := mg.ApplyMutations([]storage.Mutation{
+			{Op: storage.MutAddLabel, V: 3, Label: "M"},
+			{Op: storage.MutSetProp, V: 5, Key: "k", Value: graph.S("b")},
+			{Op: storage.MutSetProp, V: 0, Key: "list", Value: graph.L(graph.F(2), graph.B(true))},
+		}); err != nil {
 			t.Fatal(err)
 		}
 		checkPropLookup(t, s)

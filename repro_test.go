@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/cypher"
+	"repro/internal/datagen"
 	"repro/internal/graph"
 	"repro/internal/ontology"
+	"repro/internal/optimizer"
 	"repro/internal/query"
 	"repro/internal/rewrite"
 	"repro/internal/storage/memstore"
@@ -101,6 +103,103 @@ func TestEndToEndEquivalence(t *testing.T) {
 	}
 }
 
+// TestScalarReadsSurviveMerges: a merge never loses a scalar value. For
+// every (concept, property) of MED and FIN, `MATCH (x:C) RETURN x.p`
+// returns the same row multiset on the DIR graph as its rewrite does on
+// the OPT graph, under every optimizer at a sweep of space budgets and
+// under NSC — including the mappings that merge two concepts declaring
+// one property name, whose values the loader keeps under qualified keys.
+func TestScalarReadsSurviveMerges(t *testing.T) {
+	for _, set := range []struct {
+		name string
+		o    *ontology.Ontology
+	}{{"MED", datagen.MED()}, {"FIN", datagen.FIN()}} {
+		ds, err := datagen.Generate(set.o, datagen.Options{Seed: 7, BaseCard: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		af, err := workload.AFFromQueries(set.o, workload.MicrobenchmarkFor(set.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := optimizer.NewInputs(set.o, ds.Stats, af, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, err := in.NSCCost()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := map[string]*optimizer.Plan{}
+		for _, alg := range []struct {
+			name string
+			run  func(*optimizer.Inputs, float64) (*optimizer.Plan, error)
+		}{{"RC", optimizer.RelationCentric}, {"CC", optimizer.ConceptCentric}, {"PGSG", optimizer.PGSG}} {
+			for _, pct := range []int{10, 25, 50, 75, 100} {
+				if plans[fmt.Sprintf("%s %d%%", alg.name, pct)], err = alg.run(in, total*float64(pct)/100); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if plans["NSC"], err = optimizer.NSC(in); err != nil {
+			t.Fatal(err)
+		}
+		dir := memstore.New()
+		if _, _, err := Load(dir, ds, nil); err != nil {
+			t.Fatal(err)
+		}
+		qualified := 0
+		for name, plan := range plans {
+			m := plan.Result.Mapping
+			qualified += len(m.ScalarKeys)
+			opt := memstore.New()
+			if _, _, err := Load(opt, ds, m); err != nil {
+				t.Fatalf("%s %s: %v", set.name, name, err)
+			}
+			for _, c := range set.o.Concepts {
+				for _, p := range c.Props {
+					q := cypher.MustParse(fmt.Sprintf("MATCH (x:%s) RETURN x.%s", c.Name, p.Name))
+					rw, _, err := rewrite.Rewrite(q, m, rewrite.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rd, err := query.Run(dir, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ro, err := query.Run(opt, rw)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameRows(rd, ro) {
+						t.Errorf("%s %s: %s returns %d rows on DIR and %d different ones on OPT (%s)", set.name, name, q, len(rd.Rows), len(ro.Rows), rw)
+					}
+				}
+			}
+		}
+		if qualified == 0 {
+			t.Errorf("%s: no mapping qualified a key; the sweep checks no merge that collides", set.name)
+		}
+	}
+}
+
+// sameRows compares two results as row multisets.
+func sameRows(a, b *query.Result) bool {
+	if len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	query.SortRowsForComparison(a.Rows)
+	query.SortRowsForComparison(b.Rows)
+	for i := range a.Rows {
+		for j := range a.Rows[i] {
+			if !a.Rows[i][j].Equal(b.Rows[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // equivalent compares results according to the query kind's rewrite
 // contract.
 func equivalent(q workload.Query, dir, opt *query.Result) bool {
@@ -113,19 +212,7 @@ func equivalent(q workload.Query, dir, opt *query.Result) bool {
 		// Localized lookup: rows flatten to the same value multiset.
 		return multiset(dir) == multiset(opt)
 	default:
-		if len(dir.Rows) != len(opt.Rows) {
-			return false
-		}
-		query.SortRowsForComparison(dir.Rows)
-		query.SortRowsForComparison(opt.Rows)
-		for i := range dir.Rows {
-			for j := range dir.Rows[i] {
-				if !dir.Rows[i][j].Equal(opt.Rows[i][j]) {
-					return false
-				}
-			}
-		}
-		return true
+		return sameRows(dir, opt)
 	}
 }
 
