@@ -40,10 +40,10 @@
 // by `pgsgen -store` or a previous pgsserve run), the store is served
 // as-is: no dataset load runs, and the store restores its label index
 // from index.db instead of scanning every vertex — the fast-restart path.
-// A store written by an earlier release (format v2-v4) is refused; convert
-// it offline with diskstore.Upgrade. The operator must pass the same -optimize/-localize flags the
-// store was built with; pgsserve cannot verify the schema a store on disk
-// was loaded under.
+// A store written by an earlier release (format v2-v5) is refused; rebuild
+// it with `pgsgen -store DIR`. The operator must pass the same
+// -optimize/-localize flags the store was built with; pgsserve cannot
+// verify the schema a store on disk was loaded under.
 package main
 
 import (

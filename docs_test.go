@@ -68,8 +68,8 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// their type directories, the layout checker and the decoder
 			// fuzz target), the delta-varint segment layout, the
 			// persisted-statistics block (with its consumer), and
-			// the refuse-then-Upgrade path for legacy stores must stay
-			// documented alongside the code that implements them.
+			// the refusal of legacy stores must stay documented alongside
+			// the code that implements them.
 			"index.db", "segmented", "Compact", "Finalize",
 			"ErrFinalized", "BulkVertex.Props", "writeFileAtomic", "commit point",
 			"Format v6", "property run", "adjacency block", "checkLayout",
@@ -78,7 +78,7 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// The value index both backends share, diskstore's delta
 			// overlay on it, and the qualified keys of colliding merges.
 			"propindex", "TestValuePostingsOverlay", "ScalarKeys", "MergeCollisionError",
-			"compression_ratio", "Upgrade", "ErrLegacyFormat",
+			"compression_ratio", "ErrLegacyFormat",
 			// Serving layer: admission control, shutdown semantics, and
 			// the stats endpoint schema must stay documented.
 			"Serving layer", "pgsserve", "429", "admission", "drain",

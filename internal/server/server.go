@@ -658,8 +658,8 @@ type GraphStats struct {
 	Vertices int `json:"vertices"`
 	Edges    int `json:"edges"`
 	// LabelCounts and EdgeTypeCounts come from storage.Statistics;
-	// EdgeTypeCounts is absent when the store predates the v5 statistics
-	// block.
+	// EdgeTypeCounts is absent when the store has no base statistics (a
+	// diskstore that has written no generation yet).
 	LabelCounts    map[string]int `json:"label_counts,omitempty"`
 	EdgeTypeCounts map[string]int `json:"edge_type_counts,omitempty"`
 }

@@ -81,10 +81,9 @@ func (s *Store) Finalize() error {
 	s.symMu.RUnlock()
 	s.liveMu.Unlock()
 
-	// A legacy base (a store being upgraded) is rewritten even with
-	// nothing new to fold, and a pending load is committed even if a
-	// failed first batch left it empty, so that the store leaves it.
-	if load == nil && fence == old.baseSeq && old.legacy == nil && len(fd.verts) == 0 &&
+	// A pending load is committed even if a failed first batch left it
+	// empty, so that the store leaves it.
+	if load == nil && fence == old.baseSeq && len(fd.verts) == 0 &&
 		len(fd.edges) == 0 && len(fd.labelAdds) == 0 && len(fd.propOver) == 0 {
 		s.finalized.Store(true)
 		return nil

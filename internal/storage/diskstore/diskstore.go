@@ -107,9 +107,9 @@ func (o Options) withDefaults() Options {
 //
 // Stores written by earlier releases — manifest versions 2 to 5, whose
 // properties and per-type degree records are linked chains — are refused
-// by Open with ErrLegacyFormat and converted offline by Upgrade (see
-// legacy.go). Version 1 and unknown versions are rejected outright — v1
-// vertex records would silently read their degree counters as zero.
+// by Open with ErrLegacyFormat; rebuild them from their source data.
+// Version 1 and unknown versions are rejected outright — v1 vertex
+// records would silently read their degree counters as zero.
 const formatVersion = 6
 
 type manifest struct {
@@ -126,15 +126,9 @@ type manifest struct {
 	NumEdges    int64    `json:"num_edges"`
 	NumProps    int64    `json:"num_props"`
 	BlobSize    int64    `json:"blob_size"`
-	// Compressed records that edges.db holds delta-varint segments; every
-	// commit writes true, and a v5 store with false and edges holds edge
-	// records instead (see legacy.go). Segmented always carries the same
-	// value; it is kept so the manifest's JSON shape is unchanged.
 	// EdgeBytes is the size of edges.db — directories and segments, the
 	// bytes-on-disk numerator of the compression ratio.
-	Segmented  bool  `json:"segmented,omitempty"`
-	Compressed bool  `json:"compressed,omitempty"`
-	EdgeBytes  int64 `json:"edge_bytes,omitempty"`
+	EdgeBytes int64 `json:"edge_bytes,omitempty"`
 	// WalSeq fences WAL replay: the highest WAL sequence number folded
 	// into the base by a committed Compact. Records at or below it are
 	// skipped (and a fully stale log truncated) at Open, so a crash
@@ -152,8 +146,8 @@ var baseFileNames = [numFiles]string{"vertices.db", "edges.db", "props.db", "blo
 const indexFileName = "index.db"
 
 // genFileName maps a base file name to its generation-qualified on-disk
-// name: generation 0 keeps the plain name so pre-generation stores open
-// unchanged.
+// name: generation 0, a fresh store's before its first Finalize, keeps
+// the plain name.
 func genFileName(name string, gen int64) string {
 	if gen == 0 {
 		return name
@@ -175,11 +169,7 @@ func genFileName(name string, gen int64) string {
 // delta prune entries the new generation absorbed).
 type epoch struct {
 	gen int64
-	// legacy is set on the source epoch of an Upgrade: its files hold an
-	// earlier format's chained records, so nothing but writeGeneration
-	// reads it, through legacy.go's readers. edgeBytes is the size of
-	// edges.db.
-	legacy    *legacySource
+	// edgeBytes is the size of edges.db.
 	edgeBytes int64
 	pager     *pager
 
@@ -201,9 +191,9 @@ type epoch struct {
 	// serving epoch comes into being.
 	labelBits [][]uint64
 
-	// Persisted statistics (from Finalize or index.db): base edge counts
-	// per type ID. statsValid distinguishes "no edges of the type"
-	// from "statistics unavailable" (missing/torn index).
+	// Statistics: base edge counts per type ID, from Finalize, index.db
+	// or Open's scan. statsValid distinguishes "no edges of the type"
+	// from "statistics unavailable" (a store with no generation yet).
 	typeCounts []int64
 	statsValid bool
 
@@ -255,9 +245,6 @@ func (ep *epoch) closeFiles() error {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
-	}
-	if ep.legacy != nil && ep.legacy.degrees != nil {
-		ep.legacy.degrees.Close()
 	}
 	return first
 }
@@ -396,47 +383,15 @@ var (
 	_ storage.Snapshotter   = (*Store)(nil)
 )
 
-// Open creates (or reopens) a store in dir. A store written by an
-// earlier release is refused with ErrLegacyFormat, untouched; see Upgrade.
-func Open(dir string, opts Options) (*Store, error) { return open(dir, opts, false) }
-
 // ErrLegacyFormat is returned (wrapped) by Open for a store whose
 // manifest names format version 2 to 5 (see formatVersion). Test with
 // errors.Is.
-var ErrLegacyFormat = errors.New("store was written in a legacy on-disk format; convert it offline with diskstore.Upgrade")
+var ErrLegacyFormat = errors.New("store was written in a legacy on-disk format; rebuild it with pgsgen -store DIR")
 
-// Upgrade converts a legacy store in dir (see ErrLegacyFormat) to the
-// current format and closes it; on a current-format store it does
-// nothing. It needs exclusive access. The legacy files are opened as a
-// legacy source epoch — only vertex and property records, the edges'
-// (src, dst, type) triples (and any WAL a live session left) are
-// trusted; the label index is rebuilt by scanning — and Finalize writes
-// the current base as a new generation and commits it. An upgrade that
-// fails or crashes before that commit leaves the legacy store as it was,
-// plus orphans the next Upgrade sweeps.
-func Upgrade(dir string, opts Options) error {
-	m, ok, err := readManifest(dir)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("diskstore: %s: no store to upgrade", dir)
-	}
-	if !m.legacy() {
-		return nil
-	}
-	s, err := open(dir, opts, true)
-	if err != nil {
-		return err
-	}
-	if err := s.Finalize(); err != nil {
-		s.closeFiles() // no Flush: it would commit the legacy files as current
-		return err
-	}
-	return s.Close()
-}
-
-func open(dir string, opts Options, upgrade bool) (*Store, error) {
+// Open creates (or reopens) a store in dir. A store written by an
+// earlier release is refused with ErrLegacyFormat before any file in dir
+// is touched.
+func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.PageSize%vertexRecSize != 0 || opts.PageSize%propRecSize != 0 {
 		return nil, fmt.Errorf("diskstore: page size %d must be a multiple of record sizes", opts.PageSize)
@@ -452,8 +407,7 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	legacy := haveManifest && m.legacy()
-	if legacy && !upgrade {
+	if haveManifest && m.Version < formatVersion {
 		return nil, fmt.Errorf("diskstore: %s (format v%d): %w", dir, m.Version, ErrLegacyFormat)
 	}
 	gen := int64(0)
@@ -485,12 +439,6 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 		pager:   pg,
 		byLabel: map[int][]storage.VID{},
 	}
-	if legacy {
-		if ep.legacy, err = openLegacy(dir, gen, m); err != nil {
-			ep.closeFiles()
-			return nil, err
-		}
-	}
 	ep.pins.Store(1)
 	s.cur = ep
 	s.generation.Store(gen)
@@ -516,17 +464,14 @@ func open(dir string, opts Options, upgrade bool) (*Store, error) {
 	sweepOrphans(dir, gen)
 	// Restore the label-scan index and value postings: they are persisted
 	// alongside the generation, so opening costs O(index size). A store
-	// whose index file is missing, torn, or out of step with the manifest —
-	// and a legacy store being upgraded — rebuilds them from a full vertex
-	// scan.
+	// whose index file is missing, torn, or out of step with the manifest
+	// rebuilds them, and the statistics, from a full vertex scan.
 	if haveManifest {
-		if !legacy && s.loadIndex(ep) {
+		if s.loadIndex(ep) {
 			s.indexLoaded = true
 			s.indexCurrent = true
-		} else {
-			if err := ep.scanIndex(); err != nil {
-				return nil, err
-			}
+		} else if err := ep.scanIndex(len(s.types)); err != nil {
+			return nil, err
 		}
 	}
 	s.delta = newDelta(ep.numVertices, ep.numEdges)
@@ -561,17 +506,13 @@ func readManifest(dir string) (manifest, bool, error) {
 		return m, false, err
 	}
 	if m.Version < 2 || m.Version > formatVersion {
-		return m, false, fmt.Errorf("diskstore: store format v%d is not supported (want v%d, or v2..v%d through Upgrade); rebuild the store", m.Version, formatVersion, formatVersion-1)
+		return m, false, fmt.Errorf("diskstore: store format v%d is not supported (want v%d); rebuild the store", m.Version, formatVersion)
 	}
 	if m.Generation < 0 {
 		return m, false, fmt.Errorf("diskstore: negative base generation %d in manifest", m.Generation)
 	}
 	return m, true, nil
 }
-
-// legacy reports a store Open refuses and Upgrade converts: an earlier
-// format version.
-func (m manifest) legacy() bool { return m.Version < formatVersion }
 
 // sweepOrphans removes base-generation files that do not belong to the
 // committed generation and leftover temp files — the residue of a
@@ -608,10 +549,9 @@ func sweepOrphans(dir string, gen int64) {
 }
 
 // genFileNames are the names of one generation's files: the record
-// files, the index, and a legacy store's degree records, which an
-// Upgrade reads and then retires with the rest of its source generation.
+// files and the index.
 func genFileNames() []string {
-	return append(baseFileNames[:], indexFileName, legacyDegreesName)
+	return append(baseFileNames[:], indexFileName)
 }
 
 // isGenFile reports whether name is a base-generation file of some
@@ -678,10 +618,7 @@ func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) e
 		Version: formatVersion, Generation: ep.gen,
 		Labels: labels, Types: types, Keys: keys,
 		NumVertices: ep.numVertices, NumEdges: ep.numEdges, NumProps: ep.numProps,
-		BlobSize:  ep.blobSize,
-		Segmented: true, Compressed: true,
-		EdgeBytes: ep.edgeBytes,
-		WalSeq:    walSeq,
+		BlobSize: ep.blobSize, EdgeBytes: ep.edgeBytes, WalSeq: walSeq,
 	})
 	if err != nil {
 		return err
@@ -847,20 +784,25 @@ func (r vertexRec) encode() (buf [vertexRecSize]byte) {
 	return buf
 }
 
-// scanIndex rebuilds the label index and the value postings from a scan
-// of every vertex's labels and properties, for an Open that found no
-// loadable index file.
-func (ep *epoch) scanIndex() error {
+// scanIndex rebuilds the label index, the value postings and the
+// statistics from a scan of every vertex's labels, properties and type
+// directory, for an Open that found no loadable index file. numTypes is
+// the size of the type table.
+func (ep *epoch) scanIndex(numTypes int) error {
 	var b propindex.Builder
 	var run []keyVal
 	var runBuf, blobBuf []byte
+	typeCounts := make([]int64, numTypes)
 	for v := int64(0); v < ep.numVertices; v++ {
-		labels, r, err := ep.sourceVertex(storage.VID(v), run[:0], &runBuf, &blobBuf)
+		rec, r, err := ep.sourceVertex(storage.VID(v), run[:0], &runBuf, &blobBuf)
 		if err != nil {
 			return err
 		}
 		run = r
-		for _, id := range labelBitsToIDs(labels) {
+		if err := ep.addTypeCounts(rec, typeCounts, &runBuf); err != nil {
+			return fmt.Errorf("vertex %d: %w", v, err)
+		}
+		for _, id := range labelBitsToIDs(rec.labels) {
 			ep.byLabel[id] = append(ep.byLabel[id], storage.VID(v))
 			for _, kv := range run {
 				b.Add(int32(id), int32(kv.keyID), storage.VID(v), kv.val)
@@ -868,7 +810,33 @@ func (ep *epoch) scanIndex() error {
 		}
 	}
 	ep.values = b.Finish()
+	ep.typeCounts, ep.statsValid = typeCounts, true
 	return nil
+}
+
+// addTypeCounts adds base vertex rec's out-degree in each type, read from
+// its directory alone, to counts. sc is scratch.
+func (ep *epoch) addTypeCounts(rec vertexRec, counts []int64, sc *[]byte) error {
+	if rec.nTypes == 0 {
+		return nil
+	}
+	dir, err := ep.readBlock(rec, sc, true)
+	if err != nil {
+		return err
+	}
+	var typeErr error
+	err = walkDir(rec, dir, func(d dirEntry, _, _, _ uint64) bool {
+		if int(d.typeID) >= len(counts) {
+			typeErr = corruptf("directory names edge type %d of %d", d.typeID, len(counts))
+			return false
+		}
+		counts[d.typeID] += int64(d.outDeg)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	return typeErr
 }
 
 // baseProp returns base vertex v's value of key as the generation's files

@@ -3,8 +3,10 @@ package diskstore
 import (
 	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -341,8 +343,10 @@ func rewriteManifestVersion(t *testing.T, dir string, version int) {
 
 // TestUnknownFormatVersionRejected: Open serves exactly one manifest
 // version. The four an earlier release wrote are refused with the typed
-// error that points at Upgrade; v1 and versions from the future are
-// plain rejections.
+// error that says to rebuild the store with pgsgen; v1 and versions from
+// the future are plain rejections. Every refusal comes before Open
+// touches a file: a left-over WAL is neither replayed nor truncated, and
+// an orphan generation file is not swept.
 func TestUnknownFormatVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -353,16 +357,31 @@ func TestUnknownFormatVersionRejected(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if st, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || st.Size() == 0 {
+		t.Fatalf("precondition: the live write left no WAL (err=%v)", err)
+	}
+	orphan := genFileName(baseFileNames[fileVertices], 9)
+	if err := os.WriteFile(filepath.Join(dir, orphan), []byte("orphan"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		version int
 		legacy  bool
 	}{{1, false}, {2, true}, {3, true}, {4, true}, {5, true}, {formatVersion + 1, false}} {
 		rewriteManifestVersion(t, dir, tc.version)
+		before := dirState(t, dir)
 		_, err := Open(dir, Options{})
 		if err == nil {
-			t.Errorf("format v%d accepted", tc.version)
-		} else if got := errors.Is(err, ErrLegacyFormat); got != tc.legacy {
+			t.Fatalf("format v%d accepted", tc.version)
+		}
+		if got := errors.Is(err, ErrLegacyFormat); got != tc.legacy {
 			t.Errorf("format v%d: errors.Is(err, ErrLegacyFormat) = %v, want %v (err: %v)", tc.version, got, tc.legacy, err)
+		}
+		if tc.legacy && !strings.Contains(err.Error(), "pgsgen") {
+			t.Errorf("format v%d: refusal %q does not name pgsgen", tc.version, err)
+		}
+		if !maps.Equal(before, dirState(t, dir)) {
+			t.Errorf("refused Open of format v%d modified the store directory", tc.version)
 		}
 	}
 }

@@ -19,9 +19,9 @@ package diskstore
 // and a frozen delta (the live delta's fold prefix, or the load set). It
 // writes generation N+1 beside generation N and commit makes it current
 // with one manifest rename, so no file a committed manifest names is ever
-// rewritten. It is also the conversion step for legacy stores (Upgrade),
-// because it never trusts any derived structure: only the src/dst/type
-// triples of the edges, and each vertex's labels and properties.
+// rewritten. It trusts no derived structure of its input: only the
+// src/dst/type triples of the edges, and each vertex's labels and
+// properties.
 
 import (
 	"bufio"
@@ -146,11 +146,34 @@ type keyVal struct {
 	val   graph.Value
 }
 
+// sourceVertex reads base vertex v as writeGeneration and scanIndex
+// consume it: its record and its properties, appended to run in key-ID
+// order. runBuf and blobBuf are scratch.
+func (ep *epoch) sourceVertex(v storage.VID, run []keyVal, runBuf, blobBuf *[]byte) (vertexRec, []keyVal, error) {
+	rec, err := ep.readVertex(v)
+	if err != nil {
+		return rec, nil, err
+	}
+	data, err := ep.readRun(rec, runBuf)
+	if err != nil {
+		return rec, nil, fmt.Errorf("vertex %d: %w", v, err)
+	}
+	for i := range len(data) / propRecSize {
+		pr := decodePropRec(data[i*propRecSize:])
+		val, err := ep.decodeValue(pr, blobBuf)
+		if err != nil {
+			return rec, nil, fmt.Errorf("vertex %d key %d: %w", v, pr.keyID, err)
+		}
+		run = append(run, keyVal{keyID: int(pr.keyID), val: val})
+	}
+	return rec, run, nil
+}
+
 // writeGeneration is the finalize sort pass. It reads its two inputs
-// directly — the epoch from (through sourceVertex and forEachEdgeLite,
-// which also read a legacy epoch) and the frozen delta fd on top of it —
-// and streams generation gen into the store directory as four fresh
-// files. It never writes a file it reads.
+// directly — the epoch from (through sourceVertex and forEachEdgeLite)
+// and the frozen delta fd on top of it — and streams generation gen into
+// the store directory as four fresh files. It never writes a file it
+// reads.
 //
 // Vertices keep their IDs: from's, then fd's in VID order. A vertex's
 // labels are its record bits plus fd's additions; its properties are its
@@ -285,10 +308,11 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		var over map[int]graph.Value
 		run = run[:0]
 		if v < from.numVertices {
-			var err error
-			if rec.labels, run, err = from.sourceVertex(storage.VID(v), run, &runBuf, &blobBuf); err != nil {
+			base, r, err := from.sourceVertex(storage.VID(v), run, &runBuf, &blobBuf)
+			if err != nil {
 				return fail(err)
 			}
+			rec.labels, run = base.labels, r
 			labelAdds, over = fd.labelAdds[storage.VID(v)], fd.propOver[storage.VID(v)]
 		} else {
 			fv := &fd.verts[v-from.numVertices]
@@ -436,8 +460,8 @@ func groupEdges(n int, nV int64, key func(int) int64) []int32 {
 
 // mergeRun applies a vertex's overrides to its property run, reusing
 // run's array: the values in over replace their keys' in place, the keys
-// only over has are added, and the whole run is sorted by key ID — a
-// legacy chain's order is not.
+// only over has are added, and the run, sorted by key ID as stored, is
+// sorted again for the added keys.
 func mergeRun(run []keyVal, over map[int]graph.Value) []keyVal {
 	for i := range run {
 		if val, ok := over[run[i].keyID]; ok {

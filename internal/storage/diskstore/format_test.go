@@ -1,11 +1,9 @@
 package diskstore
 
 // On-disk format tests: persisted index opens, type-segmented adjacency,
-// bulk finalize, the refuse-then-Upgrade contract for the committed
-// golden v3/v4/v5 fixtures, and crash-safe (atomic) flushes.
+// bulk finalize, and crash-safe (atomic) flushes.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,9 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cypher"
-	"repro/internal/graph"
-	"repro/internal/query"
 	"repro/internal/storage"
 	"repro/internal/storage/storetest"
 )
@@ -98,8 +93,9 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 // value postings); and ones whose value postings a valid CRC covers but
 // the parser must refuse — a run longer than the postings, a posting
 // past the last vertex, a slot naming no range. Either way the open must
-// silently rebuild by scanning and read back as built, and its Close must
-// rewrite an index the next open loads.
+// silently rebuild by scanning and read back as built, edge-type
+// statistics included, and its Close must rewrite an index the next open
+// loads with those statistics.
 func TestCorruptIndexFallsBackToScan(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -123,6 +119,10 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := storetest.Fingerprint(s)
+			wantTypes := s.EdgeTypeCounts()
+			if len(wantTypes) == 0 {
+				t.Fatalf("precondition: the finalized store reports edge-type counts %v", wantTypes)
+			}
 			path := s.indexPath(s.Format().Generation)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -145,6 +145,9 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 			if got := storetest.Fingerprint(re); got != want {
 				t.Error("scan fallback store diverges")
 			}
+			if got := re.EdgeTypeCounts(); !maps.Equal(got, wantTypes) {
+				t.Errorf("scan fallback EdgeTypeCounts = %v, want %v", got, wantTypes)
+			}
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -158,6 +161,9 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 			}
 			if got := storetest.Fingerprint(again); got != want {
 				t.Error("store reopened over the rewritten index diverges")
+			}
+			if got := again.EdgeTypeCounts(); !maps.Equal(got, wantTypes) {
+				t.Errorf("EdgeTypeCounts over the rewritten index = %v, want %v", got, wantTypes)
 			}
 		})
 	}
@@ -290,38 +296,8 @@ func TestSegmentedTypedTraversalReadsFewerPages(t *testing.T) {
 	}
 }
 
-// runQuerySorted executes a Cypher query and returns its rows in
-// comparison order.
-func runQuerySorted(t *testing.T, g storage.Graph, src string) [][]string {
-	t.Helper()
-	q, err := cypher.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := query.Run(g, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	query.SortRowsForComparison(res.Rows)
-	out := make([][]string, len(res.Rows))
-	for i, row := range res.Rows {
-		for _, v := range row {
-			out[i] = append(out[i], v.String())
-		}
-	}
-	return out
-}
-
-// upgradeQueries exercise label scans, typed expands in both directions,
-// and typed aggregation over the BuildRandom vocabulary.
-var upgradeQueries = []string{
-	`MATCH (a:A)-[:r1]->(b) RETURN a.p0, b.p1`,
-	`MATCH (a)-[:r2]->(b:B) RETURN COUNT(*)`,
-	`MATCH (a:C)<-[:r3]-(b) RETURN a.p2, COUNT(b.p0)`,
-}
-
-// copyDir copies the flat fixture directory into a scratch dir so tests
-// never mutate the committed golden files.
+// copyDir copies the flat store directory src into a scratch dir and
+// returns the copy.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -362,304 +338,6 @@ func dirState(t *testing.T, dir string) map[string]string {
 		state[e.Name()] = fmt.Sprintf("%d %x", info.ModTime().UnixNano(), data)
 	}
 	return state
-}
-
-// checkGoldenUpgrade is the legacy-store contract on one committed
-// fixture (the CI format-compat gate): Open refuses it with
-// ErrLegacyFormat and leaves the directory untouched; Upgrade converts it
-// in place; the result opens as a current-format store — finalized,
-// indexed, live, with statistics — whose every observable bit matches the
-// fingerprint recorded when the fixture was written; and a second Upgrade
-// is a no-op.
-func checkGoldenUpgrade(t *testing.T, fixture string) {
-	t.Helper()
-	want, err := os.ReadFile(filepath.Join(fixture, "FINGERPRINT.txt"))
-	if err != nil {
-		t.Fatalf("missing golden fixture: %v", err)
-	}
-	dir := copyDir(t, fixture)
-	opts := Options{PageSize: 512, CachePages: 32}
-
-	before := dirState(t, dir)
-	if _, err := Open(dir, opts); !errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("Open of a legacy store: err = %v, want ErrLegacyFormat", err)
-	}
-	if !maps.Equal(before, dirState(t, dir)) {
-		t.Fatal("refused Open modified the legacy store directory")
-	}
-
-	// An earlier build's upgrade that crashed mid-rewrite left its marker;
-	// neither Open nor Upgrade may take the half-rewritten files at face
-	// value.
-	marker := filepath.Join(dir, finalizeMarker)
-	if err := os.WriteFile(marker, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := Upgrade(dir, opts); !errors.Is(err, ErrFinalizeInterrupted) {
-		t.Fatalf("Upgrade over an interrupted upgrade: err = %v, want ErrFinalizeInterrupted", err)
-	}
-	if err := os.Remove(marker); err != nil {
-		t.Fatal(err)
-	}
-
-	// An upgrade that crashed before its commit left the next
-	// generation's files behind, and an earlier build's fold its fold.tmp
-	// scratch directory: the store is still legacy, and the next Upgrade
-	// sweeps them.
-	m, _, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genNames := append(baseFileNames[:], indexFileName)
-	orphans := []string{filepath.Join("fold.tmp", "vertices.db")}
-	for _, name := range genNames {
-		orphans = append(orphans, genFileName(name, m.Generation+1))
-	}
-	if err := os.Mkdir(filepath.Join(dir, "fold.tmp"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range orphans {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Open(dir, opts); !errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("Open of a legacy store with orphans: err = %v, want ErrLegacyFormat", err)
-	}
-
-	if err := Upgrade(dir, opts); err != nil {
-		t.Fatalf("Upgrade: %v", err)
-	}
-	if m, _, err = readManifest(dir); err != nil {
-		t.Fatal(err)
-	}
-	keep := map[string]bool{"manifest.json": true, "FINGERPRINT.txt": true}
-	for _, name := range genNames {
-		keep[genFileName(name, m.Generation)] = true
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !keep[e.Name()] {
-			t.Errorf("Upgrade left %s beside the committed generation %d", e.Name(), m.Generation)
-		}
-	}
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("upgraded store rejected: %v", err)
-	}
-	checkLayout(t, s, "after Upgrade")
-	if got := s.Format(); got.Version != formatVersion || !got.IndexLoaded {
-		t.Errorf("upgraded store opened as %+v, want v%d indexed", got, formatVersion)
-	}
-	if !s.Live() {
-		t.Error("upgraded store is not live")
-	}
-	if got := storetest.Fingerprint(s); got != string(want) {
-		t.Error("upgraded store diverges from the recorded fingerprint")
-	}
-	storetest.CheckFastEquivalence(t, s, s)
-	for _, q := range upgradeQueries {
-		if len(runQuerySorted(t, s, q)) == 0 {
-			t.Errorf("query %q returned no rows on the upgraded store", q)
-		}
-	}
-	if storage.Statistics(s).EdgeTypeCounts() == nil {
-		t.Error("upgraded store has no persisted edge-type counts")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	upgraded := dirState(t, dir)
-	if err := Upgrade(dir, opts); err != nil {
-		t.Fatalf("second Upgrade: %v", err)
-	}
-	if !maps.Equal(upgraded, dirState(t, dir)) {
-		t.Error("Upgrade of a current-format store touched its files")
-	}
-}
-
-// TestGoldenV3Store: testdata/golden-v3 was written by the v3 code before
-// the v4 refactor — incremental build, 32-byte degree records, no
-// index.db.
-func TestGoldenV3Store(t *testing.T) { checkGoldenUpgrade(t, "testdata/golden-v3") }
-
-// TestGoldenV4Store: testdata/golden-v4 was written by the v4 code before
-// compression became the only layout — bulk build, type-segmented 64-byte
-// edge records, a PGSIDX04 index.
-func TestGoldenV4Store(t *testing.T) { checkGoldenUpgrade(t, "testdata/golden-v4") }
-
-// TestGoldenV5Store: testdata/golden-v5 was written by the v5 code before
-// the vertex-local layout — BuildRandom seed 37 (60 vertices, 160 edges),
-// 40 live mutations (applyLiveStream seed 38) folded into generation 2:
-// property chains, a degrees.db of per-type degree records locating the
-// delta-varint segments, a PGSIDX05 index. Its WAL, empty after the fold,
-// is not part of the fixture.
-func TestGoldenV5Store(t *testing.T) { checkGoldenUpgrade(t, "testdata/golden-v5") }
-
-// TestUpgradeReplaysLegacyWAL: a legacy v4 store that took live writes
-// carries them in wal.db, not in its base files, and Upgrade must fold
-// them in rather than drop acknowledged mutations. The golden-v4 fixture
-// has no WAL, so one is borrowed from a current-format twin built by the
-// fixture's own recipe (WAL records name symbols by string and vertices
-// by absolute VID, so they replay onto either base).
-func TestUpgradeReplaysLegacyWAL(t *testing.T) {
-	opts := Options{PageSize: 512, CachePages: 32}
-	twinDir := t.TempDir()
-	twin, err := Open(twinDir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := storetest.BuildRandom(twin, 21, 60, 160); err != nil {
-		t.Fatal(err)
-	}
-	base, err := os.ReadFile("testdata/golden-v4/FINGERPRINT.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if storetest.Fingerprint(twin) != string(base) {
-		t.Fatal("precondition: the golden-v4 recipe no longer rebuilds the fixture's graph")
-	}
-	applyLiveStream(t, 5, 40, twin, storetest.RandomBatch(21, 60, 160))
-	want := storetest.Fingerprint(twin)
-	if err := twin.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wal, err := os.ReadFile(filepath.Join(twinDir, walFileName))
-	if err != nil || len(wal) == 0 {
-		t.Fatalf("twin left no WAL to borrow (err=%v)", err)
-	}
-	dir := copyDir(t, "testdata/golden-v4")
-	// The twin's records carry its base generation (1, after its bulk
-	// Finalize). Replay refuses records from a generation newer than the
-	// manifest's, so the borrowed log is re-stamped with the fixture's.
-	m, _, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches, _ := parseWAL(wal, ^uint32(0))
-	w, err := openWAL(filepath.Join(dir, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		ops, err := encodeWALOps(b.ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.append(ops, len(b.ops), uint32(m.Generation)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := Upgrade(dir, opts); err != nil {
-		t.Fatalf("Upgrade: %v", err)
-	}
-	if st, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || st.Size() != 0 {
-		t.Errorf("WAL not checkpointed by the upgrade's commit (size/err: %v/%v)", st, err)
-	}
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := storetest.Fingerprint(s); got != want {
-		t.Error("upgraded store lost or altered the legacy WAL's mutations")
-	}
-	if ls := s.LiveStats(); ls.DeltaVertices != 0 || ls.DeltaEdges != 0 {
-		t.Errorf("legacy WAL replayed again after the upgrade folded it: %+v", ls)
-	}
-}
-
-// TestUnfinalizedV5StoreIsLegacy: an earlier build could close a v5
-// store built by single AddEdge calls without finalizing it — manifest
-// "compressed" false, 64-byte edge records in edges.db, properties in
-// chained records. Open refuses it with ErrLegacyFormat and leaves it as
-// found; Upgrade converts it through the record scan, into the graph the
-// records describe.
-func TestUnfinalizedV5StoreIsLegacy(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, recs ...[]byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), bytes.Join(recs, nil), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The v5 record layouts (see legacy.go).
-	vertex := func(labels uint64, firstProp int64) []byte {
-		var b [vertexRecSize]byte
-		b[0] = 1
-		binary.LittleEndian.PutUint64(b[1:], labels)
-		binary.LittleEndian.PutUint64(b[33:], uint64(firstProp))
-		return b[:]
-	}
-	prop := func(keyID uint32, kind graph.Kind, a, n uint64, next int64) []byte {
-		var b [legacyPropRecSize]byte
-		b[0] = 1
-		binary.LittleEndian.PutUint32(b[1:], keyID)
-		b[5] = byte(kind)
-		binary.LittleEndian.PutUint64(b[6:], a)
-		binary.LittleEndian.PutUint64(b[14:], n)
-		binary.LittleEndian.PutUint64(b[22:], uint64(next))
-		return b[:]
-	}
-	edge := func(typeID uint32, src, dst int64) []byte {
-		var b [legacyEdgeRecSize]byte
-		b[0] = 1
-		binary.LittleEndian.PutUint32(b[1:], typeID)
-		binary.LittleEndian.PutUint64(b[5:], uint64(src))
-		binary.LittleEndian.PutUint64(b[13:], uint64(dst))
-		return b[:]
-	}
-	write("vertices.db", vertex(1, 1), vertex(2, 0), vertex(3, 0))
-	write("props.db",
-		prop(0, graph.KindString, 0, 7, 2),
-		prop(1, graph.KindInt, 1, 0, 0))
-	write("blobs.db", []byte("aspirin"))
-	write("edges.db", edge(0, 0, 1), edge(1, 1, 2), edge(0, 0, 2))
-	write("degrees.db")
-	write("manifest.json", []byte(`{"version":5,"labels":["A","B"],"types":["r1","r2"],"keys":["name","rank"],`+
-		`"num_vertices":3,"num_edges":3,"num_props":2,"blob_size":7}`))
-
-	model := &storetest.Batch{}
-	for _, labels := range [][]string{{"A"}, {"B"}, {"A", "B"}} {
-		model.Vertex(labels...)
-	}
-	model.Prop(0, "name", graph.S("aspirin"))
-	model.Prop(0, "rank", graph.I(1))
-	model.Edge(0, 1, "r1")
-	model.Edge(1, 2, "r2")
-	model.Edge(0, 2, "r1")
-
-	opts := Options{PageSize: 512, CachePages: 8}
-	before := dirState(t, dir)
-	if _, err := Open(dir, opts); !errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("Open of an unfinalized v5 store: err = %v, want ErrLegacyFormat", err)
-	}
-	if !maps.Equal(before, dirState(t, dir)) {
-		t.Fatal("refused Open modified the store directory")
-	}
-	if err := Upgrade(dir, opts); err != nil {
-		t.Fatalf("Upgrade: %v", err)
-	}
-	s, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("upgraded store rejected: %v", err)
-	}
-	defer s.Close()
-	if got, want := storetest.Fingerprint(s), modelFingerprint(t, model); got != want {
-		t.Errorf("upgraded store diverges from its records\n got %s\nwant %s", got, want)
-	}
-	if f := s.Format(); f.Generation != 1 || f.EdgeBytes == 0 {
-		t.Errorf("upgraded store opened as %+v, want generation 1 with segments", f)
-	}
-	checkLayout(t, s, "after Upgrade")
 }
 
 // TestBulkFlushAutoFinalizes: closing a store with a pending bulk load

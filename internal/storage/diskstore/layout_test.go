@@ -1,11 +1,9 @@
 package diskstore
 
 // checkLayout is the test-only checker of a generation's vertex-local
-// layout; the tests run it after a load, after a fold and after Upgrade.
+// layout; the tests run it after a load and after a fold.
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/storage"
@@ -21,14 +19,10 @@ import (
 //     record's untyped degrees and its segments decode to exactly those
 //     degrees, out-EIDs counting on from the record's firstOutEID;
 //   - the blocks, in vertex order, tile edges.db, and the out-EIDs tile
-//     the edge IDs;
-//   - no degrees.db is left in the generation.
+//     the edge IDs.
 func checkLayout(t *testing.T, s *Store, when string) {
 	t.Helper()
 	ep := s.curEp()
-	if ep.legacy != nil {
-		t.Fatalf("%s: the current epoch is a legacy one", when)
-	}
 	var props, cursor, eids uint64
 	sc := segScratch.Get().(*[]byte)
 	defer segScratch.Put(sc)
@@ -119,8 +113,5 @@ func checkLayout(t *testing.T, s *Store, when string) {
 		if got := ep.pager.sizes[f]; got != want {
 			t.Errorf("%s: %s holds %d bytes, want %d", when, baseFileNames[f], got, want)
 		}
-	}
-	if _, err := os.Stat(filepath.Join(s.dir, genFileName(legacyDegreesName, ep.gen))); !os.IsNotExist(err) {
-		t.Errorf("%s: generation %d has a %s (err %v)", when, ep.gen, legacyDegreesName, err)
 	}
 }

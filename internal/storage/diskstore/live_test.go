@@ -1111,10 +1111,10 @@ func TestIndexTornWriteFallback(t *testing.T) {
 	})
 }
 
-// TestV4StoreWithoutWALOpensClean: format compatibility — stores written
-// before the WAL existed (or compacted and cleanly closed) have no
-// wal.db and must open exactly as before.
-func TestV4StoreWithoutWALOpensClean(t *testing.T) {
+// TestStoreWithoutWALOpensClean: a store that never took a live write
+// (or was compacted and cleanly closed) has no wal.db and must open
+// exactly as it was closed.
+func TestStoreWithoutWALOpensClean(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openLivePair(t, dir)
 	want := storetest.Fingerprint(s)

@@ -362,13 +362,9 @@ func (ep *epoch) typedDegree(rec vertexRec, etype storage.SymbolID, out bool) (i
 // forEachEdgeLite enumerates every base edge as a (src, dst, type)
 // triple in EID order: each vertex's out segments in directory order
 // (vertex order x ascending type x ascending dst is exactly EID order
-// under writeGeneration's sort), or, on a legacy epoch, through
-// legacy.go's readers. writeGeneration gathers the base's edges through
-// this.
+// under writeGeneration's sort). writeGeneration gathers the base's
+// edges through this.
 func (ep *epoch) forEachEdgeLite(fn func(edgeLite) error) error {
-	if ep.legacy != nil {
-		return ep.legacyEdges(fn)
-	}
 	sc := segScratch.Get().(*[]byte)
 	defer segScratch.Put(sc)
 	for v := int64(0); v < ep.numVertices; v++ {

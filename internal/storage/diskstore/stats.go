@@ -2,7 +2,7 @@ package diskstore
 
 // storage.Statistics: real per-label and per-edge-type cardinalities.
 // The type counts are persisted in index.db's statistics block (see
-// index.go) and rebuilt on every Finalize/Compact.
+// index.go), rebuilt on every Finalize/Compact and by Open's scan.
 
 // LabelCounts returns the exact number of vertices per label, including
 // any live delta beyond the base.
@@ -21,7 +21,7 @@ func (s *Store) LabelCounts() map[string]int {
 // statistics block. Live delta edges accumulated since the last
 // Finalize/Compact are not broken down by type, so counts lag the base
 // by at most the delta size; nil means the base carries no statistics
-// (a store with no generation written yet, or a torn index file).
+// (a store with no generation written yet).
 func (s *Store) EdgeTypeCounts() map[string]int {
 	ep := s.curEp()
 	if !ep.statsValid {

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"maps"
 	"os"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 
 // TestStatisticsRoundTrip checks the statistics block end to end:
 // label and edge-type counts survive Flush/Close/Open via index.db, and
-// deleting index.db degrades to no edge-type counts instead of wrong
-// ones.
+// an Open without index.db rebuilds the same edge-type counts by
+// scanning.
 func TestStatisticsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 64})
@@ -70,8 +71,8 @@ func TestStatisticsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Without index.db the store still opens (index rebuilt by scan) but
-	// has no edge statistics: nil type counts.
+	// Without index.db the store still opens, and its scan rebuilds the
+	// index and the edge-type counts from the type directories.
 	if err := os.Remove(idx); err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +81,11 @@ func TestStatisticsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	if got := storage.Statistics(cold).EdgeTypeCounts(); got != nil {
-		t.Fatalf("store without index.db returned EdgeTypeCounts %v, want nil", got)
+	if cold.Format().IndexLoaded {
+		t.Fatal("store without index.db claims IndexLoaded")
+	}
+	if got := storage.Statistics(cold).EdgeTypeCounts(); !maps.Equal(got, etc) {
+		t.Fatalf("store without index.db returned EdgeTypeCounts %v, want %v", got, etc)
 	}
 }
 
