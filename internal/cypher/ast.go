@@ -9,6 +9,7 @@
 package cypher
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -48,11 +49,12 @@ type PathPattern struct {
 }
 
 // NodePattern matches a vertex: optional variable, zero or more label
-// constraints, and optional property equality constraints.
+// constraints, and optional property equality constraints. Each
+// constraint's value is a *Literal, or a *Param in a shape key's tree.
 type NodePattern struct {
 	Var    string
 	Labels []string
-	Props  map[string]graph.Value
+	Props  map[string]Expr
 }
 
 // RelPattern matches one edge: optional variable, optional type
@@ -103,6 +105,13 @@ type VarRef struct {
 // Literal is a constant value.
 type Literal struct {
 	Val graph.Value
+}
+
+// Param is a parameter slot: a literal a shape key lifted out of the
+// query text (see Shape), bound to a value per execution. Only inline
+// property constraints and WHERE comparison operands hold one.
+type Param struct {
+	Slot int
 }
 
 // BinaryOp enumerates binary operators.
@@ -166,6 +175,7 @@ type FuncCall struct {
 func (*PropAccess) expr() {}
 func (*VarRef) expr()     {}
 func (*Literal) expr()    {}
+func (*Param) expr()      {}
 func (*Binary) expr()     {}
 func (*Not) expr()        {}
 func (*FuncCall) expr()   {}
@@ -220,8 +230,8 @@ func Vars(e Expr, into map[string]bool) {
 // ---- rendering ----
 //
 // Rendering is the parser's inverse: Parse(q.String()) yields a query
-// structurally equal to q (FuzzParse holds it to that), because the
-// server's plan cache compiles the rendered text, not the client's.
+// structurally equal to q (FuzzParse holds it to that), and a served
+// query's "query" field is the rendering of what it executed.
 
 // ident renders a label, type, key, variable or alias, backquoting any
 // name the lexer would not read back as one identifier token.
@@ -259,47 +269,55 @@ func optIdent(s string) string {
 // a '.', never in exponent form and never as an integer. graph.Value's
 // String is a display form and does neither.
 func literal(v graph.Value) string {
+	return string(appendLiteral(nil, v))
+}
+
+// appendLiteral appends literal(v) to b.
+func appendLiteral(b []byte, v graph.Value) []byte {
 	switch v.Kind() {
 	case graph.KindString:
-		var b strings.Builder
-		b.Grow(len(v.Str()) + 2)
-		b.WriteByte('"')
+		b = append(b, '"')
 		for i := 0; i < len(v.Str()); i++ {
 			switch c := v.Str()[i]; c {
 			case '\\', '"':
-				b.WriteByte('\\')
-				b.WriteByte(c)
+				b = append(b, '\\', c)
 			case '\n':
-				b.WriteString(`\n`)
+				b = append(b, `\n`...)
 			case '\t':
-				b.WriteString(`\t`)
+				b = append(b, `\t`...)
 			default:
-				b.WriteByte(c)
+				b = append(b, c)
 			}
 		}
-		b.WriteByte('"')
-		return b.String()
+		return append(b, '"')
 	case graph.KindFloat:
 		f := v.Float()
-		s := strconv.FormatFloat(f, 'f', -1, 64)
-		if !math.IsInf(f, 0) && !math.IsNaN(f) && !strings.Contains(s, ".") {
-			s += ".0"
+		n := len(b)
+		b = strconv.AppendFloat(b, f, 'f', -1, 64)
+		if !math.IsInf(f, 0) && !math.IsNaN(f) && !bytes.Contains(b[n:], []byte{'.'}) {
+			b = append(b, ".0"...)
 		}
-		return s
+		return b
+	case graph.KindInt:
+		return strconv.AppendInt(b, v.Int(), 10)
 	case graph.KindList:
-		parts := make([]string, len(v.List()))
+		b = append(b, '[')
 		for i, e := range v.List() {
-			parts[i] = literal(e)
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendLiteral(b, e)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return append(b, ']')
 	default:
-		return v.String()
+		return append(b, v.String()...)
 	}
 }
 
 func (p *PropAccess) String() string { return ident(p.Var) + "." + ident(p.Key) }
 func (v *VarRef) String() string     { return ident(v.Name) }
 func (l *Literal) String() string    { return literal(l.Val) }
+func (p *Param) String() string      { return "$" + strconv.Itoa(p.Slot) }
 
 // precedence ranks an expression by how loosely it binds, as the parser
 // reads it: OR, then AND, then NOT, then one comparison between terms.
@@ -379,7 +397,7 @@ func (n *NodePattern) String() string {
 			}
 			b.WriteString(ident(k))
 			b.WriteString(": ")
-			b.WriteString(literal(n.Props[k]))
+			b.WriteString(n.Props[k].String())
 		}
 		b.WriteByte('}')
 	}
@@ -467,9 +485,9 @@ func (q *Query) Clone() *Query {
 		for _, n := range p.Nodes {
 			cn := &NodePattern{Var: n.Var, Labels: append([]string(nil), n.Labels...)}
 			if n.Props != nil {
-				cn.Props = make(map[string]graph.Value, len(n.Props))
+				cn.Props = make(map[string]Expr, len(n.Props))
 				for k, v := range n.Props {
-					cn.Props[k] = v
+					cn.Props[k] = CloneExpr(v)
 				}
 			}
 			cp.Nodes = append(cp.Nodes, cn)
@@ -502,6 +520,9 @@ func CloneExpr(e Expr) Expr {
 		c := *x
 		return &c
 	case *Literal:
+		c := *x
+		return &c
+	case *Param:
 		c := *x
 		return &c
 	case *Binary:

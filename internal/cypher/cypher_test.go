@@ -60,10 +60,10 @@ func TestParsePathVariable(t *testing.T) {
 func TestParsePropertyMap(t *testing.T) {
 	q := MustParse(`MATCH (d:Drug {name: 'Aspirin', year: 1997}) RETURN d.brand`)
 	props := q.Patterns[0].Nodes[0].Props
-	if !props["name"].Equal(graph.S("Aspirin")) {
+	if !props["name"].(*Literal).Val.Equal(graph.S("Aspirin")) {
 		t.Errorf("props[name] = %v", props["name"])
 	}
-	if !props["year"].Equal(graph.I(1997)) {
+	if !props["year"].(*Literal).Val.Equal(graph.I(1997)) {
 		t.Errorf("props[year] = %v", props["year"])
 	}
 }
@@ -173,7 +173,7 @@ func TestLexerErrors(t *testing.T) {
 
 func TestStringEscapes(t *testing.T) {
 	q := MustParse(`MATCH (a:A {s: 'it\'s\n\t\\'}) RETURN a`)
-	got := q.Patterns[0].Nodes[0].Props["s"].Str()
+	got := q.Patterns[0].Nodes[0].Props["s"].(*Literal).Val.Str()
 	if got != "it's\n\t\\" {
 		t.Errorf("escaped string = %q", got)
 	}
@@ -238,7 +238,7 @@ func TestRenderLiteralsRoundTrip(t *testing.T) {
 	}
 }
 
-func nodeProp(q *Query) graph.Value { return q.Patterns[0].Nodes[0].Props["k"] }
+func nodeProp(q *Query) graph.Value { return q.Patterns[0].Nodes[0].Props["k"].(*Literal).Val }
 func whereRHS(q *Query) graph.Value { return q.Where.(*Binary).R.(*Literal).Val }
 
 // TestRenderKeepsStructure: parentheses, quoted names and empty names

@@ -3,6 +3,8 @@ package cypher
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // pointLookups are the served point-lookup templates (benchmark/stream.go)
@@ -51,4 +53,73 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("rendering is not stable: %q then %q", text, again)
 		}
 	})
+}
+
+// FuzzShape: Shape, then the parse of its key, accepts exactly what Parse
+// accepts, with Parse's error where both reject; where both accept,
+// binding the lifted values into the key's tree gives Parse's tree, and
+// the key's template renders what Parse's tree renders.
+func FuzzShape(f *testing.F) {
+	for _, src := range append(append([]string{}, paperQueries...), pointLookups...) {
+		f.Add(src)
+	}
+	f.Add(`MATCH (a:L {k: 1})-[:r]->(b:M {k: 1.0}) RETURN a`)
+	f.Add(`MATCH (a:L {k: 'x'})-[:r]->(b:M {k: 'x'}) WHERE a.n = 'x' OR 2 > b.m RETURN a.n, 'x' AS c ORDER BY c LIMIT 2`)
+	f.Add(`MATCH (a:L) WHERE size('abc') = 3 AND NOT a.x <> 1.5 RETURN a.where, 1 = 1`)
+	f.Add(`MATCH (a:L {where: 'w', return: 7}) WHERE a.return='r'5 RETURN a`)
+	f.Add(`MATCH (a:L {k: $0}) RETURN a`)
+	f.Fuzz(func(t *testing.T, src string) {
+		want, perr := Parse(src)
+		key, args, serr := Shape(src)
+		if serr != nil {
+			if perr == nil || perr.Error() != serr.Error() {
+				t.Fatalf("%q: Shape fails with %v, Parse with %v", src, serr, perr)
+			}
+			return
+		}
+		q, kerr := parse(key, true)
+		if (kerr == nil) != (perr == nil) {
+			t.Fatalf("%q: Parse error %v, but its key %q: %v", src, perr, key, kerr)
+		}
+		if perr != nil {
+			return
+		}
+		if got := NewTemplate(q).Render(args); got != want.String() {
+			t.Fatalf("%q: key %q renders as %q, want %q", src, key, got, want.String())
+		}
+		bindParams(q, args)
+		if !reflect.DeepEqual(q, want) {
+			t.Fatalf("%q: key %q bound to %v is not Parse's tree", src, key, args)
+		}
+	})
+}
+
+// bindParams replaces every parameter slot of q with its value.
+func bindParams(q *Query, args []graph.Value) {
+	var bind func(e Expr) Expr
+	bind = func(e Expr) Expr {
+		switch x := e.(type) {
+		case *Param:
+			return &Literal{Val: args[x.Slot]}
+		case *Binary:
+			x.L, x.R = bind(x.L), bind(x.R)
+		case *Not:
+			x.E = bind(x.E)
+		case *FuncCall:
+			for i, a := range x.Args {
+				x.Args[i] = bind(a)
+			}
+		}
+		return e
+	}
+	for _, p := range q.Patterns {
+		for _, n := range p.Nodes {
+			for k, v := range n.Props {
+				n.Props[k] = bind(v)
+			}
+		}
+	}
+	if q.Where != nil {
+		q.Where = bind(q.Where)
+	}
 }

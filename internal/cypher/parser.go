@@ -17,7 +17,12 @@ var reserved = map[string]bool{
 
 // Parse parses a Cypher query in the supported fragment.
 func Parse(src string) (*Query, error) {
-	toks, err := lex(src)
+	return parse(src, false)
+}
+
+// parse parses src; params admits the $n parameter slots of a shape key.
+func parse(src string, params bool) (*Query, error) {
+	toks, err := lex(src, params)
 	if err != nil {
 		return nil, err
 	}
@@ -41,6 +46,9 @@ func MustParse(src string) *Query {
 type parser struct {
 	toks []token
 	i    int
+	// inWhere is set while the WHERE clause is parsed: the only
+	// expressions a parameter slot may stand in.
+	inWhere bool
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -112,10 +120,12 @@ func (p *parser) parseQuery() (*Query, error) {
 		}
 	}
 	if p.acceptKeyword("where") {
+		p.inWhere = true
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
+		p.inWhere = false
 		q.Where = e
 	}
 	if err := p.expectKeyword("return"); err != nil {
@@ -225,7 +235,7 @@ func (p *parser) parseNode() (*NodePattern, error) {
 		n.Labels = append(n.Labels, label)
 	}
 	if p.acceptPunct("{") {
-		n.Props = map[string]graph.Value{}
+		n.Props = map[string]Expr{}
 		for {
 			key, err := p.expectIdent()
 			if err != nil {
@@ -234,11 +244,19 @@ func (p *parser) parseNode() (*NodePattern, error) {
 			if err := p.expectPunct(":"); err != nil {
 				return nil, err
 			}
-			val, err := p.parseLiteralValue()
-			if err != nil {
-				return nil, err
+			if p.cur().kind == tokParam {
+				prm, err := p.parseParam()
+				if err != nil {
+					return nil, err
+				}
+				n.Props[key] = prm
+			} else {
+				val, err := p.parseLiteralValue()
+				if err != nil {
+					return nil, err
+				}
+				n.Props[key] = &Literal{Val: val}
 			}
-			n.Props[key] = val
 			if !p.acceptPunct(",") {
 				break
 			}
@@ -292,23 +310,13 @@ func (p *parser) parseRel() (*RelPattern, error) {
 func (p *parser) parseLiteralValue() (graph.Value, error) {
 	t := p.cur()
 	switch t.kind {
-	case tokString:
-		p.advance()
-		return graph.S(t.text), nil
-	case tokInt:
-		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
+	case tokString, tokInt, tokFloat:
+		v, err := literalValue(t)
 		if err != nil {
 			return graph.Null, err
 		}
-		return graph.I(n), nil
-	case tokFloat:
 		p.advance()
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return graph.Null, err
-		}
-		return graph.F(f), nil
+		return v, nil
 	case tokIdent:
 		switch strings.ToLower(t.text) {
 		case "true":
@@ -323,6 +331,17 @@ func (p *parser) parseLiteralValue() (graph.Value, error) {
 		}
 	}
 	return graph.Null, fmt.Errorf("expected literal, found %s", t)
+}
+
+// parseParam reads a $n parameter slot.
+func (p *parser) parseParam() (*Param, error) {
+	t := p.cur()
+	n, err := strconv.Atoi(t.text)
+	if err != nil {
+		return nil, fmt.Errorf("bad parameter slot %s: %w", t, err)
+	}
+	p.advance()
+	return &Param{Slot: n}, nil
 }
 
 // ---- expressions ----
@@ -409,6 +428,10 @@ func (p *parser) parseTerm() (Expr, error) {
 			return nil, err
 		}
 		return &Literal{Val: v}, nil
+	case tokParam:
+		if p.inWhere {
+			return p.parseParam()
+		}
 	case tokPunct:
 		if p.acceptPunct("(") {
 			e, err := p.parseExpr()

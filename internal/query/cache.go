@@ -6,30 +6,40 @@ import (
 	"sync"
 
 	"repro/internal/cypher"
+	"repro/internal/graph"
 	"repro/internal/storage"
 )
 
-// Cache is a bounded, concurrency-safe cache of Prepared plans keyed by
-// (query text, graph identity). Ad-hoc callers that cannot hold on to a
-// plan themselves get compile-once behavior for free: the first Get for a
-// query compiles it, every later Get returns the shared plan, and because
-// Prepared plans are immutable the same plan can be handed to any number
-// of concurrent executors.
+// Cache is a bounded, concurrency-safe cache of compiled query shapes
+// keyed by (shape key, graph identity). A shape key is a query text with
+// the literals a plan compares at run time lifted out into parameter
+// slots (cypher.Shape): texts that differ only in those literals share
+// one entry, so a stream of point lookups compiles once per template, not
+// once per literal. An entry is a Shape — the plan with its slots open
+// and the template of the text it executes — and a lookup binds the
+// request's values into it. A hit therefore costs the shape pass, one
+// table probe and the binding: no parse, no rewrite, no compile. Because
+// compiled plans are immutable the same plan serves any number of
+// concurrent bindings and executors.
 //
-// Cold misses are de-duplicated (singleflight): when N goroutines Get the
-// same uncached key concurrently, exactly one parses and compiles while
-// the other N-1 wait and share its plan (or its error). The Shared stat
+// Cold misses are de-duplicated (singleflight): when N goroutines look up
+// the same uncached key concurrently, exactly one compiles while the
+// other N-1 wait and share its shape (or its error). The Shared stat
 // counts those piggy-backed lookups, so compiles attempted is always
 // Misses - Shared.
 //
 // Graph identity is the storage.Graph value itself, so the graph's dynamic
 // type must be comparable — true for both built-in backends and any
 // pointer-typed store. Plans for different graphs never collide even when
-// the query text matches, because symbol IDs are store-specific.
+// the key matches, because symbol IDs are store-specific. A key names the
+// text as it arrives, so one cache must compile a graph's keys one way:
+// a server rewrites every query for a graph through that graph's one
+// mapping, and Get compiles texts as they are.
 //
-// Eviction is LRU: when the cache holds capacity plans and a new (graph,
-// text) pair arrives, the least recently used plan is dropped. Evicted
-// plans remain valid for callers already holding them.
+// Eviction is LRU: when the cache holds capacity shapes and a new (graph,
+// key) pair arrives, the least recently used shape is dropped. Evicted
+// shapes, and plans bound from them, remain valid for callers already
+// holding them.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -42,32 +52,64 @@ type Cache struct {
 }
 
 type cacheKey struct {
-	g    storage.Graph
-	text string
+	g   storage.Graph
+	key string
 }
 
 type cacheEntry struct {
-	key  cacheKey
-	plan *Prepared
+	key   cacheKey
+	shape *Shape
 }
 
-// flight is one in-progress compile. The leader fills plan/err and closes
-// done; followers block on done and read the results afterwards, so no
-// lock guards the two fields.
+// flight is one in-progress compile. The leader fills shape/err and
+// closes done; followers block on done and read the results afterwards,
+// so no lock guards the two fields.
 type flight struct {
-	done chan struct{}
-	plan *Prepared
-	err  error
+	done  chan struct{}
+	shape *Shape
+	err   error
 	// purged is set (under Cache.mu) when Purge ran for the flight's graph
-	// while the compile was still in flight: the leader then hands its plan
-	// to the waiters but does not insert it into the table.
+	// while the compile was still in flight: the leader then hands its
+	// shape to the waiters but does not insert it into the table.
 	purged bool
 }
+
+// Shape is a compiled query shape: the plan of a shape key's tree, with
+// parameter slots where the key lifted literals, and the template of the
+// text that plan executes.
+type Shape struct {
+	plan *Prepared
+	text cypher.Template
+}
+
+// NewShape compiles q, a shape key's tree (rewritten or not), against g.
+// It is the one compile path behind every Cache entry.
+func NewShape(g storage.Graph, q *cypher.Query) (*Shape, error) {
+	p, err := Prepare(g, q)
+	if err != nil {
+		return nil, err
+	}
+	return &Shape{plan: p, text: cypher.NewTemplate(q)}, nil
+}
+
+// Bind returns the shape's plan with args, the values cypher.Shape lifted,
+// in its parameter slots. The binding shares the compiled plan; a shape
+// with no slots returns the plan itself.
+func (s *Shape) Bind(args []graph.Value) *Prepared {
+	if len(args) == 0 {
+		return s.plan
+	}
+	return &Prepared{plan: s.plan.plan, args: args}
+}
+
+// Text renders the query the plan bound to args executes: what String
+// returns for the compiled tree with the values in its slots.
+func (s *Shape) Text(args []graph.Value) string { return s.text.Render(args) }
 
 // DefaultCacheCapacity bounds a Cache constructed with capacity <= 0.
 const DefaultCacheCapacity = 128
 
-// NewCache returns a plan cache holding at most capacity plans
+// NewCache returns a plan cache holding at most capacity shapes
 // (DefaultCacheCapacity if capacity <= 0).
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
@@ -81,51 +123,55 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached plan for src against g, parsing and compiling it
-// on first sight. Concurrent Gets for a cold key compile exactly once:
-// one caller does the work, the rest share the result.
+// Get returns the plan for src against g, bound to src's literals, and
+// compiles src's shape on first sight. Concurrent Gets for a cold shape
+// compile exactly once: one caller does the work, the rest share it.
 func (c *Cache) Get(g storage.Graph, src string) (*Prepared, error) {
 	p, _, err := c.GetWithInfo(g, src)
 	return p, err
 }
 
-// GetWithInfo is Get additionally reporting whether the plan was served
+// GetWithInfo is Get additionally reporting whether the shape was served
 // from the cache (a hit) rather than compiled (or piggy-backed on an
-// in-flight compile). PROFILE traces use it to attribute the plan phase.
+// in-flight compile). Errors are Parse's and Prepare's.
 func (c *Cache) GetWithInfo(g storage.Graph, src string) (*Prepared, bool, error) {
-	return c.get(cacheKey{g: g, text: src}, func() (*Prepared, error) {
-		q, err := cypher.Parse(src)
+	key, args, err := cypher.Shape(src)
+	if err != nil {
+		return nil, false, err
+	}
+	s, hit, err := c.Lookup(g, key, func() (*Shape, error) {
+		q, err := cypher.ParseShape(key, src)
 		if err != nil {
 			return nil, err
 		}
-		return Prepare(g, q)
+		return NewShape(g, q)
 	})
+	if err != nil {
+		return nil, false, err
+	}
+	return s.Bind(args), hit, nil
 }
 
-// GetParsed is Get for an already-parsed query, keyed by the query's
-// canonical rendering. It shares an entry (and in-flight compiles) with
-// Get only when Get was called with that exact canonical text;
-// non-canonical source strings (extra whitespace, unnormalized literals)
-// key separately. Note that building the key renders the AST on every
-// call — hot paths should render once and use Get.
+// GetParsed is Get for an already-parsed query: it renders q and gets
+// the rendering.
 func (c *Cache) GetParsed(g storage.Graph, q *cypher.Query) (*Prepared, error) {
-	p, _, err := c.get(cacheKey{g: g, text: q.String()}, func() (*Prepared, error) {
-		return Prepare(g, q)
-	})
-	return p, err
+	return c.Get(g, q.String())
 }
 
-// get is the shared lookup/singleflight/insert path. compile runs with no
-// locks held, at most once per key across all concurrent callers. The
-// second result reports whether the plan came from the ready table.
-func (c *Cache) get(key cacheKey, compile func() (*Prepared, error)) (*Prepared, bool, error) {
+// Lookup returns the cached shape for shapeKey, a cypher.Shape key,
+// against g. On a miss compile builds it (with NewShape, from the key's
+// tree) with no locks held, at most once per key across all concurrent
+// callers. The second result reports whether the shape came from the
+// ready table.
+func (c *Cache) Lookup(g storage.Graph, shapeKey string, compile func() (*Shape, error)) (*Shape, bool, error) {
+	key := cacheKey{g: g, key: shapeKey}
 	c.mu.Lock()
 	if el, ok := c.table[key]; ok {
 		c.hits++
 		c.lru.MoveToFront(el)
-		p := el.Value.(*cacheEntry).plan
+		s := el.Value.(*cacheEntry).shape
 		c.mu.Unlock()
-		return p, true, nil
+		return s, true, nil
 	}
 	c.misses++
 	if f, ok := c.inflight[key]; ok {
@@ -134,11 +180,11 @@ func (c *Cache) get(key cacheKey, compile func() (*Prepared, error)) (*Prepared,
 		c.shared++
 		c.mu.Unlock()
 		<-f.done
-		return f.plan, false, f.err
+		return f.shape, false, f.err
 	}
 	// The sentinel error stands until compile assigns over it, so if
 	// compile panics the followers observe an error instead of a nil
-	// plan.
+	// shape.
 	f := &flight{done: make(chan struct{}), err: errInflightAbandoned}
 	c.inflight[key] = f
 	c.mu.Unlock()
@@ -150,23 +196,23 @@ func (c *Cache) get(key cacheKey, compile func() (*Prepared, error)) (*Prepared,
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if f.err == nil && !f.purged {
-			c.insertLocked(key, f.plan)
+			c.insertLocked(key, f.shape)
 		}
 		c.mu.Unlock()
 		close(f.done)
 	}()
-	f.plan, f.err = compile()
-	return f.plan, false, f.err
+	f.shape, f.err = compile()
+	return f.shape, false, f.err
 }
 
 // errInflightAbandoned is what singleflight followers see when the
 // leader's compile terminated abnormally (panicked) without producing a
-// plan or a real error.
+// shape or a real error.
 var errInflightAbandoned = errors.New("query: in-flight compile was abandoned")
 
-// insertLocked adds a compiled plan, evicting LRU entries over capacity.
+// insertLocked adds a compiled shape, evicting LRU entries over capacity.
 // Caller holds c.mu.
-func (c *Cache) insertLocked(key cacheKey, p *Prepared) {
+func (c *Cache) insertLocked(key cacheKey, s *Shape) {
 	if el, ok := c.table[key]; ok {
 		// Shouldn't happen now that cold misses singleflight, but stay
 		// safe: keep the cached plan hot and let ours be garbage.
@@ -178,16 +224,16 @@ func (c *Cache) insertLocked(key cacheKey, p *Prepared) {
 		c.lru.Remove(victim)
 		delete(c.table, victim.Value.(*cacheEntry).key)
 	}
-	c.table[key] = c.lru.PushFront(&cacheEntry{key: key, plan: p})
+	c.table[key] = c.lru.PushFront(&cacheEntry{key: key, shape: s})
 }
 
-// Purge drops every cached plan compiled against g and returns how many
+// Purge drops every cached shape compiled against g and returns how many
 // were dropped. Compiles for g still in flight are allowed to finish —
-// their waiters get a valid plan — but their results are not inserted, so
-// after Purge returns no plan for g enters the cache from a compile that
-// began before the call. A server swapping datasets purges the outgoing
-// graph's plans instead of leaking them until LRU eviction; plans already
-// held by callers stay valid, like evicted ones.
+// their waiters get a valid shape — but their results are not inserted,
+// so after Purge returns no shape for g enters the cache from a compile
+// that began before the call. A server swapping datasets purges the
+// outgoing graph's shapes instead of leaking them until LRU eviction;
+// plans already held by callers stay valid, like evicted ones.
 func (c *Cache) Purge(g storage.Graph) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -220,7 +266,7 @@ type CacheStats struct {
 	// Shared counts cold lookups served by another goroutine's in-flight
 	// compile (the singleflight wins).
 	Shared   int64
-	Size     int // plans currently cached
+	Size     int // shapes currently cached
 	Capacity int
 }
 

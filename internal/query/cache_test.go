@@ -1,6 +1,7 @@
 package query
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -522,5 +523,54 @@ func TestCacheSingleflightError(t *testing.T) {
 	}
 	if _, err := c.Get(mem, bad); err == nil {
 		t.Error("retry after failed compile unexpectedly succeeded")
+	}
+}
+
+// TestCacheSharesOneShapeAcrossLiterals: texts that differ only in a
+// lifted literal compile once; each Get binds its own value into the
+// shared plan, and a shape's plan does not run unbound.
+func TestCacheSharesOneShapeAcrossLiterals(t *testing.T) {
+	mem := memstore.New()
+	buildMedGraph(t, mem)
+	c := NewCache(8)
+	for i, name := range []string{"Aspirin", "Ibuprofen", "Aspirin", "absent"} {
+		src := `MATCH (d:Drug {name: '` + name + `'})-[:treat]->(i:Indication) WHERE i.desc <> 'Headache' RETURN d.name, i.desc`
+		p, hit, err := c.GetWithInfo(mem, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != (i > 0) {
+			t.Errorf("%s: hit = %v", name, hit)
+		}
+		got, err := p.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(mem, cypher.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := rowStrings(got), rowStrings(want); !reflect.DeepEqual(g, w) || (name == "Aspirin" && len(g) == 0) {
+			t.Errorf("%s: rows %v, want %v", name, g, w)
+		}
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 3 || st.Size != 1 {
+		t.Errorf("stats = %+v, want one compile shared by four lookups", st)
+	}
+
+	key, _, err := cypher.Shape(`MATCH (d:Drug {name: 'Aspirin'}) RETURN d.name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := cypher.ParseShape(key, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(mem, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(); err == nil {
+		t.Error("a plan with an unbound parameter slot ran")
 	}
 }

@@ -16,9 +16,16 @@ type cexpr func(m *machine) (graph.Value, error)
 // compiler accumulates the variable numbering and symbol resolution for
 // one Prepare call.
 type compiler struct {
-	g     storage.Graph
-	slots map[string]int
-	order []string
+	g       storage.Graph
+	slots   map[string]int
+	order   []string
+	nParams int // one more than the highest parameter slot seen
+}
+
+// param records a parameter slot the plan reads and returns its index.
+func (c *compiler) param(p *cypher.Param) int {
+	c.nParams = max(c.nParams, p.Slot+1)
+	return p.Slot
 }
 
 // slot returns the variable's slot, assigning the next free one on first
@@ -172,6 +179,9 @@ func (c *compiler) expr(e cypher.Expr, aggIdx map[*cypher.FuncCall]int) (cexpr, 
 	case *cypher.Literal:
 		val := n.Val
 		return func(*machine) (graph.Value, error) { return val, nil }, nil
+	case *cypher.Param:
+		slot := c.param(n)
+		return func(m *machine) (graph.Value, error) { return m.args[slot], nil }, nil
 	case *cypher.PropAccess:
 		slot, ok := c.slots[n.Var]
 		if !ok {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"repro/internal/cypher"
@@ -130,6 +131,9 @@ func (p *Prepared) Exec(ctx context.Context, o ExecOptions, sink Sink) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if len(p.args) < p.nParams {
+		return fmt.Errorf("query: the plan has %d parameter slots and %d values bound", p.nParams, len(p.args))
+	}
 	st := o.Stats
 	if st == nil {
 		st = new(Stats)
@@ -148,7 +152,7 @@ func (p *Prepared) Exec(ctx context.Context, o ExecOptions, sink Sink) error {
 	// Only a machine that runs the chain needs the profiled one; on the
 	// many-morsel branch those are the workers'.
 	m := p.getMachine(o.Profile != nil && scans == nil)
-	m.begin(ctx, g, st)
+	m.begin(ctx, g, st, p.args)
 	m.fin = finisher{p: p, sink: sink, key: m.fin.key}
 	var err error
 	if scans == nil {

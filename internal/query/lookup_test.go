@@ -66,7 +66,7 @@ func whereForm(q *cypher.Query) *cypher.Query {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				eq := &cypher.Binary{Op: cypher.OpEq, L: &cypher.PropAccess{Var: n.Var, Key: k}, R: &cypher.Literal{Val: n.Props[k]}}
+				eq := &cypher.Binary{Op: cypher.OpEq, L: &cypher.PropAccess{Var: n.Var, Key: k}, R: n.Props[k]}
 				if w.Where == nil {
 					w.Where = eq
 				} else {
@@ -96,7 +96,7 @@ func prepareLookupShapes(t *testing.T, g storage.Graph) []lookupPair {
 	}
 	for _, list := range lookupLists {
 		q := cypher.MustParse(`MATCH (p:Person {grp: 'g0'}) RETURN p.name, p.tags`)
-		q.Patterns[0].Nodes[0].Props["tags"] = list
+		q.Patterns[0].Nodes[0].Props["tags"] = &cypher.Literal{Val: list}
 		queries = append(queries, q)
 	}
 	pairs := make([]lookupPair, len(queries))

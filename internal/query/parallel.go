@@ -112,7 +112,7 @@ func (p *Prepared) runMorsels(ctx context.Context, g storage.Graph, scans []stor
 	stats := make([]Stats, workers)
 	for w := range machines {
 		m := p.getMachine(prof != nil)
-		m.begin(wctx, g, &stats[w])
+		m.begin(wctx, g, &stats[w], p.args)
 		m.trackDistinct = trackDistinct
 		if !p.grouped {
 			m.rowCh = rowCh

@@ -23,7 +23,17 @@ import (
 // internal sync.Pool, so Exec is safe for any number of concurrent
 // callers sharing one plan — provided the underlying store supports
 // concurrent readers (both built-in backends do once fully built).
+//
+// A plan compiled from a shape key (cypher.Shape) has parameter slots
+// where the text had literals; a Shape binds values to them, and each
+// binding is a Prepared of its own sharing the one compiled plan.
 type Prepared struct {
+	*plan
+	args []graph.Value // the values of the plan's parameter slots
+}
+
+// plan is the compiled, immutable part of a Prepared.
+type plan struct {
 	g    storage.Graph
 	cols []string
 	// snaps is non-nil when the backend both accepts concurrent mutations
@@ -37,7 +47,9 @@ type Prepared struct {
 	// machine links its own executable step chain from it.
 	moves  []move
 	nSlots int
-	where  cexpr
+	// nParams is the number of parameter slots an execution must bind.
+	nParams int
+	where   cexpr
 	// uniqEdges is set when the plan expands more than one relationship,
 	// the only case where Cypher's relationship-uniqueness rule can bind:
 	// single-expand plans (the typed one-hop shapes dominating the paper's
@@ -136,6 +148,7 @@ type machine struct {
 
 	slots []storage.VID // variable bindings; -1 = unbound
 	used  []storage.EID // edges bound on the current path (Cypher uniqueness)
+	args  []graph.Value // the execution's parameter values
 
 	// Reusable scratch buffers; these keep per-binding allocations at
 	// zero on the hot path.
@@ -194,6 +207,8 @@ func (m *machine) edgeUsed(e storage.EID) bool {
 // Prepare compiles q for execution against g. The returned plan stays
 // valid for the lifetime of the store: stores are fully built before being
 // queried, so the symbol IDs resolved here cannot change underneath it.
+// A q with parameter slots (a shape key's tree, see cypher.Shape) compiles
+// to a plan that runs only once a Shape binds values to them.
 func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 	q = q.Clone()
 	nameAnonymousVars(q)
@@ -208,7 +223,7 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 			c.slot(n.Var)
 		}
 	}
-	p := &Prepared{g: g, limit: q.Limit, distinct: q.Distinct}
+	p := &Prepared{plan: &plan{g: g, limit: q.Limit, distinct: q.Distinct}}
 	if _, mutable := g.(storage.MutableGraph); mutable {
 		p.snaps, _ = g.(storage.Snapshotter)
 	}
@@ -248,6 +263,7 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 	}
 	p.uniqEdges = expands > 1
 	p.nSlots = len(c.order)
+	p.nParams = c.nParams
 	p.planParallel()
 	p.pool.New = func() any { return p.buildMachine(false) }
 	return p, nil
@@ -320,9 +336,11 @@ func nameAnonymousVars(q *cypher.Query) {
 	}
 }
 
-// begin prepares a machine for one execution reading the view g.
-func (m *machine) begin(ctx context.Context, g storage.Graph, st *Stats) {
+// begin prepares a machine for one execution reading the view g with the
+// parameter values args.
+func (m *machine) begin(ctx context.Context, g storage.Graph, st *Stats, args []graph.Value) {
 	m.g = g
+	m.args = args
 	m.stats = st
 	m.done, m.ctx = ctx.Done(), ctx
 	m.err = nil
@@ -340,7 +358,7 @@ func (m *machine) begin(ctx context.Context, g storage.Graph, st *Stats) {
 // cleared, so a pooled machine cannot keep a released snapshot, a
 // request's context, its sink, or buffered rows and their values alive.
 func (p *Prepared) release(m *machine) {
-	m.g = p.g
+	m.g, m.args = p.g, nil
 	m.stats, m.done, m.ctx = nil, nil, nil
 	m.fin = finisher{key: m.fin.key}
 	m.rowCh, m.batch = nil, nil
@@ -394,11 +412,21 @@ type cnode struct {
 
 // cprop is one inline property equality constraint. keyName keeps the
 // source-level property name alongside the interned ID for PROFILE's
-// step targets.
+// step targets. The wanted value is want, or the execution's value of
+// parameter slot param when param >= 0.
 type cprop struct {
 	key     storage.SymbolID
 	keyName string
 	want    graph.Value
+	param   int
+}
+
+// want returns the value constraint c requires in this execution.
+func (m *machine) want(c *cprop) graph.Value {
+	if c.param >= 0 {
+		return m.args[c.param]
+	}
+	return c.want
 }
 
 func (m *machine) checkNode(n *cnode, v storage.VID) bool {
@@ -410,7 +438,7 @@ func (m *machine) checkNode(n *cnode, v storage.VID) bool {
 	for i := range n.props {
 		m.stats.PropsRead++
 		got, ok := m.g.PropID(v, n.props[i].key)
-		if !ok || !got.Equal(n.props[i].want) {
+		if !ok || !got.Equal(m.want(&n.props[i])) {
 			return false
 		}
 	}
@@ -511,7 +539,14 @@ func (c *compiler) node(n *cypher.NodePattern) cnode {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		cn.props = append(cn.props, cprop{key: c.g.KeyID(k), keyName: k, want: n.Props[k]})
+		cp := cprop{key: c.g.KeyID(k), keyName: k, param: -1}
+		switch v := n.Props[k].(type) {
+		case *cypher.Literal:
+			cp.want = v.Val
+		case *cypher.Param:
+			cp.param = c.param(v)
+		}
+		cn.props = append(cn.props, cp)
 	}
 	return cn
 }
@@ -577,7 +612,7 @@ func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 		run := func() { m.g.ForEachVertexID(label, scan) }
 		if mv.lookup {
 			want := node.props[0]
-			run = func() { m.g.ForEachVertexByPropID(label, want.key, want.want, scan) }
+			run = func() { m.g.ForEachVertexByPropID(label, want.key, m.want(&want), scan) }
 		}
 		return func() error {
 			run()

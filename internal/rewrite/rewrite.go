@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cypher"
-	"repro/internal/graph"
 )
 
 // Options tunes the rewrite.
@@ -84,7 +83,7 @@ func qualifyKeys(q *cypher.Query, m *core.Mapping) {
 			if len(n.Props) == 0 {
 				continue
 			}
-			props := make(map[string]graph.Value, len(n.Props))
+			props := make(map[string]cypher.Expr, len(n.Props))
 			for k, v := range n.Props {
 				props[physical(n.Labels, k)] = v
 			}
@@ -170,11 +169,11 @@ func unify(q *cypher.Query, pat *cypher.PathPattern, hop int, survivor, other *c
 	}
 	// Property constraints: both must hold on the merged vertex.
 	for k, v := range other.Props {
-		if prev, ok := survivor.Props[k]; ok && !prev.Equal(v) {
+		if prev, ok := survivor.Props[k]; ok && !sameValue(prev, v) {
 			return fmt.Errorf("rewrite: conflicting property constraint %s on merged nodes", k)
 		}
 		if survivor.Props == nil {
-			survivor.Props = map[string]graph.Value{}
+			survivor.Props = map[string]cypher.Expr{}
 		}
 		survivor.Props[k] = v
 	}
@@ -195,6 +194,22 @@ func unify(q *cypher.Query, pat *cypher.PathPattern, hop int, survivor, other *c
 	pat.Nodes = nodes
 	pat.Rels = append(pat.Rels[:hop], pat.Rels[hop+1:]...)
 	return nil
+}
+
+// sameValue reports whether two constraint values are equal: two
+// literals by value, two parameter slots by slot. A shape key gives equal
+// literals one slot and keeps any literal a slot could equal out of the
+// slots (cypher.Shape), so a slot equals no literal.
+func sameValue(a, b cypher.Expr) bool {
+	switch x := a.(type) {
+	case *cypher.Literal:
+		y, ok := b.(*cypher.Literal)
+		return ok && x.Val.Equal(y.Val)
+	case *cypher.Param:
+		y, ok := b.(*cypher.Param)
+		return ok && x.Slot == y.Slot
+	}
+	return false
 }
 
 // renameVar rewrites every reference to a pattern variable.

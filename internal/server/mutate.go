@@ -144,7 +144,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusConflict
 		}
 		writeError(w, status, rid, err.Error())
-		s.noteSlow("/mutate", rid, "", status, time.Since(start), nil, nil)
+		s.noteSlow("/mutate", rid, "", "", status, time.Since(start), nil, nil)
 		return
 	}
 	resp := mutateResponse{
@@ -161,7 +161,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.maybeAutoCompact(mg)
 	writeJSON(w, http.StatusOK, resp)
-	s.noteSlow("/mutate", rid, "", http.StatusOK, time.Since(start), nil, nil)
+	s.noteSlow("/mutate", rid, "", "", http.StatusOK, time.Since(start), nil, nil)
 }
 
 // toBatch lowers the JSON document into one storage.Mutation batch:

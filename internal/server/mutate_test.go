@@ -233,3 +233,64 @@ func TestMutateDraining(t *testing.T) {
 		t.Errorf("draining mutate: status = %d, want 503", status)
 	}
 }
+
+// acceptingGraph takes every batch /mutate hands it, so FuzzMutateBody
+// exercises the handler's own decoding and lowering, not a store's
+// validation (or its fsyncs).
+type acceptingGraph struct{ storage.Graph }
+
+func (acceptingGraph) ApplyMutations(batch []storage.Mutation) (storage.MutationResult, error) {
+	return storage.MutationResult{}, nil
+}
+
+func (acceptingGraph) Compact() error { return nil }
+
+// FuzzMutateBody: arbitrary /mutate bodies through the JSON decode and
+// toBatch never panic; each is accepted (200) or rejected with a 400
+// whose JSON body carries an error and the request's ID, as does its
+// X-Request-Id header.
+func FuzzMutateBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"vertices":[{"labels":["Drug"],"props":{"name":"x","n":1,"f":1.5,"b":true,"z":null,"l":[1,"a"]}}]}`,
+		`{"edges":[{"src":-1,"dst":0,"type":"treat"}],"props":[{"v":0,"key":"k","value":[[1]]}],"labels":[{"v":0,"label":"L"}]}`,
+		`{"props":[{"v":0,"key":"k","value":{"o":1}}]}`,
+		`{"props":[{"v":0,"key":"k","value":1e999}]}`,
+		`{"vertices": [`,
+		`{}`,
+		`[]`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, err := New(Config{Graph: acceptingGraph{memstore.New()}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if int64(len(body)) > s.cfg.MaxBodyBytes {
+			return
+		}
+		req := httptest.NewRequest(http.MethodPost, "/mutate", strings.NewReader(string(body)))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-Id", "fuzz-rid")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest:
+			var e struct {
+				Error     string `json:"error"`
+				RequestID string `json:"request_id"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" || e.RequestID != "fuzz-rid" {
+				t.Fatalf("%q: 400 body %q lacks an error or the request ID", body, rec.Body.Bytes())
+			}
+			if got := rec.Header().Get("X-Request-Id"); got != "fuzz-rid" {
+				t.Fatalf("%q: 400 carries X-Request-Id %q", body, got)
+			}
+		default:
+			t.Fatalf("%q: status %d (%s), want 200 or 400", body, rec.Code, rec.Body.Bytes())
+		}
+	})
+}

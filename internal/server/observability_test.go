@@ -427,6 +427,7 @@ func TestSlowQueryLog(t *testing.T) {
 		TS        string `json:"ts"`
 		RequestID string `json:"request_id"`
 		Endpoint  string `json:"endpoint"`
+		Source    string `json:"source"`
 		Query     string `json:"query"`
 		Status    int    `json:"status"`
 		ElapsedUS int64  `json:"elapsed_us"`
@@ -446,14 +447,31 @@ func TestSlowQueryLog(t *testing.T) {
 	if _, err := time.Parse(time.RFC3339Nano, e.TS); err != nil {
 		t.Errorf("ts %q not RFC3339Nano: %v", e.TS, err)
 	}
-	if e.Query == "" || e.Stats == nil || e.Stats.RowsEmitted != 2 {
-		t.Errorf("entry missing query/stats: %+v", e)
+	if e.Source != drugQuery || e.Query != drugQuery || e.Stats == nil || e.Stats.RowsEmitted != 2 {
+		t.Errorf("entry missing source/query/stats: %+v", e)
 	}
 	if e.Profile == nil || len(e.Profile.Steps) == 0 {
 		t.Errorf("profiled request's log entry lacks the step trace")
 	}
 	if got := s.m.slowQueries.Load(); got != 1 {
 		t.Errorf("slow query counter = %d, want 1", got)
+	}
+
+	// The source is the text as sent, the query the text as executed;
+	// the second request of a shape (a plan-cache hit) logs both too.
+	for _, lit := range []string{"Aspirin", "Ibuprofen"} {
+		buf.Reset()
+		src := "MATCH (d:Drug {name:'" + lit + "'})  RETURN d.name"
+		if status, qr := post(t, ts, src, "text/plain"); status != http.StatusOK {
+			t.Fatalf("status = %d (%s)", status, qr.Error)
+		}
+		e.Source, e.Query = "", ""
+		if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
+			t.Fatalf("slow log line is not JSON: %v\n%s", err, buf.String())
+		}
+		if want := `MATCH (d:Drug {name: "` + lit + `"}) RETURN d.name`; e.Source != src || e.Query != want {
+			t.Errorf("source %q, query %q; want %q and %q", e.Source, e.Query, src, want)
+		}
 	}
 
 	// A threshold far above any latency suppresses logging but the

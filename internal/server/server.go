@@ -335,12 +335,26 @@ type queryTrace struct {
 	Plan *query.Profile `json:"plan"`
 }
 
-// phase records one timed phase; a no-op on the nil trace of an
-// unprofiled request.
+// phase records one timed phase, from since to now; a no-op on the nil
+// trace of an unprofiled request.
 func (t *queryTrace) phase(name string, since time.Time) {
 	if t != nil {
-		t.Phases = append(t.Phases, tracePhase{Name: name, US: time.Since(since).Microseconds()})
+		t.span(name, since, time.Now())
 	}
+}
+
+// now reads the clock for a profiled request; an unprofiled one times
+// nothing.
+func (t *queryTrace) now() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// span records one timed phase, from start to end, on a non-nil trace.
+func (t *queryTrace) span(name string, start, end time.Time) {
+	t.Phases = append(t.Phases, tracePhase{Name: name, US: end.Sub(start).Microseconds()})
 }
 
 // profile unwraps the executor profile from a trace that may be nil.
@@ -370,41 +384,66 @@ func profileRequested(r *http.Request, src string) (string, bool) {
 	return src, profiled
 }
 
-// planQuery is the front half of the read path: parse, rewrite through
-// the served mapping, fetch or compile the plan. text is the canonical
-// rendering of what will execute; rendered once, it serves as the cache
-// key (Get, unlike GetParsed, renders nothing per call), the response's
-// executed-query field, and the per-shape latency key — so the top-N
-// report groups requests that execute identically, whatever their source
-// formatting. Every error is the client's (400).
+// planQuery is the front half of the read path. The shape pass lifts the
+// request's literals out of src (cypher.Shape) and the plan cache is
+// looked up by the resulting key. A hit binds the literals into the
+// cached plan and splices them into the cached template of the executed
+// text: no parse, no rewrite, no render, no compile. A miss parses the
+// key, rewrites it through the served mapping and compiles it, once per
+// shape. text is the canonical rendering of what will execute — the
+// response's executed-query field and the per-shape latency key, so the
+// top-N report groups requests that execute identically, whatever their
+// source formatting. PROFILE's "parse" phase is the shape pass on a hit
+// and the shape pass plus the key's parse on a miss. Every error is the
+// client's (400).
 func (s *Server) planQuery(src string, trace *queryTrace) (plan *query.Prepared, text string, err error) {
-	t := time.Now()
-	parsed, err := cypher.Parse(src)
+	start := trace.now()
+	key, args, err := cypher.Shape(src)
 	if err != nil {
 		return nil, "", fmt.Errorf("parse: %v", err)
 	}
-	trace.phase("parse", t)
+	shaped := trace.now()
 	// The swap read-lock covers dataset load through plan fetch, so a
 	// concurrent Swap cannot purge the graph between the two (see Swap).
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
 	d := s.data.Load()
-	executed := parsed
-	if d.mapping != nil {
-		t = time.Now()
-		if executed, _, err = rewrite.Rewrite(parsed, d.mapping, s.cfg.RewriteOpts); err != nil {
-			return nil, "", fmt.Errorf("rewrite: %v", err)
+	compiled := false
+	var parsed, rewritten time.Time
+	shape, hit, err := s.cache.Lookup(d.graph, key, func() (*query.Shape, error) {
+		compiled = true
+		q, err := cypher.ParseShape(key, src)
+		if err != nil {
+			return nil, fmt.Errorf("parse: %v", err)
 		}
-		trace.phase("rewrite", t)
-	}
-	text = executed.String()
-	t = time.Now()
-	plan, hit, err := s.cache.GetWithInfo(d.graph, text)
+		parsed = trace.now()
+		if d.mapping != nil {
+			if q, _, err = rewrite.Rewrite(q, d.mapping, s.cfg.RewriteOpts); err != nil {
+				return nil, fmt.Errorf("rewrite: %v", err)
+			}
+		}
+		rewritten = trace.now()
+		sh, err := query.NewShape(d.graph, q)
+		if err != nil {
+			return nil, fmt.Errorf("compile: %v", err)
+		}
+		return sh, nil
+	})
 	if err != nil {
-		return nil, "", fmt.Errorf("compile: %v", err)
+		return nil, "", err
 	}
-	trace.phase("plan", t)
+	plan, text = shape.Bind(args), shape.Text(args)
 	if trace != nil {
+		if compiled {
+			trace.span("parse", start, parsed)
+			if d.mapping != nil {
+				trace.span("rewrite", parsed, rewritten)
+			}
+			trace.span("plan", rewritten, time.Now())
+		} else {
+			trace.span("parse", start, shaped)
+			trace.span("plan", shaped, time.Now())
+		}
 		trace.PlanCacheHit = hit
 		if lr, ok := d.graph.(storage.LiveStatsReporter); ok {
 			trace.SnapshotGeneration = lr.LiveStats().Generation
@@ -507,7 +546,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusInternalServerError
 		writeError(w, status, rid, fmt.Sprintf("execute: %v", err))
 	}
-	s.noteSlow("/query", rid, text, status, time.Since(start), &st, trace.profile())
+	s.noteSlow("/query", rid, src, text, status, time.Since(start), &st, trace.profile())
 }
 
 // readQuery extracts the Cypher text from the request body: a JSON

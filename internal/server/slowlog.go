@@ -2,10 +2,10 @@ package server
 
 // Structured slow-query log: JSON-lines records for requests whose
 // end-to-end latency reaches Config.SlowQueryThreshold. One line per
-// slow request, self-contained — timestamp, request ID, endpoint,
-// executed query text, status, latency, work counters, and the PROFILE
-// trace when the request ran profiled — so the log can be shipped and
-// grepped without joining against anything. The encoding runs on the
+// slow request, self-contained — timestamp, request ID, endpoint, the
+// query text as sent and as executed, status, latency, work counters,
+// and the PROFILE trace when the request ran profiled — so the log can
+// be shipped and grepped without joining against anything. The encoding runs on the
 // cold path only (a request already slower than the threshold).
 
 import (
@@ -20,8 +20,10 @@ type slowLogEntry struct {
 	TS        string `json:"ts"` // RFC3339Nano, UTC
 	RequestID string `json:"request_id"`
 	Endpoint  string `json:"endpoint"`
-	// Query is the executed (post-rewrite, canonical) text; empty for
-	// non-query endpoints.
+	// Source is the query text the client sent (without a PROFILE
+	// prefix), and Query the executed (post-rewrite, canonical) text;
+	// both are empty for non-query endpoints.
+	Source    string       `json:"source,omitempty"`
 	Query     string       `json:"query,omitempty"`
 	Status    int          `json:"status"`
 	ElapsedUS int64        `json:"elapsed_us"`
@@ -41,7 +43,7 @@ type slowerStats struct {
 // noteSlow checks one finished request against the slow-query threshold:
 // at or over it, the slow-query counter increments and — when a log sink
 // is configured — a JSON line is written. st and prof may be nil.
-func (s *Server) noteSlow(endpoint, rid, text string, status int, elapsed time.Duration, st *query.Stats, prof *query.Profile) {
+func (s *Server) noteSlow(endpoint, rid, src, text string, status int, elapsed time.Duration, st *query.Stats, prof *query.Profile) {
 	if s.cfg.SlowQueryLog == nil && s.cfg.SlowQueryThreshold <= 0 {
 		return
 	}
@@ -56,6 +58,7 @@ func (s *Server) noteSlow(endpoint, rid, text string, status int, elapsed time.D
 		TS:        time.Now().UTC().Format(time.RFC3339Nano),
 		RequestID: rid,
 		Endpoint:  endpoint,
+		Source:    src,
 		Query:     text,
 		Status:    status,
 		ElapsedUS: elapsed.Microseconds(),
