@@ -10,12 +10,18 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/cypher"
+	"repro/internal/loader"
 	"repro/internal/optimizer"
+	"repro/internal/query"
+	"repro/internal/rewrite"
+	"repro/internal/storage/memstore"
 	"repro/internal/workload"
 )
 
@@ -261,5 +267,72 @@ func BenchmarkMotivating(b *testing.B) {
 				b.ReportMetric(r.Speedup, r.Example+"_speedup")
 			}
 		}
+	}
+}
+
+// BenchmarkExecuteMicrobench times execution alone, in process: the 12
+// MED microbenchmark queries at card 1000 on memstore, under the direct
+// schema (DIR) and under the optimized one pgsserve -optimize -localize
+// serves (OPT: PGSG at 50 % of Cost(NSC) over the microbenchmark's access
+// frequencies, scalar lookups localized). Each plan is prepared once; an
+// op is one query, round-robin, run through query.Collect with one
+// worker. It reports us/query and allocs/op per schema.
+func BenchmarkExecuteMicrobench(b *testing.B) {
+	env, err := bench.NewEnv("MED", bench.Options{MedCard: 1000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := workload.MicrobenchmarkFor(env.Name)
+	af, err := workload.AFFromQueries(env.Ontology, queries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := env.Inputs(af, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	total, err := in.NSCCost()
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := optimizer.PGSG(in, total/2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, schema := range []struct {
+		name    string
+		mapping *core.Mapping
+	}{{"DIR", nil}, {"OPT", plan.Result.Mapping}} {
+		st := memstore.New()
+		if _, _, err := loader.Load(st, env.Dataset, schema.mapping); err != nil {
+			b.Fatal(err)
+		}
+		var plans []*query.Prepared
+		for _, q := range queries {
+			parsed, err := cypher.Parse(q.Text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if schema.mapping != nil {
+				if parsed, _, err = rewrite.Rewrite(parsed, schema.mapping, rewrite.Options{LocalizeScalarLookups: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			p, err := query.Prepare(st, parsed)
+			if err != nil {
+				b.Fatalf("%s %s: %v", schema.name, q.Name, err)
+			}
+			plans = append(plans, p)
+		}
+		b.Run(schema.name, func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := query.Collect(ctx, plans[i%len(plans)], query.ExecOptions{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/query")
+		})
 	}
 }

@@ -68,9 +68,10 @@ func TestExecContext(t *testing.T) {
 	}
 }
 
-// cancelAfterGraph cancels a context from inside the store once HasLabelID
-// has been called n times, making mid-query cancellation deterministic:
-// the executor must notice within cancelMask+1 further iterations.
+// cancelAfterGraph cancels a context from inside the store once its label
+// scans have yielded n vertices, making mid-query cancellation
+// deterministic: the executor must notice within cancelMask+1 further
+// iterations.
 type cancelAfterGraph struct {
 	storage.Graph
 	cancel context.CancelFunc
@@ -78,11 +79,13 @@ type cancelAfterGraph struct {
 	calls  atomic.Int64
 }
 
-func (g *cancelAfterGraph) HasLabelID(v storage.VID, label storage.SymbolID) bool {
-	if g.calls.Add(1) == g.after {
-		g.cancel()
-	}
-	return g.Graph.HasLabelID(v, label)
+func (g *cancelAfterGraph) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
+	g.Graph.ForEachVertexID(label, func(v storage.VID) bool {
+		if g.calls.Add(1) == g.after {
+			g.cancel()
+		}
+		return fn(v)
+	})
 }
 
 func TestExecCancelMidQuery(t *testing.T) {
@@ -90,7 +93,7 @@ func TestExecCancelMidQuery(t *testing.T) {
 	mem := buildWideGraph(t, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Every scan candidate's label check calls HasLabelID.
+	// Every scan candidate comes from ForEachVertexID.
 	g := &cancelAfterGraph{Graph: mem, cancel: cancel, after: 3 * cancelMask}
 	p, err := Prepare(g, cypher.MustParse(`MATCH (a:Drug), (b:Drug) RETURN COUNT(*)`))
 	if err != nil {

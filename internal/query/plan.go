@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -397,10 +398,10 @@ type move struct {
 	// instead of binding.
 	bound bool
 	// lookup marks an unbound start on a named label with inline property
-	// constraints: the store's ForEachVertexByPropID on node.props[0]
-	// replaces the label scan, and checkNode still tests every
-	// constraint on what it yields. Such a root is never morsel-split.
+	// constraints: the store's ForEachVertexByPropID on probe replaces
+	// the label scan. Such a root is never morsel-split.
 	lookup bool
+	probe  cprop
 }
 
 // cnode is a node pattern's compiled constraint set.
@@ -488,7 +489,14 @@ func (c *compiler) planPattern(pat *cypher.PathPattern, boundSlots map[int]bool)
 						mv.scanName = l
 					}
 				}
-				mv.lookup = len(mv.node.props) > 0
+				// The scan (label postings, PlanVertexScan's partitions or
+				// the lookup) yields only vertices carrying scanLabel, and a
+				// lookup only those holding its probe's value: the node
+				// check skips what the iterator guarantees.
+				mv.node.labels = slices.DeleteFunc(mv.node.labels, func(l storage.SymbolID) bool { return l == mv.scanLabel })
+				if mv.lookup = len(mv.node.props) > 0; mv.lookup {
+					mv.probe, mv.node.props = mv.node.props[0], mv.node.props[1:]
+				}
 			}
 			boundSlots[mv.node.slot] = true
 		}
@@ -611,8 +619,8 @@ func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 		label := mv.scanLabel
 		run := func() { m.g.ForEachVertexID(label, scan) }
 		if mv.lookup {
-			want := node.props[0]
-			run = func() { m.g.ForEachVertexByPropID(label, want.key, m.want(&want), scan) }
+			probe := mv.probe
+			run = func() { m.g.ForEachVertexByPropID(label, probe.key, m.want(&probe), scan) }
 		}
 		return func() error {
 			run()

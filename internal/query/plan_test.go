@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cypher"
@@ -153,4 +154,92 @@ func TestCompiledExecutionAllocs(t *testing.T) {
 			t.Errorf("Collect: %.0f allocs at 1000 rows, %.0f at 10: %.0f extra, want <= %d", large, small, extra, 1000/64)
 		}
 	})
+}
+
+// readCountGraph counts HasLabelID calls per label and PropID calls per
+// key.
+type readCountGraph struct {
+	storage.Graph
+	mu     sync.Mutex
+	labels map[storage.SymbolID]int
+	keys   map[storage.SymbolID]int
+}
+
+func (g *readCountGraph) HasLabelID(v storage.VID, l storage.SymbolID) bool {
+	g.mu.Lock()
+	g.labels[l]++
+	g.mu.Unlock()
+	return g.Graph.HasLabelID(v, l)
+}
+
+func (g *readCountGraph) PropID(v storage.VID, k storage.SymbolID) (graph.Value, bool) {
+	g.mu.Lock()
+	g.keys[k]++
+	g.mu.Unlock()
+	return g.Graph.PropID(v, k)
+}
+
+// TestRootSkipsWhatItsIteratorGuarantees: a root move does not re-check
+// what the store's iterator already guarantees — a label scan its label,
+// a lookup its label and the value it looked up — and still checks the
+// rest of the node's constraints.
+func TestRootSkipsWhatItsIteratorGuarantees(t *testing.T) {
+	mem := memstore.New()
+	buildLookupGraph(t, mem, 200)
+	g := &readCountGraph{Graph: mem}
+	person, admin := mem.LabelID("Person"), mem.LabelID("Admin")
+	age, grp := mem.KeyID("age"), mem.KeyID("grp")
+	for _, tc := range []struct {
+		src string
+		// zero are reads the root must not make; some are reads it must.
+		zeroLabels, someLabels []storage.SymbolID
+		zeroKeys, someKeys     []storage.SymbolID
+	}{
+		// Admin is the rarer label, so it is scanned; age is the first
+		// constraint key, so it is the probe.
+		{src: `MATCH (p:Person:Admin {age: 5, grp: 'g3'}) RETURN p.name`,
+			zeroLabels: []storage.SymbolID{admin}, someLabels: []storage.SymbolID{person},
+			zeroKeys: []storage.SymbolID{age}, someKeys: []storage.SymbolID{grp}},
+		{src: `MATCH (p:Person {age: 5}) RETURN COUNT(*)`,
+			zeroLabels: []storage.SymbolID{person}, zeroKeys: []storage.SymbolID{age}},
+		{src: `MATCH (p:Person) RETURN COUNT(*)`, zeroLabels: []storage.SymbolID{person}},
+		{src: `MATCH (p:Person:Admin) RETURN COUNT(*)`,
+			zeroLabels: []storage.SymbolID{admin}, someLabels: []storage.SymbolID{person}},
+	} {
+		for _, workers := range []int{1, 4} {
+			p := mustPrepare(t, g, cypher.MustParse(tc.src))
+			want, err := collect(mustPrepare(t, mem, whereForm(cypher.MustParse(tc.src))), 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.labels, g.keys = map[storage.SymbolID]int{}, map[storage.SymbolID]int{}
+			got, err := collect(p, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rowStrings(got), rowStrings(want)) {
+				t.Errorf("%s, %d workers: rows %v, want the WHERE form's %v", tc.src, workers, rowStrings(got), rowStrings(want))
+			}
+			for _, l := range tc.zeroLabels {
+				if n := g.labels[l]; n != 0 {
+					t.Errorf("%s, %d workers: %d HasLabelID calls for the scanned label %d", tc.src, workers, n, l)
+				}
+			}
+			for _, l := range tc.someLabels {
+				if g.labels[l] == 0 {
+					t.Errorf("%s, %d workers: label %d was never checked", tc.src, workers, l)
+				}
+			}
+			for _, k := range tc.zeroKeys {
+				if n := g.keys[k]; n != 0 {
+					t.Errorf("%s, %d workers: %d PropID calls for the looked-up key %d", tc.src, workers, n, k)
+				}
+			}
+			for _, k := range tc.someKeys {
+				if g.keys[k] == 0 {
+					t.Errorf("%s, %d workers: key %d was never checked", tc.src, workers, k)
+				}
+			}
+		}
+	}
 }

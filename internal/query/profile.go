@@ -71,7 +71,7 @@ func (p *Prepared) profileSteps() []StepProfile {
 		case mv.start && mv.bound:
 			sp = StepProfile{Op: "bind", Target: orStar(mv.scanName), Bound: true}
 		case mv.lookup:
-			sp = StepProfile{Op: "lookup", Target: mv.scanName + "." + mv.node.props[0].keyName}
+			sp = StepProfile{Op: "lookup", Target: mv.scanName + "." + mv.probe.keyName}
 		case mv.start:
 			sp = StepProfile{Op: "scan", Target: orStar(mv.scanName)}
 		case mv.outgoing:

@@ -61,8 +61,14 @@ func validRequestID(s string) bool {
 }
 
 // beginRequest resolves the request's ID and echoes it in the response
-// header before any body is written. Every handler calls it first.
+// header before any body is written. Every handler calls it first. A
+// client's well-formed ID is echoed with the request header's own value
+// slice, which neither side mutates, so the echo allocates nothing.
 func beginRequest(w http.ResponseWriter, r *http.Request) string {
+	if ids := r.Header["X-Request-Id"]; len(ids) == 1 && validRequestID(ids[0]) {
+		w.Header()["X-Request-Id"] = ids
+		return ids[0]
+	}
 	rid := requestID(r)
 	w.Header().Set("X-Request-Id", rid)
 	return rid

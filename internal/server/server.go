@@ -528,7 +528,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		enc.buf = appendQueryResponseTail(enc.buf, &st, time.Since(start).Microseconds(), profileJSON)
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.Header().Set("Content-Length", strconv.Itoa(len(enc.buf)))
 		w.Write(enc.buf)
 	case errors.Is(err, context.DeadlineExceeded):
@@ -563,14 +563,18 @@ func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (string, int,
 		return "", http.StatusBadRequest, fmt.Errorf("read body: %w", err)
 	}
 	src := string(body)
-	if ct, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ct == "application/json" {
-		var req struct {
-			Query string `json:"query"`
+	// A raw-text body carries no Content-Type; parsing the empty string
+	// would only allocate an error.
+	if ct := r.Header.Get("Content-Type"); ct != "" {
+		if mt, _, _ := mime.ParseMediaType(ct); mt == "application/json" {
+			var req struct {
+				Query string `json:"query"`
+			}
+			if err := json.Unmarshal(body, &req); err != nil {
+				return "", http.StatusBadRequest, fmt.Errorf("decode JSON body: %w", err)
+			}
+			src = req.Query
 		}
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", http.StatusBadRequest, fmt.Errorf("decode JSON body: %w", err)
-		}
-		src = req.Query
 	}
 	src = strings.TrimSpace(src)
 	if src == "" {
@@ -796,6 +800,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // ---- response helpers ----
 
+// jsonContentType is the Content-Type header value of every JSON
+// response, shared: a handler sets it as the header's value slice, which
+// nothing mutates, instead of allocating one per response.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON marshals v on the cold paths (stats, health, errors); the hot
 // /query path uses the pooled encoder instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -804,7 +813,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(data)
 }

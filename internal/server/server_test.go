@@ -324,21 +324,23 @@ func TestSaturationSheds429(t *testing.T) {
 	}
 }
 
-// sleeperGraph delays every HasLabelID call, making a label scan take a
-// predictable minimum wall time so a short request timeout reliably
-// expires at the executor's first cancellation checkpoint.
+// sleeperGraph delays every vertex its label scans yield, making a label
+// scan take a predictable minimum wall time so a short request timeout
+// reliably expires at the executor's first cancellation checkpoint.
 type sleeperGraph struct {
 	storage.Graph
 	delay time.Duration
 }
 
-func (g *sleeperGraph) HasLabelID(v storage.VID, label storage.SymbolID) bool {
-	time.Sleep(g.delay)
-	return g.Graph.HasLabelID(v, label)
+func (g *sleeperGraph) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
+	g.Graph.ForEachVertexID(label, func(v storage.VID) bool {
+		time.Sleep(g.delay)
+		return fn(v)
+	})
 }
 
 func TestRequestTimeoutCancelsMidQuery(t *testing.T) {
-	// 1000 vertices × 100µs per HasLabel: the first checkpoint (tick 256)
+	// 1000 vertices × 100µs per scanned vertex: the first checkpoint (tick 256)
 	// lands ~25ms in, far past the 5ms deadline; the full scan would take
 	// ~100ms, so a hung cancellation still ends quickly but visibly. The
 	// projection has streamed a couple of hundred rows into the response
@@ -359,8 +361,9 @@ func TestRequestTimeoutCancelsMidQuery(t *testing.T) {
 	}
 }
 
-// cancelAfterGraph cancels a context from inside the store once HasLabelID
-// has been called after times: the request dies mid-scan, deterministically.
+// cancelAfterGraph cancels a context from inside the store once its label
+// scans have yielded after vertices: the request dies mid-scan,
+// deterministically.
 type cancelAfterGraph struct {
 	storage.Graph
 	cancel context.CancelFunc
@@ -368,11 +371,13 @@ type cancelAfterGraph struct {
 	calls  atomic.Int64
 }
 
-func (g *cancelAfterGraph) HasLabelID(v storage.VID, label storage.SymbolID) bool {
-	if g.calls.Add(1) == g.after {
-		g.cancel()
-	}
-	return g.Graph.HasLabelID(v, label)
+func (g *cancelAfterGraph) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
+	g.Graph.ForEachVertexID(label, func(v storage.VID) bool {
+		if g.calls.Add(1) == g.after {
+			g.cancel()
+		}
+		return fn(v)
+	})
 }
 
 // TestCancelMidStreamSendsNoRows: a request canceled after hundreds of its
@@ -409,7 +414,7 @@ func TestCancelMidStreamSendsNoRows(t *testing.T) {
 // dead request context and unwind; the server records it as canceled.
 func TestClientCancelMidQuery(t *testing.T) {
 	// Gate the scan start so the test controls when execution proceeds,
-	// and slow each HasLabel so the post-gate scan takes ~100ms — ample
+	// and slow each scanned vertex so the post-gate scan takes ~100ms — ample
 	// time for the server to register the disconnect and for the executor
 	// to pass several cancellation checkpoints before the scan could end.
 	mem := buildWideGraph(t, 1000)

@@ -292,7 +292,7 @@ func TestQueryHitAllocs(t *testing.T) {
 	if hits := s.cache.Stats().Hits; hits < 200 {
 		t.Fatalf("%d plan-cache hits, want every measured request to hit", hits)
 	}
-	const want = 19
+	const want = 16
 	t.Logf("/query plan-cache hit: %.0f allocations", allocs)
 	if allocs < want-2 || allocs > want+2 {
 		t.Errorf("/query plan-cache hit made %.0f allocations, want %d ± 2", allocs, want)

@@ -1,69 +1,91 @@
-// Package memstore implements storage.Graph with in-memory adjacency
-// lists. It plays the role of the paper's less I/O-bound backend
-// (JanusGraph with a warm cache): traversals are pointer chases, so the
-// benefit of the optimized schema comes purely from doing fewer of them.
+// Package memstore implements storage.Graph as a flat in-memory layout.
+// It plays the role of the paper's less I/O-bound backend (JanusGraph
+// with a warm cache): no read touches a disk, so the benefit of the
+// optimized schema comes purely from doing fewer traversals.
+//
+// A finalized store is a handful of shared arrays, CSR style. One record
+// per vertex, plus a sentinel, holds the vertex's offsets into the
+// property arrays (keys and values side by side, each vertex's run in
+// key-name order) and into the out- and in-edge arrays (each vertex's run
+// sorted by edge type, then edge ID). An edge entry is 12 bytes: its
+// type, its other end and its ID, both 32-bit. Label membership is one
+// bitmap per label, so HasLabelID is one bit test, and each label's VID
+// postings serve the label scans. A store past 2^32-1 vertices, edges or
+// properties does not fit the 32-bit offsets, and Finalize refuses it.
 package memstore
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/storage"
 	"repro/internal/storage/propindex"
 )
 
-type halfEdge struct {
+// offsets is one vertex's record: its properties start at index prop of
+// keys and vals, its out-edges at index out of out and its in-edges at
+// index in of in; the next vertex's record ends them.
+type offsets struct {
+	prop, out, in uint32
+}
+
+// edge is one adjacency entry: the edge's type, the vertex at its other
+// end and its ID.
+type edge struct {
 	etype int32
-	other storage.VID
-	id    storage.EID
+	other uint32
+	id    uint32
 }
 
-// prop is one vertex property. Vertices carry few properties, so a slice
-// ordered by key name beats a map on both lookup and iteration.
-type prop struct {
-	key int32
-	val graph.Value
-}
-
-type vertex struct {
-	// labels is kept ordered by label name (not ID) at insert time so
-	// Labels() needs no per-call sort.
-	labels []int32
-	// props is kept ordered by key name at insert time.
-	props []prop
-	out   []halfEdge
-	in    []halfEdge
+// pendingEdge is an edge of the load, placed into the adjacency arrays by
+// Finalize. Its ID is its position in the load.
+type pendingEdge struct {
+	src, dst uint32
+	etype    int32
 }
 
 // Store is an in-memory property graph. The zero value is not usable; call
 // New.
 //
 // A store is written once, through storage.Builder's batches, by a single
-// writer; Finalize ends the load and the store takes no writes after it
-// (storage.ErrFinalized). Once finalized, every read method touches only
-// data that no longer changes, so the store serves any number of
-// concurrent readers without locking.
+// writer: a vertex batch is written straight into the vertex records and
+// property arrays, and edges wait for Finalize, which places them by a
+// counting sort and builds the label bitmaps and the value index. The
+// store takes no writes after it (storage.ErrFinalized). Once finalized,
+// every read method touches only data that no longer changes, so the
+// store serves any number of concurrent readers without locking.
 type Store struct {
 	storage.ByName
 
-	vertices []vertex
-	numEdges int
+	// offs holds NumVertices()+1 records: vertex v's properties are
+	// keys[offs[v].prop:offs[v+1].prop] with their values beside them in
+	// vals, and likewise its out- and in-edges in out and in.
+	offs    []offsets
+	keys    []int32
+	vals    []graph.Value
+	out, in []edge
+
+	// byLabel holds each label's VIDs in ascending order, indexed by label
+	// ID; bits holds each label's membership bitmap, built by Finalize and
+	// indexed the same way.
+	byLabel [][]uint32
+	bits    [][]uint64
+
+	// pending holds the load's edges until Finalize.
+	pending []pendingEdge
 
 	labelIDs map[string]int32
 	labels   []string
 	typeIDs  map[string]int32
 	types    []string
 	keyIDs   map[string]int32
-	keys     []string
+	keyNames []string
 
-	byLabel map[int32][]storage.VID
-
-	// finalized is set by Finalize. From then on every vertex's out/in
-	// lists are sorted by (etype, id), so typed iteration and degree
-	// queries binary-search the matching segment, and index holds the
-	// (label, key, value) postings (package propindex); before it, index is
-	// empty and reads are undefined (the storage.Builder contract).
+	// finalized is set by Finalize; index then holds the (label, key,
+	// value) postings (package propindex). Before it, reads are undefined
+	// (the storage.Builder contract).
 	finalized bool
 	index     *propindex.Index
 }
@@ -76,10 +98,10 @@ var (
 // New returns an empty in-memory store.
 func New() *Store {
 	s := &Store{
+		offs:     make([]offsets, 1),
 		labelIDs: map[string]int32{},
 		typeIDs:  map[string]int32{},
 		keyIDs:   map[string]int32{},
-		byLabel:  map[int32][]storage.VID{},
 	}
 	s.ByName = storage.NewByName(s)
 	return s
@@ -95,73 +117,56 @@ func intern(s string, ids map[string]int32, names *[]string) int32 {
 	return id
 }
 
-// AddVertexBatch creates the batch's vertices with consecutive IDs, each
-// with its labels and its properties applied in order.
+// AddVertexBatch writes the batch's vertices with consecutive IDs: each
+// vertex's labels go into their postings, and its properties, applied in
+// order, become its run of the property arrays.
 func (s *Store) AddVertexBatch(batch []storage.BulkVertex) (storage.VID, error) {
 	if s.finalized {
 		return 0, fmt.Errorf("memstore: %w", storage.ErrFinalized)
 	}
-	first := storage.VID(len(s.vertices))
-	s.vertices = append(s.vertices, make([]vertex, len(batch))...)
+	first := storage.VID(s.NumVertices())
 	for i, bv := range batch {
-		v := first + storage.VID(i)
-		s.vertices[v].props = make([]prop, 0, len(bv.Props))
+		v := uint32(first) + uint32(i)
 		for _, l := range bv.Labels {
-			s.addLabel(v, l)
+			id := intern(l, s.labelIDs, &s.labels)
+			if int(id) == len(s.byLabel) {
+				s.byLabel = append(s.byLabel, nil)
+			}
+			if p := s.byLabel[id]; len(p) == 0 || p[len(p)-1] != v {
+				s.byLabel[id] = append(p, v)
+			}
 		}
+		start := len(s.keys)
 		for _, p := range bv.Props {
-			s.setProp(v, p.Key, p.Value)
+			s.setProp(start, p.Key, p.Value)
 		}
+		s.offs = append(s.offs, offsets{prop: uint32(len(s.keys))})
 	}
 	return first, nil
 }
 
-// addLabel adds a label to an existing vertex.
-func (s *Store) addLabel(v storage.VID, label string) {
-	id := intern(label, s.labelIDs, &s.labels)
-	vx := &s.vertices[v]
-	// Insert in label-name order so Labels() never has to sort.
-	at := len(vx.labels)
-	for i, l := range vx.labels {
-		if l == id {
+// setProp sets a property of the vertex whose run starts at start, the
+// last run of the property arrays, replacing any earlier value of the key
+// and keeping the run in key-name order.
+func (s *Store) setProp(start int, key string, val graph.Value) {
+	id := intern(key, s.keyIDs, &s.keyNames)
+	at := len(s.keys)
+	for i := start; i < len(s.keys); i++ {
+		if s.keys[i] == id {
+			s.vals[i] = val
 			return
 		}
-		if s.labels[l] > label {
+		if s.keyNames[s.keys[i]] > key {
 			at = i
 			break
 		}
 	}
-	vx.labels = append(vx.labels, 0)
-	copy(vx.labels[at+1:], vx.labels[at:])
-	vx.labels[at] = id
-	s.byLabel[id] = append(s.byLabel[id], v)
+	s.keys = slices.Insert(s.keys, at, id)
+	s.vals = slices.Insert(s.vals, at, val)
 }
 
-// setProp sets a vertex property, replacing any previous value.
-func (s *Store) setProp(v storage.VID, key string, val graph.Value) {
-	id := intern(key, s.keyIDs, &s.keys)
-	vx := &s.vertices[v]
-	// Insert in key-name order so PropKeys() never has to sort.
-	at := len(vx.props)
-	for i, p := range vx.props {
-		if p.key == id {
-			vx.props[i].val = val
-			return
-		}
-		if s.keys[p.key] > key {
-			at = i
-			break
-		}
-	}
-	vx.props = append(vx.props, prop{})
-	copy(vx.props[at+1:], vx.props[at:])
-	vx.props[at] = prop{key: id, val: val}
-}
-
-// AddEdgeBatch creates the batch's edges. In-memory adjacency is built
-// eagerly (there is no deferred-linkage saving to be had), so the only
-// deferred work is Finalize's type segmentation. The batch is checked
-// whole before any edge is added.
+// AddEdgeBatch takes the batch's edges for Finalize to place. The batch
+// is checked whole before any edge is taken.
 func (s *Store) AddEdgeBatch(batch []storage.BulkEdge) error {
 	if s.finalized {
 		return fmt.Errorf("memstore: %w", storage.ErrFinalized)
@@ -176,103 +181,195 @@ func (s *Store) AddEdgeBatch(batch []storage.BulkEdge) error {
 	}
 	for _, be := range batch {
 		t := intern(be.Type, s.typeIDs, &s.types)
-		id := storage.EID(s.numEdges)
-		s.numEdges++
-		s.vertices[be.Src].out = append(s.vertices[be.Src].out, halfEdge{etype: t, other: be.Dst, id: id})
-		s.vertices[be.Dst].in = append(s.vertices[be.Dst].in, halfEdge{etype: t, other: be.Src, id: id})
+		s.pending = append(s.pending, pendingEdge{src: uint32(be.Src), dst: uint32(be.Dst), etype: t})
 	}
 	return nil
 }
 
-// Finalize ends the load: it sorts every vertex's out/in lists by (edge
-// type, edge id), so typed traversals and degree queries binary-search
-// straight to their type's segment instead of filtering the whole list,
-// and builds the (label, key, value) postings index. A second call does
-// nothing.
+// checkSize reports a store whose vertex, edge or property count does
+// not fit the layout's 32-bit VIDs, edge IDs and offsets.
+func checkSize(vertices, edges, props int) error {
+	for _, c := range []struct {
+		what string
+		n    int
+	}{{"vertices", vertices}, {"edges", edges}, {"properties", props}} {
+		if uint64(c.n) > math.MaxUint32 {
+			return fmt.Errorf("memstore: %d %s exceed the flat layout's 32-bit limit", c.n, c.what)
+		}
+	}
+	return nil
+}
+
+// Finalize ends the load. It places the edges into the out- and in-edge
+// arrays, each vertex's run sorted by (edge type, edge ID), builds each
+// label's bitmap from its postings and the (label, key, value) value
+// index. A second call does nothing.
 func (s *Store) Finalize() error {
 	if s.finalized {
 		return nil
 	}
-	for i := range s.vertices {
-		sortSegmented(s.vertices[i].out)
-		sortSegmented(s.vertices[i].in)
+	n := s.NumVertices()
+	if err := checkSize(n, len(s.pending), len(s.keys)); err != nil {
+		return err
 	}
+	// Two stable counting sorts: by type, then by vertex, leave each
+	// vertex's edges in (type, ID) order.
+	byType, _ := groupBy(len(s.pending), len(s.types), func(k int) int { return int(s.pending[k].etype) })
+	s.out = s.place(byType, true)
+	s.in = s.place(byType, false)
+	s.pending = nil
+
+	words := (n + 63) / 64
+	backing := make([]uint64, len(s.byLabel)*words)
+	s.bits = make([][]uint64, len(s.byLabel))
 	var b propindex.Builder
-	for label := range s.labels {
-		for _, v := range s.byLabel[int32(label)] {
-			for _, p := range s.vertices[v].props {
-				b.Add(int32(label), p.key, v, p.val)
+	for label, postings := range s.byLabel {
+		bm := backing[label*words : (label+1)*words : (label+1)*words]
+		for _, v := range postings {
+			bm[v/64] |= 1 << (v % 64)
+			for i := s.offs[v].prop; i < s.offs[v+1].prop; i++ {
+				b.Add(int32(label), s.keys[i], storage.VID(v), s.vals[i])
 			}
 		}
+		s.bits[label] = bm
 	}
 	s.index = b.Finish()
 	s.finalized = true
 	return nil
 }
 
-func sortSegmented(list []halfEdge) {
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].etype != list[j].etype {
-			return list[i].etype < list[j].etype
+// place lays the edges out grouped by source (out) or destination
+// vertex, in the order of byType within a vertex, and records each
+// vertex's start in its offsets record.
+func (s *Store) place(byType []uint32, out bool) []edge {
+	ends := func(e pendingEdge) (this, other uint32) {
+		if out {
+			return e.src, e.dst
 		}
-		return list[i].id < list[j].id
+		return e.dst, e.src
+	}
+	byVertex, start := groupBy(len(byType), s.NumVertices(), func(i int) int {
+		v, _ := ends(s.pending[byType[i]])
+		return int(v)
 	})
+	adj := make([]edge, len(byVertex))
+	for i, j := range byVertex {
+		k := byType[j]
+		_, other := ends(s.pending[k])
+		adj[i] = edge{etype: s.pending[k].etype, other: other, id: k}
+	}
+	for v, at := range start {
+		if out {
+			s.offs[v].out = at
+		} else {
+			s.offs[v].in = at
+		}
+	}
+	return adj
+}
+
+// groupBy is a stable counting sort of the positions 0..n-1 by key, whose
+// values lie in [0, buckets). It returns the sorted positions and where
+// each key's group starts in them, with n appended.
+func groupBy(n, buckets int, key func(int) int) (perm, start []uint32) {
+	start = make([]uint32, buckets+1)
+	for i := range n {
+		start[key(i)+1]++
+	}
+	for b := 1; b <= buckets; b++ {
+		start[b] += start[b-1]
+	}
+	next := slices.Clone(start[:buckets])
+	perm = make([]uint32, n)
+	for i := range n {
+		k := key(i)
+		perm[next[k]] = uint32(i)
+		next[k]++
+	}
+	return perm, start
 }
 
 // Close is a no-op for the in-memory store.
 func (s *Store) Close() error { return nil }
 
 func (s *Store) check(v storage.VID) error {
-	if v < 0 || int(v) >= len(s.vertices) {
+	if !s.has(v) {
 		return fmt.Errorf("memstore: vertex %d out of range", v)
 	}
 	return nil
 }
 
+// has reports whether v names a vertex of the store.
+func (s *Store) has(v storage.VID) bool { return uint64(v) < uint64(len(s.offs)-1) }
+
 // NumVertices returns the number of vertices.
-func (s *Store) NumVertices() int { return len(s.vertices) }
+func (s *Store) NumVertices() int { return len(s.offs) - 1 }
 
 // NumEdges returns the number of edges.
-func (s *Store) NumEdges() int { return s.numEdges }
+func (s *Store) NumEdges() int { return len(s.out) }
 
-// Labels returns the labels of the vertex in lexicographic order (the
-// per-vertex label list is maintained in name order at insert time).
+// Labels returns the labels of the vertex in lexicographic order, read
+// off the label bitmaps.
 func (s *Store) Labels(v storage.VID) []string {
-	if s.check(v) != nil {
-		return nil
+	var out []string
+	for id := range s.bits {
+		if s.HasLabelID(v, storage.SymbolID(id)) {
+			out = append(out, s.labels[id])
+		}
 	}
-	out := make([]string, 0, len(s.vertices[v].labels))
-	for _, l := range s.vertices[v].labels {
-		out = append(out, s.labels[l])
-	}
+	slices.Sort(out)
 	return out
 }
 
 // PropKeys returns the property keys present on the vertex in
-// lexicographic order (the per-vertex property list is maintained in key
-// order at insert time).
+// lexicographic order (a vertex's run is in key-name order).
 func (s *Store) PropKeys(v storage.VID) []string {
-	if s.check(v) != nil {
+	if !s.has(v) {
 		return nil
 	}
-	out := make([]string, 0, len(s.vertices[v].props))
-	for _, p := range s.vertices[v].props {
-		out = append(out, s.keys[p.key])
+	run := s.keys[s.offs[v].prop:s.offs[v+1].prop]
+	out := make([]string, len(run))
+	for i, k := range run {
+		out[i] = s.keyNames[k]
 	}
 	return out
 }
 
+// adjacency returns v's out- or in-edges, sorted by (type, ID); nil for
+// an out-of-range v.
+func (s *Store) adjacency(v storage.VID, out bool) []edge {
+	if !s.has(v) {
+		return nil
+	}
+	if out {
+		return s.out[s.offs[v].out:s.offs[v+1].out]
+	}
+	return s.in[s.offs[v].in:s.offs[v+1].in]
+}
+
+// segmentStart returns the index of the first edge with type >= want in a
+// type-sorted list.
+func segmentStart(list []edge, want int32) int {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if list[m].etype < want {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 func (s *Store) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn func(storage.EID, storage.VID) bool) {
-	if s.check(v) != nil || etype == storage.NoSymbol {
+	if etype == storage.NoSymbol {
 		return
 	}
-	list := s.vertices[v].in
-	if out {
-		list = s.vertices[v].out
-	}
+	list := s.adjacency(v, out)
 	if etype == storage.AnySymbol {
 		for _, e := range list {
-			if !fn(e.id, e.other) {
+			if !fn(storage.EID(e.id), storage.VID(e.other)) {
 				return
 			}
 		}
@@ -282,16 +379,10 @@ func (s *Store) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn fu
 	// per-edge type filtering.
 	want := int32(etype)
 	for i := segmentStart(list, want); i < len(list) && list[i].etype == want; i++ {
-		if !fn(list[i].id, list[i].other) {
+		if !fn(storage.EID(list[i].id), storage.VID(list[i].other)) {
 			return
 		}
 	}
-}
-
-// segmentStart returns the index of the first edge with type >= want in a
-// type-sorted list.
-func segmentStart(list []halfEdge, want int32) int {
-	return sort.Search(len(list), func(i int) bool { return list[i].etype >= want })
 }
 
 // LabelID resolves a vertex label to its interned ID.
@@ -313,32 +404,35 @@ func resolve(name string, ids map[string]int32) storage.SymbolID {
 	return storage.NoSymbol
 }
 
+// postings returns the label's VIDs; nil for NoSymbol, AnySymbol and an
+// unknown ID.
+func (s *Store) postings(label storage.SymbolID) []uint32 {
+	if uint64(label) >= uint64(len(s.byLabel)) {
+		return nil
+	}
+	return s.byLabel[label]
+}
+
 // CountLabelID returns the number of vertices carrying the label.
 func (s *Store) CountLabelID(label storage.SymbolID) int {
 	if label == storage.AnySymbol {
-		return len(s.vertices)
+		return s.NumVertices()
 	}
-	if label < 0 {
-		return 0
-	}
-	return len(s.byLabel[int32(label)])
+	return len(s.postings(label))
 }
 
 // ForEachVertexID calls fn for every vertex carrying the label.
 func (s *Store) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) bool) {
 	if label == storage.AnySymbol {
-		for i := range s.vertices {
-			if !fn(storage.VID(i)) {
+		for v := range s.NumVertices() {
+			if !fn(storage.VID(v)) {
 				return
 			}
 		}
 		return
 	}
-	if label < 0 {
-		return
-	}
-	for _, v := range s.byLabel[int32(label)] {
-		if !fn(v) {
+	for _, v := range s.postings(label) {
+		if !fn(storage.VID(v)) {
 			return
 		}
 	}
@@ -350,7 +444,7 @@ func (s *Store) ForEachVertexID(label storage.SymbolID, fn func(storage.VID) boo
 // postings directly is already a consistent snapshot.
 func (s *Store) PlanVertexScan(label storage.SymbolID, parts int) []storage.VertexScan {
 	if label == storage.AnySymbol {
-		ranges := storage.SplitRange(len(s.vertices), parts)
+		ranges := storage.SplitRange(s.NumVertices(), parts)
 		scans := make([]storage.VertexScan, len(ranges))
 		for i, r := range ranges {
 			lo, hi := r[0], r[1]
@@ -364,17 +458,14 @@ func (s *Store) PlanVertexScan(label storage.SymbolID, parts int) []storage.Vert
 		}
 		return scans
 	}
-	if label < 0 {
-		return nil
-	}
-	postings := s.byLabel[int32(label)]
+	postings := s.postings(label)
 	ranges := storage.SplitRange(len(postings), parts)
 	scans := make([]storage.VertexScan, len(ranges))
 	for i, r := range ranges {
 		part := postings[r[0]:r[1]]
 		scans[i] = func(fn func(storage.VID) bool) {
 			for _, v := range part {
-				if !fn(v) {
+				if !fn(storage.VID(v)) {
 					return
 				}
 			}
@@ -383,29 +474,27 @@ func (s *Store) PlanVertexScan(label storage.SymbolID, parts int) []storage.Vert
 	return scans
 }
 
-// HasLabelID reports whether the vertex carries the label.
+// HasLabelID reports whether the vertex carries the label: one bit of the
+// label's bitmap. The bitmap holds no bit past the last vertex, so an
+// out-of-range VID (a negative one included) reads as absent.
 func (s *Store) HasLabelID(v storage.VID, label storage.SymbolID) bool {
-	if label < 0 || s.check(v) != nil {
+	if uint64(label) >= uint64(len(s.bits)) {
 		return false
 	}
-	want := int32(label)
-	for _, l := range s.vertices[v].labels {
-		if l == want {
-			return true
-		}
-	}
-	return false
+	bm, w := s.bits[label], uint64(v)/64
+	return w < uint64(len(bm)) && bm[w]&(1<<(uint64(v)%64)) != 0
 }
 
 // PropID returns the value of a vertex property.
 func (s *Store) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
-	if key < 0 || s.check(v) != nil {
+	if key < 0 || !s.has(v) {
 		return graph.Null, false
 	}
+	lo, hi := s.offs[v].prop, s.offs[v+1].prop
 	want := int32(key)
-	for i := range s.vertices[v].props {
-		if s.vertices[v].props[i].key == want {
-			return s.vertices[v].props[i].val, true
+	for i, k := range s.keys[lo:hi] {
+		if k == want {
+			return s.vals[int(lo)+i], true
 		}
 	}
 	return graph.Null, false
@@ -444,23 +533,18 @@ func (s *Store) ForEachInID(v storage.VID, etype storage.SymbolID, fn func(stora
 	s.forEachID(v, etype, false, fn)
 }
 
-// DegreeID returns the number of out- or in-edges of the given type. The
-// untyped degree is the adjacency-list length, no iteration needed.
+// DegreeID returns the number of out- or in-edges of the given type: the
+// length of the vertex's run, or of its type's segment.
 func (s *Store) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
-	if s.check(v) != nil || etype == storage.NoSymbol {
+	if etype == storage.NoSymbol {
 		return 0
 	}
-	list := s.vertices[v].in
-	if out {
-		list = s.vertices[v].out
-	}
+	list := s.adjacency(v, out)
 	if etype == storage.AnySymbol {
 		return len(list)
 	}
 	want := int32(etype)
-	lo := segmentStart(list, want)
-	hi := lo + sort.Search(len(list)-lo, func(i int) bool { return list[lo+i].etype > want })
-	return hi - lo
+	return segmentStart(list, want+1) - segmentStart(list, want)
 }
 
 // LabelCounts returns the exact number of vertices per label
@@ -468,7 +552,7 @@ func (s *Store) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 func (s *Store) LabelCounts() map[string]int {
 	out := make(map[string]int, len(s.labels))
 	for id, name := range s.labels {
-		out[name] = len(s.byLabel[int32(id)])
+		out[name] = len(s.byLabel[id])
 	}
 	return out
 }
@@ -481,10 +565,8 @@ func (s *Store) EdgeTypeCounts() map[string]int {
 	for _, name := range s.types {
 		out[name] = 0
 	}
-	for i := range s.vertices {
-		for _, e := range s.vertices[i].out {
-			out[s.types[e.etype]]++
-		}
+	for _, e := range s.out {
+		out[s.types[e.etype]]++
 	}
 	return out
 }

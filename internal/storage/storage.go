@@ -3,7 +3,7 @@
 // contract, Builder the bulk-write contract (vertex batches that carry
 // their properties, edge batches, one Finalize) and
 // MutableGraph.ApplyMutations the live one. Two implementations exist:
-// memstore (an in-memory adjacency store, the JanusGraph-like backend of
+// memstore (a flat in-memory store, the JanusGraph-like backend of
 // the paper's evaluation) and diskstore (a Neo4j-like record store behind
 // a sharded clock-sweep page cache). Both implement Graph's ID methods
 // natively and embed ByName for its by-name half.
