@@ -216,9 +216,8 @@ func main() {
 				fmt.Printf("%s store: format v%d, generation %d, delta %d vertices / %d edges\n",
 					side.tag, f.Version, f.Generation, ls.DeltaVertices, ls.DeltaEdges)
 				if d.NumEdges() > 0 {
-					bpe := float64(f.EdgeBytes) / float64(d.NumEdges())
-					fmt.Printf("%s adjacency: %d bytes compressed (%.2f B/edge, %.1fx vs 64 B edge records)\n",
-						side.tag, f.EdgeBytes, bpe, 64/bpe)
+					fmt.Printf("%s adjacency: %d bytes (%.2f B/edge)\n",
+						side.tag, f.EdgeBytes, float64(f.EdgeBytes)/float64(d.NumEdges()))
 				}
 				if ls.WALAppends > 0 {
 					fmt.Printf("%s wal: %d batches in %d fsyncs, %d bytes\n",
@@ -245,7 +244,7 @@ func main() {
 func show(cache *query.Cache, g storage.Graph, q *cypher.Query, tag string, maxRows, repeat, parallel, queryWorkers int, profile bool) {
 	// Compile once through the shared cache, execute -repeat times from
 	// -parallel goroutines: every worker shares the same immutable plan.
-	plan, err := cache.GetParsed(g, q)
+	plan, err := cache.Get(g, q.String())
 	if err != nil {
 		fatalf("%s: %v", tag, err)
 	}

@@ -24,12 +24,14 @@
 // POST /mutate accepts one durable mutation batch on a diskstore backend
 // (one ApplyMutations call): the batch is WAL-logged and fsynced before
 // the 200, so acknowledged writes survive a crash (see the server package
-// for the request shape). /stats reports the live-write gauges — delta
-// segment sizes, WAL fsync counts and mean latency — next to the pager
-// and admission numbers.
+// for the request shape). /metrics reports the live-write series — delta
+// segment sizes, WAL fsync counts and time — next to the pager and
+// admission numbers.
 //
-// Observability: GET /metrics serves the same registry as /stats in
-// Prometheus text exposition format; every response carries an
+// Observability: GET /metrics serves every counter, gauge and latency
+// histogram in Prometheus text exposition format; GET /stats carries only
+// what an exposition cannot (the top query shapes by p99, the last fold
+// error, the graph's per-label counts); every response carries an
 // X-Request-Id (honored from the client or generated); a query prefixed
 // with PROFILE (or sent to /query?profile=1) returns a per-phase,
 // per-operator trace. -slow-query-log streams JSON lines for requests at

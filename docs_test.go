@@ -78,7 +78,7 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			// The value index both backends share, diskstore's delta
 			// overlay on it, and the qualified keys of colliding merges.
 			"propindex", "TestValuePostingsOverlay", "ScalarKeys", "MergeCollisionError",
-			"compression_ratio", "ErrLegacyFormat",
+			"pgs_storage_edge_bytes", "ErrLegacyFormat",
 			// Serving layer: admission control, shutdown semantics, and
 			// the stats endpoint schema must stay documented.
 			"Serving layer", "pgsserve", "429", "admission", "drain",

@@ -126,7 +126,7 @@ func traversals(env *bench.Env, plan *optimizer.Plan, wl *workload.Workload) (in
 		if err != nil {
 			return 0, err
 		}
-		p, err := cache.GetParsed(st, rw)
+		p, err := cache.Get(st, rw.String())
 		if err != nil {
 			return 0, err
 		}

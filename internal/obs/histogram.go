@@ -86,8 +86,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(maxSeen) * time.Microsecond
 }
 
-// HistogramSnapshot is the JSON shape of one histogram's summary in the
-// /stats response.
+// HistogramSnapshot is the JSON shape of one histogram's summary (the
+// server's /stats top-N query shapes).
 type HistogramSnapshot struct {
 	Count  int64 `json:"count"`
 	MeanUS int64 `json:"mean_us"`
@@ -96,7 +96,7 @@ type HistogramSnapshot struct {
 	P99US  int64 `json:"p99_us"`
 }
 
-// Snapshot summarizes the histogram for the stats endpoint.
+// Snapshot summarizes the histogram as a HistogramSnapshot.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count: h.count.Load(),

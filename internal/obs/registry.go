@@ -1,8 +1,7 @@
 // Package obs is the unified observability layer: a central metrics
 // registry every subsystem registers into (counters, gauges, func-backed
 // readings, and log2 latency histograms), exposed in Prometheus text
-// format by WritePrometheus and consumed as JSON by the server's /stats
-// view. The package also ships a strict exposition-format parser
+// format by WritePrometheus. The package also ships a strict exposition-format parser
 // (ParseExposition) used by the CI metrics-smoke job and the tests.
 //
 // Naming scheme: every metric is `pgs_<subsystem>_<what>[_total]` —

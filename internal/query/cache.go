@@ -152,12 +152,6 @@ func (c *Cache) GetWithInfo(g storage.Graph, src string) (*Prepared, bool, error
 	return s.Bind(args), hit, nil
 }
 
-// GetParsed is Get for an already-parsed query: it renders q and gets
-// the rendering.
-func (c *Cache) GetParsed(g storage.Graph, q *cypher.Query) (*Prepared, error) {
-	return c.Get(g, q.String())
-}
-
 // Lookup returns the cached shape for shapeKey, a cypher.Shape key,
 // against g. On a miss compile builds it (with NewShape, from the key's
 // tree) with no locks held, at most once per key across all concurrent

@@ -5,13 +5,13 @@ package server
 // base generation without blocking /query or /mutate traffic (the
 // backend's background-fold contract), so the endpoint answers 202 as
 // soon as the fold is launched rather than holding the connection for
-// its duration; progress is observable through GET /stats
-// (storage.fold_running / fold_progress_permille / generation).
+// its duration; progress is observable through GET /metrics
+// (pgs_compact_fold_running, pgs_compact_fold_progress_permille,
+// pgs_compact_generation).
 //
 // Responses: 202 when a fold was started, 409 when one is already
 // running, 501 when the backend cannot compact (memstore). A fold
-// failure is recorded and surfaced as storage.last_compact_error in
-// /stats.
+// failure is recorded and surfaced as last_compact_error in /stats.
 //
 // The same launch path drives auto-compaction: when
 // Config.AutoCompactDeltaItems > 0, every acknowledged /mutate batch
@@ -34,7 +34,6 @@ import (
 type compactState struct {
 	running atomic.Bool
 	wg      sync.WaitGroup
-	started atomic.Int64
 
 	mu      sync.Mutex
 	lastErr string
@@ -47,7 +46,6 @@ func (s *Server) startCompact(mg storage.MutableGraph) bool {
 	if !s.compact.running.CompareAndSwap(false, true) {
 		return false
 	}
-	s.compact.started.Add(1)
 	s.compact.wg.Add(1)
 	go func() {
 		defer s.compact.wg.Done()

@@ -5,8 +5,9 @@ package server
 // New; subsystems that keep their own atomics (plan cache, pager, WAL,
 // compaction) are bridged with func-backed series read at scrape time —
 // through s.data.Load(), so a Swap retargets every bridge atomically.
-// GET /metrics writes the registry in Prometheus text format; GET /stats
-// renders the same counters as JSON.
+// GET /metrics writes the registry in Prometheus text format. It is the
+// one read-out of every number here; GET /stats carries only what an
+// exposition cannot (see StatsResponse).
 
 import (
 	"sort"
@@ -18,15 +19,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Histogram and HistogramSnapshot are the obs types; aliased so the
-// /stats JSON shape and the shape tracker keep their existing names.
+// Histogram and HistogramSnapshot are the obs types, aliased for the
+// shape tracker and its /stats top-N report.
 type (
 	Histogram         = obs.Histogram
 	HistogramSnapshot = obs.HistogramSnapshot
 )
 
 // metrics is the server's registered metric set. Counters are written on
-// the request path and read by /metrics and /stats scrapes.
+// the request path and read by /metrics scrapes.
 type metrics struct {
 	reg *obs.Registry
 
@@ -99,8 +100,9 @@ func newMetrics() metrics {
 	}
 }
 
-// registerBridges adds the func-backed series that read other subsystems'
-// own counters at scrape time. Every closure loads the served graph
+// registerBridges adds the series that need the Server: its fixed
+// limits, and func-backed series that read other subsystems' own
+// counters at scrape time. Every closure loads the served graph
 // through s.data, so the bridges follow a Swap without re-registration;
 // backends without the relevant reporter interface read as 0.
 func (s *Server) registerBridges() {
@@ -109,26 +111,22 @@ func (s *Server) registerBridges() {
 	reg.GaugeFunc("pgs_server_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 
+	// Configuration, fixed at New.
+	reg.NewGauge("pgs_server_max_concurrent", "Execution slots (Config.MaxConcurrent).").Set(int64(s.cfg.MaxConcurrent))
+	reg.NewGauge("pgs_server_max_queued", "Admission queue bound (Config.MaxQueued).").Set(int64(s.cfg.MaxQueued))
+	reg.NewGauge("pgs_server_query_workers", "Morsel workers per query (Config.QueryWorkers).").Set(int64(s.cfg.QueryWorkers))
+
 	// Plan cache.
-	cacheStat := func(pick func(s PlanCacheStats) float64) func() float64 {
-		return func() float64 {
-			cs := s.cache.Stats()
-			return pick(PlanCacheStats{
-				Hits: cs.Hits, Misses: cs.Misses, Shared: cs.Shared,
-				Size: cs.Size, Capacity: cs.Capacity,
-			})
-		}
-	}
 	reg.CounterFunc("pgs_plancache_hits_total", "Plan-cache lookups served from cache.",
-		cacheStat(func(c PlanCacheStats) float64 { return float64(c.Hits) }))
+		func() float64 { return float64(s.cache.Stats().Hits) })
 	reg.CounterFunc("pgs_plancache_misses_total", "Plan-cache lookups that found no ready plan.",
-		cacheStat(func(c PlanCacheStats) float64 { return float64(c.Misses) }))
+		func() float64 { return float64(s.cache.Stats().Misses) })
 	reg.CounterFunc("pgs_plancache_shared_total", "Cold lookups served by an in-flight compile.",
-		cacheStat(func(c PlanCacheStats) float64 { return float64(c.Shared) }))
+		func() float64 { return float64(s.cache.Stats().Shared) })
 	reg.GaugeFunc("pgs_plancache_size", "Plans currently cached.",
-		cacheStat(func(c PlanCacheStats) float64 { return float64(c.Size) }))
+		func() float64 { return float64(s.cache.Stats().Size) })
 	reg.GaugeFunc("pgs_plancache_capacity", "Plan-cache capacity.",
-		cacheStat(func(c PlanCacheStats) float64 { return float64(c.Capacity) }))
+		func() float64 { return float64(s.cache.Stats().Capacity) })
 
 	// Query-shape tracker overflow.
 	reg.CounterFunc("pgs_server_query_shapes_dropped_total",
@@ -160,6 +158,10 @@ func (s *Server) registerBridges() {
 			return 0
 		}
 	}
+	reg.GaugeFunc("pgs_storage_live", "1 while the store accepts POST /mutate.",
+		live(func(ls storage.LiveStats) float64 { return oneIf(ls.Live) }))
+	reg.GaugeFunc("pgs_storage_edge_bytes", "Bytes of the base adjacency on disk.",
+		live(func(ls storage.LiveStats) float64 { return float64(ls.EdgeBytes) }))
 	reg.CounterFunc("pgs_wal_appends_total", "Mutation batches appended to the WAL.",
 		live(func(ls storage.LiveStats) float64 { return float64(ls.WALAppends) }))
 	reg.CounterFunc("pgs_wal_syncs_total", "WAL fsyncs (group commits).",
@@ -175,18 +177,21 @@ func (s *Server) registerBridges() {
 	reg.GaugeFunc("pgs_compact_generation", "Base file-set generation serving reads.",
 		live(func(ls storage.LiveStats) float64 { return float64(ls.Generation) }))
 	reg.GaugeFunc("pgs_compact_fold_running", "1 while a background fold runs.",
-		live(func(ls storage.LiveStats) float64 {
-			if ls.FoldRunning {
-				return 1
-			}
-			return 0
-		}))
+		live(func(ls storage.LiveStats) float64 { return oneIf(ls.FoldRunning) }))
 	reg.GaugeFunc("pgs_compact_fold_progress_permille", "Background fold progress, 0-1000.",
 		live(func(ls storage.LiveStats) float64 { return float64(ls.FoldProgress) }))
 	reg.GaugeFunc("pgs_compact_pinned_snapshots", "Acquired-but-unreleased store snapshots.",
 		live(func(ls storage.LiveStats) float64 { return float64(ls.PinnedSnapshots) }))
 	reg.CounterFunc("pgs_compact_folds_total", "Folds committed since the store opened.",
 		live(func(ls storage.LiveStats) float64 { return float64(ls.Compactions) }))
+}
+
+// oneIf is a boolean as a 0/1 gauge value.
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // QueryShapeStats is one executed query text's latency summary in the

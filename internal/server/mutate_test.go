@@ -163,9 +163,9 @@ func TestMutateNotImplemented(t *testing.T) {
 	}
 }
 
-// TestStatsStorageSection: after live writes, /stats must expose the
-// delta/WAL gauges the satellite asks for — segmented state, delta sizes,
-// WAL append/sync counters — plus the /mutate endpoint histogram.
+// TestStatsStorageSection: after live writes, /metrics must expose the
+// live-write series — live state, delta sizes, WAL append/sync counters —
+// plus the /mutate endpoint histogram.
 func TestStatsStorageSection(t *testing.T) {
 	_, ts, _ := newLiveServer(t)
 	for i := 0; i < 3; i++ {
@@ -175,50 +175,30 @@ func TestStatsStorageSection(t *testing.T) {
 			t.Fatalf("mutate %d: status = %d (%s)", i, status, errMsg)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, ts).Samples
+	if m["pgs_storage_live{}"] != 1 {
+		t.Errorf("pgs_storage_live = %v, want 1", m["pgs_storage_live{}"])
 	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	if m["pgs_delta_vertices{}"] != 3 || m["pgs_delta_edges{}"] != 3 {
+		t.Errorf("delta = %v vertices / %v edges, want 3/3", m["pgs_delta_vertices{}"], m["pgs_delta_edges{}"])
 	}
-	resp.Body.Close()
-	sg := st.Storage
-	if sg == nil {
-		t.Fatal("diskstore-backed server reported no storage stats")
+	if m["pgs_wal_appends_total{}"] != 3 || m["pgs_wal_syncs_total{}"] == 0 || m["pgs_wal_bytes_total{}"] == 0 {
+		t.Errorf("wal = %v appends / %v syncs / %v bytes, want 3 appends and nonzero syncs/bytes",
+			m["pgs_wal_appends_total{}"], m["pgs_wal_syncs_total{}"], m["pgs_wal_bytes_total{}"])
 	}
-	if !sg.Live {
-		t.Errorf("storage = %+v, want live", sg)
-	}
-	if sg.DeltaVertices != 3 || sg.DeltaEdges != 3 {
-		t.Errorf("delta = %d vertices / %d edges, want 3/3", sg.DeltaVertices, sg.DeltaEdges)
-	}
-	if sg.WALAppends != 3 || sg.WALSyncs == 0 || sg.WALBytes == 0 {
-		t.Errorf("wal counters = %+v, want 3 appends and nonzero syncs/bytes", sg)
-	}
-	if st.Endpoints["/mutate"].Count != 3 {
-		t.Errorf("/mutate latency count = %d, want 3", st.Endpoints["/mutate"].Count)
+	if got := m[`pgs_request_latency_seconds_count{endpoint="/mutate"}`]; got != 3 {
+		t.Errorf("/mutate latency count = %v, want 3", got)
 	}
 }
 
-// TestStatsStorageOmittedForMemstore: the storage section is backend
-// honesty — absent when the backend has no live-write machinery.
+// TestStatsStorageOmittedForMemstore: backend honesty — pgs_storage_live
+// is present and 0 when the backend has no live-write machinery.
 func TestStatsStorageOmittedForMemstore(t *testing.T) {
 	mem := memstore.New()
 	buildMedGraph(t, mem)
 	_, ts := newMedServer(t, Config{Graph: mem})
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Storage != nil {
-		t.Errorf("memstore-backed server reported storage stats: %+v", st.Storage)
+	if got, ok := scrapeMetrics(t, ts).Samples["pgs_storage_live{}"]; !ok || got != 0 {
+		t.Errorf("pgs_storage_live = %v (present %v), want 0 on memstore", got, ok)
 	}
 }
 

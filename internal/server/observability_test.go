@@ -8,16 +8,19 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/storage/diskstore"
 	"repro/internal/storage/memstore"
 )
 
@@ -226,6 +229,8 @@ func TestMetricsExposition(t *testing.T) {
 		"pgs_wal_appends_total", "pgs_wal_sync_seconds_total",
 		"pgs_delta_vertices", "pgs_compact_generation", "pgs_compact_folds_total",
 		"pgs_server_slow_queries_total", "pgs_server_uptime_seconds",
+		"pgs_server_max_concurrent", "pgs_server_max_queued", "pgs_server_query_workers",
+		"pgs_storage_live", "pgs_storage_edge_bytes",
 	} {
 		if _, ok := first.Types[fam]; !ok {
 			t.Errorf("family %s missing from exposition", fam)
@@ -486,49 +491,46 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
-// TestStatsAndMetricsAgree: the JSON /stats view and the Prometheus
-// exposition read the same registry — the accepted counter and the
-// /query latency count must match between the two.
-func TestStatsAndMetricsAgree(t *testing.T) {
-	s, ts := newMedServer(t, Config{})
-	for i := 0; i < 5; i++ {
-		post(t, ts, drugQuery, "text/plain")
+// failingFoldStore is a diskstore whose every fold fails.
+type failingFoldStore struct{ *diskstore.Store }
+
+func (failingFoldStore) Compact() error { return errors.New("injected fold failure") }
+
+// TestStatsCarriesOnlyWhatMetricsCannot: every number with a fixed series
+// set lives in /metrics alone, so /stats on a diskstore whose fold failed
+// holds exactly the top-N query shapes, the fold's error and the graph
+// section.
+func TestStatsCarriesOnlyWhatMetricsCannot(t *testing.T) {
+	_, _, ds := newLiveServer(t)
+	s, ts := newMedServer(t, Config{Graph: failingFoldStore{ds}})
+	if status, qr := post(t, ts, drugQuery, "text/plain"); status != http.StatusOK {
+		t.Fatalf("query: status %d (%s)", status, qr.Error)
 	}
-	st := s.Stats()
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Post(ts.URL+"/admin/compact", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	exp, err := obs.ParseExposition(data)
-	if err != nil {
-		t.Fatalf("strict parse: %v", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /admin/compact: status %d", resp.StatusCode)
 	}
-	if got := exp.Samples[`pgs_server_requests_total{outcome="accepted"}`]; int64(got) != st.Admission.Accepted {
-		t.Errorf("accepted: exposition %v != stats %d", got, st.Admission.Accepted)
-	}
-	if got := exp.Samples[`pgs_request_latency_seconds_count{endpoint="/query"}`]; int64(got) != st.Endpoints["/query"].Count {
-		t.Errorf("/query count: exposition %v != stats %d", got, st.Endpoints["/query"].Count)
-	}
-	if got := exp.Samples["pgs_plancache_hits_total{}"]; int64(got) != st.PlanCache.Hits {
-		t.Errorf("plancache hits: exposition %v != stats %d", got, st.PlanCache.Hits)
-	}
+	s.compact.wg.Wait()
 
-	// A backend with persisted statistics must populate the graph section
-	// with real per-label counts.
-	if st.Graph == nil {
-		t.Fatal("stats lack the graph section on a statistics-reporting backend")
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/stats", nil)
+	_, data := do(t, req)
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("/stats is not a JSON object: %v\n%s", err, data)
 	}
-	if st.Graph.Vertices <= 0 || len(st.Graph.LabelCounts) == 0 {
-		t.Errorf("graph stats incomplete: %+v", st.Graph)
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
+		keys = append(keys, k)
 	}
-	total := 0
-	for _, n := range st.Graph.LabelCounts {
-		total += n
+	sort.Strings(keys)
+	if got := strings.Join(keys, " "); got != "graph last_compact_error top_queries" {
+		t.Errorf("/stats keys = %s, want graph last_compact_error top_queries", got)
 	}
-	if total < st.Graph.Vertices {
-		t.Errorf("label counts sum %d < %d vertices", total, st.Graph.Vertices)
+	if got := doc["last_compact_error"]; got != "injected fold failure" {
+		t.Errorf("last_compact_error = %v", got)
 	}
-	_ = fmt.Sprint() // keep fmt imported if assertions change
 }

@@ -10,9 +10,11 @@
 //	POST /mutate  — one atomic, WAL-durable mutation batch (backends
 //	                implementing storage.MutableGraph; others answer 501)
 //	GET  /healthz — liveness: {"status":"ok"} while serving
-//	GET  /stats   — admission counters, plan-cache, pager and live-write
-//	                storage stats, and per-endpoint latency histograms
-//	GET  /metrics — the same registry in Prometheus text exposition
+//	GET  /metrics — every counter, gauge and latency histogram, in
+//	                Prometheus text exposition
+//	GET  /stats   — what an exposition cannot carry: the top-N query
+//	                shapes by p99, the last fold error, and the graph's
+//	                per-label and per-type counts
 //
 // Observability: every request carries an X-Request-Id (client-sent and
 // sane, or generated), echoed in the response header and every error
@@ -601,99 +603,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StatsResponse is the GET /stats JSON document.
+// StatsResponse is the GET /stats JSON document. It carries only what a
+// Prometheus exposition cannot: every number with a fixed series set
+// (admission, plan cache, pager, WAL, delta, compaction, latency) lives
+// once, in the registry GET /metrics writes.
 type StatsResponse struct {
-	UptimeS   int64          `json:"uptime_s"`
-	Admission AdmissionStats `json:"admission"`
-	PlanCache PlanCacheStats `json:"plan_cache"`
-	// Pager is present only when the backend reports I/O statistics
-	// (diskstore does, memstore does not).
-	Pager *PagerStats `json:"pager,omitempty"`
-	// Storage is present only when the backend reports live-write state
-	// (diskstore does, memstore does not): whether the store accepts
-	// POST /mutate, the delta-segment gauges, WAL activity including
-	// mean fsync latency, and the adjacency's size on disk.
-	Storage *StorageStats `json:"storage,omitempty"`
-	// Graph is present only when the backend persists statistics
-	// (storage.Statistics): per-label vertex counts and per-type edge
-	// counts — the numbers optimizer.FromStorage turns into Equation 5's
-	// cardinalities (not yet called outside tests).
-	Graph     *GraphStats                  `json:"graph,omitempty"`
-	Endpoints map[string]HistogramSnapshot `json:"endpoints"`
 	// TopQueries lists the executed query shapes with the highest p99
-	// latency, worst first (Config.TopQueries entries at most).
+	// latency, worst first (Config.TopQueries entries at most): query
+	// text is an unbounded label.
 	TopQueries []QueryShapeStats `json:"top_queries"`
-	// QueryShapesDropped counts observations discarded because more than
-	// Config.MaxQueryShapes distinct query texts were seen.
-	QueryShapesDropped int64 `json:"query_shapes_dropped,omitempty"`
-}
-
-// AdmissionStats mirrors the admission-control configuration and its
-// counters since startup.
-type AdmissionStats struct {
-	MaxConcurrent int `json:"max_concurrent"`
-	MaxQueued     int `json:"max_queued"`
-	// QueryWorkers is the per-query morsel worker cap; together with
-	// MaxConcurrent it bounds the server's total traversal goroutines.
-	QueryWorkers int   `json:"query_workers"`
-	Inflight     int64 `json:"inflight"`
-	Queued       int64 `json:"queued"`
-	Accepted     int64 `json:"accepted"`
-	Shed         int64 `json:"shed"`
-	Drained      int64 `json:"drained"`
-	Timeouts     int64 `json:"timeouts"`
-	Canceled     int64 `json:"canceled"`
-	Failed       int64 `json:"failed"`
-}
-
-// PlanCacheStats is query.CacheStats in the /stats JSON shape.
-type PlanCacheStats struct {
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Shared   int64 `json:"shared"`
-	Size     int   `json:"size"`
-	Capacity int   `json:"capacity"`
-}
-
-// PagerStats is storage.Stats in the /stats JSON shape.
-type PagerStats struct {
-	PageHits   int64 `json:"page_hits"`
-	PageMisses int64 `json:"page_misses"`
-	PageReads  int64 `json:"page_reads"`
-}
-
-// StorageStats is storage.LiveStats in the /stats JSON shape.
-type StorageStats struct {
-	Live          bool  `json:"live"`
-	DeltaVertices int64 `json:"delta_vertices"`
-	DeltaEdges    int64 `json:"delta_edges"`
-	WALAppends    int64 `json:"wal_appends"`
-	WALSyncs      int64 `json:"wal_syncs"`
-	WALBytes      int64 `json:"wal_bytes"`
-	// WALSyncMeanUS is the mean fsync latency in microseconds — the
-	// floor under every acknowledged mutation's latency.
-	WALSyncMeanUS int64 `json:"wal_sync_mean_us"`
-	// Generation numbers the base file set serving reads; each committed
-	// background compaction bumps it.
-	Generation int64 `json:"generation"`
-	// FoldRunning / FoldProgressPermille report a background compaction
-	// in flight and its rough progress (0-1000).
-	FoldRunning          bool  `json:"fold_running"`
-	FoldProgressPermille int64 `json:"fold_progress_permille"`
-	// PinnedSnapshots counts acquired-but-unreleased store snapshots
-	// (each pins the base generation it was taken against).
-	PinnedSnapshots int64 `json:"pinned_snapshots"`
-	// Compactions counts folds committed since the store opened.
-	Compactions int64 `json:"compactions"`
 	// LastCompactError is the most recent background fold failure, empty
 	// while folds succeed.
 	LastCompactError string `json:"last_compact_error,omitempty"`
-	// EdgeBytes is the size of edges.db, type directories included,
-	// BytesPerEdge that size per edge, and
-	// CompressionRatio the saving against the 64-byte v4 edge records.
-	EdgeBytes        int64   `json:"edge_bytes,omitempty"`
-	BytesPerEdge     float64 `json:"bytes_per_edge,omitempty"`
-	CompressionRatio float64 `json:"compression_ratio,omitempty"`
+	// Graph is present only when the backend persists statistics
+	// (storage.Statistics): per-label vertex counts and per-type edge
+	// counts, whose label set changes on Swap — the numbers
+	// optimizer.FromStorage turns into Equation 5's cardinalities (not yet
+	// called outside tests).
+	Graph *GraphStats `json:"graph,omitempty"`
 }
 
 // GraphStats is the persisted-statistics view of the served graph.
@@ -710,68 +637,11 @@ type GraphStats struct {
 // Stats assembles the current StatsResponse; the /stats handler serves
 // it and tests read it directly.
 func (s *Server) Stats() StatsResponse {
-	cs := s.cache.Stats()
 	resp := StatsResponse{
-		UptimeS: int64(time.Since(s.started).Seconds()),
-		Admission: AdmissionStats{
-			MaxConcurrent: s.cfg.MaxConcurrent,
-			MaxQueued:     s.cfg.MaxQueued,
-			QueryWorkers:  s.cfg.QueryWorkers,
-			Inflight:      s.m.inflight.Load(),
-			Queued:        s.m.queued.Load(),
-			Accepted:      s.m.accepted.Load(),
-			Shed:          s.m.shed.Load(),
-			Drained:       s.m.drained.Load(),
-			Timeouts:      s.m.timeouts.Load(),
-			Canceled:      s.m.canceled.Load(),
-			Failed:        s.m.failed.Load(),
-		},
-		PlanCache: PlanCacheStats{
-			Hits: cs.Hits, Misses: cs.Misses, Shared: cs.Shared,
-			Size: cs.Size, Capacity: cs.Capacity,
-		},
-		Endpoints: map[string]HistogramSnapshot{
-			"/query":         s.m.query.Snapshot(),
-			"/mutate":        s.m.mutate.Snapshot(),
-			"/admin/compact": s.m.compact.Snapshot(),
-			"/healthz":       s.m.healthz.Snapshot(),
-			"/stats":         s.m.stats.Snapshot(),
-		},
-		TopQueries:         s.shapes.top(s.cfg.TopQueries),
-		QueryShapesDropped: s.shapes.dropped.Load(),
+		TopQueries:       s.shapes.top(s.cfg.TopQueries),
+		LastCompactError: s.lastCompactError(),
 	}
 	g := s.data.Load().graph
-	if sr, ok := g.(storage.StatsReporter); ok {
-		ps := sr.Stats()
-		resp.Pager = &PagerStats{
-			PageHits: ps.PageHits, PageMisses: ps.PageMisses,
-			PageReads: ps.PageReads,
-		}
-	}
-	if lr, ok := g.(storage.LiveStatsReporter); ok {
-		ls := lr.LiveStats()
-		ss := &StorageStats{
-			Live:          ls.Live,
-			DeltaVertices: ls.DeltaVertices, DeltaEdges: ls.DeltaEdges,
-			WALAppends: ls.WALAppends, WALSyncs: ls.WALSyncs, WALBytes: ls.WALBytes,
-			Generation:  ls.Generation,
-			FoldRunning: ls.FoldRunning, FoldProgressPermille: ls.FoldProgress,
-			PinnedSnapshots:  ls.PinnedSnapshots,
-			Compactions:      ls.Compactions,
-			LastCompactError: s.lastCompactError(),
-			EdgeBytes:        ls.EdgeBytes,
-		}
-		if ls.WALSyncs > 0 {
-			ss.WALSyncMeanUS = ls.WALSyncNanos / ls.WALSyncs / 1000
-		}
-		if nE := g.NumEdges(); nE > 0 && ls.EdgeBytes > 0 {
-			ss.BytesPerEdge = float64(ls.EdgeBytes) / float64(nE)
-			// Against the 64-byte fixed records every pre-v5 layout
-			// stores per edge.
-			ss.CompressionRatio = 64 / ss.BytesPerEdge
-		}
-		resp.Storage = ss
-	}
 	if st, ok := g.(storage.Statistics); ok {
 		resp.Graph = &GraphStats{
 			Vertices:       g.NumVertices(),
@@ -791,7 +661,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the metric registry in Prometheus text exposition
-// format 0.0.4. The same numbers back the JSON /stats view.
+// format 0.0.4.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	beginRequest(w, r)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

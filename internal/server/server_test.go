@@ -292,7 +292,7 @@ func TestSaturationSheds429(t *testing.T) {
 	go postAsync() // request 1: takes the slot, parks on the gate
 	waitFor(t, "request 1 executing", func() bool { return g.parked.Load() == 1 })
 	go postAsync() // request 2: takes the queue slot
-	waitFor(t, "request 2 queued", func() bool { return s.Stats().Admission.Queued == 1 })
+	waitFor(t, "request 2 queued", func() bool { return s.m.queued.Load() == 1 })
 
 	// Request 3 arrives at a full queue: shed.
 	resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(drugQuery))
@@ -318,9 +318,8 @@ func TestSaturationSheds429(t *testing.T) {
 			t.Errorf("parked request finished with %d, want 200", r.status)
 		}
 	}
-	st := s.Stats().Admission
-	if st.Shed != 1 || st.Accepted != 2 {
-		t.Errorf("admission stats = %+v, want 1 shed / 2 accepted", st)
+	if shed, accepted := s.m.shed.Load(), s.m.accepted.Load(); shed != 1 || accepted != 2 {
+		t.Errorf("admission: %d shed / %d accepted, want 1 / 2", shed, accepted)
 	}
 }
 
@@ -355,8 +354,8 @@ func TestRequestTimeoutCancelsMidQuery(t *testing.T) {
 		if qr.Error == "" || qr.Columns != nil || qr.Rows != nil {
 			t.Errorf("%s: timed-out response is not a bare error body: %+v", src, qr)
 		}
-		if st := s.Stats().Admission; st.Timeouts != int64(i+1) {
-			t.Errorf("admission stats = %+v, want %d timeouts", st, i+1)
+		if got := s.m.timeouts.Load(); got != int64(i+1) {
+			t.Errorf("timeouts = %d, want %d", got, i+1)
 		}
 	}
 }
@@ -404,8 +403,8 @@ func TestCancelMidStreamSendsNoRows(t *testing.T) {
 	if qr.Error == "" || qr.Columns != nil || qr.Rows != nil || strings.Contains(rec.Body.String(), "rows") {
 		t.Errorf("canceled response is not a bare error body: %s", rec.Body.Bytes())
 	}
-	if st := s.Stats().Admission; st.Canceled != 1 {
-		t.Errorf("admission stats = %+v, want 1 canceled", st)
+	if got := s.m.canceled.Load(); got != 1 {
+		t.Errorf("canceled = %d, want 1", got)
 	}
 }
 
@@ -445,7 +444,7 @@ func TestClientCancelMidQuery(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(g.gate) // let the executor resume; it must notice and unwind
 	waitFor(t, "server to record the cancellation", func() bool {
-		return s.Stats().Admission.Canceled == 1
+		return s.m.canceled.Load() == 1
 	})
 }
 
@@ -491,7 +490,7 @@ func TestConcurrentClients(t *testing.T) {
 			fixture := drugGraph(drugs)
 			fixture.Edge(0, 1, "interacts")
 			mustLoad(t, g, fixture)
-			s, ts := newMedServer(t, Config{Graph: g})
+			_, ts := newMedServer(t, Config{Graph: g})
 
 			// postOK posts body and returns the 200 response's bytes.
 			postOK := func(path, contentType, body string) ([]byte, error) {
@@ -562,23 +561,24 @@ func TestConcurrentClients(t *testing.T) {
 				t.Fatalf("after %d mutate batches: %v", batches, mutateErr)
 			}
 
-			st := s.Stats()
-			if want := int64(clients*perClient + batches); st.Admission.Accepted != want {
-				t.Errorf("accepted = %d, want %d", st.Admission.Accepted, want)
+			m := scrapeMetrics(t, ts).Samples
+			if got, want := m[`pgs_server_requests_total{outcome="accepted"}`], float64(clients*perClient+batches); got != want {
+				t.Errorf("accepted = %v, want %v", got, want)
 			}
-			if got := st.Endpoints["/query"].Count; got != clients*perClient {
-				t.Errorf("/query latency count = %d, want %d", got, clients*perClient)
+			if got := m[`pgs_request_latency_seconds_count{endpoint="/query"}`]; got != clients*perClient {
+				t.Errorf("/query latency count = %v, want %d", got, clients*perClient)
 			}
-			if got := st.Endpoints["/mutate"].Count; got != int64(batches) {
-				t.Errorf("/mutate latency count = %d, want %d", got, batches)
+			if got := m[`pgs_request_latency_seconds_count{endpoint="/mutate"}`]; got != float64(batches) {
+				t.Errorf("/mutate latency count = %v, want %d", got, batches)
 			}
-			if st.PlanCache.Hits == 0 || st.PlanCache.Misses-st.PlanCache.Shared != 1 {
-				t.Errorf("plan cache = %+v, want exactly one compile and the rest hits", st.PlanCache)
+			hits, misses, shared := m["pgs_plancache_hits_total{}"], m["pgs_plancache_misses_total{}"], m["pgs_plancache_shared_total{}"]
+			if hits == 0 || misses-shared != 1 {
+				t.Errorf("plan cache = %v hits / %v misses / %v shared, want exactly one compile and the rest hits", hits, misses, shared)
 			}
 			// Had the working set fit, misses would stop at its page count;
 			// more than one per query means clients kept evicting pages.
-			if tc.disk && st.Pager.PageMisses <= clients*perClient {
-				t.Errorf("pager = %+v: a %d-page cache was not tight for this query", *st.Pager, cachePages)
+			if got := m["pgs_pager_page_misses_total{}"]; tc.disk && got <= clients*perClient {
+				t.Errorf("%v page misses: a %d-page cache was not tight for this query", got, cachePages)
 			}
 		})
 	}
@@ -587,7 +587,7 @@ func TestConcurrentClients(t *testing.T) {
 func TestHealthzAndStats(t *testing.T) {
 	mem := memstore.New()
 	buildMedGraph(t, mem)
-	s, ts := newMedServer(t, Config{Graph: mem})
+	_, ts := newMedServer(t, Config{Graph: mem})
 	post(t, ts, drugQuery, "text/plain")
 
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -603,25 +603,34 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Errorf("healthz = %d %v", resp.StatusCode, health)
 	}
 
-	resp, err = http.Get(ts.URL + "/stats")
+	m := scrapeMetrics(t, ts).Samples
+	if m[`pgs_server_requests_total{outcome="accepted"}`] != 1 || m["pgs_plancache_misses_total{}"] != 1 {
+		t.Errorf("metrics = %v, want 1 accepted / 1 cache miss", m)
+	}
+	if m["pgs_pager_page_hits_total{}"]+m["pgs_pager_page_misses_total{}"] != 0 {
+		t.Error("memstore-backed server reported pager traffic")
+	}
+	if m[`pgs_request_latency_seconds_count{endpoint="/query"}`] != 1 {
+		t.Errorf("per-endpoint histogram missing the query: %v", m)
+	}
+	if st := getStats(t, ts); len(st.TopQueries) != 1 || st.TopQueries[0].Query != drugQuery {
+		t.Errorf("top_queries = %+v, want the one query", st.TopQueries)
+	}
+}
+
+// getStats fetches and decodes GET /stats.
+func getStats(t *testing.T, ts *httptest.Server) StatsResponse {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	var st StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if st.Admission.Accepted != 1 || st.PlanCache.Misses != 1 {
-		t.Errorf("stats = %+v, want 1 accepted / 1 cache miss", st)
-	}
-	if st.Pager != nil {
-		t.Error("memstore-backed server reported pager stats")
-	}
-	if st.Endpoints["/query"].Count != 1 {
-		t.Errorf("per-endpoint histogram missing the query: %+v", st.Endpoints)
-	}
-	_ = s
+	return st
 }
 
 func TestDiskstorePagerStats(t *testing.T) {
@@ -639,35 +648,23 @@ func TestDiskstorePagerStats(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d (%s)", status, qr.Error)
 	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Pager == nil {
-		t.Fatal("diskstore-backed server reported no pager stats")
-	}
-	if st.Pager.PageHits+st.Pager.PageMisses == 0 {
-		t.Error("pager stats all zero after a query")
+	m := scrapeMetrics(t, ts).Samples
+	if m["pgs_pager_page_hits_total{}"]+m["pgs_pager_page_misses_total{}"] == 0 {
+		t.Error("pager counters all zero after a query")
 	}
 
-	// A freshly finalized store uses the current (v6) layout, so /stats
-	// must report the compressed adjacency and its ratio over the 64-byte
-	// v4 records, plus the persisted per-label counts.
-	if st.Storage == nil {
-		t.Fatal("diskstore-backed server reported no storage stats")
+	// A freshly finalized store uses the current (v6) layout: its
+	// compressed adjacency takes at most 32 bytes per edge (the edge count
+	// is /stats' graph section), and /stats carries the persisted
+	// per-label counts.
+	st := getStats(t, ts)
+	if st.Graph == nil {
+		t.Fatal("diskstore-backed server reported no graph section")
 	}
-	if st.Storage.BytesPerEdge <= 0 || st.Storage.BytesPerEdge >= 64 {
-		t.Errorf("bytes_per_edge = %v, want in (0, 64)", st.Storage.BytesPerEdge)
+	if bpe := m["pgs_storage_edge_bytes{}"] / float64(st.Graph.Edges); bpe <= 0 || bpe > 32 {
+		t.Errorf("bytes per edge = %v, want in (0, 32]", bpe)
 	}
-	if st.Storage.CompressionRatio < 2 {
-		t.Errorf("compression_ratio = %v, want >= 2", st.Storage.CompressionRatio)
-	}
-	if st.Graph == nil || st.Graph.LabelCounts["Drug"] == 0 {
+	if st.Graph.LabelCounts["Drug"] == 0 {
 		t.Errorf("graph stats missing persisted label counts: %+v", st.Graph)
 	}
 	if len(st.Graph.EdgeTypeCounts) == 0 {
@@ -875,7 +872,7 @@ func TestQueryResponseGolden(t *testing.T) {
 // executed (post-rewrite, canonical) query texts, worst p99 first, with
 // repeat executions of the same shape folded into one entry.
 func TestStatsTopQueries(t *testing.T) {
-	s, ts := newMedServer(t, Config{})
+	_, ts := newMedServer(t, Config{})
 	countQuery := `MATCH (d:Drug) RETURN COUNT(*)`
 	for i := 0; i < 3; i++ {
 		if status, _ := post(t, ts, drugQuery, "text/plain"); status != http.StatusOK {
@@ -886,16 +883,7 @@ func TestStatsTopQueries(t *testing.T) {
 		t.Fatalf("count query: status %d", status)
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
+	st := getStats(t, ts)
 	if len(st.TopQueries) != 2 {
 		t.Fatalf("top_queries has %d entries, want 2: %+v", len(st.TopQueries), st.TopQueries)
 	}
@@ -916,10 +904,25 @@ func TestStatsTopQueries(t *testing.T) {
 			t.Errorf("top_queries not sorted by p99 desc: %+v", st.TopQueries)
 		}
 	}
-	if st.QueryShapesDropped != 0 {
-		t.Errorf("query_shapes_dropped = %d, want 0", st.QueryShapesDropped)
+	if got := scrapeMetrics(t, ts).Samples["pgs_server_query_shapes_dropped_total{}"]; got != 0 {
+		t.Errorf("pgs_server_query_shapes_dropped_total = %v, want 0", got)
 	}
-	_ = s
+
+	// A backend with persisted statistics must populate the graph section
+	// with real per-label counts.
+	if st.Graph == nil {
+		t.Fatal("stats lack the graph section on a statistics-reporting backend")
+	}
+	if st.Graph.Vertices <= 0 || len(st.Graph.LabelCounts) == 0 {
+		t.Errorf("graph stats incomplete: %+v", st.Graph)
+	}
+	total := 0
+	for _, n := range st.Graph.LabelCounts {
+		total += n
+	}
+	if total < st.Graph.Vertices {
+		t.Errorf("label counts sum %d < %d vertices", total, st.Graph.Vertices)
+	}
 }
 
 // TestStatsTopQueriesBounded: past MaxQueryShapes distinct texts, new
@@ -937,31 +940,22 @@ func TestStatsTopQueriesBounded(t *testing.T) {
 			t.Fatalf("%q: status %d", q, status)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(st.TopQueries) != 2 {
+	if st := getStats(t, ts); len(st.TopQueries) != 2 {
 		t.Errorf("tracked %d shapes with a capacity of 2: %+v", len(st.TopQueries), st.TopQueries)
 	}
-	if st.QueryShapesDropped != 2 {
-		t.Errorf("query_shapes_dropped = %d, want 2", st.QueryShapesDropped)
+	if got := scrapeMetrics(t, ts).Samples["pgs_server_query_shapes_dropped_total{}"]; got != 2 {
+		t.Errorf("pgs_server_query_shapes_dropped_total = %v, want 2", got)
 	}
 }
 
 // TestQueryWorkersParallelExecution drives the -query-workers knob end to
 // end: a server configured for intra-query parallelism must answer with
-// exactly the rows and work counters of a serial server, and /stats must
-// report the configured worker cap next to the admission bounds.
+// exactly the rows and work counters of a serial server, and /metrics
+// must report the configured worker cap next to the admission bounds.
 func TestQueryWorkersParallelExecution(t *testing.T) {
 	const n = 500
-	serial, serialTS := newMedServer(t, Config{Graph: buildWideGraph(t, n)})
-	parallel, parallelTS := newMedServer(t, Config{Graph: buildWideGraph(t, n), QueryWorkers: 4})
+	_, serialTS := newMedServer(t, Config{Graph: buildWideGraph(t, n)})
+	_, parallelTS := newMedServer(t, Config{Graph: buildWideGraph(t, n), QueryWorkers: 4})
 
 	code, want := post(t, serialTS, drugQuery, "text/plain")
 	if code != http.StatusOK {
@@ -978,11 +972,21 @@ func TestQueryWorkersParallelExecution(t *testing.T) {
 		t.Errorf("parallel stats = %+v, want exactly serial %+v", got.Stats, want.Stats)
 	}
 
-	if qw := serial.Stats().Admission.QueryWorkers; qw != DefaultQueryWorkers {
-		t.Errorf("serial /stats query_workers = %d, want %d", qw, DefaultQueryWorkers)
-	}
-	if qw := parallel.Stats().Admission.QueryWorkers; qw != 4 {
-		t.Errorf("parallel /stats query_workers = %d, want 4", qw)
+	for _, tc := range []struct {
+		name string
+		ts   *httptest.Server
+		want float64
+	}{{"serial", serialTS, DefaultQueryWorkers}, {"parallel", parallelTS, 4}} {
+		m := scrapeMetrics(t, tc.ts).Samples
+		if got := m["pgs_server_query_workers{}"]; got != tc.want {
+			t.Errorf("%s pgs_server_query_workers = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := m["pgs_server_max_concurrent{}"]; got != DefaultMaxConcurrent {
+			t.Errorf("%s pgs_server_max_concurrent = %v, want %d", tc.name, got, DefaultMaxConcurrent)
+		}
+		if got := m["pgs_server_max_queued{}"]; got != DefaultMaxQueued {
+			t.Errorf("%s pgs_server_max_queued = %v, want %d", tc.name, got, DefaultMaxQueued)
+		}
 	}
 }
 

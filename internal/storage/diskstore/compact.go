@@ -136,7 +136,6 @@ func (s *Store) Finalize() error {
 	s.epMu.Lock()
 	s.cur = newEp
 	s.epMu.Unlock()
-	s.generation.Store(newEp.gen)
 	old.retire = s.genFilePaths(old.gen)
 	s.retired.Add(1)
 	// The new generation's on-disk index carries the frozen symbol

@@ -326,8 +326,6 @@ type Store struct {
 	folding atomic.Bool
 	// foldProgress is the running fold's progress in permille.
 	foldProgress atomic.Int64
-	// generation mirrors cur.gen for lock-free stats reads.
-	generation atomic.Int64
 	// retired counts superseded epochs not yet reclaimed; when it drains
 	// to zero the delta's folded prefix is pruned.
 	retired atomic.Int64
@@ -441,7 +439,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	ep.pins.Store(1)
 	s.cur = ep
-	s.generation.Store(gen)
 	if haveManifest {
 		ep.edgeBytes = m.EdgeBytes
 		ep.numVertices, ep.numEdges, ep.numProps, ep.blobSize = m.NumVertices, m.NumEdges, m.NumProps, m.BlobSize

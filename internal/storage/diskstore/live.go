@@ -46,7 +46,7 @@ func (s *Store) LiveStats() storage.LiveStats {
 	ls := storage.LiveStats{
 		Live:            s.Live(),
 		EdgeBytes:       ep.edgeBytes,
-		Generation:      s.generation.Load(),
+		Generation:      ep.gen,
 		FoldRunning:     s.folding.Load(),
 		FoldProgress:    s.foldProgress.Load(),
 		PinnedSnapshots: s.pinnedSnaps.Load(),
