@@ -5,10 +5,12 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates value kinds.
@@ -46,18 +48,30 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed property value. The zero Value is NULL.
 // Values are immutable once constructed.
+//
+// A Value is 24 bytes: a STRING or LIST keeps its bytes or elements behind
+// ptr and its length in num, and every other kind keeps its payload in
+// num. A zero length stores a nil ptr, so no Value holds a pointer past
+// the end of an allocation. The zero-size func field makes == a compile
+// error (it would compare ptr by address); it comes first because a
+// zero-size last field pads the struct.
 type Value struct {
+	_    [0]func()
+	ptr  unsafe.Pointer // STRING bytes or first LIST element; nil when num is 0
+	num  uint64         // int64 bits, float64 bits, bool, or STRING/LIST length
 	kind Kind
-	num  uint64 // int64 bits, float64 bits, or bool
-	str  string
-	list []Value
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // S returns a STRING value.
-func S(s string) Value { return Value{kind: KindString, str: s} }
+func S(s string) Value {
+	if len(s) == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, ptr: unsafe.Pointer(unsafe.StringData(s)), num: uint64(len(s))}
+}
 
 // I returns an INT value.
 func I(i int64) Value { return Value{kind: KindInt, num: uint64(i)} }
@@ -75,7 +89,12 @@ func B(b bool) Value {
 }
 
 // L returns a LIST value wrapping vs (not copied).
-func L(vs ...Value) Value { return Value{kind: KindList, list: vs} }
+func L(vs ...Value) Value {
+	if len(vs) == 0 {
+		return Value{kind: KindList}
+	}
+	return Value{kind: KindList, ptr: unsafe.Pointer(unsafe.SliceData(vs)), num: uint64(len(vs))}
+}
 
 // FBits constructs a DOUBLE value from IEEE-754 bits; used by storage
 // backends that persist floats as raw bits.
@@ -91,7 +110,12 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Str returns the string payload (empty unless KindString).
-func (v Value) Str() string { return v.str }
+func (v Value) Str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ptr), int(v.num))
+}
 
 // Int returns the integer payload (0 unless KindInt).
 func (v Value) Int() int64 {
@@ -116,11 +140,22 @@ func (v Value) Float() float64 {
 // Bool returns the boolean payload (false unless KindBool).
 func (v Value) Bool() bool { return v.kind == KindBool && v.num == 1 }
 
-// List returns the list payload (nil unless KindList).
-func (v Value) List() []Value { return v.list }
+// List returns the list payload (nil unless KindList or when empty). Its
+// capacity is its length, so an append to it copies.
+func (v Value) List() []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.ptr), int(v.num))
+}
 
 // Len returns the list length, or 0 for non-lists.
-func (v Value) Len() int { return len(v.list) }
+func (v Value) Len() int {
+	if v.kind != KindList {
+		return 0
+	}
+	return int(v.num)
+}
 
 // AsInt returns the integer a numeric value equals exactly: an INT's
 // payload, or a DOUBLE with no fractional part inside int64's range
@@ -161,13 +196,14 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindString:
-		return v.str == o.str
+		return v.Str() == o.Str()
 	case KindList:
-		if len(v.list) != len(o.list) {
+		if v.num != o.num {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
+		ol := o.List()
+		for i, e := range v.List() {
+			if !e.Equal(ol[i]) {
 				return false
 			}
 		}
@@ -194,7 +230,7 @@ func (v Value) Compare(o Value) (cmp int, ok bool) {
 		}
 	}
 	if v.kind == KindString && o.kind == KindString {
-		return strings.Compare(v.str, o.str), true
+		return strings.Compare(v.Str(), o.Str()), true
 	}
 	if v.kind == KindBool && o.kind == KindBool {
 		a, b := v.Bool(), o.Bool()
@@ -216,7 +252,7 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.Str())
 	case KindInt:
 		return strconv.FormatInt(int64(v.num), 10)
 	case KindFloat:
@@ -224,8 +260,8 @@ func (v Value) String() string {
 	case KindBool:
 		return strconv.FormatBool(v.Bool())
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		parts := make([]string, v.num)
+		for i, e := range v.List() {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
@@ -241,14 +277,20 @@ func (v Value) Key() string { return string(v.AppendKey(nil)) }
 // AppendKey appends the canonical key of v to dst and returns the extended
 // slice, so hot paths (grouping, DISTINCT, row comparison) can build
 // composite keys into one reusable buffer instead of concatenating
-// strings. The encoding is identical to Key().
+// strings. The encoding is identical to Key(). Every key is
+// self-delimiting: a STRING or LIST carries its length as a uvarint, and
+// no kind tag continues the text of an INT, DOUBLE or BOOLEAN (no tag is a
+// digit, '.', 'e', '+' or '-', and "true", "false", "NaN" and "Inf" are
+// whole words). So a concatenation of keys (a row, a list's elements) is
+// produced by no other sequence of values.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 		return append(dst, 0)
 	case KindString:
 		dst = append(dst, 's')
-		return append(dst, v.str...)
+		dst = binary.AppendUvarint(dst, v.num)
+		return append(dst, v.Str()...)
 	case KindInt:
 		dst = append(dst, 'i')
 		return strconv.AppendInt(dst, int64(v.num), 10)
@@ -259,12 +301,12 @@ func (v Value) AppendKey(dst []byte) []byte {
 		dst = append(dst, 'b')
 		return strconv.AppendBool(dst, v.Bool())
 	case KindList:
-		dst = append(dst, 'l', '[')
-		for _, e := range v.list {
+		dst = append(dst, 'l')
+		dst = binary.AppendUvarint(dst, v.num)
+		for _, e := range v.List() {
 			dst = e.AppendKey(dst)
-			dst = append(dst, ',')
 		}
-		return append(dst, ']')
+		return dst
 	default:
 		return append(dst, '?')
 	}

@@ -310,11 +310,12 @@ func (f *finisher) down(i int) {
 	}
 }
 
-// appendRowKey appends the canonical composite key of a row to dst.
+// appendRowKey appends the canonical composite key of a row to dst: its
+// values' keys back to back, which is unambiguous because each key is
+// self-delimiting (graph.Value.AppendKey).
 func appendRowKey(dst []byte, row []graph.Value) []byte {
 	for _, v := range row {
 		dst = v.AppendKey(dst)
-		dst = append(dst, 0x1f)
 	}
 	return dst
 }

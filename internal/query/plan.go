@@ -773,8 +773,7 @@ func (p *Prepared) accumulateGroup(m *machine) error {
 			return err
 		}
 		m.keyScratch[i] = v
-		m.key = v.AppendKey(m.key)
-		m.key = append(m.key, 0x1f)
+		m.key = v.AppendKey(m.key) // self-delimiting: no separator needed
 	}
 	gs, ok := m.groups[string(m.key)]
 	if !ok {

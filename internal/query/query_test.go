@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cypher"
@@ -271,6 +272,50 @@ func TestReturnDistinctAndLimit(t *testing.T) {
 		res = mustRun(t, b, `MATCH (i:Indication) RETURN i.desc ORDER BY i.desc DESC LIMIT 1`)
 		if len(res.Rows) != 1 || res.Rows[0][0].Str() != "Headache" {
 			t.Errorf("rows = %v", rowStrings(res))
+		}
+	})
+}
+
+// TestDistinctKeysKeepRowsApart: rows whose values run together under a
+// key without length prefixes — ("a\x1fsx", "y") against ("a", "x\x1fsy"),
+// and the list ["a,sb"] against ["a", "b"] — stay apart under DISTINCT,
+// grouping and a DISTINCT aggregate, serial and morsel-parallel.
+func TestDistinctKeysKeepRowsApart(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b storage.Builder) {
+		var g storetest.Batch
+		n := g.Vertex("N")
+		g.Prop(n, "p", graph.S("a\x1fsx"))
+		g.Prop(n, "q", graph.S("y"))
+		n = g.Vertex("N")
+		g.Prop(n, "p", graph.S("a"))
+		g.Prop(n, "q", graph.S("x\x1fsy"))
+		g.Prop(g.Vertex("M"), "l", graph.L(graph.S("a,sb")))
+		g.Prop(g.Vertex("M"), "l", graph.L(graph.S("a"), graph.S("b")))
+		mustLoad(t, b, &g)
+		for _, c := range []struct {
+			src  string
+			want []string // sorted
+		}{
+			{`MATCH (n:N) RETURN DISTINCT n.p, n.q`, []string{`["a" "x\x1fsy"]`, `["a\x1fsx" "y"]`}},
+			{`MATCH (n:N) RETURN n.p, n.q, count(*)`, []string{`["a" "x\x1fsy" 1]`, `["a\x1fsx" "y" 1]`}},
+			{`MATCH (m:M) RETURN DISTINCT m.l`, []string{`[["a", "b"]]`, `[["a,sb"]]`}},
+			{`MATCH (m:M) RETURN count(DISTINCT m.l)`, []string{`[2]`}},
+		} {
+			p, err := Prepare(b, cypher.MustParse(c.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				res, err := collect(p, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := rowStrings(res)
+				sort.Strings(got)
+				if !reflect.DeepEqual(got, c.want) {
+					t.Errorf("%s, %d workers: rows %q, want %q", c.src, workers, got, c.want)
+				}
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -44,39 +45,75 @@ const hexDigits = "0123456789abcdef"
 
 // appendJSONString appends s as a JSON string literal, escaping quotes,
 // backslashes, and control characters. Invalid UTF-8 bytes are replaced
-// so the output is always valid JSON.
+// so the output is always valid JSON. Bytes that need no escaping are
+// found eight at a time (escapeMask) and copied one run per append; the
+// byte that ends a run takes the per-byte branch.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
+	run := 0 // s[run:i] needs no escaping and is not yet appended
 	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			switch {
-			case c == '"' || c == '\\':
-				dst = append(dst, '\\', c)
-			case c == '\n':
-				dst = append(dst, '\\', 'n')
-			case c == '\r':
-				dst = append(dst, '\\', 'r')
-			case c == '\t':
-				dst = append(dst, '\\', 't')
-			case c < 0x20:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			default:
-				dst = append(dst, c)
+		if i+8 <= len(s) {
+			m := escapeMask(load64(s[i:]))
+			if m == 0 {
+				i += 8
+				continue
 			}
+			i += bits.TrailingZeros64(m) >> 3
+		}
+		c := s[i]
+		if c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\\' {
 			i++
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
+		if c >= utf8.RuneSelf {
+			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+		}
+		dst = append(dst, s[run:i]...)
+		switch {
+		case c == '"' || c == '\\':
+			dst = append(dst, '\\', c)
+		case c == '\n':
+			dst = append(dst, '\\', 'n')
+		case c == '\r':
+			dst = append(dst, '\\', 'r')
+		case c == '\t':
+			dst = append(dst, '\\', 't')
+		case c < 0x20:
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+		default: // an invalid UTF-8 byte
 			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i++
-			continue
 		}
-		dst = append(dst, s[i:i+size]...)
-		i += size
+		i++
+		run = i
 	}
+	dst = append(dst, s[run:]...)
 	return append(dst, '"')
+}
+
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// escapeMask flags the bytes of the little-endian word w that a JSON
+// string cannot carry as they are: < 0x20, '"', '\\' or >= 0x80 (the start
+// of a rune that must be checked). It is zero exactly when no byte is
+// flagged. Its lowest set bit is the top bit of the first flagged byte: a
+// subtraction borrows only out of a flagged byte, so no flag lands below
+// the first one (flags above it may be spurious).
+func escapeMask(w uint64) uint64 {
+	return ((w - lsbs*0x20) | ((w ^ lsbs*'"') - lsbs) | ((w ^ lsbs*'\\') - lsbs) | w) & msbs
+}
+
+// load64 reads s[0:8] as a little-endian word; the compiler fuses the
+// byte loads into one.
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // appendJSONValue appends a graph.Value as its natural JSON form: NULL →

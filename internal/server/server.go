@@ -597,10 +597,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"uptime_s": int64(time.Since(s.started).Seconds()),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // StatsResponse is the GET /stats JSON document. It carries only what a

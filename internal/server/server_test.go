@@ -599,8 +599,9 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || health["status"] != "ok" {
-		t.Errorf("healthz = %d %v", resp.StatusCode, health)
+	// Uptime is pgs_server_uptime_seconds; /healthz carries the status alone.
+	if resp.StatusCode != http.StatusOK || health["status"] != "ok" || len(health) != 1 {
+		t.Errorf("healthz = %d %v, want 200 {\"status\":\"ok\"}", resp.StatusCode, health)
 	}
 
 	m := scrapeMetrics(t, ts).Samples
@@ -793,6 +794,24 @@ func TestJSONEncoder(t *testing.T) {
 		{graph.F(math.NaN()), `null`},
 		{graph.B(true), `true`},
 		{graph.L(graph.S("a"), graph.I(1), graph.L(graph.B(false))), `["a",1,[false]]`},
+		// Runs of safe bytes between escapes, within and across words.
+		{graph.S("abcdefghij\"klmnopqrstu\\vwxyz01234\n5678"), `"abcdefghij\"klmnopqrstu\\vwxyz01234\n5678"`},
+		{graph.S("a\tb\tc\td"), `"a\tb\tc\td"`},
+		// One short of a word, one word, one past it, two words and one.
+		{graph.S("1234567"), `"1234567"`},
+		{graph.S("12345678"), `"12345678"`},
+		{graph.S("123456789"), `"123456789"`},
+		{graph.S("12345678901234567"), `"12345678901234567"`},
+		{graph.S("abcdefg\""), `"abcdefg\""`},
+		{graph.S("12345678\x01"), `"12345678\u0001"`},
+		{graph.S("1234567890123456\\"), `"1234567890123456\\"`},
+		// Invalid UTF-8 as the last byte of a word and the first of the
+		// next, and a valid rune straddling the boundary.
+		{graph.S("abcdefg\xffhijklmno"), `"abcdefg\ufffdhijklmno"`},
+		{graph.S("abcdefgh\xffijklmno"), `"abcdefgh\ufffdijklmno"`},
+		{graph.S("abcdefg✓hijklmn"), `"abcdefg✓hijklmn"`},
+		// U+2028 is valid JSON and is written as it is.
+		{graph.S("line\u2028separator"), "\"line\u2028separator\""},
 	}
 	for _, c := range cases {
 		got := string(appendJSONValue(nil, c.v))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -120,7 +119,7 @@ func checkAgainstLiteralCompile(t *testing.T, s *Server, src string) {
 	}
 	gotRows, gotSt := run(t, plan)
 	wantRows, wantSt := run(t, fresh)
-	if !reflect.DeepEqual(gotRows, wantRows) || gotSt != wantSt {
+	if !sameRows(gotRows, wantRows) || gotSt != wantSt {
 		t.Errorf("%s:\nshaped  %v %+v\nliteral %v %+v", src, gotRows, gotSt, wantRows, wantSt)
 	}
 }
@@ -297,4 +296,55 @@ func TestQueryHitAllocs(t *testing.T) {
 	if allocs < want-2 || allocs > want+2 {
 		t.Errorf("/query plan-cache hit made %.0f allocations, want %d ± 2", allocs, want)
 	}
+}
+
+// sameRows reports whether two result sets hold the same rows in the same
+// order, comparing values by identity (sameValue) rather than by their
+// string's address as reflect.DeepEqual would.
+func sameRows(a, b [][]graph.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if !sameValue(a[i][j], b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameValue reports whether two values are the same value: one kind, the
+// same bits for a number or bool, the same bytes for a string, and lists
+// the same element by element. Unlike Value.Equal, INT 1 is not DOUBLE 1.0
+// and -0.0 is not 0.0.
+func sameValue(a, b graph.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case graph.KindString:
+		return a.Str() == b.Str()
+	case graph.KindInt:
+		return a.Int() == b.Int()
+	case graph.KindFloat:
+		return graph.FloatBits(a.Float()) == graph.FloatBits(b.Float())
+	case graph.KindBool:
+		return a.Bool() == b.Bool()
+	case graph.KindList:
+		al, bl := a.List(), b.List()
+		if len(al) != len(bl) {
+			return false
+		}
+		for i := range al {
+			if !sameValue(al[i], bl[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -45,8 +45,58 @@ func batchesEqual(a, b []walBatch) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].seq != b[i].seq || a[i].epoch != b[i].epoch || !reflect.DeepEqual(a[i].ops, b[i].ops) {
+		if a[i].seq != b[i].seq || a[i].epoch != b[i].epoch || !sameOps(a[i].ops, b[i].ops) {
 			return false
+		}
+	}
+	return true
+}
+
+// sameOps is reflect.DeepEqual for mutations, except that the Values
+// compare by identity (sameValue) rather than by their string's address.
+func sameOps(a, b []storage.Mutation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if !sameValue(x.Value, y.Value) {
+			return false
+		}
+		x.Value, y.Value = graph.Null, graph.Null
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValue reports whether two values are the same value: one kind, the
+// same bits for a number or bool, the same bytes for a string, and lists
+// the same element by element. Unlike Value.Equal, INT 1 is not DOUBLE 1.0
+// and -0.0 is not 0.0.
+func sameValue(a, b graph.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case graph.KindString:
+		return a.Str() == b.Str()
+	case graph.KindInt:
+		return a.Int() == b.Int()
+	case graph.KindFloat:
+		return graph.FloatBits(a.Float()) == graph.FloatBits(b.Float())
+	case graph.KindBool:
+		return a.Bool() == b.Bool()
+	case graph.KindList:
+		al, bl := a.List(), b.List()
+		if len(al) != len(bl) {
+			return false
+		}
+		for i := range al {
+			if !sameValue(al[i], bl[i]) {
+				return false
+			}
 		}
 	}
 	return true
