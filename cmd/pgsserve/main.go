@@ -102,7 +102,6 @@ func run() error {
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request timeout")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body limit in bytes")
 	maxQueryLen := flag.Int("max-query-len", server.DefaultMaxQueryLen, "query text limit in bytes")
-	planCache := flag.Int("plan-cache", 0, "plan cache capacity (0 = default)")
 	autoCompact := flag.Int64("auto-compact", 0, "start a background compaction once the live delta holds this many vertices+edges (0 = manual via POST /admin/compact)")
 	drainWait := flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight requests")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it off public interfaces)")
@@ -250,7 +249,6 @@ func run() error {
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
 		MaxQueryLen:    *maxQueryLen,
-		PlanCacheSize:  *planCache,
 
 		AutoCompactDeltaItems: *autoCompact,
 		SlowQueryThreshold:    *slowThreshold,

@@ -324,16 +324,3 @@ func (m *Mapping) MergeFor(fromConcept, toConcept, edgeName string) *Merge {
 	}
 	return nil
 }
-
-// ListPropFor returns the replication entry whose carrier/neighbor pair
-// and edge label match, or nil.
-func (m *Mapping) ListPropFor(carrier, neighbor, edgeName, prop string) *ListProp {
-	for i := range m.ListProps {
-		lp := &m.ListProps[i]
-		if lp.Carrier == carrier && lp.Neighbor == neighbor && lp.Prop == prop &&
-			(edgeName == "" || lp.EdgeName == edgeName) {
-			return lp
-		}
-	}
-	return nil
-}

@@ -249,10 +249,3 @@ func (g *Graph) removedNodes() map[string]bool {
 	}
 	return removed
 }
-
-// Removed exposes the removed-concept set (after closing); the loader and
-// rewriter use it through the Mapping.
-func (g *Graph) Removed() map[string]bool {
-	g.Close()
-	return g.removedNodes()
-}

@@ -139,9 +139,6 @@ func (rs *RuleSet) Add(a RuleApp) { rs.apps[a] = true }
 // Len returns the number of enabled applications.
 func (rs *RuleSet) Len() int { return len(rs.apps) }
 
-// Has reports whether the exact application is enabled.
-func (rs *RuleSet) Has(a RuleApp) bool { return rs.apps[a] }
-
 // Enabled reports whether a rule application may fire, honouring property
 // wildcards for replication rules.
 func (rs *RuleSet) Enabled(relKey, prop string, reverse bool) bool {

@@ -26,12 +26,8 @@ func TestValueLayout(t *testing.T) {
 
 // identical reports whether a and b are the same value: one kind, the same
 // num bits, the same string bytes, lists identical element by element.
-// Unlike Equal, INT 1 is not DOUBLE 1.0 and -0.0 is not 0.0. With nans set
-// every NaN is one value, as keys see them (all render as "NaN").
-func identical(a, b Value, nans bool) bool {
-	if nans && a.kind == KindFloat && b.kind == KindFloat && math.IsNaN(a.Float()) && math.IsNaN(b.Float()) {
-		return true
-	}
+// Unlike Equal, INT 1 is not DOUBLE 1.0 and -0.0 is not 0.0.
+func identical(a, b Value) bool {
 	if a.kind != b.kind || a.num != b.num {
 		return false
 	}
@@ -41,7 +37,7 @@ func identical(a, b Value, nans bool) bool {
 	case KindList:
 		bl := b.List()
 		for i, e := range a.List() {
-			if !identical(e, bl[i], nans) {
+			if !identical(e, bl[i]) {
 				return false
 			}
 		}
@@ -49,18 +45,40 @@ func identical(a, b Value, nans bool) bool {
 	return true
 }
 
-// keysAgree: two values of one kind have equal keys exactly when they are
-// identical, NaNs taken as one.
+// keyAlike reports whether a and b must have one key: they are Equal, with
+// every NaN taken as one value (all render as "NaN").
+func keyAlike(a, b Value) bool {
+	if a.kind == KindFloat && b.kind == KindFloat && math.IsNaN(a.Float()) && math.IsNaN(b.Float()) {
+		return true
+	}
+	if a.kind != KindList || b.kind != KindList {
+		return a.Equal(b)
+	}
+	if a.num != b.num {
+		return false
+	}
+	bl := b.List()
+	for i, e := range a.List() {
+		if !keyAlike(e, bl[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// keysAgree: two values have equal keys exactly when they are Equal, NaNs
+// taken as one.
 func keysAgree(t *testing.T, a, b Value) {
 	t.Helper()
-	if same := identical(a, b, true); (a.Key() == b.Key()) != same {
-		t.Fatalf("%v and %v: keys %q and %q, identical %v", a, b, a.Key(), b.Key(), same)
+	if same := keyAlike(a, b); (a.Key() == b.Key()) != same {
+		t.Fatalf("%v and %v: keys %q and %q, alike %v", a, b, a.Key(), b.Key(), same)
 	}
 }
 
 // FuzzValue round-trips S, L, I, F and B through every accessor, Equal,
-// Compare and AppendKey, and checks that keys tell values of one kind
-// apart — lists whose elements would run together included.
+// Compare and AppendKey, and checks that keys tell values apart exactly
+// where Equal does — across INT and DOUBLE, and in lists whose elements
+// would run together.
 func FuzzValue(f *testing.F) {
 	f.Add("a\x1fsx", "y", int64(1), int64(-1), 1.0, math.Copysign(0, -1), true)
 	f.Add("a,sb", "", int64(0), int64(1<<62), math.NaN(), math.Inf(1), false)
@@ -93,7 +111,7 @@ func FuzzValue(f *testing.F) {
 			t.Fatalf("L reads back wrong: %v", list)
 		}
 		for i, e := range list.List() {
-			if !identical(e, elems[i], false) {
+			if !identical(e, elems[i]) {
 				t.Fatalf("L element %d: %v, want %v", i, e, elems[i])
 			}
 		}
@@ -104,7 +122,7 @@ func FuzzValue(f *testing.F) {
 			L(S(strings.Clone(s1)), I(i1), F(f1), B(b), L(S(strings.Clone(s2))), Null)}
 		for i, v := range []Value{str, in, fl, bo, list} {
 			c := copies[i]
-			if !identical(v, c, false) || v.Key() != c.Key() || string(v.AppendKey([]byte("x"))) != "x"+v.Key() {
+			if !identical(v, c) || v.Key() != c.Key() || string(v.AppendKey([]byte("x"))) != "x"+v.Key() {
 				t.Fatalf("%v: copy %v is not the same value or key", v, c)
 			}
 			if !math.IsNaN(f1) && !v.Equal(c) {
@@ -121,10 +139,13 @@ func FuzzValue(f *testing.F) {
 			t.Fatalf("Equal disagrees with the payloads")
 		}
 
-		// Keys within a kind.
+		// Keys within a kind and across the numeric kinds.
 		keysAgree(t, S(s1), S(s2))
 		keysAgree(t, I(i1), I(i2))
 		keysAgree(t, F(f1), F(f2))
+		keysAgree(t, I(i1), F(f1))
+		keysAgree(t, I(i1), F(float64(i1)))
+		keysAgree(t, L(I(i1), S(s1)), L(F(f1), S(s1)))
 		keysAgree(t, B(b), B(!b))
 		keysAgree(t, L(S(s1), S(s2)), L(S(s1+s2)))
 		keysAgree(t, L(S(s1), S(s2)), L(S(s2), S(s1)))

@@ -270,19 +270,23 @@ func (v Value) String() string {
 	}
 }
 
-// Key returns a canonical string usable as a grouping/map key; distinct
-// values yield distinct keys within a kind.
+// Key returns a canonical string usable as a grouping/map key: two values
+// have one key exactly when they are Equal, except that every NaN keys
+// alike.
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
 // AppendKey appends the canonical key of v to dst and returns the extended
 // slice, so hot paths (grouping, DISTINCT, row comparison) can build
 // composite keys into one reusable buffer instead of concatenating
-// strings. The encoding is identical to Key(). Every key is
-// self-delimiting: a STRING or LIST carries its length as a uvarint, and
-// no kind tag continues the text of an INT, DOUBLE or BOOLEAN (no tag is a
-// digit, '.', 'e', '+' or '-', and "true", "false", "NaN" and "Inf" are
-// whole words). So a concatenation of keys (a row, a list's elements) is
-// produced by no other sequence of values.
+// strings. The encoding is identical to Key(). A number is keyed by the
+// integer AsInt gives when there is one and by its DOUBLE otherwise, the
+// identity Equal uses: INT 1 and DOUBLE 1.0 group and DISTINCT as one
+// value, as they compare under =. Every key is self-delimiting: a STRING
+// or LIST carries its length as a uvarint, and no kind tag continues the
+// text of an INT, DOUBLE or BOOLEAN (no tag is a digit, '.', 'e', '+' or
+// '-', and "true", "false", "NaN" and "Inf" are whole words). So a
+// concatenation of keys (a row, a list's elements) is produced only by
+// sequences of values that key alike one by one.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
@@ -291,10 +295,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 		dst = append(dst, 's')
 		dst = binary.AppendUvarint(dst, v.num)
 		return append(dst, v.Str()...)
-	case KindInt:
-		dst = append(dst, 'i')
-		return strconv.AppendInt(dst, int64(v.num), 10)
-	case KindFloat:
+	case KindInt, KindFloat:
+		if n, ok := v.AsInt(); ok {
+			dst = append(dst, 'i')
+			return strconv.AppendInt(dst, n, 10)
+		}
 		dst = append(dst, 'f')
 		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case KindBool:

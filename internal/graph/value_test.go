@@ -144,6 +144,41 @@ func TestKeyEqualConsistencyProperty(t *testing.T) {
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
 	}
+	// Mixed INT and DOUBLE: an INT keys like a DOUBLE exactly when the two
+	// are Equal, whether or not the DOUBLE has a fractional part.
+	h := func(a int64, b float64) bool {
+		va := I(a)
+		for _, vb := range []Value{F(b), F(float64(a)), F(float64(a) + 0.5), F(math.Trunc(b))} {
+			if math.IsNaN(vb.Float()) {
+				continue
+			}
+			if (va.Key() == vb.Key()) != va.Equal(vb) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(h, nil); err != nil {
+		t.Error(err)
+	}
+	for _, c := range []struct {
+		a, b Value
+		eq   bool
+	}{
+		{I(1), F(1), true},
+		{I(0), F(math.Copysign(0, -1)), true},
+		{F(0), F(math.Copysign(0, -1)), true},
+		{I(1 << 53), F(1 << 53), true},
+		{I(1<<53 + 1), F(1 << 53), false},
+		{I(math.MaxInt64), F(math.MaxInt64), false}, // the DOUBLE is 2^63
+		{I(0), F(0.5), false},
+		{L(I(1), S("a")), L(F(1), S("a")), true},
+	} {
+		if c.a.Equal(c.b) != c.eq || (c.a.Key() == c.b.Key()) != c.eq {
+			t.Errorf("%v and %v: Equal %v, keys %q and %q, want alike = %v",
+				c.a, c.b, c.a.Equal(c.b), c.a.Key(), c.b.Key(), c.eq)
+		}
+	}
 }
 
 func TestCompareAntisymmetryProperty(t *testing.T) {

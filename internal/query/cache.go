@@ -31,15 +31,16 @@ import (
 // Graph identity is the storage.Graph value itself, so the graph's dynamic
 // type must be comparable — true for both built-in backends and any
 // pointer-typed store. Plans for different graphs never collide even when
-// the key matches, because symbol IDs are store-specific. A key names the
-// text as it arrives, so one cache must compile a graph's keys one way:
-// a server rewrites every query for a graph through that graph's one
-// mapping, and Get compiles texts as they are.
+// the key matches, because symbol IDs are store-specific: one cache can
+// serve several stores at once, as pgsquery's direct and optimized ones. A
+// key names the text as it arrives, so one cache must compile a graph's
+// keys one way: a server rewrites every query through its one mapping, and
+// Get compiles texts as they are.
 //
-// Eviction is LRU: when the cache holds capacity shapes and a new (graph,
-// key) pair arrives, the least recently used shape is dropped. Evicted
-// shapes, and plans bound from them, remain valid for callers already
-// holding them.
+// Eviction is LRU, and the only way a shape leaves: when the cache holds
+// capacity shapes and a new (graph, key) pair arrives, the least recently
+// used shape is dropped. Evicted shapes, and plans bound from them, remain
+// valid for callers already holding them.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -68,10 +69,6 @@ type flight struct {
 	done  chan struct{}
 	shape *Shape
 	err   error
-	// purged is set (under Cache.mu) when Purge ran for the flight's graph
-	// while the compile was still in flight: the leader then hands its
-	// shape to the waiters but does not insert it into the table.
-	purged bool
 }
 
 // Shape is a compiled query shape: the plan of a shape key's tree, with
@@ -189,7 +186,7 @@ func (c *Cache) Lookup(g storage.Graph, shapeKey string, compile func() (*Shape,
 	defer func() {
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if f.err == nil && !f.purged {
+		if f.err == nil {
 			c.insertLocked(key, f.shape)
 		}
 		c.mu.Unlock()
@@ -219,35 +216,6 @@ func (c *Cache) insertLocked(key cacheKey, s *Shape) {
 		delete(c.table, victim.Value.(*cacheEntry).key)
 	}
 	c.table[key] = c.lru.PushFront(&cacheEntry{key: key, shape: s})
-}
-
-// Purge drops every cached shape compiled against g and returns how many
-// were dropped. Compiles for g still in flight are allowed to finish —
-// their waiters get a valid shape — but their results are not inserted,
-// so after Purge returns no shape for g enters the cache from a compile
-// that began before the call. A server swapping datasets purges the
-// outgoing graph's shapes instead of leaking them until LRU eviction;
-// plans already held by callers stay valid, like evicted ones.
-func (c *Cache) Purge(g storage.Graph) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	var next *list.Element
-	for el := c.lru.Front(); el != nil; el = next {
-		next = el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.key.g == g {
-			c.lru.Remove(el)
-			delete(c.table, e.key)
-			n++
-		}
-	}
-	for key, f := range c.inflight {
-		if key.g == g {
-			f.purged = true
-		}
-	}
-	return n
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.

@@ -399,101 +399,6 @@ func TestCacheSingleflightLeaderPanic(t *testing.T) {
 	}
 }
 
-func TestCachePurge(t *testing.T) {
-	g1, g2 := memstore.New(), memstore.New()
-	buildMedGraph(t, g1)
-	buildMedGraph(t, g2)
-	c := NewCache(8)
-	queries := []string{
-		`MATCH (d:Drug) RETURN d.name`,
-		`MATCH (i:Indication) RETURN i.desc`,
-	}
-	for _, g := range []storage.Graph{g1, g2} {
-		for _, src := range queries {
-			if _, err := c.Get(g, src); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	g1Plan, err := c.Get(g1, queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2Plan, err := c.Get(g2, queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if n := c.Purge(g1); n != len(queries) {
-		t.Errorf("Purge(g1) dropped %d plans, want %d", n, len(queries))
-	}
-	if st := c.Stats(); st.Size != len(queries) {
-		t.Errorf("size after purge = %d, want %d (g2's plans untouched)", st.Size, len(queries))
-	}
-	// g1's entries are gone: the next Get recompiles …
-	p, err := c.Get(g1, queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p == g1Plan {
-		t.Error("purged plan still served from the cache")
-	}
-	// … while g2's survive and previously-held plans stay runnable.
-	p2, err := c.Get(g2, queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 != g2Plan {
-		t.Error("Purge(g1) evicted a g2 plan")
-	}
-	if _, err := g1Plan.Execute(); err != nil {
-		t.Errorf("held plan broken after purge: %v", err)
-	}
-	// Purging a graph with no entries is a no-op.
-	if n := c.Purge(memstore.New()); n != 0 {
-		t.Errorf("Purge of unknown graph dropped %d plans", n)
-	}
-}
-
-// TestCachePurgeInflight checks the race the server's dataset swap relies
-// on: a Purge issued while a compile for that graph is still in flight
-// must prevent the finished plan from entering the table, while the
-// compile's waiters still receive a working plan.
-func TestCachePurgeInflight(t *testing.T) {
-	mem := memstore.New()
-	buildMedGraph(t, mem)
-	g := &gateGraph{Graph: mem, gate: make(chan struct{})}
-	c := NewCache(8)
-	const src = `MATCH (d:Drug) RETURN d.name`
-
-	var plan *Prepared
-	var gerr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		plan, gerr = c.Get(g, src)
-	}()
-	// Wait until the compile is parked inside Prepare, then purge.
-	waitFor(t, func() bool { return g.blocked.Load() == 1 })
-	if n := c.Purge(g); n != 0 {
-		t.Errorf("Purge dropped %d completed plans, want 0 (compile still in flight)", n)
-	}
-	close(g.gate)
-	<-done
-	if gerr != nil {
-		t.Fatal(gerr)
-	}
-	if plan == nil {
-		t.Fatal("in-flight compile returned no plan")
-	}
-	if _, err := plan.Execute(); err != nil {
-		t.Errorf("plan from purged flight broken: %v", err)
-	}
-	if st := c.Stats(); st.Size != 0 {
-		t.Errorf("purged in-flight compile still entered the cache: %+v", st)
-	}
-}
-
 // TestCacheSingleflightError checks followers share the leader's error and
 // that a failed compile leaves no cache entry (the next Get retries).
 func TestCacheSingleflightError(t *testing.T) {

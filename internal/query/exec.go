@@ -1,7 +1,9 @@
 package query
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -323,7 +325,9 @@ func appendRowKey(dst []byte, row []graph.Value) []byte {
 // SortRowsForComparison orders rows canonically; tests use it to compare
 // result sets that may be produced in different orders by different
 // schemas or backends. Keys are materialized once up front rather than
-// rebuilt inside the comparator.
+// rebuilt inside the comparator. Rows whose keys are equal but whose
+// numbers differ in kind or bits (INT 1 and DOUBLE 1.0) are ordered by
+// appendRowBits, so the order depends on the rows alone.
 func SortRowsForComparison(rows [][]graph.Value) {
 	keys := make([]string, len(rows))
 	var buf []byte
@@ -339,9 +343,30 @@ type rowSorter struct {
 	keys []string
 }
 
-func (s *rowSorter) Len() int           { return len(s.rows) }
-func (s *rowSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s *rowSorter) Len() int { return len(s.rows) }
+func (s *rowSorter) Less(i, j int) bool {
+	if s.keys[i] != s.keys[j] {
+		return s.keys[i] < s.keys[j]
+	}
+	return bytes.Compare(appendRowBits(nil, s.rows[i]), appendRowBits(nil, s.rows[j])) < 0
+}
 func (s *rowSorter) Swap(i, j int) {
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+}
+
+// appendRowBits appends each cell's kind and, for a DOUBLE, its bits: what
+// tells apart rows whose keys are equal (INT 1 and DOUBLE 1.0, 0.0 and
+// -0.0).
+func appendRowBits(dst []byte, row []graph.Value) []byte {
+	for _, v := range row {
+		dst = append(dst, byte(v.Kind()))
+		switch v.Kind() {
+		case graph.KindFloat:
+			dst = binary.BigEndian.AppendUint64(dst, graph.FloatBits(v.Float()))
+		case graph.KindList:
+			dst = appendRowBits(dst, v.List())
+		}
+	}
+	return dst
 }

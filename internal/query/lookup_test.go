@@ -117,14 +117,29 @@ func mustPrepare(t *testing.T, g storage.Graph, q *cypher.Query) *Prepared {
 
 // checkLookupMatchesScan runs every pair: the same rows in the same
 // order, the root served by a lookup on one side and a scan of the same
-// label on the other.
-func checkLookupMatchesScan(t *testing.T, pairs []lookupPair) {
+// label on the other. The two sides are two executions. Where a fold may
+// commit between them, gen reads the base generation before and after the
+// pair, and a pair that saw a commit runs again, since two generations may
+// order a scan differently. gen is nil where the generation stays put.
+func checkLookupMatchesScan(t *testing.T, pairs []lookupPair, gen func() int64) {
 	t.Helper()
 	for _, pr := range pairs {
-		// The lookup root is serial whatever Workers says; the reference
-		// must be told, or its label scan splits into morsels.
-		lookup, lookupProf := runProfiled(t, pr.lookup, 4)
-		scan, scanProf := runProfiled(t, pr.scan, 1)
+		var lookup, scan *Result
+		var lookupProf, scanProf *Profile
+		for {
+			var before int64
+			if gen != nil {
+				before = gen()
+			}
+			// The lookup root is serial whatever Workers says; the
+			// reference must be told, or its label scan splits into
+			// morsels.
+			lookup, lookupProf = runProfiled(t, pr.lookup, 4)
+			scan, scanProf = runProfiled(t, pr.scan, 1)
+			if gen == nil || gen() == before {
+				break
+			}
+		}
 		if got, want := rowStrings(lookup), rowStrings(scan); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: lookup rows %v, label-scan rows %v", pr.q, got, want)
 		}
@@ -162,7 +177,7 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 	t.Run("memstore", func(t *testing.T) {
 		s := memstore.New()
 		buildLookupGraph(t, s, n)
-		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, prepareLookupShapes(t, s)) })
+		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, prepareLookupShapes(t, s), nil) })
 	})
 	t.Run("diskstore", func(t *testing.T) {
 		dir := t.TempDir()
@@ -177,7 +192,7 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 			t.Fatal("finalized diskstore did not enter live mode")
 		}
 		before := prepareLookupShapes(t, s)
-		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, before) })
+		t.Run("finalized", func(t *testing.T) { checkLookupMatchesScan(t, before, nil) })
 		snap := s.AcquireSnapshot()
 		defer snap.Release()
 		// Live writes: override base values the shapes look up, to them
@@ -206,23 +221,24 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run("live", func(t *testing.T) {
-			checkLookupMatchesScan(t, prepareLookupShapes(t, s))
-			checkLookupMatchesScan(t, before)
+			checkLookupMatchesScan(t, prepareLookupShapes(t, s), nil)
+			checkLookupMatchesScan(t, before, nil)
 		})
 		t.Run("snapshot pinned before the writes", func(t *testing.T) {
-			checkLookupMatchesScan(t, prepareLookupShapes(t, snap))
+			checkLookupMatchesScan(t, prepareLookupShapes(t, snap), nil)
 		})
 		t.Run("during a fold", func(t *testing.T) {
+			gen := func() int64 { return s.LiveStats().Generation }
 			done := make(chan error, 1)
 			go func() { done <- s.Compact() }()
 			for {
-				checkLookupMatchesScan(t, before)
+				checkLookupMatchesScan(t, before, gen)
 				select {
 				case err := <-done:
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkLookupMatchesScan(t, before)
+					checkLookupMatchesScan(t, before, nil)
 					return
 				default:
 				}
@@ -245,7 +261,7 @@ func TestLookupMatchesLabelScan(t *testing.T) {
 			if got := s.Format().IndexLoaded; got != keepIndex {
 				t.Errorf("reopen loaded the index file: %v, want %v", got, keepIndex)
 			}
-			checkLookupMatchesScan(t, prepareLookupShapes(t, s))
+			checkLookupMatchesScan(t, prepareLookupShapes(t, s), nil)
 		}
 		t.Run("reopened with index.db", func(t *testing.T) { reopen(t, true) })
 		t.Run("reopened without index.db", func(t *testing.T) { reopen(t, false) })

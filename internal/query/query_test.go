@@ -1,8 +1,10 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -318,6 +320,54 @@ func TestDistinctKeysKeepRowsApart(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestNumericKeysFollowEquality: DISTINCT, grouping and DISTINCT
+// aggregates treat INT 1 and DOUBLE 1.0 as one value, as = does.
+func TestNumericKeysFollowEquality(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b storage.Builder) {
+		var g storetest.Batch
+		g.Prop(g.Vertex("N"), "x", graph.I(1))
+		g.Prop(g.Vertex("N"), "x", graph.F(1))
+		mustLoad(t, b, &g)
+		for _, c := range []struct {
+			src  string
+			want []string
+		}{
+			{`MATCH (n:N) RETURN DISTINCT n.x`, []string{`[1]`}},
+			{`MATCH (n:N) RETURN count(DISTINCT n.x)`, []string{`[1]`}},
+			{`MATCH (n:N) RETURN n.x, count(*)`, []string{`[1 2]`}},
+			{`MATCH (n:N) WHERE n.x = 1 RETURN n.x`, []string{`[1]`, `[1]`}},
+		} {
+			p, err := Prepare(b, cypher.MustParse(c.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				res, err := collect(p, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := rowStrings(res); !reflect.DeepEqual(got, c.want) {
+					t.Errorf("%s, %d workers: rows %q, want %q", c.src, workers, got, c.want)
+				}
+			}
+		}
+	})
+}
+
+// TestSortRowsForComparisonBreaksKeyTies: rows that key alike but differ
+// in kind sort the same way from either input order.
+func TestSortRowsForComparisonBreaksKeyTies(t *testing.T) {
+	a := [][]graph.Value{{graph.F(1)}, {graph.I(1)}, {graph.L(graph.F(0))}, {graph.L(graph.F(math.Copysign(0, -1)))}}
+	b := [][]graph.Value{a[3], a[1], a[2], a[0]}
+	SortRowsForComparison(a)
+	SortRowsForComparison(b)
+	for i := range a {
+		if !bytes.Equal(appendRowBits(nil, a[i]), appendRowBits(nil, b[i])) {
+			t.Fatalf("row %d: %v from one order, %v from the other", i, a, b)
+		}
+	}
 }
 
 func TestMultiPatternJoin(t *testing.T) {

@@ -97,7 +97,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, rid, "server is draining")
 		return
 	}
-	mg, ok := s.data.Load().graph.(storage.MutableGraph)
+	mg, ok := s.cfg.Graph.(storage.MutableGraph)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, rid, "the served backend does not support compaction")
 		return

@@ -3,8 +3,7 @@ package server
 // The server's metric set, built on the central internal/obs registry.
 // Request-path counters and latency histograms are registered eagerly at
 // New; subsystems that keep their own atomics (plan cache, pager, WAL,
-// compaction) are bridged with func-backed series read at scrape time —
-// through s.data.Load(), so a Swap retargets every bridge atomically.
+// compaction) are bridged with func-backed series read at scrape time.
 // GET /metrics writes the registry in Prometheus text format. It is the
 // one read-out of every number here; GET /stats carries only what an
 // exposition cannot (see StatsResponse).
@@ -102,11 +101,12 @@ func newMetrics() metrics {
 
 // registerBridges adds the series that need the Server: its fixed
 // limits, and func-backed series that read other subsystems' own
-// counters at scrape time. Every closure loads the served graph
-// through s.data, so the bridges follow a Swap without re-registration;
-// backends without the relevant reporter interface read as 0.
+// counters at scrape time; backends without the relevant reporter
+// interface read as 0.
 func (s *Server) registerBridges() {
 	reg := s.m.reg
+	sr, _ := s.cfg.Graph.(storage.StatsReporter)
+	lr, _ := s.cfg.Graph.(storage.LiveStatsReporter)
 
 	reg.GaugeFunc("pgs_server_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
@@ -136,7 +136,7 @@ func (s *Server) registerBridges() {
 	// Pager I/O (diskstore; memstore reads as 0).
 	pager := func(pick func(storage.Stats) int64) func() float64 {
 		return func() float64 {
-			if sr, ok := s.data.Load().graph.(storage.StatsReporter); ok {
+			if sr != nil {
 				return float64(pick(sr.Stats()))
 			}
 			return 0
@@ -152,7 +152,7 @@ func (s *Server) registerBridges() {
 	// Live-write storage: WAL, delta segment, compaction.
 	live := func(pick func(storage.LiveStats) float64) func() float64 {
 		return func() float64 {
-			if lr, ok := s.data.Load().graph.(storage.LiveStatsReporter); ok {
+			if lr != nil {
 				return pick(lr.LiveStats())
 			}
 			return 0

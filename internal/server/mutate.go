@@ -100,7 +100,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	mg, ok := s.data.Load().graph.(storage.MutableGraph)
+	mg, ok := s.cfg.Graph.(storage.MutableGraph)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, rid, "the served backend does not support durable live writes")
 		return

@@ -86,16 +86,6 @@ type Config struct {
 	// key space a hostile client can allocate (default
 	// DefaultMaxQueryLen).
 	MaxQueryLen int
-	// PlanCacheSize bounds the plan cache (default
-	// query.DefaultCacheCapacity).
-	PlanCacheSize int
-	// TopQueries is how many query shapes /stats reports, highest p99
-	// first (default DefaultTopQueries).
-	TopQueries int
-	// MaxQueryShapes bounds the distinct executed query texts tracked for
-	// the top-queries report; shapes beyond it are counted as dropped
-	// instead of tracked (default DefaultMaxQueryShapes).
-	MaxQueryShapes int
 	// AutoCompactDeltaItems, when > 0, starts a background compaction
 	// after an acknowledged /mutate batch leaves the store's delta
 	// segment holding at least this many vertices + edges. Folds are
@@ -129,9 +119,15 @@ const (
 	DefaultRequestTimeout = 10 * time.Second
 	DefaultMaxBodyBytes   = 1 << 20 // 1 MiB
 	DefaultMaxQueryLen    = 8 << 10 // 8 KiB
-	DefaultTopQueries     = 5
-	DefaultMaxQueryShapes = 256
 	DefaultQueryWorkers   = 1
+)
+
+// /stats reports the topQueries shapes with the highest p99. The shape
+// tracker follows at most maxQueryShapes distinct executed texts and
+// counts the rest as dropped, so hostile traffic cannot balloon it.
+const (
+	topQueries     = 5
+	maxQueryShapes = 256
 )
 
 func (c Config) withDefaults() Config {
@@ -150,39 +146,19 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueryLen <= 0 {
 		c.MaxQueryLen = DefaultMaxQueryLen
 	}
-	if c.TopQueries <= 0 {
-		c.TopQueries = DefaultTopQueries
-	}
-	if c.MaxQueryShapes <= 0 {
-		c.MaxQueryShapes = DefaultMaxQueryShapes
-	}
 	if c.QueryWorkers <= 0 {
 		c.QueryWorkers = DefaultQueryWorkers
 	}
 	return c
 }
 
-// dataset is the atomically swappable (graph, mapping) pair a Server
-// serves; Swap installs a new one without stopping traffic.
-type dataset struct {
-	graph   storage.Graph
-	mapping *core.Mapping
-}
-
-// Server serves one property graph over HTTP. Create with New, expose via
-// Handler (tests) or Start/Shutdown (a real listener with draining).
+// Server serves one property graph, cfg.Graph under cfg.Mapping, over
+// HTTP for its whole life. Create with New, expose via Handler (tests) or
+// Start/Shutdown (a real listener with draining).
 type Server struct {
 	cfg   Config
-	data  atomic.Pointer[dataset]
 	cache *query.Cache
 	mux   *http.ServeMux
-
-	// swapMu orders dataset swaps against the load-dataset → fetch-plan
-	// window of the request path: requests hold the read side across
-	// that window, Swap holds the write side across replace + purge, so
-	// no compile for the outgoing graph can begin after its purge (which
-	// would re-insert a plan for a graph the server no longer serves).
-	swapMu sync.RWMutex
 
 	sem      chan struct{} // execution slots
 	draining atomic.Bool
@@ -204,13 +180,12 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		cache:   query.NewCache(cfg.PlanCacheSize),
+		cache:   query.NewCache(query.DefaultCacheCapacity),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		started: time.Now(),
 		m:       newMetrics(),
-		shapes:  newShapeTracker(cfg.MaxQueryShapes),
+		shapes:  newShapeTracker(maxQueryShapes),
 	}
-	s.data.Store(&dataset{graph: cfg.Graph, mapping: cfg.Mapping})
 	s.registerBridges()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /query", s.handleQuery)
@@ -225,20 +200,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the server's HTTP handler; useful for tests and for
 // mounting under an outer mux.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Swap atomically replaces the served dataset and purges the old graph's
-// plans from the cache, so a dataset reload does not leak plan memory
-// until LRU pressure. In-flight requests finish against the graph they
-// started on; Swap waits (briefly — at most one plan fetch) for requests
-// mid-way between loading the dataset and fetching their plan, so no
-// plan for the outgoing graph can enter the cache after the purge.
-// Returns the number of plans purged.
-func (s *Server) Swap(g storage.Graph, m *core.Mapping) int {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	old := s.data.Swap(&dataset{graph: g, mapping: m})
-	return s.cache.Purge(old.graph)
-}
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in a background
 // goroutine, returning the bound address. Use Shutdown to stop.
@@ -405,27 +366,23 @@ func (s *Server) planQuery(src string, trace *queryTrace) (plan *query.Prepared,
 		return nil, "", fmt.Errorf("parse: %v", err)
 	}
 	shaped := trace.now()
-	// The swap read-lock covers dataset load through plan fetch, so a
-	// concurrent Swap cannot purge the graph between the two (see Swap).
-	s.swapMu.RLock()
-	defer s.swapMu.RUnlock()
-	d := s.data.Load()
+	g, mapping := s.cfg.Graph, s.cfg.Mapping
 	compiled := false
 	var parsed, rewritten time.Time
-	shape, hit, err := s.cache.Lookup(d.graph, key, func() (*query.Shape, error) {
+	shape, hit, err := s.cache.Lookup(g, key, func() (*query.Shape, error) {
 		compiled = true
 		q, err := cypher.ParseShape(key, src)
 		if err != nil {
 			return nil, fmt.Errorf("parse: %v", err)
 		}
 		parsed = trace.now()
-		if d.mapping != nil {
-			if q, _, err = rewrite.Rewrite(q, d.mapping, s.cfg.RewriteOpts); err != nil {
+		if mapping != nil {
+			if q, _, err = rewrite.Rewrite(q, mapping, s.cfg.RewriteOpts); err != nil {
 				return nil, fmt.Errorf("rewrite: %v", err)
 			}
 		}
 		rewritten = trace.now()
-		sh, err := query.NewShape(d.graph, q)
+		sh, err := query.NewShape(g, q)
 		if err != nil {
 			return nil, fmt.Errorf("compile: %v", err)
 		}
@@ -438,7 +395,7 @@ func (s *Server) planQuery(src string, trace *queryTrace) (plan *query.Prepared,
 	if trace != nil {
 		if compiled {
 			trace.span("parse", start, parsed)
-			if d.mapping != nil {
+			if mapping != nil {
 				trace.span("rewrite", parsed, rewritten)
 			}
 			trace.span("plan", rewritten, time.Now())
@@ -447,7 +404,7 @@ func (s *Server) planQuery(src string, trace *queryTrace) (plan *query.Prepared,
 			trace.span("plan", shaped, time.Now())
 		}
 		trace.PlanCacheHit = hit
-		if lr, ok := d.graph.(storage.LiveStatsReporter); ok {
+		if lr, ok := g.(storage.LiveStatsReporter); ok {
 			trace.SnapshotGeneration = lr.LiveStats().Generation
 		}
 	}
@@ -606,17 +563,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // once, in the registry GET /metrics writes.
 type StatsResponse struct {
 	// TopQueries lists the executed query shapes with the highest p99
-	// latency, worst first (Config.TopQueries entries at most): query
-	// text is an unbounded label.
+	// latency, worst first (topQueries entries at most): query text is an
+	// unbounded label.
 	TopQueries []QueryShapeStats `json:"top_queries"`
 	// LastCompactError is the most recent background fold failure, empty
 	// while folds succeed.
 	LastCompactError string `json:"last_compact_error,omitempty"`
 	// Graph is present only when the backend persists statistics
 	// (storage.Statistics): per-label vertex counts and per-type edge
-	// counts, whose label set changes on Swap — the numbers
-	// optimizer.FromStorage turns into Equation 5's cardinalities (not yet
-	// called outside tests).
+	// counts — the numbers optimizer.FromStorage turns into Equation 5's
+	// cardinalities (not yet called outside tests).
 	Graph *GraphStats `json:"graph,omitempty"`
 }
 
@@ -635,10 +591,10 @@ type GraphStats struct {
 // it and tests read it directly.
 func (s *Server) Stats() StatsResponse {
 	resp := StatsResponse{
-		TopQueries:       s.shapes.top(s.cfg.TopQueries),
+		TopQueries:       s.shapes.top(topQueries),
 		LastCompactError: s.lastCompactError(),
 	}
-	g := s.data.Load().graph
+	g := s.cfg.Graph
 	if st, ok := g.(storage.Statistics); ok {
 		resp.Graph = &GraphStats{
 			Vertices:       g.NumVertices(),

@@ -743,36 +743,6 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestSwapPurgesOldPlans checks the dataset-swap path the Cache.Purge
-// satellite exists for: after Swap, queries see the new graph and the old
-// graph's plans are out of the cache.
-func TestSwapPurgesOldPlans(t *testing.T) {
-	g1 := memstore.New()
-	buildMedGraph(t, g1)
-	s, ts := newMedServer(t, Config{Graph: g1})
-	if _, qr := post(t, ts, drugQuery, "text/plain"); len(qr.Rows) != 2 {
-		t.Fatalf("pre-swap rows = %v", qr.Rows)
-	}
-
-	var only storetest.Batch
-	only.Prop(only.Vertex("Drug"), "name", graph.S("OnlyInG2"))
-	g2 := memstore.New()
-	mustLoad(t, g2, &only)
-	if purged := s.Swap(g2, nil); purged != 1 {
-		t.Errorf("Swap purged %d plans, want 1", purged)
-	}
-	status, qr := post(t, ts, drugQuery, "text/plain")
-	if status != http.StatusOK {
-		t.Fatalf("post-swap status = %d (%s)", status, qr.Error)
-	}
-	if len(qr.Rows) != 1 || qr.Rows[0][0] != "OnlyInG2" {
-		t.Errorf("post-swap rows = %v, want the g2 drug", qr.Rows)
-	}
-	if st := s.cache.Stats(); st.Size != 1 {
-		t.Errorf("cache size after swap+query = %d, want 1 (old plans purged)", st.Size)
-	}
-}
-
 func TestNewRequiresGraph(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted a nil graph")
@@ -944,20 +914,25 @@ func TestStatsTopQueries(t *testing.T) {
 	}
 }
 
-// TestStatsTopQueriesBounded: past MaxQueryShapes distinct texts, new
-// shapes are dropped (and counted), never tracked — the key-space bound.
+// TestStatsTopQueriesBounded: past the tracker's capacity, new shapes are
+// dropped (and counted), never tracked — the key-space bound.
 func TestStatsTopQueriesBounded(t *testing.T) {
-	_, ts := newMedServer(t, Config{MaxQueryShapes: 2, TopQueries: 10})
-	shapes := []string{
+	mem := memstore.New()
+	buildMedGraph(t, mem)
+	s, err := New(Config{Graph: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.shapes = newShapeTracker(2)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, q := range []string{
 		`MATCH (d:Drug) RETURN d.name`,
 		`MATCH (d:Drug) RETURN COUNT(*)`,
 		`MATCH (d:Drug) RETURN d.name LIMIT 1`,
 		`MATCH (d:Drug) RETURN d.name LIMIT 2`,
-	}
-	for _, q := range shapes {
-		if status, _ := post(t, ts, q, "text/plain"); status != http.StatusOK {
-			t.Fatalf("%q: status %d", q, status)
-		}
+	} {
+		s.shapes.observe(q, time.Millisecond)
 	}
 	if st := getStats(t, ts); len(st.TopQueries) != 2 {
 		t.Errorf("tracked %d shapes with a capacity of 2: %+v", len(st.TopQueries), st.TopQueries)

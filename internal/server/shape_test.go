@@ -103,14 +103,13 @@ func checkAgainstLiteralCompile(t *testing.T, s *Server, src string) {
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
-	d := s.data.Load()
 	q := cypher.MustParse(src)
-	if d.mapping != nil {
-		if q, _, err = rewrite.Rewrite(q, d.mapping, s.cfg.RewriteOpts); err != nil {
+	if s.cfg.Mapping != nil {
+		if q, _, err = rewrite.Rewrite(q, s.cfg.Mapping, s.cfg.RewriteOpts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := query.Prepare(d.graph, q)
+	fresh, err := query.Prepare(s.cfg.Graph, q)
 	if err != nil {
 		t.Fatal(err)
 	}

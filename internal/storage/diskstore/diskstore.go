@@ -999,35 +999,82 @@ func (ep *epoch) decodeValue(r propRec, sc *[]byte) (graph.Value, error) {
 	}
 }
 
-// encodeList serializes a list of scalar values. Nested lists are not
-// supported (the schema optimizer only replicates scalar properties).
-func encodeList(vs []graph.Value) ([]byte, error) {
-	var out []byte
-	var n [8]byte
-	binary.LittleEndian.PutUint32(n[:4], uint32(len(vs)))
-	out = append(out, n[:4]...)
-	for _, v := range vs {
-		out = append(out, byte(v.Kind()))
-		switch v.Kind() {
-		case graph.KindNull:
-		case graph.KindInt:
-			binary.LittleEndian.PutUint64(n[:], uint64(v.Int()))
-			out = append(out, n[:]...)
-		case graph.KindFloat:
-			binary.LittleEndian.PutUint64(n[:], graph.FloatBits(v.Float()))
-			out = append(out, n[:]...)
-		case graph.KindBool:
-			if v.Bool() {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
-		case graph.KindString:
-			binary.LittleEndian.PutUint32(n[:4], uint32(len(v.Str())))
-			out = append(out, n[:4]...)
-			out = append(out, v.Str()...)
-		default:
+// appendValue appends v in the one value encoding the WAL and list blobs
+// share: a kind byte, then a u64 (INT, DOUBLE bits), a u8 (BOOLEAN, 1 for
+// true), or a u32 length and that many bytes (STRING, and a LIST's
+// encodeList blob). elem marks a list element, which may not be a list:
+// the schema optimizer only replicates scalar properties.
+func appendValue(dst []byte, v graph.Value, elem bool) ([]byte, error) {
+	dst = append(dst, byte(v.Kind()))
+	switch v.Kind() {
+	case graph.KindNull:
+	case graph.KindInt:
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Int()))
+	case graph.KindFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, graph.FloatBits(v.Float()))
+	case graph.KindBool:
+		b := byte(0)
+		if v.Bool() {
+			b = 1
+		}
+		dst = append(dst, b)
+	case graph.KindString:
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.Str())))
+		dst = append(dst, v.Str()...)
+	case graph.KindList:
+		if elem {
 			return nil, fmt.Errorf("diskstore: cannot store nested %v in list", v.Kind())
+		}
+		blob, err := encodeList(v.List())
+		if err != nil {
+			return nil, err
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
+		dst = append(dst, blob...)
+	default:
+		return nil, fmt.Errorf("diskstore: unsupported value kind %v", v.Kind())
+	}
+	return dst, nil
+}
+
+// readValue reads one value appendValue wrote. It reports false on a short
+// read, an unknown kind, a corrupt list blob, or a list where elem forbids
+// one.
+func readValue(r *idxReader, elem bool) (graph.Value, bool) {
+	switch graph.Kind(r.u8()) {
+	case graph.KindNull:
+		return graph.Null, r.ok
+	case graph.KindInt:
+		return graph.I(int64(r.u64())), r.ok
+	case graph.KindFloat:
+		return graph.FBits(r.u64()), r.ok
+	case graph.KindBool:
+		return graph.B(r.u8() == 1), r.ok
+	case graph.KindString:
+		return graph.S(r.str()), r.ok
+	case graph.KindList:
+		if elem {
+			return graph.Null, false
+		}
+		data := r.take(int(r.u32()))
+		if !r.ok {
+			return graph.Null, false
+		}
+		v, err := decodeList(data)
+		return v, err == nil
+	default:
+		return graph.Null, false
+	}
+}
+
+// encodeList serializes a list of scalar values: a u32 count, then each
+// element as appendValue writes it.
+func encodeList(vs []graph.Value) ([]byte, error) {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(vs)))
+	for _, v := range vs {
+		var err error
+		if out, err = appendValue(out, v, true); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -1044,23 +1091,11 @@ func decodeList(data []byte) (graph.Value, error) {
 	}
 	vs := make([]graph.Value, 0, count)
 	for i := uint32(0); i < count; i++ {
-		switch kind := graph.Kind(r.u8()); kind {
-		case graph.KindNull:
-			vs = append(vs, graph.Null)
-		case graph.KindInt:
-			vs = append(vs, graph.I(int64(r.u64())))
-		case graph.KindFloat:
-			vs = append(vs, graph.FBits(r.u64()))
-		case graph.KindBool:
-			vs = append(vs, graph.B(r.u8() == 1))
-		case graph.KindString:
-			vs = append(vs, graph.S(r.str()))
-		default:
-			return graph.Null, corruptf("list element kind %v", kind)
+		v, ok := readValue(&r, true)
+		if !ok {
+			return graph.Null, corruptf("list blob element %d is truncated or not a scalar", i)
 		}
-		if !r.ok {
-			return graph.Null, corruptf("truncated list blob")
-		}
+		vs = append(vs, v)
 	}
 	return graph.L(vs...), nil
 }

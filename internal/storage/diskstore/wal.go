@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/storage"
 )
 
@@ -346,11 +345,10 @@ func encodeWALOps(batch []storage.Mutation) ([]byte, error) {
 			buf = append(buf, walOpSetProp)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.V))
 			str(m.Key)
-			vb, err := encodeWALValue(m.Value)
-			if err != nil {
+			var err error
+			if buf, err = appendValue(buf, m.Value, false); err != nil {
 				return nil, err
 			}
-			buf = append(buf, vb...)
 		case storage.MutAddLabel:
 			buf = append(buf, walOpAddLabel)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.V))
@@ -360,36 +358,6 @@ func encodeWALOps(batch []storage.Mutation) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-func encodeWALValue(v graph.Value) ([]byte, error) {
-	out := []byte{byte(v.Kind())}
-	switch v.Kind() {
-	case graph.KindNull:
-	case graph.KindInt:
-		out = binary.LittleEndian.AppendUint64(out, uint64(v.Int()))
-	case graph.KindFloat:
-		out = binary.LittleEndian.AppendUint64(out, graph.FloatBits(v.Float()))
-	case graph.KindBool:
-		if v.Bool() {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-	case graph.KindString:
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(v.Str())))
-		out = append(out, v.Str()...)
-	case graph.KindList:
-		data, err := encodeList(v.List())
-		if err != nil {
-			return nil, err
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
-		out = append(out, data...)
-	default:
-		return nil, fmt.Errorf("diskstore: unsupported value kind %v", v.Kind())
-	}
-	return out, nil
 }
 
 // walBatch is one decoded log record.
@@ -475,7 +443,7 @@ func decodeWALOps(data []byte, nops int) ([]storage.Mutation, bool) {
 			m.Op = storage.MutSetProp
 			m.V = u64v()
 			m.Key = r.str()
-			v, ok := decodeWALValue(&r)
+			v, ok := readValue(&r, false)
 			if !ok {
 				return nil, false
 			}
@@ -496,37 +464,4 @@ func decodeWALOps(data []byte, nops int) ([]storage.Mutation, bool) {
 		return nil, false
 	}
 	return ops, true
-}
-
-func decodeWALValue(r *idxReader) (graph.Value, bool) {
-	kb := r.take(1)
-	if kb == nil {
-		return graph.Null, false
-	}
-	switch graph.Kind(kb[0]) {
-	case graph.KindNull:
-		return graph.Null, true
-	case graph.KindInt:
-		return graph.I(int64(r.u64())), r.ok
-	case graph.KindFloat:
-		return graph.FBits(r.u64()), r.ok
-	case graph.KindBool:
-		b := r.take(1)
-		if b == nil {
-			return graph.Null, false
-		}
-		return graph.B(b[0] == 1), true
-	case graph.KindString:
-		return graph.S(r.str()), r.ok
-	case graph.KindList:
-		n := r.u32()
-		data := r.take(int(n))
-		if data == nil {
-			return graph.Null, false
-		}
-		v, err := decodeList(data)
-		return v, err == nil
-	default:
-		return graph.Null, false
-	}
 }
