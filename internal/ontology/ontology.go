@@ -147,14 +147,6 @@ func (r *Relationship) Key() string {
 	return r.Src + "-[" + r.Name + "]->" + r.Dst
 }
 
-// Other returns the concept on the opposite end from the given concept.
-func (r *Relationship) Other(concept string) string {
-	if r.Src == concept {
-		return r.Dst
-	}
-	return r.Src
-}
-
 // Ontology is the paper's O(C, R, P): concepts with data properties and
 // relationships between them. The zero value is an empty ontology; use
 // AddConcept/AddRelationship to populate it.

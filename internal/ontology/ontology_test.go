@@ -69,16 +69,10 @@ func TestInOutRels(t *testing.T) {
 	}
 }
 
-func TestRelationshipKeyAndOther(t *testing.T) {
+func TestRelationshipKey(t *testing.T) {
 	r := &Relationship{Name: "treat", Src: "Drug", Dst: "Indication", Type: OneToMany}
 	if got, want := r.Key(), "Drug-[treat]->Indication"; got != want {
 		t.Errorf("Key() = %q, want %q", got, want)
-	}
-	if got := r.Other("Drug"); got != "Indication" {
-		t.Errorf("Other(Drug) = %q, want Indication", got)
-	}
-	if got := r.Other("Indication"); got != "Drug" {
-		t.Errorf("Other(Indication) = %q, want Drug", got)
 	}
 }
 

@@ -408,6 +408,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if haveManifest && m.Version < formatVersion {
 		return nil, fmt.Errorf("diskstore: %s (format v%d): %w", dir, m.Version, ErrLegacyFormat)
 	}
+	if haveManifest {
+		if err := checkBase(dir, m); err != nil {
+			return nil, err
+		}
+	}
 	gen := int64(0)
 	if haveManifest {
 		gen = m.Generation
@@ -467,7 +472,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if s.loadIndex(ep) {
 			s.indexLoaded = true
 			s.indexCurrent = true
-		} else if err := ep.scanIndex(len(s.types)); err != nil {
+		} else if err := ep.scanIndex(len(s.labels), len(s.types), len(s.keys)); err != nil {
 			return nil, err
 		}
 	}
@@ -488,6 +493,16 @@ func Open(dir string, opts Options) (*Store, error) {
 // detect, so refusing is the only safe answer. Test with errors.Is.
 var ErrFinalizeInterrupted = errors.New("store carries the finalize.inprogress marker of an earlier build's interrupted in-place finalize; its edge records may be partially rewritten")
 
+// ErrBadManifest is returned (wrapped) by Open for a manifest.json that
+// does not parse, names no supported format, or does not describe the
+// base files it names. Open refuses such a store before it touches a
+// file. Test with errors.Is.
+var ErrBadManifest = errors.New("diskstore: bad manifest")
+
+func badManifest(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrBadManifest}, args...)...)
+}
+
 // readManifest loads and validates manifest.json, reporting whether one
 // exists (a fresh directory has none).
 func readManifest(dir string) (manifest, bool, error) {
@@ -500,15 +515,37 @@ func readManifest(dir string) (manifest, bool, error) {
 		return m, false, err
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, false, err
+		return m, false, badManifest("%v", err)
 	}
 	if m.Version < 2 || m.Version > formatVersion {
-		return m, false, fmt.Errorf("diskstore: store format v%d is not supported (want v%d); rebuild the store", m.Version, formatVersion)
+		return m, false, badManifest("store format v%d is not supported (want v%d); rebuild the store", m.Version, formatVersion)
 	}
 	if m.Generation < 0 {
-		return m, false, fmt.Errorf("diskstore: negative base generation %d in manifest", m.Generation)
+		return m, false, badManifest("negative base generation %d", m.Generation)
+	}
+	if m.NumVertices < 0 || m.NumEdges < 0 || m.NumProps < 0 || m.BlobSize < 0 || m.EdgeBytes < 0 {
+		return m, false, badManifest("negative count (vertices %d, edges %d, properties %d, blob bytes %d, edge bytes %d)",
+			m.NumVertices, m.NumEdges, m.NumProps, m.BlobSize, m.EdgeBytes)
 	}
 	return m, true, nil
+}
+
+// checkBase reports a manifest whose generation's record files are
+// missing or do not hold the records and bytes its counts give them.
+func checkBase(dir string, m manifest) error {
+	want := [numFiles]int64{fileVertices: m.NumVertices, fileEdges: m.EdgeBytes, fileProps: m.NumProps, fileBlobs: m.BlobSize}
+	unit := [numFiles]int64{fileVertices: vertexRecSize, fileEdges: 1, fileProps: propRecSize, fileBlobs: 1}
+	for i, name := range baseFileNames {
+		name = genFileName(name, m.Generation)
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			return badManifest("%v", err)
+		}
+		if st.Size()%unit[i] != 0 || st.Size()/unit[i] != want[i] {
+			return badManifest("%s is %d bytes, the manifest gives %d units of %d", name, st.Size(), want[i], unit[i])
+		}
+	}
+	return nil
 }
 
 // sweepOrphans removes base-generation files that do not belong to the
@@ -783,9 +820,11 @@ func (r vertexRec) encode() (buf [vertexRecSize]byte) {
 
 // scanIndex rebuilds the label index, the value postings and the
 // statistics from a scan of every vertex's labels, properties and type
-// directory, for an Open that found no loadable index file. numTypes is
-// the size of the type table.
-func (ep *epoch) scanIndex(numTypes int) error {
+// directory, for an Open that found no loadable index file. numLabels,
+// numTypes and numKeys are the sizes of the name tables: a vertex naming
+// an ID past one, or directories that do not add up to the manifest's
+// edge count, are corrupt.
+func (ep *epoch) scanIndex(numLabels, numTypes, numKeys int) error {
 	var b propindex.Builder
 	var run []keyVal
 	var runBuf, blobBuf []byte
@@ -799,12 +838,27 @@ func (ep *epoch) scanIndex(numTypes int) error {
 		if err := ep.addTypeCounts(rec, typeCounts, &runBuf); err != nil {
 			return fmt.Errorf("vertex %d: %w", v, err)
 		}
+		for _, kv := range run {
+			if int(kv.keyID) >= numKeys {
+				return corruptf("vertex %d carries key %d of %d", v, kv.keyID, numKeys)
+			}
+		}
 		for _, id := range labelBitsToIDs(rec.labels) {
+			if id >= numLabels {
+				return corruptf("vertex %d carries label %d of %d", v, id, numLabels)
+			}
 			ep.byLabel[id] = append(ep.byLabel[id], storage.VID(v))
 			for _, kv := range run {
 				b.Add(int32(id), int32(kv.keyID), storage.VID(v), kv.val)
 			}
 		}
+	}
+	var edges int64
+	for _, n := range typeCounts {
+		edges += n
+	}
+	if edges != ep.numEdges {
+		return corruptf("the vertices' type directories hold %d edges, the manifest %d", edges, ep.numEdges)
 	}
 	ep.values = b.Finish()
 	ep.typeCounts, ep.statsValid = typeCounts, true

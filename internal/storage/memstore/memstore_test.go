@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/storage"
@@ -84,6 +86,22 @@ func newModel(b *storetest.Batch) *model {
 	return m
 }
 
+// sameValue reports whether a and b are Equal and of one kind, element
+// by element for a list: a layout that turned INT 1 into DOUBLE 1.0 reads
+// back Equal but not the same.
+func sameValue(a, b graph.Value) bool {
+	if a.Kind() != b.Kind() || !a.Equal(b) {
+		return false
+	}
+	al, bl := a.List(), b.List()
+	for i := range al {
+		if !sameValue(al[i], bl[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // edgesOf returns the (edge ID, other end) pairs of the model's edges of
 // v of the type ("" for any), in the store's order: by type ID, then by
 // edge ID.
@@ -146,7 +164,7 @@ func (m *model) check(t *testing.T, s *Store) {
 		}
 		for _, k := range m.allKeys {
 			want, wantOK := m.props[v][k]
-			if got, ok := s.PropID(id, s.KeyID(k)); ok != wantOK || !got.Equal(want) && wantOK {
+			if got, ok := s.PropID(id, s.KeyID(k)); ok != wantOK || wantOK && !sameValue(got, want) {
 				t.Errorf("PropID(%d, %s) = %v, %v; want %v, %v", v, k, got, ok, want, wantOK)
 			}
 		}
@@ -212,12 +230,12 @@ func (m *model) check(t *testing.T, s *Store) {
 	}
 }
 
-// TestFlatLayoutMatchesModel loads a graph that puts labels on the
-// bitmaps' word boundaries (VIDs 0, 63, 64, 65 and the last), leaves
-// vertices without labels, properties or edges, interns a label first
-// after vertex 64 and mixes edge types out of ID order, then checks
-// every read against the Batch it was loaded from.
-func TestFlatLayoutMatchesModel(t *testing.T) {
+// TestLayoutMatchesModel loads a graph that puts labels on VIDs 0, 63,
+// 64, 65 and the last, leaves vertices without labels, properties or
+// edges, interns a label first after vertex 64, gives vertices of one
+// label set many key sets and mixes edge types out of ID order, then
+// checks every read against the Batch it was loaded from.
+func TestLayoutMatchesModel(t *testing.T) {
 	const n = 130
 	var b storetest.Batch
 	for v := range n {
@@ -283,20 +301,182 @@ func TestEmptyVertices(t *testing.T) {
 	}
 }
 
-// TestCheckSize: the flat layout takes up to 2^32-1 vertices, edges and
-// properties, and no more.
+// TestNodeTypes: vertices fall into one node type per (label set, key
+// set). Two types share a label set but not a key set; a stored NULL
+// sits next to an absent key; an empty string and an empty list read
+// back with no pointer behind them; and a vertex with no labels has its
+// own type. Every read matches the Batch.
+func TestNodeTypes(t *testing.T) {
+	var b storetest.Batch
+	full := b.Vertex("Drug")
+	b.Prop(full, "name", graph.S("aspirin"))
+	b.Prop(full, "dose", graph.F(0.5))
+	b.Prop(full, "tags", graph.L(graph.S("a"), graph.I(1), graph.L(graph.B(true))))
+	named := b.Vertex("Drug")
+	b.Prop(named, "name", graph.S("ibuprofen"))
+	b.Prop(named, "dose", graph.Null)
+	empty := b.Vertex("Drug")
+	b.Prop(empty, "name", graph.S(""))
+	b.Prop(empty, "tags", graph.L())
+	bare := b.Vertex()
+	b.Prop(bare, "name", graph.S("unlabelled"))
+	again := b.Vertex("Drug", "Drug")
+	b.Prop(again, "dose", graph.F(2))
+	b.Prop(again, "name", graph.S("x"))
+	b.Prop(again, "name", graph.S("paracetamol"))
+	s := New()
+	if err := b.Load(s); err != nil {
+		t.Fatal(err)
+	}
+	newModel(&b).check(t, s)
+
+	if s.verts[named].typ != s.verts[again].typ || s.verts[again].ord != s.verts[named].ord+1 {
+		t.Errorf("vertices %d and %d carry one label set and one key set but are not consecutive in one type", named, again)
+	}
+	for _, pair := range [][2]storage.VID{{full, named}, {full, empty}, {named, empty}, {named, bare}} {
+		if s.verts[pair[0]].typ == s.verts[pair[1]].typ {
+			t.Errorf("vertices %d and %d share a node type", pair[0], pair[1])
+		}
+	}
+	if types := len(s.cols) / len(s.keyNames); types != 4 {
+		t.Errorf("%d node types, want 4", types)
+	}
+	if v, ok := s.Prop(named, "dose"); !ok || !v.IsNull() {
+		t.Errorf("stored NULL reads as %v, %v; want null, true", v, ok)
+	}
+	if v, ok := s.Prop(named, "tags"); ok {
+		t.Errorf("absent key reads as %v, present", v)
+	}
+	str, _ := s.Prop(empty, "name")
+	list, _ := s.Prop(empty, "tags")
+	if str.Kind() != graph.KindString || unsafe.StringData(str.Str()) != nil {
+		t.Errorf("empty string reads as %v with a pointer", str)
+	}
+	if list.Kind() != graph.KindList || list.List() != nil {
+		t.Errorf("empty list reads as %v with a pointer", list)
+	}
+}
+
+// TestListStringsOutliveLoad: the store copies every string it is given,
+// list elements included. The load's strings sit over one byte buffer
+// that is overwritten once the load returns, and the inputs are dropped
+// and collected before the reads.
+func TestListStringsOutliveLoad(t *testing.T) {
+	batch := func() (*storetest.Batch, []byte) {
+		buf := []byte("alphabetagammadelta")
+		str := func(lo, hi int) graph.Value { return graph.S(unsafe.String(&buf[lo], hi-lo)) }
+		var b storetest.Batch
+		for i := range 40 {
+			v := b.Vertex("L")
+			b.Prop(v, "names", graph.L(str(0, 5), str(5, 9), graph.L(str(9, 14)), graph.S("")))
+			if i%2 == 0 {
+				b.Prop(v, "first", str(14, 19))
+			}
+		}
+		return &b, buf
+	}
+	want, _ := batch()
+	m := newModel(want)
+	s := New()
+	func() {
+		b, buf := batch()
+		if err := b.Load(s); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = '#'
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	m.check(t, s)
+}
+
+// TestCellLayout: a cell is 16 bytes with no pointer, and once finalized
+// the store's only array whose elements hold pointers, past the name
+// tables, is the list-element array: every array and map that held the
+// load's pointers is released.
+func TestCellLayout(t *testing.T) {
+	if n := unsafe.Sizeof(cell{}); n != 16 {
+		t.Errorf("unsafe.Sizeof(cell{}) = %d, want 16", n)
+	}
+	if hasPointers(reflect.TypeFor[cell]()) {
+		t.Error("cell holds a pointer")
+	}
+	s := New()
+	if _, err := storetest.BuildRandom(s, 11, 200, 400); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{"labels": true, "labelIDs": true, "types": true, "typeIDs": true, "keyNames": true, "keyIDs": true}
+	rv := reflect.ValueOf(s).Elem()
+	for i := range rv.NumField() {
+		f := rv.Type().Field(i)
+		if names[f.Name] {
+			continue
+		}
+		switch {
+		case f.Type.Kind() == reflect.Map && !rv.Field(i).IsNil():
+			t.Errorf("finalized store keeps the map %s", f.Name)
+		case f.Type.Kind() != reflect.Slice:
+		case f.Name == "elems":
+			if f.Type.Elem() != reflect.TypeFor[graph.Value]() {
+				t.Errorf("elems is %v, want []graph.Value", f.Type)
+			}
+		case hasPointers(f.Type.Elem()) && !rv.Field(i).IsNil():
+			t.Errorf("finalized store keeps %s, a %v: its elements hold pointers", f.Name, f.Type)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+		reflect.Interface, reflect.Func, reflect.Chan:
+		return true
+	}
+	return false
+}
+
+// TestCheckSize: the layout takes up to 2^32-1 vertices, edges,
+// postings, cells, list elements and arena bytes and up to 2^16 node
+// types, and no more.
 func TestCheckSize(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("the limit is past a 32-bit int")
 	}
-	var limit uint64 = math.MaxUint32
-	max, past := int(limit), int(limit+1)
-	if err := checkSize(max, max, max); err != nil {
+	max, past := math.MaxUint32, math.MaxUint32+1
+	types, pastTypes := math.MaxUint16+1, math.MaxUint16+2
+	at := layoutSize{vertices: max, edges: max, postings: max, cells: max, elems: max, arena: max, types: types}
+	if err := checkSize(at); err != nil {
 		t.Errorf("checkSize at the limit: %v", err)
 	}
-	for _, c := range [][3]int{{past, 0, 0}, {0, past, 0}, {0, 0, past}} {
-		if err := checkSize(c[0], c[1], c[2]); err == nil {
-			t.Errorf("checkSize(%v) accepted a count past 2^32-1", c)
+	for _, c := range []struct {
+		name string
+		set  func(*layoutSize)
+	}{
+		{"vertices", func(n *layoutSize) { n.vertices = past }},
+		{"edges", func(n *layoutSize) { n.edges = past }},
+		{"postings", func(n *layoutSize) { n.postings = past }},
+		{"cells", func(n *layoutSize) { n.cells = past }},
+		{"list elements", func(n *layoutSize) { n.elems = past }},
+		{"a 2^32-byte arena", func(n *layoutSize) { n.arena = past }},
+		{"types past the type-ID width", func(n *layoutSize) { n.types = pastTypes }},
+	} {
+		n := at
+		c.set(&n)
+		if err := checkSize(n); err == nil {
+			t.Errorf("checkSize accepted %s", c.name)
 		}
 	}
 }
