@@ -28,7 +28,7 @@ var unreferencedAllowed = map[string]string{
 	"internal/ontology.RandomOntology":         "random ontologies for property tests in three packages (ROADMAP item 19)",
 	"internal/optimizer.RelationCentricGreedy": "the relation-centric ablation, used by the root benchmarks and greedy tests (ROADMAP item 19)",
 	"internal/core.PGS.Node":                   "schema lookup used by tests only (ROADMAP item 19)",
-	"internal/query.Run":                       "Prepare and Execute in one call, used by tests only (ROADMAP item 19)",
+	"internal/query.Run":                       "Prepare and Collect in one call, used by tests only (ROADMAP item 19)",
 }
 
 // TestExportedCodeIsReferenced fails when an exported function or method

@@ -222,35 +222,35 @@ func runComparison(env *Env, b Backend, q workload.Query, dir, opt storage.Graph
 	if err != nil {
 		return nil, fmt.Errorf("%s OPT: %w", q.Name, err)
 	}
-	var dirStats, optStats query.Stats
-	ctx := context.Background()
-	row.DirMs, err = timeIt(func() error {
-		for i := 0; i < env.Opts.Reps; i++ {
-			if _, err := query.Collect(ctx, dirPlan, query.ExecOptions{Stats: &dirStats}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if row.DirMs, row.DirEdges, err = timePlans(env.Opts.Reps, dirPlan); err != nil {
 		return nil, fmt.Errorf("%s DIR: %w", q.Name, err)
 	}
-	row.OptMs, err = timeIt(func() error {
-		for i := 0; i < env.Opts.Reps; i++ {
-			if _, err := query.Collect(ctx, optPlan, query.ExecOptions{Stats: &optStats}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if row.OptMs, row.OptEdges, err = timePlans(env.Opts.Reps, optPlan); err != nil {
 		return nil, fmt.Errorf("%s OPT: %w", q.Name, err)
 	}
-	row.DirEdges, row.OptEdges = dirStats.EdgesTraversed, optStats.EdgesTraversed
 	if row.OptMs > 0 {
 		row.Speedup = row.DirMs / row.OptMs
 	}
 	return row, nil
+}
+
+// timePlans runs plans in order, reps times over, each through
+// query.Collect on one morsel, and returns the wall time in milliseconds
+// and the edges the runs traversed in all.
+func timePlans(reps int, plans ...*query.Prepared) (ms float64, edges int64, err error) {
+	var st query.Stats
+	ctx := context.Background()
+	ms, err = timeIt(func() error {
+		for i := 0; i < reps; i++ {
+			for _, p := range plans {
+				if _, err := query.Collect(ctx, p, query.ExecOptions{Stats: &st}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	return ms, st.EdgesTraversed, err
 }
 
 // ---------------------------------------------------------------------
@@ -333,39 +333,14 @@ func WorkloadLatency(env *Env, backends []Backend) ([]WorkloadRow, error) {
 				return nil, err
 			}
 		}
-		var dirStats, optStats query.Stats
-		ctx := context.Background()
-		row.DirMs, err = timeIt(func() error {
-			for i := 0; i < env.Opts.Reps; i++ {
-				for _, p := range dirPlans {
-					if _, err := query.Collect(ctx, p, query.ExecOptions{Stats: &dirStats}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
+		if row.DirMs, row.DirEdges, err = timePlans(env.Opts.Reps, dirPlans...); err == nil {
+			row.OptMs, row.OptEdges, err = timePlans(env.Opts.Reps, optPlans...)
+		}
 		if err != nil {
 			dirClean()
 			optClean()
 			return nil, err
 		}
-		row.OptMs, err = timeIt(func() error {
-			for i := 0; i < env.Opts.Reps; i++ {
-				for _, p := range optPlans {
-					if _, err := query.Collect(ctx, p, query.ExecOptions{Stats: &optStats}); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			dirClean()
-			optClean()
-			return nil, err
-		}
-		row.DirEdges, row.OptEdges = dirStats.EdgesTraversed, optStats.EdgesTraversed
 		if row.OptMs > 0 {
 			row.Speedup = row.DirMs / row.OptMs
 		}

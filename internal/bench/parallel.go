@@ -56,14 +56,14 @@ func IntraQueryScaling(env *Env, b Backend, workers []int, ops int) ([]IntraQuer
 	if err != nil {
 		return nil, err
 	}
-	ref, err := plan.Execute()
+	ctx := context.Background()
+	ref, err := query.Collect(ctx, plan, query.ExecOptions{})
 	if err != nil {
 		return nil, err
 	}
 	query.SortRowsForComparison(ref.Rows)
 	wantRows := fmt.Sprint(ref.Rows)
 
-	ctx := context.Background()
 	var points []IntraQueryPoint
 	for _, w := range workers {
 		if w <= 0 {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -35,7 +36,7 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss / size 1", st)
 	}
-	res, err := p2.Execute()
+	res, err := Collect(context.Background(), p2, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Error("LRU entry survived eviction")
 	}
 	// … while the evicted plan stays independently usable.
-	if _, err := plans[0].Execute(); err != nil {
+	if _, err := Collect(context.Background(), plans[0], ExecOptions{}); err != nil {
 		t.Errorf("evicted plan broken: %v", err)
 	}
 	// queries[2] was touched most recently before the re-insert and must
@@ -126,11 +127,11 @@ func TestCacheCrossGraphIsolation(t *testing.T) {
 	if st := c.Stats(); st.Size != 2 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want two independent entries", st)
 	}
-	r1, err := p1.Execute()
+	r1, err := Collect(context.Background(), p1, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p2.Execute()
+	r2, err := Collect(context.Background(), p2, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCacheConcurrentGet(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := p.Execute(); err != nil {
+				if _, err := Collect(context.Background(), p, ExecOptions{}); err != nil {
 					errs <- err
 					return
 				}
@@ -270,7 +271,7 @@ func TestCacheSingleflightColdMiss(t *testing.T) {
 		t.Errorf("stats = %+v, want %d misses / %d shared / 0 hits / size 1", st, workers, workers-1)
 	}
 	// The shared plan must actually run.
-	res, err := plans[0].Execute()
+	res, err := Collect(context.Background(), plans[0], ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +448,7 @@ func TestCacheSharesOneShapeAcrossLiterals(t *testing.T) {
 		if hit != (i > 0) {
 			t.Errorf("%s: hit = %v", name, hit)
 		}
-		got, err := p.Execute()
+		got, err := Collect(context.Background(), p, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +476,7 @@ func TestCacheSharesOneShapeAcrossLiterals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Execute(); err == nil {
+	if _, err := Collect(context.Background(), p, ExecOptions{}); err == nil {
 		t.Error("a plan with an unbound parameter slot ran")
 	}
 }

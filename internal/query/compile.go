@@ -193,7 +193,7 @@ func (c *compiler) expr(e cypher.Expr, aggIdx map[*cypher.FuncCall]int) (cexpr, 
 			if v == unbound {
 				return graph.Null, nil
 			}
-			m.stats.PropsRead++
+			m.propsRead++
 			val, ok := m.g.PropID(v, key)
 			if !ok {
 				return graph.Null, nil

@@ -35,7 +35,7 @@ func TestExecContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Execute()
+	want, err := Collect(context.Background(), p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestExecCancelMidQuery(t *testing.T) {
 		t.Errorf("scanned %d vertices after cancel, want <= %d (~one checkpoint interval)", st.VerticesScanned, limit)
 	}
 	// The plan (and its pooled machine) must stay usable afterwards.
-	res, err := p.Execute()
+	res, err := Collect(context.Background(), p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

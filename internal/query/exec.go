@@ -151,30 +151,21 @@ func (p *Prepared) Exec(ctx context.Context, o ExecOptions, sink Sink) error {
 	if o.Profile != nil {
 		*o.Profile = Profile{Steps: p.profileSteps(), Parallel: scans != nil, Morsels: len(scans), Workers: max(workers, 1)}
 	}
-	// Only a machine that runs the chain needs the profiled one; on the
-	// many-morsel branch those are the workers'.
-	m := p.getMachine(o.Profile != nil && scans == nil)
-	m.begin(ctx, g, st, p.args)
+	m := p.pool.Get().(*machine)
+	m.begin(ctx, g, p.args)
 	m.fin = finisher{p: p, sink: sink, key: m.fin.key}
 	var err error
 	if scans == nil {
 		err = m.root()
 	} else {
-		err = p.runMorsels(ctx, g, scans, workers, m, o.Profile)
+		err = p.runMorsels(ctx, g, scans, workers, m, st, o.Profile)
 	}
 	if err == nil {
-		err = p.finish(m)
+		err = p.finish(m, st)
 	}
-	if o.Profile != nil {
-		o.Profile.addSteps(m.psteps)
-	}
+	p.fold(m, st, o.Profile)
 	p.release(m)
 	return err
-}
-
-// Execute runs the plan on one morsel and materializes the result.
-func (p *Prepared) Execute() (*Result, error) {
-	return Collect(context.Background(), p, ExecOptions{})
 }
 
 // ExecuteParallelContextWithStats is Collect under its pre-Exec name and
@@ -184,15 +175,15 @@ func (p *Prepared) ExecuteParallelContextWithStats(ctx context.Context, workers 
 }
 
 // Run executes the query against the graph. One-shot convenience wrapper:
-// it compiles the query with Prepare and executes the plan once. Callers
-// that run the same query repeatedly should Prepare once and Execute many
-// times.
+// it compiles the query with Prepare and runs the plan once with Collect.
+// Callers that run the same query repeatedly should Prepare once and
+// Collect (or Exec) many times.
 func Run(g storage.Graph, q *cypher.Query) (*Result, error) {
 	p, err := Prepare(g, q)
 	if err != nil {
 		return nil, err
 	}
-	return p.Execute()
+	return Collect(context.Background(), p, ExecOptions{})
 }
 
 // finisher is the tail every execution shares, whatever produced its

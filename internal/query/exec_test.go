@@ -19,12 +19,11 @@ import (
 )
 
 // TestPreparedExecSurface pins the exported methods of *Prepared that run
-// a plan. Exec is the entry point; Execute is its zero-argument
-// convenience; ExecuteParallelContextWithStats survives only because
-// benchmark/twin.go pins it. A new variant belongs in ExecOptions or in a
-// Sink, not here.
+// a plan. Exec is the entry point (Collect is Exec into a *Result);
+// ExecuteParallelContextWithStats survives only because benchmark/twin.go
+// pins it. A new variant belongs in ExecOptions or in a Sink, not here.
 func TestPreparedExecSurface(t *testing.T) {
-	want := []string{"Exec", "Execute", "ExecuteParallelContextWithStats"}
+	want := []string{"Exec", "ExecuteParallelContextWithStats"}
 	var got []string
 	typ := reflect.TypeOf(&Prepared{})
 	for i := 0; i < typ.NumMethod(); i++ {

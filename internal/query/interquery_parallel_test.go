@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func TestInterQueryParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Prepare(%q): %v", src, err)
 			}
-			ref, err := p.Execute()
+			ref, err := Collect(context.Background(), p, ExecOptions{})
 			if err != nil {
 				t.Fatalf("serial Execute(%q): %v", src, err)
 			}
@@ -114,7 +115,7 @@ func TestInterQuerySharedPlanViaCache(t *testing.T) {
 						t.Errorf("goroutine %d: %v", g, err)
 						return
 					}
-					res, err := p.Execute()
+					res, err := Collect(context.Background(), p, ExecOptions{})
 					if err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
 						return

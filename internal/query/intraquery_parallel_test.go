@@ -150,12 +150,34 @@ func TestIntraQueryParallelMatchesSerial(t *testing.T) {
 // mutations into its delta segment, and parallel execution over the
 // combined base+delta vertex set stays exactly equivalent to serial.
 func TestIntraQueryParallelLiveDelta(t *testing.T) {
+	const base, extra = 200, 140
+	s := liveDeltaPeople(t, base, extra)
+	// The partitioned scan must cover base postings AND delta members.
+	p, err := Prepare(s, cypher.MustParse(`MATCH (p:Person) RETURN COUNT(p.name)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collect(p, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowStrings(res); !reflect.DeepEqual(got, []string{fmt.Sprint([]graph.Value{graph.I(base + extra)})}) {
+		t.Fatalf("COUNT over base+delta = %v, want %d", got, base+extra)
+	}
+	checkIntraShapes(t, s, true)
+}
+
+// liveDeltaPeople opens a diskstore whose finalized base holds the people
+// graph of base vertices and whose live delta holds extra more Person
+// vertices, each with the same properties and two knows edges into and
+// out of the base. The store closes when t ends.
+func liveDeltaPeople(t *testing.T, base, extra int) *diskstore.Store {
+	t.Helper()
 	s, err := diskstore.Open(t.TempDir(), diskstore.Options{PageSize: 512, CachePages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	const base, extra = 200, 140
+	t.Cleanup(func() { s.Close() })
 	buildPeopleGraph(t, s, base)
 	if err := s.Finalize(); err != nil {
 		t.Fatal(err)
@@ -182,22 +204,10 @@ func TestIntraQueryParallelLiveDelta(t *testing.T) {
 	if _, err := s.ApplyMutations(batch); err != nil {
 		t.Fatal(err)
 	}
-	if ls := s.LiveStats(); ls.DeltaVertices != extra {
+	if ls := s.LiveStats(); ls.DeltaVertices != int64(extra) {
 		t.Fatalf("delta vertices = %d, want %d", ls.DeltaVertices, extra)
 	}
-	// The partitioned scan must cover base postings AND delta members.
-	p, err := Prepare(s, cypher.MustParse(`MATCH (p:Person) RETURN COUNT(p.name)`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := collect(p, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rowStrings(res); !reflect.DeepEqual(got, []string{fmt.Sprint([]graph.Value{graph.I(base + extra)})}) {
-		t.Fatalf("COUNT over base+delta = %v, want %d", got, base+extra)
-	}
-	checkIntraShapes(t, s, true)
+	return s
 }
 
 // TestIntraQueryParallelDuringCompact is the epoch-swap stress test:
@@ -353,7 +363,7 @@ func TestIntraQueryPlannerStaysSerial(t *testing.T) {
 	if n := b.CountLabel("Admin"); n >= MinParallelRootCount {
 		t.Fatalf("test premise broken: Admin count %d >= threshold %d", n, MinParallelRootCount)
 	}
-	ref, err := p.Execute()
+	ref, err := Collect(context.Background(), p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +393,7 @@ func TestIntraQueryStreamMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := p.Execute()
+	ref, err := Collect(context.Background(), p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

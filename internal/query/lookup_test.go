@@ -290,7 +290,7 @@ func TestBloomProbeHonorsLiveWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Execute()
+	r, err := Collect(context.Background(), p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestBloomProbeHonorsLiveWrites(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r, err = p.Execute() // same compiled plan, run after the write
+	r, err = Collect(context.Background(), p, ExecOptions{}) // same compiled plan, run after the write
 	if err != nil {
 		t.Fatal(err)
 	}

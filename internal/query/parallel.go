@@ -3,15 +3,16 @@ package query
 // Morsel-driven intra-query parallelism: the many-morsel branch of Exec.
 // The driver partitions the plan's root label scan into morsels
 // (storage.PlanVertexScan) and runs the plan's ordinary compiled step
-// chain over them on a small worker pool — each worker owns a machine and
-// a private Stats, and reads the view Exec pinned. Workers do not finish
-// anything: a non-grouped plan's rows travel to the calling goroutine in
-// small batches over a bounded channel and enter the driver machine's
-// finisher exactly as an inline execution's rows do, so a huge result set
-// never materializes outside the consumer; a grouped plan's per-worker
-// partial groups are merged into the driver's machine (aggState.merge:
-// counts and sums add, min/max compare, DISTINCT aggregates replay
-// recorded values) before the ordinary finish.
+// chain over them on a small worker pool — each worker owns a machine,
+// counts its work in that machine's step counters, and reads the view
+// Exec pinned. Workers do not finish anything: a non-grouped plan's rows
+// travel to the calling goroutine in small batches over a bounded channel
+// and enter the driver machine's finisher exactly as an inline
+// execution's rows do, so a huge result set never materializes outside
+// the consumer; a grouped plan's per-worker partial groups are merged
+// into the driver's machine (aggState.merge: counts and sums add, min/max
+// compare, DISTINCT aggregates replay recorded values) before the
+// ordinary finish.
 //
 // Workers share one derived context: the first error (or the caller's
 // cancellation) cancels it, and every sibling unwinds within cancelMask+1
@@ -70,10 +71,10 @@ func (p *Prepared) planMorsels(g storage.Graph, workers int) []storage.VertexSca
 
 // runMorsels is the many-morsel branch of Exec: it fans scans out over
 // workers goroutines reading g and brings their output home to dm, the
-// driver's machine — rows into dm.fin as they arrive, partial groups and
-// exact work counters (and PROFILE counters, when prof is non-nil) once
-// every worker has finished. The caller runs the ordinary finish next.
-func (p *Prepared) runMorsels(ctx context.Context, g storage.Graph, scans []storage.VertexScan, workers int, dm *machine, prof *Profile) error {
+// driver's machine — rows into dm.fin as they arrive, partial groups once
+// every worker has finished, and each worker's work counters into st (and
+// prof, when non-nil) then too. The caller runs the ordinary finish next.
+func (p *Prepared) runMorsels(ctx context.Context, g storage.Graph, scans []storage.VertexScan, workers int, dm *machine, st *Stats, prof *Profile) error {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -96,17 +97,16 @@ func (p *Prepared) runMorsels(ctx context.Context, g storage.Graph, scans []stor
 	// Workers pull morsel indices from a shared counter (work stealing):
 	// a worker stuck on a heavy morsel simply claims fewer of them. The
 	// last one to finish closes rowCh, which is how the driver learns that
-	// every machine and Stats below is quiescent — grouped plans send
-	// nothing and use the channel for that alone.
+	// every machine below is quiescent — grouped plans send nothing and
+	// use the channel for that alone.
 	var next atomic.Int64
 	var live atomic.Int64
 	live.Store(int64(workers))
 	rowCh := make(chan [][]graph.Value, rowChanDepth)
 	machines := make([]*machine, workers)
-	stats := make([]Stats, workers)
 	for w := range machines {
-		m := p.getMachine(prof != nil)
-		m.begin(wctx, g, &stats[w], p.args)
+		m := p.pool.Get().(*machine)
+		m.begin(wctx, g, p.args)
 		m.trackDistinct = trackDistinct
 		if !p.grouped {
 			m.rowCh = rowCh
@@ -146,14 +146,11 @@ func (p *Prepared) runMorsels(ctx context.Context, g storage.Graph, scans []stor
 		}
 	}
 	// rowCh is closed: every worker has finished, so reading their
-	// machines and Stats (and failErr) is race-free from here on. Merging
-	// in worker order keeps grouped output order deterministic for a
-	// fixed partitioning.
-	for w, m := range machines {
-		dm.stats.Add(stats[w])
-		if prof != nil {
-			prof.addSteps(m.psteps)
-		}
+	// machines (and failErr) is race-free from here on. Merging in worker
+	// order keeps grouped output order deterministic for a fixed
+	// partitioning.
+	for _, m := range machines {
+		p.fold(m, st, prof)
 		if p.grouped && failErr == nil {
 			failErr = p.mergeGroups(dm, m)
 		}

@@ -101,9 +101,16 @@ type citem struct {
 type machine struct {
 	// g is the view this execution reads: the snapshot Exec pinned, or
 	// the plan's store when the backend needs no pin.
-	g     storage.Graph
-	stats *Stats
-	err   error
+	g   storage.Graph
+	err error
+
+	// steps holds the execution's work counters, one slot per compiled
+	// move plus a final slot for the emit step; the chain's closures
+	// capture &steps[i] when the machine is built. propsRead counts the
+	// property fetches of node checks and expressions. Stats and PROFILE
+	// are both folded from these (fold).
+	steps     []stepCounts
+	propsRead int64
 
 	// Cancellation: the traversal callbacks poll done every cancelMask+1
 	// iterations (a non-blocking channel read), so a deadline or a hung
@@ -138,14 +145,6 @@ type machine struct {
 	// values so per-worker partial states can be merged into the driver's
 	// machine (see aggState.merge).
 	trackDistinct bool
-
-	// psteps, when non-nil, receives per-step PROFILE counters: one slot
-	// per compiled move plus a final slot for the emit step. It is
-	// allocated by getMachine(profiled=true) BEFORE the step chain is
-	// compiled — the chain closures capture &psteps[i] directly — and its
-	// presence also marks the machine as single-use (release skips the
-	// pool), so pooled machines never carry profiling code.
-	psteps []stepCounts
 
 	slots []storage.VID // variable bindings; -1 = unbound
 	used  []storage.EID // edges bound on the current path (Cypher uniqueness)
@@ -266,7 +265,7 @@ func Prepare(g storage.Graph, q *cypher.Query) (*Prepared, error) {
 	p.nSlots = len(c.order)
 	p.nParams = c.nParams
 	p.planParallel()
-	p.pool.New = func() any { return p.buildMachine(false) }
+	p.pool.New = func() any { return p.buildMachine() }
 	return p, nil
 }
 
@@ -288,24 +287,13 @@ func (p *Prepared) planParallel() {
 	p.rootLabel = p.moves[0].scanLabel
 }
 
-// getMachine hands out a machine for one execution. Profiled machines
-// carry the PROFILE counter increments in their step chain (m.psteps is
-// allocated before the chain is compiled, so moveStep/emitStep bake the
-// increments in); they are built per call and never pooled, so the pooled
-// chain stays free of profiling code entirely.
-func (p *Prepared) getMachine(profiled bool) *machine {
-	if profiled {
-		return p.buildMachine(true)
-	}
-	return p.pool.Get().(*machine)
-}
-
 // buildMachine builds a fresh execution context sized for the plan,
-// including its private step chain. Called by the pool on first use and
-// whenever the pool is empty.
-func (p *Prepared) buildMachine(profiled bool) *machine {
+// including its private step chain. Only the pool calls it: on first use
+// and whenever the pool is empty.
+func (p *Prepared) buildMachine() *machine {
 	m := &machine{
 		g:          p.g,
+		steps:      make([]stepCounts, len(p.moves)+1),
 		slots:      make([]storage.VID, p.nSlots),
 		keyScratch: make([]graph.Value, len(p.groupExprs)),
 		aggVals:    make([]graph.Value, len(p.aggs)),
@@ -313,9 +301,6 @@ func (p *Prepared) buildMachine(profiled bool) *machine {
 	}
 	if p.grouped {
 		m.groups = map[string]*groupRow{}
-	}
-	if profiled {
-		m.psteps = make([]stepCounts, len(p.moves)+1)
 	}
 	next := p.emitStep(m)
 	for i := len(p.moves) - 1; i >= 0; i-- {
@@ -338,13 +323,14 @@ func nameAnonymousVars(q *cypher.Query) {
 }
 
 // begin prepares a machine for one execution reading the view g with the
-// parameter values args.
-func (m *machine) begin(ctx context.Context, g storage.Graph, st *Stats, args []graph.Value) {
+// parameter values args, its work counters zeroed.
+func (m *machine) begin(ctx context.Context, g storage.Graph, args []graph.Value) {
 	m.g = g
 	m.args = args
-	m.stats = st
 	m.done, m.ctx = ctx.Done(), ctx
 	m.err = nil
+	clear(m.steps)
+	m.propsRead = 0
 	for i := range m.slots {
 		m.slots[i] = unbound
 	}
@@ -360,18 +346,31 @@ func (m *machine) begin(ctx context.Context, g storage.Graph, st *Stats, args []
 // request's context, its sink, or buffered rows and their values alive.
 func (p *Prepared) release(m *machine) {
 	m.g, m.args = p.g, nil
-	m.stats, m.done, m.ctx = nil, nil, nil
+	m.done, m.ctx = nil, nil
 	m.fin = finisher{key: m.fin.key}
 	m.rowCh, m.batch = nil, nil
 	clear(m.row)
 	m.trackDistinct = false
-	if m.psteps != nil {
-		// Profiled machines carry an instrumented step chain; they are
-		// single-use and never pooled, so a later unprofiled execution
-		// cannot pick up (and pay for) the counter increments.
-		return
-	}
 	p.pool.Put(m)
+}
+
+// fold adds m's work counters to st and, when prof is non-nil, its step
+// counters to prof's steps: VerticesScanned is what the unbound starts
+// (scans and lookups) visited, EdgesTraversed what the expands visited.
+// A bind start checks a vertex bound earlier and scans none.
+func (p *Prepared) fold(m *machine, st *Stats, prof *Profile) {
+	for i := range p.moves {
+		switch mv := &p.moves[i]; {
+		case !mv.start:
+			st.EdgesTraversed += m.steps[i].visited
+		case !mv.bound:
+			st.VerticesScanned += m.steps[i].visited
+		}
+	}
+	st.PropsRead += m.propsRead
+	if prof != nil {
+		prof.addSteps(m.steps)
+	}
 }
 
 // ---- pattern compilation ----
@@ -437,7 +436,7 @@ func (m *machine) checkNode(n *cnode, v storage.VID) bool {
 		}
 	}
 	for i := range n.props {
-		m.stats.PropsRead++
+		m.propsRead++
 		got, ok := m.g.PropID(v, n.props[i].key)
 		if !ok || !got.Equal(m.want(&n.props[i])) {
 			return false
@@ -561,56 +560,37 @@ func (c *compiler) node(n *cypher.NodePattern) cnode {
 
 // moveStep builds m's executable step for move idx. The iterator callbacks
 // are constructed here, once per machine, and reused across executions and
-// rows. Profiled machines (m.psteps allocated before the chain is built)
-// get the PROFILE increments baked in as build-time wrappers — `produced`
-// by wrapping next, `visited` by wrapping the callback — so plain machines
-// run closures with no profiling code at all.
+// rows. Each kind of move — bind, scan/lookup, expand — is one closure
+// that counts into its step's slot of m.steps inline: visited for every
+// vertex or edge it examines, produced for every binding it passes to
+// next. Those counters are the execution's work counters (fold).
 func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 	node := mv.node
-	var ps *stepCounts
-	if m.psteps != nil {
-		ps = &m.psteps[idx]
-		inner := next
-		next = func() error {
-			ps.produced++
-			return inner()
-		}
-	}
+	ps := &m.steps[idx]
 	switch {
 	case mv.start && mv.bound:
-		check := func() error {
+		return func() error {
+			ps.visited++
 			if !m.checkNode(&node, m.slots[node.slot]) {
 				return nil
 			}
+			ps.produced++
 			return next()
-		}
-		if ps == nil {
-			return check
-		}
-		return func() error {
-			ps.visited++
-			return check()
 		}
 	case mv.start:
 		scan := func(v storage.VID) bool {
-			m.stats.VerticesScanned++
+			ps.visited++
 			if m.canceled() {
 				return false
 			}
 			if !m.checkNode(&node, v) {
 				return true
 			}
+			ps.produced++
 			m.slots[node.slot] = v
 			m.err = next()
 			m.slots[node.slot] = unbound
 			return m.err == nil
-		}
-		if ps != nil {
-			plain := scan
-			scan = func(v storage.VID) bool {
-				ps.visited++
-				return plain(v)
-			}
 		}
 		// The chain is linked last move first, so the final assignment —
 		// the plan's root move — wins: m.rootScan is exactly the callback
@@ -631,66 +611,36 @@ func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 		// ForEach*ID: on type-segmented backends (finalized diskstore and
 		// memstore) that call seeks straight to the matching segment, so
 		// neither the store nor this callback filters edges by type. Plans
-		// with at most one relationship additionally skip the
+		// with at most one relationship (uniq false) skip the
 		// relationship-uniqueness stack — with a single expand there is no
 		// other edge to collide with.
-		var expand func(e storage.EID, other storage.VID) bool
-		if p.uniqEdges {
-			expand = func(e storage.EID, other storage.VID) bool {
-				m.stats.EdgesTraversed++
-				if m.canceled() {
-					return false
-				}
-				if m.edgeUsed(e) {
-					return true // Cypher relationship-uniqueness
-				}
-				if mv.bound {
-					if m.slots[node.slot] != other || !m.checkNode(&node, other) {
-						return true
-					}
-					m.used = append(m.used, e)
-					m.err = next()
-					m.used = m.used[:len(m.used)-1]
-					return m.err == nil
-				}
-				if !m.checkNode(&node, other) {
-					return true
-				}
+		uniq, bound := p.uniqEdges, mv.bound
+		expand := func(e storage.EID, other storage.VID) bool {
+			ps.visited++
+			if m.canceled() {
+				return false
+			}
+			if uniq && m.edgeUsed(e) {
+				return true // Cypher relationship-uniqueness
+			}
+			if (bound && m.slots[node.slot] != other) || !m.checkNode(&node, other) {
+				return true
+			}
+			ps.produced++
+			if !bound {
 				m.slots[node.slot] = other
+			}
+			if uniq {
 				m.used = append(m.used, e)
-				m.err = next()
+			}
+			m.err = next()
+			if uniq {
 				m.used = m.used[:len(m.used)-1]
+			}
+			if !bound {
 				m.slots[node.slot] = unbound
-				return m.err == nil
 			}
-		} else {
-			expand = func(e storage.EID, other storage.VID) bool {
-				m.stats.EdgesTraversed++
-				if m.canceled() {
-					return false
-				}
-				if mv.bound {
-					if m.slots[node.slot] != other || !m.checkNode(&node, other) {
-						return true
-					}
-					m.err = next()
-					return m.err == nil
-				}
-				if !m.checkNode(&node, other) {
-					return true
-				}
-				m.slots[node.slot] = other
-				m.err = next()
-				m.slots[node.slot] = unbound
-				return m.err == nil
-			}
-		}
-		if ps != nil {
-			plain := expand
-			expand = func(e storage.EID, other storage.VID) bool {
-				ps.visited++
-				return plain(e, other)
-			}
+			return m.err == nil
 		}
 		etype, from, outgoing := mv.etype, mv.fromSlot, mv.outgoing
 		if outgoing {
@@ -709,27 +659,12 @@ func (p *Prepared) moveStep(m *machine, idx int, mv move, next step) step {
 // ---- row emission ----
 
 // emitStep builds m's chain terminator: WHERE filter, then group
-// accumulation or direct projection. As in moveStep, the PROFILE counter
-// increments exist only in the profiled machine's variant of the closure.
+// accumulation or direct projection, counting into the emit step's slot
+// of m.steps.
 func (p *Prepared) emitStep(m *machine) step {
-	if m.psteps != nil {
-		ps := &m.psteps[len(p.moves)] // the emit step's PROFILE counter slot
-		return func() error {
-			ps.visited++
-			if p.where != nil {
-				val, err := p.where(m)
-				if err != nil {
-					return err
-				}
-				if ok, _ := truth(val); !ok {
-					return nil
-				}
-			}
-			ps.produced++
-			return p.emitRow(m)
-		}
-	}
+	ps := &m.steps[len(p.moves)]
 	return func() error {
+		ps.visited++
 		if p.where != nil {
 			val, err := p.where(m)
 			if err != nil {
@@ -739,6 +674,7 @@ func (p *Prepared) emitStep(m *machine) step {
 				return nil
 			}
 		}
+		ps.produced++
 		return p.emitRow(m)
 	}
 }
@@ -803,8 +739,9 @@ func (p *Prepared) newGroup(keyVals []graph.Value) *groupRow {
 
 // finish runs on the driver's machine once the traversal is over: a
 // grouped plan turns the accumulated (and, after a morsel run, merged)
-// groups into rows, and every shape drains the finisher.
-func (p *Prepared) finish(m *machine) error {
+// groups into rows, and every shape drains the finisher, whose delivered
+// row count lands in st.
+func (p *Prepared) finish(m *machine, st *Stats) error {
 	if p.grouped {
 		// An aggregate-only query over zero rows still yields one row
 		// (e.g. COUNT(*) = 0), per Cypher semantics.
@@ -836,7 +773,7 @@ func (p *Prepared) finish(m *machine) error {
 			}
 		}
 	}
-	return m.fin.flush(m.stats)
+	return m.fin.flush(st)
 }
 
 // rowCmp is the plan's ORDER BY comparator: negative when ra sorts before

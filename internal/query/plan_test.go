@@ -23,7 +23,7 @@ func TestPreparedPlanIsReusable(t *testing.T) {
 		}
 		var first []string
 		for run := 0; run < 3; run++ {
-			res, err := p.Execute()
+			res, err := Collect(context.Background(), p, ExecOptions{})
 			if err != nil {
 				t.Fatalf("run %d: %v", run, err)
 			}

@@ -1,12 +1,11 @@
 package query
 
-// Per-query PROFILE tracing. An Exec call with ExecOptions.Profile set
-// runs on machines whose step chain was compiled with the counter
-// increments baked in (getMachine(true)); pooled machines compile the
-// plain chain, so the unprofiled hot path carries no profiling code at
-// all. A profiled run reports per-step operator counters: how many
-// vertices/edges/rows each compiled step visited and how many it passed
-// downstream. The serving layer returns these in the /query response
+// Per-query PROFILE tracing. Every machine's step chain counts, per
+// compiled step, how many vertices/edges/rows the step visited and how
+// many it passed downstream; the execution's Stats are folded from those
+// same counters (fold). An Exec call with ExecOptions.Profile set also
+// copies them into the Profile, so profiled and unprofiled runs share
+// one chain and one pool. The serving layer returns these in the /query response
 // under ?profile=1 (or a PROFILE query prefix) and feeds the slow-query
 // log with them.
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cypher"
+	"repro/internal/storage"
 	"repro/internal/storage/memstore"
 )
 
@@ -141,22 +142,100 @@ func TestProfileParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestProfileOffLeavesNoCounters: an unprofiled execution interleaved
-// with profiled ones must not accumulate or leak step counters across
-// runs (profiled machines are single-use and never enter the pool).
+// TestProfileOffLeavesNoCounters: profiled and unprofiled executions
+// share the pool's machines, whose step counters outlive each execution,
+// so begin must zero them. Interleaved runs on one plan must each report
+// exactly one execution's work — in Stats and in the profile — not a sum
+// over the runs before it.
 func TestProfileOffLeavesNoCounters(t *testing.T) {
 	p := profilePlan(t, `MATCH (p:Person) WHERE p.age > 5 RETURN p.name`)
-	_, prof1, _ := profiled(t, p, 1)
-	// Unprofiled run on the same (pooled) machine.
-	if _, err := p.Execute(); err != nil {
+	_, prof1, st1 := profiled(t, p, 1)
+	// Unprofiled run on the same pooled machine.
+	var st Stats
+	if _, err := collect(p, 1, &st); err != nil {
 		t.Fatal(err)
+	}
+	if st != st1 {
+		t.Errorf("unprofiled Stats %+v after a profiled run, want %+v", st, st1)
 	}
 	// A second profiled run must report identical counters, not doubled
 	// ones, proving no counter state survives across executions.
-	_, prof2, _ := profiled(t, p, 1)
+	_, prof2, st2 := profiled(t, p, 1)
 	for i := range prof1.Steps {
 		if prof1.Steps[i] != prof2.Steps[i] {
 			t.Errorf("step %d drifted across runs: %+v vs %+v", i, prof1.Steps[i], prof2.Steps[i])
+		}
+	}
+	if st2 != st1 {
+		t.Errorf("profiled Stats drifted across runs: %+v vs %+v", st2, st1)
+	}
+}
+
+// TestProfileStepSumsAreStats: Stats are folded from the step counters,
+// so VerticesScanned is the visited total of the scan and lookup steps
+// and EdgesTraversed that of the expand steps — over the whole
+// intra-query shape matrix, on one morsel and on four workers, on
+// memstore and on a diskstore reading through a live delta.
+func TestProfileStepSumsAreStats(t *testing.T) {
+	mem := memstore.New()
+	buildPeopleGraph(t, mem, 420)
+	for _, g := range []struct {
+		name string
+		g    storage.Graph
+	}{{"memstore", mem}, {"diskstore live delta", liveDeltaPeople(t, 200, 140)}} {
+		for _, shape := range intraShapes {
+			p, err := Prepare(g.g, cypher.MustParse(shape.src))
+			if err != nil {
+				t.Fatalf("Prepare(%q): %v", shape.src, err)
+			}
+			for _, workers := range []int{1, 4} {
+				_, prof, st := profiled(t, p, workers)
+				var scanned, traversed int64
+				for _, sp := range prof.Steps {
+					switch sp.Op {
+					case "scan", "lookup":
+						scanned += sp.Visited
+					case "expand_out", "expand_in":
+						traversed += sp.Visited
+					}
+				}
+				if scanned != st.VerticesScanned || traversed != st.EdgesTraversed {
+					t.Errorf("%s %q with %d workers: steps visited %d vertices and %d edges, Stats %+v",
+						g.name, shape.src, workers, scanned, traversed, st)
+				}
+				if st.VerticesScanned == 0 {
+					t.Errorf("%s %q with %d workers: no vertex scanned", g.name, shape.src, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestProfileWarmPlanAllocs: profiling reads the counters every execution
+// keeps, so a profiled run of a warm plan runs on a pooled machine like
+// any other and allocates only its Profile.Steps on top.
+func TestProfileWarmPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts jitter under the race detector (see raceEnabled)")
+	}
+	for _, src := range []string{
+		`MATCH (a:Person)-[:knows]->(b:Person)-[:knows]->(c:Person) RETURN a.name, c.name`,
+		`MATCH (p:Person) RETURN p.grp, COUNT(*)`,
+	} {
+		p := profilePlan(t, src)
+		var st Stats
+		var prof Profile
+		allocs := func(o ExecOptions) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if _, err := Collect(context.Background(), p, o); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		plain := allocs(ExecOptions{Stats: &st})
+		withProfile := allocs(ExecOptions{Stats: &st, Profile: &prof})
+		if withProfile > plain+1 {
+			t.Errorf("%q: %.0f allocs profiled, %.0f unprofiled, want at most one more (Profile.Steps)", src, withProfile, plain)
 		}
 	}
 }
