@@ -75,6 +75,8 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			"Format v6", "property run", "adjacency block", "checkLayout",
 			"FuzzVertexLayout", "delta-varint", "uvarint", "firstOutEID", "bytes-per-edge",
 			"PGSIDX08", "EdgeTypeCounts", "FromStorage",
+			// The resident vertex table and the checks Open makes on it.
+			"Resident vertex table", "loadVertices", "TestOpenRefusesUntiledVertices",
 			// The value index both backends share, diskstore's delta
 			// overlay on it, and the qualified keys of colliding merges.
 			"propindex", "TestValuePostingsOverlay", "ScalarKeys", "MergeCollisionError",

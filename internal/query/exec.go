@@ -21,14 +21,6 @@ type Stats struct {
 	RowsEmitted     int64 // result rows produced
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.VerticesScanned += other.VerticesScanned
-	s.EdgesTraversed += other.EdgesTraversed
-	s.PropsRead += other.PropsRead
-	s.RowsEmitted += other.RowsEmitted
-}
-
 // Result is a materialized query result. Rows is freshly allocated per
 // execution; Columns is shared with the Prepared plan that produced it and
 // must not be mutated.

@@ -437,11 +437,20 @@ func TestStatsCounters(t *testing.T) {
 	if st.EdgesTraversed == 0 || st.VerticesScanned == 0 || st.RowsEmitted != 2 {
 		t.Errorf("stats = %+v", st)
 	}
+	// An execution adds its counts to the caller's Stats: two runs into
+	// one Stats sum the fields of one run's.
 	var st2 Stats
-	st2.Add(st)
-	st2.Add(st)
-	if st2.RowsEmitted != 4 {
-		t.Errorf("Add: %+v", st2)
+	for range 2 {
+		if _, err := collect(p, 1, &st2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := Stats{
+		VerticesScanned: 2 * st.VerticesScanned, EdgesTraversed: 2 * st.EdgesTraversed,
+		PropsRead: 2 * st.PropsRead, RowsEmitted: 2 * st.RowsEmitted,
+	}
+	if st2 != want {
+		t.Errorf("two runs into one Stats = %+v, want %+v", st2, want)
 	}
 }
 

@@ -457,7 +457,9 @@ func TestClientCancelMidQuery(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	const (
 		clients, perClient = 8, 25
-		drugs, cachePages  = 1000, 8
+		// The drugs' names fill 12 pages of property runs (16 B each, 8
+		// KiB pages), half again the cache; vertex records take no page.
+		drugs, cachePages = 6000, 8
 		// Reads every Drug's name and returns the lowest ten.
 		lowDrugQuery = `MATCH (d:Drug) WHERE d.name < 10 RETURN d.name ORDER BY d.name`
 		wantRows     = `[[0] [1] [2] [3] [4] [5] [6] [7] [8] [9]]`

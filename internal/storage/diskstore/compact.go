@@ -111,7 +111,6 @@ func (s *Store) Finalize() error {
 	}
 	// The manifest now names a complete, durable generation; everything
 	// from here on completes the swap unconditionally.
-	newEp.setLabelBits()
 	s.liveMu.Lock()
 	if w := s.wal.Load(); w != nil {
 		// Drop the folded WAL prefix. Failure is not fatal to the fold —

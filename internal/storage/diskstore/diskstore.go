@@ -2,20 +2,24 @@
 // store: a fixed-size vertex record per vertex that locates two
 // contiguous runs — the vertex's properties, sorted by key, and its
 // adjacency block, a type directory followed by delta-varint segments per
-// edge type — and a variable-length blob file for strings and lists, all
-// read through a sharded page cache with clock-sweep eviction, whose hits
-// take no lock: a per-file frame table and a CAS pin. The cache recycles its
-// frames — a miss in a full shard loads into the buffer of the frame it
-// evicts — which rests on one rule: the sweep claims a victim only while
-// it is unpinned, by a CAS that makes every later pin of it fail, so a
-// recycled buffer has no reader (see pager).
+// edge type — and a variable-length blob file for strings and lists. The
+// vertex records are resident: each generation holds them in a compact
+// table, read once at Open (or kept from the Finalize that wrote them),
+// so a read finds a vertex's run and block without a page fetch. The
+// runs, blocks and blobs are read through a sharded page cache with
+// clock-sweep eviction, whose hits take no lock: a per-file frame table
+// and a CAS pin. The cache recycles its frames — a miss in a full shard
+// loads into the buffer of the frame it evicts — which rests on one rule:
+// the sweep claims a victim only while it is unpinned, by a CAS that
+// makes every later pin of it fail, so a recycled buffer has no reader
+// (see pager).
 //
 // It stands in for the paper's disk-based backend (Neo4j): every edge
-// traversal reads segment bytes and vertex records that may or may not be
-// resident in the page cache, so schemas that need fewer traversals do
-// proportionally less I/O. The cache size is configurable to reproduce the
-// paper's observation that disk-based systems benefit most from schema
-// optimization.
+// traversal reads segment bytes, and every property read run bytes, that
+// may or may not be resident in the page cache, so schemas that need
+// fewer traversals do proportionally less I/O. The cache size is
+// configurable to reproduce the paper's observation that disk-based
+// systems benefit most from schema optimization.
 //
 // # Base generations and epochs
 //
@@ -32,19 +36,21 @@
 // bulk load gathers in memory until its Finalize writes generation 1.
 //
 // In memory, each open generation is an epoch: the pager, record counts,
-// label index, and the WAL fence (baseSeq) that tells readers which delta
-// entries the generation's files already absorbed. Readers pin the epoch
-// they read through (see view.go); a superseded epoch's files are closed
-// and deleted only when its pin count drains to zero, so long-running
-// traversals and snapshots keep a consistent view across a concurrent
-// fold.
+// vertex table, label index, and the WAL fence (baseSeq) that tells
+// readers which delta entries the generation's files already absorbed.
+// Readers pin the epoch they read through (see view.go); a superseded
+// epoch's files are closed and deleted only when its pin count drains to
+// zero, so long-running traversals and snapshots keep a consistent view
+// across a concurrent fold.
 package diskstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"os"
@@ -101,9 +107,9 @@ func (o Options) withDefaults() Options {
 //   - edges.db: each vertex's adjacency block — a type directory sorted by
 //     type ID, then the vertex's delta-varint out/in segments in directory
 //     order (see segcodec.go);
-//   - index.db, the persisted label-scan index, value postings,
-//     redundant symbol tables and a statistics block (per-edge-type
-//     counts), so Open is O(index size) instead of a vertex scan.
+//   - index.db, the persisted value postings, a statistics block
+//     (per-edge-type counts) and, redundantly, the label-scan index and
+//     the symbol tables, so Open reads no property run or directory.
 //
 // Stores written by earlier releases — manifest versions 2 to 5, whose
 // properties and per-type degree records are linked chains — are refused
@@ -155,12 +161,14 @@ func genFileName(name string, gen int64) string {
 	return fmt.Sprintf("%s.g%d", name, gen)
 }
 
-// epoch is one open base generation: the four record files behind a
-// pager, their counts, the label-scan index and value postings, and the
-// WAL fence (baseSeq) identifying which logged batches the files already
-// absorbed. An epoch's files are never mutated — Finalize writes a whole
-// new generation — so every field here is immutable once the epoch is
-// published, and readers touch it without locks.
+// epoch is one open base generation: the four record files (the pager
+// reads props.db, edges.db and blobs.db; vertices.db is read only into
+// vtab), their counts, the resident vertex table, the label-scan index
+// and value postings, and the WAL fence (baseSeq) identifying which
+// logged batches the files already absorbed. An epoch's files are never
+// mutated — Finalize writes a whole new generation — so every field here
+// is immutable once the epoch is published, and readers touch it without
+// locks.
 //
 // pins counts references: 1 for the store itself while the epoch is
 // current, plus one per in-flight read and per held snapshot. When a fold
@@ -178,6 +186,18 @@ type epoch struct {
 	numProps    int64
 	blobSize    int64
 
+	// vtab is the generation's vertex records without their labels,
+	// resident: readVertex answers from it, so no read fetches a page of
+	// vertices.db. Entry v holds vertex v's run start, block offset and
+	// first out-EID — running sums in VID order, so entry v+1 ends them —
+	// and its in-degree and directory size; entry numVertices holds the
+	// three totals. writeGeneration fills it from the records it writes,
+	// Open from one checked sequential read of vertices.db (loadVertices).
+	vtab []vertexEntry
+
+	// byLabel is the label-scan index, in VID order: the records' labels.
+	// Built by writeGeneration or by Open's read of vertices.db, which
+	// also checks a loaded index.db's copy against it.
 	byLabel map[int][]storage.VID
 	// values is the generation's (label, key, value) postings: the base
 	// files' values only, which a view overlays with the delta (see
@@ -186,9 +206,9 @@ type epoch struct {
 	values *propindex.Index
 	// labelBits is byLabel again as one membership bitmap per label ID
 	// (⌈numVertices/64⌉ words, nil for a label without base members —
-	// 64× smaller than the postings), so a view answers HasLabelID
-	// without a vertex-record read. setLabelBits derives it wherever a
-	// serving epoch comes into being.
+	// 64× smaller than the postings). It is the base vertices' one label
+	// source: HasLabelID, Labels and the fold's label copy read it, and
+	// vtab holds no labels. setLabelBits derives it.
 	labelBits [][]uint64
 
 	// Statistics: base edge counts per type ID, from Finalize, index.db
@@ -208,8 +228,9 @@ type epoch struct {
 	retire []string
 }
 
-// setLabelBits derives labelBits from byLabel. Called once per serving
-// epoch, before it is published to readers.
+// setLabelBits derives labelBits from byLabel. Called once per epoch, by
+// the two places that make one (loadVertices and writeGeneration), before
+// it is published to readers.
 func (ep *epoch) setLabelBits() {
 	n := 0
 	for id := range ep.byLabel {
@@ -238,6 +259,16 @@ func (ep *epoch) hasLabelBit(v storage.VID, label storage.SymbolID) bool {
 	return words != nil && words[v>>6]&(1<<(uint(v)&63)) != 0
 }
 
+// labelIDs appends base vertex v's label IDs, ascending, to ids.
+func (ep *epoch) labelIDs(v storage.VID, ids []int) []int {
+	for id := range ep.labelBits {
+		if ep.hasLabelBit(v, storage.SymbolID(id)) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
 // closeFiles closes the generation's backing files.
 func (ep *epoch) closeFiles() error {
 	var first error
@@ -252,9 +283,10 @@ func (ep *epoch) closeFiles() error {
 // Store is a disk-backed property graph, live from Open: its entire read
 // surface — traversals, property and label lookups, degree queries, stats
 // — is safe for any number of concurrent reader goroutines alongside
-// durable writes (see live.go). Base records are read through the pager's
-// sharded page cache, where readers contend only when they touch the same
-// cache shard at the same instant (see pager). A bulk load (see
+// durable writes (see live.go). Base vertex records are resident (see
+// epoch.vtab); runs, blocks and blobs are read through the pager's sharded
+// page cache, where readers contend only when they touch the same cache
+// shard at the same instant (see pager). A bulk load (see
 // finalize.go) is single-writer and invisible to reads until its Finalize.
 //
 // Compact runs in the background: readers and writers keep going against
@@ -276,8 +308,9 @@ type Store struct {
 	// epoch's pager bumps, so Stats never restarts at a fold's swap.
 	pagerStats pagerStats
 
-	// indexLoaded reports that Open restored the label index from
-	// index.db instead of scanning every vertex record.
+	// indexLoaded reports that Open restored the value postings and
+	// statistics from index.db instead of scanning every vertex's run and
+	// directory.
 	indexLoaded bool
 	// indexCurrent reports that the index file on disk describes the
 	// current generation and symbol tables: set by a successful load at
@@ -345,8 +378,9 @@ type FormatInfo struct {
 	Version int
 	// Generation is the base file generation currently serving reads.
 	Generation int64
-	// IndexLoaded reports that Open restored the label index from
-	// index.db rather than scanning every vertex record.
+	// IndexLoaded reports that Open restored the value postings and
+	// statistics from index.db rather than scanning every vertex's
+	// property run and type directory.
 	IndexLoaded bool
 	// EdgeBytes is the size of edges.db: the adjacency blocks, type
 	// directories and segments. EdgeBytes / NumEdges is the
@@ -464,15 +498,19 @@ func Open(dir string, opts Options) (*Store, error) {
 	// committed; none of them are reachable, so sweep them before touching
 	// anything.
 	sweepOrphans(dir, gen)
-	// Restore the label-scan index and value postings: they are persisted
-	// alongside the generation, so opening costs O(index size). A store
-	// whose index file is missing, torn, or out of step with the manifest
-	// rebuilds them, and the statistics, from a full vertex scan.
+	// Read the vertex records into the resident table, then restore the
+	// value postings and statistics: they are persisted alongside the
+	// generation, so opening reads no page. A store whose index file is
+	// missing, torn, or out of step with the manifest or the records
+	// rebuilds them from a scan of every vertex's run and directory.
 	if haveManifest {
+		if err := ep.loadVertices(len(s.labels)); err != nil {
+			return nil, err
+		}
 		if s.loadIndex(ep) {
 			s.indexLoaded = true
 			s.indexCurrent = true
-		} else if err := ep.scanIndex(len(s.labels), len(s.types), len(s.keys)); err != nil {
+		} else if err := ep.scanIndex(len(s.types), len(s.keys)); err != nil {
 			return nil, err
 		}
 	}
@@ -758,7 +796,8 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-// vertexRec is one 64-byte vertex record (little-endian):
+// vertexRec is one 64-byte vertex record (little-endian), less its
+// labels, which encodeVertexRec and decodeVertexRec take apart:
 //
 //	bytes  0-15  label bitset, maxLabels bits
 //	bytes 16-23  propStart: the property run's first record in props.db
@@ -770,7 +809,6 @@ func corruptf(format string, args ...any) error {
 //	bytes 52-59  firstOutEID: the EID of the vertex's first out-edge
 //	bytes 60-63  zero
 type vertexRec struct {
-	labels      [2]uint64
 	propStart   uint64
 	propCount   uint32
 	nTypes      uint32
@@ -781,18 +819,9 @@ type vertexRec struct {
 	firstOutEID uint64
 }
 
-func (ep *epoch) readVertex(v storage.VID) (vertexRec, error) {
-	var buf [vertexRecSize]byte
-	if err := ep.pager.read(fileVertices, int64(v)*vertexRecSize, buf[:]); err != nil {
-		return vertexRec{}, err
-	}
-	return decodeVertexRec(buf[:]), nil
-}
-
-func decodeVertexRec(buf []byte) vertexRec {
+func decodeVertexRec(buf []byte) (vertexRec, [2]uint64) {
 	_ = buf[vertexRecSize-1]
 	return vertexRec{
-		labels:      [2]uint64{binary.LittleEndian.Uint64(buf[0:]), binary.LittleEndian.Uint64(buf[8:])},
 		propStart:   binary.LittleEndian.Uint64(buf[16:]),
 		propCount:   binary.LittleEndian.Uint32(buf[24:]),
 		nTypes:      binary.LittleEndian.Uint32(buf[28:]),
@@ -801,12 +830,12 @@ func decodeVertexRec(buf []byte) vertexRec {
 		outDeg:      binary.LittleEndian.Uint32(buf[44:]),
 		inDeg:       binary.LittleEndian.Uint32(buf[48:]),
 		firstOutEID: binary.LittleEndian.Uint64(buf[52:]),
-	}
+	}, [2]uint64{binary.LittleEndian.Uint64(buf[0:]), binary.LittleEndian.Uint64(buf[8:])}
 }
 
-func (r vertexRec) encode() (buf [vertexRecSize]byte) {
-	binary.LittleEndian.PutUint64(buf[0:], r.labels[0])
-	binary.LittleEndian.PutUint64(buf[8:], r.labels[1])
+func encodeVertexRec(r vertexRec, labels [2]uint64) (buf [vertexRecSize]byte) {
+	binary.LittleEndian.PutUint64(buf[0:], labels[0])
+	binary.LittleEndian.PutUint64(buf[8:], labels[1])
 	binary.LittleEndian.PutUint64(buf[16:], r.propStart)
 	binary.LittleEndian.PutUint32(buf[24:], r.propCount)
 	binary.LittleEndian.PutUint32(buf[28:], r.nTypes)
@@ -818,16 +847,104 @@ func (r vertexRec) encode() (buf [vertexRecSize]byte) {
 	return buf
 }
 
-// scanIndex rebuilds the label index, the value postings and the
-// statistics from a scan of every vertex's labels, properties and type
-// directory, for an Open that found no loadable index file. numLabels,
-// numTypes and numKeys are the sizes of the name tables: a vertex naming
-// an ID past one, or directories that do not add up to the manifest's
-// edge count, are corrupt.
-func (ep *epoch) scanIndex(numLabels, numTypes, numKeys int) error {
+// vertexEntry is one vertex's entry in an epoch's resident table (see
+// epoch.vtab), 20 bytes: where its run, block and out-EIDs start, each a
+// running sum in VID order that the next entry's value ends, and the two
+// record fields that are no such sum.
+type vertexEntry struct {
+	propStart, blockOff, firstOutEID uint32
+	inDeg, nTypes                    uint32
+}
+
+// checkTableSize refuses a generation whose running sums a vertexEntry's
+// 32-bit fields cannot hold: props.db's records, edges.db's bytes and
+// the edge count.
+func checkTableSize(numProps, edgeBytes, numEdges int64) error {
+	for _, c := range []struct {
+		what string
+		n    int64
+	}{{"property records", numProps}, {"adjacency bytes", edgeBytes}, {"edges", numEdges}} {
+		if uint64(c.n) > math.MaxUint32 {
+			return fmt.Errorf("diskstore: %d %s exceed the vertex table's limit of %d", c.n, c.what, uint32(math.MaxUint32))
+		}
+	}
+	return nil
+}
+
+// readVertex returns base vertex v's record (v < numVertices) from the
+// resident table.
+func (ep *epoch) readVertex(v storage.VID) vertexRec {
+	e, next := &ep.vtab[v], &ep.vtab[v+1]
+	return vertexRec{
+		propStart: uint64(e.propStart), propCount: next.propStart - e.propStart,
+		nTypes:   e.nTypes,
+		blockOff: uint64(e.blockOff), blockLen: next.blockOff - e.blockOff,
+		outDeg: next.firstOutEID - e.firstOutEID, inDeg: e.inDeg,
+		firstOutEID: uint64(e.firstOutEID),
+	}
+}
+
+// loadVertices fills the resident table, the label index and the label
+// bitmaps from one sequential read of vertices.db, outside the pager. It
+// checks what the table's running sums rest on: the runs and the blocks,
+// in VID order, tile props.db and edges.db, each firstOutEID is the
+// out-degrees before it, the in-degrees add up to the edges, and every
+// label ID names one of numLabels. Anything else is ErrCorrupt.
+func (ep *epoch) loadVertices(numLabels int) error {
+	if err := checkTableSize(ep.numProps, ep.edgeBytes, ep.numEdges); err != nil {
+		return err
+	}
+	n := ep.numVertices
+	r := bufio.NewReaderSize(io.NewSectionReader(ep.pager.files[fileVertices], 0, n*vertexRecSize), 64<<10)
+	vtab := make([]vertexEntry, n+1)
+	byLabel := map[int][]storage.VID{}
+	var buf [vertexRecSize]byte
+	var props, off, eids, ins uint64
+	for v := range n {
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
+			return corruptf("vertices.db: vertex %d of %d: %v", v, n, err)
+		}
+		rec, labels := decodeVertexRec(buf[:])
+		if rec.propStart != props || rec.blockOff != off || rec.firstOutEID != eids {
+			return corruptf("vertex %d: run at record %d, block at byte %d, first out-EID %d; the vertices before it end at %d, %d and %d",
+				v, rec.propStart, rec.blockOff, rec.firstOutEID, props, off, eids)
+		}
+		vtab[v] = vertexEntry{propStart: uint32(props), blockOff: uint32(off), firstOutEID: uint32(eids), inDeg: rec.inDeg, nTypes: rec.nTypes}
+		props += uint64(rec.propCount)
+		off += uint64(rec.blockLen)
+		eids += uint64(rec.outDeg)
+		ins += uint64(rec.inDeg)
+		if props > uint64(ep.numProps) || off > uint64(ep.edgeBytes) || eids > uint64(ep.numEdges) || ins > uint64(ep.numEdges) {
+			return corruptf("vertex %d: its run, block or edges end past props.db (%d records), edges.db (%d bytes) or the %d edges",
+				v, ep.numProps, ep.edgeBytes, ep.numEdges)
+		}
+		for _, id := range labelBitsToIDs(labels) {
+			if id >= numLabels {
+				return corruptf("vertex %d carries label %d of %d", v, id, numLabels)
+			}
+			byLabel[id] = append(byLabel[id], storage.VID(v))
+		}
+	}
+	if props != uint64(ep.numProps) || off != uint64(ep.edgeBytes) || eids != uint64(ep.numEdges) || ins != uint64(ep.numEdges) {
+		return corruptf("the vertices' runs, blocks, out- and in-edges end at %d, %d, %d and %d; props.db holds %d records, edges.db %d bytes, the manifest %d edges",
+			props, off, eids, ins, ep.numProps, ep.edgeBytes, ep.numEdges)
+	}
+	vtab[n] = vertexEntry{propStart: uint32(props), blockOff: uint32(off), firstOutEID: uint32(eids)}
+	ep.vtab, ep.byLabel = vtab, byLabel
+	ep.setLabelBits()
+	return nil
+}
+
+// scanIndex rebuilds the value postings and the statistics from a scan of
+// every vertex's properties and type directory, for an Open that found no
+// loadable index file. numTypes and numKeys are the sizes of the name
+// tables: a vertex naming an ID past one, or directories that do not add
+// up to the manifest's edge count, are corrupt.
+func (ep *epoch) scanIndex(numTypes, numKeys int) error {
 	var b propindex.Builder
 	var run []keyVal
 	var runBuf, blobBuf []byte
+	var labels []int
 	typeCounts := make([]int64, numTypes)
 	for v := int64(0); v < ep.numVertices; v++ {
 		rec, r, err := ep.sourceVertex(storage.VID(v), run[:0], &runBuf, &blobBuf)
@@ -843,11 +960,8 @@ func (ep *epoch) scanIndex(numLabels, numTypes, numKeys int) error {
 				return corruptf("vertex %d carries key %d of %d", v, kv.keyID, numKeys)
 			}
 		}
-		for _, id := range labelBitsToIDs(rec.labels) {
-			if id >= numLabels {
-				return corruptf("vertex %d carries label %d of %d", v, id, numLabels)
-			}
-			ep.byLabel[id] = append(ep.byLabel[id], storage.VID(v))
+		labels = ep.labelIDs(storage.VID(v), labels[:0])
+		for _, id := range labels {
 			for _, kv := range run {
 				b.Add(int32(id), int32(kv.keyID), storage.VID(v), kv.val)
 			}
@@ -893,11 +1007,7 @@ func (ep *epoch) addTypeCounts(rec vertexRec, counts []int64, sc *[]byte) error 
 // baseProp returns base vertex v's value of key as the generation's files
 // hold it, without the delta's overrides: the value its postings index.
 func (ep *epoch) baseProp(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
-	rec, err := ep.readVertex(v)
-	if err != nil {
-		return graph.Null, false
-	}
-	val, ok, err := ep.prop(rec, uint32(key))
+	val, ok, err := ep.prop(ep.readVertex(v), uint32(key))
 	return val, ok && err == nil
 }
 

@@ -150,10 +150,7 @@ type keyVal struct {
 // consume it: its record and its properties, appended to run in key-ID
 // order. runBuf and blobBuf are scratch.
 func (ep *epoch) sourceVertex(v storage.VID, run []keyVal, runBuf, blobBuf *[]byte) (vertexRec, []keyVal, error) {
-	rec, err := ep.readVertex(v)
-	if err != nil {
-		return rec, nil, err
-	}
+	rec := ep.readVertex(v)
 	data, err := ep.readRun(rec, runBuf)
 	if err != nil {
 		return rec, nil, fmt.Errorf("vertex %d: %w", v, err)
@@ -176,12 +173,12 @@ func (ep *epoch) sourceVertex(v storage.VID, run []keyVal, runBuf, blobBuf *[]by
 // reads.
 //
 // Vertices keep their IDs: from's, then fd's in VID order. A vertex's
-// labels are its record bits plus fd's additions; its properties are its
-// base run with fd's overrides replacing values in place, plus the
-// override-only keys (a delta vertex has only those), written as one run
-// of property records sorted by key ID; blobs.db holds their blobs
-// grouped by key, and the generation's value postings index the run under
-// each of the vertex's labels. The edges, from's then fd's in EID order,
+// labels are its bits in from's label bitmaps plus fd's additions; its
+// properties are its base run with fd's overrides replacing values in
+// place, plus the override-only keys (a delta vertex has only those),
+// written as one run of property records sorted by key ID; blobs.db holds
+// their blobs grouped by key, and the generation's value postings index
+// the run under each of the vertex's labels. The edges, from's then fd's in EID order,
 // are sorted by (source vertex, edge type, destination) — a counting sort
 // by vertex, then a sort of each vertex's few edges — which assigns the
 // new edge IDs; the pass writes each vertex's adjacency block — a type
@@ -191,9 +188,10 @@ func (ep *epoch) sourceVertex(v storage.VID, run []keyVal, runBuf, blobBuf *[]by
 // directory read and never decodes another type's bytes. numTypes is the
 // size of the type table the edges' type IDs index.
 //
-// The same inputs give the same bytes. The returned epoch is open, with a
-// cold cache, but neither durable nor named by the manifest until commit;
-// on error its files are already gone.
+// The same inputs give the same bytes. The returned epoch is open, with
+// its vertex table and label bitmaps built from the records it wrote and
+// a cold cache, but neither durable nor named by the manifest until
+// commit; on error its files are already gone.
 func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numTypes int) (*epoch, error) {
 	var files [numFiles]*os.File
 	fail := func(err error) (*epoch, error) {
@@ -288,6 +286,8 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	var run []keyVal
 	var runBuf, blobBuf []byte
 	var recBuf [vertexRecSize]byte // escapes through Write: one, reused
+	var ids []int                  // one vertex's label IDs
+	vtab := make([]vertexEntry, nV+1)
 	// The property records wait, encoded, for the end of the pass because
 	// blobs.db is grouped by key: one property's values across vertices
 	// lie together, as a scan that reads that property wants them (and as
@@ -304,25 +304,27 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	for v := int64(0); v < nV; v++ {
 		s.foldProgress.Store(v * 1000 / nV)
 		var rec vertexRec
+		var labels [2]uint64
 		var labelAdds []int
 		var over map[int]graph.Value
-		run = run[:0]
+		run, ids = run[:0], ids[:0]
 		if v < from.numVertices {
-			base, r, err := from.sourceVertex(storage.VID(v), run, &runBuf, &blobBuf)
+			_, r, err := from.sourceVertex(storage.VID(v), run, &runBuf, &blobBuf)
 			if err != nil {
 				return fail(err)
 			}
-			rec.labels, run = base.labels, r
+			run, ids = r, from.labelIDs(storage.VID(v), ids)
 			labelAdds, over = fd.labelAdds[storage.VID(v)], fd.propOver[storage.VID(v)]
 		} else {
 			fv := &fd.verts[v-from.numVertices]
 			labelAdds, over = fv.labelIDs, fv.props
 		}
-		for _, id := range labelAdds {
-			rec.labels[id/64] |= 1 << uint(id%64)
+		ids = append(ids, labelAdds...)
+		for _, id := range ids {
+			labels[id/64] |= 1 << uint(id%64)
 		}
 		run = mergeRun(run, over)
-		for _, id := range labelBitsToIDs(rec.labels) {
+		for _, id := range labelBitsToIDs(labels) {
 			byLabel[id] = append(byLabel[id], storage.VID(v))
 			for _, kv := range run {
 				values.Add(int32(id), int32(kv.keyID), storage.VID(v), kv.val)
@@ -400,9 +402,15 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 		out[fileEdges].Write(dir)
 		out[fileEdges].Write(segs)
 		cursor += int64(rec.blockLen)
-		recBuf = rec.encode()
+		recBuf = encodeVertexRec(rec, labels)
 		out[fileVertices].Write(recBuf[:])
+		vtab[v] = vertexEntry{propStart: uint32(rec.propStart), blockOff: uint32(rec.blockOff), firstOutEID: uint32(rec.firstOutEID), inDeg: rec.inDeg, nTypes: rec.nTypes}
 	}
+	numProps := int64(len(props) / propRecSize)
+	if err := checkTableSize(numProps, cursor, int64(nE)); err != nil {
+		return fail(err)
+	}
+	vtab[nV] = vertexEntry{propStart: uint32(numProps), blockOff: uint32(cursor), firstOutEID: uint32(nE)}
 	groupOff := make([]uint64, len(keyBlobs))
 	var blobSize int64
 	for k, b := range keyBlobs {
@@ -428,12 +436,14 @@ func (s *Store) writeGeneration(from *epoch, fd *frozenDelta, gen int64, numType
 	}
 	ep := &epoch{
 		gen: gen, edgeBytes: cursor, pager: pg,
-		numVertices: nV, numEdges: int64(nE), numProps: int64(len(props) / propRecSize),
+		numVertices: nV, numEdges: int64(nE), numProps: numProps,
 		blobSize:   blobSize,
+		vtab:       vtab,
 		byLabel:    byLabel,
 		values:     values.Finish(),
 		typeCounts: typeCounts, statsValid: true,
 	}
+	ep.setLabelBits()
 	ep.pins.Store(1) // the store's own reference, once it is installed
 	return ep, nil
 }

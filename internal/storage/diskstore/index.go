@@ -1,13 +1,14 @@
 package diskstore
 
 // index.db persists the store's derived open-time structures — the
-// label-scan index, the value postings and (redundantly, for validation)
-// the symbol tables — so reopening a store costs O(index size) instead of
-// a full vertex scan, and reads no page. The file is advisory: it is
-// rewritten by every commit via writeFileAtomic, carries a CRC, and is
-// cross-checked against the manifest on load; if it is missing, torn, or
-// out of step, Open silently falls back to rebuilding both indexes by
-// scanning vertices.
+// value postings, the statistics and (redundantly, for validation) the
+// label-scan index and the symbol tables — so reopening a store costs
+// O(index size) plus the read of vertices.db instead of a scan of every
+// run and directory, and reads no page through the cache. The file is
+// advisory: it is rewritten by every commit via writeFileAtomic, carries a
+// CRC, and is cross-checked against the manifest and the vertex records
+// on load; if it is missing, torn, or out of step, Open silently falls
+// back to rebuilding the postings and statistics by scanning vertices.
 //
 // Layout (little-endian):
 //
@@ -37,8 +38,10 @@ package diskstore
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/storage"
 	"repro/internal/storage/propindex"
@@ -120,12 +123,13 @@ func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 	return writeFileAtomic(s.indexPath(ep.gen), buf)
 }
 
-// loadIndex restores the label index and the value postings from
+// loadIndex restores the value postings and the statistics from
 // index.db, reporting success. Any inconsistency — missing file, bad
 // magic or CRC, counts or symbol tables disagreeing with the
-// already-loaded manifest, postings propindex.FromParts refuses — makes
-// it report false without touching store state, and the caller rebuilds
-// by scanning.
+// already-loaded manifest, a label index other than the one the vertex
+// records give (ep.byLabel, from loadVertices), postings
+// propindex.FromParts refuses — makes it report false without touching
+// store state, and the caller rebuilds by scanning.
 func (s *Store) loadIndex(ep *epoch) bool {
 	data, err := os.ReadFile(s.indexPath(ep.gen))
 	if err != nil || len(data) < len(indexMagic)+4 || string(data[:len(indexMagic)]) != indexMagic {
@@ -169,6 +173,9 @@ func (s *Store) loadIndex(ep *epoch) bool {
 		if len(vids) > 0 {
 			byLabel[id] = vids
 		}
+	}
+	if !maps.EqualFunc(byLabel, ep.byLabel, slices.Equal) {
+		return false
 	}
 	values, ok := r.values(ep.numVertices)
 	if !ok {

@@ -27,10 +27,7 @@ func checkLayout(t *testing.T, s *Store, when string) {
 	sc := segScratch.Get().(*[]byte)
 	defer segScratch.Put(sc)
 	for v := int64(0); v < ep.numVertices; v++ {
-		rec, err := ep.readVertex(storage.VID(v))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := ep.readVertex(storage.VID(v))
 		if rec.propStart != props {
 			t.Fatalf("%s: vertex %d's property run starts at record %d, want %d", when, v, rec.propStart, props)
 		}

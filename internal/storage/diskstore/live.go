@@ -312,13 +312,12 @@ func (s *Store) applyToDelta(seq uint64, batch []storage.Mutation) storage.Mutat
 	return res
 }
 
-// recoverLive runs at Open: it readies the current epoch for serving and
-// replays any WAL a previous process left behind. Records at or below
-// the manifest's wal_seq fence were already folded into the base by a
-// committed Compact and are skipped; a torn tail is truncated; a log
-// whose every record is stale is the residue of a crash between
-// Compact's commit and its WAL truncation, and the truncation is
-// finished here.
+// recoverLive runs at Open: it replays any WAL a previous process left
+// behind. Records at or below the manifest's wal_seq fence were already
+// folded into the base by a committed Compact and are skipped; a torn
+// tail is truncated; a log whose every record is stale is the residue of
+// a crash between Compact's commit and its WAL truncation, and the
+// truncation is finished here.
 func (s *Store) recoverLive() error {
 	walPath := filepath.Join(s.dir, walFileName)
 	size := int64(-1)
@@ -326,7 +325,6 @@ func (s *Store) recoverLive() error {
 		size = st.Size()
 	}
 	ep := s.cur
-	ep.setLabelBits()
 	s.delta.appliedSeq.Store(s.walFoldedSeq)
 	if size <= 0 {
 		return nil // no log to replay; walHandle opens one lazily

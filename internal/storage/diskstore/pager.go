@@ -133,11 +133,14 @@ func (st *pagerStats) reset() {
 }
 
 // pager is a read-only page cache over one generation's record files.
-// All record reads go through it, so the cache size directly controls how
-// disk-bound traversals are — the knob that makes this backend behave
-// like the paper's Neo4j. Nothing writes through it: a generation's files
-// are written once, by writeGeneration, before a pager opens them, and
-// live writes go to the delta.
+// Every read of a property run, an adjacency block or a blob goes through
+// it, so the cache size directly controls how disk-bound traversals are —
+// the knob that makes this backend behave like the paper's Neo4j. The
+// vertex records are not among them: the epoch holds them resident (see
+// epoch.vtab), read from vertices.db once, outside the cache. Nothing
+// writes through it: a generation's files are written once, by
+// writeGeneration, before a pager opens them, and live writes go to the
+// delta.
 //
 // A hit is one atomic load from the frame table, one CAS pin and a copy:
 // each file has a dense table of frame pointers indexed by page number,
@@ -401,9 +404,8 @@ func (sh *shard) removeFromClock(pg *page) {
 	}
 }
 
-// read copies n bytes at off in the file into buf. Reads may span pages
-// (needed for blob data); record reads never do because record sizes
-// divide the page size.
+// read copies n bytes at off in the file into buf. Reads may span pages:
+// a run, a block or a blob may cross a page boundary.
 func (p *pager) read(f fileID, off int64, buf []byte) error {
 	for len(buf) > 0 {
 		pageNo := off / int64(p.pageSize)

@@ -1,7 +1,8 @@
 package diskstore
 
 // The vertex-local layout's decoders: a vertex's property run and its
-// adjacency block, both located by its vertex record (see vertexRec).
+// adjacency block, both located by its vertex record (see vertexRec),
+// which the epoch's resident table answers without a page read.
 //
 // A property run is propCount consecutive 16-byte records in props.db
 // from record propStart, sorted by key ID: a lookup is one pager read of
@@ -24,10 +25,10 @@ package diskstore
 //     (dst, type) group ascending EID implies ascending src, so both gaps
 //     are non-negative (the EID gap strictly positive).
 //
-// A traversal reads the vertex record, then the whole block in one pager
-// read when it is at most blockReadWhole bytes (or the traversal is
-// untyped), else the directory and then the one segment it needs; a typed
-// degree reads only the directory. Every extent — the run against
+// A traversal takes the vertex record from the table, then reads the
+// whole block in one pager read when it is at most blockReadWhole bytes
+// (or the traversal is untyped), else the directory and then the one
+// segment it needs; a typed degree reads only the directory. Every extent — the run against
 // props.db, the block against edges.db, the directory and segments
 // against the block, a blob against blobs.db — is checked before it is
 // read, and bytes that fail a check are an ErrCorrupt error.
@@ -368,10 +369,7 @@ func (ep *epoch) forEachEdgeLite(fn func(edgeLite) error) error {
 	sc := segScratch.Get().(*[]byte)
 	defer segScratch.Put(sc)
 	for v := int64(0); v < ep.numVertices; v++ {
-		rec, err := ep.readVertex(storage.VID(v))
-		if err != nil {
-			return err
-		}
+		rec := ep.readVertex(storage.VID(v))
 		if rec.nTypes == 0 {
 			continue
 		}

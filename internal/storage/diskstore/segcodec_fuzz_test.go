@@ -33,10 +33,7 @@ func realSegments(f *testing.F) (out, in []byte) {
 	ep := s.curEp()
 	var sc []byte
 	for v := int64(0); v < ep.numVertices && (out == nil || in == nil); v++ {
-		rec, err := ep.readVertex(storage.VID(v))
-		if err != nil {
-			f.Fatal(err)
-		}
+		rec := ep.readVertex(storage.VID(v))
 		block, err := ep.readBlock(rec, &sc, false)
 		if err != nil {
 			f.Fatal(err)

@@ -230,8 +230,8 @@ func (vw view) HasLabelID(v storage.VID, label storage.SymbolID) bool {
 	return vw.s.delta.hasLabel(v, int(label), vw.w)
 }
 
-// Labels returns the vertex's labels, sorted: record bits plus delta
-// additions for base vertices, delta state for delta vertices.
+// Labels returns the vertex's labels, sorted: the epoch's label bitmaps
+// plus delta additions for base vertices, delta state for delta vertices.
 func (vw view) Labels(v storage.VID) []string {
 	if !vw.checkV(v) {
 		return nil
@@ -239,11 +239,7 @@ func (vw view) Labels(v storage.VID) []string {
 	if int64(v) >= vw.ep.numVertices {
 		return vw.s.labelNames(vw.s.delta.vertexLabelIDs(v, vw.w))
 	}
-	rec, err := vw.ep.readVertex(v)
-	if err != nil {
-		return nil
-	}
-	return vw.s.labelNames(append(labelBitsToIDs(rec.labels), vw.s.delta.labelAddIDs(v, vw.w)...))
+	return vw.s.labelNames(append(vw.ep.labelIDs(v, nil), vw.s.delta.labelAddIDs(v, vw.w)...))
 }
 
 // PropID returns the property value visible in the view. Delta-side
@@ -264,11 +260,7 @@ func (vw view) PropID(v storage.VID, key storage.SymbolID) (graph.Value, bool) {
 			return val, true
 		}
 	}
-	rec, err := vw.ep.readVertex(v)
-	if err != nil {
-		return graph.Null, false
-	}
-	val, ok, err := vw.ep.prop(rec, uint32(key))
+	val, ok, err := vw.ep.prop(vw.ep.readVertex(v), uint32(key))
 	if err != nil {
 		return graph.Null, false
 	}
@@ -340,11 +332,8 @@ func (vw view) PropKeys(v storage.VID) []string {
 	}
 	var ids []int
 	if int64(v) < vw.ep.numVertices {
-		rec, err := vw.ep.readVertex(v)
-		if err != nil {
-			return nil
-		}
-		if ids, err = vw.ep.propKeys(rec); err != nil {
+		var err error
+		if ids, err = vw.ep.propKeys(vw.ep.readVertex(v)); err != nil {
 			return nil
 		}
 	}
@@ -364,11 +353,7 @@ func (vw view) forEachID(v storage.VID, etype storage.SymbolID, out bool, fn fun
 	// live writes — then the vertex's visible delta adjacency. Delta
 	// vertices have no base records at all.
 	if int64(v) < vw.ep.numVertices {
-		rec, err := vw.ep.readVertex(v)
-		if err != nil {
-			return
-		}
-		if done, err := vw.ep.forEachAdj(rec, etype, out, fn); !done || err != nil {
+		if done, err := vw.ep.forEachAdj(vw.ep.readVertex(v), etype, out, fn); !done || err != nil {
 			return
 		}
 	}
@@ -395,8 +380,9 @@ func (vw view) ForEachInID(v storage.VID, etype storage.SymbolID, fn func(storag
 }
 
 // DegreeID answers degree queries without decoding a segment: untyped
-// degrees come from the vertex record's counters, typed degrees from its
-// adjacency block's type directory, plus the visible delta count.
+// degrees come from the vertex record's counters, which the resident
+// table holds, typed degrees from its adjacency block's type directory,
+// plus the visible delta count.
 func (vw view) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 	if !vw.checkV(v) || etype == storage.NoSymbol {
 		return 0
@@ -406,10 +392,7 @@ func (vw view) DegreeID(v storage.VID, etype storage.SymbolID, out bool) int {
 		return deltaN // delta vertex: no base records
 	}
 	ep := vw.ep
-	rec, err := ep.readVertex(v)
-	if err != nil {
-		return 0
-	}
+	rec := ep.readVertex(v)
 	if etype == storage.AnySymbol {
 		if out {
 			return int(rec.outDeg) + deltaN
