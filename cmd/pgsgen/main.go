@@ -12,9 +12,9 @@
 //
 // -store loads the dataset (direct schema) through the bulk-build
 // pipeline into a diskstore at the given directory: adjacency comes out
-// finalized into segments and the label index is persisted, so a later
-// `pgsserve -backend diskstore -data-dir DIR` serves it without
-// regenerating or rescanning anything.
+// finalized into segments and the value postings and statistics are
+// persisted in index.db, so a later `pgsserve -backend diskstore
+// -data-dir DIR` serves it without regenerating or rescanning anything.
 package main
 
 import (

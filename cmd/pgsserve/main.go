@@ -40,8 +40,9 @@
 //
 // When -data-dir points at an already-populated diskstore (e.g. written
 // by `pgsgen -store` or a previous pgsserve run), the store is served
-// as-is: no dataset load runs, and the store restores its label index
-// from index.db instead of scanning every vertex — the fast-restart path.
+// as-is: no dataset load runs, and the store reads its label index from
+// vertices.db and its value postings and statistics from index.db instead
+// of scanning every vertex's properties and edges — the fast-restart path.
 // A store written by an earlier release (format v2-v5) is refused; rebuild
 // it with `pgsgen -store DIR`. The operator must pass the same
 // -optimize/-localize flags the store was built with; pgsserve cannot

@@ -74,7 +74,7 @@ func TestDocsPresentAndLinked(t *testing.T) {
 			"ErrFinalized", "BulkVertex.Props", "writeFileAtomic", "commit point",
 			"Format v6", "property run", "adjacency block", "checkLayout",
 			"FuzzVertexLayout", "delta-varint", "uvarint", "firstOutEID", "bytes-per-edge",
-			"PGSIDX08", "EdgeTypeCounts", "FromStorage",
+			"PGSIDX09", "EdgeTypeCounts", "FromStorage",
 			// The resident vertex table and the checks Open makes on it.
 			"Resident vertex table", "loadVertices", "TestOpenRefusesUntiledVertices",
 			// The value index both backends share, diskstore's delta

@@ -8,8 +8,9 @@ import (
 // FromStorage derives the cost model's data characteristics (§4.2) from
 // a loaded store's persisted statistics instead of the uniform synthetic
 // defaults: concept cardinalities come from per-label vertex counts and
-// relationship cardinalities from per-type edge counts (format v5 keeps
-// both in index.db). The loader writes one vertex label per concept and
+// relationship cardinalities from per-type edge counts (diskstore reads
+// its label counts from vertices.db and keeps the type counts in
+// index.db). The loader writes one vertex label per concept and
 // one edge type per relationship Name, so the mapping back is direct —
 // except that distinct relationships may share a Name, in which case the
 // type's count is split evenly across them.
@@ -17,8 +18,8 @@ import (
 // The result always covers the whole ontology (Stats.Validate passes):
 // a concept or relationship with no instances in the store is clamped to
 // cardinality 1 so the cost formulas stay positive, and when the store
-// has no persisted edge-type counts (EdgeTypeCounts() == nil, e.g. a
-// pre-v5 layout) relationship cardinalities fall back to the
+// has no persisted edge-type counts (EdgeTypeCounts() == nil, a store
+// that has never committed) relationship cardinalities fall back to the
 // DefaultStats fanout multipliers scaled by the real source-concept
 // cardinality.
 func FromStorage(o *ontology.Ontology, st storage.Statistics) *ontology.Stats {

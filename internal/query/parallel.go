@@ -32,8 +32,8 @@ const (
 	// MinParallelRootCount is the runtime parallelism threshold: root
 	// scans over fewer vertices than this execute serially, because the
 	// fan-out costs more than it buys on small labels. The count comes
-	// from the store's label index (persisted in index.db on diskstore),
-	// so the decision is one map lookup.
+	// from the store's label index (on diskstore, built from vertices.db
+	// at Open), so the decision is one map lookup.
 	MinParallelRootCount = 16
 
 	// morselsPerWorker oversplits the root scan so workers that finish

@@ -137,12 +137,6 @@ func (s *Store) Finalize() error {
 	s.epMu.Unlock()
 	old.retire = s.genFilePaths(old.gen)
 	s.retired.Add(1)
-	// The new generation's on-disk index carries the frozen symbol
-	// tables; if live writes grew them mid-fold the next Flush must
-	// rewrite it (loadIndex would reject the shorter tables anyway).
-	s.symMu.RLock()
-	s.indexCurrent = len(s.labels) == len(labels) && len(s.types) == len(types) && len(s.keys) == len(keys)
-	s.symMu.RUnlock()
 	s.liveMu.Unlock()
 	s.flushMu.Unlock()
 	if load == nil {

@@ -107,9 +107,10 @@ func (o Options) withDefaults() Options {
 //   - edges.db: each vertex's adjacency block — a type directory sorted by
 //     type ID, then the vertex's delta-varint out/in segments in directory
 //     order (see segcodec.go);
-//   - index.db, the persisted value postings, a statistics block
-//     (per-edge-type counts) and, redundantly, the label-scan index and
-//     the symbol tables, so Open reads no property run or directory.
+//   - index.db, the persisted value postings and a statistics block
+//     (per-edge-type counts), so Open reads no property run or
+//     directory. It holds nothing Open can derive: the label-scan index
+//     comes from vertices.db, the symbol tables from the manifest.
 //
 // Stores written by earlier releases — manifest versions 2 to 5, whose
 // properties and per-type degree records are linked chains — are refused
@@ -196,8 +197,8 @@ type epoch struct {
 	vtab []vertexEntry
 
 	// byLabel is the label-scan index, in VID order: the records' labels.
-	// Built by writeGeneration or by Open's read of vertices.db, which
-	// also checks a loaded index.db's copy against it.
+	// Built by writeGeneration or by Open's read of vertices.db; index.db
+	// holds no copy.
 	byLabel map[int][]storage.VID
 	// values is the generation's (label, key, value) postings: the base
 	// files' values only, which a view overlays with the delta (see
@@ -313,9 +314,8 @@ type Store struct {
 	// directory.
 	indexLoaded bool
 	// indexCurrent reports that the index file on disk describes the
-	// current generation and symbol tables: set by a successful load at
-	// Open and by every index write. A Flush with a current index writes
-	// nothing.
+	// current generation: set by a successful load at Open and by every
+	// commit. A Flush with a current index writes nothing.
 	indexCurrent bool
 
 	labels   []string
@@ -643,12 +643,13 @@ func isGenFile(name string) bool {
 }
 
 // Flush commits what a store holds beyond its last commit: a pending
-// bulk load is finalized, and an index file that does not describe the
-// current generation (one Open had to rebuild by scanning, or one a fold
-// wrote before live writes grew the symbol tables) is rewritten with the
-// manifest. Anything else is already durable — generations by their
-// commit, live writes through the WAL — so a store with nothing pending
-// writes nothing: read-only workloads stay read-only on close.
+// bulk load is finalized, and a store whose index file does not describe
+// the current generation (one Open had to rebuild by scanning, or a store
+// that has never committed) commits it with the manifest. Anything else
+// is already durable — generations by their commit, live writes through
+// the WAL — so a store with nothing pending writes nothing: read-only
+// workloads stay read-only on close. An index file names no symbol, so
+// the names live writes intern leave it current.
 func (s *Store) Flush() error {
 	if s.load.Load() != nil {
 		if err := s.Finalize(); err != nil {
@@ -663,11 +664,7 @@ func (s *Store) Flush() error {
 	if s.indexCurrent {
 		return nil
 	}
-	if err := s.commit(s.curEp(), s.labels, s.types, s.keys, s.walFoldedSeq); err != nil {
-		return err
-	}
-	s.indexCurrent = true
-	return nil
+	return s.commit(s.curEp(), s.labels, s.types, s.keys, s.walFoldedSeq)
 }
 
 // commit is the one commit protocol, which Finalize and Flush end in:
@@ -676,14 +673,15 @@ func (s *Store) Flush() error {
 // given symbol tables and WAL fence (writeFileAtomic — the rename is the
 // commit point, and the directory sync after it makes the rename
 // durable). A failure or crash before the rename leaves the previous
-// manifest in charge.
+// manifest in charge; success makes the index current. The caller holds
+// flushMu.
 func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) error {
 	for _, f := range ep.pager.files {
 		if err := f.Sync(); err != nil {
 			return err
 		}
 	}
-	if err := s.writeIndex(ep, labels, types, keys); err != nil {
+	if err := s.writeIndex(ep); err != nil {
 		return err
 	}
 	data, err := json.Marshal(manifest{
@@ -695,7 +693,11 @@ func (s *Store) commit(ep *epoch, labels, types, keys []string, walSeq uint64) e
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(s.dir, "manifest.json"), data)
+	if err := writeFileAtomic(filepath.Join(s.dir, "manifest.json"), data); err != nil {
+		return err
+	}
+	s.indexCurrent = true
+	return nil
 }
 
 // finalizeMarker is the sentinel an earlier build's in-place Finalize

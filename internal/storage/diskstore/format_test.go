@@ -94,23 +94,28 @@ func TestOpenUsesPersistedIndex(t *testing.T) {
 // must not load: one with a flipped byte, which the CRC rejects; ones
 // carrying an earlier format's magic over a body that otherwise parses,
 // which only the magic marks stale (PGSIDX07 is the last layout without
-// value postings); and ones whose value postings a valid CRC covers but
-// the parser must refuse — a run longer than the postings, a posting
-// past the last vertex, a slot naming no range. Either way the open must
-// silently rebuild by scanning and read back as built, edge-type
-// statistics included, and its Close must rewrite an index the next open
-// loads with those statistics.
+// value postings, PGSIDX08 the last with the label index and the symbol
+// tables); and ones whose value postings a valid CRC covers but the
+// parser must refuse — a run longer than the postings, a posting past
+// the last vertex, a slot naming no range, a range naming the first label
+// or key ID past the manifest's tables. Either way the open must silently
+// rebuild by scanning and read back as built, edge-type statistics
+// included, and its Close must rewrite an index the next open loads with
+// those statistics.
 func TestCorruptIndexFallsBackToScan(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		corrupt func([]byte)
+		corrupt func(data []byte, s *Store)
 	}{
-		{"flipped byte", func(data []byte) { data[len(data)/2] ^= 0xff }},
-		{"PGSIDX06 magic", func(data []byte) { copy(data, "PGSIDX06") }},
-		{"PGSIDX07 magic", func(data []byte) { copy(data, "PGSIDX07") }},
-		{"run past the postings", func(data []byte) { corruptPostings(data, postingsRunLen, 1) }},
-		{"posting past the vertices", func(data []byte) { corruptPostings(data, postingsFirstVID, 60) }},
-		{"slot past the ranges", func(data []byte) { corruptPostings(data, postingsFirstSlot, 0) }},
+		{"flipped byte", func(data []byte, _ *Store) { data[len(data)/2] ^= 0xff }},
+		{"PGSIDX06 magic", func(data []byte, _ *Store) { copy(data, "PGSIDX06") }},
+		{"PGSIDX07 magic", func(data []byte, _ *Store) { copy(data, "PGSIDX07") }},
+		{"PGSIDX08 magic", func(data []byte, _ *Store) { copy(data, "PGSIDX08") }},
+		{"run past the postings", func(data []byte, _ *Store) { corruptPostings(data, postingsRunLen, 1) }},
+		{"posting past the vertices", func(data []byte, _ *Store) { corruptPostings(data, postingsFirstVID, 60) }},
+		{"slot past the ranges", func(data []byte, _ *Store) { corruptPostings(data, postingsFirstSlot, 0) }},
+		{"label past the manifest's", func(data []byte, s *Store) { corruptPostings(data, postingsFirstLabel, uint64(len(s.labels))) }},
+		{"key past the manifest's", func(data []byte, s *Store) { corruptPostings(data, postingsFirstKey, uint64(len(s.keys))) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -135,7 +140,7 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.corrupt(data)
+			tc.corrupt(data, s)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -176,28 +181,21 @@ func TestCorruptIndexFallsBackToScan(t *testing.T) {
 // The fields of an index file's value postings section corruptPostings
 // overwrites.
 const (
-	postingsRunLen    = iota // the first range's run length, plus arg
-	postingsFirstVID         // the first posting, set to arg
-	postingsFirstSlot        // the first filled slot, set to one past the ranges
+	postingsRunLen     = iota // the first range's run length, plus arg
+	postingsFirstVID          // the first posting, set to arg
+	postingsFirstSlot         // the first filled slot, set to one past the ranges
+	postingsFirstLabel        // the first range's label ID, set to arg
+	postingsFirstKey          // the first range's key ID, set to arg
 )
 
 // postingsOffsets locates the value postings section of an index file:
 // the offsets of its range table, its postings and its slot table, found
-// by walking the header, the symbol tables and the label index.
+// by walking the header.
 func postingsOffsets(data []byte) (ranges, vids, slots int) {
 	off := len(indexMagic) + 4 + 16
-	u32 := func() int { x := int(binary.LittleEndian.Uint32(data[off:])); off += 4; return x }
-	for range 3 {
-		for n := u32(); n > 0; n-- {
-			off += u32()
-		}
-	}
-	for n := u32(); n > 0; n-- {
-		off += 8 + 8*int(binary.LittleEndian.Uint64(data[off:]))
-	}
-	nr := u32()
-	ranges = off
-	off += 20 * nr
+	nr := int(binary.LittleEndian.Uint32(data[off:]))
+	ranges = off + 4
+	off = ranges + 20*nr
 	vids = off + 8
 	off = vids + 4*int(binary.LittleEndian.Uint64(data[off:]))
 	return ranges, vids, off + 4
@@ -213,6 +211,10 @@ func corruptPostings(data []byte, field int, arg uint64) {
 		binary.LittleEndian.PutUint32(data[at:], binary.LittleEndian.Uint32(data[at:])+uint32(arg))
 	case postingsFirstVID:
 		binary.LittleEndian.PutUint32(data[vids:], uint32(arg))
+	case postingsFirstLabel:
+		binary.LittleEndian.PutUint32(data[ranges+8:], uint32(arg))
+	case postingsFirstKey:
+		binary.LittleEndian.PutUint32(data[ranges+12:], uint32(arg))
 	case postingsFirstSlot:
 		nr := binary.LittleEndian.Uint32(data[ranges-4:])
 		for at := slots; ; at += 4 {
@@ -385,7 +387,8 @@ func TestBulkFlushAutoFinalizes(t *testing.T) {
 
 // TestCleanCloseDoesNotRewrite: opening and closing a store without
 // mutating it must leave index.db and manifest.json untouched — reading
-// a store is not a write workload.
+// a store is not a write workload — and so must closing one whose live
+// writes interned names after a fold froze its symbol tables.
 func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 16})
@@ -399,13 +402,32 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// backdate sets the index and manifest mtimes far back; unchanged
+	// reports any of them a later close rewrote.
 	old := time.Unix(1_000_000_000, 0)
-	files := []string{idx, filepath.Join(dir, "manifest.json")}
-	for _, f := range files {
-		if err := os.Chtimes(f, old, old); err != nil {
-			t.Fatal(err)
+	backdate := func(idx string) []string {
+		t.Helper()
+		files := []string{idx, filepath.Join(dir, "manifest.json")}
+		for _, f := range files {
+			if err := os.Chtimes(f, old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	unchanged := func(files []string, by string) {
+		t.Helper()
+		for _, f := range files {
+			st, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.ModTime().Equal(old) {
+				t.Errorf("%s was rewritten by %s", f, by)
+			}
 		}
 	}
+	files := backdate(idx)
 	re, err := Open(dir, Options{PageSize: 512, CachePages: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -414,15 +436,7 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range files {
-		st, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !st.ModTime().Equal(old) {
-			t.Errorf("%s was rewritten by a read-only open/close cycle", f)
-		}
-	}
+	unchanged(files, "a read-only open/close cycle")
 	// But a store whose index is missing self-repairs on close.
 	if err := os.Remove(idx); err != nil {
 		t.Fatal(err)
@@ -436,6 +450,74 @@ func TestCleanCloseDoesNotRewrite(t *testing.T) {
 	}
 	if _, err := os.Stat(idx); err != nil {
 		t.Errorf("scan-opened store did not repair index.db on close: %v", err)
+	}
+
+	// Nor does a close after a fold whose symbol tables live writes grew
+	// once it had frozen them: index.db names no symbol, so it stays
+	// current, and the WAL replay re-interns the names the fold's
+	// manifest lacks. The test holds flushMu so the fold waits at its
+	// commit until the writes have landed; the next generation's first
+	// file shows the fold is past its freeze.
+	live, err := Open(dir, Options{PageSize: 512, CachePages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.ApplyMutations([]storage.Mutation{{Op: storage.MutAddLabel, V: 1, Label: "A"}}); err != nil {
+		t.Fatal(err)
+	}
+	next := filepath.Join(dir, genFileName(baseFileNames[0], live.Format().Generation+1))
+	live.flushMu.Lock()
+	folded := make(chan error, 1)
+	go func() { folded <- live.Compact() }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(next); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			live.flushMu.Unlock()
+			t.Fatalf("the fold wrote no %s", next)
+		}
+	}
+	res, err := live.ApplyMutations([]storage.Mutation{
+		{Op: storage.MutAddVertex, Labels: []string{"Fresh"}},
+		{Op: storage.MutAddEdge, Src: 0, Dst: 1, Type: "fresh_type"},
+		{Op: storage.MutSetProp, V: 2, Key: "fresh_key", Value: graph.I(7)},
+	})
+	live.flushMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-folded; err != nil {
+		t.Fatal(err)
+	}
+	manifestData, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(manifestData), "Fresh") {
+		t.Fatal("precondition: the fold's manifest holds the label written after its freeze")
+	}
+	files = backdate(live.indexPath(live.Format().Generation))
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged(files, "a close after live writes interned names a fold had not frozen")
+	back, err := Open(dir, Options{PageSize: 512, CachePages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if !back.Format().IndexLoaded {
+		t.Error("reopen after the live writes did not load index.db")
+	}
+	if !back.HasLabel(res.Vertices[0], "Fresh") {
+		t.Error("label Fresh written live is lost")
+	}
+	if got := back.Degree(0, "fresh_type", true); got != 1 {
+		t.Errorf("Degree(0, fresh_type) = %d, want the 1 live edge", got)
+	}
+	if got, ok := back.Prop(2, "fresh_key"); !ok || !got.Equal(graph.I(7)) {
+		t.Errorf("Prop(2, fresh_key) = %v, %v; want 7", got, ok)
 	}
 }
 

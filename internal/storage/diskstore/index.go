@@ -1,25 +1,22 @@
 package diskstore
 
-// index.db persists the store's derived open-time structures — the
-// value postings, the statistics and (redundantly, for validation) the
-// label-scan index and the symbol tables — so reopening a store costs
-// O(index size) plus the read of vertices.db instead of a scan of every
-// run and directory, and reads no page through the cache. The file is
-// advisory: it is rewritten by every commit via writeFileAtomic, carries a
-// CRC, and is cross-checked against the manifest and the vertex records
-// on load; if it is missing, torn, or out of step, Open silently falls
-// back to rebuilding the postings and statistics by scanning vertices.
+// index.db persists what Open cannot derive from vertices.db and the
+// manifest — the value postings and the statistics — so reopening a store
+// costs O(index size) plus the read of vertices.db instead of a scan of
+// every run and directory, and reads no page through the cache. The label
+// index comes from vertices.db (loadVertices) and the symbol tables from
+// the manifest, so the file names no symbol: it stays valid for its
+// generation's whole life, whatever names live writes intern later. The
+// file is advisory: every commit writes it via writeFileAtomic, it carries
+// a CRC, and it is cross-checked against the manifest on load; if it is
+// missing, torn, or out of step, Open silently falls back to rebuilding
+// the postings and statistics by scanning vertices.
 //
 // Layout (little-endian):
 //
-//	magic   [8]byte  "PGSIDX08"
+//	magic   [8]byte  "PGSIDX09"
 //	crc32   u32      IEEE CRC of everything after this field
 //	numVertices, numEdges  u64 × 2   (validated vs manifest)
-//	labels, types, keys   3 × (u32 count, then per entry u32 len + bytes)
-//	label index           u32 count (== len(labels)), then per label:
-//	                      u64 entry count + that many u64 VIDs, in the
-//	                      in-memory order of the scan index (VID order
-//	                      in a generation Finalize wrote)
 //	value postings        the generation's propindex.Index:
 //	                      u32 range count, then per range u64 hash,
 //	                      u32 label, u32 key, u32 run length (the runs
@@ -38,16 +35,13 @@ package diskstore
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 
-	"repro/internal/storage"
 	"repro/internal/storage/propindex"
 )
 
-const indexMagic = "PGSIDX08"
+const indexMagic = "PGSIDX09"
 
 // indexPath is the index file of one base generation (index.db, or
 // index.db.gN for generation N — the index describes one generation's
@@ -56,23 +50,14 @@ func (s *Store) indexPath(gen int64) string {
 	return filepath.Join(s.dir, genFileName(indexFileName, gen))
 }
 
-// writeIndex serializes the epoch's label index, value postings and
-// statistics with the given symbol tables, and atomically replaces the
-// generation's index file. The file is built in one buffer of its exact
-// size, the header's CRC filled in last.
-func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
+// writeIndex serializes the epoch's value postings and statistics and
+// atomically replaces the generation's index file. The file is built in
+// one buffer of its exact size, the header's CRC filled in last.
+func (s *Store) writeIndex(ep *epoch) error {
 	vids, ranges, slots := ep.values.Parts()
-	size := len(indexMagic) + 4 + 16 + 3*4 + 4 + 4 + 20*len(ranges) + 8 + 4*len(vids) + 4 + 4*len(slots) + 1
+	size := len(indexMagic) + 4 + 16 + 4 + 20*len(ranges) + 8 + 4*len(vids) + 4 + 4*len(slots) + 1
 	if ep.statsValid {
 		size += 4 + 8*len(ep.typeCounts)
-	}
-	for _, table := range [][]string{labels, types, keys} {
-		for _, entry := range table {
-			size += 4 + len(entry)
-		}
-	}
-	for id := range labels {
-		size += 8 + 8*len(ep.byLabel[id])
 	}
 	buf := make([]byte, len(indexMagic)+4, size)
 	copy(buf, indexMagic)
@@ -80,21 +65,6 @@ func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	u64(uint64(ep.numVertices))
 	u64(uint64(ep.numEdges))
-	for _, table := range [][]string{labels, types, keys} {
-		u32(uint32(len(table)))
-		for _, entry := range table {
-			u32(uint32(len(entry)))
-			buf = append(buf, entry...)
-		}
-	}
-	u32(uint32(len(labels)))
-	for id := range labels {
-		vids := ep.byLabel[id]
-		u64(uint64(len(vids)))
-		for _, v := range vids {
-			u64(uint64(v))
-		}
-	}
 	u32(uint32(len(ranges)))
 	for _, r := range ranges {
 		u64(r.Hash)
@@ -125,9 +95,8 @@ func (s *Store) writeIndex(ep *epoch, labels, types, keys []string) error {
 
 // loadIndex restores the value postings and the statistics from
 // index.db, reporting success. Any inconsistency — missing file, bad
-// magic or CRC, counts or symbol tables disagreeing with the
-// already-loaded manifest, a label index other than the one the vertex
-// records give (ep.byLabel, from loadVertices), postings
+// magic or CRC, counts disagreeing with the already-loaded manifest,
+// postings naming a label or key past the manifest's tables or that
 // propindex.FromParts refuses — makes it report false without touching
 // store state, and the caller rebuilds by scanning.
 func (s *Store) loadIndex(ep *epoch) bool {
@@ -143,41 +112,7 @@ func (s *Store) loadIndex(ep *epoch) bool {
 	if int64(r.u64()) != ep.numVertices || int64(r.u64()) != ep.numEdges {
 		return false
 	}
-	for _, table := range [][]string{s.labels, s.types, s.keys} {
-		if int(r.u32()) != len(table) {
-			return false
-		}
-		for _, want := range table {
-			if r.str() != want {
-				return false
-			}
-		}
-	}
-	if int(r.u32()) != len(s.labels) {
-		return false
-	}
-	byLabel := make(map[int][]storage.VID, len(s.labels))
-	for id := range s.labels {
-		n := r.u64()
-		if !r.ok || n > uint64(ep.numVertices) {
-			return false
-		}
-		vids := make([]storage.VID, 0, n)
-		for i := uint64(0); i < n; i++ {
-			v := storage.VID(r.u64())
-			if v < 0 || int64(v) >= ep.numVertices {
-				return false
-			}
-			vids = append(vids, v)
-		}
-		if len(vids) > 0 {
-			byLabel[id] = vids
-		}
-	}
-	if !maps.EqualFunc(byLabel, ep.byLabel, slices.Equal) {
-		return false
-	}
-	values, ok := r.values(ep.numVertices)
+	values, ok := r.values(ep.numVertices, len(s.labels), len(s.keys))
 	if !ok {
 		return false
 	}
@@ -203,17 +138,18 @@ func (s *Store) loadIndex(ep *epoch) bool {
 	if !r.ok || len(r.data) != 0 {
 		return false
 	}
-	ep.byLabel = byLabel
 	ep.values = values
 	ep.typeCounts = typeCounts
 	ep.statsValid = statsValid
 	return true
 }
 
-// values decodes the value postings section; propindex.FromParts checks
-// what the bytes cannot: runs that tile the postings in ascending VID
-// order, and a hash table that reaches every run.
-func (r *idxReader) values(numVertices int64) (*propindex.Index, bool) {
+// values decodes the value postings section. It refuses a range whose
+// label or key ID is at or past numLabels or numKeys, the manifest's
+// table sizes; propindex.FromParts checks what else the bytes cannot:
+// runs that tile the postings in ascending VID order, and a hash table
+// that reaches every run.
+func (r *idxReader) values(numVertices int64, numLabels, numKeys int) (*propindex.Index, bool) {
 	nr := r.u32()
 	if !r.ok || uint64(nr) > uint64(len(r.data))/20 {
 		return nil, false
@@ -221,7 +157,11 @@ func (r *idxReader) values(numVertices int64) (*propindex.Index, bool) {
 	ranges := make([]propindex.Range, nr)
 	lo := 0
 	for i := range ranges {
-		ranges[i] = propindex.Range{Hash: r.u64(), Label: int32(r.u32()), Key: int32(r.u32()), Lo: lo}
+		hash, label, key := r.u64(), r.u32(), r.u32()
+		if uint64(label) >= uint64(numLabels) || uint64(key) >= uint64(numKeys) {
+			return nil, false
+		}
+		ranges[i] = propindex.Range{Hash: hash, Label: int32(label), Key: int32(key), Lo: lo}
 		lo += int(r.u32())
 		ranges[i].Hi = lo
 	}

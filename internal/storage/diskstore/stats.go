@@ -1,8 +1,10 @@
 package diskstore
 
 // storage.Statistics: real per-label and per-edge-type cardinalities.
-// The type counts are persisted in index.db's statistics block (see
-// index.go), rebuilt on every Finalize/Compact and by Open's scan.
+// The label counts come from the label index, which Open builds from
+// vertices.db; the type counts are persisted in index.db's statistics
+// block (see index.go), rebuilt on every Finalize/Compact and by Open's
+// scan.
 
 // LabelCounts returns the exact number of vertices per label, including
 // any live delta beyond the base.

@@ -10,9 +10,9 @@ import (
 )
 
 // TestStatisticsRoundTrip checks the statistics block end to end:
-// label and edge-type counts survive Flush/Close/Open via index.db, and
-// an Open without index.db rebuilds the same edge-type counts by
-// scanning.
+// label counts survive Flush/Close/Open via vertices.db and edge-type
+// counts via index.db, and an Open without index.db rebuilds the same
+// edge-type counts by scanning.
 func TestStatisticsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{PageSize: 512, CachePages: 64})
